@@ -1,6 +1,7 @@
 //! A named collection of qunit definitions — the "flat collection of
 //! independent qunits" the database is modeled as (§2).
 
+use crate::doc_def::DefId;
 use crate::qunit::{DerivationSource, QunitDefinition};
 use std::collections::HashMap;
 
@@ -37,6 +38,13 @@ impl QunitCatalog {
     /// Look up by name.
     pub fn get(&self, name: &str) -> Option<&QunitDefinition> {
         self.by_name.get(name).map(|&i| &self.defs[i])
+    }
+
+    /// Typed id of a definition: its position in [`QunitCatalog::iter`]
+    /// order. `None` for an unknown name, or a position past
+    /// [`DefId::MAX_DEFINITIONS`].
+    pub fn def_id(&self, name: &str) -> Option<DefId> {
+        self.by_name.get(name).and_then(|&i| DefId::new(i))
     }
 
     /// All definitions.
@@ -113,6 +121,11 @@ mod tests {
         cat.add(def("a", 5.0, DerivationSource::Manual));
         assert_eq!(cat.len(), 2);
         assert_eq!(cat.get("a").unwrap().utility, 5.0);
+        // replacing keeps the position, so ids follow iteration order
+        for (i, d) in cat.iter().enumerate() {
+            assert_eq!(cat.def_id(&d.name).map(DefId::index), Some(i));
+        }
+        assert_eq!(cat.def_id("missing"), None);
     }
 
     #[test]

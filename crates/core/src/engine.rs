@@ -72,17 +72,18 @@
 
 use crate::cache::{CacheStats, QueryCache};
 use crate::catalog::QunitCatalog;
+use crate::doc_def::{DefId, DocDefLane};
 use crate::feedback::FeedbackStore;
 use crate::materialize::materialize_all;
 use crate::obs::{EngineObs, ObsSnapshot};
 use crate::qunit::{QunitDefinition, QunitInstance};
 use crate::segment::{EntityDictionary, SegmentScratch, SegmentedQuery, Segmenter};
 use irengine::{
-    DispatchCounts, DispatchMode, DispatchPolicy, Document, ExecutorStats, IndexBuilder,
+    DispatchCounts, DispatchMode, DispatchPolicy, DocId, Document, ExecutorStats, IndexBuilder,
     KernelTier, ScoringFunction, ScratchPool, SearchContext, SearchFailure, ShardExecutor,
     ShardFailurePolicy, ShardTimings, ShardedIndex, ShardedSearcher, SnapshotError,
 };
-use relstore::{Database, Result};
+use relstore::{Database, Error, Result};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -556,6 +557,8 @@ pub struct SearchResponse {
 /// build time (the serial engine re-derived all of these per query).
 #[derive(Debug, Clone)]
 struct DefMeta {
+    /// Typed id: this entry's position, which is the catalog's.
+    id: DefId,
     /// Definition name (parallel to catalog order).
     name: String,
     /// `anchor.qualified()`, formatted once.
@@ -570,7 +573,10 @@ struct DefMeta {
 /// from benches and operators without touching any lock.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Uncached searches that went through the sharded scoring path.
+    /// Shard fan-outs run by uncached searches — one per ranking pass, so
+    /// a typed query whose restricted pass came back empty and reran
+    /// unrestricted counts two. Every fan-out adds to `per_shard_nanos`,
+    /// which makes nanos ÷ `searches` the cost of one pass.
     pub searches: u64,
     /// Accumulated scoring wall-clock per shard, in nanoseconds,
     /// index-aligned with the engine's shards. The spread across slots is
@@ -587,8 +593,12 @@ pub struct QunitSearchEngine {
     segmenter: Segmenter,
     config: EngineConfig,
     feedback: FeedbackStore,
-    /// Catalog-ordered metadata (see [`DefMeta`]).
+    /// Catalog-ordered metadata (see [`DefMeta`]), indexed by [`DefId`].
     def_meta: Vec<DefMeta>,
+    /// Owning definition of every global document id — what the kernel's
+    /// definition filter and the rescoring loop read instead of resolving
+    /// `external_id → instances → definition` per candidate.
+    doc_def: DocDefLane,
     /// Highest utility in the catalog (normalizer for the utility prior).
     max_utility: f64,
     cache: QueryCache<Vec<QunitResult>>,
@@ -596,7 +606,7 @@ pub struct QunitSearchEngine {
     /// nanosecond counters, one slot per index shard (no allocation on the
     /// hot path; see [`ShardTimings`]).
     shard_timings: ShardTimings,
-    /// Number of uncached searches that fanned across the shards.
+    /// Number of ranking passes that fanned across the shards.
     sharded_searches: AtomicU64,
     /// Warm dense-accumulator buffers for the scoring kernel. Shard tasks
     /// (on the executor workers or the calling thread) check one out and
@@ -823,6 +833,13 @@ impl QunitSearchEngine {
     /// fanning definitions across [`EngineConfig::build_threads`] workers.
     pub fn build(db: &Database, catalog: QunitCatalog, config: EngineConfig) -> Result<Self> {
         let config = config.with_env_overrides();
+        if catalog.len() > DefId::MAX_DEFINITIONS {
+            return Err(Error::InvalidSchema(format!(
+                "catalog has {} definitions; the doc→definition lane addresses at most {}",
+                catalog.len(),
+                DefId::MAX_DEFINITIONS
+            )));
+        }
         if let Some(spec) = &config.fault_schedule {
             // Same philosophy as the numeric env overrides: a typo'd
             // schedule silently ignored would run a chaos experiment with
@@ -901,9 +918,20 @@ impl QunitSearchEngine {
             }
         }
 
+        // One pass over the documents the index actually holds — built or
+        // loaded — through the same key → instance → definition chain the
+        // per-candidate filter used to walk on every query.
+        let doc_def = DocDefLane::build(index.num_docs(), |doc| {
+            let inst = instances.get(index.external_id(doc)?)?;
+            catalog.def_id(&inst.definition)
+        });
+        assert_eq!(doc_def.len(), index.num_docs());
+
         let def_meta: Vec<DefMeta> = catalog
             .iter()
-            .map(|d| DefMeta {
+            .enumerate()
+            .map(|(i, d)| DefMeta {
+                id: DefId::new(i).expect("catalog size checked on entry"),
                 name: d.name.clone(),
                 anchor_qualified: d.anchor.as_ref().map(|a| a.qualified()),
                 utility: d.utility,
@@ -933,6 +961,7 @@ impl QunitSearchEngine {
             config,
             feedback: FeedbackStore::new(),
             def_meta,
+            doc_def,
             max_utility,
             cache,
             shard_timings,
@@ -1061,6 +1090,8 @@ impl QunitSearchEngine {
             panics_contained: self.obs.panics_contained.get(),
             degraded_results: self.obs.degraded_results.get(),
             degraded_to_empty: self.obs.degraded_to_empty.get(),
+            typed_queries: self.obs.typed_queries.get(),
+            typed_fallbacks: self.obs.typed_fallbacks.get(),
             per_shard_scoring_nanos: self.shard_timings.snapshot(),
             tasks_enqueued: exec.enqueued,
             tasks_overflowed: exec.overflowed,
@@ -1094,10 +1125,16 @@ impl QunitSearchEngine {
     /// Definition-match (type) scores for a query: intent overlap + anchor
     /// agreement + utility prior, per definition name.
     pub fn type_scores(&self, query: &str) -> HashMap<String, f64> {
-        self.type_scores_for(&self.segmenter.segment(query))
+        let scores = self.type_scores_for(&self.segmenter.segment(query));
+        self.def_meta
+            .iter()
+            .map(|m| m.name.clone())
+            .zip(scores)
+            .collect()
     }
 
-    fn type_scores_for(&self, seg: &SegmentedQuery) -> HashMap<String, f64> {
+    /// [`QunitSearchEngine::type_scores`] indexed by [`DefId`].
+    fn type_scores_for(&self, seg: &SegmentedQuery) -> Vec<f64> {
         let residual = seg.residual_terms();
         let entity_types: Vec<String> = seg
             .entities()
@@ -1105,25 +1142,27 @@ impl QunitSearchEngine {
             .filter_map(|s| s.entity_type())
             .collect();
 
-        let mut out = HashMap::with_capacity(self.catalog.len());
-        for (def, meta) in self.catalog.iter().zip(&self.def_meta) {
-            let intent = def.intent_overlap(&residual);
-            let anchor = match &meta.anchor_qualified {
-                Some(a) if entity_types.iter().any(|t| t == a) => 1.0,
-                Some(_) if entity_types.is_empty() => 0.25, // nothing contradicts it
-                Some(_) => 0.0,                             // typed to a different entity
-                None => {
-                    if entity_types.is_empty() {
-                        0.5 // singleton qunits fit entity-free queries
-                    } else {
-                        0.0
+        self.catalog
+            .iter()
+            .zip(&self.def_meta)
+            .map(|(def, meta)| {
+                let intent = def.intent_overlap(&residual);
+                let anchor = match &meta.anchor_qualified {
+                    Some(a) if entity_types.iter().any(|t| t == a) => 1.0,
+                    Some(_) if entity_types.is_empty() => 0.25, // nothing contradicts it
+                    Some(_) => 0.0,                             // typed to a different entity
+                    None => {
+                        if entity_types.is_empty() {
+                            0.5 // singleton qunits fit entity-free queries
+                        } else {
+                            0.0
+                        }
                     }
-                }
-            };
-            let utility = self.config.utility_weight * (meta.utility / self.max_utility);
-            out.insert(meta.name.clone(), intent + anchor + utility);
-        }
-        out
+                };
+                let utility = self.config.utility_weight * (meta.utility / self.max_utility);
+                intent + anchor + utility
+            })
+            .collect()
     }
 
     /// Run a keyword query, returning up to `k` results. Consults the query
@@ -1436,7 +1475,7 @@ impl QunitSearchEngine {
         let salience = |m: &DefMeta| {
             m.utility + self.config.feedback_weight * self.feedback.boost(&seg_signature, &m.name)
         };
-        let default_def: Option<&str> =
+        let default_def: Option<DefId> =
             if seg.residual_terms().is_empty() && !entity_types.is_empty() {
                 self.def_meta
                     .iter()
@@ -1452,7 +1491,7 @@ impl QunitSearchEngine {
                             .unwrap_or(std::cmp::Ordering::Equal)
                             .then(b.name.cmp(&a.name))
                     })
-                    .map(|m| m.name.as_str())
+                    .map(|m| m.id)
             } else {
                 None
             };
@@ -1463,15 +1502,15 @@ impl QunitSearchEngine {
         // definitions whose anchor AND intent both align — restrict ranking
         // to those definitions; otherwise rank everything and let the soft
         // type score re-rank.
-        let best_ts = type_scores.values().copied().fold(0.0, f64::max);
-        let preferred: Option<Vec<&str>> = if let Some(d) = default_def {
+        let best_ts = type_scores.iter().copied().fold(0.0, f64::max);
+        let preferred: Option<Vec<DefId>> = if let Some(d) = default_def {
             Some(vec![d])
         } else if best_ts >= 1.5 {
             Some(
                 self.def_meta
                     .iter()
-                    .filter(|m| type_scores.get(&m.name).copied().unwrap_or(0.0) >= best_ts - 0.25)
-                    .map(|m| m.name.as_str())
+                    .filter(|m| type_scores[m.id.index()] >= best_ts - 0.25)
+                    .map(|m| m.id)
                     .collect(),
             )
         } else {
@@ -1522,50 +1561,50 @@ impl QunitSearchEngine {
             }
         };
         let mut degraded_shards = 0usize;
-        let def_filter = preferred.as_ref().map(|defs| {
-            move |doc: irengine::DocId| {
-                self.index
-                    .external_id(doc)
-                    .and_then(|key| self.instances.get(key))
-                    .map(|inst| defs.iter().any(|d| *d == inst.definition))
-                    .unwrap_or(false)
-            }
-        });
-        let outcome = searcher
-            .try_search_terms_where_ctx(
-                terms,
-                fetch,
-                def_filter
-                    .as_ref()
-                    .map(|f| f as &(dyn Fn(irengine::DocId) -> bool + Sync)),
-                &ctx,
-            )
-            .map_err(&rank_trip)?;
-        // Contained failures are counted per fan-out, eagerly: if a later
-        // fan-out errors out, the shards this one lost are already on the
-        // books — the chaos suite balances `panics_contained` against the
-        // fault registry's fired count exactly.
-        self.obs.panics_contained.add(outcome.failed_shards as u64);
-        degraded_shards += outcome.failed_shards;
-        let mut hits = outcome.hits;
-        self.sharded_searches.fetch_add(1, Ordering::Relaxed);
-        // If the identified type has no matching instance (a movie with no
-        // soundtrack asked for its ost), fall back to the unrestricted pool.
-        if hits.is_empty() && preferred.is_some() {
+        let mut fan_out = |filter: Option<&(dyn Fn(DocId) -> bool + Sync)>| {
+            self.sharded_searches.fetch_add(1, Ordering::Relaxed);
             let outcome = searcher
-                .try_search_terms_where_ctx(terms, fetch, None, &ctx)
+                .try_search_terms_where_ctx(terms, fetch, filter, &ctx)
                 .map_err(&rank_trip)?;
+            // Contained failures are counted per fan-out, eagerly: if a
+            // later fan-out errors out, the shards this one lost are
+            // already on the books — the chaos suite balances
+            // `panics_contained` against the fault registry's fired count
+            // exactly.
             self.obs.panics_contained.add(outcome.failed_shards as u64);
             degraded_shards += outcome.failed_shards;
-            hits = outcome.hits;
-        }
+            SearchResult::Ok(outcome.hits)
+        };
+        let mut hits = match &preferred {
+            Some(defs) => {
+                self.obs.typed_queries.incr();
+                let mut allowed = vec![false; self.def_meta.len()];
+                for d in defs {
+                    allowed[d.index()] = true;
+                }
+                let hits = fan_out(Some(&|doc| self.doc_def.accepts(&allowed, doc)))?;
+                if hits.is_empty() {
+                    // The identified type has no matching instance (a
+                    // movie with no soundtrack asked for its ost): fall
+                    // back to the unrestricted pool.
+                    self.obs.typed_fallbacks.incr();
+                    fan_out(None)?
+                } else {
+                    hits
+                }
+            }
+            None => fan_out(None)?,
+        };
 
         // Exact-anchor injection: the instance keyed by a segmented entity
         // is always a candidate, even when BM25 ranks it below the fetch
         // cutoff (a star's filmography document is long, scores low, and
         // would otherwise vanish behind 50 short near-misses).
         let candidate_defs: Vec<&str> = match &preferred {
-            Some(defs) => defs.clone(),
+            Some(defs) => defs
+                .iter()
+                .map(|d| self.def_meta[d.index()].name.as_str())
+                .collect(),
             None => self.def_meta.iter().map(|m| m.name.as_str()).collect(),
         };
         for text in &entity_texts {
@@ -1604,14 +1643,15 @@ impl QunitSearchEngine {
             .filter_map(|h| {
                 let key = self.index.external_id(h.doc)?;
                 let inst = self.instances.get(key)?;
-                let ts = type_scores.get(&inst.definition).copied().unwrap_or(0.0);
+                let def = self.doc_def.def_of(h.doc);
+                let ts = def.map_or(0.0, |d| type_scores[d.index()]);
                 let mut score = h.score * (1.0 + self.config.type_weight * ts);
                 if let Some(anchor) = inst.anchor_text() {
                     if entity_texts.iter().any(|t| t.eq_ignore_ascii_case(&anchor)) {
                         score *= 1.0 + self.config.anchor_exact_bonus;
                     }
                 }
-                if default_def == Some(inst.definition.as_str()) {
+                if default_def.is_some() && default_def == def {
                     score *= 1.0 + self.config.default_def_bonus;
                 }
                 if self.config.feedback_weight > 0.0 {
@@ -1923,6 +1963,7 @@ mod tests {
         assert_eq!(loaded.index_fingerprint(), fresh.index_fingerprint());
         assert_eq!(loaded.num_postings(), fresh.num_postings());
         assert_eq!(loaded.num_shards(), fresh.num_shards());
+        assert_eq!(loaded.doc_def, fresh.doc_def);
         let queries: Vec<String> = data
             .movies
             .iter()
@@ -1976,6 +2017,122 @@ mod tests {
         // still fan out, but a zero-k search short-circuits)
         e.search("star", 0);
         assert_eq!(e.shard_stats().searches, s.searches);
+    }
+
+    /// The resolution the lane replaced, kept as the oracle: external id →
+    /// instance → definition name, compared against the preferred names.
+    fn resolves_to_preferred(e: &QunitSearchEngine, preferred: &[&str], doc: DocId) -> bool {
+        e.index
+            .external_id(doc)
+            .and_then(|key| e.instances.get(key))
+            .map(|inst| preferred.iter().any(|d| *d == inst.definition))
+            .unwrap_or(false)
+    }
+
+    #[test]
+    fn lane_filter_equals_name_resolution_for_every_doc_and_subset() {
+        let (data, _) = engine();
+        for search_shards in [1usize, 3] {
+            let e = QunitSearchEngine::build(
+                &data.db,
+                expert_imdb_qunits(&data.db).unwrap(),
+                EngineConfig {
+                    search_shards,
+                    ..EngineConfig::default()
+                },
+            )
+            .unwrap();
+            let names: Vec<&str> = e.def_meta.iter().map(|m| m.name.as_str()).collect();
+            assert_eq!(e.doc_def.len(), e.index.num_docs());
+            let last = e.index.num_docs() as DocId + 8;
+            // every definition alone, none, all, and a seeded walk over
+            // the subsets in between
+            let mut masks: Vec<u64> = (0..names.len()).map(|i| 1 << i).collect();
+            masks.extend([0, u64::MAX]);
+            let mut state = 0x9e37_79b9_7f4a_7c15u64;
+            for _ in 0..24 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                masks.push(state >> 20);
+            }
+            for mask in masks {
+                let allowed: Vec<bool> = (0..names.len()).map(|i| mask >> i & 1 == 1).collect();
+                let preferred: Vec<&str> = names
+                    .iter()
+                    .zip(&allowed)
+                    .filter_map(|(n, &on)| on.then_some(*n))
+                    .collect();
+                for doc in 0..last {
+                    assert_eq!(
+                        e.doc_def.accepts(&allowed, doc),
+                        resolves_to_preferred(&e, &preferred, doc),
+                        "doc {doc}, preferred {preferred:?}, {search_shards} shard(s)"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn typed_query_without_an_instance_falls_back_and_counts_both_fan_outs() {
+        // No movie has a soundtrack, so "<movie> ost" identifies a type
+        // with nothing to rank and must answer from the unrestricted pool.
+        let mut data = ImdbData::generate(ImdbConfig::tiny());
+        let soundtrack = data.db.catalog().table_id("soundtrack").unwrap();
+        let table = data.db.table_mut(soundtrack).unwrap();
+        let rows: Vec<_> = table.scan().map(|(id, _)| id).collect();
+        for id in rows {
+            table.delete(id).unwrap();
+        }
+        let e = QunitSearchEngine::build(
+            &data.db,
+            expert_imdb_qunits(&data.db).unwrap(),
+            EngineConfig {
+                search_shards: 2,
+                cache_capacity: 0,
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        assert!(e.instances().all(|i| i.definition != "movie_soundtrack"));
+
+        let title = &data.movies[0].title;
+        let results = e.search(&format!("{title} ost"), 5);
+        assert!(!results.is_empty(), "fallback must still answer");
+        assert_eq!(results[0].anchor_text.as_deref(), Some(title.as_str()));
+        let obs = e.obs_snapshot();
+        assert_eq!((obs.typed_queries, obs.typed_fallbacks), (1, 1));
+        assert_eq!(e.shard_stats().searches, 2, "restricted pass + rerun");
+
+        // a typed query that finds its instances takes one fan-out…
+        e.search(&format!("{title} cast"), 5);
+        let obs = e.obs_snapshot();
+        assert_eq!((obs.typed_queries, obs.typed_fallbacks), (2, 1));
+        assert_eq!(e.shard_stats().searches, 3);
+        // …and so does one too vague to type at all
+        e.search("wallpaper", 5);
+        let obs = e.obs_snapshot();
+        assert_eq!((obs.typed_queries, obs.typed_fallbacks), (2, 1));
+        assert_eq!(e.shard_stats().searches, 4);
+    }
+
+    #[test]
+    fn oversized_catalog_fails_build_instead_of_truncating_ids() {
+        let (data, small) = engine();
+        let template = small.catalog().iter().next().unwrap().clone();
+        let mut catalog = QunitCatalog::new();
+        for i in 0..=DefId::MAX_DEFINITIONS {
+            catalog.add(QunitDefinition {
+                name: format!("d{i}"),
+                ..template.clone()
+            });
+        }
+        match QunitSearchEngine::build(&data.db, catalog, EngineConfig::default()) {
+            Err(Error::InvalidSchema(why)) => assert!(why.contains("65536"), "{why}"),
+            Err(other) => panic!("wrong error: {other}"),
+            Ok(_) => panic!("a catalog past the lane's id range must not build"),
+        }
     }
 
     #[test]

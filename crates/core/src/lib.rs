@@ -75,6 +75,7 @@
 pub mod cache;
 pub mod catalog;
 pub mod derive;
+pub mod doc_def;
 pub mod engine;
 pub mod feedback;
 pub mod materialize;
@@ -85,6 +86,7 @@ pub mod segment;
 
 pub use cache::{CacheStats, QueryCache};
 pub use catalog::QunitCatalog;
+pub use doc_def::{DefId, DocDefLane};
 pub use engine::{
     EngineConfig, QunitResult, QunitSearchEngine, SearchError, SearchResponse, SearchResult,
     ShardStats,

@@ -287,6 +287,13 @@ pub struct ObsSnapshot {
     /// with quiet error counters means callers are losing errors to the
     /// infallible API — switch them to `try_search`.
     pub degraded_to_empty: u64,
+    /// Uncached queries whose typing was confident enough to restrict
+    /// ranking to the identified definitions (the paper's "instances of
+    /// the identified type"); the rest ranked every instance.
+    pub typed_queries: u64,
+    /// Typed queries whose restricted pass matched no instance and were
+    /// ranked again over every definition — each one paid two fan-outs.
+    pub typed_fallbacks: u64,
     /// Cumulative scoring nanoseconds per index shard (length =
     /// `num_shards`), from the dispatch path's [`irengine::ShardTimings`].
     pub per_shard_scoring_nanos: Vec<u64>,
@@ -352,6 +359,10 @@ pub struct EngineObs {
     pub degraded_results: Counter,
     /// Errors swallowed into empty lists by the infallible entry points.
     pub degraded_to_empty: Counter,
+    /// Uncached queries ranked under a definition restriction.
+    pub typed_queries: Counter,
+    /// Restricted passes that came back empty and reran unrestricted.
+    pub typed_fallbacks: Counter,
     /// Full-pipeline latency per served query.
     pub latency: LatencyHistogram,
 }

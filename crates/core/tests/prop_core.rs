@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 use qunit_core::derive::manual::expert_imdb_qunits;
 use qunit_core::{
-    materialize_all, EngineConfig, EntityDictionary, QunitSearchEngine, Segment, Segmenter,
+    materialize_all, DocDefLane, EngineConfig, EntityDictionary, QunitCatalog, QunitSearchEngine,
+    Segment, Segmenter,
 };
 use relstore::index::tokenize;
 
@@ -159,6 +160,62 @@ mod shard_props {
                     prop_assert_eq!(&e.search(&q, k), &after);
                     prop_assert_eq!(&e.search_uncached(&q, k), &after);
                 }
+            }
+        }
+    }
+}
+
+mod lane_props {
+    use super::*;
+    use std::collections::HashMap;
+    use std::sync::OnceLock;
+
+    fn catalog() -> &'static QunitCatalog {
+        static CATALOG: OnceLock<QunitCatalog> = OnceLock::new();
+        CATALOG.get_or_init(|| expert_imdb_qunits(&fixtures::data().db).unwrap())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // The typed-IR filter contract: for every document id (eight past
+        // the end included) and any subset of the catalog, two array reads
+        // through the doc→definition lane answer exactly what resolving
+        // external id → instance → definition name and comparing against
+        // the preferred names answered. `owners[doc]` picks the document's
+        // definition; the two values past the catalog are a key with no
+        // instance behind it and an instance of a definition the catalog
+        // does not hold — both belong to no restriction.
+        #[test]
+        fn lane_filter_equals_name_resolution(
+            owners in prop::collection::vec(0usize..catalog().len() + 2, 0..48),
+            picks in prop::collection::vec(0u8..2, catalog().len()),
+        ) {
+            let names: Vec<&str> = catalog().iter().map(|d| d.name.as_str()).collect();
+            let keys: Vec<String> = (0..owners.len()).map(|doc| format!("k{doc}")).collect();
+            let instances: HashMap<&str, &str> = keys
+                .iter()
+                .zip(&owners)
+                .filter(|(_, &o)| o != names.len())
+                .map(|(key, &o)| (key.as_str(), *names.get(o).unwrap_or(&"not_in_catalog")))
+                .collect();
+            let definition_of = |doc: u32| instances.get(keys.get(doc as usize)?.as_str()).copied();
+
+            let lane = DocDefLane::build(keys.len(), |doc| catalog().def_id(definition_of(doc)?));
+            prop_assert_eq!(lane.len(), keys.len());
+            let allowed: Vec<bool> = picks.iter().map(|&p| p == 1).collect();
+            let preferred: Vec<&str> = names
+                .iter()
+                .zip(&allowed)
+                .filter_map(|(n, &on)| on.then_some(*n))
+                .collect();
+            for doc in 0..keys.len() as u32 + 8 {
+                let by_name = definition_of(doc).is_some_and(|def| preferred.contains(&def));
+                prop_assert_eq!((doc, lane.accepts(&allowed, doc)), (doc, by_name));
+                prop_assert_eq!(
+                    lane.def_of(doc).map(|d| names[d.index()]),
+                    definition_of(doc).filter(|def| names.contains(def))
+                );
             }
         }
     }
