@@ -3,10 +3,13 @@
 //! Build phase: materialize every instance of every definition in the
 //! catalog, render each through its conversion expression, and index the
 //! renderings as plain documents (anchor text and intent vocabulary get
-//! boosted fields). Definitions materialize independently, so the build
-//! fans out across scoped worker threads ([`EngineConfig::build_threads`])
-//! and merges per-definition document batches back in catalog order — the
-//! resulting index is byte-identical to a single-threaded build.
+//! boosted fields). Definitions materialize independently, so scoped worker
+//! threads ([`EngineConfig::build_threads`]) each claim the next one until
+//! none is left, and the per-definition batches are merged back in catalog
+//! order — the resulting index is byte-identical to a single-threaded
+//! build. A snapshot ([`EngineConfig::snapshot_path`]) replaces the
+//! tokenise-and-freeze half of that, not the materialization
+//! ([`BuildTimings`] says where a build's time went).
 //!
 //! Query phase, exactly the paper's pipeline:
 //!
@@ -87,7 +90,7 @@ use relstore::{Database, Error, Result};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Engine construction parameters.
@@ -633,6 +636,8 @@ pub struct QunitSearchEngine {
     /// (admission control; see
     /// [`EngineConfig::max_concurrent_queries`]).
     in_flight: AtomicU64,
+    /// Phase clock of the build that made this engine.
+    build_timings: BuildTimings,
 }
 
 // Compile-time proof that the engine is a shareable service: every query
@@ -806,26 +811,86 @@ fn worker_count(requested: usize, items: usize) -> usize {
     .clamp(1, items.max(1))
 }
 
-/// One definition's rendered output: the documents to index plus the
-/// instances they came from — the unit of parallel work in `build`.
-type DocBatch = Vec<(Document, QunitInstance)>;
+/// `work(i)` for every `i < items`, on [`worker_count`]`(threads, items)`
+/// scoped threads that each claim the next unclaimed index until none is
+/// left — so one heavy item occupies one worker while the others drain the
+/// rest, whatever its position. Slot `i` of the result is `work(i)`
+/// regardless of which worker ran it or when. A panic in `work` resurfaces
+/// on the caller.
+fn claim_each<T: Send>(items: usize, threads: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    // Relaxed: the counter hands out indices and publishes nothing else;
+    // results reach the caller through `join`.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items {
+                return done;
+            }
+            done.push((i, work(i)));
+        }
+    };
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..worker_count(threads, items))
+            .map(|_| scope.spawn(claim))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| {
+                w.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    // Every index was claimed exactly once, so sorted they are `0..items`.
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, out)| out).collect()
+}
 
-/// Materialize and render one definition into its document batch.
-fn materialize_batch(db: &Database, def: &QunitDefinition) -> Result<DocBatch> {
-    materialize_all(db, def)?
-        .into_iter()
-        .map(|inst| {
-            let mut doc = Document::new(inst.key.clone());
-            if let Some(a) = inst.anchor_text() {
-                doc = doc.field("anchor", a);
-            }
-            if !def.intent_terms.is_empty() {
-                doc = doc.field("intent", def.intent_terms.join(" "));
-            }
-            doc = doc.field("body", inst.text.clone());
-            Ok((doc, inst))
-        })
-        .collect()
+/// The index document of one instance. `intent` is the definition's intent
+/// terms, joined.
+fn document_of(inst: &QunitInstance, intent: &str) -> Document {
+    let mut doc = Document::new(inst.key.clone());
+    if let Some(a) = inst.anchor_text() {
+        doc = doc.field("anchor", a);
+    }
+    if !intent.is_empty() {
+        doc = doc.field("intent", intent);
+    }
+    doc.field("body", inst.text.clone())
+}
+
+/// Wall-clock of each phase of one [`QunitSearchEngine::build`], in the
+/// order they run. The phases are bracketed back to back, so their sum is
+/// the build minus configuration handling and struct assembly.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BuildTimings {
+    /// Entity dictionary and segmenter.
+    pub dictionary: Duration,
+    /// Every definition materialised and rendered, across the build
+    /// workers — wall-clock, not the CPU sum.
+    pub materialize: Duration,
+    /// Obtaining the index: on a cold build, documents tokenised and the
+    /// index frozen; on a restart, the snapshot load. Either way including
+    /// the conversion to the configured postings codec.
+    pub index: Duration,
+    /// Writing the snapshot (zero unless a cold build has a
+    /// [`EngineConfig::snapshot_path`]).
+    pub snapshot_save: Duration,
+    /// The instance map and the doc → definition lane.
+    pub doc_def: Duration,
+    /// Whether the index came from the snapshot.
+    pub from_snapshot: bool,
+}
+
+/// Time since `*since`, which is moved up to now: consecutive calls bracket
+/// consecutive phases with nothing in between.
+fn lap(since: &mut Instant) -> Duration {
+    let now = Instant::now();
+    let elapsed = now - *since;
+    *since = now;
+    elapsed
 }
 
 impl QunitSearchEngine {
@@ -848,6 +913,8 @@ impl QunitSearchEngine {
             irengine::fault::install(spec)
                 .unwrap_or_else(|e| panic!("invalid fault schedule {spec:?}: {e}"));
         }
+        let mut timings = BuildTimings::default();
+        let mut clock = Instant::now();
         let dict = match &config.entity_specs {
             Some(s) => {
                 let refs: Vec<(&str, &str)> =
@@ -857,47 +924,44 @@ impl QunitSearchEngine {
             None => EntityDictionary::from_database(db, EntityDictionary::imdb_specs()),
         };
         let segmenter = Segmenter::new(dict);
+        timings.dictionary = lap(&mut clock);
 
+        // `batches[i]` is definition i's instances whichever worker claimed
+        // it, so everything below replays exact catalog × materialization
+        // order — which is what makes the index byte-identical to a serial
+        // build (guarded by the determinism test suite). If definitions
+        // fail, the build fails with the first one's error.
         let defs: Vec<&QunitDefinition> = catalog.iter().collect();
-        let workers = worker_count(config.build_threads, defs.len());
-
-        // Slot i holds definition i's batch, so the merge below replays
-        // exact catalog order regardless of which worker filled the slot —
-        // that order equality is what makes the index byte-identical to a
-        // serial build (guarded by the determinism test suite).
-        let mut batches: Vec<Option<Result<DocBatch>>> = (0..defs.len()).map(|_| None).collect();
-        let chunk = defs.len().div_ceil(workers).max(1);
-        std::thread::scope(|scope| {
-            for (def_chunk, out_chunk) in defs.chunks(chunk).zip(batches.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (def, out) in def_chunk.iter().zip(out_chunk) {
-                        *out = Some(materialize_batch(db, def));
-                    }
-                });
-            }
-        });
-
-        let mut builder = IndexBuilder::new();
-        builder.set_field_boost("anchor", config.anchor_boost);
-        builder.set_field_boost("intent", config.intent_boost);
-        builder.set_block_size(config.block_size);
-        let mut instances = HashMap::new();
-        for batch in batches {
-            for (doc, inst) in batch.expect("every definition materialized")? {
-                builder.add(doc);
-                instances.insert(inst.key.clone(), inst);
-            }
-        }
+        let materialize = |i: usize| materialize_all(db, defs[i]);
+        let batches = claim_each(defs.len(), config.build_threads, materialize)
+            .into_iter()
+            .collect::<Result<Vec<Vec<QunitInstance>>>>()?;
+        timings.materialize = lap(&mut clock);
 
         // Shard for intra-query parallelism. The partition is round-robin
-        // over the documents just merged in catalog order, so shard
-        // contents depend only on the catalog — not on build_threads, not
-        // on search_shards (the fingerprint is shard-count invariant; the
-        // CI determinism gate holds both).
-        let shard_count = worker_count(config.search_shards, builder.len());
-        let loaded = try_load_snapshot(&config, builder.len(), shard_count);
-        let fresh_build = loaded.is_none();
-        let mut index = loaded.unwrap_or_else(|| builder.build_sharded(shard_count));
+        // over the documents in catalog order, so shard contents depend
+        // only on the catalog — not on build_threads, not on search_shards
+        // (the fingerprint is shard-count invariant; the CI determinism
+        // gate holds both).
+        let num_docs = batches.iter().map(Vec::len).sum();
+        let shard_count = worker_count(config.search_shards, num_docs);
+        let loaded = try_load_snapshot(&config, num_docs, shard_count);
+        timings.from_snapshot = loaded.is_some();
+        // Documents exist only on a cold build: a restart constructs and
+        // tokenises nothing it would then discard.
+        let mut index = loaded.unwrap_or_else(|| {
+            let mut builder = IndexBuilder::new();
+            builder.set_field_boost("anchor", config.anchor_boost);
+            builder.set_field_boost("intent", config.intent_boost);
+            builder.set_block_size(config.block_size);
+            for (def, batch) in defs.iter().zip(&batches) {
+                let intent = def.intent_terms.join(" ");
+                for inst in batch {
+                    builder.add(document_of(inst, &intent));
+                }
+            }
+            builder.build_sharded(shard_count)
+        });
         // The codec knob governs the in-memory representation regardless of
         // how the index was obtained (a flat snapshot loads then
         // compresses, and vice versa). Both directions are lossless, so
@@ -907,17 +971,21 @@ impl QunitSearchEngine {
         } else {
             irengine::PostingsCodec::Flat
         });
-        if fresh_build {
-            if let Some(path) = &config.snapshot_path {
-                // Saved under the configured codec, after the conversion
-                // above. Best-effort: a failed save costs the next restart
-                // its fast path but must not fail this build.
-                if let Err(e) = index.save_snapshot(path) {
-                    eprintln!("qunits: snapshot save to {} failed: {e}", path.display());
-                }
+        timings.index = lap(&mut clock);
+        if let (false, Some(path)) = (timings.from_snapshot, &config.snapshot_path) {
+            // Saved under the configured codec, after the conversion above.
+            // Best-effort: a failed save costs the next restart its fast
+            // path but must not fail this build.
+            if let Err(e) = index.save_snapshot(path) {
+                eprintln!("qunits: snapshot save to {} failed: {e}", path.display());
             }
+            timings.snapshot_save = lap(&mut clock);
         }
 
+        let mut instances = HashMap::with_capacity(num_docs);
+        for inst in batches.into_iter().flatten() {
+            instances.insert(inst.key.clone(), inst);
+        }
         // One pass over the documents the index actually holds — built or
         // loaded — through the same key → instance → definition chain the
         // per-candidate filter used to walk on every query.
@@ -926,6 +994,7 @@ impl QunitSearchEngine {
             catalog.def_id(&inst.definition)
         });
         assert_eq!(doc_def.len(), index.num_docs());
+        timings.doc_def = lap(&mut clock);
 
         let def_meta: Vec<DefMeta> = catalog
             .iter()
@@ -972,7 +1041,14 @@ impl QunitSearchEngine {
             obs: EngineObs::default(),
             dispatch_counts: DispatchCounts::new(),
             in_flight: AtomicU64::new(0),
+            build_timings: timings,
         })
+    }
+
+    /// Where the wall-clock of the [`QunitSearchEngine::build`] that made
+    /// this engine went.
+    pub fn build_timings(&self) -> BuildTimings {
+        self.build_timings
     }
 
     /// Number of indexed instances.
@@ -2133,6 +2209,180 @@ mod tests {
             Err(other) => panic!("wrong error: {other}"),
             Ok(_) => panic!("a catalog past the lane's id range must not build"),
         }
+    }
+
+    #[test]
+    fn claim_each_fills_slot_i_with_work_i() {
+        for workers in [1, 2, 3, 8, 20] {
+            let out = claim_each(13, workers, |i| i * i);
+            assert_eq!(out, (0..13).map(|i| i * i).collect::<Vec<_>>());
+        }
+        assert!(claim_each(0, 1, |i| i).is_empty());
+        // never more workers than items, never fewer than one
+        assert_eq!(worker_count(8, 3), 3);
+        assert_eq!(worker_count(2, 12), 2);
+        assert_eq!(worker_count(5, 0), 1);
+        assert_eq!(worker_count(0, 1), 1);
+    }
+
+    #[test]
+    fn claim_each_resurfaces_a_worker_panic() {
+        let caught = std::panic::catch_unwind(|| {
+            claim_each(6, 3, |i| {
+                if i == 4 {
+                    panic!("definition {i} blew up");
+                }
+                i
+            })
+        });
+        let payload = caught.expect_err("the worker's panic must reach the caller");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("definition 4 blew up")
+        );
+    }
+
+    /// The expert catalog with an unknown anchor column planted at each of
+    /// `broken` positions, so that definition's bulk materialization fails.
+    fn catalog_with_broken(data: &ImdbData, broken: &[(usize, &str)]) -> QunitCatalog {
+        let mut catalog = QunitCatalog::new();
+        for (i, def) in expert_imdb_qunits(&data.db).unwrap().iter().enumerate() {
+            let mut def = def.clone();
+            if let Some((_, column)) = broken.iter().find(|(at, _)| *at == i) {
+                def.anchor.as_mut().expect("anchored").column = column.to_string();
+            }
+            catalog.add(def);
+        }
+        catalog
+    }
+
+    #[test]
+    fn failing_definition_fails_the_build_whichever_worker_claims_it() {
+        let data = ImdbData::generate(ImdbConfig::tiny());
+        let anchored: Vec<usize> = expert_imdb_qunits(&data.db)
+            .unwrap()
+            .iter()
+            .enumerate()
+            .filter_map(|(i, d)| d.is_anchored().then_some(i))
+            .collect();
+        let (first, last) = (anchored[0], *anchored.last().unwrap());
+        assert!(first < last);
+        for build_threads in [1, 2, 3, 8] {
+            // Alone at either end of the catalog, and both at once: the
+            // error reported is the earlier definition's.
+            for (broken, want) in [
+                (vec![(first, "ghost_a")], "ghost_a"),
+                (vec![(last, "ghost_b")], "ghost_b"),
+                (vec![(last, "ghost_b"), (first, "ghost_a")], "ghost_a"),
+            ] {
+                let config = EngineConfig {
+                    build_threads,
+                    ..EngineConfig::default()
+                };
+                match QunitSearchEngine::build(
+                    &data.db,
+                    catalog_with_broken(&data, &broken),
+                    config,
+                ) {
+                    Err(Error::UnknownColumn { column, .. }) => assert_eq!(column, want),
+                    Err(other) => panic!("wrong error: {other}"),
+                    Ok(_) => panic!("{build_threads} workers built over a failed definition"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_dominant_definition_builds_identically_at_every_worker_count() {
+        let data = ImdbData::generate(ImdbConfig::tiny());
+        let tuples = |def: &QunitDefinition| -> usize {
+            materialize_all(&data.db, def)
+                .unwrap()
+                .iter()
+                .map(|i| i.tuple_count)
+                .sum()
+        };
+        // The heaviest definition first, then the light ones that keep its
+        // share of the tuples above 80 %.
+        let expert = expert_imdb_qunits(&data.db).unwrap();
+        let mut by_weight: Vec<(usize, &QunitDefinition)> =
+            expert.iter().map(|d| (tuples(d), d)).collect();
+        by_weight.sort_by_key(|(n, _)| std::cmp::Reverse(*n));
+        let (heavy, _) = by_weight[0];
+        let mut catalog = QunitCatalog::new();
+        let mut total = 0;
+        for (n, def) in by_weight {
+            if (total + n) * 4 <= heavy * 5 {
+                total += n;
+                catalog.add(def.clone());
+            }
+        }
+        assert!(catalog.len() >= 3, "fixture: {} definitions", catalog.len());
+        assert!(heavy * 5 > total * 4, "fixture: {heavy} of {total} tuples");
+
+        let build = |build_threads| {
+            let config = EngineConfig {
+                build_threads,
+                ..EngineConfig::default()
+            };
+            let engine = QunitSearchEngine::build(&data.db, catalog.clone(), config).unwrap();
+            let mut instances: Vec<(String, String, String, usize)> = engine
+                .instances()
+                .map(|i| {
+                    (
+                        i.key.clone(),
+                        i.rendered.clone(),
+                        i.text.clone(),
+                        i.tuple_count,
+                    )
+                })
+                .collect();
+            instances.sort();
+            (
+                engine.index_fingerprint(),
+                engine.doc_def.clone(),
+                instances,
+            )
+        };
+        let serial = build(1);
+        for build_threads in [2, 3, 8, 0] {
+            assert_eq!(build(build_threads), serial, "{build_threads} workers");
+        }
+    }
+
+    #[test]
+    fn build_timings_fit_in_the_build_and_flag_the_restart() {
+        let path = std::env::temp_dir().join(format!(
+            "qunits-engine-build-timings-{}.qx",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let data = ImdbData::generate(ImdbConfig::tiny());
+        let timed_build = |snapshot_path: Option<PathBuf>| {
+            let config = EngineConfig {
+                snapshot_path,
+                ..EngineConfig::default()
+            };
+            let started = Instant::now();
+            let engine =
+                QunitSearchEngine::build(&data.db, expert_imdb_qunits(&data.db).unwrap(), config)
+                    .unwrap();
+            let (total, t) = (started.elapsed(), engine.build_timings());
+            let phases = t.dictionary + t.materialize + t.index + t.snapshot_save + t.doc_def;
+            assert!(phases <= total, "{phases:?} of phases in a {total:?} build");
+            assert!(t.materialize > Duration::ZERO && t.index > Duration::ZERO);
+            t
+        };
+        let cold = timed_build(Some(path.clone()));
+        assert!(!cold.from_snapshot);
+        assert!(cold.snapshot_save > Duration::ZERO);
+        let restarted = timed_build(Some(path.clone()));
+        assert!(restarted.from_snapshot);
+        assert_eq!(restarted.snapshot_save, Duration::ZERO);
+        let _ = std::fs::remove_file(&path);
+        let unsaved = timed_build(None);
+        assert!(!unsaved.from_snapshot);
+        assert_eq!(unsaved.snapshot_save, Duration::ZERO);
     }
 
     #[test]

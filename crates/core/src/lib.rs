@@ -88,8 +88,8 @@ pub use cache::{CacheStats, QueryCache};
 pub use catalog::QunitCatalog;
 pub use doc_def::{DefId, DocDefLane};
 pub use engine::{
-    EngineConfig, QunitResult, QunitSearchEngine, SearchError, SearchResponse, SearchResult,
-    ShardStats,
+    BuildTimings, EngineConfig, QunitResult, QunitSearchEngine, SearchError, SearchResponse,
+    SearchResult, ShardStats,
 };
 pub use feedback::FeedbackStore;
 pub use irengine::ShardFailurePolicy;

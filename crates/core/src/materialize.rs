@@ -21,10 +21,14 @@
 //! shards" (both CI-gated) are only as good as this function staying
 //! deterministic. Don't introduce `HashMap`-ordered iteration here.
 
+use crate::presentation::{ConversionExpr, RowRenderer};
 use crate::qunit::{QunitDefinition, QunitInstance};
 use relstore::exec::ResultSet;
 use relstore::{Binding, Database, Error, Predicate, Query, Result, Value};
 use std::collections::HashMap;
+
+/// One branch's rows for one anchor value: `(branch, rows)`, never empty.
+type BranchRows = (usize, Vec<Vec<Value>>);
 
 /// Materialize the instance for one anchor value.
 pub fn materialize_one(
@@ -63,11 +67,15 @@ pub fn materialize_all(db: &Database, def: &QunitDefinition) -> Result<Vec<Qunit
     };
 
     let branches = star_branches(&def.base.query, &anchor.param);
-    // Per anchor value: (first-seen order, per-branch grouped rows).
-    let mut order: Vec<Value> = Vec::new();
-    let mut groups: HashMap<Value, Vec<ResultSet>> = HashMap::new();
-
-    for branch in &branches {
+    // `groups` is in first-seen row-scan order (not HashMap iteration
+    // order): it becomes document-insertion order in the index, and the
+    // engine's parallel build promises byte-identical indexes across runs
+    // and worker counts. Each anchor value holds its rows per branch that
+    // has any; the branch's column header is shared, not copied per group.
+    let mut slot_of: HashMap<Value, usize> = HashMap::new();
+    let mut groups: Vec<(Value, Vec<BranchRows>)> = Vec::new();
+    let mut headers: Vec<Vec<String>> = Vec::with_capacity(branches.len());
+    for (b, branch) in branches.iter().enumerate() {
         let rs = db.execute(branch)?;
         let anchor_col =
             rs.column_index(&anchor.qualified())
@@ -75,42 +83,56 @@ pub fn materialize_all(db: &Database, def: &QunitDefinition) -> Result<Vec<Qunit
                     table: anchor.table.clone(),
                     column: anchor.column.clone(),
                 })?;
-        // Group in row-scan order (not HashMap iteration order): the anchor
-        // order here becomes document-insertion order in the index, and the
-        // engine's parallel build promises byte-identical indexes across
-        // runs and worker counts.
-        let mut branch_order: Vec<Value> = Vec::new();
-        let mut branch_groups: HashMap<Value, Vec<Vec<Value>>> = HashMap::new();
         for row in rs.rows {
-            let key = row[anchor_col].clone();
+            let key = &row[anchor_col];
             if key.is_null() {
                 continue;
             }
-            if !branch_groups.contains_key(&key) {
-                branch_order.push(key.clone());
-            }
-            branch_groups.entry(key).or_default().push(row);
-        }
-        for key in branch_order {
-            let rows = branch_groups.remove(&key).expect("grouped above");
-            let sub = ResultSet {
-                columns: rs.columns.clone(),
-                sources: rs.sources.clone(),
-                rows,
+            let slot = match slot_of.get(key) {
+                Some(&slot) => slot,
+                None => {
+                    slot_of.insert(key.clone(), groups.len());
+                    groups.push((key.clone(), Vec::new()));
+                    groups.len() - 1
+                }
             };
-            if !groups.contains_key(&key) {
-                order.push(key.clone());
+            match groups[slot].1.last_mut() {
+                Some((branch_of, rows)) if *branch_of == b => rows.push(row),
+                _ => groups[slot].1.push((b, vec![row])),
             }
-            groups.entry(key).or_default().push(sub);
         }
+        headers.push(rs.columns);
     }
 
-    let mut out = Vec::with_capacity(order.len());
-    for key in order {
-        let branch_results = groups.remove(&key).expect("grouped");
-        out.push(instance_from_branches(def, Some(key), &branch_results));
-    }
-    Ok(out)
+    let headerless = ConversionExpr {
+        header: Vec::new(),
+        ..def.conversion.clone()
+    };
+    let templates: Vec<[RowRenderer; 2]> = headers
+        .iter()
+        .map(|columns| [def.conversion.resolve(columns), headerless.resolve(columns)])
+        .collect();
+    Ok(groups
+        .into_iter()
+        .map(|(key, per_branch)| instance_from_group(def, key, &templates, &per_branch))
+        .collect())
+}
+
+/// One anchor value's instance from its rows per branch. `templates[branch]`
+/// is the conversion resolved for that branch, in full and header-less: the
+/// first branch an instance has renders in full, later ones header-less so
+/// header fields aren't repeated.
+fn instance_from_group(
+    def: &QunitDefinition,
+    key: Value,
+    templates: &[[RowRenderer; 2]],
+    per_branch: &[BranchRows],
+) -> QunitInstance {
+    let rendered = per_branch
+        .iter()
+        .enumerate()
+        .map(|(nth, (b, rows))| (&templates[*b][usize::from(nth > 0)], rows.as_slice()));
+    instance_from_branches(def, Some(key), rendered)
 }
 
 /// Decompose an anchored query into star branches: the anchor table
@@ -262,47 +284,39 @@ fn instance_from(
     anchor_value: Option<Value>,
     rs: &ResultSet,
 ) -> QunitInstance {
-    instance_from_branches(def, anchor_value, std::slice::from_ref(rs))
+    let template = def.conversion.resolve(&rs.columns);
+    instance_from_branches(def, anchor_value, [(&template, rs.rows.as_slice())])
 }
 
-/// Assemble one instance from per-branch results: the first non-empty branch
-/// renders with the full conversion (header included); later branches render
-/// header-less so header fields aren't repeated.
-fn instance_from_branches(
+/// Assemble one instance from the non-empty ones of `branches`, each
+/// rendered by the template it comes with.
+fn instance_from_branches<'a>(
     def: &QunitDefinition,
     anchor_value: Option<Value>,
-    branches: &[ResultSet],
+    branches: impl IntoIterator<Item = (&'a RowRenderer<'a>, &'a [Vec<Value>])>,
 ) -> QunitInstance {
     let mut rendered = String::new();
     let mut text = String::new();
     let mut tuple_count = 0;
-    let mut header_done = false;
-    for rs in branches {
-        if rs.rows.is_empty() {
+    for (template, rows) in branches {
+        if rows.is_empty() {
             continue;
         }
-        tuple_count += rs.len();
-        let (r, t) = if header_done {
-            let headerless = crate::presentation::ConversionExpr {
-                root_label: def.conversion.root_label.clone(),
-                header: Vec::new(),
-                foreach: def.conversion.foreach.clone(),
-            };
-            headerless.render(rs)
-        } else {
-            header_done = true;
-            def.conversion.render(rs)
-        };
-        rendered.push_str(&r);
-        if !t.is_empty() {
-            if !text.is_empty() {
-                text.push(' ');
-            }
-            text.push_str(&t);
+        tuple_count += rows.len();
+        // Branch texts are space-joined; a branch that adds no text adds no
+        // separator either.
+        let joined_at = text.len();
+        if joined_at > 0 {
+            text.push(' ');
+        }
+        let branch_text_at = text.len();
+        template.render_rows(rows, &mut rendered, &mut text);
+        if text.len() == branch_text_at {
+            text.truncate(joined_at);
         }
     }
     let key = match &anchor_value {
-        Some(v) => format!("{}::{}", def.name, v.display_plain()),
+        Some(v) => format!("{}::{v}", def.name),
         None => format!("{}::*", def.name),
     };
     QunitInstance {
@@ -457,6 +471,80 @@ mod tests {
         assert!(all[0].text.contains("uncast movie"));
         // materialize_one on an un-anchored def is an error
         assert!(materialize_one(&db, &def, &1.into()).is_err());
+    }
+
+    /// `instance_from_branches` as it was when each branch was its own
+    /// `ResultSet` rendered to fresh strings: later branches go through a
+    /// header-less copy of the template.
+    fn instance_from_branches_reference(
+        def: &QunitDefinition,
+        branches: &[ResultSet],
+    ) -> (String, String, usize) {
+        let mut rendered = String::new();
+        let mut text = String::new();
+        let mut tuple_count = 0;
+        let mut header_done = false;
+        for rs in branches {
+            if rs.rows.is_empty() {
+                continue;
+            }
+            tuple_count += rs.len();
+            let (r, t) = if header_done {
+                let headerless = ConversionExpr {
+                    root_label: def.conversion.root_label.clone(),
+                    header: Vec::new(),
+                    foreach: def.conversion.foreach.clone(),
+                };
+                headerless.render_reference(rs)
+            } else {
+                header_done = true;
+                def.conversion.render_reference(rs)
+            };
+            rendered.push_str(&r);
+            if !t.is_empty() {
+                if !text.is_empty() {
+                    text.push(' ');
+                }
+                text.push_str(&t);
+            }
+        }
+        (rendered, text, tuple_count)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn branch_assembly_matches_the_reference_byte_for_byte(
+            template in crate::presentation::tests::arb_template(),
+            branches in proptest::collection::vec(crate::presentation::tests::arb_result_set(), 0..4),
+        ) {
+            let def = QunitDefinition {
+                conversion: template,
+                ..cast_def(&movie_db())
+            };
+            let headerless = ConversionExpr {
+                header: Vec::new(),
+                ..def.conversion.clone()
+            };
+            let templates: Vec<[RowRenderer; 2]> = branches
+                .iter()
+                .map(|rs| [def.conversion.resolve(&rs.columns), headerless.resolve(&rs.columns)])
+                .collect();
+            // as the grouping leaves them: only the branches that have rows
+            let per_branch: Vec<BranchRows> = branches
+                .iter()
+                .enumerate()
+                .filter(|(_, rs)| !rs.rows.is_empty())
+                .map(|(b, rs)| (b, rs.rows.clone()))
+                .collect();
+            let inst = instance_from_group(&def, "star wars".into(), &templates, &per_branch);
+            proptest::prop_assert_eq!(
+                (inst.rendered, inst.text, inst.tuple_count),
+                instance_from_branches_reference(&def, &branches)
+            );
+            proptest::prop_assert_eq!(inst.key, "movie_cast::star wars");
+        }
     }
 
     #[test]

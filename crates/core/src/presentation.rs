@@ -15,7 +15,10 @@
 //! index).
 
 use relstore::exec::ResultSet;
+use relstore::Value;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
+use std::fmt::Write;
 
 /// A presentation template over a base expression's result.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -58,53 +61,28 @@ impl ConversionExpr {
     /// name attributes that a particular base expression doesn't project
     /// (derivations are heuristic); rendering stays total.
     pub fn render(&self, rs: &ResultSet) -> (String, String) {
-        let mut markup = String::new();
-        let mut text = String::new();
-
-        let col = |name: &str| rs.column_index(name);
-
-        markup.push_str(&format!("<{}>", self.root_label));
-        // Header: first tuple's values for the header columns.
-        if let Some(first) = rs.rows.first() {
-            let header_cols: Vec<&String> = if self.header.is_empty() && self.foreach.is_empty() {
-                Vec::new()
-            } else {
-                self.header.iter().collect()
-            };
-            for h in header_cols {
-                if let Some(ci) = col(h) {
-                    let v = first[ci].display_plain();
-                    markup.push_str(&format!("<{}>{}</{}>", short(h), v, short(h)));
-                    push_text(&mut text, &v);
-                }
-            }
-        }
-        // Foreach: per-tuple nested block. A flat template (no header, no
-        // foreach) renders every column of every row.
-        let foreach_cols: Vec<String> = if self.header.is_empty() && self.foreach.is_empty() {
-            rs.columns.clone()
-        } else {
-            self.foreach.clone()
-        };
-        let mut seen_blocks: std::collections::HashSet<String> = std::collections::HashSet::new();
-        for row in &rs.rows {
-            let mut block = String::new();
-            let mut block_text = String::new();
-            for fcol in &foreach_cols {
-                if let Some(ci) = col(fcol) {
-                    let v = row[ci].display_plain();
-                    block.push_str(&format!("<{}>{}</{}>", short(fcol), v, short(fcol)));
-                    push_text(&mut block_text, &v);
-                }
-            }
-            if block.is_empty() || !seen_blocks.insert(block.clone()) {
-                continue; // skip empty and duplicate tuples (joins fan out)
-            }
-            markup.push_str(&format!("<tuple>{block}</tuple>"));
-            push_text(&mut text, &block_text);
-        }
-        markup.push_str(&format!("</{}>", self.root_label));
+        let (mut markup, mut text) = (String::new(), String::new());
+        self.resolve(&rs.columns)
+            .render_rows(&rs.rows, &mut markup, &mut text);
         (markup, text)
+    }
+
+    /// Look this template's columns up in `columns` once, so that rendering
+    /// any number of row groups of that result set is index reads and
+    /// appends.
+    pub(crate) fn resolve<'a>(&'a self, columns: &'a [String]) -> RowRenderer<'a> {
+        let cells = |names: &'a [String]| -> Vec<Cell<'a>> {
+            let cell = |n: &'a String| Some((short(n), columns.iter().position(|c| c == n)?));
+            names.iter().filter_map(cell).collect()
+        };
+        // A flat template (no header, no foreach) renders every column of
+        // every row.
+        let flat = self.header.is_empty() && self.foreach.is_empty();
+        RowRenderer {
+            root_label: &self.root_label,
+            header: cells(&self.header),
+            foreach: cells(if flat { columns } else { &self.foreach }),
+        }
     }
 
     /// All qualified columns this template mentions.
@@ -119,18 +97,210 @@ fn short(qualified: &str) -> &str {
     qualified.rsplit('.').next().unwrap_or(qualified)
 }
 
-fn push_text(buf: &mut String, v: &str) {
-    if !buf.is_empty() {
-        buf.push(' ');
+/// One rendered field: its tag and the column it reads.
+type Cell<'a> = (&'a str, usize);
+
+/// A [`ConversionExpr`] resolved against one result set's columns.
+pub(crate) struct RowRenderer<'a> {
+    root_label: &'a str,
+    /// Rendered once, from the first row.
+    header: Vec<Cell<'a>>,
+    /// Rendered per row, as one `<tuple>` block.
+    foreach: Vec<Cell<'a>>,
+}
+
+impl RowRenderer<'_> {
+    /// Append the rendering of `rows` to `markup` and its plain text,
+    /// space-separated, to `text`.
+    pub(crate) fn render_rows(&self, rows: &[Vec<Value>], markup: &mut String, text: &mut String) {
+        let text_start = text.len();
+        push_tag(markup, "<", self.root_label);
+        if let Some(first) = rows.first() {
+            for &cell in &self.header {
+                push_cell(markup, text, text_start, cell, first);
+            }
+        }
+        // Joins fan out, so a block may repeat: only the first is kept.
+        // Blocks are written in place and cut back off when empty or seen.
+        let mut seen: HashSet<String> = HashSet::new();
+        for (i, row) in rows.iter().enumerate() {
+            let (tuple_at, text_at) = (markup.len(), text.len());
+            markup.push_str("<tuple>");
+            let block_at = markup.len();
+            if text_at > text_start {
+                text.push(' ');
+            }
+            let block_text_start = text.len();
+            for &cell in &self.foreach {
+                push_cell(markup, text, block_text_start, cell, row);
+            }
+            let block = &markup[block_at..];
+            if block.is_empty() || seen.contains(block) {
+                markup.truncate(tuple_at);
+                text.truncate(text_at);
+            } else {
+                if i + 1 < rows.len() {
+                    seen.insert(block.to_owned());
+                }
+                markup.push_str("</tuple>");
+            }
+        }
+        push_tag(markup, "</", self.root_label);
     }
-    buf.push_str(v);
+}
+
+/// `<tag>value</tag>` onto `markup`; the value onto `text`, after a space
+/// unless it is the first thing past `text_start`.
+fn push_cell(markup: &mut String, text: &mut String, text_start: usize, cell: Cell, row: &[Value]) {
+    push_tag(markup, "<", cell.0);
+    let value_at = markup.len();
+    match &row[cell.1] {
+        Value::Text(s) => markup.push_str(s),
+        other => write!(markup, "{other}").expect("writing to a String cannot fail"),
+    }
+    if text.len() > text_start {
+        text.push(' ');
+    }
+    text.push_str(&markup[value_at..]);
+    push_tag(markup, "</", cell.0);
+}
+
+fn push_tag(markup: &mut String, open: &str, tag: &str) {
+    markup.push_str(open);
+    markup.push_str(tag);
+    markup.push('>');
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
     use relstore::expr::ColRef;
-    use relstore::Value;
+
+    /// The renderer as it was before [`RowRenderer`] — a `format!` and a column
+    /// lookup per cell, a block `String` per row — kept verbatim as the oracle
+    /// the property tests hold the new one to, byte for byte.
+    impl ConversionExpr {
+        pub(crate) fn render_reference(&self, rs: &ResultSet) -> (String, String) {
+            fn push_text(buf: &mut String, v: &str) {
+                if !buf.is_empty() {
+                    buf.push(' ');
+                }
+                buf.push_str(v);
+            }
+
+            let mut markup = String::new();
+            let mut text = String::new();
+
+            let col = |name: &str| rs.column_index(name);
+
+            markup.push_str(&format!("<{}>", self.root_label));
+            // Header: first tuple's values for the header columns.
+            if let Some(first) = rs.rows.first() {
+                let header_cols: Vec<&String> = if self.header.is_empty() && self.foreach.is_empty()
+                {
+                    Vec::new()
+                } else {
+                    self.header.iter().collect()
+                };
+                for h in header_cols {
+                    if let Some(ci) = col(h) {
+                        let v = first[ci].display_plain();
+                        markup.push_str(&format!("<{}>{}</{}>", short(h), v, short(h)));
+                        push_text(&mut text, &v);
+                    }
+                }
+            }
+            // Foreach: per-tuple nested block. A flat template (no header, no
+            // foreach) renders every column of every row.
+            let foreach_cols: Vec<String> = if self.header.is_empty() && self.foreach.is_empty() {
+                rs.columns.clone()
+            } else {
+                self.foreach.clone()
+            };
+            let mut seen_blocks: HashSet<String> = HashSet::new();
+            for row in &rs.rows {
+                let mut block = String::new();
+                let mut block_text = String::new();
+                for fcol in &foreach_cols {
+                    if let Some(ci) = col(fcol) {
+                        let v = row[ci].display_plain();
+                        block.push_str(&format!("<{}>{}</{}>", short(fcol), v, short(fcol)));
+                        push_text(&mut block_text, &v);
+                    }
+                }
+                if block.is_empty() || !seen_blocks.insert(block.clone()) {
+                    continue; // skip empty and duplicate tuples (joins fan out)
+                }
+                markup.push_str(&format!("<tuple>{block}</tuple>"));
+                push_text(&mut text, &block_text);
+            }
+            markup.push_str(&format!("</{}>", self.root_label));
+            (markup, text)
+        }
+    }
+
+    const COLUMN_POOL: [&str; 5] = [
+        "movie.title",
+        "person.name",
+        "cast.role",
+        "movie.year",
+        "unqualified",
+    ];
+
+    /// Result sets over a small pool of column names (repeats allowed) and
+    /// of cells (every `Value` variant, empty text; small, so rows repeat),
+    /// zero rows included.
+    pub(crate) fn arb_result_set() -> impl Strategy<Value = ResultSet> {
+        let cell = prop::sample::select(vec![
+            Value::Null,
+            Value::Int(0),
+            Value::Int(-12),
+            Value::Float(2.5),
+            Value::Float(3.0),
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::from(""),
+            Value::from("a"),
+            Value::from("star wars"),
+        ]);
+        (
+            prop::collection::vec(prop::sample::select(COLUMN_POOL.to_vec()), 0..5),
+            prop::collection::vec(prop::collection::vec(cell, 4), 0..6),
+        )
+            .prop_map(|(columns, mut rows)| {
+                rows.iter_mut().for_each(|row| row.truncate(columns.len()));
+                ResultSet {
+                    sources: (0..columns.len()).map(|c| ColRef::new(0, c)).collect(),
+                    columns: columns.into_iter().map(String::from).collect(),
+                    rows,
+                }
+            })
+    }
+
+    /// Templates over the same pool plus a column no result set has: flat
+    /// (both lists empty), header-only, foreach-only and nested all occur.
+    pub(crate) fn arb_template() -> impl Strategy<Value = ConversionExpr> {
+        let mut names = COLUMN_POOL.to_vec();
+        names.push("ghost.col");
+        let list = || prop::collection::vec(prop::sample::select(names.clone()), 0..3);
+        (list(), list()).prop_map(|(header, foreach)| {
+            let owned = |names: Vec<&str>| names.into_iter().map(String::from).collect();
+            ConversionExpr::nested("root", owned(header), owned(foreach))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn render_matches_the_reference_byte_for_byte(
+            template in arb_template(),
+            rs in arb_result_set(),
+        ) {
+            prop_assert_eq!(template.render(&rs), template.render_reference(&rs));
+        }
+    }
 
     fn cast_result() -> ResultSet {
         ResultSet {

@@ -1,0 +1,109 @@
+//! Build output pinned across commits.
+//!
+//! The CI determinism diffs and the benchmark's reference engine compare
+//! engines built by the *same* binary, so a renderer that drops a space or
+//! a merge that reorders two definitions passes both. These two constants
+//! were computed on the commit before the build path was made parallel by
+//! work claiming and the renderer allocation-lean; whatever
+//! `QunitSearchEngine::build` does from then on, for the default synthetic
+//! IMDb and the expert catalog it must produce these bytes — at every
+//! worker count, built cold or restarted from a snapshot.
+//!
+//! If a change moves them *on purpose* (a new definition, a different
+//! rendering), recompute both with `BUILD_GOLDEN_PRINT=1 cargo test -p
+//! qunit-core --test build_golden -- --nocapture` and say why in the commit.
+
+use datagen::imdb::{ImdbConfig, ImdbData};
+use qunit_core::derive::manual::expert_imdb_qunits;
+use qunit_core::{materialize_all, EngineConfig, QunitSearchEngine};
+
+/// `index_fingerprint()` of the engine.
+const INDEX_FINGERPRINT: u64 = 0x4867_9115_273b_88c8;
+/// FNV-1a over every instance's `(key, definition, rendered, text, fields,
+/// tuple_count)` in catalog × materialisation order.
+const INSTANCES_FNV1A: u64 = 0x84c1_d584_026a_c721;
+
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Length-prefixed, so `("ab", "c")` and `("a", "bc")` hash apart.
+    fn str(&mut self, s: &str) {
+        self.bytes(&(s.len() as u64).to_le_bytes());
+        self.bytes(s.as_bytes());
+    }
+}
+
+/// Hash the engine's instances in the order `keys` lists them.
+fn instances_hash(engine: &QunitSearchEngine, keys: &[String]) -> u64 {
+    let mut h = Fnv1a::new();
+    for key in keys {
+        let inst = engine
+            .instance(key)
+            .unwrap_or_else(|| panic!("engine lacks instance {key}"));
+        h.str(&inst.key);
+        h.str(&inst.definition);
+        h.str(&inst.rendered);
+        h.str(&inst.text);
+        h.bytes(&(inst.fields.len() as u64).to_le_bytes());
+        for f in &inst.fields {
+            h.str(f);
+        }
+        h.bytes(&(inst.tuple_count as u64).to_le_bytes());
+    }
+    h.0
+}
+
+#[test]
+fn build_output_matches_the_pinned_constants() {
+    let data = ImdbData::generate(ImdbConfig::default());
+    let catalog = || expert_imdb_qunits(&data.db).expect("catalog");
+    // Catalog × materialisation order, taken from the serial bulk path.
+    let keys: Vec<String> = catalog()
+        .iter()
+        .flat_map(|def| materialize_all(&data.db, def).expect("materialize"))
+        .map(|inst| inst.key)
+        .collect();
+
+    let print = std::env::var_os("BUILD_GOLDEN_PRINT").is_some();
+    for build_threads in [1, 2, 3, 8, 0] {
+        let path = std::env::temp_dir().join(format!(
+            "qunits-build-golden-{}-{build_threads}.qx",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        for restarted in [false, true] {
+            assert_eq!(path.exists(), restarted, "cold build saves the snapshot");
+            let engine = QunitSearchEngine::build(
+                &data.db,
+                catalog(),
+                EngineConfig {
+                    build_threads,
+                    snapshot_path: Some(path.clone()),
+                    ..EngineConfig::default()
+                },
+            )
+            .expect("engine");
+            let what = format!("build_threads {build_threads}, restarted {restarted}");
+            assert_eq!(engine.num_instances(), keys.len(), "{what}");
+            let (fingerprint, instances) =
+                (engine.index_fingerprint(), instances_hash(&engine, &keys));
+            if print {
+                println!("{what}: INDEX_FINGERPRINT {fingerprint:#018x} INSTANCES_FNV1A {instances:#018x}");
+                continue;
+            }
+            assert_eq!(fingerprint, INDEX_FINGERPRINT, "index, {what}");
+            assert_eq!(instances, INSTANCES_FNV1A, "instances, {what}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+}

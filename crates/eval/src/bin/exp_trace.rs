@@ -35,6 +35,22 @@ fn main() {
         );
     }
     let engine = QunitSearchEngine::build(&ctx.data.db, ql, EngineConfig::default()).unwrap();
+    // Run twice with QUNITS_SNAPSHOT_PATH set to see a restart's phases.
+    let t = engine.build_timings();
+    println!(
+        "build phases (index {}): dictionary {:.1?} · materialize {:.1?} · index {:.1?} · \
+         snapshot save {:.1?} · doc_def {:.1?}",
+        if t.from_snapshot {
+            "loaded from snapshot"
+        } else {
+            "built cold"
+        },
+        t.dictionary,
+        t.materialize,
+        t.index,
+        t.snapshot_save,
+        t.doc_def,
+    );
     let sys = QunitSystem::new("qunits-query-log", engine);
     let queries = ctx.workload.take(12);
     let raws: Vec<&str> = queries.iter().map(|q| q.raw.as_str()).collect();

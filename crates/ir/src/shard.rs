@@ -52,6 +52,7 @@ use crate::search::{
 use std::cmp::Ordering;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// An immutable collection of [`Index`] shards presenting one **global**
@@ -68,6 +69,10 @@ pub struct ShardedIndex {
     /// Corpus-global mean document length, reduced in global doc order so
     /// it is bit-identical to the single-[`Index`] average.
     avg_doc_length: f64,
+    /// [`ShardedIndex::fingerprint`], computed on first use. Never reset:
+    /// the content is fixed at construction and the codec conversions
+    /// preserve the fingerprint by contract.
+    fingerprint: OnceLock<u64>,
 }
 
 const fn assert_send_sync<T: Send + Sync>() {}
@@ -102,6 +107,7 @@ impl ShardedIndex {
             shards,
             num_docs,
             avg_doc_length,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -221,7 +227,15 @@ impl ShardedIndex {
     /// shard-count sweeps. FNV-1a, fully specified here, so the value is
     /// stable across runs, platforms, and toolchains (unlike
     /// `DefaultHasher`, which only promises within-process stability).
+    ///
+    /// The walk visits every document and posting, so it runs once per
+    /// index and is remembered; an index loaded from a snapshot computes
+    /// its own (the header's copy is never trusted).
     pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.compute_fingerprint())
+    }
+
+    fn compute_fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.write_usize(self.num_docs);
         for g in 0..self.num_docs as DocId {
@@ -1224,6 +1238,22 @@ mod tests {
         let mut edited = docs.clone();
         edited[2] = Document::new("d2").field("body", "ocean drama george");
         assert_ne!(builder_with(&edited).build_sharded(4).fingerprint(), base);
+    }
+
+    #[test]
+    fn remembered_fingerprint_survives_codec_conversions() {
+        // `fingerprint()` is computed once and kept across conversions, so
+        // the contract "conversions preserve it" is checked against the
+        // walk itself, not against the remembered value.
+        let mut index = builder_with(&corpus()).build_sharded(3);
+        let flat = index.fingerprint();
+        assert_eq!(index.compute_fingerprint(), flat);
+        index.compress_postings();
+        assert_eq!(index.compute_fingerprint(), flat);
+        assert_eq!(index.fingerprint(), flat);
+        index.decompress_postings();
+        assert_eq!(index.compute_fingerprint(), flat);
+        assert_eq!(index.clone().fingerprint(), flat);
     }
 
     #[test]

@@ -427,6 +427,11 @@ proptest! {
             .search_terms(&terms, k);
         sx.compress_postings();
         prop_assert_eq!(sx.postings_codec(), irengine::PostingsCodec::DeltaVarint);
+        // `sx` remembers its fingerprint from above, so the walk over
+        // compressed lanes is taken on an index that never computed one.
+        let mut walked_compressed = builder(&texts).build_sharded(n);
+        walked_compressed.compress_postings();
+        prop_assert_eq!(walked_compressed.fingerprint(), fingerprint);
         prop_assert_eq!(sx.fingerprint(), fingerprint);
         let sharded = ShardedSearcher::new(&sx, ScoringFunction::default());
         assert_bit_identical(&sharded.search_terms(&terms, k), &flat_hits)?;

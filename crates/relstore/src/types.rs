@@ -105,11 +105,8 @@ impl Value {
     /// Render for human display: NULL renders as `∅`, text unquoted.
     pub fn display_plain(&self) -> String {
         match self {
-            Value::Null => "∅".to_string(),
-            Value::Int(i) => i.to_string(),
-            Value::Float(x) => format!("{x}"),
             Value::Text(s) => s.clone(),
-            Value::Bool(b) => b.to_string(),
+            other => other.to_string(),
         }
     }
 
@@ -188,9 +185,17 @@ impl Hash for Value {
     }
 }
 
+/// The [`Value::display_plain`] rendering, written straight into the
+/// formatter (no intermediate `String`).
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.display_plain())
+        match self {
+            Value::Null => f.write_str("∅"),
+            Value::Int(i) => write!(f, "{i}"),
+            Value::Float(x) => write!(f, "{x}"),
+            Value::Text(s) => f.write_str(s),
+            Value::Bool(b) => write!(f, "{b}"),
+        }
     }
 }
 
@@ -301,6 +306,21 @@ mod tests {
         assert_eq!(Value::from("o'brien").display_sql(), "'o''brien'");
         assert_eq!(Value::Null.display_sql(), "NULL");
         assert_eq!(Value::from(true).display_sql(), "TRUE");
+    }
+
+    #[test]
+    fn plain_display_per_variant() {
+        for (v, want) in [
+            (Value::Null, "∅"),
+            (Value::from(-7), "-7"),
+            (Value::Float(2.5), "2.5"),
+            (Value::Float(3.0), "3"),
+            (Value::from("o'brien"), "o'brien"),
+            (Value::from(false), "false"),
+        ] {
+            assert_eq!(v.display_plain(), want);
+            assert_eq!(format!("{v}"), want);
+        }
     }
 
     #[test]
