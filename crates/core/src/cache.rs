@@ -6,6 +6,19 @@
 //! independently locked maps so concurrent readers on different shards
 //! never contend.
 //!
+//! **Lookup.** A lookup borrows the query, hashes `(query, k)` once and
+//! allocates nothing of its own. Three bits of that hash pick the shard —
+//! bits the shard's table does not index by — and the whole hash keys an
+//! identity-hashed map, so the string is never hashed a second time. Each
+//! entry stores its `(query, k)` and every probe compares them: two keys
+//! sharing a hash share a slot, where a lookup of the one that is not
+//! resident is a miss and its insert replaces the other — never a wrong
+//! answer. The hash is SipHash under a fixed key, so which shard a query
+//! lands in (and with it every hit, miss and eviction of a serial request
+//! sequence) repeats from run to run; what a crafted set of queries can
+//! cost is bounded by the shard capacity, and a full 64-bit collision only
+//! ever costs a miss.
+//!
 //! **Invalidation.** Click feedback changes scores, so every cached entry
 //! is stamped with the [`crate::feedback::FeedbackStore`] generation it was
 //! computed under. A lookup whose generation no longer matches is treated
@@ -29,12 +42,19 @@
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of independently locked shards. A small fixed power of two keeps
 /// shard selection a mask-free modulo and is plenty for CPU-count threads.
 const NUM_SHARDS: usize = 8;
+
+/// Where the shard-picking bits sit in the key hash. The standard table
+/// takes its bucket from the low bits and its control byte from the top
+/// seven, so bits 32..35 are free until a shard holds 2³² buckets; picking
+/// the shard from the low bits instead would leave seven of every eight
+/// buckets of each shard's table unused.
+const SHARD_SHIFT: u32 = 32;
 
 /// Counters snapshot (see [`QueryCache::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,8 +67,36 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
+/// SipHash of `(query, k)` under the fixed default key.
+fn key_hash(query: &str, k: usize) -> u64 {
+    let mut h = DefaultHasher::new();
+    (query, k).hash(&mut h);
+    h.finish()
+}
+
+/// Hasher of the shard tables, whose keys are already hashes.
+#[derive(Debug, Default)]
+struct Identity(u64);
+
+impl Hasher for Identity {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("shard tables are keyed by u64");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
 #[derive(Debug)]
 struct Entry<V> {
+    /// The key, compared on every probe: the table only knows its hash.
+    query: String,
+    k: usize,
     /// Feedback generation the value was computed under.
     generation: u64,
     /// Shard-local recency stamp (larger = more recently used).
@@ -58,7 +106,8 @@ struct Entry<V> {
 
 #[derive(Debug)]
 struct Shard<V> {
-    map: HashMap<(String, usize), Entry<V>>,
+    /// Key hash → entry.
+    map: HashMap<u64, Entry<V>, BuildHasherDefault<Identity>>,
     /// Monotonic recency clock for this shard.
     clock: u64,
 }
@@ -66,7 +115,7 @@ struct Shard<V> {
 impl<V> Default for Shard<V> {
     fn default() -> Self {
         Shard {
-            map: HashMap::new(),
+            map: HashMap::default(),
             clock: 0,
         }
     }
@@ -79,6 +128,8 @@ pub struct QueryCache<V> {
     shards: Vec<Mutex<Shard<V>>>,
     /// Maximum entries per shard; 0 disables the cache entirely.
     shard_capacity: usize,
+    /// [`key_hash`], except in the tests that force two keys onto one hash.
+    hash: fn(&str, usize) -> u64,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -94,6 +145,7 @@ impl<V: Clone> QueryCache<V> {
                 .map(|_| Mutex::new(Shard::default()))
                 .collect(),
             shard_capacity: if capacity == 0 { 0 } else { shard_capacity },
+            hash: key_hash,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -104,10 +156,10 @@ impl<V: Clone> QueryCache<V> {
         self.shard_capacity > 0
     }
 
-    fn shard_for(&self, query: &str, k: usize) -> &Mutex<Shard<V>> {
-        let mut h = DefaultHasher::new();
-        (query, k).hash(&mut h);
-        &self.shards[(h.finish() as usize) % NUM_SHARDS]
+    /// The key's hash and the index of the shard it selects.
+    fn route(&self, query: &str, k: usize) -> (u64, usize) {
+        let hash = (self.hash)(query, k);
+        (hash, (hash >> SHARD_SHIFT) as usize % NUM_SHARDS)
     }
 
     /// Look up `(query, k)` computed under feedback generation `generation`.
@@ -117,8 +169,8 @@ impl<V: Clone> QueryCache<V> {
         if !self.is_enabled() {
             return None;
         }
-        let key = (query.to_string(), k);
-        let mut shard = self.shard_for(query, k).lock();
+        let (hash, shard) = self.route(query, k);
+        let mut shard = self.shards[shard].lock();
         // Tick the recency clock up front (a miss consuming a tick is
         // harmless — the clock only needs to be monotonic) so the hit fast
         // path is a single map lookup: bump-and-clone through one
@@ -126,29 +178,26 @@ impl<V: Clone> QueryCache<V> {
         // rare stale-generation case.
         shard.clock += 1;
         let clock = shard.clock;
-        let looked_up = shard.map.get_mut(&key).map(|e| {
-            if e.generation == generation {
-                e.used = clock;
-                Some(e.value.clone())
-            } else {
-                None
+        let value = match shard.map.get_mut(&hash) {
+            Some(e) if e.k == k && e.query == query => {
+                if e.generation == generation {
+                    e.used = clock;
+                    Some(e.value.clone())
+                } else {
+                    shard.map.remove(&hash);
+                    None
+                }
             }
-        });
-        match looked_up {
-            Some(Some(v)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            Some(None) => {
-                shard.map.remove(&key);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+            // Absent, or the slot holds another key with this hash.
+            _ => None,
+        };
+        let counter = if value.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        value
     }
 
     /// Insert a value computed under `generation`, evicting the
@@ -157,25 +206,29 @@ impl<V: Clone> QueryCache<V> {
         if !self.is_enabled() {
             return;
         }
-        let mut shard = self.shard_for(&query, k).lock();
-        let key = (query, k);
-        if shard.map.len() >= self.shard_capacity && !shard.map.contains_key(&key) {
+        let (hash, shard) = self.route(&query, k);
+        let mut shard = self.shards[shard].lock();
+        if shard.map.len() >= self.shard_capacity && !shard.map.contains_key(&hash) {
             // O(shard) scan; shards are small and eviction is off the read
             // fast path, so a linked-list LRU would be complexity for nothing.
-            if let Some(lru) = shard
+            let lru = shard
                 .map
                 .iter()
                 .min_by_key(|(_, e)| e.used)
-                .map(|(k, _)| k.clone())
-            {
+                .map(|(h, _)| *h);
+            if let Some(lru) = lru {
                 shard.map.remove(&lru);
             }
         }
         shard.clock += 1;
         let used = shard.clock;
+        // Replaces the key's own older entry, or another key's on a hash
+        // collision.
         shard.map.insert(
-            key,
+            hash,
             Entry {
+                query,
+                k,
                 generation,
                 used,
                 value,
@@ -240,10 +293,10 @@ mod tests {
         // Two-entry shards; probe the (private) shard router for three keys
         // that collide on one shard so the recency policy is observable.
         let c: QueryCache<u8> = QueryCache::new(2 * NUM_SHARDS);
-        let target = c.shard_for("seed", 0) as *const _;
+        let target = c.route("seed", 0).1;
         let colliding: Vec<String> = (0..1000)
             .map(|i| format!("q{i}"))
-            .filter(|q| std::ptr::eq(c.shard_for(q, 0), target))
+            .filter(|q| c.route(q, 0).1 == target)
             .take(3)
             .collect();
         let [a, b, d] = colliding.as_slice() else {
@@ -258,6 +311,126 @@ mod tests {
         assert_eq!(c.get(a, 0, 0), Some(1), "recently used entry survives");
         assert_eq!(c.get(b, 0, 0), None, "least recently used is the victim");
         assert_eq!(c.get(d, 0, 0), Some(3));
+    }
+
+    #[test]
+    fn keys_sharing_a_hash_never_answer_for_each_other() {
+        let c: QueryCache<u8> = QueryCache {
+            hash: |_, _| 7,
+            ..QueryCache::new(16)
+        };
+        c.insert("a".into(), 1, 0, 1);
+        assert_eq!(
+            c.get("b", 1, 0),
+            None,
+            "b is not resident: a holds the slot"
+        );
+        assert_eq!(c.get("a", 2, 0), None, "same query, other k, same hash");
+        assert_eq!(c.get("a", 1, 0), Some(1), "a survives b's misses");
+        c.insert("b".into(), 1, 0, 2);
+        assert_eq!(c.get("a", 1, 0), None, "b's insert replaced a");
+        assert_eq!(c.get("b", 1, 0), Some(2));
+        // A stale generation evicts only the entry whose key it is.
+        assert_eq!(c.get("a", 1, 1), None);
+        assert_eq!(c.stats().entries, 1, "a's stale lookup leaves b alone");
+        assert_eq!(c.get("b", 1, 1), None);
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (2, 5, 0));
+    }
+
+    /// The cache against the plain map it replaced: `(query, k)` keys, the
+    /// same per-shard clock and LRU rule, over a seeded random sequence of
+    /// every operation. Two-entry shards and 24 keys keep evictions, stale
+    /// generations and replacements all frequent.
+    #[test]
+    fn matches_a_plain_map_model_step_by_step() {
+        struct ModelEntry {
+            shard: usize,
+            generation: u64,
+            used: u64,
+            value: u64,
+        }
+        let c: QueryCache<u64> = QueryCache::new(2 * NUM_SHARDS);
+        let mut model: HashMap<(String, usize), ModelEntry> = HashMap::new();
+        let mut clocks = [0u64; NUM_SHARDS];
+        let (mut hits, mut misses) = (0u64, 0u64);
+        // splitmix64
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |below: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % below
+        };
+        let mut generation = 0u64;
+        for step in 0..20_000u64 {
+            let query = format!("q{}", next(8));
+            let k = [1, 5, 10][next(3) as usize];
+            let shard = c.route(&query, k).1;
+            let key = (query.clone(), k);
+            match next(100) {
+                0 => {
+                    c.invalidate_all();
+                    model.clear();
+                }
+                1..=4 => generation += 1,
+                5..=39 => {
+                    if model.values().filter(|e| e.shard == shard).count() >= 2
+                        && !model.contains_key(&key)
+                    {
+                        let lru = model
+                            .iter()
+                            .filter(|(_, e)| e.shard == shard)
+                            .min_by_key(|(_, e)| e.used)
+                            .map(|(key, _)| key.clone())
+                            .expect("the shard is full");
+                        model.remove(&lru);
+                    }
+                    clocks[shard] += 1;
+                    let entry = ModelEntry {
+                        shard,
+                        generation,
+                        used: clocks[shard],
+                        value: step,
+                    };
+                    model.insert(key, entry);
+                    c.insert(query, k, generation, step);
+                }
+                _ => {
+                    // Mostly the current generation, sometimes the last one.
+                    let asked = generation - u64::from(generation > 0 && next(10) == 0);
+                    clocks[shard] += 1;
+                    let expected = match model.get_mut(&key) {
+                        Some(e) if e.generation == asked => {
+                            e.used = clocks[shard];
+                            Some(e.value)
+                        }
+                        Some(_) => {
+                            model.remove(&key);
+                            None
+                        }
+                        None => None,
+                    };
+                    if expected.is_some() {
+                        hits += 1;
+                    } else {
+                        misses += 1;
+                    }
+                    assert_eq!(c.get(&query, k, asked), expected, "step {step}");
+                }
+            }
+            let s = c.stats();
+            assert_eq!(
+                (s.hits, s.misses, s.entries),
+                (hits, misses, model.len()),
+                "step {step}"
+            );
+        }
+        assert!(
+            hits > 1_000 && misses > 1_000,
+            "{hits} hits, {misses} misses"
+        );
     }
 
     #[test]

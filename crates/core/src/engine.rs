@@ -91,6 +91,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Engine construction parameters.
@@ -507,27 +508,33 @@ impl Drop for AdmitGuard<'_> {
     }
 }
 
-/// One ranked search result.
+/// One ranked search result: the scores of one query, and the instance
+/// they rank.
+///
+/// The instance is the engine's own — the handle [`QunitSearchEngine::build`]
+/// stored, shared with every cached and returned list that ranks it, never
+/// copied. A result derefs to it, so `result.definition`, `result.rendered`,
+/// `result.text`, `result.fields` and `result.anchor_text()` read through.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QunitResult {
-    /// Instance key (`definition::anchor`).
+    /// Instance key (`definition::anchor`), owned so callers can move it out.
     pub key: String,
-    /// Owning definition name.
-    pub definition: String,
     /// Final score (IR × type match).
     pub score: f64,
     /// IR component of the score.
     pub ir_score: f64,
     /// Type-match component (0 when the query gave no typing signal).
     pub type_score: f64,
-    /// Rendered presentation.
-    pub rendered: String,
-    /// Plain text of the instance.
-    pub text: String,
-    /// Qualified attributes the instance covers.
-    pub fields: Vec<String>,
-    /// Anchor display text, if anchored.
-    pub anchor_text: Option<String>,
+    /// The ranked instance.
+    pub instance: Arc<QunitInstance>,
+}
+
+impl std::ops::Deref for QunitResult {
+    type Target = QunitInstance;
+
+    fn deref(&self) -> &QunitInstance {
+        &self.instance
+    }
 }
 
 impl QunitResult {
@@ -591,7 +598,9 @@ pub struct ShardStats {
 /// intra-query parallelism ([`EngineConfig::search_shards`]).
 pub struct QunitSearchEngine {
     index: ShardedIndex,
-    instances: HashMap<String, QunitInstance>,
+    /// Key → instance. The `Arc` is what every result holds: a result list
+    /// costs a reference-count bump per instance, built or cloned.
+    instances: HashMap<String, Arc<QunitInstance>>,
     catalog: QunitCatalog,
     segmenter: Segmenter,
     config: EngineConfig,
@@ -984,7 +993,7 @@ impl QunitSearchEngine {
 
         let mut instances = HashMap::with_capacity(num_docs);
         for inst in batches.into_iter().flatten() {
-            instances.insert(inst.key.clone(), inst);
+            instances.insert(inst.key.clone(), Arc::new(inst));
         }
         // One pass over the documents the index actually holds — built or
         // loaded — through the same key → instance → definition chain the
@@ -1066,14 +1075,15 @@ impl QunitSearchEngine {
         &self.segmenter
     }
 
-    /// Look up a materialized instance.
-    pub fn instance(&self, key: &str) -> Option<&QunitInstance> {
+    /// Look up a materialized instance: the handle every result ranking it
+    /// shares.
+    pub fn instance(&self, key: &str) -> Option<&Arc<QunitInstance>> {
         self.instances.get(key)
     }
 
     /// All materialized instances, in arbitrary order.
     pub fn instances(&self) -> impl Iterator<Item = &QunitInstance> {
-        self.instances.values()
+        self.instances.values().map(Arc::as_ref)
     }
 
     /// The relevance-feedback store.
@@ -1188,7 +1198,15 @@ impl QunitSearchEngine {
     /// Record a user click on a result: future queries with the same
     /// template signature will prefer the clicked definition. Every cached
     /// result list is invalidated (feedback changes scores).
+    ///
+    /// With [`EngineConfig::feedback_weight`] at 0 this does nothing: the
+    /// salience of a default definition and the per-hit factor both
+    /// multiply the boost by the weight, so no click could move a score
+    /// and the cache keeps every entry.
     pub fn record_click(&self, query: &str, result_key: &str) {
+        if self.config.feedback_weight == 0.0 {
+            return;
+        }
         if let Some(inst) = self.instances.get(result_key) {
             let sig = self.segmenter.segment(query).template_signature();
             self.feedback.record(&sig, &inst.definition);
@@ -1366,7 +1384,8 @@ impl QunitSearchEngine {
                 let response = self.search_uncached_guarded(query, k, policy, qs)?;
                 if !response.degraded {
                     // The cache owns its key, so a miss pays one String
-                    // clone; a hit allocates nothing for the normal form.
+                    // clone; a hit borrows the normal form and allocates
+                    // only the list it returns (one `Vec`, k keys).
                     self.cache
                         .insert(qs.norm.clone(), k, generation, response.results.clone());
                 }
@@ -1701,18 +1720,17 @@ impl QunitSearchEngine {
         }
 
         // Score the candidates lightly first — borrowed keys and f64s only
-        // — and materialize full QunitResults (six owned strings each) for
-        // just the k survivors of the sort. The fetch depth is ~10× k, so
-        // this skips ~90% of the result-construction churn; the comparator
-        // and the per-hit arithmetic are unchanged, so the final list is
-        // identical to materialize-then-sort.
+        // — and build QunitResults (an owned key and a reference-count
+        // bump each) for just the k survivors of the sort. The fetch depth
+        // is ~10× k; the comparator and the per-hit arithmetic are the same
+        // either way, so the final list is identical to build-then-sort.
         deadline.check("materialize").map_err(trip)?;
         struct Scored<'e> {
             score: f64,
             ir_score: f64,
             type_score: f64,
             key: &'e str,
-            inst: &'e QunitInstance,
+            inst: &'e Arc<QunitInstance>,
         }
         let mut scored: Vec<Scored> = hits
             .into_iter()
@@ -1761,14 +1779,10 @@ impl QunitSearchEngine {
                 .into_iter()
                 .map(|s| QunitResult {
                     key: s.key.to_string(),
-                    definition: s.inst.definition.clone(),
                     score: s.score,
                     ir_score: s.ir_score,
                     type_score: s.type_score,
-                    rendered: s.inst.rendered.clone(),
-                    text: s.inst.text.clone(),
-                    fields: s.inst.fields.clone(),
-                    anchor_text: s.inst.anchor_text(),
+                    instance: Arc::clone(s.inst),
                 })
                 .collect(),
             degraded: degraded_shards > 0,
@@ -1847,7 +1861,7 @@ mod tests {
         let q = format!("{} cast", movie.title);
         let top = engine.top(&q).expect("result expected");
         assert_eq!(top.definition, "movie_cast", "query {q} → {top:?}");
-        assert_eq!(top.anchor_text.as_deref(), Some(movie.title.as_str()));
+        assert_eq!(top.anchor_text().as_deref(), Some(movie.title.as_str()));
         assert!(top.type_score > 0.0);
     }
 
@@ -1862,7 +1876,7 @@ mod tests {
             "{q} → {}",
             top.definition
         );
-        assert_eq!(top.anchor_text.as_deref(), Some(person.name.as_str()));
+        assert_eq!(top.anchor_text().as_deref(), Some(person.name.as_str()));
     }
 
     #[test]
@@ -1870,7 +1884,7 @@ mod tests {
         let (data, engine) = engine();
         let movie = &data.movies[1];
         let top = engine.top(&movie.title).expect("result expected");
-        assert_eq!(top.anchor_text.as_deref(), Some(movie.title.as_str()));
+        assert_eq!(top.anchor_text().as_deref(), Some(movie.title.as_str()));
         // underspecified single-entity queries roll up to the summary page
         assert!(
             top.definition.starts_with("movie"),
@@ -2176,7 +2190,7 @@ mod tests {
         let title = &data.movies[0].title;
         let results = e.search(&format!("{title} ost"), 5);
         assert!(!results.is_empty(), "fallback must still answer");
-        assert_eq!(results[0].anchor_text.as_deref(), Some(title.as_str()));
+        assert_eq!(results[0].anchor_text().as_deref(), Some(title.as_str()));
         let obs = e.obs_snapshot();
         assert_eq!((obs.typed_queries, obs.typed_fallbacks), (1, 1));
         assert_eq!(e.shard_stats().searches, 2, "restricted pass + rerun");
@@ -2423,6 +2437,33 @@ mod tests {
         let after = engine.search(&q, 5);
         assert_eq!(after[0].definition, "movie_cast");
         assert_eq!(after, engine.search_uncached(&q, 5));
+    }
+
+    #[test]
+    fn a_click_drops_the_cache_only_when_it_can_move_a_score() {
+        let data = ImdbData::generate(ImdbConfig::tiny());
+        let q = data.movies[0].title.to_string();
+        let cast_key = format!("movie_cast::{q}");
+        let default_weight = EngineConfig::default().feedback_weight;
+        for (feedback_weight, survives) in [(0.0, true), (default_weight, false)] {
+            let config = EngineConfig {
+                feedback_weight,
+                ..EngineConfig::default()
+            };
+            let catalog = expert_imdb_qunits(&data.db).unwrap();
+            let engine = QunitSearchEngine::build(&data.db, catalog, config).unwrap();
+            let cold = engine.search(&q, 5);
+            engine.record_click(&q, &cast_key);
+            let clicked = engine.cache_stats();
+            assert_eq!(clicked.entries, usize::from(survives), "{feedback_weight}");
+            let again = engine.search(&q, 5);
+            let hits = engine.cache_stats().hits - clicked.hits;
+            assert_eq!(hits, u64::from(survives), "weight {feedback_weight}");
+            if survives {
+                assert_eq!(again, cold);
+            }
+            assert_eq!(again, engine.search_uncached(&q, 5));
+        }
     }
 
     #[test]

@@ -14,14 +14,31 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Clicks recorded under one template signature.
+#[derive(Debug, Default)]
+struct SignatureClicks {
+    /// Sum of `by_definition`.
+    total: u64,
+    /// `definition → clicks`.
+    by_definition: HashMap<String, u64>,
+}
+
+/// The value under `key`, defaulted on first use. Probes by `&str`, so only a
+/// key's first use allocates it.
+fn slot<'a, V: Default>(map: &'a mut HashMap<String, V>, key: &str) -> &'a mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), V::default());
+    }
+    map.get_mut(key).expect("present or just inserted")
+}
+
 /// Accumulated click feedback. Thread-safe; shared by reference with the
 /// engine (reads during search, writes on click).
 #[derive(Debug, Default)]
 pub struct FeedbackStore {
-    /// `(template signature, definition) → clicks`.
-    clicks: RwLock<HashMap<(String, String), u64>>,
-    /// `template signature → total clicks`.
-    totals: RwLock<HashMap<String, u64>>,
+    /// `template signature → clicks`. One lock over both levels: a reader
+    /// sees a click and the total it belongs to together or not at all.
+    signatures: RwLock<HashMap<String, SignatureClicks>>,
     /// Bumped on every write; consumers that memoize anything derived from
     /// feedback (the engine's query cache) stamp their entries with this and
     /// treat a mismatch as stale.
@@ -37,16 +54,12 @@ impl FeedbackStore {
     /// Record that a user clicked an instance of `definition` after issuing
     /// a query with `signature`.
     pub fn record(&self, signature: &str, definition: &str) {
-        *self
-            .clicks
-            .write()
-            .entry((signature.to_string(), definition.to_string()))
-            .or_insert(0) += 1;
-        *self
-            .totals
-            .write()
-            .entry(signature.to_string())
-            .or_insert(0) += 1;
+        {
+            let mut signatures = self.signatures.write();
+            let clicks = slot(&mut signatures, signature);
+            clicks.total += 1;
+            *slot(&mut clicks.by_definition, definition) += 1;
+        }
         self.generation.fetch_add(1, Ordering::Release);
     }
 
@@ -56,36 +69,39 @@ impl FeedbackStore {
         self.generation.load(Ordering::Acquire)
     }
 
+    /// `(clicks on definition, total clicks)` of a signature, read together.
+    fn counts(&self, signature: &str, definition: &str) -> (u64, u64) {
+        self.signatures.read().get(signature).map_or((0, 0), |s| {
+            let clicks = s.by_definition.get(definition).copied().unwrap_or(0);
+            (clicks, s.total)
+        })
+    }
+
     /// Number of clicks recorded for `(signature, definition)`.
     pub fn clicks(&self, signature: &str, definition: &str) -> u64 {
-        self.clicks
-            .read()
-            .get(&(signature.to_string(), definition.to_string()))
-            .copied()
-            .unwrap_or(0)
+        self.counts(signature, definition).0
     }
 
     /// Total clicks for a signature.
     pub fn total(&self, signature: &str) -> u64 {
-        self.totals.read().get(signature).copied().unwrap_or(0)
+        self.signatures.read().get(signature).map_or(0, |s| s.total)
     }
 
     /// Click-through boost in `[0, 1]`: the smoothed share of this
     /// signature's clicks that landed on `definition`. With no evidence the
     /// boost is 0 — feedback only ever *adds* signal.
     pub fn boost(&self, signature: &str, definition: &str) -> f64 {
-        let total = self.total(signature);
+        let (clicks, total) = self.counts(signature, definition);
         if total == 0 {
             return 0.0;
         }
-        let c = self.clicks(signature, definition) as f64;
         // additive smoothing: one pseudo-count spread over the signature
-        c / (total as f64 + 1.0)
+        clicks as f64 / (total as f64 + 1.0)
     }
 
     /// Number of distinct signatures with any feedback.
     pub fn num_signatures(&self) -> usize {
-        self.totals.read().len()
+        self.signatures.read().len()
     }
 }
 
@@ -146,6 +162,31 @@ mod tests {
         }
         let b = s.boost("q", "d");
         assert!(b > 0.99 && b < 1.0);
+    }
+
+    #[test]
+    fn a_racing_reader_never_sees_a_click_without_its_total() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        let s = FeedbackStore::new();
+        let (start, done) = (Barrier::new(2), AtomicBool::new(false));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for _ in 0..20_000 {
+                    s.record("sig", "def");
+                }
+                done.store(true, Ordering::Release);
+            });
+            start.wait();
+            while !done.load(Ordering::Acquire) {
+                let (clicks, total) = s.counts("sig", "def");
+                assert!(clicks <= total, "{clicks} clicks of {total}");
+                // one definition takes every click: n / (n + 1)
+                assert!(s.boost("sig", "def") < 1.0);
+            }
+        });
+        assert_eq!(s.counts("sig", "def"), (20_000, 20_000));
     }
 
     #[test]

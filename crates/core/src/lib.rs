@@ -46,7 +46,9 @@
 //!   click changes scores, so cached and uncached searches always agree
 //!   (property-tested), and the key deliberately excludes the shard count
 //!   (identical results make entries interchangeable across layouts).
-//!   Hit/miss counters are exposed via
+//!   A [`QunitResult`] holds the engine's own `Arc<QunitInstance>`, so an
+//!   entry — and the clone a hit returns — is k keys and k pointers, not
+//!   k rendered pages. Hit/miss counters are exposed via
 //!   [`QunitSearchEngine::cache_stats`].
 //!
 //! Multi-query throughput is measured by the `throughput` bench in

@@ -97,7 +97,7 @@ impl QunitDefinition {
 }
 
 /// A materialized qunit instance — an independent "document" for IR.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QunitInstance {
     /// Stable key: `definition::anchor-display` (or `definition::*` for
     /// singletons).

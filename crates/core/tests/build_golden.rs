@@ -13,7 +13,10 @@
 //! rendering), recompute both with `BUILD_GOLDEN_PRINT=1 cargo test -p
 //! qunit-core --test build_golden -- --nocapture` and say why in the commit.
 
+mod fnv;
+
 use datagen::imdb::{ImdbConfig, ImdbData};
+use fnv::Fnv1a;
 use qunit_core::derive::manual::expert_imdb_qunits;
 use qunit_core::{materialize_all, EngineConfig, QunitSearchEngine};
 
@@ -22,26 +25,6 @@ const INDEX_FINGERPRINT: u64 = 0x4867_9115_273b_88c8;
 /// FNV-1a over every instance's `(key, definition, rendered, text, fields,
 /// tuple_count)` in catalog × materialisation order.
 const INSTANCES_FNV1A: u64 = 0x84c1_d584_026a_c721;
-
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Length-prefixed, so `("ab", "c")` and `("a", "bc")` hash apart.
-    fn str(&mut self, s: &str) {
-        self.bytes(&(s.len() as u64).to_le_bytes());
-        self.bytes(s.as_bytes());
-    }
-}
 
 /// Hash the engine's instances in the order `keys` lists them.
 fn instances_hash(engine: &QunitSearchEngine, keys: &[String]) -> u64 {
@@ -54,11 +37,11 @@ fn instances_hash(engine: &QunitSearchEngine, keys: &[String]) -> u64 {
         h.str(&inst.definition);
         h.str(&inst.rendered);
         h.str(&inst.text);
-        h.bytes(&(inst.fields.len() as u64).to_le_bytes());
+        h.u64(inst.fields.len() as u64);
         for f in &inst.fields {
             h.str(f);
         }
-        h.bytes(&(inst.tuple_count as u64).to_le_bytes());
+        h.u64(inst.tuple_count as u64);
     }
     h.0
 }

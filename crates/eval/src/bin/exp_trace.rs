@@ -64,7 +64,7 @@ fn main() {
             q.raw,
             q.gold.need.to_string(),
             r.mean,
-            top.map(|t| (t.definition, t.anchor_text))
+            top.map(|t| (t.definition.clone(), t.anchor_text()))
         );
     }
 }

@@ -243,8 +243,8 @@ impl SearchSystem for QunitSystem {
     fn answer(&self, query: &str) -> Option<SystemAnswer> {
         let top = self.engine.top(query)?;
         Some(SystemAnswer {
-            text: top.text,
-            covered_fields: top.fields,
+            text: top.text.clone(),
+            covered_fields: top.fields.clone(),
         })
     }
 
@@ -253,9 +253,9 @@ impl SearchSystem for QunitSystem {
             .search_batch(queries, 1)
             .into_iter()
             .map(|results| {
-                results.into_iter().next().map(|top| SystemAnswer {
-                    text: top.text,
-                    covered_fields: top.fields,
+                results.first().map(|top| SystemAnswer {
+                    text: top.text.clone(),
+                    covered_fields: top.fields.clone(),
                 })
             })
             .collect()

@@ -118,7 +118,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         for q in &queries {
             match engine.top(q) {
-                Some(r) => println!("  {:40} -> {} ({:?})", q, r.definition, r.anchor_text),
+                Some(r) => println!("  {:40} -> {} ({:?})", q, r.definition, r.anchor_text()),
                 None => println!("  {:40} -> (no result)", q),
             }
         }

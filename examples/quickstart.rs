@@ -112,7 +112,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Some(r) => {
                 println!(
                     "  -> qunit {} (anchor {:?}, score {:.3})",
-                    r.definition, r.anchor_text, r.score
+                    r.definition,
+                    r.anchor_text(),
+                    r.score
                 );
                 println!("     {}", r.rendered);
             }

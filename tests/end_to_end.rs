@@ -42,7 +42,7 @@ fn schema_data_pipeline_end_to_end() {
     let engine = QunitSearchEngine::build(&data.db, cat, EngineConfig::default()).unwrap();
     let r = engine.top(&data.movies[0].title).unwrap();
     assert_eq!(
-        r.anchor_text.as_deref(),
+        r.anchor_text().as_deref(),
         Some(data.movies[0].title.as_str())
     );
 }
