@@ -9,9 +9,14 @@
 //! IMDb and the expert catalog it must produce these bytes — at every
 //! worker count, built cold or restarted from a snapshot.
 //!
+//! The saved snapshot **files** are pinned too: `SNAPSHOT_FNV1A` hashes the
+//! bytes `save_snapshot` writes for that engine under both codecs at one and
+//! two shards, computed on the commit before the snapshot writer and reader
+//! were rewritten around bulk lane helpers — "no format change" as a test.
+//!
 //! If a change moves them *on purpose* (a new definition, a different
-//! rendering), recompute both with `BUILD_GOLDEN_PRINT=1 cargo test -p
-//! qunit-core --test build_golden -- --nocapture` and say why in the commit.
+//! rendering, a format bump), recompute with `BUILD_GOLDEN_PRINT=1 cargo test
+//! -p qunit-core --test build_golden -- --nocapture` and say why in the commit.
 
 mod fnv;
 
@@ -25,6 +30,15 @@ const INDEX_FINGERPRINT: u64 = 0x4867_9115_273b_88c8;
 /// FNV-1a over every instance's `(key, definition, rendered, text, fields,
 /// tuple_count)` in catalog × materialisation order.
 const INSTANCES_FNV1A: u64 = 0x84c1_d584_026a_c721;
+
+/// FNV-1a of the snapshot file saved by a cold build, by
+/// `(search_shards, compress_postings)`.
+const SNAPSHOT_FNV1A: [(usize, bool, u64); 4] = [
+    (1, false, 0x07af_e63f_99aa_c1a1),
+    (1, true, 0x718a_0a06_7c5c_04cc),
+    (2, false, 0x3d93_b73f_6fc9_5c20),
+    (2, true, 0xae75_d3b5_30a9_7ac5),
+];
 
 /// Hash the engine's instances in the order `keys` lists them.
 fn instances_hash(engine: &QunitSearchEngine, keys: &[String]) -> u64 {
@@ -88,5 +102,38 @@ fn build_output_matches_the_pinned_constants() {
             assert_eq!(instances, INSTANCES_FNV1A, "instances, {what}");
         }
         let _ = std::fs::remove_file(&path);
+    }
+}
+
+#[test]
+fn saved_snapshot_bytes_match_the_pinned_constants() {
+    let data = ImdbData::generate(ImdbConfig::default());
+    let print = std::env::var_os("BUILD_GOLDEN_PRINT").is_some();
+    for (search_shards, compress_postings, want) in SNAPSHOT_FNV1A {
+        let path = std::env::temp_dir().join(format!(
+            "qunits-build-golden-bytes-{}-{search_shards}-{compress_postings}.qx",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        QunitSearchEngine::build(
+            &data.db,
+            expert_imdb_qunits(&data.db).expect("catalog"),
+            EngineConfig {
+                search_shards,
+                compress_postings,
+                snapshot_path: Some(path.clone()),
+                ..EngineConfig::default()
+            },
+        )
+        .expect("engine");
+        let mut h = Fnv1a::new();
+        h.bytes(&std::fs::read(&path).expect("cold build saves the snapshot"));
+        let _ = std::fs::remove_file(&path);
+        let what = format!("search_shards {search_shards}, compress_postings {compress_postings}");
+        if print {
+            println!("{what}: SNAPSHOT_FNV1A {:#018x}", h.0);
+            continue;
+        }
+        assert_eq!(h.0, want, "snapshot bytes, {what}");
     }
 }

@@ -1,5 +1,6 @@
 //! Seeded chaos suite: deterministic fault injection against the full
-//! engine, exercising panic containment, graceful degradation, snapshot
+//! engine, exercising panic containment, graceful degradation, admission
+//! control against a slot held by a delayed kernel, snapshot
 //! quarantine/retry, and the fault counter family.
 //!
 //! The failpoint registry ([`irengine::fault`]) is process-global, so every
@@ -21,6 +22,7 @@ use qunit_core::{
     EngineConfig, QunitSearchEngine, SearchError, SearchResponse, ShardFailurePolicy,
 };
 use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::time::Duration;
 
 static REGISTRY: Mutex<()> = Mutex::new(());
 
@@ -325,6 +327,128 @@ fn admission_slots_survive_a_panic_storm() {
     let snap = engine.obs_snapshot();
     assert_eq!(snap.internal_errors, 10);
     assert_eq!(snap.rejected_overload, 0);
+}
+
+// --- admission under constructed pressure ---------------------------------
+
+/// Offer `CONTENDERS × ATTEMPTS` queries to an engine that admits one at a
+/// time while a query is **held inside the kernel**: the first checkpoint
+/// any query reaches sleeps (`kernel.checkpoint=delay`), the one query
+/// issued before the contenders start is long enough to reach it, and the
+/// contenders start once the failpoint reports it fired — so each one's
+/// first attempt finds `in_flight == limit`. Collisions are constructed,
+/// not hoped for. Returns the engine and every contender attempt's outcome.
+fn offer_against_a_held_slot() -> (QunitSearchEngine, Vec<Result<usize, SearchError>>) {
+    const CONTENDERS: usize = 7;
+    const ATTEMPTS: usize = 40;
+    // Checkpoints come every 4 096 postings of one kernel run, which takes
+    // the full-size corpus, unsharded, and a deadline (nothing polls
+    // without one; this one never trips).
+    static DATA: OnceLock<ImdbData> = OnceLock::new();
+    let data = DATA.get_or_init(|| ImdbData::generate(ImdbConfig::default()));
+    let engine = QunitSearchEngine::build(
+        &data.db,
+        expert_imdb_qunits(&data.db).unwrap(),
+        EngineConfig {
+            max_concurrent_queries: 1,
+            cache_capacity: 0,
+            search_shards: 1,
+            deadline: Some(Duration::from_secs(60)),
+            fault_schedule: Some("kernel.checkpoint=delay:250@#1".to_string()),
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    let held = format!("{} movies", data.people[0].name);
+    let queries: Vec<String> = (data.movies.iter().take(8))
+        .flat_map(|m| [format!("{} cast", m.title), m.title.clone()])
+        .collect();
+    let outcomes = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        let holder = scope.spawn(|| engine.try_search(&held, 10));
+        for t in 0..CONTENDERS {
+            let (engine, queries, outcomes) = (&engine, &queries, &outcomes);
+            scope.spawn(move || {
+                while fault::site_counters(site::KERNEL_CHECKPOINT).1 == 0 {
+                    std::thread::yield_now();
+                }
+                let mine: Vec<_> = (0..ATTEMPTS)
+                    .map(|i| {
+                        let q = &queries[(t * 7 + i) % queries.len()];
+                        engine.try_search(q, 10).map(|results| results.len())
+                    })
+                    .collect();
+                outcomes.lock().unwrap().extend(mine);
+            });
+        }
+        let held = holder.join().unwrap();
+        assert!(held.is_ok(), "nothing was in flight before it: {held:?}");
+    });
+    let outcomes = outcomes.into_inner().unwrap();
+    assert_eq!(outcomes.len(), CONTENDERS * ATTEMPTS);
+    (engine, outcomes)
+}
+
+#[test]
+fn admission_accounting_balances_under_pressure() {
+    let _guard = hold_registry();
+    let (engine, outcomes) = offer_against_a_held_slot();
+    let mut rejected = 0u64;
+    for outcome in &outcomes {
+        match outcome {
+            Ok(_) => {}
+            Err(SearchError::Overloaded { limit, .. }) => {
+                assert_eq!(*limit, 1);
+                rejected += 1;
+            }
+            Err(e) => panic!("unexpected error: {e}"),
+        }
+    }
+    // served + rejected = offered by the match above; each contender's
+    // first attempt met the held slot.
+    assert!(rejected >= 7, "only {rejected} attempts were rejected");
+    assert_eq!(engine.obs_snapshot().rejected_overload, rejected);
+    // Every admitted query eventually released its slot.
+    for _ in 0..3 {
+        assert!(engine.try_search(&cast_query(), 10).is_ok());
+    }
+}
+
+#[test]
+fn overload_rejections_carry_bounded_retry_after_hints() {
+    // The hint is pure arithmetic over rejection-time pressure: half a
+    // millisecond per unit of drain-ahead work, never zero (a rejection
+    // implies at least one query must finish first), never above the
+    // 100ms cap, always a whole number of 500µs steps. No clock feeds it,
+    // so the same pressure always hints the same wait.
+    let _guard = hold_registry();
+    let (_engine, outcomes) = offer_against_a_held_slot();
+    let hints: Vec<Duration> = outcomes
+        .into_iter()
+        .filter_map(|outcome| match outcome {
+            Err(SearchError::Overloaded {
+                in_flight,
+                limit,
+                retry_after,
+            }) => {
+                assert!(in_flight >= limit);
+                Some(retry_after)
+            }
+            _ => None,
+        })
+        .collect();
+    assert!(hints.len() >= 7, "only {} rejections", hints.len());
+    const STEP: Duration = Duration::from_micros(500);
+    const CAP: Duration = Duration::from_millis(100);
+    for h in &hints {
+        assert!(*h >= STEP, "hint below one backoff step: {h:?}");
+        assert!(*h <= CAP, "hint above the 100ms cap: {h:?}");
+        assert_eq!(
+            h.as_micros() % STEP.as_micros(),
+            0,
+            "hint not a whole number of 500µs steps: {h:?}"
+        );
+    }
 }
 
 // --- snapshot quarantine and retry ----------------------------------------

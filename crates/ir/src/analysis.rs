@@ -86,31 +86,136 @@ impl Analyzer {
     /// are still owned by the caller once emitted).
     pub fn tokenize_into(&self, text: &str, out: &mut Vec<String>) {
         out.clear();
+        let mut buf = String::new();
+        self.for_each_token(text, &mut buf, |tok| out.push(tok.to_owned()));
+    }
+
+    /// Visit the tokens of `text` — exactly those [`Analyzer::tokenize`]
+    /// returns, in order — without allocating: each token is assembled in
+    /// `buf` (cleared first; keep one across calls) and lent to `f`.
+    pub fn for_each_token(&self, text: &str, buf: &mut String, mut f: impl FnMut(&str)) {
+        for_each_raw_token(text, buf, |tok| {
+            if self.keeps(tok) {
+                f(tok);
+            }
+        });
+    }
+
+    /// The stopword / minimum-length verdict on one lower-cased raw token.
+    /// A pure function of the token, so a caller that interns tokens (the
+    /// index builder) asks once per distinct token, not once per occurrence.
+    pub(crate) fn keeps(&self, tok: &str) -> bool {
+        tok.chars().count() >= self.min_token_len && !self.stopwords.contains(tok)
+    }
+}
+
+/// The one tokenizer loop: maximal runs of alphanumeric characters,
+/// lower-cased, before any stopword or length filter. ASCII — nearly all
+/// indexed text — is classified and folded with two byte-range checks; other
+/// characters take the Unicode tables, and a lower-casing that expands
+/// (`İ` → `i̇`) pushes every resulting character.
+pub(crate) fn for_each_raw_token(text: &str, buf: &mut String, mut f: impl FnMut(&str)) {
+    buf.clear();
+    for ch in text.chars() {
+        if ch.is_ascii() {
+            if ch.is_ascii_alphanumeric() {
+                buf.push(ch.to_ascii_lowercase());
+                continue;
+            }
+        } else if ch.is_alphanumeric() {
+            buf.extend(ch.to_lowercase());
+            continue;
+        }
+        if !buf.is_empty() {
+            f(buf);
+            buf.clear();
+        }
+    }
+    if !buf.is_empty() {
+        f(buf);
+    }
+}
+
+#[cfg(test)]
+impl Analyzer {
+    /// The tokenizer as it stood before [`Analyzer::for_each_token`]: one
+    /// `String` per token, the filter hashed per occurrence. Kept as the
+    /// oracle for the equivalence proptests here and in `crate::index`.
+    pub(crate) fn tokenize_reference(&self, text: &str) -> Vec<String> {
+        let mut out = Vec::new();
         let mut cur = String::new();
+        let mut emit = |tok: String| {
+            if tok.chars().count() >= self.min_token_len && !self.stopwords.contains(&tok) {
+                out.push(tok);
+            }
+        };
         for ch in text.chars() {
             if ch.is_alphanumeric() {
                 for lc in ch.to_lowercase() {
                     cur.push(lc);
                 }
             } else if !cur.is_empty() {
-                self.emit(out, std::mem::take(&mut cur));
+                emit(std::mem::take(&mut cur));
             }
         }
         if !cur.is_empty() {
-            self.emit(out, cur);
+            emit(cur);
         }
-    }
-
-    fn emit(&self, out: &mut Vec<String>, tok: String) {
-        if tok.chars().count() >= self.min_token_len && !self.stopwords.contains(&tok) {
-            out.push(tok);
-        }
+        out
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Characters that stress every branch of the tokenizer loop: ASCII of
+    /// each class, lower-casings that expand (`İ` → `i` + U+0307, itself not
+    /// alphanumeric) or change byte length, case-less alphanumerics (`ß`,
+    /// digits of other scripts), and separators wider than one byte.
+    const ALPHABET: &[char] = &[
+        'a', 'b', 'T', 'H', 'E', 'o', 'f', 'z', 'Z', '0', '7', ' ', ' ', '-', '.', '_', '\n', 'İ',
+        'ß', 'É', 'é', 'ǅ', 'Σ', 'ς', '²', '٣', 'Ⅻ', '\u{307}', '—', '\u{3000}', '中', '🎬',
+    ];
+
+    /// One analyzer per filter shape, for this module's and
+    /// `crate::index`'s equivalence proptests.
+    pub(crate) fn analyzers() -> Vec<Analyzer> {
+        vec![
+            Analyzer::new(),
+            Analyzer::keep_all(),
+            Analyzer::keep_all().with_min_token_len(2),
+            Analyzer::new().with_min_token_len(3),
+            Analyzer::new().with_stopwords([
+                "the",
+                "star",
+                "ab",
+                "ß",
+                "i\u{307}",
+                "i\u{307}stanbul",
+            ]),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn for_each_token_matches_the_reference_tokenizer(
+            chars in prop::collection::vec(prop::sample::select(ALPHABET.to_vec()), 0..40),
+        ) {
+            let text: String = chars.into_iter().collect();
+            let mut buf = String::from("stale");
+            for a in analyzers() {
+                let want = a.tokenize_reference(&text);
+                let mut got = Vec::new();
+                a.for_each_token(&text, &mut buf, |tok| got.push(tok.to_owned()));
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(a.tokenize(&text), want);
+            }
+        }
+    }
 
     #[test]
     fn lowercases_and_splits() {

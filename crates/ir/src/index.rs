@@ -29,6 +29,33 @@
 //! layout (and everything downstream of it) is a pure function of the
 //! indexed content.
 //!
+//! # The freeze pipeline
+//!
+//! [`IndexBuilder::build`] produces that layout in one pass over the
+//! documents and one over the postings:
+//!
+//! 1. **intern** — each token, lent as a `&str` by the analyzer's one
+//!    tokenizer loop, is mapped by one cheap hash probe to a *provisional
+//!    id* (first-seen order); the stopword / minimum-length verdict is
+//!    asked once per distinct token and kept in the id's slot;
+//! 2. **row log** — the slot accumulates the token's weighted tf for the
+//!    current document behind a doc stamp, and after each document every
+//!    touched slot logs one flat `(provisional id, doc, tf)` row;
+//! 3. **rank** — the kept tokens are sorted, rank = [`TermId`], and the
+//!    prefix sum of their document frequencies is the `offsets` lane;
+//! 4. **scatter** — one pass over the row log drops each row at its term's
+//!    cursor; rows were logged in document order, so every CSR row is
+//!    doc-ascending by construction.
+//!
+//! The tf bits cannot move: a posting's tf is the float sum
+//! `0.0 + b₁ + b₂ + …` of the boosts of the term's occurrences in token
+//! order (so a boost of `0.0` still yields a posting), a document's length
+//! the same sum over its kept tokens, and float addition does not
+//! associate — the pass does exactly those additions in exactly that order.
+//! The map-of-lists builder it replaced is kept under `#[cfg(test)]` as
+//! `build_reference` and a proptest holds the two equal lane for lane, bit
+//! for bit.
+//!
 //! # Block-max lanes
 //!
 //! Each term's CSR row is additionally cut into fixed-size blocks of
@@ -56,7 +83,7 @@
 //! [`PostingsBuf`]. Everything downstream (scores, MaxScore bound lanes,
 //! shard fingerprints) is bit-identical across the two codecs.
 
-use crate::analysis::Analyzer;
+use crate::analysis::{for_each_raw_token, Analyzer};
 use crate::document::{DocId, Document};
 use crate::shard::ShardedIndex;
 use std::collections::HashMap;
@@ -1033,19 +1060,237 @@ impl IndexBuilder {
         ShardedIndex::from_shards(parts.into_iter().map(IndexBuilder::build).collect())
     }
 
-    /// Freeze into a searchable index: accumulate per-term postings, then
-    /// intern the vocabulary in sorted order and lay the postings out as
-    /// one CSR structure of arrays (see the module docs for the layout).
+    /// Freeze into a searchable index in one pass over the documents (see
+    /// *The freeze pipeline* in the module docs): intern each token to a
+    /// provisional id, accumulate its weighted tf in a dense per-id slot,
+    /// log one row per distinct term per document, then rank the sorted
+    /// vocabulary and counting-scatter the rows into the CSR lanes.
     pub fn build(self) -> Index {
+        assert!(
+            self.docs.len() < NEVER_SEEN as usize,
+            "doc ids are u32: index exceeds 4B documents"
+        );
+        let mut doc_lengths = Vec::with_capacity(self.docs.len());
+        let mut external_to_doc = HashMap::with_capacity(self.docs.len());
+
+        let mut provisional: HashMap<Box<str>, u32, TokenHashState> = HashMap::default();
+        let mut slots: Vec<TermSlot> = Vec::new();
+        // Provisional ids first seen in the current document, in that order.
+        let mut touched: Vec<u32> = Vec::new();
+        let mut rows: Vec<PostingRow> = Vec::new();
+        let mut token = String::new();
+        for (i, doc) in self.docs.iter().enumerate() {
+            let doc_id = i as DocId;
+            external_to_doc
+                .entry(doc.external_id.clone())
+                .or_insert(doc_id);
+
+            let mut length = 0.0;
+            for (field, text) in &doc.fields {
+                let boost = self.field_boosts.get(field).copied().unwrap_or(1.0);
+                for_each_raw_token(text, &mut token, |tok| {
+                    let id = match provisional.get(tok) {
+                        Some(&id) => id,
+                        None => {
+                            let id = slots.len() as u32;
+                            provisional.insert(tok.into(), id);
+                            slots.push(TermSlot {
+                                kept: self.analyzer.keeps(tok),
+                                seen_in: NEVER_SEEN,
+                                doc_freq: 0,
+                                tf: 0.0,
+                            });
+                            id
+                        }
+                    };
+                    let slot = &mut slots[id as usize];
+                    if !slot.kept {
+                        return;
+                    }
+                    if slot.seen_in != doc_id {
+                        slot.seen_in = doc_id;
+                        // From 0.0, not from `boost`: the frozen tf bits are
+                        // those of 0.0 + b1 + b2 + …, in token order.
+                        slot.tf = 0.0;
+                        touched.push(id);
+                    }
+                    slot.tf += boost;
+                    length += boost;
+                });
+            }
+            doc_lengths.push(length);
+            for id in touched.drain(..) {
+                let slot = &mut slots[id as usize];
+                slot.doc_freq += 1;
+                rows.push(PostingRow {
+                    term: id,
+                    doc: doc_id,
+                    tf: slot.tf,
+                });
+            }
+        }
+        assert!(
+            rows.len() <= u32::MAX as usize,
+            "CSR offsets are u32: index exceeds 4B postings"
+        );
+
+        // Rank the vocabulary: TermId assignment must be a pure function of
+        // the content (first-seen order is not, across shard counts), and the
+        // sort clusters prefix-sharing terms' postings for locality. A kept
+        // token was seen in a document, so every ranked term has a row.
+        let mut vocabulary: Vec<(Box<str>, u32)> = provisional
+            .into_iter()
+            .filter(|&(_, id)| slots[id as usize].kept)
+            .collect();
+        vocabulary.sort_unstable();
+        let mut term_ids = HashMap::with_capacity(vocabulary.len());
+        let mut terms = Vec::with_capacity(vocabulary.len());
+        let mut offsets = Vec::with_capacity(vocabulary.len() + 1);
+        offsets.push(0u32);
+        // Per provisional id: where its term's next posting goes.
+        let mut cursors = vec![0u32; slots.len()];
+        let mut total = 0u32;
+        for (term, id) in vocabulary {
+            let term = String::from(term);
+            term_ids.insert(term.clone(), terms.len() as TermId);
+            terms.push(term);
+            cursors[id as usize] = total;
+            total += slots[id as usize].doc_freq;
+            offsets.push(total);
+        }
+        drop(slots);
+
+        // Counting scatter. Rows were logged in document order and a term's
+        // cursor only advances, so every CSR row comes out doc-ascending —
+        // the contract `Postings` and the kernels' binary searches lean on.
+        let mut posting_docs = vec![0 as DocId; rows.len()];
+        let mut posting_tfs = vec![0.0f64; rows.len()];
+        for row in &rows {
+            let at = &mut cursors[row.term as usize];
+            posting_docs[*at as usize] = row.doc;
+            posting_tfs[*at as usize] = row.tf;
+            *at += 1;
+        }
+        drop(rows);
+        let term_max_tfs = offsets
+            .windows(2)
+            .map(|w| {
+                posting_tfs[w[0] as usize..w[1] as usize]
+                    .iter()
+                    .fold(0.0f64, |a, &b| a.max(b))
+            })
+            .collect();
+
+        let avg_doc_length = if doc_lengths.is_empty() {
+            0.0
+        } else {
+            doc_lengths.iter().sum::<f64>() / doc_lengths.len() as f64
+        };
+        let blocks = BlockLanes::freeze(self.block_size, &offsets, &posting_docs, &posting_tfs);
+        Index {
+            analyzer: self.analyzer,
+            term_ids,
+            terms,
+            offsets,
+            store: PostingStore::Flat {
+                docs: posting_docs,
+                tfs: posting_tfs,
+            },
+            term_max_tfs,
+            blocks,
+            doc_lengths,
+            avg_doc_length,
+            docs: self.docs,
+            external_to_doc,
+        }
+    }
+}
+
+/// [`TermSlot::seen_in`] before the token's first document.
+const NEVER_SEEN: DocId = DocId::MAX;
+
+/// Freeze-time state of one distinct raw token, indexed by provisional id.
+struct TermSlot {
+    /// The analyzer's stopword / minimum-length verdict, asked once.
+    kept: bool,
+    /// Document whose weighted tf `tf` is accumulating (the doc stamp): a
+    /// slot is reset on its first token of each document, never swept.
+    seen_in: DocId,
+    /// Documents containing the token so far.
+    doc_freq: u32,
+    tf: f64,
+}
+
+/// One logged posting: the weighted tf of `term` (a provisional id) in `doc`.
+struct PostingRow {
+    term: u32,
+    doc: DocId,
+    tf: f64,
+}
+
+/// Hasher of the freeze-time intern table: one multiply-rotate round per
+/// eight bytes, where SipHash costs more than the rest of a token's
+/// handling. The table lives for one `build`, maps tokens to ids that are
+/// assigned in first-seen order (so nothing it does reaches the frozen
+/// index), and is keyed per process so colliding tokens cannot be prepared
+/// in advance. The frozen dictionary keeps the default hasher.
+struct TokenHashState(u64);
+
+impl Default for TokenHashState {
+    fn default() -> Self {
+        use std::hash::BuildHasher;
+        TokenHashState(std::collections::hash_map::RandomState::new().hash_one(0u8))
+    }
+}
+
+impl std::hash::BuildHasher for TokenHashState {
+    type Hasher = TokenHasher;
+    fn build_hasher(&self) -> TokenHasher {
+        TokenHasher(self.0)
+    }
+}
+
+struct TokenHasher(u64);
+
+impl TokenHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl std::hash::Hasher for TokenHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.mix(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        // The last multiply leaves the low bits — the table's bucket index —
+        // a function of the input's low bits only; fold the high half in.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+#[cfg(test)]
+impl IndexBuilder {
+    /// `build` as it stood before the single-pass freeze — a map of
+    /// per-term lists filled through a per-document map — over the
+    /// reference tokenizer. The oracle `build` must match lane for lane.
+    pub(crate) fn build_reference(self) -> Index {
         // Transient per-term lists; flattened into the CSR arrays below.
         let mut lists: HashMap<String, Vec<(DocId, f64)>> = HashMap::new();
         let mut doc_lengths = Vec::with_capacity(self.docs.len());
         let mut external_to_doc = HashMap::with_capacity(self.docs.len());
 
-        // Both per-document scratch buffers survive the loop: `tokens` is
-        // refilled in place by tokenize_into, `tf` is cleared but keeps its
-        // table allocation.
-        let mut tokens: Vec<String> = Vec::new();
+        // `tf` is cleared per document but keeps its table allocation.
         let mut tf: HashMap<String, f64> = HashMap::new();
         for (i, doc) in self.docs.iter().enumerate() {
             let doc_id = i as DocId;
@@ -1056,8 +1301,7 @@ impl IndexBuilder {
             let mut length = 0.0;
             for (field, text) in &doc.fields {
                 let boost = self.field_boosts.get(field).copied().unwrap_or(1.0);
-                self.analyzer.tokenize_into(text, &mut tokens);
-                for tok in tokens.drain(..) {
+                for tok in self.analyzer.tokenize_reference(text) {
                     *tf.entry(tok).or_insert(0.0) += boost;
                     length += boost;
                 }
@@ -1139,6 +1383,7 @@ impl IndexBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small_index() -> Index {
         let mut b = IndexBuilder::new();
@@ -1570,6 +1815,184 @@ mod tests {
         let mut b = IndexBuilder::new();
         b.set_block_size(0);
         assert_eq!(b.build().block_size(), 1);
+    }
+
+    fn bits(lane: &[f64]) -> Vec<u64> {
+        lane.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every lane of `got` equals `want`'s, floats compared as bit patterns.
+    fn assert_same_index(got: &Index, want: &Index, what: &str) {
+        assert_eq!(got.terms, want.terms, "terms, {what}");
+        assert_eq!(got.term_ids, want.term_ids, "dictionary, {what}");
+        assert_eq!(got.offsets, want.offsets, "offsets, {what}");
+        let (
+            PostingStore::Flat { docs, tfs },
+            PostingStore::Flat {
+                docs: want_docs,
+                tfs: want_tfs,
+            },
+        ) = (&got.store, &want.store)
+        else {
+            panic!("both builders freeze flat lanes, {what}");
+        };
+        assert_eq!(docs, want_docs, "posting docs, {what}");
+        assert_eq!(bits(tfs), bits(want_tfs), "posting tf bits, {what}");
+        assert_eq!(
+            bits(&got.term_max_tfs),
+            bits(&want.term_max_tfs),
+            "term_max_tfs, {what}"
+        );
+        assert_eq!(got.blocks.block_size, want.blocks.block_size, "{what}");
+        assert_eq!(
+            got.blocks.offsets, want.blocks.offsets,
+            "block offsets, {what}"
+        );
+        assert_eq!(
+            bits(&got.blocks.max_tfs),
+            bits(&want.blocks.max_tfs),
+            "block max tfs, {what}"
+        );
+        assert_eq!(
+            got.blocks.first_docs, want.blocks.first_docs,
+            "block first docs, {what}"
+        );
+        assert_eq!(
+            got.blocks.last_docs, want.blocks.last_docs,
+            "block last docs, {what}"
+        );
+        assert_eq!(
+            bits(&got.doc_lengths),
+            bits(&want.doc_lengths),
+            "doc_lengths, {what}"
+        );
+        assert_eq!(
+            got.avg_doc_length.to_bits(),
+            want.avg_doc_length.to_bits(),
+            "avg_doc_length, {what}"
+        );
+        assert_eq!(got.docs, want.docs, "stored docs, {what}");
+        assert_eq!(
+            got.external_to_doc, want.external_to_doc,
+            "external ids (first wins), {what}"
+        );
+    }
+
+    /// Text fragments for the equivalence proptest: stopwords, one- and
+    /// two-character tokens, case variants of one term, lower-casings that
+    /// expand or change length, and fragments with no token at all.
+    const FRAGMENTS: &[&str] = &[
+        "star",
+        "Star",
+        "STAR",
+        "wars",
+        "the",
+        "of",
+        "a",
+        "x",
+        "ab",
+        "İstanbul",
+        "i\u{307}stanbul",
+        "İ",
+        "ß",
+        "STRASSE",
+        "straße",
+        "Ⅻ",
+        "٣",
+        "--",
+        "!!!",
+        "",
+        " ",
+    ];
+    const FIELDS: &[&str] = &["title", "body", "anchor", "extra"];
+    /// `None` leaves the field at the default boost of 1.0.
+    const BOOSTS: &[Option<f64>] = &[
+        None,
+        None,
+        Some(0.0),
+        Some(0.5),
+        Some(0.1),
+        Some(1.0),
+        Some(2.5),
+        Some(3.0),
+    ];
+
+    prop_compose! {
+        fn text()(
+            parts in prop::collection::vec(
+                (prop::sample::select(FRAGMENTS.to_vec()), prop::sample::select(vec![" ", " ", "", "-", ", "])),
+                0..8,
+            ),
+        ) -> String {
+            parts.into_iter().flat_map(|(frag, sep)| [frag, sep]).collect()
+        }
+    }
+
+    prop_compose! {
+        /// Few distinct external ids, so duplicates are the rule; fields
+        /// repeat within a document and may be absent altogether.
+        fn document()(
+            id in 0usize..6,
+            fields in prop::collection::vec((prop::sample::select(FIELDS.to_vec()), text()), 0..5),
+        ) -> Document {
+            fields
+                .into_iter()
+                .fold(Document::new(format!("d{id}")), |doc, (name, text)| doc.field(name, text))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// `build` against `build_reference`, lane for lane and bit for bit,
+        /// unsharded and on every shard of 2 / 3 / 8 (dealt out here the way
+        /// `build_sharded` documents: document `i` to shard `i % n`).
+        #[test]
+        fn build_matches_the_reference_builder(
+            docs in prop::collection::vec(document(), 0..24),
+            boosts in prop::collection::vec(prop::sample::select(BOOSTS.to_vec()), FIELDS.len()),
+            analyzer in 0usize..5,
+            block_size in prop::sample::select(vec![1usize, 3, DEFAULT_BLOCK_SIZE]),
+        ) {
+            let analyzer = crate::analysis::tests::analyzers().swap_remove(analyzer);
+            let mut empty = IndexBuilder::new().with_analyzer(analyzer);
+            empty.set_block_size(block_size);
+            for (field, boost) in FIELDS.iter().zip(boosts) {
+                if let Some(boost) = boost {
+                    empty.set_field_boost(*field, boost);
+                }
+            }
+            let mut whole = empty.clone();
+            for doc in &docs {
+                whole.add(doc.clone());
+            }
+            assert_same_index(&whole.clone().build(), &whole.clone().build_reference(), "unsharded");
+            for n in [1usize, 2, 3, 8] {
+                let sharded = whole.clone().build_sharded(n);
+                prop_assert_eq!(sharded.num_shards(), n);
+                for (s, shard) in sharded.shards().iter().enumerate() {
+                    let mut part = empty.clone();
+                    for doc in docs.iter().skip(s).step_by(n) {
+                        part.add(doc.clone());
+                    }
+                    assert_same_index(shard, &part.build_reference(), &format!("shard {s} of {n}"));
+                }
+            }
+        }
+    }
+
+    /// A boost of 0.0 contributes nothing to tf or length but the term still
+    /// occurs: the posting exists, with tf +0.0.
+    #[test]
+    fn zero_boost_still_yields_a_posting() {
+        let mut b = IndexBuilder::new();
+        b.set_field_boost("hidden", 0.0);
+        b.add(Document::new("x").field("hidden", "ghost ghost"));
+        let ix = b.build();
+        let p = ix.postings("ghost");
+        assert_eq!(p.docs, &[0]);
+        assert_eq!(p.weighted_tfs[0].to_bits(), 0.0f64.to_bits());
+        assert_eq!(ix.doc_length(0), 0.0);
     }
 
     #[test]

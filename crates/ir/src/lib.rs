@@ -44,6 +44,8 @@
 //! assert_eq!(index.external_id(hits[0].doc).unwrap(), "m1");
 //! ```
 
+#[cfg(test)]
+mod alloc_probe;
 pub mod analysis;
 pub mod document;
 pub mod exec;

@@ -43,7 +43,7 @@
 use crate::analysis::Analyzer;
 use crate::document::{DocId, Document};
 use crate::exec::{DispatchCounts, DispatchPolicy, ShardExecutor, TaskPanic};
-use crate::index::{Index, PostingsBuf, PostingsCodec};
+use crate::index::{Index, PostingsBuf, PostingsCodec, TermId};
 use crate::score::{ScoringFunction, TermScorer, TermStats};
 use crate::search::{
     bound_order, dedup_terms, rank_hits, score_terms_into, score_terms_into_topk,
@@ -251,25 +251,45 @@ impl ShardedIndex {
             }
             h.write_u64(self.doc_length(g).to_bits());
         }
-        let mut terms: Vec<&str> = self.shards.iter().flat_map(Index::terms).collect();
-        terms.sort_unstable();
-        terms.dedup();
+        // Shard vocabularies are sorted and rows doc-ascending, so both the
+        // terms and each term's postings come out of a k-way merge: no name
+        // lookups, no sort, and one buffer of `(global doc, tf bits)` reused
+        // for every term. `next[s]` is shard `s`'s next unmerged TermId.
+        let n = self.shards.len();
+        let mut next = vec![0 as TermId; n];
         let mut buf = PostingsBuf::new();
-        for term in terms {
+        let mut merged: Vec<(DocId, u64)> = Vec::new();
+        // `runs[s]..runs[s + 1]` is shard `s`'s stretch of `merged`; `heads`
+        // are the merge cursors into those stretches.
+        let mut runs = vec![0usize; n + 1];
+        let mut heads = vec![0usize; n];
+        let head_term = |s: usize, next: &[TermId]| self.shards[s].term(next[s]);
+        while let Some(term) = (0..n).filter_map(|s| head_term(s, &next)).min() {
             h.write_str(term);
-            let mut postings: Vec<(DocId, u64)> = Vec::new();
+            merged.clear();
             for (s, shard) in self.shards.iter().enumerate() {
-                // Buffered view: the walk decodes per term on a compressed
-                // store and is zero-copy on a flat one, so the fingerprint
-                // is codec-independent by construction.
-                let view = shard.postings_with(term, &mut buf);
-                for p in view.iter() {
-                    postings.push((self.to_global(s, p.doc), p.weighted_tf.to_bits()));
+                if head_term(s, &next) == Some(term) {
+                    // Buffered view: decoded per term on a compressed store,
+                    // zero-copy on a flat one, so the fingerprint is
+                    // codec-independent by construction.
+                    let row = shard.postings_of_with(next[s], &mut buf);
+                    merged.extend(
+                        row.iter()
+                            .map(|p| (self.to_global(s, p.doc), p.weighted_tf.to_bits())),
+                    );
+                    next[s] += 1;
                 }
+                runs[s + 1] = merged.len();
             }
-            postings.sort_unstable_by_key(|(doc, _)| *doc);
-            h.write_usize(postings.len());
-            for (doc, tf_bits) in postings {
+            h.write_usize(merged.len());
+            heads.copy_from_slice(&runs[..n]);
+            for _ in 0..merged.len() {
+                let s = (0..n)
+                    .filter(|&s| heads[s] < runs[s + 1])
+                    .min_by_key(|&s| merged[heads[s]].0)
+                    .expect("an unmerged posting remains");
+                let (doc, tf_bits) = merged[heads[s]];
+                heads[s] += 1;
                 h.write_u64(doc as u64);
                 h.write_u64(tf_bits);
             }

@@ -59,9 +59,9 @@ pub const SNAPSHOT_VERSION: u32 = 2;
 /// fingerprint.
 const HEADER_LEN: usize = 8 + 4 + 4 + 8 + 8;
 
-/// Section tags, in the exact order sections appear within each shard.
-const SECTION_TAGS: [u8; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
-const TAG_NAMES: [&str; 8] = [
+/// Section names, in the exact order sections appear within each shard; a
+/// section's tag is its position here plus one.
+const SECTION_NAMES: [&str; 8] = [
     "analyzer",
     "terms",
     "offsets",
@@ -163,14 +163,36 @@ fn parse_header(buf: &[u8; HEADER_LEN]) -> Result<SnapshotHeader, SnapshotError>
     })
 }
 
-// --- payload writers -------------------------------------------------------
+// --- lanes -----------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// An element of a numeric lane — `u32`, `u64`, or `f64` as its exact bit
+/// pattern: fixed width, little-endian, for the writer and the reader alike.
+trait LaneItem: Copy {
+    const SIZE: usize;
+    fn put(self, out: &mut Vec<u8>);
+    /// `bytes` is exactly `SIZE` long.
+    fn get(bytes: &[u8]) -> Self;
 }
 
+macro_rules! lane_item {
+    ($($t:ty),*) => {$(
+        impl LaneItem for $t {
+            const SIZE: usize = std::mem::size_of::<$t>();
+            fn put(self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(bytes: &[u8]) -> Self {
+                <$t>::from_le_bytes(bytes.try_into().expect("chunks_exact(SIZE)"))
+            }
+        }
+    )*};
+}
+lane_item!(u32, u64, f64);
+
+// --- payload writers -------------------------------------------------------
+
 fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+    v.put(out);
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -178,129 +200,116 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Frame one section — tag, length, payload, checksum — onto the writer.
-fn write_section(w: &mut impl Write, tag: u8, payload: &[u8]) -> std::io::Result<()> {
-    w.write_all(&[tag])?;
-    w.write_all(&(payload.len() as u64).to_le_bytes())?;
-    w.write_all(payload)?;
+/// A counted list of strings.
+fn put_strs<S: AsRef<str>>(out: &mut Vec<u8>, strs: &[S]) {
+    put_u64(out, strs.len() as u64);
+    for s in strs {
+        put_str(out, s.as_ref());
+    }
+}
+
+/// The elements of a lane, back to back (its count is written elsewhere).
+/// No up-front `reserve`: `out` is the one buffer every section of a save
+/// reuses, and sizing it exactly changes which of glibc's allocation paths
+/// it — and after it the loader's lanes — take; `corpus_scale` peaks 13 %
+/// higher with it (`docs/OPERATIONS.md`, *Build phases*).
+fn put_items<T: LaneItem>(out: &mut Vec<u8>, lane: &[T]) {
+    for &v in lane {
+        v.put(out);
+    }
+}
+
+/// A counted lane: `u64` element count, then the elements.
+fn put_lane<T: LaneItem>(out: &mut Vec<u8>, lane: &[T]) {
+    put_u64(out, lane.len() as u64);
+    put_items(out, lane);
+}
+
+fn checksum(payload: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
     h.write_bytes(payload);
-    w.write_all(&h.finish().to_le_bytes())
+    h.finish()
 }
 
 fn write_shard(w: &mut impl Write, shard: &Index, payload: &mut Vec<u8>) -> std::io::Result<()> {
+    // Fill `payload`, then frame it: tag, length, payload, checksum.
+    let mut section = |tag: u8, fill: &dyn Fn(&mut Vec<u8>)| -> std::io::Result<()> {
+        payload.clear();
+        fill(payload);
+        w.write_all(&[tag])?;
+        w.write_all(&(payload.len() as u64).to_le_bytes())?;
+        w.write_all(payload)?;
+        w.write_all(&checksum(payload).to_le_bytes())
+    };
     // 1: analyzer — min token length + sorted stopwords (the set iterates
     // in hash order; sorting makes the bytes a pure function of content).
-    payload.clear();
-    let analyzer = shard.analyzer();
-    put_u64(payload, analyzer.min_token_len() as u64);
-    let mut stopwords: Vec<&str> = analyzer.stopwords().collect();
-    stopwords.sort_unstable();
-    put_u64(payload, stopwords.len() as u64);
-    for word in stopwords {
-        put_str(payload, word);
-    }
-    write_section(w, 1, payload)?;
-
+    section(1, &|p| {
+        put_u64(p, shard.analyzer().min_token_len() as u64);
+        let mut stopwords: Vec<&str> = shard.analyzer().stopwords().collect();
+        stopwords.sort_unstable();
+        put_strs(p, &stopwords);
+    })?;
     // 2: terms, in TermId (lexicographic) order.
-    payload.clear();
-    put_u64(payload, shard.raw_terms().len() as u64);
-    for term in shard.raw_terms() {
-        put_str(payload, term);
-    }
-    write_section(w, 2, payload)?;
-
+    section(2, &|p| put_strs(p, shard.raw_terms()))?;
     // 3: CSR offsets.
-    payload.clear();
-    put_u64(payload, shard.raw_offsets().len() as u64);
-    for &o in shard.raw_offsets() {
-        put_u32(payload, o);
-    }
-    write_section(w, 3, payload)?;
-
+    section(3, &|p| put_lane(p, shard.raw_offsets()))?;
     // 4: posting lanes, under whichever codec the index currently holds.
-    payload.clear();
-    match shard.raw_store() {
+    section(4, &|p| match shard.raw_store() {
         PostingStore::Flat { docs, tfs } => {
-            payload.push(CODEC_FLAT);
-            put_u64(payload, docs.len() as u64);
-            for &d in docs {
-                put_u32(payload, d);
-            }
-            for &tf in tfs {
-                put_u64(payload, tf.to_bits());
-            }
+            p.push(CODEC_FLAT);
+            put_u64(p, docs.len() as u64);
+            put_items(p, docs);
+            put_items(p, tfs);
         }
         PostingStore::Compressed {
             bytes,
             byte_offsets,
         } => {
-            payload.push(CODEC_DELTA_VARINT);
-            put_u64(payload, byte_offsets.len() as u64);
-            for &o in byte_offsets {
-                put_u64(payload, o);
-            }
-            put_u64(payload, bytes.len() as u64);
-            payload.extend_from_slice(bytes);
+            p.push(CODEC_DELTA_VARINT);
+            put_lane(p, byte_offsets);
+            put_u64(p, bytes.len() as u64);
+            p.extend_from_slice(bytes);
         }
-    }
-    write_section(w, 4, payload)?;
-
-    // 5: the frozen MaxScore bound lane, as exact bit patterns.
-    payload.clear();
-    put_u64(payload, shard.raw_term_max_tfs().len() as u64);
-    for &m in shard.raw_term_max_tfs() {
-        put_u64(payload, m.to_bits());
-    }
-    write_section(w, 5, payload)?;
-
-    // 6: weighted document lengths, as exact bit patterns.
-    payload.clear();
-    put_u64(payload, shard.doc_lengths().len() as u64);
-    for &l in shard.doc_lengths() {
-        put_u64(payload, l.to_bits());
-    }
-    write_section(w, 6, payload)?;
-
+    })?;
+    // 5 and 6: the frozen MaxScore bound lane and the weighted document
+    // lengths, as exact bit patterns.
+    section(5, &|p| put_lane(p, shard.raw_term_max_tfs()))?;
+    section(6, &|p| put_lane(p, shard.doc_lengths()))?;
     // 7: stored documents (external id + fields), in local-id order.
-    payload.clear();
-    put_u64(payload, shard.raw_docs().len() as u64);
-    for doc in shard.raw_docs() {
-        put_str(payload, &doc.external_id);
-        put_u64(payload, doc.fields.len() as u64);
-        for (name, text) in &doc.fields {
-            put_str(payload, name);
-            put_str(payload, text);
+    section(7, &|p| {
+        put_u64(p, shard.raw_docs().len() as u64);
+        for doc in shard.raw_docs() {
+            put_str(p, &doc.external_id);
+            put_u64(p, doc.fields.len() as u64);
+            for (name, text) in &doc.fields {
+                put_str(p, name);
+                put_str(p, text);
+            }
         }
-    }
-    write_section(w, 7, payload)?;
-
+    })?;
     // 8: the frozen block-max lanes — block size, per-term block offsets,
     // and the three parallel per-block lanes (max weighted tf as exact bit
     // patterns, first and last doc ids).
-    payload.clear();
-    let blocks = shard.raw_blocks();
-    put_u64(payload, blocks.block_size as u64);
-    put_u64(payload, blocks.offsets.len() as u64);
-    for &o in &blocks.offsets {
-        put_u32(payload, o);
-    }
-    put_u64(payload, blocks.max_tfs.len() as u64);
-    for &m in &blocks.max_tfs {
-        put_u64(payload, m.to_bits());
-    }
-    put_u64(payload, blocks.first_docs.len() as u64);
-    for &d in &blocks.first_docs {
-        put_u32(payload, d);
-    }
-    put_u64(payload, blocks.last_docs.len() as u64);
-    for &d in &blocks.last_docs {
-        put_u32(payload, d);
-    }
-    write_section(w, 8, payload)
+    section(8, &|p| {
+        let blocks = shard.raw_blocks();
+        put_u64(p, blocks.block_size as u64);
+        put_lane(p, &blocks.offsets);
+        put_lane(p, &blocks.max_tfs);
+        put_lane(p, &blocks.first_docs);
+        put_lane(p, &blocks.last_docs);
+    })
 }
 
 // --- payload reader --------------------------------------------------------
+
+/// One section as framed in the file: located and bounds-checked, its
+/// payload neither verified against `stored` nor decoded yet.
+struct Section<'a> {
+    name: &'static str,
+    payload: &'a [u8],
+    /// The checksum the file claims for `payload`.
+    stored: u64,
+}
 
 /// Bounds-checked little-endian cursor over a loaded snapshot. Every read
 /// that would run past the end is a [`SnapshotError::Corrupt`], so bogus
@@ -313,6 +322,10 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    fn at(data: &'a [u8], pos: usize, section: &'static str) -> Self {
+        Reader { data, pos, section }
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         let end = self.pos.checked_add(n).filter(|&e| e <= self.data.len());
         let Some(end) = end else {
@@ -330,12 +343,8 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
     fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::get(self.take(u64::SIZE)?))
     }
 
     /// A u64 count of items at least `itemsize` bytes each, validated
@@ -353,11 +362,42 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
+    /// `n` lane elements, decoded in bulk (`n` comes from [`Reader::count`]
+    /// at an item size no smaller than `T`'s).
+    fn items<T: LaneItem>(&mut self, n: usize) -> Result<Vec<T>, SnapshotError> {
+        let bytes = self.take(n.saturating_mul(T::SIZE))?;
+        Ok(bytes.chunks_exact(T::SIZE).map(T::get).collect())
+    }
+
+    /// A counted lane, as [`put_lane`] wrote it.
+    fn lane<T: LaneItem>(&mut self) -> Result<Vec<T>, SnapshotError> {
+        let n = self.count(T::SIZE)?;
+        self.items(n)
+    }
+
+    /// An empty `Vec` with room for `n` variable-size items — but a `String`
+    /// or `Document` is several times wider in memory than its smallest
+    /// encoding, so even a count [`Reader::count`] passed reserves no more
+    /// than the bytes left could fill; a list of tiny items grows from there.
+    fn room_for<T>(&self, n: usize) -> Vec<T> {
+        Vec::with_capacity(n.min((self.data.len() - self.pos) / std::mem::size_of::<T>()))
+    }
+
     fn str(&mut self) -> Result<String, SnapshotError> {
         let len = self.count(1)?;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| corrupt(format!("non-UTF-8 string in {} section", self.section)))
+    }
+
+    /// A counted list of strings.
+    fn strs(&mut self) -> Result<Vec<String>, SnapshotError> {
+        let n = self.count(8)?;
+        let mut out = self.room_for(n);
+        for _ in 0..n {
+            out.push(self.str()?);
+        }
+        Ok(out)
     }
 
     fn finish(self) -> Result<(), SnapshotError> {
@@ -372,204 +412,109 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Pull the next framed section out of `data` at `*pos`, verify its tag and
-/// checksum, and return the payload slice.
-fn read_section<'a>(
-    data: &'a [u8],
-    pos: &mut usize,
+/// Locate the next framed section of `file` and check its tag; the checksum
+/// is the verifier's business ([`first_bad_checksum`]).
+fn frame_section<'a>(
+    file: &mut Reader<'a>,
     expect_tag: u8,
     name: &'static str,
-) -> Result<&'a [u8], SnapshotError> {
-    let mut r = Reader {
-        data,
-        pos: *pos,
-        section: name,
-    };
-    let tag = r.u8()?;
+) -> Result<Section<'a>, SnapshotError> {
+    file.section = name;
+    let tag = file.u8()?;
     if tag != expect_tag {
         return Err(corrupt(format!(
             "expected {name} section (tag {expect_tag}), found tag {tag}"
         )));
     }
-    let len = r.count(1)?;
-    let payload = r.take(len)?;
-    let stored = r.u64()?;
-    let mut h = Fnv1a::new();
-    h.write_bytes(payload);
-    if h.finish() != stored {
-        return Err(corrupt(format!("checksum mismatch in {name} section")));
-    }
-    *pos = r.pos;
-    Ok(payload)
+    let len = file.count(1)?;
+    Ok(Section {
+        name,
+        payload: file.take(len)?,
+        stored: file.u64()?,
+    })
 }
 
-fn read_shard(data: &[u8], pos: &mut usize) -> Result<Index, SnapshotError> {
-    let mut payloads = [&data[0..0]; 8];
-    for (i, (&tag, &name)) in SECTION_TAGS.iter().zip(&TAG_NAMES).enumerate() {
-        payloads[i] = read_section(data, pos, tag, name)?;
-    }
+/// The first section, in file order, whose payload does not hash to its
+/// stored checksum. Runs on the helper thread and allocates nothing, so
+/// all index memory stays on the calling thread's allocator arena.
+fn first_bad_checksum(sections: &[Section<'_>]) -> Option<usize> {
+    sections
+        .iter()
+        .position(|s| checksum(s.payload) != s.stored)
+}
 
-    // 1: analyzer.
-    let mut r = Reader {
-        data: payloads[0],
-        pos: 0,
-        section: "analyzer",
-    };
-    let min_token_len = r.u64()? as usize;
-    let n = r.count(8)?;
-    let mut stopwords = Vec::with_capacity(n);
-    for _ in 0..n {
-        stopwords.push(r.str()?);
-    }
+/// Decode one whole section with `parse`, rejecting trailing bytes.
+fn parse_section<'a, T>(
+    section: &Section<'a>,
+    parse: impl FnOnce(&mut Reader<'a>) -> Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
+    let mut r = Reader::at(section.payload, 0, section.name);
+    let value = parse(&mut r)?;
     r.finish()?;
-    let analyzer = Analyzer::keep_all()
-        .with_stopwords(stopwords)
-        .with_min_token_len(min_token_len);
+    Ok(value)
+}
 
-    // 2: terms.
-    let mut r = Reader {
-        data: payloads[1],
-        pos: 0,
-        section: "terms",
+/// Decode one shard from its eight framed sections, in section order, then
+/// check the lanes against each other (`Index::from_raw_parts`). The bytes
+/// may not have been verified yet: every read is bounds-checked, nothing
+/// panics, and the caller keeps the result only if every checksum held.
+fn decode_shard(sections: &[Section<'_>]) -> Result<Index, SnapshotError> {
+    let [analyzer, terms, offsets, postings, term_max_tfs, doc_lengths, docs, blockmax] = sections
+    else {
+        unreachable!("a shard is framed as {} sections", SECTION_NAMES.len());
     };
-    let n = r.count(8)?;
-    let mut terms = Vec::with_capacity(n);
-    for _ in 0..n {
-        terms.push(r.str()?);
-    }
-    r.finish()?;
 
-    // 3: offsets.
-    let mut r = Reader {
-        data: payloads[2],
-        pos: 0,
-        section: "offsets",
-    };
-    let n = r.count(4)?;
-    let mut offsets = Vec::with_capacity(n);
-    for _ in 0..n {
-        offsets.push(r.u32()?);
-    }
-    r.finish()?;
-
-    // 4: posting lanes.
-    let mut r = Reader {
-        data: payloads[3],
-        pos: 0,
-        section: "postings",
-    };
-    let store = match r.u8()? {
+    let analyzer = parse_section(analyzer, |r| {
+        let min_token_len = r.u64()? as usize;
+        Ok(Analyzer::keep_all()
+            .with_stopwords(r.strs()?)
+            .with_min_token_len(min_token_len))
+    })?;
+    let terms = parse_section(terms, Reader::strs)?;
+    let offsets = parse_section(offsets, Reader::lane::<u32>)?;
+    let store = parse_section(postings, |r| match r.u8()? {
         CODEC_FLAT => {
-            let n = r.count(12)?;
-            let mut docs = Vec::with_capacity(n);
-            for _ in 0..n {
-                docs.push(r.u32()?);
-            }
-            let mut tfs = Vec::with_capacity(n);
-            for _ in 0..n {
-                tfs.push(f64::from_bits(r.u64()?));
-            }
-            PostingStore::Flat { docs, tfs }
+            let n = r.count(u32::SIZE + f64::SIZE)?;
+            Ok(PostingStore::Flat {
+                docs: r.items(n)?,
+                tfs: r.items(n)?,
+            })
         }
         CODEC_DELTA_VARINT => {
-            let n = r.count(8)?;
-            let mut byte_offsets = Vec::with_capacity(n);
-            for _ in 0..n {
-                byte_offsets.push(r.u64()?);
-            }
+            let byte_offsets = r.lane()?;
             let len = r.count(1)?;
-            let bytes = r.take(len)?.to_vec();
-            PostingStore::Compressed {
-                bytes,
+            Ok(PostingStore::Compressed {
+                bytes: r.take(len)?.to_vec(),
                 byte_offsets,
+            })
+        }
+        other => Err(corrupt(format!("unknown postings codec byte {other}"))),
+    })?;
+    let term_max_tfs = parse_section(term_max_tfs, Reader::lane::<f64>)?;
+    let doc_lengths = parse_section(doc_lengths, Reader::lane::<f64>)?;
+    let docs = parse_section(docs, |r| {
+        let n = r.count(8)?;
+        let mut docs = r.room_for(n);
+        for _ in 0..n {
+            let mut doc = Document::new(r.str()?);
+            let n_fields = r.count(16)?;
+            doc.fields = r.room_for(n_fields);
+            for _ in 0..n_fields {
+                doc.fields.push((r.str()?, r.str()?));
             }
+            docs.push(doc);
         }
-        other => return Err(corrupt(format!("unknown postings codec byte {other}"))),
-    };
-    r.finish()?;
-
-    // 5: term_max_tfs.
-    let mut r = Reader {
-        data: payloads[4],
-        pos: 0,
-        section: "term_max_tfs",
-    };
-    let n = r.count(8)?;
-    let mut term_max_tfs = Vec::with_capacity(n);
-    for _ in 0..n {
-        term_max_tfs.push(f64::from_bits(r.u64()?));
-    }
-    r.finish()?;
-
-    // 6: doc_lengths.
-    let mut r = Reader {
-        data: payloads[5],
-        pos: 0,
-        section: "doc_lengths",
-    };
-    let n = r.count(8)?;
-    let mut doc_lengths = Vec::with_capacity(n);
-    for _ in 0..n {
-        doc_lengths.push(f64::from_bits(r.u64()?));
-    }
-    r.finish()?;
-
-    // 7: stored documents.
-    let mut r = Reader {
-        data: payloads[6],
-        pos: 0,
-        section: "docs",
-    };
-    let n = r.count(8)?;
-    let mut docs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let external_id = r.str()?;
-        let n_fields = r.count(16)?;
-        let mut doc = Document::new(external_id);
-        for _ in 0..n_fields {
-            let name = r.str()?;
-            let text = r.str()?;
-            doc = doc.field(name, text);
-        }
-        docs.push(doc);
-    }
-    r.finish()?;
-
-    // 8: block-max lanes.
-    let mut r = Reader {
-        data: payloads[7],
-        pos: 0,
-        section: "blockmax",
-    };
-    let block_size = r.u64()? as usize;
-    let n = r.count(4)?;
-    let mut block_offsets = Vec::with_capacity(n);
-    for _ in 0..n {
-        block_offsets.push(r.u32()?);
-    }
-    let n = r.count(8)?;
-    let mut max_tfs = Vec::with_capacity(n);
-    for _ in 0..n {
-        max_tfs.push(f64::from_bits(r.u64()?));
-    }
-    let n = r.count(4)?;
-    let mut first_docs = Vec::with_capacity(n);
-    for _ in 0..n {
-        first_docs.push(r.u32()?);
-    }
-    let n = r.count(4)?;
-    let mut last_docs = Vec::with_capacity(n);
-    for _ in 0..n {
-        last_docs.push(r.u32()?);
-    }
-    r.finish()?;
-    let blocks = BlockLanes {
-        block_size,
-        offsets: block_offsets,
-        max_tfs,
-        first_docs,
-        last_docs,
-    };
+        Ok(docs)
+    })?;
+    let blocks = parse_section(blockmax, |r| {
+        Ok(BlockLanes {
+            block_size: r.u64()? as usize,
+            offsets: r.lane()?,
+            max_tfs: r.lane()?,
+            first_docs: r.lane()?,
+            last_docs: r.lane()?,
+        })
+    })?;
 
     Index::from_raw_parts(
         analyzer,
@@ -582,6 +527,84 @@ fn read_shard(data: &[u8], pos: &mut usize) -> Result<Index, SnapshotError> {
         docs,
     )
     .map_err(corrupt)
+}
+
+/// Decode a whole snapshot file: frame every section, verify the checksums
+/// on one helper thread while this thread decodes, then report what a
+/// reader going through the file serially would have reported.
+fn decode_snapshot(data: &[u8]) -> Result<ShardedIndex, SnapshotError> {
+    let header_bytes: &[u8; HEADER_LEN] = data
+        .get(..HEADER_LEN)
+        .and_then(|s| s.try_into().ok())
+        .ok_or_else(|| corrupt("truncated header (shorter than 32 bytes)"))?;
+    let header = parse_header(header_bytes)?;
+    if header.shard_count == 0 {
+        return Err(corrupt("snapshot declares zero shards"));
+    }
+
+    // Framing reads 17 bytes per section, so it is done for the whole file
+    // before anything is hashed or decoded; it stops at the first section
+    // that cannot be located, and the sections before it still count.
+    let per_shard = SECTION_NAMES.len();
+    let mut sections = Vec::new();
+    let mut file = Reader::at(data, HEADER_LEN, "header");
+    let framing_error = (0..header.shard_count)
+        .flat_map(|_| (1u8..).zip(SECTION_NAMES))
+        .try_for_each(|(tag, name)| {
+            frame_section(&mut file, tag, name).map(|section| sections.push(section))
+        })
+        .err();
+
+    // Decode the fully framed shards here while the helper hashes. A decode
+    // error stops at its shard, as the serial order would.
+    let decode = || {
+        let mut shards = Vec::with_capacity(sections.len() / per_shard);
+        let error = sections
+            .chunks_exact(per_shard)
+            .try_for_each(|framed| decode_shard(framed).map(|shard| shards.push(shard)))
+            .err();
+        (shards, error)
+    };
+    let ((shards, decode_error), bad_checksum) = std::thread::scope(|scope| {
+        let verifier =
+            std::thread::Builder::new().spawn_scoped(scope, || first_bad_checksum(&sections));
+        let decoded = decode();
+        let bad_checksum = match verifier {
+            Ok(handle) => handle.join().expect("hashing byte slices cannot panic"),
+            // No thread to be had: verify here, after the decode.
+            Err(_) => first_bad_checksum(&sections),
+        };
+        (decoded, bad_checksum)
+    });
+
+    // A serial reader frames and verifies a shard section by section, then
+    // decodes it, then moves on. So a bad checksum outranks a decode error
+    // in its own or a later shard (the decode stopped in `shards.len()`) and
+    // the framing error, which lies beyond every framed section; a decode
+    // error outranks the framing error, which lies beyond every decoded shard.
+    if let Some(bad) = bad_checksum.filter(|bad| bad / per_shard <= shards.len()) {
+        let name = sections[bad].name;
+        return Err(corrupt(format!("checksum mismatch in {name} section")));
+    }
+    if let Some(e) = decode_error.or(framing_error) {
+        return Err(e);
+    }
+    if file.pos != data.len() {
+        return Err(corrupt(format!(
+            "{} trailing bytes after the last shard",
+            data.len() - file.pos
+        )));
+    }
+
+    let loaded = ShardedIndex::from_shards(shards);
+    if loaded.num_docs() as u64 != header.num_docs {
+        return Err(corrupt(format!(
+            "header claims {} docs, sections hold {}",
+            header.num_docs,
+            loaded.num_docs()
+        )));
+    }
+    Ok(loaded)
 }
 
 impl ShardedIndex {
@@ -632,11 +655,195 @@ impl ShardedIndex {
     /// invariants of every lane; rebuilds all derived state. The result is
     /// indistinguishable from the originally built index — same
     /// fingerprint, same scores to the last bit, same codec.
+    ///
+    /// The checksums are verified on one helper thread while this thread
+    /// decodes (see *Loader order* in `docs/INDEX_FORMAT.md`); nothing is
+    /// returned before every one of them held, and a damaged file is
+    /// reported exactly as a serial verify-then-decode reader would.
     pub fn load_snapshot(path: impl AsRef<Path>) -> Result<ShardedIndex, SnapshotError> {
         // `snapshot.read` failpoint: injects a transient read error ahead
         // of the real file read, for exercising retry/quarantine paths.
         fault::check(site::SNAPSHOT_READ).map_err(io_fault)?;
-        let data = std::fs::read(path)?;
+        decode_snapshot(&std::fs::read(path)?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The loader against the serial verify-then-decode reader it replaced,
+    //! kept here as the oracle, over a sweep of damaged files.
+
+    use super::*;
+    use crate::alloc_probe::largest_allocation_during;
+    use crate::IndexBuilder;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    // --- the serial reference ----------------------------------------------
+
+    impl Reader<'_> {
+        fn u32(&mut self) -> Result<u32, SnapshotError> {
+            Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        }
+    }
+
+    /// Frame one section and verify its checksum before returning it.
+    fn read_section_reference<'a>(
+        file: &mut Reader<'a>,
+        expect_tag: u8,
+        name: &'static str,
+    ) -> Result<&'a [u8], SnapshotError> {
+        let section = frame_section(file, expect_tag, name)?;
+        if checksum(section.payload) != section.stored {
+            return Err(corrupt(format!("checksum mismatch in {name} section")));
+        }
+        Ok(section.payload)
+    }
+
+    /// One shard, as the loader read it before the overlap: all eight
+    /// sections framed and verified, then decoded element by element.
+    fn read_shard_reference(file: &mut Reader<'_>) -> Result<Index, SnapshotError> {
+        let mut payloads = [&file.data[0..0]; 8];
+        for (i, (tag, name)) in (1u8..).zip(SECTION_NAMES).enumerate() {
+            payloads[i] = read_section_reference(file, tag, name)?;
+        }
+        let reader = |i: usize| Reader::at(payloads[i], 0, SECTION_NAMES[i]);
+
+        let mut r = reader(0);
+        let min_token_len = r.u64()? as usize;
+        let n = r.count(8)?;
+        let mut stopwords = Vec::with_capacity(n);
+        for _ in 0..n {
+            stopwords.push(r.str()?);
+        }
+        r.finish()?;
+        let analyzer = Analyzer::keep_all()
+            .with_stopwords(stopwords)
+            .with_min_token_len(min_token_len);
+
+        let mut r = reader(1);
+        let n = r.count(8)?;
+        let mut terms = Vec::with_capacity(n);
+        for _ in 0..n {
+            terms.push(r.str()?);
+        }
+        r.finish()?;
+
+        let mut r = reader(2);
+        let n = r.count(4)?;
+        let mut offsets = Vec::with_capacity(n);
+        for _ in 0..n {
+            offsets.push(r.u32()?);
+        }
+        r.finish()?;
+
+        let mut r = reader(3);
+        let store = match r.u8()? {
+            CODEC_FLAT => {
+                let n = r.count(12)?;
+                let mut docs = Vec::with_capacity(n);
+                for _ in 0..n {
+                    docs.push(r.u32()?);
+                }
+                let mut tfs = Vec::with_capacity(n);
+                for _ in 0..n {
+                    tfs.push(f64::from_bits(r.u64()?));
+                }
+                PostingStore::Flat { docs, tfs }
+            }
+            CODEC_DELTA_VARINT => {
+                let n = r.count(8)?;
+                let mut byte_offsets = Vec::with_capacity(n);
+                for _ in 0..n {
+                    byte_offsets.push(r.u64()?);
+                }
+                let len = r.count(1)?;
+                let bytes = r.take(len)?.to_vec();
+                PostingStore::Compressed {
+                    bytes,
+                    byte_offsets,
+                }
+            }
+            other => return Err(corrupt(format!("unknown postings codec byte {other}"))),
+        };
+        r.finish()?;
+
+        let f64_lane = |i: usize| -> Result<Vec<f64>, SnapshotError> {
+            let mut r = reader(i);
+            let n = r.count(8)?;
+            let mut lane = Vec::with_capacity(n);
+            for _ in 0..n {
+                lane.push(f64::from_bits(r.u64()?));
+            }
+            r.finish()?;
+            Ok(lane)
+        };
+        let term_max_tfs = f64_lane(4)?;
+        let doc_lengths = f64_lane(5)?;
+
+        let mut r = reader(6);
+        let n = r.count(8)?;
+        let mut docs = Vec::with_capacity(n);
+        for _ in 0..n {
+            let external_id = r.str()?;
+            let n_fields = r.count(16)?;
+            let mut doc = Document::new(external_id);
+            for _ in 0..n_fields {
+                let name = r.str()?;
+                let text = r.str()?;
+                doc = doc.field(name, text);
+            }
+            docs.push(doc);
+        }
+        r.finish()?;
+
+        let mut r = reader(7);
+        let block_size = r.u64()? as usize;
+        let n = r.count(4)?;
+        let mut block_offsets = Vec::with_capacity(n);
+        for _ in 0..n {
+            block_offsets.push(r.u32()?);
+        }
+        let n = r.count(8)?;
+        let mut max_tfs = Vec::with_capacity(n);
+        for _ in 0..n {
+            max_tfs.push(f64::from_bits(r.u64()?));
+        }
+        let n = r.count(4)?;
+        let mut first_docs = Vec::with_capacity(n);
+        for _ in 0..n {
+            first_docs.push(r.u32()?);
+        }
+        let n = r.count(4)?;
+        let mut last_docs = Vec::with_capacity(n);
+        for _ in 0..n {
+            last_docs.push(r.u32()?);
+        }
+        r.finish()?;
+        let blocks = BlockLanes {
+            block_size,
+            offsets: block_offsets,
+            max_tfs,
+            first_docs,
+            last_docs,
+        };
+
+        Index::from_raw_parts(
+            analyzer,
+            terms,
+            offsets,
+            store,
+            term_max_tfs,
+            blocks,
+            doc_lengths,
+            docs,
+        )
+        .map_err(corrupt)
+    }
+
+    /// `load_snapshot`'s body before the overlap, shard after shard. One
+    /// repair: it reserved `shard_count` shards up front, which an inflated
+    /// header turns into a terabyte request that aborts the process.
+    fn decode_snapshot_reference(data: &[u8]) -> Result<ShardedIndex, SnapshotError> {
         let header_bytes: &[u8; HEADER_LEN] = data
             .get(..HEADER_LEN)
             .and_then(|s| s.try_into().ok())
@@ -645,19 +852,17 @@ impl ShardedIndex {
         if header.shard_count == 0 {
             return Err(corrupt("snapshot declares zero shards"));
         }
-
-        let mut pos = HEADER_LEN;
-        let mut shards = Vec::with_capacity(header.shard_count as usize);
+        let mut file = Reader::at(data, HEADER_LEN, "header");
+        let mut shards = Vec::new();
         for _ in 0..header.shard_count {
-            shards.push(read_shard(&data, &mut pos)?);
+            shards.push(read_shard_reference(&mut file)?);
         }
-        if pos != data.len() {
+        if file.pos != data.len() {
             return Err(corrupt(format!(
                 "{} trailing bytes after the last shard",
-                data.len() - pos
+                data.len() - file.pos
             )));
         }
-
         let loaded = ShardedIndex::from_shards(shards);
         if loaded.num_docs() as u64 != header.num_docs {
             return Err(corrupt(format!(
@@ -667,5 +872,343 @@ impl ShardedIndex {
             )));
         }
         Ok(loaded)
+    }
+
+    // --- a map of a valid file -----------------------------------------------
+
+    /// Where one section sits in the file: `tag` is its first byte, the
+    /// payload length the 8 bytes after it, the checksum the 8 bytes at
+    /// `payload.end`.
+    struct Span {
+        tag: usize,
+        payload: std::ops::Range<usize>,
+    }
+
+    impl Span {
+        fn end(&self) -> usize {
+            self.payload.end + 8
+        }
+    }
+
+    /// A `u64` length or count field inside a payload (absolute offset),
+    /// with the section that holds it.
+    struct Field {
+        at: usize,
+        section: usize,
+    }
+
+    fn u64_at(bytes: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+    }
+
+    /// Walk a *valid* snapshot by the format's own rules and note every
+    /// section and every length / count field (plus the two scalar `u64`s,
+    /// `min_token_len` and `block_size`).
+    fn map_of(bytes: &[u8]) -> (Vec<Span>, Vec<Field>) {
+        let shard_count = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
+        let (mut spans, mut fields) = (Vec::new(), Vec::new());
+        let mut pos = HEADER_LEN;
+        for _ in 0..shard_count {
+            for _ in SECTION_NAMES {
+                let len = u64_at(bytes, pos + 1) as usize;
+                spans.push(Span {
+                    tag: pos,
+                    payload: pos + 9..pos + 9 + len,
+                });
+                pos += 9 + len + 8;
+            }
+        }
+        assert_eq!(pos, bytes.len(), "the walk covers the file");
+
+        for (section, span) in spans.iter().enumerate() {
+            let mut at = span.payload.start;
+            // A field at the cursor: note it, step over it, return its value.
+            let mut field = |at: &mut usize| {
+                fields.push(Field { at: *at, section });
+                *at += 8;
+                u64_at(bytes, *at - 8) as usize
+            };
+            let strs = |at: &mut usize, field: &mut dyn FnMut(&mut usize) -> usize| {
+                for _ in 0..field(at) {
+                    *at += field(at);
+                }
+            };
+            match section % SECTION_NAMES.len() {
+                0 => {
+                    field(&mut at);
+                    strs(&mut at, &mut field);
+                }
+                1 => strs(&mut at, &mut field),
+                2 => at += 4 * field(&mut at),
+                3 => {
+                    at += 1;
+                    if bytes[at - 1] == CODEC_FLAT {
+                        at += 12 * field(&mut at);
+                    } else {
+                        at += 8 * field(&mut at);
+                        at += field(&mut at);
+                    }
+                }
+                4 | 5 => at += 8 * field(&mut at),
+                6 => {
+                    for _ in 0..field(&mut at) {
+                        at += field(&mut at);
+                        for _ in 0..2 * field(&mut at) {
+                            at += field(&mut at);
+                        }
+                    }
+                }
+                _ => {
+                    field(&mut at);
+                    at += 4 * field(&mut at);
+                    at += 8 * field(&mut at);
+                    at += 4 * field(&mut at);
+                    at += 4 * field(&mut at);
+                }
+            }
+            assert_eq!(at, span.payload.end, "section {section} walked to its end");
+        }
+        (spans, fields)
+    }
+
+    /// Recompute a section's checksum over its (damaged) payload, as damage
+    /// by someone who knows the format would.
+    fn restamp(bytes: &mut [u8], span: &Span) {
+        let sum = checksum(&bytes[span.payload.clone()]);
+        bytes[span.payload.end..span.end()].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    // --- the sweep -------------------------------------------------------------
+
+    /// A small two-shard index with every kind of content the sections can
+    /// hold: stopwords, multi-posting rows that span blocks, fractional tfs,
+    /// a field-less document, duplicate and empty external ids. The stored
+    /// text is most of the file, as in a real one — so a `docs` count taken
+    /// at its on-disk width would reserve several times the file.
+    fn valid_snapshot(compressed: bool) -> Vec<u8> {
+        let mut b = IndexBuilder::new();
+        b.set_block_size(3);
+        b.set_field_boost("anchor", 2.5);
+        for i in 0..14 {
+            b.add(
+                Document::new(format!("doc{}", i % 11))
+                    .field("anchor", format!("entity{} İ{}", i % 4, i % 3))
+                    .field(
+                        "body",
+                        format!("w{} w{} common the ", i % 5, (i * 7) % 3).repeat(6),
+                    ),
+            );
+        }
+        b.add(Document::new(""));
+        let mut index = b.build_sharded(2);
+        if compressed {
+            index.compress_postings();
+        }
+        static UNIQUE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "qunits-snapshot-sweep-{}-{}.qx",
+            std::process::id(),
+            UNIQUE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        index.save_snapshot(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        bytes
+    }
+
+    /// What a load came to, in comparable form.
+    fn verdict(result: Result<ShardedIndex, SnapshotError>) -> Result<(usize, usize), String> {
+        match result {
+            Ok(index) => Ok((index.num_docs(), index.num_postings())),
+            Err(SnapshotError::Corrupt(why)) => Err(why),
+            Err(SnapshotError::Io(e)) => panic!("decoding bytes does no io: {e}"),
+        }
+    }
+
+    /// Allowance for the one allocation a file of a few bytes still causes:
+    /// the message of its rejection.
+    const ERROR_MESSAGE: usize = 256;
+
+    /// The loader on `bytes`: must not panic, must not ask the allocator for
+    /// more than the file's size at once, must agree with the reference.
+    /// Returns the verdict.
+    fn check(bytes: &[u8], what: &str) -> Result<(usize, usize), String> {
+        let (outcome, largest) =
+            largest_allocation_during(|| catch_unwind(AssertUnwindSafe(|| decode_snapshot(bytes))));
+        let got = verdict(outcome.unwrap_or_else(|_| panic!("the loader panicked on {what}")));
+        assert!(
+            largest <= bytes.len().max(ERROR_MESSAGE),
+            "{what}: one allocation of {largest} bytes for a {}-byte file",
+            bytes.len()
+        );
+        assert_eq!(got, verdict(decode_snapshot_reference(bytes)), "{what}");
+        got
+    }
+
+    #[test]
+    fn damaged_files_are_rejected_as_the_serial_reader_rejects_them() {
+        for compressed in [false, true] {
+            let valid = valid_snapshot(compressed);
+            let (spans, fields) = map_of(&valid);
+            let codec = if compressed { "compressed" } else { "flat" };
+            let (docs, _) = check(&valid, codec).expect("the undamaged file loads");
+            assert_eq!(docs, 15);
+            let mut rejected = 0usize;
+            // Damage `valid`, check it, and count it if it was rejected.
+            let mut damaged = |what: String, damage: &dyn Fn(&mut Vec<u8>)| {
+                let mut bytes = valid.clone();
+                damage(&mut bytes);
+                let what = format!("{codec}: {what}");
+                rejected += usize::from(check(&bytes, &what).is_err());
+            };
+
+            // Truncation: around every boundary of every section, and at 64
+            // offsets from a fixed linear congruential sequence.
+            let mut cuts: Vec<usize> = vec![0, HEADER_LEN - 1, HEADER_LEN];
+            for span in &spans {
+                for edge in [span.tag, span.payload.start, span.payload.end, span.end()] {
+                    cuts.extend([edge - 1, edge, edge + 1]);
+                }
+            }
+            let mut state = 0x9e37_79b9_7f4a_7c15u64;
+            for _ in 0..64 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                cuts.push((state >> 33) as usize % valid.len());
+            }
+            for cut in cuts {
+                if cut < valid.len() {
+                    damaged(format!("truncated to {cut} bytes"), &|b| b.truncate(cut));
+                }
+            }
+
+            // One flipped bit per part of every section, payload flips also
+            // with the checksum recomputed over the damage.
+            for (i, span) in spans.iter().enumerate() {
+                let middle = (span.payload.start + span.payload.end) / 2;
+                for (part, at) in [
+                    ("tag", span.tag),
+                    ("length", span.tag + 1),
+                    ("payload", span.payload.start),
+                    ("payload", middle),
+                    ("checksum", span.payload.end + 3),
+                ] {
+                    for stamped in [false, part == "payload"] {
+                        damaged(
+                            format!("bit flipped in the {part} of section {i} at {at}, restamped {stamped}"),
+                            &|b| {
+                                b[at] ^= 0x10;
+                                if stamped {
+                                    restamp(b, span);
+                                }
+                            },
+                        );
+                    }
+                }
+            }
+
+            // Every section length, and every length and count inside a
+            // payload: zeroed, off by one, doubled, absurd, and the most that
+            // `rest` bytes could back at one and at eight bytes an item (the
+            // largest values `Reader::count` lets through).
+            let inflations = |v: u64, rest: u64| {
+                let plain = [0, v + 1, v.wrapping_sub(1), 2 * v + 8, 1 << 40, u64::MAX];
+                plain.into_iter().chain([rest, rest / 8])
+            };
+            for (i, span) in spans.iter().enumerate() {
+                let rest = (valid.len() - span.payload.start) as u64;
+                for v in inflations(span.payload.len() as u64, rest) {
+                    damaged(format!("length of section {i} set to {v}"), &|b| {
+                        b[span.tag + 1..span.tag + 9].copy_from_slice(&v.to_le_bytes())
+                    });
+                }
+            }
+            for field in &fields {
+                let rest = (spans[field.section].payload.end - field.at - 8) as u64;
+                for v in inflations(u64_at(&valid, field.at), rest) {
+                    for stamped in [false, true] {
+                        damaged(
+                            format!(
+                                "field at {} of section {} set to {v}, restamped {stamped}",
+                                field.at, field.section
+                            ),
+                            &|b| {
+                                b[field.at..field.at + 8].copy_from_slice(&v.to_le_bytes());
+                                if stamped {
+                                    restamp(b, &spans[field.section]);
+                                }
+                            },
+                        );
+                    }
+                }
+            }
+            // The header's own counts (it carries no checksum).
+            for v in [0u32, 1, 3, 1 << 20, u32::MAX] {
+                damaged(format!("shard_count set to {v}"), &|b| {
+                    b[12..16].copy_from_slice(&v.to_le_bytes())
+                });
+            }
+            for v in [0u64, 14, 16, u64::MAX] {
+                damaged(format!("num_docs set to {v}"), &|b| {
+                    b[16..24].copy_from_slice(&v.to_le_bytes())
+                });
+            }
+
+            // Two section tags swapped: neighbours, and one pair across shards.
+            let per_shard = SECTION_NAMES.len();
+            let pairs = (0..spans.len() - 1)
+                .map(|i| (i, i + 1))
+                .chain([(1, per_shard + 2)]);
+            for (i, j) in pairs {
+                damaged(format!("tags of sections {i} and {j} swapped"), &|b| {
+                    b.swap(spans[i].tag, spans[j].tag)
+                });
+            }
+
+            // Nearly all of it is damage the loader must refuse; the rest is
+            // damage with a valid checksum that still describes an index
+            // (a different `min_token_len`, say).
+            assert!(rejected > 1000, "{codec}: only {rejected} files rejected");
+        }
+    }
+
+    /// Which error wins when a file is damaged in two places: the serial
+    /// order — per shard framing and checksum section by section, then the
+    /// decode — not the order the overlapped loader happens to notice them.
+    #[test]
+    fn the_first_error_in_file_order_wins() {
+        let valid = valid_snapshot(false);
+        let (spans, fields) = map_of(&valid);
+        let per_shard = SECTION_NAMES.len();
+        let why = |bytes: &[u8], what: &str| check(bytes, what).unwrap_err();
+        // A structural violation in shard 0 (its CSR offsets count, restamped)…
+        let offsets_count = fields.iter().find(|f| f.section == 2).unwrap();
+        let mut bytes = valid.clone();
+        bytes[offsets_count.at..offsets_count.at + 8].copy_from_slice(&0u64.to_le_bytes());
+        restamp(&mut bytes, &spans[2]);
+        assert!(why(&bytes, "decode error alone").contains("offsets section has"));
+        // …outranks a bad checksum in shard 1…
+        let mut later = bytes.clone();
+        later[spans[per_shard + 4].payload.start] ^= 1;
+        assert!(why(&later, "decode error, then checksum").contains("offsets section has"));
+        // …but not one in its own shard, even in a later section…
+        let mut same = bytes.clone();
+        same[spans[6].payload.start] ^= 1;
+        assert_eq!(
+            why(&same, "checksum and decode error in one shard"),
+            "checksum mismatch in docs section"
+        );
+        // …and a bad tag in shard 1 loses to both.
+        let mut framed = bytes.clone();
+        framed[spans[per_shard].tag] = 9;
+        assert!(why(&framed, "decode error, then framing").contains("offsets section has"));
+        let mut framed = valid.clone();
+        framed[spans[per_shard].tag] = 9;
+        framed[spans[5].payload.start] ^= 1;
+        assert_eq!(
+            why(&framed, "checksum, then framing"),
+            "checksum mismatch in doc_lengths section"
+        );
     }
 }
