@@ -1,6 +1,8 @@
-//! Typed definition ids and the dense `doc → definition` lane behind the
-//! engine's typed-IR restriction (§3: "standard IR … against qunit
-//! instances *of the identified type*").
+//! Typed definition ids and the doc-id lanes the query path reads instead
+//! of strings: the dense `doc → definition` lane behind the engine's
+//! typed-IR restriction (§3: "standard IR … against qunit instances *of the
+//! identified type*") and the `anchor → documents` table behind exact-anchor
+//! injection.
 //!
 //! A definition's id is its catalog position, so every per-definition fact
 //! on the query path (type scores, the preferred set, the per-document
@@ -9,6 +11,9 @@
 //! once per candidate; [`DocDefLane::accepts`] answers with two array reads.
 
 use irengine::DocId;
+use relstore::Value;
+use std::collections::HashMap;
+use std::fmt::Write;
 
 /// A definition's typed id: its position in catalog order
 /// ([`crate::QunitCatalog::def_id`]).
@@ -44,15 +49,15 @@ impl DefId {
 pub struct DocDefLane(Vec<u16>);
 
 impl DocDefLane {
-    /// Resolve every document in `0..num_docs` once through `def_of`;
-    /// documents it cannot place are accepted by no restriction.
-    pub fn build(num_docs: usize, mut def_of: impl FnMut(DocId) -> Option<DefId>) -> Self {
-        let last = DocId::try_from(num_docs).expect("document ids fit DocId");
-        DocDefLane(
-            (0..last)
-                .map(|doc| def_of(doc).map_or(NO_DEF, |d| d.0))
-                .collect(),
-        )
+    /// The lane of documents owned, in doc-id order, by `owners`; a
+    /// document of `None` is accepted by no restriction.
+    pub fn build(owners: impl IntoIterator<Item = Option<DefId>>) -> Self {
+        let lane: Vec<u16> = owners
+            .into_iter()
+            .map(|owner| owner.map_or(NO_DEF, |d| d.0))
+            .collect();
+        DocId::try_from(lane.len()).expect("document ids fit DocId");
+        DocDefLane(lane)
     }
 
     /// Documents covered.
@@ -90,6 +95,68 @@ impl DocDefLane {
     }
 }
 
+/// Chain end in [`AnchorDocs::next`].
+const NO_DOC: DocId = DocId::MAX;
+
+/// Which documents carry a given anchor, frozen at engine build: the
+/// exact-anchor injection's lookup. One string probe per segmented entity
+/// finds every instance that entity anchors, of whatever definition — where
+/// composing `definition::anchor` keys costs a string and a probe per entity
+/// × definition.
+///
+/// Anchors are keyed by their display string ([`Value`]'s `Display`, the
+/// text instance keys end in), compared exactly.
+#[derive(Debug)]
+pub(crate) struct AnchorDocs {
+    /// Anchor display string → the lowest document id carrying it.
+    first: HashMap<Box<str>, DocId>,
+    /// Per document: the next higher id carrying the same anchor, or
+    /// [`NO_DOC`] (also the slot of an unanchored document).
+    next: Vec<DocId>,
+}
+
+impl AnchorDocs {
+    /// Index `anchors`, the anchor value of every document in doc-id order
+    /// (`None` for a singleton instance).
+    pub(crate) fn build<'a>(
+        anchors: impl DoubleEndedIterator<Item = Option<&'a Value>> + ExactSizeIterator,
+    ) -> Self {
+        DocId::try_from(anchors.len()).expect("document ids fit DocId");
+        let mut first: HashMap<Box<str>, DocId> = HashMap::new();
+        let mut next = vec![NO_DOC; anchors.len()];
+        let mut shown = String::new();
+        // Highest id first: each document goes on the front of its chain,
+        // so the chains come out ascending.
+        for (doc, anchor) in anchors.enumerate().rev() {
+            let text = match anchor {
+                None => continue,
+                Some(Value::Text(text)) => text.as_str(),
+                Some(other) => {
+                    shown.clear();
+                    write!(shown, "{other}").expect("writing to a String");
+                    shown.as_str()
+                }
+            };
+            match first.get_mut(text) {
+                Some(head) => next[doc] = std::mem::replace(head, doc as DocId),
+                None => {
+                    first.insert(text.into(), doc as DocId);
+                }
+            }
+        }
+        AnchorDocs { first, next }
+    }
+
+    /// The documents whose anchor displays exactly as `anchor`, in doc-id
+    /// (insertion) order.
+    pub(crate) fn docs_of(&self, anchor: &str) -> impl Iterator<Item = DocId> + '_ {
+        let first = self.first.get(anchor).copied();
+        std::iter::successors(first, |&doc| {
+            Some(self.next[doc as usize]).filter(|&next| next != NO_DOC)
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,7 +174,7 @@ mod tests {
 
     #[test]
     fn unplaced_and_out_of_range_documents_are_rejected() {
-        let lane = DocDefLane::build(3, |doc| [DefId::new(1), None, DefId::new(0)][doc as usize]);
+        let lane = DocDefLane::build([DefId::new(1), None, DefId::new(0)]);
         assert_eq!(lane.len(), 3);
         assert_eq!(lane.def_of(0), DefId::new(1));
         assert_eq!(lane.def_of(1), None);
@@ -119,5 +186,30 @@ mod tests {
         assert!(!lane.accepts(&everything, 3), "past the last document");
         assert!(!lane.accepts(&[true], 0), "definition past the set");
         assert!(!lane.accepts(&[], 2));
+    }
+
+    #[test]
+    fn an_anchor_finds_its_documents_in_insertion_order() {
+        let anchors = [
+            Some(Value::from("solaris")),
+            None,
+            Some(Value::from("star wars")),
+            Some(Value::Int(1977)),
+            Some(Value::from("solaris")),
+            Some(Value::from("Solaris")),
+            Some(Value::from("solaris")),
+        ];
+        let table = AnchorDocs::build(anchors.iter().map(Option::as_ref));
+        let docs = |anchor: &str| table.docs_of(anchor).collect::<Vec<_>>();
+        assert_eq!(docs("solaris"), [0, 4, 6]);
+        assert_eq!(docs("star wars"), [2]);
+        assert_eq!(docs("Solaris"), [5], "exact, not case-folded");
+        assert_eq!(docs("1977"), [3], "a non-text anchor by its display");
+        assert_eq!(docs("*"), [], "a singleton has no anchor");
+        assert_eq!(docs("alien"), []);
+        assert_eq!(
+            AnchorDocs::build(std::iter::empty()).docs_of("x").count(),
+            0
+        );
     }
 }

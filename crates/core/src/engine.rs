@@ -75,16 +75,16 @@
 
 use crate::cache::{CacheStats, QueryCache};
 use crate::catalog::QunitCatalog;
-use crate::doc_def::{DefId, DocDefLane};
+use crate::doc_def::{AnchorDocs, DefId, DocDefLane};
 use crate::feedback::FeedbackStore;
 use crate::materialize::materialize_all;
 use crate::obs::{EngineObs, ObsSnapshot};
 use crate::qunit::{QunitDefinition, QunitInstance};
 use crate::segment::{EntityDictionary, SegmentScratch, SegmentedQuery, Segmenter};
 use irengine::{
-    DispatchCounts, DispatchMode, DispatchPolicy, DocId, Document, ExecutorStats, IndexBuilder,
-    KernelTier, ScoringFunction, ScratchPool, SearchContext, SearchFailure, ShardExecutor,
-    ShardFailurePolicy, ShardTimings, ShardedIndex, ShardedSearcher, SnapshotError,
+    DispatchCounts, DispatchMode, DispatchPolicy, DocId, Document, ExecutorStats, Hit,
+    IndexBuilder, KernelTier, ScoringFunction, ScratchPool, SearchContext, SearchFailure,
+    ShardExecutor, ShardFailurePolicy, ShardTimings, ShardedIndex, ShardedSearcher, SnapshotError,
 };
 use relstore::{Database, Error, Result};
 use std::cell::RefCell;
@@ -232,11 +232,12 @@ pub struct EngineConfig {
     /// loads the index from this file if it exists and passes validation
     /// (skipping tokenization and index freezing entirely), and writes it
     /// after a fresh build otherwise — so the *next* restart gets the fast
-    /// path. A snapshot whose document count or shard count disagrees with
-    /// the current catalog/config, or that fails checksum/structure
-    /// validation, is ignored and rebuilt over. The snapshot is trusted to
-    /// match the database content (see the trust model in
-    /// `docs/INDEX_FORMAT.md`); delete the file after changing the corpus.
+    /// path. A snapshot whose document count, shard count or document keys
+    /// disagree with the current catalog/config, or that fails
+    /// checksum/structure validation, is ignored and rebuilt over. Beyond
+    /// its keys the snapshot is trusted to match the database content (see
+    /// the trust model in `docs/INDEX_FORMAT.md`): delete the file after
+    /// changing the text of instances whose keys stay.
     /// `None` (the default) never touches disk. `QUNITS_SNAPSHOT_PATH`
     /// overrides this at build time.
     pub snapshot_path: Option<PathBuf>,
@@ -598,9 +599,11 @@ pub struct ShardStats {
 /// intra-query parallelism ([`EngineConfig::search_shards`]).
 pub struct QunitSearchEngine {
     index: ShardedIndex,
-    /// Key → instance. The `Arc` is what every result holds: a result list
-    /// costs a reference-count bump per instance, built or cloned.
-    instances: HashMap<String, Arc<QunitInstance>>,
+    /// The instance of every document, indexed by global doc id — the only
+    /// handle the query path holds for one. The `Arc` is what every result
+    /// holds: a result list costs a reference-count bump per instance, built
+    /// or cloned.
+    instances: Vec<Arc<QunitInstance>>,
     catalog: QunitCatalog,
     segmenter: Segmenter,
     config: EngineConfig,
@@ -609,8 +612,11 @@ pub struct QunitSearchEngine {
     def_meta: Vec<DefMeta>,
     /// Owning definition of every global document id — what the kernel's
     /// definition filter and the rescoring loop read instead of resolving
-    /// `external_id → instances → definition` per candidate.
+    /// a key to a definition name per candidate.
     doc_def: DocDefLane,
+    /// The documents each anchor instantiates: exact-anchor injection's
+    /// lookup.
+    anchors: AnchorDocs,
     /// Highest utility in the catalog (normalizer for the utility prior).
     max_utility: f64,
     cache: QueryCache<Vec<QunitResult>>,
@@ -692,6 +698,60 @@ struct QueryScratch {
     seg: SegmentScratch,
     /// Analyzer token buffer for the IR query terms.
     terms: Vec<String>,
+    /// Type score of every definition ([`QunitSearchEngine::type_scores_into`]).
+    type_scores: Vec<f64>,
+    /// Feedback boost of every definition ([`FeedbackStore::boosts_into`]).
+    boosts: Vec<f64>,
+    /// [`DefFactors`] of every definition.
+    factors: Vec<DefFactors>,
+    /// The rescored candidates, before the top k are kept.
+    scored: Vec<Scored>,
+}
+
+/// What one query multiplies into every hit of one definition: pure
+/// functions of the query and the definition, computed once per query and
+/// read per hit by [`DefId`].
+#[derive(Debug, Clone, Copy)]
+struct DefFactors {
+    /// The definition-match score.
+    type_score: f64,
+    /// `1 + type_weight · type_score`.
+    type_factor: f64,
+    /// `1 + feedback_weight · boost`; 1 when feedback is off.
+    feedback_factor: f64,
+}
+
+impl DefFactors {
+    /// Factors of a document no catalog definition owns: no type signal,
+    /// no feedback.
+    const NO_DEF: DefFactors = DefFactors {
+        type_score: 0.0,
+        type_factor: 1.0,
+        feedback_factor: 1.0,
+    };
+}
+
+/// One rescored candidate: its scores and its document, nothing owned.
+#[derive(Debug, Clone, Copy)]
+struct Scored {
+    score: f64,
+    ir_score: f64,
+    type_score: f64,
+    doc: DocId,
+}
+
+/// What the first half of the uncached pipeline
+/// ([`QunitSearchEngine::candidates`]) hands the rescoring half, beside the
+/// per-definition factors it leaves in the [`QueryScratch`].
+struct Candidates {
+    seg: SegmentedQuery,
+    /// The default definition of an underspecified query.
+    default_def: Option<DefId>,
+    /// IR hits plus injected exact-anchor instances.
+    hits: Vec<Hit>,
+    /// Shards that failed to contribute to `hits` (under
+    /// [`ShardFailurePolicy::Degrade`]).
+    degraded_shards: usize,
 }
 
 thread_local! {
@@ -737,26 +797,29 @@ fn quarantine_snapshot(path: &std::path::Path, why: &str) {
 
 /// Try the snapshot fast path: if [`EngineConfig::snapshot_path`] names an
 /// existing file that loads cleanly (header, checksums, lane invariants)
-/// and agrees with this build's document count and shard count, return the
+/// and holds this build's documents — `batches`' instances, key for key in
+/// catalog × materialisation order, in `shard_count` shards — return the
 /// loaded index; otherwise `None` and the caller freezes from scratch.
 /// Failures are diagnostic, never fatal, and handled by kind:
 ///
 /// - transient I/O errors get [`SNAPSHOT_LOAD_ATTEMPTS`] tries with linear
 ///   backoff — the file may be fine while the volume hiccups, so it is
 ///   *not* quarantined when the budget runs out;
-/// - corrupt or stale (wrong doc/shard/block-size) snapshots are renamed
-///   to `<path>.corrupt` ([`quarantine_snapshot`]) so the bytes stay
-///   available for diagnosis and the next restart rebuilds cleanly instead
-///   of re-parsing a file known to be bad.
+/// - corrupt or stale (wrong doc/shard/block-size, or a document under
+///   another key: a file saved from another database or catalog) snapshots
+///   are renamed to `<path>.corrupt` ([`quarantine_snapshot`]) so the bytes
+///   stay available for diagnosis and the next restart rebuilds cleanly
+///   instead of re-parsing a file known to be bad.
 fn try_load_snapshot(
     config: &EngineConfig,
-    num_docs: usize,
+    batches: &[Vec<QunitInstance>],
     shard_count: usize,
 ) -> Option<ShardedIndex> {
     let path = config.snapshot_path.as_deref()?;
     if !path.exists() {
         return None;
     }
+    let num_docs: usize = batches.iter().map(Vec::len).sum();
     let block_size = config.block_size.max(1);
     let mut attempt = 0u32;
     let result = loop {
@@ -781,7 +844,25 @@ fn try_load_snapshot(
                 && index.num_shards() == shard_count
                 && index.block_size() == block_size =>
         {
-            Some(index)
+            // Equal counts do not make it this catalog's index. Every
+            // doc-indexed lane is filled by position, so position by
+            // position the file must hold the document the catalog puts
+            // there.
+            let keys = batches.iter().flatten().map(|inst| inst.key.as_str());
+            match keys
+                .zip(0..)
+                .find(|&(key, doc)| index.external_id(doc) != Some(key))
+            {
+                None => Some(index),
+                Some((key, doc)) => {
+                    let why = format!(
+                        "stale: document {doc} is {:?}, the catalog's is {key:?}",
+                        index.external_id(doc).unwrap_or_default()
+                    );
+                    quarantine_snapshot(path, &why);
+                    None
+                }
+            }
         }
         Ok(index) => {
             let why = format!(
@@ -887,7 +968,8 @@ pub struct BuildTimings {
     /// Writing the snapshot (zero unless a cold build has a
     /// [`EngineConfig::snapshot_path`]).
     pub snapshot_save: Duration,
-    /// The instance map and the doc → definition lane.
+    /// The doc-indexed lanes, filled by position: every document's
+    /// instance and definition, and the anchor → documents table.
     pub doc_def: Duration,
     /// Whether the index came from the snapshot.
     pub from_snapshot: bool,
@@ -954,7 +1036,7 @@ impl QunitSearchEngine {
         // gate holds both).
         let num_docs = batches.iter().map(Vec::len).sum();
         let shard_count = worker_count(config.search_shards, num_docs);
-        let loaded = try_load_snapshot(&config, num_docs, shard_count);
+        let loaded = try_load_snapshot(&config, &batches, shard_count);
         timings.from_snapshot = loaded.is_some();
         // Documents exist only on a cold build: a restart constructs and
         // tokenises nothing it would then discard.
@@ -991,18 +1073,18 @@ impl QunitSearchEngine {
             timings.snapshot_save = lap(&mut clock);
         }
 
-        let mut instances = HashMap::with_capacity(num_docs);
-        for inst in batches.into_iter().flatten() {
-            instances.insert(inst.key.clone(), Arc::new(inst));
-        }
-        // One pass over the documents the index actually holds — built or
-        // loaded — through the same key → instance → definition chain the
-        // per-candidate filter used to walk on every query.
-        let doc_def = DocDefLane::build(index.num_docs(), |doc| {
-            let inst = instances.get(index.external_id(doc)?)?;
-            catalog.def_id(&inst.definition)
-        });
-        assert_eq!(doc_def.len(), index.num_docs());
+        // The doc-indexed lanes, filled by position: document d of the
+        // index — built above or verified key by key on load — is the d-th
+        // instance in catalog × materialisation order, and its definition
+        // is the batch it came in.
+        assert_eq!(index.num_docs(), num_docs);
+        let doc_def = DocDefLane::build(batches.iter().enumerate().flat_map(|(i, batch)| {
+            let id = DefId::new(i).expect("catalog size checked on entry");
+            std::iter::repeat_n(Some(id), batch.len())
+        }));
+        let instances: Vec<Arc<QunitInstance>> =
+            batches.into_iter().flatten().map(Arc::new).collect();
+        let anchors = AnchorDocs::build(instances.iter().map(|inst| inst.anchor_value.as_ref()));
         timings.doc_def = lap(&mut clock);
 
         let def_meta: Vec<DefMeta> = catalog
@@ -1040,6 +1122,7 @@ impl QunitSearchEngine {
             feedback: FeedbackStore::new(),
             def_meta,
             doc_def,
+            anchors,
             max_utility,
             cache,
             shard_timings,
@@ -1076,14 +1159,17 @@ impl QunitSearchEngine {
     }
 
     /// Look up a materialized instance: the handle every result ranking it
-    /// shares.
+    /// shares. Should two documents share a key, this is the first-inserted
+    /// one's, as [`ShardedIndex::doc_for_external`] resolves it.
     pub fn instance(&self, key: &str) -> Option<&Arc<QunitInstance>> {
-        self.instances.get(key)
+        let doc = self.index.doc_for_external(key)?;
+        self.instances.get(doc as usize)
     }
 
-    /// All materialized instances, in arbitrary order.
+    /// All materialized instances in document-id order: catalog order, and
+    /// within a definition the order it materialised them in.
     pub fn instances(&self) -> impl Iterator<Item = &QunitInstance> {
-        self.instances.values().map(Arc::as_ref)
+        self.instances.iter().map(Arc::as_ref)
     }
 
     /// The relevance-feedback store.
@@ -1207,7 +1293,7 @@ impl QunitSearchEngine {
         if self.config.feedback_weight == 0.0 {
             return;
         }
-        if let Some(inst) = self.instances.get(result_key) {
+        if let Some(inst) = self.instance(result_key) {
             let sig = self.segmenter.segment(query).template_signature();
             self.feedback.record(&sig, &inst.definition);
             // The feedback generation stamp already marks every cached entry
@@ -1219,7 +1305,8 @@ impl QunitSearchEngine {
     /// Definition-match (type) scores for a query: intent overlap + anchor
     /// agreement + utility prior, per definition name.
     pub fn type_scores(&self, query: &str) -> HashMap<String, f64> {
-        let scores = self.type_scores_for(&self.segmenter.segment(query));
+        let mut scores = Vec::new();
+        self.type_scores_into(&self.segmenter.segment(query), &mut scores);
         self.def_meta
             .iter()
             .map(|m| m.name.clone())
@@ -1227,36 +1314,29 @@ impl QunitSearchEngine {
             .collect()
     }
 
-    /// [`QunitSearchEngine::type_scores`] indexed by [`DefId`].
-    fn type_scores_for(&self, seg: &SegmentedQuery) -> Vec<f64> {
-        let residual = seg.residual_terms();
-        let entity_types: Vec<String> = seg
-            .entities()
-            .iter()
-            .filter_map(|s| s.entity_type())
-            .collect();
-
-        self.catalog
-            .iter()
-            .zip(&self.def_meta)
-            .map(|(def, meta)| {
-                let intent = def.intent_overlap(&residual);
-                let anchor = match &meta.anchor_qualified {
-                    Some(a) if entity_types.iter().any(|t| t == a) => 1.0,
-                    Some(_) if entity_types.is_empty() => 0.25, // nothing contradicts it
-                    Some(_) => 0.0,                             // typed to a different entity
-                    None => {
-                        if entity_types.is_empty() {
-                            0.5 // singleton qunits fit entity-free queries
-                        } else {
-                            0.0
-                        }
+    /// [`QunitSearchEngine::type_scores`] indexed by [`DefId`], into `out`
+    /// (cleared first).
+    fn type_scores_into(&self, seg: &SegmentedQuery, out: &mut Vec<f64>) {
+        let residual: Vec<&str> = seg.residual().collect();
+        let typed = seg.entity_texts().next().is_some();
+        out.clear();
+        out.extend(self.catalog.iter().zip(&self.def_meta).map(|(def, meta)| {
+            let intent = def.intent_overlap(&residual);
+            let anchor = match &meta.anchor_qualified {
+                Some(a) if seg.segments.iter().any(|s| s.is_entity_of(a)) => 1.0,
+                Some(_) if !typed => 0.25, // nothing contradicts it
+                Some(_) => 0.0,            // typed to a different entity
+                None => {
+                    if typed {
+                        0.0
+                    } else {
+                        0.5 // singleton qunits fit entity-free queries
                     }
-                };
-                let utility = self.config.utility_weight * (meta.utility / self.max_utility);
-                intent + anchor + utility
-            })
-            .collect()
+                }
+            };
+            let utility = self.config.utility_weight * (meta.utility / self.max_utility);
+            intent + anchor + utility
+        }));
     }
 
     /// Run a keyword query, returning up to `k` results. Consults the query
@@ -1539,27 +1619,77 @@ impl QunitSearchEngine {
             });
         }
         let deadline = DeadlineCheck::new(self.config.deadline);
-        let trip = |e: SearchError| {
-            self.obs.deadline_exceeded.incr();
-            e
-        };
+        let found = self.candidates(query, k, policy, qs, &deadline)?;
+        deadline
+            .check("materialize")
+            .map_err(|e| self.deadline_trip(e))?;
+        let degraded = found.degraded_shards > 0;
+        if degraded {
+            // One degraded *answer* regardless of how many shards were
+            // lost; the per-shard tally went into `panics_contained` at
+            // the fan-outs.
+            self.obs.degraded_results.incr();
+        }
+        Ok(SearchResponse {
+            results: self.rescore(&found, &qs.factors, k, &mut qs.scored),
+            degraded,
+        })
+    }
+
+    /// Count a tripped deadline on its way out.
+    fn deadline_trip(&self, e: SearchError) -> SearchError {
+        self.obs.deadline_exceeded.incr();
+        e
+    }
+
+    /// The first half of the uncached pipeline: segment the query, identify
+    /// the qunit type, run IR over the instances (of that type, when the
+    /// typing is confident) and add the exact-anchor instances the fetch
+    /// cutoff missed. Leaves every definition's [`DefFactors`] for this
+    /// query in `qs.factors`.
+    fn candidates(
+        &self,
+        query: &str,
+        k: usize,
+        policy: DispatchPolicy,
+        qs: &mut QueryScratch,
+        deadline: &DeadlineCheck,
+    ) -> SearchResult<Candidates> {
+        let trip = |e| self.deadline_trip(e);
         deadline.check("segment").map_err(trip)?;
         let seg = self.segmenter.segment_with(query, &mut qs.seg);
-        let type_scores = self.type_scores_for(&seg);
-        let seg_signature = seg.template_signature();
-        let entity_texts: Vec<String> = seg
-            .segments
-            .iter()
-            .filter_map(|s| match s {
-                crate::segment::Segment::Entity { text, .. } => Some(text.clone()),
-                _ => None,
-            })
-            .collect();
-        let entity_types: Vec<String> = seg
-            .entities()
-            .iter()
-            .filter_map(|s| s.entity_type())
-            .collect();
+        self.type_scores_into(&seg, &mut qs.type_scores);
+        let type_scores = &qs.type_scores;
+
+        // Everything the rescoring loop multiplies in that depends on the
+        // definition alone. The store is read once, under one lock, so the
+        // default definition below and every hit's factor see the same
+        // clicks.
+        let config = &self.config;
+        if config.feedback_weight == 0.0 {
+            qs.boosts.clear();
+            qs.boosts.resize(self.def_meta.len(), 0.0);
+        } else {
+            let names = self.def_meta.iter().map(|m| m.name.as_str());
+            self.feedback
+                .boosts_into(&seg.template_signature(), names, &mut qs.boosts);
+        }
+        let boosts = &qs.boosts;
+        qs.factors.clear();
+        qs.factors.extend(
+            type_scores
+                .iter()
+                .zip(boosts)
+                .map(|(&ts, &boost)| DefFactors {
+                    type_score: ts,
+                    type_factor: 1.0 + config.type_weight * ts,
+                    feedback_factor: if config.feedback_weight > 0.0 {
+                        1.0 + config.feedback_weight * boost
+                    } else {
+                        1.0
+                    },
+                }),
+        );
 
         // Underspecified query (entity, no residual): its default answer is
         // the most *salient* qunit of that entity type — "the qunit
@@ -1567,47 +1697,40 @@ impl QunitSearchEngine {
         // its specializations" (§4.2). Salience is the derivation-assigned
         // utility plus accumulated click feedback for this query shape, so
         // user behaviour can move the default over time.
-        let salience = |m: &DefMeta| {
-            m.utility + self.config.feedback_weight * self.feedback.boost(&seg_signature, &m.name)
+        let salience = |m: &DefMeta| m.utility + config.feedback_weight * boosts[m.id.index()];
+        let typed = seg.entity_texts().next().is_some();
+        let default_def: Option<DefId> = if typed && seg.residual().next().is_none() {
+            self.def_meta
+                .iter()
+                .filter(|m| {
+                    m.anchor_qualified
+                        .as_ref()
+                        .is_some_and(|a| seg.segments.iter().any(|s| s.is_entity_of(a)))
+                })
+                .max_by(|a, b| {
+                    salience(a)
+                        .partial_cmp(&salience(b))
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(b.name.cmp(&a.name))
+                })
+                .map(|m| m.id)
+        } else {
+            None
         };
-        let default_def: Option<DefId> =
-            if seg.residual_terms().is_empty() && !entity_types.is_empty() {
-                self.def_meta
-                    .iter()
-                    .filter(|m| {
-                        m.anchor_qualified
-                            .as_ref()
-                            .map(|a| entity_types.iter().any(|t| t == a))
-                            .unwrap_or(false)
-                    })
-                    .max_by(|a, b| {
-                        salience(a)
-                            .partial_cmp(&salience(b))
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(b.name.cmp(&a.name))
-                    })
-                    .map(|m| m.id)
-            } else {
-                None
-            };
 
         // §3: "standard IR techniques can be used to evaluate this query
         // against qunit instances *of the identified type*". When typing is
         // confident — a default definition for an underspecified query, or
         // definitions whose anchor AND intent both align — restrict ranking
-        // to those definitions; otherwise rank everything and let the soft
-        // type score re-rank.
+        // to those definitions (`allowed`, by `DefId`); otherwise rank
+        // everything and let the soft type score re-rank.
         let best_ts = type_scores.iter().copied().fold(0.0, f64::max);
-        let preferred: Option<Vec<DefId>> = if let Some(d) = default_def {
-            Some(vec![d])
+        let allowed: Option<Vec<bool>> = if let Some(d) = default_def {
+            let mut allowed = vec![false; self.def_meta.len()];
+            allowed[d.index()] = true;
+            Some(allowed)
         } else if best_ts >= 1.5 {
-            Some(
-                self.def_meta
-                    .iter()
-                    .filter(|m| type_scores[m.id.index()] >= best_ts - 0.25)
-                    .map(|m| m.id)
-                    .collect(),
-            )
+            Some(type_scores.iter().map(|&ts| ts >= best_ts - 0.25).collect())
         } else {
             None
         };
@@ -1670,14 +1793,10 @@ impl QunitSearchEngine {
             degraded_shards += outcome.failed_shards;
             SearchResult::Ok(outcome.hits)
         };
-        let mut hits = match &preferred {
-            Some(defs) => {
+        let mut hits = match &allowed {
+            Some(allowed) => {
                 self.obs.typed_queries.incr();
-                let mut allowed = vec![false; self.def_meta.len()];
-                for d in defs {
-                    allowed[d.index()] = true;
-                }
-                let hits = fan_out(Some(&|doc| self.doc_def.accepts(&allowed, doc)))?;
+                let hits = fan_out(Some(&|doc| self.doc_def.accepts(allowed, doc)))?;
                 if hits.is_empty() {
                     // The identified type has no matching instance (a
                     // movie with no soundtrack asked for its ost): fall
@@ -1691,102 +1810,105 @@ impl QunitSearchEngine {
             None => fan_out(None)?,
         };
 
-        // Exact-anchor injection: the instance keyed by a segmented entity
-        // is always a candidate, even when BM25 ranks it below the fetch
-        // cutoff (a star's filmography document is long, scores low, and
-        // would otherwise vanish behind 50 short near-misses).
-        let candidate_defs: Vec<&str> = match &preferred {
-            Some(defs) => defs
-                .iter()
-                .map(|d| self.def_meta[d.index()].name.as_str())
-                .collect(),
-            None => self.def_meta.iter().map(|m| m.name.as_str()).collect(),
-        };
-        for text in &entity_texts {
-            for def in &candidate_defs {
-                let key = format!("{def}::{text}");
-                if !self.instances.contains_key(&key) {
+        // Exact-anchor injection: the instance a segmented entity anchors
+        // is always a candidate, in each definition ranking is open to,
+        // even when BM25 ranks it below the fetch cutoff (a star's
+        // filmography document is long, scores low, and would otherwise
+        // vanish behind 50 short near-misses). The entity's chain is in
+        // doc-id order — catalog order, a definition's documents together
+        // — so the first of a definition is the first-inserted.
+        for text in seg.entity_texts() {
+            let mut last_def = None;
+            for doc in self.anchors.docs_of(text) {
+                let def = self.doc_def.def_of(doc);
+                let open = match &allowed {
+                    Some(allowed) => self.doc_def.accepts(allowed, doc),
+                    None => def.is_some(),
+                };
+                if !open || def == last_def {
                     continue;
                 }
-                if let Some(doc) = self.index.doc_for_external(&key) {
-                    if !hits.iter().any(|h| h.doc == doc) {
-                        let scored = searcher.score_doc(query, doc);
-                        if scored.score > 0.0 {
-                            hits.push(scored);
-                        }
+                last_def = def;
+                if !hits.iter().any(|h| h.doc == doc) {
+                    let scored = searcher.score_doc(query, doc);
+                    if scored.score > 0.0 {
+                        hits.push(scored);
                     }
                 }
             }
         }
+        Ok(Candidates {
+            seg,
+            default_def,
+            hits,
+            degraded_shards,
+        })
+    }
 
-        // Score the candidates lightly first — borrowed keys and f64s only
-        // — and build QunitResults (an owned key and a reference-count
-        // bump each) for just the k survivors of the sort. The fetch depth
-        // is ~10× k; the comparator and the per-hit arithmetic are the same
-        // either way, so the final list is identical to build-then-sort.
-        deadline.check("materialize").map_err(trip)?;
-        struct Scored<'e> {
-            score: f64,
-            ir_score: f64,
-            type_score: f64,
-            key: &'e str,
-            inst: &'e Arc<QunitInstance>,
-        }
-        let mut scored: Vec<Scored> = hits
-            .into_iter()
-            .filter_map(|h| {
-                let key = self.index.external_id(h.doc)?;
-                let inst = self.instances.get(key)?;
-                let def = self.doc_def.def_of(h.doc);
-                let ts = def.map_or(0.0, |d| type_scores[d.index()]);
-                let mut score = h.score * (1.0 + self.config.type_weight * ts);
-                if let Some(anchor) = inst.anchor_text() {
-                    if entity_texts.iter().any(|t| t.eq_ignore_ascii_case(&anchor)) {
-                        score *= 1.0 + self.config.anchor_exact_bonus;
-                    }
-                }
-                if default_def.is_some() && default_def == def {
-                    score *= 1.0 + self.config.default_def_bonus;
-                }
-                if self.config.feedback_weight > 0.0 {
-                    let fb = self.feedback.boost(&seg_signature, &inst.definition);
-                    score *= 1.0 + self.config.feedback_weight * fb;
-                }
-                Some(Scored {
-                    score,
-                    ir_score: h.score,
-                    type_score: ts,
-                    key,
-                    inst,
-                })
-            })
-            .collect();
-        scored.sort_by(|a, b| {
+    /// The second half: multiply each candidate's IR score by its type,
+    /// exact-anchor, default-definition and feedback factors — in that
+    /// order, which the score's bits depend on — and build results for the
+    /// best `k`. Per candidate that is array reads by doc id and by
+    /// [`DefId`]; keys are compared only to break score ties, and owned only
+    /// by the `k` results (with a reference-count bump each).
+    fn rescore(
+        &self,
+        found: &Candidates,
+        factors: &[DefFactors],
+        k: usize,
+        scored: &mut Vec<Scored>,
+    ) -> Vec<QunitResult> {
+        let anchor_factor = 1.0 + self.config.anchor_exact_bonus;
+        let default_factor = 1.0 + self.config.default_def_bonus;
+        scored.clear();
+        scored.extend(found.hits.iter().map(|h| {
+            let def = self.doc_def.def_of(h.doc);
+            let of_def = def.map_or(&DefFactors::NO_DEF, |d| &factors[d.index()]);
+            let inst = &self.instances[h.doc as usize];
+            let mut score = h.score * of_def.type_factor;
+            if found.seg.entity_texts().any(|t| inst.anchor_is(t)) {
+                score *= anchor_factor;
+            }
+            if found.default_def.is_some() && found.default_def == def {
+                score *= default_factor;
+            }
+            score *= of_def.feedback_factor;
+            Scored {
+                score,
+                ir_score: h.score,
+                type_score: of_def.type_score,
+                doc: h.doc,
+            }
+        }));
+        // Best score first, then by key; two documents under one key, by
+        // insertion. A total order, so selecting the best k and sorting only
+        // those is the full sort's prefix.
+        let key = |s: &Scored| self.instances[s.doc as usize].key.as_str();
+        let by_rank = |a: &Scored, b: &Scored| {
             b.score
                 .partial_cmp(&a.score)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.key.cmp(b.key))
-        });
-        scored.truncate(k);
-        if degraded_shards > 0 {
-            // One degraded *answer* regardless of how many shards were
-            // lost; the per-shard tally went into `panics_contained` at
-            // the fan-outs above.
-            self.obs.degraded_results.incr();
+                .then_with(|| key(a).cmp(key(b)))
+                .then(a.doc.cmp(&b.doc))
+        };
+        if scored.len() > k {
+            scored.select_nth_unstable_by(k, by_rank);
+            scored.truncate(k);
         }
-        Ok(SearchResponse {
-            results: scored
-                .into_iter()
-                .map(|s| QunitResult {
-                    key: s.key.to_string(),
+        scored.sort_unstable_by(by_rank);
+        scored
+            .iter()
+            .map(|s| {
+                let instance = &self.instances[s.doc as usize];
+                QunitResult {
+                    key: instance.key.clone(),
                     score: s.score,
                     ir_score: s.ir_score,
                     type_score: s.type_score,
-                    instance: Arc::clone(s.inst),
-                })
-                .collect(),
-            degraded: degraded_shards > 0,
-        })
+                    instance: Arc::clone(instance),
+                }
+            })
+            .collect()
     }
 
     /// Convenience: the single best result.
@@ -1800,6 +1922,8 @@ mod tests {
     use super::*;
     use crate::derive::manual::expert_imdb_qunits;
     use datagen::imdb::{ImdbConfig, ImdbData};
+    use datagen::querylog::{QueryLog, QueryLogConfig};
+    use relstore::Value;
 
     fn engine() -> (ImdbData, QunitSearchEngine) {
         let data = ImdbData::generate(ImdbConfig::tiny());
@@ -2086,6 +2210,386 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshot_of_other_documents_is_quarantined_even_at_equal_counts() {
+        let (data, _) = engine();
+        let expert = || expert_imdb_qunits(&data.db).unwrap();
+        // The same instances under other keys, and the same keys in another
+        // order: both as many documents, shards and postings blocks as the
+        // snapshot holds.
+        let mut renamed = QunitCatalog::new();
+        for def in expert().iter() {
+            let mut def = def.clone();
+            if def.name == "movie_cast" {
+                def.name = "movie_crew".into();
+            }
+            renamed.add(def);
+        }
+        let mut reordered = QunitCatalog::new();
+        let defs: Vec<QunitDefinition> = expert().iter().cloned().collect();
+        for def in defs.into_iter().rev() {
+            reordered.add(def);
+        }
+        let queries: Vec<String> = data
+            .movies
+            .iter()
+            .take(4)
+            .flat_map(|m| [format!("{} cast", m.title), m.title.clone()])
+            .chain([data.people[0].name.clone(), "best rated charts".into()])
+            .collect();
+        for (name, stale_for) in [("renamed", renamed), ("reordered", reordered)] {
+            let path = std::env::temp_dir().join(format!(
+                "qunits-engine-snap-stale-{name}-{}.qx",
+                std::process::id()
+            ));
+            let mut quarantined = path.clone().into_os_string();
+            quarantined.push(".corrupt");
+            let quarantined = PathBuf::from(quarantined);
+            for file in [&path, &quarantined] {
+                let _ = std::fs::remove_file(file);
+            }
+            let config = |snapshot_path| EngineConfig {
+                snapshot_path,
+                search_shards: 2,
+                ..EngineConfig::default()
+            };
+            let saved =
+                QunitSearchEngine::build(&data.db, expert(), config(Some(path.clone()))).unwrap();
+            assert!(path.exists());
+
+            let restarted =
+                QunitSearchEngine::build(&data.db, stale_for.clone(), config(Some(path.clone())))
+                    .unwrap();
+            assert_eq!(restarted.num_instances(), saved.num_instances(), "{name}");
+            assert!(!restarted.build_timings().from_snapshot, "{name}");
+            assert!(quarantined.exists(), "{name}: the stale file is kept aside");
+            let cold = QunitSearchEngine::build(&data.db, stale_for, config(None)).unwrap();
+            assert_eq!(restarted.index_fingerprint(), cold.index_fingerprint());
+            assert_eq!(restarted.doc_def, cold.doc_def, "{name}");
+            for q in &queries {
+                let answer = restarted.search_uncached(q, 10);
+                assert_eq!(answer, cold.search_uncached(q, 10), "{name}: {q}");
+                for r in &answer {
+                    assert_eq!(r.key, r.instance.key, "{name}: {q}");
+                }
+            }
+            // the rebuild saved its own snapshot over the path: the next
+            // restart takes it
+            let again = QunitSearchEngine::build(
+                &data.db,
+                cold.catalog().clone(),
+                config(Some(path.clone())),
+            )
+            .unwrap();
+            assert!(again.build_timings().from_snapshot, "{name}");
+            for file in [&path, &quarantined] {
+                let _ = std::fs::remove_file(file);
+            }
+        }
+    }
+
+    #[test]
+    fn two_documents_under_one_key_each_answer_with_their_own_instance() {
+        use crate::presentation::ConversionExpr;
+        use crate::qunit::{AnchorSpec, DerivationSource};
+        use relstore::{ColumnDef, DataType, Predicate, QueryBuilder, TableSchema, View};
+
+        let mut db = Database::new("d");
+        db.create_table(
+            TableSchema::new("movie")
+                .column(ColumnDef::new("id", DataType::Int).not_null())
+                .column(ColumnDef::new("title", DataType::Text))
+                .primary_key("id"),
+        )
+        .unwrap();
+        db.insert("movie", vec![1.into(), "b::x".into()]).unwrap();
+        db.insert("movie", vec![2.into(), "x".into()]).unwrap();
+        // One page per title under each of two names: definition `a` keys
+        // the title `b::x` exactly as definition `a::b` keys the title `x`.
+        let page = |name: &str, intent: &[&str], utility: f64| {
+            let b = QueryBuilder::new(&db).table("movie").unwrap();
+            let title = b.col(0, "title").unwrap();
+            QunitDefinition {
+                name: name.into(),
+                base: View::new(name, b.filter(Predicate::eq_param(title, "x")).build()),
+                conversion: ConversionExpr::flat(name),
+                anchor: Some(AnchorSpec {
+                    table: "movie".into(),
+                    column: "title".into(),
+                    param: "x".into(),
+                }),
+                intent_terms: intent.iter().map(|t| t.to_string()).collect(),
+                covered_fields: vec!["movie.title".into()],
+                utility,
+                provenance: DerivationSource::Manual,
+            }
+        };
+        let mut catalog = QunitCatalog::new();
+        catalog.add(page("a", &[], 2.0));
+        catalog.add(page("a::b", &["cast"], 1.0));
+        let config = EngineConfig {
+            entity_specs: Some(vec![("movie".into(), "title".into())]),
+            search_shards: 2,
+            ..EngineConfig::default()
+        };
+        let e = QunitSearchEngine::build(&db, catalog, config).unwrap();
+
+        let keys: Vec<&str> = e.instances().map(|i| i.key.as_str()).collect();
+        assert_eq!(keys, ["a::b::x", "a::x", "a::b::b::x", "a::b::x"]);
+        assert_eq!(e.num_instances(), 4, "every document, not every key");
+        // by key: the first-inserted, as the index resolves it
+        let first = e.instance("a::b::x").unwrap();
+        assert!(Arc::ptr_eq(first, &e.instances[0]));
+        assert_eq!(first.definition, "a");
+
+        // An underspecified query defaults to `a`, the more useful page,
+        // and its document 0 answers as `a`'s page of `b::x` — not as the
+        // page of `x` that `a::b` stored later under the same key.
+        let of_a = e.search_uncached("b x", 10);
+        let hit = of_a
+            .iter()
+            .find(|r| r.key == "a::b::x")
+            .expect("document 0");
+        assert_eq!(hit.definition, "a");
+        assert_eq!(hit.anchor_text().as_deref(), Some("b::x"));
+        assert!(Arc::ptr_eq(&hit.instance, &e.instances[0]));
+        // The intent term types the query to `a::b`, whose document 3
+        // carries the same key and its own page.
+        let of_ab = e.search_uncached("x cast", 10);
+        assert_eq!(of_ab[0].key, "a::b::x");
+        assert_eq!(of_ab[0].definition, "a::b");
+        assert_eq!(of_ab[0].anchor_text().as_deref(), Some("x"));
+        assert!(Arc::ptr_eq(&of_ab[0].instance, &e.instances[3]));
+        for r in of_a.iter().chain(&of_ab) {
+            assert_eq!(r.key, r.instance.key);
+        }
+    }
+
+    impl QunitSearchEngine {
+        /// Rescoring as it was while instances lived in a map by key, kept
+        /// as [`QunitSearchEngine::rescore`]'s oracle: every hit resolved
+        /// through its external id, its anchor text built to be compared,
+        /// its feedback boost read from the store by signature and
+        /// definition name, and the whole list sorted by score then key.
+        fn rescore_reference(
+            &self,
+            found: &Candidates,
+            type_scores: &[f64],
+            k: usize,
+        ) -> Vec<QunitResult> {
+            let seg = &found.seg;
+            let default_def = found.default_def;
+            let seg_signature = seg.template_signature();
+            let entity_texts: Vec<String> = seg
+                .segments
+                .iter()
+                .filter_map(|s| match s {
+                    crate::segment::Segment::Entity { text, .. } => Some(text.clone()),
+                    _ => None,
+                })
+                .collect();
+            struct Scored<'e> {
+                score: f64,
+                ir_score: f64,
+                type_score: f64,
+                key: &'e str,
+                inst: &'e Arc<QunitInstance>,
+            }
+            let mut scored: Vec<Scored> = found
+                .hits
+                .iter()
+                .filter_map(|h| {
+                    let key = self.index.external_id(h.doc)?;
+                    let inst = self.instance(key)?;
+                    let def = self.doc_def.def_of(h.doc);
+                    let ts = def.map_or(0.0, |d| type_scores[d.index()]);
+                    let mut score = h.score * (1.0 + self.config.type_weight * ts);
+                    if let Some(anchor) = inst.anchor_text() {
+                        if entity_texts.iter().any(|t| t.eq_ignore_ascii_case(&anchor)) {
+                            score *= 1.0 + self.config.anchor_exact_bonus;
+                        }
+                    }
+                    if default_def.is_some() && default_def == def {
+                        score *= 1.0 + self.config.default_def_bonus;
+                    }
+                    if self.config.feedback_weight > 0.0 {
+                        let fb = self.feedback.boost(&seg_signature, &inst.definition);
+                        score *= 1.0 + self.config.feedback_weight * fb;
+                    }
+                    Some(Scored {
+                        score,
+                        ir_score: h.score,
+                        type_score: ts,
+                        key,
+                        inst,
+                    })
+                })
+                .collect();
+            scored.sort_by(|a, b| {
+                b.score
+                    .partial_cmp(&a.score)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.key.cmp(b.key))
+            });
+            scored.truncate(k);
+            scored
+                .into_iter()
+                .map(|s| QunitResult {
+                    key: s.key.to_string(),
+                    score: s.score,
+                    ir_score: s.ir_score,
+                    type_score: s.type_score,
+                    instance: Arc::clone(s.inst),
+                })
+                .collect()
+        }
+    }
+
+    /// How often the log exercised each case the rescoring property is
+    /// stated over.
+    #[derive(Debug, Default)]
+    struct RescoreCoverage {
+        compared: usize,
+        /// More candidates than `k`: the top k were selected.
+        truncated: usize,
+        /// Fewer candidates than `k`.
+        short: usize,
+        /// A candidate whose anchor matches an entity only up to ASCII case.
+        case_folded_anchor: usize,
+        /// A candidate of no definition.
+        no_definition: usize,
+        /// The query had a default definition.
+        default_definition: usize,
+        /// A candidate whose definition carried a feedback boost.
+        boosted: usize,
+        /// Two neighbours in the answer tied on score: the key decided.
+        score_ties: usize,
+    }
+
+    #[test]
+    fn rescoring_by_doc_id_equals_the_reference() {
+        let data = ImdbData::generate(ImdbConfig {
+            n_people: 400,
+            n_movies: 200,
+            ..ImdbConfig::default()
+        });
+        let log = QueryLog::generate(&data, QueryLogConfig::tiny());
+        let queries: Vec<String> = log.unique_queries().into_iter().map(|(q, _)| q).collect();
+        assert!(queries.len() > 200, "{} distinct queries", queries.len());
+        let mut seen = RescoreCoverage::default();
+        for feedback_weight in [0.0, EngineConfig::default().feedback_weight] {
+            let config = EngineConfig {
+                feedback_weight,
+                search_shards: 2,
+                ..EngineConfig::default()
+            };
+            let mut e =
+                QunitSearchEngine::build(&data.db, expert_imdb_qunits(&data.db).unwrap(), config)
+                    .unwrap();
+            // States no build produces, which rescoring must still agree
+            // on: every third text anchor in upper case, and every seventh
+            // document owned by no definition of the catalog.
+            let owners: Vec<Option<DefId>> = (0..e.instances.len() as DocId)
+                .map(|doc| e.doc_def.def_of(doc).filter(|_| doc % 7 != 0))
+                .collect();
+            e.doc_def = DocDefLane::build(owners);
+            for (doc, slot) in e.instances.iter_mut().enumerate() {
+                let mut inst = QunitInstance::clone(slot);
+                if let (0, Some(Value::Text(anchor))) = (doc % 3, &mut inst.anchor_value) {
+                    anchor.make_ascii_uppercase();
+                }
+                if doc % 7 == 0 {
+                    inst.definition = "of_no_catalog".into();
+                }
+                *slot = Arc::new(inst);
+            }
+
+            let mut clicks = 0;
+            for clicks_wanted in [0, 3, 50] {
+                // Clicks go straight to the store, so that a weight of zero
+                // is held to ignoring a store that is not empty.
+                for (i, q) in queries.iter().cycle().enumerate() {
+                    if clicks == clicks_wanted {
+                        break;
+                    }
+                    let answer = e.search_uncached(q, 10);
+                    let mut pick = answer.iter().cycle().skip(i).take(answer.len());
+                    if let Some(r) = pick.find(|r| r.definition != "of_no_catalog") {
+                        let signature = e.segmenter.segment(q).template_signature();
+                        e.feedback.record(&signature, &r.definition);
+                        clicks += 1;
+                    }
+                }
+                assert_eq!(e.feedback.generation(), clicks_wanted);
+                for k in [1, 10, 200] {
+                    for q in &queries {
+                        compare_rescoring(&e, q, k, &mut seen);
+                    }
+                }
+            }
+        }
+        assert_eq!(seen.compared, queries.len() * 2 * 3 * 3);
+        for (case, times) in [
+            ("truncated", seen.truncated),
+            ("short", seen.short),
+            ("case-folded anchor", seen.case_folded_anchor),
+            ("no definition", seen.no_definition),
+            ("default definition", seen.default_definition),
+            ("boosted", seen.boosted),
+            ("score ties", seen.score_ties),
+        ] {
+            assert!(times > 20, "{case}: exercised {times} times — {seen:?}");
+        }
+    }
+
+    /// One query's candidates rescored both ways, and held equal.
+    fn compare_rescoring(e: &QunitSearchEngine, q: &str, k: usize, seen: &mut RescoreCoverage) {
+        let mut qs = QueryScratch::default();
+        let found = e
+            .candidates(q, k, e.policy, &mut qs, &DeadlineCheck::new(None))
+            .unwrap();
+        let new = e.rescore(&found, &qs.factors, k, &mut qs.scored);
+        let old = e.rescore_reference(&found, &qs.type_scores, k);
+        let bits = |r: &QunitResult| {
+            (
+                r.key.clone(),
+                r.score.to_bits(),
+                r.ir_score.to_bits(),
+                r.type_score.to_bits(),
+            )
+        };
+        assert_eq!(
+            new.iter().map(bits).collect::<Vec<_>>(),
+            old.iter().map(bits).collect::<Vec<_>>(),
+            "{q:?} at k = {k}"
+        );
+        for (n, o) in new.iter().zip(&old) {
+            assert!(Arc::ptr_eq(&n.instance, &o.instance), "{q:?}: {}", n.key);
+        }
+
+        seen.compared += 1;
+        seen.truncated += usize::from(found.hits.len() > k);
+        seen.short += usize::from(found.hits.len() < k);
+        seen.default_definition += usize::from(found.default_def.is_some());
+        seen.score_ties += usize::from(new.windows(2).any(|w| w[0].score == w[1].score));
+        let of = |h: &Hit| &e.instances[h.doc as usize];
+        seen.case_folded_anchor += usize::from(found.hits.iter().any(|h| {
+            let anchor = of(h).anchor_text().unwrap_or_default();
+            found
+                .seg
+                .entity_texts()
+                .any(|t| t != anchor && t.eq_ignore_ascii_case(&anchor))
+        }));
+        let owner = |h: &Hit| e.doc_def.def_of(h.doc);
+        seen.no_definition += usize::from(found.hits.iter().any(|h| owner(h).is_none()));
+        seen.boosted += usize::from(
+            found
+                .hits
+                .iter()
+                .any(|h| owner(h).is_some_and(|d| qs.factors[d.index()].feedback_factor > 1.0)),
+        );
+    }
+
+    #[test]
     fn shard_stats_accumulate_per_uncached_search() {
         let (data, _) = engine();
         let e = QunitSearchEngine::build(
@@ -2114,7 +2618,7 @@ mod tests {
     fn resolves_to_preferred(e: &QunitSearchEngine, preferred: &[&str], doc: DocId) -> bool {
         e.index
             .external_id(doc)
-            .and_then(|key| e.instances.get(key))
+            .and_then(|key| e.instance(key))
             .map(|inst| preferred.iter().any(|d| *d == inst.definition))
             .unwrap_or(false)
     }

@@ -23,6 +23,19 @@ struct SignatureClicks {
     by_definition: HashMap<String, u64>,
 }
 
+impl SignatureClicks {
+    /// The smoothed share of this signature's clicks that landed on
+    /// `definition` (see [`FeedbackStore::boost`]).
+    fn boost(&self, definition: &str) -> f64 {
+        if self.total == 0 {
+            return 0.0;
+        }
+        let clicks = self.by_definition.get(definition).copied().unwrap_or(0);
+        // additive smoothing: one pseudo-count spread over the signature
+        clicks as f64 / (self.total as f64 + 1.0)
+    }
+}
+
 /// The value under `key`, defaulted on first use. Probes by `&str`, so only a
 /// key's first use allocates it.
 fn slot<'a, V: Default>(map: &'a mut HashMap<String, V>, key: &str) -> &'a mut V {
@@ -91,12 +104,30 @@ impl FeedbackStore {
     /// signature's clicks that landed on `definition`. With no evidence the
     /// boost is 0 — feedback only ever *adds* signal.
     pub fn boost(&self, signature: &str, definition: &str) -> f64 {
-        let (clicks, total) = self.counts(signature, definition);
-        if total == 0 {
-            return 0.0;
-        }
-        // additive smoothing: one pseudo-count spread over the signature
-        clicks as f64 / (total as f64 + 1.0)
+        let signatures = self.signatures.read();
+        signatures
+            .get(signature)
+            .map_or(0.0, |s| s.boost(definition))
+    }
+
+    /// [`FeedbackStore::boost`] of each of `definitions` under `signature`,
+    /// in order, into `out` (cleared first). One lock and one signature
+    /// probe for the lot: what a query reads of the store, it reads from one
+    /// state of it.
+    pub(crate) fn boosts_into<'a>(
+        &self,
+        signature: &str,
+        definitions: impl IntoIterator<Item = &'a str>,
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        let signatures = self.signatures.read();
+        let clicks = signatures.get(signature);
+        out.extend(
+            definitions
+                .into_iter()
+                .map(|d| clicks.map_or(0.0, |s| s.boost(d))),
+        );
     }
 
     /// Number of distinct signatures with any feedback.
@@ -152,6 +183,25 @@ mod tests {
         assert!((s.boost("[person.name]", "person_awards") - 0.2).abs() < 1e-12);
         // unrelated signature untouched
         assert_eq!(s.boost("[movie.title]", "person_page"), 0.0);
+    }
+
+    #[test]
+    fn the_vector_of_boosts_is_the_boost_of_each() {
+        let s = FeedbackStore::new();
+        let definitions = ["person_page", "never_clicked", "person_awards"];
+        let mut out = vec![9.0; 5];
+        s.boosts_into("[person.name]", definitions, &mut out);
+        assert_eq!(out, [0.0; 3], "no evidence, and the stale content is gone");
+        for _ in 0..3 {
+            s.record("[person.name]", "person_page");
+        }
+        s.record("[person.name]", "person_awards");
+        s.record("[movie.title]", "never_clicked");
+        for signature in ["[person.name]", "[movie.title]", "[unseen]"] {
+            s.boosts_into(signature, definitions, &mut out);
+            let each: Vec<f64> = definitions.iter().map(|d| s.boost(signature, d)).collect();
+            assert_eq!(out, each, "{signature}");
+        }
     }
 
     #[test]

@@ -46,6 +46,18 @@ impl Segment {
             _ => None,
         }
     }
+
+    /// Whether [`Segment::entity_type`] is `qualified`, compared without
+    /// building it.
+    pub(crate) fn is_entity_of(&self, qualified: &str) -> bool {
+        match self {
+            Segment::Entity { table, column, .. } => qualified
+                .strip_prefix(table.as_str())
+                .and_then(|rest| rest.strip_prefix('.'))
+                .is_some_and(|rest| rest == column),
+            _ => false,
+        }
+    }
 }
 
 /// A fully segmented query.
@@ -64,6 +76,22 @@ impl SegmentedQuery {
             .iter()
             .filter(|s| matches!(s, Segment::Entity { .. }))
             .collect()
+    }
+
+    /// The matched surface text of every entity segment, in order.
+    pub(crate) fn entity_texts(&self) -> impl Iterator<Item = &str> + Clone {
+        self.segments.iter().filter_map(|s| match s {
+            Segment::Entity { text, .. } => Some(text.as_str()),
+            _ => None,
+        })
+    }
+
+    /// [`SegmentedQuery::residual_terms`], borrowed.
+    pub(crate) fn residual(&self) -> impl Iterator<Item = &str> + Clone {
+        self.segments.iter().filter_map(|s| match s {
+            Segment::Attribute { term, .. } | Segment::Freetext { term } => Some(term.as_str()),
+            Segment::Entity { .. } => None,
+        })
     }
 
     /// All attribute terms (the words, lower-cased).
@@ -90,13 +118,7 @@ impl SegmentedQuery {
 
     /// All non-entity terms (attribute + freetext), for intent matching.
     pub fn residual_terms(&self) -> Vec<String> {
-        self.segments
-            .iter()
-            .filter_map(|s| match s {
-                Segment::Attribute { term, .. } | Segment::Freetext { term } => Some(term.clone()),
-                _ => None,
-            })
-            .collect()
+        self.residual().map(str::to_string).collect()
     }
 
     /// The abstract template signature, §5.2-style: entities become
@@ -434,6 +456,34 @@ mod tests {
             if term == "cast" && target == "cast"));
         assert_eq!(q.template_signature(), "[movie.title] cast");
         assert_eq!(q.shape(), QueryShape::EntityAttribute);
+    }
+
+    #[test]
+    fn borrowed_views_agree_with_the_owned_ones() {
+        let s = segmenter();
+        let q = s.segment("george clooney star wars cast wallpaper");
+        assert_eq!(
+            q.entity_texts().collect::<Vec<_>>(),
+            ["george clooney", "star wars"]
+        );
+        assert_eq!(q.residual().collect::<Vec<_>>(), q.residual_terms());
+        for seg in &q.segments {
+            for qualified in [
+                "movie.title",
+                "person.name",
+                "movie.",
+                ".title",
+                "movietitle",
+                "movie.title.x",
+                "",
+            ] {
+                assert_eq!(
+                    seg.is_entity_of(qualified),
+                    seg.entity_type().as_deref() == Some(qualified),
+                    "{seg:?} of {qualified:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,117 @@
+//! Allocation counts of the cache-miss path: what a miss allocates depends
+//! on the query and on k, not on how many hits the kernel returned.
+//!
+//! A test binary of its own, because it installs the counting global
+//! allocator (`counting_alloc`, as `hit_path_allocs.rs` does). Only the
+//! thread inside [`measured`] is counted, and the engine scores every shard
+//! inline on it, so the count is the whole query's.
+//!
+//! Rescoring reads each hit's instance, definition and factors by document
+//! id from arrays and buffers the thread already holds; strings are owned
+//! only by the k results. Measured with this allocator at k = 10 on a
+//! 100-movie synthetic IMDb, cache off, warmed thread — allocations (bytes):
+//!
+//! | | `"star odyssey cast"` (typed, 10 results) | `"bear"` (6 hits) | `"clooney"` (100 hits) | 100 hits − 6 hits, result keys aside |
+//! |---|---|---|---|---|
+//! | parent (per hit: its anchor text built; per query: a sort buffer) | 169 (24 366) | 43 (5 086) | 146 (22 992) | 99 |
+//! | now | 46 (5 600) | 30 (4 002) | 34 (4 326) | 0 |
+//!
+//! `driver.allocs_per_query` (ROADMAP item 1) will replace this file's
+//! numbers with the benchmark's.
+
+mod counting_alloc;
+
+use counting_alloc::{measured, Counting};
+use datagen::imdb::{ImdbConfig, ImdbData};
+use qunit_core::derive::manual::expert_imdb_qunits;
+use qunit_core::{EngineConfig, QunitSearchEngine, Segment};
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations the kernel's own hit lists may add between a query of a few
+/// hits and one of a hundred.
+const VEC_GROWTH: u64 = 8;
+
+/// A one-word, entity-free query matching between `at_least` and `at_most`
+/// instances, drawn from the words of the instances themselves.
+fn word_matching(engine: &QunitSearchEngine, at_least: usize, at_most: usize) -> String {
+    let words: std::collections::BTreeSet<&str> = engine
+        .instances()
+        .flat_map(|inst| inst.text.split_whitespace())
+        .filter(|word| word.chars().all(|c| c.is_ascii_lowercase()))
+        .collect();
+    words
+        .into_iter()
+        .find(|word| {
+            let freetext = matches!(
+                engine.segmenter().segment(word).segments.as_slice(),
+                [Segment::Freetext { .. }]
+            );
+            // k = 200 fetches 2 000, so fewer results than 200 is every match
+            let matches = engine.search_uncached(word, 200).len();
+            freetext && (at_least..=at_most).contains(&matches)
+        })
+        .map(str::to_string)
+        .unwrap_or_else(|| panic!("no freetext word matches {at_least}..={at_most} instances"))
+}
+
+#[test]
+fn a_miss_allocates_by_k_not_by_the_number_of_hits() {
+    const K: usize = 10;
+    /// At k = 10 the kernel is asked for 100 hits.
+    const FETCH: usize = 100;
+    // A tenth of the default corpus, because its vocabulary still has rare
+    // words: at the default size no single word matches under 30 instances.
+    let data = ImdbData::generate(ImdbConfig {
+        n_people: 150,
+        n_movies: 100,
+        ..ImdbConfig::default()
+    });
+    let catalog = expert_imdb_qunits(&data.db).expect("catalog");
+    let config = EngineConfig {
+        cache_capacity: 0,
+        // every shard scored on the measured thread
+        inline_postings_threshold: usize::MAX,
+        ..EngineConfig::default()
+    };
+    let engine = QunitSearchEngine::build(&data.db, catalog, config).expect("engine");
+
+    let few = word_matching(&engine, 3, 8);
+    let many = word_matching(&engine, FETCH, usize::MAX);
+    let miss = |query: &str| {
+        // Warm-up: this thread's query scratch and the pooled accumulators.
+        let warm = engine.search(query, K);
+        let (answer, cost) = measured(|| engine.search(query, K));
+        assert_eq!(answer, warm);
+        (answer.len() as u64, cost)
+    };
+    let typed_query = format!("{} cast", data.movies[0].title);
+    let (typed_results, typed) = miss(&typed_query);
+    let (few_results, few_cost) = miss(&few);
+    let (many_results, many_cost) = miss(&many);
+    assert_eq!(engine.cache_stats().hits, 0, "every one of them a miss");
+    assert!(typed_results > 0);
+    assert!((3..=8).contains(&few_results), "{few:?}: {few_results}");
+    assert_eq!(many_results, K as u64, "{many:?}");
+    println!(
+        "k = {K} miss: {typed_query:?} ({typed_results} results) {} allocations ({} B); {few:?} \
+         ({few_results} hits) {} ({} B); {many:?} ({FETCH} hits) {} ({} B)",
+        typed.allocs,
+        typed.allocated_bytes,
+        few_cost.allocs,
+        few_cost.allocated_bytes,
+        many_cost.allocs,
+        many_cost.allocated_bytes,
+    );
+
+    // Same shape of query, twenty times the hits: beyond the key each
+    // further result owns, only the kernel's hit `Vec`s may have grown —
+    // a few doublings each, where a per-hit allocation would show as ~95.
+    let beyond_results = many_cost.allocs - few_cost.allocs - (many_results - few_results);
+    assert!(
+        beyond_results <= VEC_GROWTH,
+        "{beyond_results} allocations for {FETCH} hits over {few_results}: \
+         {many_cost:?} vs {few_cost:?}"
+    );
+}

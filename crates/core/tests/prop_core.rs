@@ -201,7 +201,8 @@ mod lane_props {
                 .collect();
             let definition_of = |doc: u32| instances.get(keys.get(doc as usize)?.as_str()).copied();
 
-            let lane = DocDefLane::build(keys.len(), |doc| catalog().def_id(definition_of(doc)?));
+            let docs = 0..keys.len() as u32;
+            let lane = DocDefLane::build(docs.map(|doc| catalog().def_id(definition_of(doc)?)));
             prop_assert_eq!(lane.len(), keys.len());
             let allowed: Vec<bool> = picks.iter().map(|&p| p == 1).collect();
             let preferred: Vec<&str> = names
