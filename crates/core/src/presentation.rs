@@ -14,11 +14,14 @@
 //! Rendering produces both markup (for display) and flat text (for the IR
 //! index).
 
-use relstore::exec::ResultSet;
+use relstore::exec::{JoinedRow, ResultSet};
 use relstore::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::fmt::Write;
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 /// A presentation template over a base expression's result.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,10 +64,9 @@ impl ConversionExpr {
     /// name attributes that a particular base expression doesn't project
     /// (derivations are heuristic); rendering stays total.
     pub fn render(&self, rs: &ResultSet) -> (String, String) {
-        let (mut markup, mut text) = (String::new(), String::new());
-        self.resolve(&rs.columns)
-            .render_rows(&rs.rows, &mut markup, &mut text);
-        (markup, text)
+        let mut buf = RenderBuf::default();
+        self.resolve(&rs.columns).render_rows(&rs.rows, &mut buf);
+        (buf.markup, buf.text)
     }
 
     /// Look this template's columns up in `columns` once, so that rendering
@@ -100,6 +102,78 @@ fn short(qualified: &str) -> &str {
 /// One rendered field: its tag and the column it reads.
 type Cell<'a> = (&'a str, usize);
 
+/// A row's cells by result column: an owned row, or a joined row read in
+/// place from the tables.
+pub(crate) trait Cells {
+    fn cell(&self, column: usize) -> &Value;
+}
+
+impl Cells for Vec<Value> {
+    fn cell(&self, column: usize) -> &Value {
+        &self[column]
+    }
+}
+
+impl Cells for JoinedRow<'_, '_> {
+    fn cell(&self, column: usize) -> &Value {
+        self.get(column)
+    }
+}
+
+impl<C: Cells + ?Sized> Cells for &C {
+    fn cell(&self, column: usize) -> &Value {
+        (**self).cell(column)
+    }
+}
+
+/// Where rendering writes, reused from one instance to the next: the
+/// markup and text, and the blocks already written.
+#[derive(Default)]
+pub(crate) struct RenderBuf {
+    pub(crate) markup: String,
+    pub(crate) text: String,
+    seen: SeenBlocks,
+}
+
+/// The `<tuple>` blocks one [`RowRenderer::render_rows`] call has kept, as
+/// byte ranges of the markup they were written to: a repeat is found by
+/// hash and confirmed by content, and nothing is copied.
+#[derive(Default)]
+struct SeenBlocks {
+    /// Content hash → the latest kept block with that hash.
+    latest: HashMap<u64, usize>,
+    /// Each kept block's range, and the previous kept block with the same
+    /// hash, if any.
+    blocks: Vec<(Range<usize>, Option<usize>)>,
+}
+
+impl SeenBlocks {
+    fn clear(&mut self) {
+        self.latest.clear();
+        self.blocks.clear();
+    }
+
+    /// Keep `markup[block]` unless an equal block is kept already; returns
+    /// whether it was kept.
+    fn keep(&mut self, markup: &str, block: Range<usize>) -> bool {
+        let content = &markup[block.clone()];
+        let mut hasher = DefaultHasher::new();
+        content.hash(&mut hasher);
+        let hash = hasher.finish();
+        let mut at = self.latest.get(&hash).copied();
+        while let Some(i) = at {
+            let (kept, previous) = &self.blocks[i];
+            if markup[kept.clone()] == *content {
+                return false;
+            }
+            at = *previous;
+        }
+        let previous = self.latest.insert(hash, self.blocks.len());
+        self.blocks.push((block, previous));
+        true
+    }
+}
+
 /// A [`ConversionExpr`] resolved against one result set's columns.
 pub(crate) struct RowRenderer<'a> {
     root_label: &'a str,
@@ -110,20 +184,25 @@ pub(crate) struct RowRenderer<'a> {
 }
 
 impl RowRenderer<'_> {
-    /// Append the rendering of `rows` to `markup` and its plain text,
-    /// space-separated, to `text`.
-    pub(crate) fn render_rows(&self, rows: &[Vec<Value>], markup: &mut String, text: &mut String) {
+    /// Append the rendering of `rows` to `buf.markup` and its plain text,
+    /// space-separated, to `buf.text`.
+    pub(crate) fn render_rows<R: Cells>(
+        &self,
+        rows: impl IntoIterator<Item = R>,
+        buf: &mut RenderBuf,
+    ) {
+        let RenderBuf { markup, text, seen } = buf;
+        seen.clear();
         let text_start = text.len();
         push_tag(markup, "<", self.root_label);
-        if let Some(first) = rows.first() {
-            for &cell in &self.header {
-                push_cell(markup, text, text_start, cell, first);
+        for (i, row) in rows.into_iter().enumerate() {
+            if i == 0 {
+                for &cell in &self.header {
+                    push_cell(markup, text, text_start, cell, &row);
+                }
             }
-        }
-        // Joins fan out, so a block may repeat: only the first is kept.
-        // Blocks are written in place and cut back off when empty or seen.
-        let mut seen: HashSet<String> = HashSet::new();
-        for (i, row) in rows.iter().enumerate() {
+            // Joins fan out, so a block may repeat: only the first is kept.
+            // Blocks are written in place and cut back off when empty or seen.
             let (tuple_at, text_at) = (markup.len(), text.len());
             markup.push_str("<tuple>");
             let block_at = markup.len();
@@ -132,16 +211,12 @@ impl RowRenderer<'_> {
             }
             let block_text_start = text.len();
             for &cell in &self.foreach {
-                push_cell(markup, text, block_text_start, cell, row);
+                push_cell(markup, text, block_text_start, cell, &row);
             }
-            let block = &markup[block_at..];
-            if block.is_empty() || seen.contains(block) {
+            if markup.len() == block_at || !seen.keep(markup, block_at..markup.len()) {
                 markup.truncate(tuple_at);
                 text.truncate(text_at);
             } else {
-                if i + 1 < rows.len() {
-                    seen.insert(block.to_owned());
-                }
                 markup.push_str("</tuple>");
             }
         }
@@ -151,10 +226,16 @@ impl RowRenderer<'_> {
 
 /// `<tag>value</tag>` onto `markup`; the value onto `text`, after a space
 /// unless it is the first thing past `text_start`.
-fn push_cell(markup: &mut String, text: &mut String, text_start: usize, cell: Cell, row: &[Value]) {
+fn push_cell(
+    markup: &mut String,
+    text: &mut String,
+    text_start: usize,
+    cell: Cell,
+    row: &impl Cells,
+) {
     push_tag(markup, "<", cell.0);
     let value_at = markup.len();
-    match &row[cell.1] {
+    match row.cell(cell.1) {
         Value::Text(s) => markup.push_str(s),
         other => write!(markup, "{other}").expect("writing to a String cannot fail"),
     }
@@ -176,6 +257,7 @@ pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use relstore::expr::ColRef;
+    use std::collections::HashSet;
 
     /// The renderer as it was before [`RowRenderer`] — a `format!` and a column
     /// lookup per cell, a block `String` per row — kept verbatim as the oracle
