@@ -44,8 +44,7 @@ impl Default for QueryLogDeriveConfig {
     }
 }
 
-/// The annotated schema-link counts mined from a log (exposed for tests and
-/// the ablation benches).
+/// The annotated schema-link counts mined from a log (exposed for tests).
 #[derive(Debug, Clone, Default)]
 pub struct SchemaLinks {
     /// `(anchor entity type, target schema element) → count`.
@@ -120,7 +119,7 @@ pub fn derive(
     derive_from_links(db, &links, config)
 }
 
-/// Derive from pre-mined links (lets benches vary configs cheaply).
+/// Derive from pre-mined links (lets a sweep vary configs cheaply).
 pub fn derive_from_links(
     db: &Database,
     links: &SchemaLinks,

@@ -41,7 +41,7 @@ impl Default for SchemaDataConfig {
     }
 }
 
-/// Per-table queriability breakdown (exposed for the ablation benches).
+/// Per-table queriability breakdown (exposed for tests).
 #[derive(Debug, Clone)]
 pub struct Queriability {
     /// Table name.

@@ -69,9 +69,9 @@
 //! ([`EngineConfig::executor_queue_capacity`], over-capacity shard tasks
 //! degrade to the submitting thread). Every query-path event lands in
 //! cheap relaxed-atomic counters surfaced as one coherent
-//! [`QunitSearchEngine::obs_snapshot`] (see [`crate::obs`]); the open-loop
-//! `service` bench replays a Zipf query log at target QPS against all of
-//! it and emits `BENCH_service.json`.
+//! [`QunitSearchEngine::obs_snapshot`] (see [`crate::obs`]); the repo
+//! benchmark's open-loop `imdb_zipf_serve` workload (`perf/`) replays a
+//! Zipf query log at a target QPS against all of it.
 
 use crate::cache::{CacheStats, QueryCache};
 use crate::catalog::QunitCatalog;
@@ -1198,8 +1198,7 @@ impl QunitSearchEngine {
     /// Heap bytes held by the posting lanes across all shards (doc-id and
     /// term-frequency arrays, plus per-row byte offsets when compressed;
     /// the CSR `offsets` lane is excluded under both codecs). Divide by
-    /// [`QunitSearchEngine::num_postings`] for the memory-per-posting
-    /// figure the scoring bench reports.
+    /// [`QunitSearchEngine::num_postings`] for bytes per posting.
     pub fn posting_store_bytes(&self) -> usize {
         self.index.posting_store_bytes()
     }
@@ -1479,15 +1478,9 @@ impl QunitSearchEngine {
     }
 
     /// Answer a batch of queries, fanning them across the engine's
-    /// persistent shard executor (one chunk per pool worker by default).
-    /// Results arrive in query order and are identical to calling
-    /// [`QunitSearchEngine::search`] per query.
-    pub fn search_batch(&self, queries: &[&str], k: usize) -> Vec<Vec<QunitResult>> {
-        self.search_batch_with(queries, k, 0)
-    }
-
-    /// [`QunitSearchEngine::search_batch`] with an explicit parallelism
-    /// cap (0 = the executor pool size); the throughput bench sweeps this.
+    /// persistent shard executor, one chunk per pool worker
+    /// ([`EngineConfig::executor_threads`]). Results arrive in query order
+    /// and are identical to calling [`QunitSearchEngine::search`] per query.
     ///
     /// Batch work rides the same [`ShardExecutor`] as single-query shard
     /// fan-out — one pool for the whole engine, so mixed traffic never
@@ -1496,16 +1489,8 @@ impl QunitSearchEngine {
     /// parallelism; splitting it again would just add queue churn), except
     /// under a forced-dispatch policy, which is honored for the
     /// determinism gate.
-    pub fn search_batch_with(
-        &self,
-        queries: &[&str],
-        k: usize,
-        threads: usize,
-    ) -> Vec<Vec<QunitResult>> {
-        let threads = match threads {
-            0 => self.exec.pool_size().clamp(1, queries.len().max(1)),
-            n => worker_count(n, queries.len()),
-        };
+    pub fn search_batch(&self, queries: &[&str], k: usize) -> Vec<Vec<QunitResult>> {
+        let threads = self.exec.pool_size().clamp(1, queries.len().max(1));
         let mut out: Vec<Vec<QunitResult>> = vec![Vec::new(); queries.len()];
         if threads <= 1 {
             for (q, slot) in queries.iter().zip(&mut out) {
@@ -2972,7 +2957,7 @@ mod tests {
 
     #[test]
     fn batch_matches_per_query_search() {
-        let (data, engine) = engine();
+        let data = ImdbData::generate(ImdbConfig::tiny());
         let queries: Vec<String> = data
             .movies
             .iter()
@@ -2981,15 +2966,24 @@ mod tests {
             .chain([format!("{} movies", data.people[0].name)])
             .collect();
         let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
-        let batched = engine.search_batch(&refs, 5);
-        assert_eq!(batched.len(), refs.len());
-        for (q, batch) in refs.iter().zip(&batched) {
-            assert_eq!(batch, &engine.search(q, 5), "batch diverged on {q}");
+        // one worker takes the serial path; two and eight chunk the batch
+        for executor_threads in [1, 2, 8] {
+            let config = EngineConfig {
+                executor_threads,
+                ..EngineConfig::default()
+            };
+            let catalog = expert_imdb_qunits(&data.db).unwrap();
+            let engine = QunitSearchEngine::build(&data.db, catalog, config).unwrap();
+            let batched = engine.search_batch(&refs, 5);
+            assert_eq!(batched.len(), refs.len());
+            for (q, batch) in refs.iter().zip(&batched) {
+                assert_eq!(
+                    batch,
+                    &engine.search_uncached(q, 5),
+                    "batch diverged on {q} at {executor_threads} threads"
+                );
+            }
+            assert!(engine.search_batch(&[], 5).is_empty());
         }
-        // explicit thread counts agree too (including the serial path)
-        for threads in [1, 2, 8] {
-            assert_eq!(engine.search_batch_with(&refs, 5, threads), batched);
-        }
-        assert!(engine.search_batch(&[], 5).is_empty());
     }
 }

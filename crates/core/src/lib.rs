@@ -51,9 +51,8 @@
 //!   k rendered pages. Hit/miss counters are exposed via
 //!   [`QunitSearchEngine::cache_stats`].
 //!
-//! Multi-query throughput is measured by the `throughput` bench in
-//! `qunit-bench` (`cargo bench -p qunit-bench --bench throughput`), which
-//! sweeps batch thread counts and cache on/off.
+//! Throughput, latency and build cost are measured by the repo benchmark
+//! under `perf/` (see `BENCHMARK.json` for its workloads).
 //!
 //! ```
 //! use relstore::{ColumnDef, Database, DataType, TableSchema};

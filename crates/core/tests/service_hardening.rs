@@ -1,6 +1,6 @@
 //! Service-hardening contract tests: deadline semantics, admission
 //! control, bounded executor queues, and the observability counters —
-//! the guarantees behind the open-loop `service` bench.
+//! the guarantees behind serving open-loop load.
 //!
 //! The load-bearing claims pinned here, complementing the CI determinism
 //! transcript gate (which diffs `exp_determinism` under

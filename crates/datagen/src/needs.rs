@@ -11,8 +11,8 @@
 //!
 //! The exact per-cell user letters of Table 1 are not recoverable from the
 //! published scan; the per-need template affinities below are reconstructed
-//! to be consistent with every aggregate the paper states (documented in
-//! EXPERIMENTS.md).
+//! to be consistent with every aggregate the paper states; `exp_table1`
+//! prints those aggregates beside the paper's.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -1,5 +1,5 @@
-//! Ablations called out in DESIGN.md §8: the sensitivity of each automatic
-//! derivation to its tunables.
+//! Derivation ablations, printed by `exp_ablation`: the sensitivity of each
+//! automatic derivation to its tunables.
 //!
 //! * **A1** — schema/data derivation: the k1 × k2 expansion grid (§4.1 says
 //!   "k1 and k2 are tunable parameters").
@@ -104,8 +104,7 @@ mod tests {
         // empty and quality ~0. A real log volume produces a usable catalog.
         // (Beyond saturation quality is NOT monotone — specific attribute
         // qunits start winning underspecified queries whose gold need was a
-        // summary; the ablation bench reports this curve and EXPERIMENTS.md
-        // discusses it.)
+        // summary; `exp_ablation`'s A2 table shows this curve.)
         let ctx = tiny_context();
         let sweep = sweep_log_size(&ctx, &[5, 3000], 15);
         assert_eq!(sweep.len(), 2);

@@ -6,9 +6,9 @@
 //! stack, and the generator merely has to produce a log with the right
 //! underlying mixture.
 //!
-//! One scale caveat (also recorded in EXPERIMENTS.md): the paper reports
-//! fractions over *distinct* queries of a 20M-query real log, whose entity
-//! vocabulary dwarfs any synthetic database's. At synthetic scale,
+//! One scale caveat: the paper reports fractions over *distinct* queries
+//! of a 20M-query real log, whose entity vocabulary dwarfs any synthetic
+//! database's. At synthetic scale,
 //! deduplication distorts the mixture (a thousand repetitions of "star
 //! wars" collapse to one string while title×freetext combinations don't),
 //! so the shape fractions here are frequency-weighted — i.e. measured over

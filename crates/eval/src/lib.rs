@@ -16,7 +16,7 @@
 //! * [`workload`] — the §5.2 movie query-log benchmark builder (top-14
 //!   templates × 2 → 28 queries, 25 used for judging).
 //! * [`experiments`] — drivers for Table 1, the §5.2 log statistics,
-//!   Figure 3, and the ablations called out in DESIGN.md.
+//!   Figure 3, and the derivation ablations (`exp_ablation`).
 
 pub mod experiments;
 pub mod oracle;

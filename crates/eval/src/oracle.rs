@@ -1,5 +1,5 @@
 //! The simulated relevance-judgment panel (substitution for the paper's 20
-//! Mechanical Turk raters; see DESIGN.md §6).
+//! Mechanical Turk raters, §5.3).
 //!
 //! The deterministic core measures two things against the query's *gold*
 //! information need:

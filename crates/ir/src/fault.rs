@@ -16,8 +16,8 @@
 //! not-taken branch when no schedule is installed — no lock, no allocation,
 //! no counter traffic. The registry only exists behind that branch, so the
 //! scoring kernel, the executor, and the snapshot codec pay nothing in
-//! normal operation (the bench-smoke CI gate holds the scoring numbers to
-//! the no-failpoint baseline).
+//! normal operation (`tests/kernel_counters.rs` holds the kernel's work
+//! counters under a never-firing schedule equal to the disarmed run).
 //!
 //! # Schedule syntax
 //!

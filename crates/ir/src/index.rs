@@ -689,7 +689,7 @@ impl Index {
     }
 
     /// Heap bytes held by the posting lanes under the current codec (the
-    /// numerator of the `memory_per_posting_bytes` bench metric).
+    /// numerator of bytes per posting).
     pub fn posting_store_bytes(&self) -> usize {
         self.store.heap_bytes()
     }

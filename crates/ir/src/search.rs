@@ -1206,19 +1206,6 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    /// Builder toggle: `true` selects the exhaustive reference kernel so
-    /// every posting is walked (the kernel the pruned tiers must match
-    /// bit-for-bit — used by CI diffs and the `scoring` bench); `false`
-    /// restores the default tier.
-    pub fn with_exhaustive(mut self, exhaustive: bool) -> Self {
-        self.tier = if exhaustive {
-            KernelTier::Exhaustive
-        } else {
-            KernelTier::default()
-        };
-        self
-    }
-
     /// Builder: pick the scoring kernel tier explicitly (every tier
     /// returns bit-identical hits; they differ only in postings walked).
     pub fn with_tier(mut self, tier: KernelTier) -> Self {
@@ -1246,8 +1233,8 @@ impl<'a> Searcher<'a> {
 
     /// [`Searcher::search_terms`] with a caller-owned scratch buffer (see
     /// [`ScoreScratch`] for the reuse rules). Unfiltered, so MaxScore
-    /// pruning is fully armed — batch drivers and the `scoring` bench pair
-    /// this with [`ScoreScratch::postings_visited`] to meter the kernel.
+    /// pruning is fully armed — batch drivers and `tests/kernel_counters.rs`
+    /// pair this with [`ScoreScratch::postings_visited`] to meter the kernel.
     pub fn search_terms_with(
         &self,
         terms: &[String],
@@ -1628,7 +1615,7 @@ mod tests {
 
         let pruned_searcher =
             Searcher::new(&ix, ScoringFunction::default()).with_tier(KernelTier::MaxScore);
-        let exhaustive_searcher = pruned_searcher.clone().with_exhaustive(true);
+        let exhaustive_searcher = pruned_searcher.clone().with_tier(KernelTier::Exhaustive);
         for k in [1usize, 3, 500] {
             let mut ps = ScoreScratch::new();
             let mut es = ScoreScratch::new();
@@ -1671,7 +1658,7 @@ mod tests {
             b.add(Document::new(format!("d{i}")).field("body", body));
         }
         let ix = b.build();
-        let s = Searcher::new(&ix, ScoringFunction::default()).with_exhaustive(true);
+        let s = Searcher::new(&ix, ScoringFunction::default()).with_tier(KernelTier::Exhaustive);
         let terms = ix.analyzer().tokenize(body);
         let (resolved, scorers, bounds) = s.resolve_terms(&dedup_terms(&terms));
 
@@ -1749,7 +1736,7 @@ mod tests {
         let ix = b.build();
         let terms = ix.analyzer().tokenize("rare common");
         let s = Searcher::new(&ix, ScoringFunction::default());
-        let e = s.clone().with_exhaustive(true);
+        let e = s.clone().with_tier(KernelTier::Exhaustive);
         // A filter that rejects the best partial leader (doc 0).
         let filter = |d: DocId| d != 0;
         let pruned = s.search_terms_where(&terms, 3, filter);
@@ -1933,7 +1920,7 @@ mod tests {
             b.add(Document::new(format!("d{i}")).field("body", body));
         }
         let ix = b.build();
-        let s = Searcher::new(&ix, ScoringFunction::default()).with_exhaustive(true);
+        let s = Searcher::new(&ix, ScoringFunction::default()).with_tier(KernelTier::Exhaustive);
         let terms = ix.analyzer().tokenize(body);
         let (resolved, scorers, bounds) = s.resolve_terms(&dedup_terms(&terms));
         let run = |cancel: Option<&dyn Fn() -> bool>| {

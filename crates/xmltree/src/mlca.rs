@@ -14,8 +14,8 @@
 //!
 //! This keeps MLCA strictly more selective than LCA — the behaviour that
 //! gives it a relevance edge in the paper's Figure 3 — while remaining a
-//! faithful approximation of the full pairwise definition (documented
-//! simplification; see DESIGN.md §6).
+//! faithful approximation of the full pairwise definition (a deliberate
+//! simplification of the VLDB 2004 operator).
 
 use crate::lca::{LcaEngine, SubtreeAnswer};
 use crate::tree::{NodeId, XmlTree};
