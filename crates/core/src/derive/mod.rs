@@ -15,7 +15,6 @@
 //! executor seeds its join from there).
 
 pub mod common;
-pub mod drift;
 pub mod evidence;
 pub mod manual;
 pub mod querylog;

@@ -34,10 +34,10 @@
 //! time below): share one engine behind an `Arc` — or plain borrows in
 //! scoped threads — and call [`QunitSearchEngine::search`] /
 //! [`QunitSearchEngine::record_click`] freely from any number of threads.
-//! [`QunitSearchEngine::search_batch`] fans a query slice across scoped
-//! threads for multi-query throughput. Cached results are stamped with the
-//! feedback generation, so a click immediately invalidates every cached
-//! result list.
+//! [`QunitSearchEngine::search_batch`] fans a query slice across the shard
+//! executor's workers for multi-query throughput. Cached results are
+//! stamped with the feedback generation, so a click immediately
+//! invalidates every cached result list.
 //!
 //! Within a single query, the index itself is sharded
 //! ([`EngineConfig::search_shards`], backed by [`irengine::ShardedIndex`]):
@@ -131,7 +131,7 @@ pub struct EngineConfig {
     pub cache_capacity: usize,
     /// Index shards for **intra-query** parallelism; 0 = one per available
     /// core (clamped to the instance count), 1 = a single monolithic index.
-    /// One hot query fans its scoring across this many scoped threads.
+    /// One hot query fans its scoring across this many executor tasks.
     /// Any value produces identical results — same keys, same order, same
     /// scores to the last bit — because shards are scored with
     /// corpus-global statistics and merged deterministically (contrast
@@ -189,26 +189,21 @@ pub struct EngineConfig {
     /// every dispatched task to the submitting thread.
     /// `QUNITS_EXEC_QUEUE_CAP` overrides this at build time.
     pub executor_queue_capacity: usize,
-    /// Disable MaxScore early termination and run the exhaustive scoring
-    /// kernel instead; `false` (the default) lets the kernel prune
-    /// postings whose term-bound sum can no longer reach the top-k
-    /// threshold. Purely a performance knob: the pruned kernel is
-    /// bit-identical to the exhaustive one (the CI determinism gate diffs
-    /// transcripts across both), so this exists to keep the reference
-    /// path reachable — set it (or the `QUNITS_FORCE_EXHAUSTIVE`
-    /// environment variable, any non-empty value other than `"0"`) when
-    /// auditing a suspected pruning bug or measuring the pruning win.
+    /// The scoring kernel tier every query runs; the default is
+    /// [`KernelTier::default`]. Purely a performance knob: every tier is
+    /// bit-identical (the CI determinism gate diffs transcripts across all
+    /// three), so the others stay reachable for kernel triage — the
+    /// exhaustive reference when auditing a suspected pruning bug, MaxScore
+    /// to measure what block skipping adds over term pruning alone.
+    /// `QUNITS_KERNEL=blockmax|maxscore|exhaustive` overrides this at build
+    /// time.
+    pub kernel: KernelTier,
+    /// Shorthand for `kernel: KernelTier::Exhaustive`, folded into
+    /// [`EngineConfig::kernel`] at build, before the `QUNITS_KERNEL`
+    /// override; `false` (the default) leaves `kernel` alone. Kept only
+    /// because the benchmark under `perf/` sets it to build its reference
+    /// engine; it goes once that harness selects the tier through `kernel`.
     pub force_exhaustive: bool,
-    /// Force the MaxScore kernel tier (term-bound pruning, no in-term
-    /// block skipping) instead of the default block-max tier. Like
-    /// [`EngineConfig::force_exhaustive`], purely a performance knob: all
-    /// tiers are bit-identical (CI transcript-diffed), so this keeps the
-    /// intermediate tier reachable for kernel triage and for measuring
-    /// what block skipping adds over term pruning alone.
-    /// `QUNITS_FORCE_MAXSCORE` (any non-empty value other than `"0"`)
-    /// overrides this at build time; `force_exhaustive` wins if both are
-    /// set.
-    pub force_max_score: bool,
     /// Postings per block in the frozen block-max lanes (see
     /// `docs/INDEX_FORMAT.md`): smaller blocks skip more precisely but
     /// cost more bound-lane memory and per-block codec framing. Values
@@ -283,8 +278,8 @@ impl Default for EngineConfig {
             deadline: None,
             max_concurrent_queries: 0,
             executor_queue_capacity: usize::MAX,
+            kernel: KernelTier::default(),
             force_exhaustive: false,
-            force_max_score: false,
             block_size: irengine::DEFAULT_BLOCK_SIZE,
             compress_postings: false,
             snapshot_path: None,
@@ -295,8 +290,9 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Apply the service-hardening environment overrides (the dispatch
-    /// overrides live on [`DispatchPolicy::with_env_overrides`]):
+    /// Fold [`EngineConfig::force_exhaustive`] into [`EngineConfig::kernel`],
+    /// then apply the service-hardening environment overrides (the
+    /// dispatch overrides live on [`DispatchPolicy::with_env_overrides`]):
     ///
     /// - `QUNITS_DEADLINE_MS=<n>` — set [`EngineConfig::deadline`] to `n`
     ///   milliseconds;
@@ -304,13 +300,9 @@ impl EngineConfig {
     ///   [`EngineConfig::max_concurrent_queries`];
     /// - `QUNITS_EXEC_QUEUE_CAP=<n>` — set
     ///   [`EngineConfig::executor_queue_capacity`];
-    /// - `QUNITS_FORCE_EXHAUSTIVE` (any non-empty value other than `"0"`)
-    ///   — set [`EngineConfig::force_exhaustive`], selecting the
-    ///   exhaustive kernel tier (the determinism gate diffs transcripts
-    ///   against this);
-    /// - `QUNITS_FORCE_MAXSCORE` (any non-empty value other than `"0"`)
-    ///   — set [`EngineConfig::force_max_score`], selecting the MaxScore
-    ///   tier (also transcript-diffed);
+    /// - `QUNITS_KERNEL=blockmax|maxscore|exhaustive` — set
+    ///   [`EngineConfig::kernel`] (the determinism gate diffs transcripts
+    ///   across all three);
     /// - `QUNITS_BLOCK_SIZE=<n>` — set [`EngineConfig::block_size`];
     /// - `QUNITS_COMPRESS_POSTINGS` (any non-empty value other than `"0"`)
     ///   — set [`EngineConfig::compress_postings`] (the determinism gate
@@ -318,7 +310,7 @@ impl EngineConfig {
     /// - `QUNITS_SNAPSHOT_PATH=<path>` — set
     ///   [`EngineConfig::snapshot_path`].
     ///
-    /// Unparseable numeric values panic, like `QUNITS_INLINE_THRESHOLD`:
+    /// Unparseable values panic, like `QUNITS_INLINE_THRESHOLD`:
     /// a typo'd override silently falling back to the default would run
     /// (and measure, and gate) the wrong configuration while claiming to
     /// pin a custom one. Applied automatically by
@@ -330,6 +322,9 @@ impl EngineConfig {
                     .unwrap_or_else(|_| panic!("{name} must be a non-negative integer, got {v:?}"))
             })
         }
+        if self.force_exhaustive {
+            self.kernel = KernelTier::Exhaustive;
+        }
         if let Some(ms) = parsed("QUNITS_DEADLINE_MS") {
             self.deadline = Some(Duration::from_millis(ms));
         }
@@ -339,11 +334,15 @@ impl EngineConfig {
         if let Some(n) = parsed("QUNITS_EXEC_QUEUE_CAP") {
             self.executor_queue_capacity = n as usize;
         }
-        if std::env::var_os("QUNITS_FORCE_EXHAUSTIVE").is_some_and(|v| !v.is_empty() && v != "0") {
-            self.force_exhaustive = true;
-        }
-        if std::env::var_os("QUNITS_FORCE_MAXSCORE").is_some_and(|v| !v.is_empty() && v != "0") {
-            self.force_max_score = true;
+        if let Ok(v) = std::env::var("QUNITS_KERNEL") {
+            self.kernel = match v.as_str() {
+                "blockmax" => KernelTier::BlockMax,
+                "maxscore" => KernelTier::MaxScore,
+                "exhaustive" => KernelTier::Exhaustive,
+                other => panic!(
+                    "QUNITS_KERNEL must be \"blockmax\", \"maxscore\" or \"exhaustive\", got {other:?}"
+                ),
+            };
         }
         if let Some(n) = parsed("QUNITS_BLOCK_SIZE") {
             self.block_size = (n as usize).max(1);
@@ -371,19 +370,6 @@ impl EngineConfig {
             }
         }
         self
-    }
-
-    /// Resolve the force-flags into the kernel tier every query runs:
-    /// `force_exhaustive` wins over `force_max_score`, and with neither
-    /// set the block-max tier (the default, fastest) runs.
-    fn kernel_tier(&self) -> KernelTier {
-        if self.force_exhaustive {
-            KernelTier::Exhaustive
-        } else if self.force_max_score {
-            KernelTier::MaxScore
-        } else {
-            KernelTier::BlockMax
-        }
     }
 }
 
@@ -421,12 +407,12 @@ pub enum SearchError {
     },
     /// A shard task panicked mid-query and the engine contained it at the
     /// query boundary instead of unwinding the caller (under
-    /// [`ShardFailurePolicy::Fail`], or when every shard failed under
-    /// [`ShardFailurePolicy::Degrade`]). The engine, its worker pool, and
-    /// its scratch buffers all remain healthy — a crashed query releases
-    /// its admission slot and scratch on the way out — so callers may keep
-    /// querying; the counter family in
-    /// [`crate::obs::ObsSnapshot`] tracks how often this fires.
+    /// [`ShardFailurePolicy::Fail`], or when every shard that had
+    /// documents failed under [`ShardFailurePolicy::Degrade`]). The
+    /// engine, its worker pool, and its scratch buffers all remain
+    /// healthy — a crashed query releases its admission slot and scratch
+    /// on the way out — so callers may keep querying; the counter family
+    /// in [`crate::obs::ObsSnapshot`] tracks how often this fires.
     Internal {
         /// The panic's message — for injected faults, the failpoint site
         /// name (`"injected fault at exec.task"`); for organic panics,
@@ -1746,7 +1732,7 @@ impl QunitSearchEngine {
                 .deadline
                 .is_some()
                 .then_some(irengine::CancelProbe(&expired)),
-            tier: self.config.kernel_tier(),
+            tier: self.config.kernel,
             on_failure: self.config.on_shard_failure,
         };
         // A mid-kernel deadline trip aborts the fan-out with `Cancelled`

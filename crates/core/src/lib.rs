@@ -35,7 +35,8 @@
 //! * **Sharded index, intra-query parallelism** — the instance index is
 //!   split into [`EngineConfig::search_shards`] independent shards
 //!   (deterministic round-robin, `0` = one per core) and every search
-//!   scores them on scoped threads with corpus-global statistics plus a
+//!   scores them — inline when the query is small, else on the engine's
+//!   persistent shard executor — with corpus-global statistics plus a
 //!   deterministic top-k merge, so a *single* hot query saturates the
 //!   machine. Results are identical at any shard count — keys, order,
 //!   scores to the ulp (property-tested) — and per-shard scoring time is
@@ -95,7 +96,7 @@ pub use engine::{
 pub use feedback::FeedbackStore;
 pub use irengine::ShardFailurePolicy;
 pub use materialize::{materialize_all, materialize_one};
-pub use obs::{Counter, ObsSnapshot, Span};
+pub use obs::{Counter, ObsSnapshot};
 pub use presentation::ConversionExpr;
 pub use qunit::{AnchorSpec, DerivationSource, QunitDefinition, QunitInstance};
 pub use segment::{EntityDictionary, Segment, SegmentScratch, SegmentedQuery, Segmenter};

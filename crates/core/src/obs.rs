@@ -1,9 +1,9 @@
-//! Per-query observability: cheap counters, RAII spans, and an engine-wide
-//! snapshot.
+//! Per-query observability: cheap counters, latency histograms, and an
+//! engine-wide snapshot.
 //!
 //! The service-hardening contract for this module is *near-zero hot-path
-//! cost*: every primitive is a relaxed atomic `fetch_add` or a pair of
-//! monotonic clock reads — no allocation, no locks, no formatting. The
+//! cost*: every primitive is a relaxed atomic `fetch_add` — no allocation,
+//! no locks, no formatting. The
 //! engine threads one [`EngineObs`] through its query paths and exposes an
 //! [`ObsSnapshot`] on demand; snapshotting is the only place values are
 //! gathered, and it is allowed to allocate (one `Vec` for per-shard nanos).
@@ -16,7 +16,6 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// A monotonically increasing event counter.
 ///
@@ -56,52 +55,6 @@ impl Counter {
     /// Current total.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// RAII wall-clock span: measures from construction to drop and adds the
-/// elapsed nanoseconds to a [`Counter`].
-///
-/// Cost is two `Instant::now()` calls and one relaxed `fetch_add` — cheap
-/// enough to wrap every query. Spans accumulate into totals (pair a nanos
-/// counter with an event counter to recover a mean); they do not record
-/// individual samples, so tail percentiles belong to the bench harness,
-/// not to this module.
-///
-/// ```
-/// use qunit_core::obs::{Counter, Span};
-///
-/// let busy_nanos = Counter::new();
-/// {
-///     let _span = Span::start(&busy_nanos);
-///     // ... measured work ...
-/// } // drop records the elapsed time
-/// // A span can also be closed explicitly (identical effect):
-/// Span::start(&busy_nanos).finish();
-/// ```
-#[derive(Debug)]
-pub struct Span<'a> {
-    counter: &'a Counter,
-    start: Instant,
-}
-
-impl<'a> Span<'a> {
-    /// Start timing; the elapsed nanoseconds land in `counter` on drop.
-    pub fn start(counter: &'a Counter) -> Self {
-        Span {
-            counter,
-            start: Instant::now(),
-        }
-    }
-
-    /// Close the span now (equivalent to dropping it, spelled out for
-    /// call sites where an explicit end reads better than a scope).
-    pub fn finish(self) {}
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        self.counter.add(self.start.elapsed().as_nanos() as u64);
     }
 }
 
@@ -384,19 +337,6 @@ mod tests {
             }
         });
         assert_eq!(c.get(), 8000);
-    }
-
-    #[test]
-    fn span_records_nonzero_elapsed() {
-        let nanos = Counter::new();
-        let span = Span::start(&nanos);
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        span.finish();
-        assert!(
-            nanos.get() >= 1_000_000,
-            "slept 2ms, recorded {}",
-            nanos.get()
-        );
     }
 
     #[test]

@@ -17,15 +17,16 @@
 //!    collision is constructed rather than hoped for;
 //! 4. the obs counters add up under `search_batch`, including the
 //!    inline-vs-dispatch split;
-//! 5. forcing either fallback scoring kernel
-//!    ([`EngineConfig::force_max_score`], [`EngineConfig::force_exhaustive`])
-//!    is bit-identical to the default block-max kernel at every shard count;
+//! 5. every scoring kernel tier ([`EngineConfig::kernel`], and the
+//!    [`EngineConfig::force_exhaustive`] shorthand) is bit-identical to the
+//!    default at every shard count;
 //! 6. a deadline — now also polled mid-kernel every
 //!    `CANCEL_POSTING_BUDGET` postings — only ever trips at a named phase,
 //!    and every query that completes under its budget is bit-identical to
 //!    an undeadlined run.
 
 use datagen::imdb::{ImdbConfig, ImdbData};
+use irengine::KernelTier;
 use qunit_core::derive::manual::expert_imdb_qunits;
 use qunit_core::{EngineConfig, QunitSearchEngine, SearchError};
 use std::time::Duration;
@@ -164,11 +165,9 @@ fn generous_deadline_never_errors() {
 
 #[test]
 fn forced_kernel_tiers_are_bit_identical_to_default() {
-    // The engine-level face of the kernel determinism contract: the
-    // default block-max kernel, the forced MaxScore tier
-    // (`QUNITS_FORCE_MAXSCORE`), and the forced exhaustive reference
-    // (`QUNITS_FORCE_EXHAUSTIVE`) must not differ by a single score bit,
-    // at any shard count.
+    // The engine-level face of the kernel determinism contract: the default
+    // kernel and every tier `QUNITS_KERNEL` can select must not differ by a
+    // single score bit, at any shard count.
     let data = data();
     let qs = workload(&data);
     for shards in [1, 4] {
@@ -176,31 +175,36 @@ fn forced_kernel_tiers_are_bit_identical_to_default() {
             search_shards: shards,
             ..EngineConfig::default()
         };
-        let block_max = build(&data, config.clone());
-        let max_score = build(
-            &data,
-            EngineConfig {
-                force_max_score: true,
-                ..config.clone()
-            },
-        );
-        let exhaustive = build(
+        let want = transcript(&build(&data, config.clone()), &qs);
+        for kernel in [
+            KernelTier::BlockMax,
+            KernelTier::MaxScore,
+            KernelTier::Exhaustive,
+        ] {
+            let forced = build(
+                &data,
+                EngineConfig {
+                    kernel,
+                    ..config.clone()
+                },
+            );
+            assert_eq!(
+                want,
+                transcript(&forced, &qs),
+                "default vs {kernel:?} diverged at {shards} shard(s)"
+            );
+        }
+        let shorthand = build(
             &data,
             EngineConfig {
                 force_exhaustive: true,
                 ..config
             },
         );
-        let want = transcript(&block_max, &qs);
         assert_eq!(
             want,
-            transcript(&max_score, &qs),
-            "block-max vs MaxScore diverged at {shards} shard(s)"
-        );
-        assert_eq!(
-            want,
-            transcript(&exhaustive, &qs),
-            "block-max vs exhaustive diverged at {shards} shard(s)"
+            transcript(&shorthand, &qs),
+            "default vs force_exhaustive diverged at {shards} shard(s)"
         );
     }
 }

@@ -36,8 +36,9 @@
 //! The executor adds no ordering freedom that can reach results: shard
 //! tasks write into disjoint result slots and the merge happens on the
 //! calling thread after every task completes, so inline execution, pool
-//! dispatch at any pool size, and the legacy scoped-thread fallback are
-//! bit-identical (property-tested in `tests/prop_ir.rs`; the CI determinism
+//! dispatch at any pool size, and the same per-shard tasks run one after
+//! another on the calling thread are bit-identical (property-tested in
+//! `tests/prop_ir.rs`; the CI determinism
 //! job additionally diffs `QUNITS_FORCE_INLINE=1` against
 //! `QUNITS_FORCE_DISPATCH=1` transcripts).
 //!

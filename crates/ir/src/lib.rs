@@ -32,7 +32,7 @@
 //! scorer — that equivalence is property-tested and gated in CI.
 //!
 //! ```
-//! use irengine::{Document, IndexBuilder, Searcher, ScoringFunction};
+//! use irengine::{Document, IndexBuilder, ScoreScratch, Searcher, ScoringFunction};
 //!
 //! let mut b = IndexBuilder::new();
 //! b.set_field_boost("title", 2.0);
@@ -40,7 +40,8 @@
 //! b.add(Document::new("m2").field("title", "Solaris").field("body", "space station drama"));
 //! let index = b.build();
 //! let searcher = Searcher::new(&index, ScoringFunction::Bm25 { k1: 1.2, b: 0.75 });
-//! let hits = searcher.search("star wars", 10);
+//! let terms = index.analyzer().tokenize("star wars");
+//! let hits = searcher.search_terms_with(&terms, 10, &mut ScoreScratch::new());
 //! assert_eq!(index.external_id(hits[0].doc).unwrap(), "m1");
 //! ```
 

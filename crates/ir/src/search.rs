@@ -99,9 +99,8 @@ pub const CANCEL_POSTING_BUDGET: usize = 4096;
 
 /// Which scoring kernel runs a query. Every tier returns bit-identical
 /// hits (see the module docs); the tiers differ only in how many postings
-/// they touch. Forced via `QUNITS_FORCE_EXHAUSTIVE` /
-/// `QUNITS_FORCE_MAXSCORE` / `QUNITS_FORCE_BLOCKMAX` upstream, mostly so
-/// the CI determinism gate can diff all three.
+/// they touch. The engine selects one with `QUNITS_KERNEL`, mostly so the
+/// CI determinism gate can diff all three.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelTier {
     /// Block-max document-at-a-time skipping over the frozen block lanes
@@ -130,8 +129,7 @@ pub(crate) struct KernelOpts<'a> {
 /// A `Searcher` is a stateless view (`&Index` + a copyable scoring config):
 /// construct one per thread, or share one across threads — both are safe
 /// and equivalent. Asserted `Send + Sync` below. Mutable query state lives
-/// in a [`ScoreScratch`] — thread-local by default, caller-owned via
-/// [`Searcher::search_terms_where_with`].
+/// in the caller's [`ScoreScratch`] (see [`Searcher::search_terms_with`]).
 #[derive(Debug, Clone)]
 pub struct Searcher<'a> {
     index: &'a Index,
@@ -165,7 +163,8 @@ pub(crate) fn dedup_terms(terms: &[String]) -> Vec<(&str, usize)> {
 /// The canonical accumulation order: indices into `bounds` sorted by bound
 /// **descending**, ties broken by ascending position (= first occurrence
 /// in the query, via [`dedup_terms`]). Every scoring path — pruned,
-/// exhaustive, sharded, and the single-document [`Searcher::score_doc`] —
+/// exhaustive, sharded, and the single-document
+/// [`crate::ShardedSearcher::score_doc`] —
 /// permutes its terms through this order, so per-document floating-point
 /// sums are identical everywhere. The bounds themselves derive from
 /// corpus-global statistics, making the order shard-count invariant.
@@ -333,10 +332,9 @@ impl ScoreScratch {
 /// by the cap, not the historical peak.
 const MAX_POOLED_SCRATCHES: usize = 32;
 
-/// A lock-protected free list of [`ScoreScratch`] buffers for callers whose
-/// worker threads are too short-lived to amortize a thread-local (the
-/// sharded searcher spawns scoped threads per query; an engine owning a
-/// pool lets those threads inherit warm buffers instead of reallocating).
+/// A lock-protected free list of [`ScoreScratch`] buffers, so shard tasks
+/// draw warm buffers whichever executor worker (or helping caller) runs
+/// them, instead of one thread-local scratch per thread that ever scored.
 ///
 /// `take` pops a warm scratch (or makes a cold one), `put` returns it —
 /// keeping at most `MAX_POOLED_SCRATCHES` buffers. The lock is held only
@@ -374,10 +372,9 @@ impl ScratchPool {
 }
 
 thread_local! {
-    /// Default scratch for the convenience APIs that don't thread one
-    /// through: long-lived caller threads get cross-query buffer reuse for
-    /// free. (Scoped shard threads die per query — pooled callers should
-    /// pass a [`ScratchPool`] instead.)
+    /// Default scratch for sharded searches whose context carries no
+    /// [`ScratchPool`]: long-lived caller threads get cross-query buffer
+    /// reuse for free.
     static THREAD_SCRATCH: RefCell<ScoreScratch> = RefCell::new(ScoreScratch::new());
 }
 
@@ -399,7 +396,8 @@ pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut ScoreScratch) -> R) -> 
 /// first k entries — and that holds no matter how candidates are batched
 /// into it, which is why the sharded inline path feeds **all** shards
 /// through one `TopK` instead of selecting per shard and merging
-/// (`pub(crate)` for exactly that caller).
+/// (`pub(crate)` for the sharded searcher, whose per-shard slots use it
+/// too).
 pub(crate) struct TopK {
     k: usize,
     heap: BinaryHeap<WorstFirst>,
@@ -1086,9 +1084,35 @@ fn accumulate_terms(
     Ok(())
 }
 
-/// The scoring kernel both search paths share: accumulate the resolved
-/// terms' postings into `scratch`, then select the top `k` hits among
-/// documents accepted by `filter`.
+/// [`score_terms_into_topk`] over one whole unfiltered index, selecting
+/// its own top `k` — the unsharded [`Searcher`]'s kernel call.
+fn score_terms_into(
+    index: &Index,
+    terms: &[(Option<TermId>, usize)],
+    scorers: &[TermScorer],
+    bounds: &[f64],
+    k: usize,
+    scratch: &mut ScoreScratch,
+    opts: KernelOpts<'_>,
+) -> Result<Vec<Hit>, Cancelled> {
+    let mut top = TopK::new(k);
+    score_terms_into_topk(
+        index,
+        terms,
+        scorers,
+        bounds,
+        scratch,
+        |d| d,
+        None,
+        opts,
+        &mut top,
+    )?;
+    Ok(top.into_sorted_hits())
+}
+
+/// The scoring kernel every search path shares: accumulate the resolved
+/// terms' postings into `scratch`, then push the documents accepted by
+/// `filter` into the caller's [`TopK`].
 ///
 /// `terms` holds each distinct query term **already resolved against this
 /// index's dictionary** (`None` = not in its vocabulary) with its query
@@ -1099,38 +1123,18 @@ fn accumulate_terms(
 /// index-local or corpus-global), and the caller has already permuted all
 /// three into [`bound_order`]. `to_global` maps the index's local doc ids
 /// into the caller's id space (identity for an unsharded index); `filter`
-/// sees mapped ids, as do the returned hits — `None` means unfiltered and
+/// sees mapped ids, as do the pushed hits — `None` means unfiltered and
 /// additionally unlocks the partial-threshold pruning probe.
+///
+/// Because [`rank_hits`] totally orders distinct documents, feeding
+/// several indexes (the shards of a sharded search) through one `TopK`
+/// yields exactly the hits that per-index selection followed by a merge
+/// would — minus the per-index heaps, sorts, and hit lists; the sharded
+/// inline sweep cashes that in (and its partially-full heap gives later
+/// shards a head-start pruning threshold).
 ///
 /// `Err(Cancelled)` only when `opts.cancel` is set and trips; infallible
 /// otherwise.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn score_terms_into(
-    index: &Index,
-    terms: &[(Option<TermId>, usize)],
-    scorers: &[TermScorer],
-    bounds: &[f64],
-    k: usize,
-    scratch: &mut ScoreScratch,
-    to_global: impl Fn(DocId) -> DocId,
-    filter: Option<&dyn Fn(DocId) -> bool>,
-    opts: KernelOpts<'_>,
-) -> Result<Vec<Hit>, Cancelled> {
-    let mut top = TopK::new(k);
-    score_terms_into_topk(
-        index, terms, scorers, bounds, scratch, to_global, filter, opts, &mut top,
-    )?;
-    Ok(top.into_sorted_hits())
-}
-
-/// [`score_terms_into`] pushing its candidates into a caller-owned [`TopK`]
-/// instead of selecting locally. Because [`rank_hits`] totally orders
-/// distinct documents, feeding several indexes (the shards of a sharded
-/// search) through one `TopK` yields exactly the hits that per-index
-/// selection followed by a merge would — minus the per-index heaps, sorts,
-/// and hit lists. The inline sharded path is the caller that cashes that
-/// in (and whose partially-full heap gives later shards a head-start
-/// pruning threshold).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn score_terms_into_topk(
     index: &Index,
@@ -1213,68 +1217,29 @@ impl<'a> Searcher<'a> {
         self
     }
 
-    /// The underlying index.
-    pub fn index(&self) -> &Index {
-        self.index
-    }
-
-    /// Run `query`, returning up to `k` hits, best first. Documents must
-    /// match at least one query term to appear. Ties break by ascending
-    /// doc id for determinism.
-    pub fn search(&self, query: &str, k: usize) -> Vec<Hit> {
-        let terms = self.index.analyzer().tokenize(query);
-        self.search_terms(&terms, k)
-    }
-
-    /// Run a query given pre-analyzed terms.
-    pub fn search_terms(&self, terms: &[String], k: usize) -> Vec<Hit> {
-        with_thread_scratch(|scratch| self.search_terms_core(terms, k, None, scratch))
-    }
-
-    /// [`Searcher::search_terms`] with a caller-owned scratch buffer (see
-    /// [`ScoreScratch`] for the reuse rules). Unfiltered, so MaxScore
-    /// pruning is fully armed — batch drivers and `tests/kernel_counters.rs`
-    /// pair this with [`ScoreScratch::postings_visited`] to meter the kernel.
+    /// Run a query given pre-analyzed terms, returning up to `k` hits, best
+    /// first. Documents must match at least one query term to appear; ties
+    /// break by ascending doc id. Query state lives in the caller-owned
+    /// `scratch` (see [`ScoreScratch`] for the reuse rules), so batch
+    /// drivers and `tests/kernel_counters.rs` pair this with
+    /// [`ScoreScratch::postings_visited`] to meter the kernel. Unfiltered,
+    /// so pruning is fully armed.
     pub fn search_terms_with(
         &self,
         terms: &[String],
         k: usize,
         scratch: &mut ScoreScratch,
     ) -> Vec<Hit> {
-        self.search_terms_core(terms, k, None, scratch)
-    }
-
-    /// Run `query`, keeping only documents accepted by `filter`. The filter
-    /// is applied before top-k selection, so a restrictive filter still
-    /// yields up to `k` of *its* documents (used by the qunit engine to rank
-    /// "instances of the identified type").
-    pub fn search_where(&self, query: &str, k: usize, filter: impl Fn(DocId) -> bool) -> Vec<Hit> {
-        let terms = self.index.analyzer().tokenize(query);
-        self.search_terms_where(&terms, k, filter)
-    }
-
-    /// [`Searcher::search_where`] with pre-analyzed terms. Uses the calling
-    /// thread's default [`ScoreScratch`].
-    pub fn search_terms_where(
-        &self,
-        terms: &[String],
-        k: usize,
-        filter: impl Fn(DocId) -> bool,
-    ) -> Vec<Hit> {
-        with_thread_scratch(|scratch| self.search_terms_core(terms, k, Some(&filter), scratch))
-    }
-
-    /// [`Searcher::search_terms_where`] with a caller-owned scratch buffer
-    /// (see [`ScoreScratch`] for the reuse rules) — batch drivers reuse one
-    /// scratch across their whole workload.
-    pub fn search_terms_where_with(
-        &self,
-        terms: &[String],
-        k: usize,
-        filter: impl Fn(DocId) -> bool,
-        scratch: &mut ScoreScratch,
-    ) -> Vec<Hit> {
-        self.search_terms_core(terms, k, Some(&filter), scratch)
+        if k == 0 || terms.is_empty() {
+            return Vec::new();
+        }
+        let (resolved, scorers, bounds) = self.resolve_terms(&dedup_terms(terms));
+        let opts = KernelOpts {
+            tier: self.tier,
+            cancel: None,
+        };
+        score_terms_into(self.index, &resolved, &scorers, &bounds, k, scratch, opts)
+            .expect("kernel is infallible without a cancel probe")
     }
 
     /// Resolve `deduped` query terms against the dictionary and fold
@@ -1315,82 +1280,6 @@ impl<'a> Searcher<'a> {
             order.iter().map(|&i| bounds[i]).collect(),
         )
     }
-
-    /// The one search body behind every public entry point.
-    fn search_terms_core(
-        &self,
-        terms: &[String],
-        k: usize,
-        filter: Option<&dyn Fn(DocId) -> bool>,
-        scratch: &mut ScoreScratch,
-    ) -> Vec<Hit> {
-        if k == 0 || terms.is_empty() {
-            return Vec::new();
-        }
-        let (resolved, scorers, bounds) = self.resolve_terms(&dedup_terms(terms));
-        let opts = KernelOpts {
-            tier: self.tier,
-            cancel: None,
-        };
-        score_terms_into(
-            self.index,
-            &resolved,
-            &scorers,
-            &bounds,
-            k,
-            scratch,
-            |d| d,
-            filter,
-            opts,
-        )
-        .expect("kernel is infallible without a cancel probe")
-    }
-
-    /// Convenience: the single best hit, if any.
-    pub fn top(&self, query: &str) -> Option<Hit> {
-        self.search(query, 1).into_iter().next()
-    }
-
-    /// Score one specific document against a query (same accumulation as
-    /// [`Searcher::search`], restricted to `doc`). Returns a zero-score hit
-    /// when no query term matches the document.
-    ///
-    /// Sums term contributions in the same `bound_order` as the kernel,
-    /// so the float total is bit-identical to the document's full-search
-    /// score.
-    pub fn score_doc(&self, query: &str, doc: DocId) -> Hit {
-        let terms = self.index.analyzer().tokenize(query);
-        let deduped = dedup_terms(&terms);
-        let bounds: Vec<f64> = deduped
-            .iter()
-            .map(|(term, qtf)| {
-                let scorer = self.scoring.scorer(TermStats::of(self.index, term));
-                scorer.max_score(self.index.max_weighted_tf(term)) * *qtf as f64
-            })
-            .collect();
-        let mut score = 0.0;
-        let mut matched_terms = 0;
-        let mut buf = PostingsBuf::new();
-        for &i in &bound_order(&bounds) {
-            let (term, qtf) = deduped[i];
-            // Resolve the postings view once per term (decoding through the
-            // buffer on a compressed index); the doc probe is a binary
-            // search over the doc-id slice.
-            let postings = self.index.postings_with(term, &mut buf);
-            if let Ok(p) = postings.docs.binary_search(&doc) {
-                score += self
-                    .scoring
-                    .score_term(self.index, term, doc, postings.weighted_tfs[p])
-                    * qtf as f64;
-                matched_terms += 1;
-            }
-        }
-        Hit {
-            doc,
-            score,
-            matched_terms,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1399,6 +1288,12 @@ mod tests {
     use crate::document::Document;
     use crate::index::IndexBuilder;
     use std::cell::Cell;
+
+    /// [`Searcher::search_terms_with`] from query text, on a fresh scratch.
+    fn search(s: &Searcher, q: &str, k: usize) -> Vec<Hit> {
+        let terms = s.index.analyzer().tokenize(q);
+        s.search_terms_with(&terms, k, &mut ScoreScratch::new())
+    }
 
     fn movie_index() -> Index {
         let mut b = IndexBuilder::new();
@@ -1425,7 +1320,7 @@ mod tests {
     fn exact_title_wins() {
         let ix = movie_index();
         let s = Searcher::new(&ix, ScoringFunction::default());
-        let hits = s.search("star wars", 10);
+        let hits = search(&s, "star wars", 10);
         assert_eq!(ix.external_id(hits[0].doc), Some("star-wars"));
         assert_eq!(hits[0].matched_terms, 2);
         // star trek shares one term
@@ -1437,7 +1332,7 @@ mod tests {
     fn body_terms_match_too() {
         let ix = movie_index();
         let s = Searcher::new(&ix, ScoringFunction::default());
-        let top = s.top("george clooney").unwrap();
+        let top = &search(&s, "george clooney", 1)[0];
         assert_eq!(ix.external_id(top.doc), Some("oceans"));
     }
 
@@ -1445,9 +1340,9 @@ mod tests {
     fn k_truncates_and_orders_descending() {
         let ix = movie_index();
         let s = Searcher::new(&ix, ScoringFunction::default());
-        let hits = s.search("star", 1);
+        let hits = search(&s, "star", 1);
         assert_eq!(hits.len(), 1);
-        let all = s.search("star", 10);
+        let all = search(&s, "star", 10);
         assert!(all.windows(2).all(|w| w[0].score >= w[1].score));
     }
 
@@ -1455,9 +1350,9 @@ mod tests {
     fn bounded_topk_equals_full_ranking_prefix() {
         let ix = movie_index();
         let s = Searcher::new(&ix, ScoringFunction::default());
-        let all = s.search("star wars george", 100);
+        let all = search(&s, "star wars george", 100);
         for k in 1..=all.len() {
-            assert_eq!(s.search("star wars george", k), all[..k], "k={k}");
+            assert_eq!(search(&s, "star wars george", k), all[..k], "k={k}");
         }
     }
 
@@ -1465,16 +1360,16 @@ mod tests {
     fn zero_k_and_empty_query() {
         let ix = movie_index();
         let s = Searcher::new(&ix, ScoringFunction::default());
-        assert!(s.search("star", 0).is_empty());
-        assert!(s.search("", 10).is_empty());
-        assert!(s.search("the of", 10).is_empty()); // all stopwords
+        assert!(search(&s, "star", 0).is_empty());
+        assert!(search(&s, "", 10).is_empty());
+        assert!(search(&s, "the of", 10).is_empty()); // all stopwords
     }
 
     #[test]
     fn unmatched_query_returns_empty() {
         let ix = movie_index();
         let s = Searcher::new(&ix, ScoringFunction::default());
-        assert!(s.search("zzzz qqqq", 10).is_empty());
+        assert!(search(&s, "zzzz qqqq", 10).is_empty());
     }
 
     #[test]
@@ -1483,10 +1378,10 @@ mod tests {
         let s = Searcher::new(&ix, ScoringFunction::default());
         let mut scratch = ScoreScratch::new();
         let terms = ix.analyzer().tokenize("star wars");
-        let expected = s.search_terms(&terms, 10);
+        let expected = search(&s, "star wars", 10);
         // the same scratch serves many queries (and a different index size)
         for _ in 0..3 {
-            let got = s.search_terms_where_with(&terms, 10, |_| true, &mut scratch);
+            let got = s.search_terms_with(&terms, 10, &mut scratch);
             assert_eq!(got, expected);
         }
         let mut small = IndexBuilder::new();
@@ -1495,8 +1390,8 @@ mod tests {
         let s2 = Searcher::new(&small, ScoringFunction::default());
         let t2 = small.analyzer().tokenize("star");
         assert_eq!(
-            s2.search_terms_where_with(&t2, 5, |_| true, &mut scratch),
-            s2.search_terms(&t2, 5)
+            s2.search_terms_with(&t2, 5, &mut scratch),
+            search(&s2, "star", 5)
         );
     }
 
@@ -1505,14 +1400,14 @@ mod tests {
         let ix = movie_index();
         let s = Searcher::new(&ix, ScoringFunction::default());
         let terms = ix.analyzer().tokenize("star wars");
-        let expected = s.search_terms(&terms, 10);
+        let expected = search(&s, "star wars", 10);
         let mut scratch = ScoreScratch::new();
         // Force the wrap path: pretend 2^32 - 1 queries already ran.
         scratch.epoch = u32::MAX - 1;
-        let a = s.search_terms_where_with(&terms, 10, |_| true, &mut scratch);
+        let a = s.search_terms_with(&terms, 10, &mut scratch);
         // this query hits epoch == u32::MAX, the next one wraps
-        let b = s.search_terms_where_with(&terms, 10, |_| true, &mut scratch);
-        let c = s.search_terms_where_with(&terms, 10, |_| true, &mut scratch);
+        let b = s.search_terms_with(&terms, 10, &mut scratch);
+        let c = s.search_terms_with(&terms, 10, &mut scratch);
         assert_eq!(a, expected);
         assert_eq!(b, expected);
         assert_eq!(c, expected);
@@ -1554,7 +1449,7 @@ mod tests {
     fn tfidf_also_ranks_exact_match_first() {
         let ix = movie_index();
         let s = Searcher::new(&ix, ScoringFunction::TfIdf);
-        let hits = s.search("star wars", 10);
+        let hits = search(&s, "star wars", 10);
         assert_eq!(ix.external_id(hits[0].doc), Some("star-wars"));
     }
 
@@ -1562,8 +1457,8 @@ mod tests {
     fn repeated_query_terms_increase_weight() {
         let ix = movie_index();
         let s = Searcher::new(&ix, ScoringFunction::default());
-        let once = s.search("star clooney", 10);
-        let twice = s.search("star star clooney", 10);
+        let once = search(&s, "star clooney", 10);
+        let twice = search(&s, "star star clooney", 10);
         // doubling "star" should (weakly) promote the star documents
         let pos_once = once
             .iter()
@@ -1583,11 +1478,11 @@ mod tests {
         b.add(Document::new("b").field("body", "same text"));
         let ix = b.build();
         let s = Searcher::new(&ix, ScoringFunction::default());
-        let hits = s.search("same", 10);
+        let hits = search(&s, "same", 10);
         assert_eq!(ix.external_id(hits[0].doc), Some("a"));
         assert_eq!(ix.external_id(hits[1].doc), Some("b"));
         // tie + k=1 keeps the lower doc id, same as the full ranking
-        assert_eq!(s.search("same", 1), hits[..1]);
+        assert_eq!(search(&s, "same", 1), hits[..1]);
     }
 
     #[test]
@@ -1676,17 +1571,7 @@ mod tests {
                 tier: KernelTier::Exhaustive,
                 cancel: Some(&probe),
             };
-            let out = score_terms_into(
-                &ix,
-                &resolved,
-                &scorers,
-                &bounds,
-                10,
-                &mut scratch,
-                |d| d,
-                None,
-                opts,
-            );
+            let out = score_terms_into(&ix, &resolved, &scorers, &bounds, 10, &mut scratch, opts);
             (out, scratch.postings_visited() - before)
         };
 
@@ -1704,7 +1589,7 @@ mod tests {
         assert_eq!(polls.get(), 1);
 
         // Untripped runs match a probe-free run bit-for-bit.
-        let baseline = s.search_terms(&terms, 10);
+        let baseline = s.search_terms_with(&terms, 10, &mut ScoreScratch::new());
         assert_eq!(benign(false).0.unwrap(), baseline);
     }
 
@@ -1733,20 +1618,26 @@ mod tests {
         for i in 1..100 {
             b.add(Document::new(format!("d{i}")).field("body", "common"));
         }
-        let ix = b.build();
+        let ix = b.build_sharded(1);
         let terms = ix.analyzer().tokenize("rare common");
-        let s = Searcher::new(&ix, ScoringFunction::default());
-        let e = s.clone().with_tier(KernelTier::Exhaustive);
+        let s = crate::ShardedSearcher::new(&ix, ScoringFunction::default());
         // A filter that rejects the best partial leader (doc 0).
         let filter = |d: DocId| d != 0;
-        let pruned = s.search_terms_where(&terms, 3, filter);
-        let exhaustive = e.search_terms_where(&terms, 3, filter);
-        assert_eq!(pruned, exhaustive);
-        assert!(pruned.iter().all(|h| h.doc != 0));
-        // All three tiers agree under the filter (the default tier above
-        // is block-max; MaxScore closes the triangle).
-        let m = s.clone().with_tier(KernelTier::MaxScore);
-        assert_eq!(m.search_terms_where(&terms, 3, filter), exhaustive);
+        let run = |tier: KernelTier| {
+            let ctx = crate::SearchContext {
+                tier,
+                ..crate::SearchContext::default()
+            };
+            s.try_search_terms_where_ctx(&terms, 3, Some(&filter), &ctx)
+                .unwrap()
+                .hits
+        };
+        let exhaustive = run(KernelTier::Exhaustive);
+        let block_max = run(KernelTier::BlockMax);
+        assert_eq!(block_max, exhaustive);
+        assert!(block_max.iter().all(|h| h.doc != 0));
+        // MaxScore closes the triangle.
+        assert_eq!(run(KernelTier::MaxScore), exhaustive);
     }
 
     /// The determinism triangle at the unit level: block-max ≡ MaxScore ≡
@@ -1875,17 +1766,7 @@ mod tests {
                 tier: KernelTier::BlockMax,
                 cancel: Some(&probe),
             };
-            let out = score_terms_into(
-                &ix,
-                &resolved,
-                &scorers,
-                &bounds,
-                10,
-                &mut scratch,
-                |d| d,
-                None,
-                opts,
-            );
+            let out = score_terms_into(&ix, &resolved, &scorers, &bounds, 10, &mut scratch, opts);
             (out, scratch.postings_visited(), polls.get())
         };
 
@@ -1896,7 +1777,10 @@ mod tests {
         assert_eq!(first_visited, second_visited);
         assert_eq!(first.as_ref().unwrap(), second.as_ref().unwrap());
         // Untripped block-max under a probe matches the probe-free run.
-        assert_eq!(first.unwrap(), s.search_terms(&terms, 10));
+        assert_eq!(
+            first.unwrap(),
+            s.search_terms_with(&terms, 10, &mut ScoreScratch::new())
+        );
 
         let (cancelled, aborted_at, _) = run(true);
         assert_eq!(cancelled, Err(Cancelled));
@@ -1930,17 +1814,7 @@ mod tests {
                 tier: KernelTier::Exhaustive,
                 cancel,
             };
-            let out = score_terms_into(
-                &ix,
-                &resolved,
-                &scorers,
-                &bounds,
-                10,
-                &mut scratch,
-                |d| d,
-                None,
-                opts,
-            );
+            let out = score_terms_into(&ix, &resolved, &scorers, &bounds, 10, &mut scratch, opts);
             (out, scratch.postings_visited() - before)
         };
 

@@ -8,10 +8,10 @@
 //! them in parallel — one hot query saturating every core instead of
 //! walking one monolithic index serially. *How* the fan-out happens is the
 //! caller's choice via [`SearchContext`]: dispatch onto a persistent
-//! [`ShardExecutor`] (the amortized service path), fall back to per-query
-//! scoped threads (no executor), or — for queries whose estimated postings
-//! walk is below the [`DispatchPolicy`] threshold — score every shard
-//! inline on the calling thread with zero dispatch cost.
+//! [`ShardExecutor`] (the amortized service path), or — with no executor,
+//! or for queries whose estimated postings walk is below the
+//! [`DispatchPolicy`] threshold — score every shard inline on the calling
+//! thread with zero dispatch cost.
 //!
 //! # Determinism contract
 //!
@@ -46,8 +46,8 @@ use crate::exec::{DispatchCounts, DispatchPolicy, ShardExecutor, TaskPanic};
 use crate::index::{Index, PostingsBuf, PostingsCodec, TermId};
 use crate::score::{ScoringFunction, TermScorer, TermStats};
 use crate::search::{
-    bound_order, dedup_terms, rank_hits, score_terms_into, score_terms_into_topk,
-    with_thread_scratch, Cancelled, Hit, KernelOpts, KernelTier, ScoreScratch, ScratchPool, TopK,
+    bound_order, dedup_terms, rank_hits, score_terms_into_topk, with_thread_scratch, Cancelled,
+    Hit, KernelOpts, KernelTier, ScoreScratch, ScratchPool, TopK,
 };
 use std::cmp::Ordering;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -448,10 +448,11 @@ pub enum ShardFailurePolicy {
     /// merge into a partial answer; [`SearchOutcome::failed_shards`] counts
     /// the casualties so the caller can tag the result degraded (and, e.g.,
     /// keep it out of caches). The query only errors when *every* shard
-    /// fails. Under this policy the inline path scores each shard into its
-    /// own top-k and merges (the dispatch path's shape — bit-identical by
-    /// the determinism contract) so one shard's fault cannot pollute a
-    /// shared accumulator.
+    /// that had documents to score fails. Under this policy an inline
+    /// search runs the dispatch path's per-shard body one shard after
+    /// another on the calling thread — each shard into its own top-k, then
+    /// a merge, bit-identical by the determinism contract — so one shard's
+    /// fault cannot pollute a shared accumulator.
     Degrade,
 }
 
@@ -505,18 +506,31 @@ fn kernel_opts<'a>(ctx: &SearchContext<'a>) -> KernelOpts<'a> {
     }
 }
 
+/// Run scoring behind a panic/cancel boundary: a cancel trip becomes
+/// [`SearchFailure::Cancelled`], and a kernel panic becomes
+/// [`SearchFailure::Panicked`] — the query's error, not the process's.
+fn contained<T>(score: impl FnOnce() -> Result<T, Cancelled>) -> Result<T, SearchFailure> {
+    match catch_unwind(AssertUnwindSafe(score)) {
+        Ok(out) => out.map_err(SearchFailure::from),
+        Err(payload) => Err(SearchFailure::Panicked {
+            message: TaskPanic { payload }.message(),
+        }),
+    }
+}
+
 /// Everything a sharded search draws from its environment, bundled so the
 /// hot path has one signature instead of a growing tail of optionals. The
-/// default context (no pool, no executor, no timings, adaptive policy) is
-/// what the convenience APIs use; a long-lived service (the qunit engine)
-/// builds one per search from the resources it owns.
+/// default context (no pool, no executor, no timings, adaptive policy)
+/// scores on the calling thread with its thread-local scratch; a
+/// long-lived service (the qunit engine) builds one per search from the
+/// resources it owns.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SearchContext<'a> {
     /// Warm [`ScoreScratch`] buffers; `None` = the executing thread's
     /// thread-local scratch.
     pub pool: Option<&'a ScratchPool>,
-    /// Persistent worker pool for shard dispatch; `None` falls back to
-    /// per-query scoped threads when the policy decides to dispatch.
+    /// Persistent worker pool for shard dispatch; `None` scores every
+    /// shard on the calling thread, whatever the policy says.
     pub exec: Option<&'a ShardExecutor>,
     /// Per-shard scoring-time accumulators; `None` skips timing entirely
     /// (not even a clock read).
@@ -527,10 +541,10 @@ pub struct SearchContext<'a> {
     /// bookkeeping (one relaxed `fetch_add` per multi-shard query when set).
     pub decisions: Option<&'a DispatchCounts>,
     /// Cooperative mid-kernel cancellation probe; `None` skips the polling
-    /// bookkeeping entirely. Only the fallible entry point
-    /// ([`ShardedSearcher::try_search_terms_where_ctx`]) surfaces a trip.
+    /// bookkeeping entirely. A trip surfaces as
+    /// [`SearchFailure::Cancelled`].
     pub cancel: Option<CancelProbe<'a>>,
-    /// Which scoring kernel tier to run (`QUNITS_FORCE_*` upstream). All
+    /// Which scoring kernel tier to run (`QUNITS_KERNEL` upstream). All
     /// tiers return bit-identical hits; [`KernelTier::Exhaustive`] is the
     /// reference every pruned run must match bit-for-bit.
     pub tier: KernelTier,
@@ -543,8 +557,8 @@ impl SearchContext<'_> {
     /// Run `f` with a scratch from this context: a [`ScratchPool`]
     /// checkout (returned afterwards) when a pool is configured, the
     /// executing thread's thread-local otherwise. The single place the
-    /// checkout contract lives — both the inline sweep and the per-task
-    /// dispatch entry draw through here.
+    /// checkout contract lives — the inline sweep, the serial slot runner
+    /// and each dispatched task all draw through here.
     /// Panic-safe: a panic inside `f` still returns the scratch to the
     /// pool before resuming (the buffers hold no cross-query invariant — a
     /// fresh `begin` bumps the accumulator epoch, so a half-written scratch
@@ -567,14 +581,11 @@ impl SearchContext<'_> {
 }
 
 /// Executes queries against a borrowed [`ShardedIndex`], scoring shards
-/// inline or fanning them across a [`ShardExecutor`] / scoped threads per
-/// the [`SearchContext`] (always inline when there is a single shard).
+/// inline or fanning them across a [`ShardExecutor`] per the
+/// [`SearchContext`] (always inline when there is a single shard).
 ///
-/// Mirrors the [`Searcher`] API, with two differences: every [`DocId`] in
-/// and out is **global**, and filters must be `Sync` because they may run
-/// on shard worker threads.
-///
-/// [`Searcher`]: crate::Searcher
+/// Every [`DocId`] in and out is **global**, and filters must be `Sync`
+/// because they may run on shard worker threads.
 #[derive(Debug, Clone)]
 pub struct ShardedSearcher<'a> {
     index: &'a ShardedIndex,
@@ -621,90 +632,39 @@ impl<'a> ShardedSearcher<'a> {
         ShardedSearcher { index, scoring }
     }
 
-    /// The underlying sharded index.
-    pub fn index(&self) -> &ShardedIndex {
-        self.index
-    }
-
-    /// Run `query`, returning up to `k` hits, best first — identical (ids,
-    /// order, scores to the last bit) to [`crate::Searcher::search`] over
-    /// the same documents in one index.
-    pub fn search(&self, query: &str, k: usize) -> Vec<Hit> {
-        let terms = self.index.analyzer().tokenize(query);
-        self.search_terms(&terms, k)
-    }
-
-    /// Run a query given pre-analyzed terms. Unfiltered, so MaxScore
-    /// pruning is fully armed.
-    pub fn search_terms(&self, terms: &[String], k: usize) -> Vec<Hit> {
-        self.try_search_terms_where_ctx(terms, k, None, &SearchContext::default())
-            .expect("infallible without a cancel probe or injected faults")
-            .hits
-    }
-
-    /// Run `query`, keeping only documents accepted by `filter` (which
-    /// receives **global** doc ids and runs on the shard worker threads).
-    pub fn search_where(
-        &self,
-        query: &str,
-        k: usize,
-        filter: impl Fn(DocId) -> bool + Sync,
-    ) -> Vec<Hit> {
-        let terms = self.index.analyzer().tokenize(query);
-        self.search_terms_where(&terms, k, filter)
-    }
-
-    /// [`ShardedSearcher::search_where`] with pre-analyzed terms.
-    pub fn search_terms_where(
-        &self,
-        terms: &[String],
-        k: usize,
-        filter: impl Fn(DocId) -> bool + Sync,
-    ) -> Vec<Hit> {
-        self.search_terms_where_ctx(terms, k, filter, &SearchContext::default())
-    }
-
-    /// [`ShardedSearcher::search_terms_where`] drawing its resources —
-    /// scratch pool, executor, timing counters, dispatch policy — from an
-    /// explicit [`SearchContext`]. This is the engine's entry point; every
-    /// convenience API above routes here with the default context.
+    /// Run a query given pre-analyzed terms, returning up to `k` hits, best
+    /// first — identical (ids, order, scores to the last bit) to an
+    /// unsharded search over the same documents. `filter` is optional
+    /// (`None` = unfiltered, which additionally arms the kernel's
+    /// partial-threshold pruning probe) and sees **global** doc ids. Every
+    /// resource — scratch pool, executor, timing counters, dispatch policy,
+    /// cancel probe, kernel tier, failure policy — comes from `ctx`;
+    /// `&SearchContext::default()` scores every shard on the calling thread.
     ///
-    /// The dispatch decision: a single-shard index always scores inline.
-    /// Otherwise the policy weighs the query's estimated postings walk
-    /// (the sum of corpus-global document frequencies of its terms, free
-    /// as a by-product of folding the scorers) against the pool that would
-    /// share it; small queries score inline on the calling thread with
-    /// zero dispatch, large ones fan out across the executor (or scoped
-    /// threads when the context has no executor). Both paths produce
-    /// bit-identical results — per-shard hit lists merge on the calling
-    /// thread under the same total order either way.
+    /// Two bodies run a search, with bit-identical results:
     ///
-    /// If the context carries a [`CancelProbe`] that trips mid-kernel, the
-    /// search degrades to an **empty hit list** — callers that must
-    /// distinguish cancellation use
-    /// [`ShardedSearcher::try_search_terms_where_ctx`].
-    pub fn search_terms_where_ctx(
-        &self,
-        terms: &[String],
-        k: usize,
-        filter: impl Fn(DocId) -> bool + Sync,
-        ctx: &SearchContext,
-    ) -> Vec<Hit> {
-        self.try_search_terms_where_ctx(terms, k, Some(&filter), ctx)
-            .map(|o| o.hits)
-            .unwrap_or_default()
-    }
-
-    /// The fallible, fully-explicit entry point behind every search API:
-    /// `filter` is optional (`None` = unfiltered, which additionally arms
-    /// the kernel's partial-threshold pruning probe). A tripped
-    /// [`SearchContext::cancel`] probe surfaces as
-    /// `Err(`[`SearchFailure::Cancelled`]`)` and a panicking shard task as
-    /// `Err(`[`SearchFailure::Panicked`]`)` — unless
-    /// [`SearchContext::on_failure`] is [`ShardFailurePolicy::Degrade`],
-    /// in which case failed shards drop out of the merge and the outcome
-    /// reports them via [`SearchOutcome::failed_shards`]. Under
-    /// [`ShardFailurePolicy::Fail`] no partial results are ever returned.
+    /// - **The shared-top-k sweep**, under [`ShardFailurePolicy::Fail`]
+    ///   when the query scores inline: every shard on the calling thread
+    ///   into ONE bounded heap, behind one panic/cancel boundary.
+    /// - **Per-shard slots**: each shard into its own top-k behind its own
+    ///   boundary, then a deterministic merge. The executor runs the slots
+    ///   when the query is dispatched; under
+    ///   [`ShardFailurePolicy::Degrade`] an inline query runs them one
+    ///   shard after another on the calling thread.
+    ///
+    /// A query is dispatched only when the context has an executor, the
+    /// index has more than one shard, and the policy weighs the query's
+    /// estimated postings walk (the sum of corpus-global document
+    /// frequencies of its terms, free as a by-product of folding the
+    /// scorers) against the pool and declines to inline it.
+    ///
+    /// A tripped [`SearchContext::cancel`] probe surfaces as
+    /// `Err(`[`SearchFailure::Cancelled`]`)` and a panicking shard as
+    /// `Err(`[`SearchFailure::Panicked`]`)`. Under
+    /// [`ShardFailurePolicy::Fail`] no partial results are ever returned;
+    /// under [`ShardFailurePolicy::Degrade`] failed shards drop out of the
+    /// merge, [`SearchOutcome::failed_shards`] counts them, and the first
+    /// failure surfaces only when every shard that had documents failed.
     pub fn try_search_terms_where_ctx(
         &self,
         terms: &[String],
@@ -742,20 +702,17 @@ impl<'a> ShardedSearcher<'a> {
         let bounds: Vec<f64> = order.iter().map(|&i| bounds[i]).collect();
 
         let n = shards.len();
-        let inline = n == 1 || {
-            // Without an executor the scoped-thread fallback still fans out
-            // one thread per shard, so that is the effective "pool".
-            let pool_size = ctx.exec.map_or(n, ShardExecutor::pool_size);
-            ctx.policy.should_inline(estimated_postings, pool_size)
-        };
+        let dispatch_to = ctx.exec.filter(|exec| {
+            n > 1
+                && !ctx
+                    .policy
+                    .should_inline(estimated_postings, exec.pool_size())
+        });
         if let Some(d) = ctx.decisions {
-            d.record(inline);
+            d.record(dispatch_to.is_none());
         }
 
-        if inline {
-            if ctx.on_failure == ShardFailurePolicy::Degrade {
-                return self.search_inline_degrade(&deduped, &scorers, &bounds, k, filter, ctx);
-            }
+        if dispatch_to.is_none() && ctx.on_failure == ShardFailurePolicy::Fail {
             // Zero-dispatch path: walk the shards on this thread, reusing
             // ONE scratch (each shard re-begins it, so the accumulator
             // stays cache-warm shard to shard), ONE resolved-terms buffer,
@@ -767,13 +724,12 @@ impl<'a> ShardedSearcher<'a> {
             // shards also hands later shards a ready pruning threshold.)
             let score_all = |scratch: &mut ScoreScratch| {
                 let mut top = TopK::new(k);
-                let mut resolved: Vec<(Option<crate::index::TermId>, usize)> =
-                    Vec::with_capacity(deduped.len());
+                let mut resolved = Vec::with_capacity(deduped.len());
                 for (s, shard) in shards.iter().enumerate() {
                     if shard.num_docs() == 0 {
                         continue;
                     }
-                    self.score_shard_topk(
+                    self.score_shard(
                         s,
                         &deduped,
                         &scorers,
@@ -790,51 +746,53 @@ impl<'a> ShardedSearcher<'a> {
             // A kernel panic on the caller's own thread is still contained
             // at this boundary (under Fail it is the query's error, not the
             // process's) — with_scratch has already returned the scratch.
-            return match catch_unwind(AssertUnwindSafe(|| ctx.with_scratch(score_all))) {
-                Ok(Ok(hits)) => Ok(SearchOutcome {
-                    hits,
-                    failed_shards: 0,
-                }),
-                Ok(Err(Cancelled)) => Err(SearchFailure::Cancelled),
-                Err(payload) => Err(SearchFailure::Panicked {
-                    message: TaskPanic { payload }.message(),
-                }),
-            };
+            let hits = contained(|| ctx.with_scratch(score_all))?;
+            return Ok(SearchOutcome {
+                hits,
+                failed_shards: 0,
+            });
         }
 
-        // Each slot carries its shard's own outcome; organic panics inside
-        // a scoring task are caught *inside* the task (so the slot records
-        // them and the other shards' slots still fill), while a panic
-        // injected at the executor's own `exec.task` site fires outside
-        // that catch and comes back through `try_run_urgent` — its shard's
-        // slot stays `None`.
+        // Per-shard slots: each shard's own top-k, or its own failure.
+        // Empty shards contribute nothing and are not scored (nor, on the
+        // executor, given a task).
+        let has_docs = |s: usize| shards[s].num_docs() > 0;
+        let score_slot =
+            |s: usize, scratch: &mut ScoreScratch| -> Result<Vec<Hit>, SearchFailure> {
+                let mut top = TopK::new(k);
+                let mut resolved = Vec::with_capacity(deduped.len());
+                contained(|| {
+                    self.score_shard(
+                        s,
+                        &deduped,
+                        &scorers,
+                        &bounds,
+                        filter,
+                        ctx,
+                        scratch,
+                        &mut resolved,
+                        &mut top,
+                    )
+                })?;
+                Ok(top.into_sorted_hits())
+            };
         let mut slots: Vec<Option<Result<Vec<Hit>, SearchFailure>>> =
             (0..n).map(|_| None).collect();
-        let mut had_task = vec![false; n];
-        for (s, shard) in shards.iter().enumerate() {
-            // Empty shards contribute nothing; don't pay a task.
-            had_task[s] = shard.num_docs() > 0;
-        }
-        let score_into = |s: usize, slot: &mut Option<Result<Vec<Hit>, SearchFailure>>| {
-            let outcome = match catch_unwind(AssertUnwindSafe(|| {
-                self.score_shard_pooled(s, &deduped, &scorers, &bounds, k, filter, ctx)
-            })) {
-                Ok(r) => r.map_err(SearchFailure::from),
-                Err(payload) => Err(SearchFailure::Panicked {
-                    message: TaskPanic { payload }.message(),
-                }),
-            };
-            *slot = Some(outcome);
-        };
-        let run_panic: Option<TaskPanic> = match ctx.exec {
+        let run_panic: Option<TaskPanic> = match dispatch_to {
             Some(exec) => {
+                // Organic panics are caught inside each task (so its slot
+                // records them and the other slots still fill), while a
+                // panic injected at the executor's own `exec.task` site
+                // fires outside that catch and comes back through
+                // `try_run_urgent` — its shard's slot stays `None`.
                 let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
                     .iter_mut()
                     .enumerate()
-                    .filter(|(s, _)| had_task[*s])
+                    .filter(|(s, _)| has_docs(*s))
                     .map(|(s, slot)| {
-                        let score_into = &score_into;
-                        Box::new(move || score_into(s, slot)) as Box<dyn FnOnce() + Send + '_>
+                        let score_slot = &score_slot;
+                        Box::new(move || *slot = Some(ctx.with_scratch(|sc| score_slot(s, sc))))
+                            as Box<dyn FnOnce() + Send + '_>
                     })
                     .collect();
                 // Shard tasks are the latency class: they jump ahead
@@ -842,13 +800,14 @@ impl<'a> ShardedSearcher<'a> {
                 exec.try_run_urgent(tasks).err()
             }
             None => {
-                std::thread::scope(|scope| {
+                // Degrade, inline: the same slots in shard order through
+                // one scratch. A panic caught mid-kernel leaves the scratch
+                // reusable — the next shard's `begin` bumps its epoch.
+                ctx.with_scratch(|scratch| {
                     for (s, slot) in slots.iter_mut().enumerate() {
-                        if !had_task[s] {
-                            continue;
+                        if has_docs(s) {
+                            *slot = Some(score_slot(s, scratch));
                         }
-                        let score_into = &score_into;
-                        scope.spawn(move || score_into(s, slot));
                     }
                 });
                 None
@@ -867,159 +826,41 @@ impl<'a> ShardedSearcher<'a> {
                     continue;
                 }
                 Some(Err(f)) => f,
-                None if had_task[s] => SearchFailure::Panicked {
+                None if has_docs(s) => SearchFailure::Panicked {
                     message: run_panic
                         .as_ref()
                         .map(TaskPanic::message)
                         .unwrap_or_else(|| "shard task panicked".to_string()),
                 },
-                None => {
-                    lists.push(Vec::new());
-                    continue;
-                }
+                None => continue,
             };
             if ctx.on_failure == ShardFailurePolicy::Fail {
                 return Err(failure);
             }
             failed_shards += 1;
-            if first_failure.is_none() {
-                first_failure = Some(failure);
-            }
+            first_failure.get_or_insert(failure);
         }
-        if failed_shards == n {
-            // Nothing survived: degrading to an empty answer would hide a
-            // total outage, so surface the first failure instead.
-            return Err(first_failure.expect("n >= 1 failed shards"));
+        match first_failure {
+            // Every shard that had documents failed: an empty answer would
+            // hide a total outage, so surface the first failure instead.
+            Some(failure) if lists.is_empty() => Err(failure),
+            _ => Ok(SearchOutcome {
+                hits: merge_top_k(lists, k),
+                failed_shards,
+            }),
         }
-        Ok(SearchOutcome {
-            hits: merge_top_k(lists, k),
-            failed_shards,
-        })
-    }
-
-    /// The inline sweep under [`ShardFailurePolicy::Degrade`]: each shard
-    /// scores into its **own** top-k (the dispatch path's shape, so one
-    /// shard's mid-kernel fault cannot pollute a shared heap) with a
-    /// per-shard panic/cancel boundary, and the survivors merge. Results
-    /// are bit-identical to the shared-heap sweep by the determinism
-    /// contract — both equal sorting the concatenation — at the cost of
-    /// not sharing the pruning threshold across shards.
-    fn search_inline_degrade(
-        &self,
-        deduped: &[(&str, usize)],
-        scorers: &[TermScorer],
-        bounds: &[f64],
-        k: usize,
-        filter: Option<&(dyn Fn(DocId) -> bool + Sync)>,
-        ctx: &SearchContext,
-    ) -> Result<SearchOutcome, SearchFailure> {
-        let shards = self.index.shards();
-        let mut lists: Vec<Vec<Hit>> = Vec::with_capacity(shards.len());
-        let mut failed_shards = 0usize;
-        let mut first_failure: Option<SearchFailure> = None;
-        ctx.with_scratch(|scratch| {
-            for (s, shard) in shards.iter().enumerate() {
-                if shard.num_docs() == 0 {
-                    continue;
-                }
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    self.score_shard(s, deduped, scorers, bounds, k, filter, ctx, scratch)
-                }));
-                match outcome {
-                    Ok(Ok(hits)) => lists.push(hits),
-                    Ok(Err(Cancelled)) => {
-                        failed_shards += 1;
-                        first_failure.get_or_insert(SearchFailure::Cancelled);
-                    }
-                    Err(payload) => {
-                        failed_shards += 1;
-                        first_failure.get_or_insert(SearchFailure::Panicked {
-                            message: TaskPanic { payload }.message(),
-                        });
-                    }
-                }
-            }
-        });
-        if lists.is_empty() && failed_shards > 0 {
-            return Err(first_failure.expect("failed_shards > 0"));
-        }
-        Ok(SearchOutcome {
-            hits: merge_top_k(lists, k),
-            failed_shards,
-        })
-    }
-
-    /// [`ShardedSearcher::score_shard`] obtaining a scratch from the
-    /// context (pool checkout, or the executing thread's thread-local) —
-    /// the per-task entry of the dispatch paths.
-    #[allow(clippy::too_many_arguments)]
-    fn score_shard_pooled(
-        &self,
-        s: usize,
-        deduped: &[(&str, usize)],
-        scorers: &[TermScorer],
-        bounds: &[f64],
-        k: usize,
-        filter: Option<&(dyn Fn(DocId) -> bool + Sync)>,
-        ctx: &SearchContext,
-    ) -> Result<Vec<Hit>, Cancelled> {
-        ctx.with_scratch(|scratch| {
-            self.score_shard(s, deduped, scorers, bounds, k, filter, ctx, scratch)
-        })
     }
 
     /// Score one shard through the shared kernel
-    /// ([`crate::search`]'s dense-accumulate + bounded-top-k), against
-    /// corpus-global scorers, yielding globally-identified hits sorted by
-    /// [`rank_hits`] and cut to the shard-local top-k (the global top-k is
-    /// a subset of the union of shard top-ks, so deeper lists would never
-    /// survive the merge). Scoring wall-clock accumulates into the
-    /// context's [`ShardTimings`] slot `s` when present (one relaxed
-    /// atomic add; no timing configured = not even a clock read).
+    /// ([`crate::search`]'s dense-accumulate + bounded-top-k) against
+    /// corpus-global scorers, pushing globally-identified candidates into
+    /// `top` — the sweep's shared heap, or a slot's own. `resolved` is the
+    /// dictionary-resolution buffer, reused across the sweep's shards.
+    /// Scoring wall-clock accumulates into the context's [`ShardTimings`]
+    /// slot `s` when present (one relaxed atomic add; no timing configured
+    /// = not even a clock read).
     #[allow(clippy::too_many_arguments)]
     fn score_shard(
-        &self,
-        s: usize,
-        deduped: &[(&str, usize)],
-        scorers: &[TermScorer],
-        bounds: &[f64],
-        k: usize,
-        filter: Option<&(dyn Fn(DocId) -> bool + Sync)>,
-        ctx: &SearchContext,
-        scratch: &mut ScoreScratch,
-    ) -> Result<Vec<Hit>, Cancelled> {
-        let start = ctx.timings.map(|_| Instant::now());
-        let shard = &self.index.shards()[s];
-        // Resolve the query against this shard's own dictionary (TermIds
-        // never cross shards): one probe per distinct term per shard.
-        let resolved: Vec<(Option<crate::index::TermId>, usize)> = deduped
-            .iter()
-            .map(|(t, qtf)| (shard.term_id(t), *qtf))
-            .collect();
-        let to_global = |local| self.index.to_global(s, local);
-        let hits = score_terms_into(
-            shard,
-            &resolved,
-            scorers,
-            bounds,
-            k,
-            scratch,
-            to_global,
-            filter.map(|f| f as &dyn Fn(DocId) -> bool),
-            kernel_opts(ctx),
-        );
-        if let (Some(timings), Some(start)) = (ctx.timings, start) {
-            timings.add(s, start.elapsed().as_nanos() as u64);
-        }
-        hits
-    }
-
-    /// [`ShardedSearcher::score_shard`] for the inline path: candidates go
-    /// into the caller's shared [`TopK`] (no per-shard hit list, no merge)
-    /// and the dictionary-resolution buffer is reused across shards. Same
-    /// accumulation, same total order, same timing accounting.
-    #[allow(clippy::too_many_arguments)]
-    fn score_shard_topk(
         &self,
         s: usize,
         deduped: &[(&str, usize)],
@@ -1033,6 +874,8 @@ impl<'a> ShardedSearcher<'a> {
     ) -> Result<(), Cancelled> {
         let start = ctx.timings.map(|_| Instant::now());
         let shard = &self.index.shards()[s];
+        // Resolve the query against this shard's own dictionary (TermIds
+        // never cross shards): one probe per distinct term per shard.
         resolved.clear();
         resolved.extend(deduped.iter().map(|(t, qtf)| (shard.term_id(t), *qtf)));
         let to_global = |local| self.index.to_global(s, local);
@@ -1052,15 +895,10 @@ impl<'a> ShardedSearcher<'a> {
         }
         out
     }
-
-    /// Convenience: the single best hit, if any.
-    pub fn top(&self, query: &str) -> Option<Hit> {
-        self.search(query, 1).into_iter().next()
-    }
-
     /// Score one specific **global** document against a query (same
-    /// accumulation as [`ShardedSearcher::search`], restricted to `doc`).
-    /// Returns a zero-score hit when no query term matches.
+    /// accumulation as [`ShardedSearcher::try_search_terms_where_ctx`],
+    /// restricted to `doc`). Returns a zero-score hit when no query term
+    /// matches.
     ///
     /// Sums term contributions in the same bound-descending order as the
     /// kernel — the bounds come from the same corpus-global statistics —
@@ -1143,6 +981,14 @@ mod tests {
     use crate::index::IndexBuilder;
     use crate::search::Searcher;
 
+    /// Unfiltered search on the calling thread under `ctx`.
+    fn search(s: &ShardedSearcher, q: &str, k: usize, ctx: &SearchContext) -> Vec<Hit> {
+        let terms = s.index.analyzer().tokenize(q);
+        s.try_search_terms_where_ctx(&terms, k, None, ctx)
+            .expect("no probe, no faults")
+            .hits
+    }
+
     fn corpus() -> Vec<Document> {
         let texts = [
             "star wars cast luke skywalker",
@@ -1208,35 +1054,70 @@ mod tests {
         let docs = corpus();
         let ix = builder_with(&docs).build();
         let flat = Searcher::new(&ix, ScoringFunction::default());
+        let mut scratch = ScoreScratch::new();
         for n in [1usize, 2, 3, 8] {
             let sx = builder_with(&docs).build_sharded(n);
             let sharded = ShardedSearcher::new(&sx, ScoringFunction::default());
             for q in ["star wars", "cast", "drama space", "star star cast", "zzz"] {
+                let terms = ix.analyzer().tokenize(q);
                 for k in [0usize, 1, 3, 100] {
-                    assert_eq!(sharded.search(q, k), flat.search(q, k), "{q} k={k} n={n}");
+                    assert_eq!(
+                        search(&sharded, q, k, &SearchContext::default()),
+                        flat.search_terms_with(&terms, k, &mut scratch),
+                        "{q} k={k} n={n}"
+                    );
                 }
             }
         }
     }
 
+    /// The reference for both the filter and `score_doc` is one exhaustive
+    /// search at k = `num_docs`: every matching document with its score.
     #[test]
     fn sharded_filter_and_score_doc_agree_with_unsharded() {
         let docs = corpus();
-        let ix = builder_with(&docs).build();
-        let flat = Searcher::new(&ix, ScoringFunction::default());
-        let sx = builder_with(&docs).build_sharded(3);
-        let sharded = ShardedSearcher::new(&sx, ScoringFunction::default());
-        // filters see global ids, so the same predicate works on both paths
+        let exhaustive = SearchContext {
+            tier: KernelTier::Exhaustive,
+            ..SearchContext::default()
+        };
+        // filters see global ids, so one predicate works at every n
         let even = |d: DocId| d.is_multiple_of(2);
-        assert_eq!(
-            sharded.search_where("star cast", 10, even),
-            flat.search_where("star cast", 10, even)
-        );
-        for g in 0..docs.len() as DocId {
-            assert_eq!(
-                sharded.score_doc("star cast", g),
-                flat.score_doc("star cast", g)
-            );
+        for n in [1usize, 2, 3, 8] {
+            let sx = builder_with(&docs).build_sharded(n);
+            let sharded = ShardedSearcher::new(&sx, ScoringFunction::default());
+            for q in ["star cast", "star wars", "drama", "zzz"] {
+                let all = search(&sharded, q, docs.len(), &exhaustive);
+                let terms = sx.analyzer().tokenize(q);
+                for k in [1usize, 2, 10] {
+                    let want: Vec<Hit> = all
+                        .iter()
+                        .filter(|h| even(h.doc))
+                        .take(k)
+                        .cloned()
+                        .collect();
+                    let got = sharded
+                        .try_search_terms_where_ctx(
+                            &terms,
+                            k,
+                            Some(&even),
+                            &SearchContext::default(),
+                        )
+                        .unwrap()
+                        .hits;
+                    assert_eq!(got, want, "{q} k={k} n={n}");
+                }
+                for g in 0..docs.len() as DocId {
+                    let want = all.iter().find(|h| h.doc == g).cloned().unwrap_or(Hit {
+                        doc: g,
+                        score: 0.0,
+                        matched_terms: 0,
+                    });
+                    let got = sharded.score_doc(q, g);
+                    assert_eq!(got.doc, g);
+                    assert_eq!(got.score.to_bits(), want.score.to_bits(), "{q} doc {g}");
+                    assert_eq!(got.matched_terms, want.matched_terms, "{q} doc {g}");
+                }
+            }
         }
     }
 
@@ -1278,43 +1159,45 @@ mod tests {
 
     #[test]
     fn empty_and_oversharded_indexes_are_well_behaved() {
+        let ctx = SearchContext::default();
         let empty = IndexBuilder::new().build_sharded(4);
         assert_eq!(empty.num_docs(), 0);
         assert_eq!(empty.avg_doc_length(), 0.0);
         let s = ShardedSearcher::new(&empty, ScoringFunction::default());
-        assert!(s.search("star", 10).is_empty());
+        assert!(search(&s, "star", 10, &ctx).is_empty());
 
         // more shards than documents: trailing shards are empty but searches
         // still see every document
         let two = builder_with(&corpus()[..2]).build_sharded(8);
         assert_eq!(two.num_shards(), 8);
         let s = ShardedSearcher::new(&two, ScoringFunction::default());
-        assert_eq!(s.search("star", 10).len(), 2);
+        assert_eq!(search(&s, "star", 10, &ctx).len(), 2);
     }
 
     #[test]
     fn timings_accumulate_one_counter_per_shard() {
         let sx = builder_with(&corpus()).build_sharded(3);
         let s = ShardedSearcher::new(&sx, ScoringFunction::default());
-        let terms = sx.analyzer().tokenize("star cast");
         let timings = ShardTimings::new(3);
         let ctx = SearchContext {
             timings: Some(&timings),
             ..SearchContext::default()
         };
-        let hits = s.search_terms_where_ctx(&terms, 5, |_| true, &ctx);
-        assert!(!hits.is_empty());
+        assert!(!search(&s, "star cast", 5, &ctx).is_empty());
         assert_eq!(timings.len(), 3);
         assert_eq!(timings.snapshot().len(), 3);
         // a second search adds on top (monotone accumulation)
         let before = timings.snapshot();
-        s.search_terms_where_ctx(&terms, 5, |_| true, &ctx);
+        search(&s, "star cast", 5, &ctx);
         let after = timings.snapshot();
         for (b, a) in before.iter().zip(&after) {
             assert!(a >= b);
         }
     }
 
+    /// Every way shards get scored agrees bit for bit: the shared-heap
+    /// sweep, the per-shard slots on the executor, and the same slots run
+    /// one after another on the calling thread (`Degrade`, inline).
     #[test]
     fn inline_executor_and_scoped_dispatch_agree_bitwise() {
         let docs = corpus();
@@ -1322,39 +1205,30 @@ mod tests {
         let s = ShardedSearcher::new(&sx, ScoringFunction::default());
         let exec = ShardExecutor::new(2);
         let pool = ScratchPool::new();
+        let accept_all = |_: DocId| true;
         for q in ["star wars", "cast", "drama space", "zzz"] {
             let terms = sx.analyzer().tokenize(q);
-            let inline = s.search_terms_where_ctx(
-                &terms,
-                10,
-                |_| true,
-                &SearchContext {
-                    policy: DispatchPolicy::force_inline(),
-                    ..SearchContext::default()
-                },
-            );
-            let dispatched = s.search_terms_where_ctx(
-                &terms,
-                10,
-                |_| true,
-                &SearchContext {
-                    exec: Some(&exec),
-                    pool: Some(&pool),
-                    policy: DispatchPolicy::force_dispatch(),
-                    ..SearchContext::default()
-                },
-            );
-            let scoped = s.search_terms_where_ctx(
-                &terms,
-                10,
-                |_| true,
-                &SearchContext {
-                    policy: DispatchPolicy::force_dispatch(),
-                    ..SearchContext::default()
-                },
-            );
+            let run = |ctx: &SearchContext| {
+                s.try_search_terms_where_ctx(&terms, 10, Some(&accept_all), ctx)
+                    .unwrap()
+            };
+            let inline = run(&SearchContext {
+                policy: DispatchPolicy::force_inline(),
+                ..SearchContext::default()
+            });
+            let dispatched = run(&SearchContext {
+                exec: Some(&exec),
+                pool: Some(&pool),
+                policy: DispatchPolicy::force_dispatch(),
+                ..SearchContext::default()
+            });
+            let serial_slots = run(&SearchContext {
+                policy: DispatchPolicy::force_inline(),
+                on_failure: ShardFailurePolicy::Degrade,
+                ..SearchContext::default()
+            });
             assert_eq!(inline, dispatched, "{q}");
-            assert_eq!(inline, scoped, "{q}");
+            assert_eq!(inline, serial_slots, "{q}");
         }
     }
 

@@ -1,9 +1,9 @@
 //! Property tests over the IR engine's core invariants.
 
 use irengine::{
-    Analyzer, DispatchPolicy, DocId, Document, Hit, Index, IndexBuilder, KernelTier,
-    ScoringFunction, ScratchPool, SearchContext, Searcher, ShardExecutor, ShardedSearcher,
-    TermStats,
+    Analyzer, DispatchPolicy, DocId, Document, Hit, Index, IndexBuilder, KernelTier, ScoreScratch,
+    ScoringFunction, ScratchPool, SearchContext, Searcher, ShardExecutor, ShardFailurePolicy,
+    ShardedSearcher, TermStats,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -100,6 +100,27 @@ fn build_index(texts: &[String]) -> irengine::Index {
     builder(texts).build()
 }
 
+/// [`Searcher::search_terms_with`] from query text, on a fresh scratch.
+fn search(s: &Searcher, q: &str, k: usize) -> Vec<Hit> {
+    s.search_terms_with(
+        &Analyzer::keep_all().tokenize(q),
+        k,
+        &mut ScoreScratch::new(),
+    )
+}
+
+/// An unfiltered sharded search under `ctx`, which must not fail.
+fn sharded_search(
+    s: &ShardedSearcher,
+    terms: &[String],
+    k: usize,
+    ctx: &SearchContext,
+) -> Vec<Hit> {
+    s.try_search_terms_where_ctx(terms, k, None, ctx)
+        .expect("no probe, no faults")
+        .hits
+}
+
 /// Same docs, same order, same matched counts, scores identical to the bit.
 fn assert_bit_identical(
     got: &[Hit],
@@ -121,7 +142,7 @@ proptest! {
     fn scores_are_finite_and_nonnegative(texts in prop::collection::vec(doc_text(), 1..20), q in doc_text()) {
         let ix = build_index(&texts);
         let s = Searcher::new(&ix, ScoringFunction::default());
-        for hit in s.search(&q, texts.len()) {
+        for hit in search(&s, &q, texts.len()) {
             prop_assert!(hit.score.is_finite());
             prop_assert!(hit.score >= 0.0);
             prop_assert!(hit.matched_terms >= 1);
@@ -134,7 +155,7 @@ proptest! {
         let s = Searcher::new(&ix, ScoringFunction::default());
         let analyzer = Analyzer::keep_all();
         let q_terms = analyzer.tokenize(&q);
-        for hit in s.search(&q, texts.len()) {
+        for hit in search(&s, &q, texts.len()) {
             let body = ix.document(hit.doc).unwrap().full_text();
             let doc_terms = analyzer.tokenize(&body);
             prop_assert!(q_terms.iter().any(|t| doc_terms.contains(t)),
@@ -150,7 +171,7 @@ proptest! {
     ) {
         let ix = build_index(&texts);
         let s = Searcher::new(&ix, ScoringFunction::default());
-        let hits = s.search(&q, k);
+        let hits = search(&s, &q, k);
         prop_assert!(hits.len() <= k);
         prop_assert!(hits.windows(2).all(|w| w[0].score >= w[1].score));
     }
@@ -165,14 +186,14 @@ proptest! {
         // unchanged. (Exact *order* may shift: avgdl moves for everyone.)
         let ix = build_index(&texts);
         let s = Searcher::new(&ix, ScoringFunction::default());
-        let mut before: Vec<u32> = s.search(&q, 100).into_iter().map(|h| h.doc).collect();
+        let mut before: Vec<u32> = search(&s, &q, 100).into_iter().map(|h| h.doc).collect();
 
         let mut extended = texts.clone();
         extended.push("zzz yyy xxx www".to_string());
         let new_doc = (extended.len() - 1) as u32;
         let ix2 = build_index(&extended);
         let s2 = Searcher::new(&ix2, ScoringFunction::default());
-        let mut after: Vec<u32> = s2.search(&q, 100).into_iter().map(|h| h.doc).collect();
+        let mut after: Vec<u32> = search(&s2, &q, 100).into_iter().map(|h| h.doc).collect();
 
         prop_assert!(!after.contains(&new_doc));
         before.sort_unstable();
@@ -212,9 +233,10 @@ proptest! {
         let ix = build_index(&texts);
         let s = Searcher::new(&ix, scoring);
         let terms = Analyzer::keep_all().tokenize(&q);
+        let mut scratch = ScoreScratch::new();
         for k in [1usize, 3, texts.len() + 5] {
             let expected = naive_search(&ix, scoring, &terms, k);
-            let got = s.search_terms(&terms, k);
+            let got = s.search_terms_with(&terms, k, &mut scratch);
             prop_assert_eq!(got.len(), expected.len());
             for (g, e) in got.iter().zip(&expected) {
                 prop_assert_eq!(g.doc, e.doc);
@@ -225,26 +247,34 @@ proptest! {
     }
 
     // The same contract through the sharded path: per-shard kernels against
-    // corpus-global scorers + deterministic merge ≡ the naive reference.
+    // corpus-global scorers + deterministic merge ≡ the naive reference —
+    // unfiltered, and under a random accept-set. The filter sees global ids,
+    // so its reference is the full naive ranking, filtered, then cut to k.
     #[test]
     fn sharded_kernel_bit_identical_to_naive_reference(
         texts in prop::collection::vec(doc_text(), 1..20),
         q in doc_text(),
-        n in 1usize..6,
+        accept in prop::collection::vec(prop::sample::select(vec![false, true]), 20),
     ) {
         let scoring = ScoringFunction::default();
         let ix = build_index(&texts);
         let terms = Analyzer::keep_all().tokenize(&q);
-        let sx = builder(&texts).build_sharded(n);
-        let sharded = ShardedSearcher::new(&sx, scoring);
-        for k in [1usize, 3, texts.len() + 5] {
-            let expected = naive_search(&ix, scoring, &terms, k);
-            let got = sharded.search_terms(&terms, k);
-            prop_assert_eq!(got.len(), expected.len());
-            for (g, e) in got.iter().zip(&expected) {
-                prop_assert_eq!(g.doc, e.doc);
-                prop_assert_eq!(g.matched_terms, e.matched_terms);
-                prop_assert_eq!(g.score.to_bits(), e.score.to_bits());
+        let accepts = |d: DocId| accept[d as usize];
+        let everything = naive_search(&ix, scoring, &terms, texts.len());
+        let ctx = SearchContext::default();
+        for n in [1usize, 2, 3, 8] {
+            let sx = builder(&texts).build_sharded(n);
+            let sharded = ShardedSearcher::new(&sx, scoring);
+            for k in [1usize, 3, texts.len() + 5] {
+                let expected = naive_search(&ix, scoring, &terms, k);
+                assert_bit_identical(&sharded_search(&sharded, &terms, k, &ctx), &expected)?;
+                let filtered: Vec<Hit> =
+                    everything.iter().filter(|h| accepts(h.doc)).take(k).cloned().collect();
+                let got = sharded
+                    .try_search_terms_where_ctx(&terms, k, Some(&accepts), &ctx)
+                    .expect("no probe, no faults")
+                    .hits;
+                assert_bit_identical(&got, &filtered)?;
             }
         }
     }
@@ -261,11 +291,15 @@ proptest! {
     ) {
         let ix = build_index(&texts);
         let flat = Searcher::new(&ix, ScoringFunction::default());
-        let expected = flat.search(&q, k);
+        let expected = search(&flat, &q, k);
+        let terms = Analyzer::keep_all().tokenize(&q);
         for n in [1usize, 2, 3, 8] {
             let sx = builder(&texts).build_sharded(n);
             let sharded = ShardedSearcher::new(&sx, ScoringFunction::default());
-            prop_assert_eq!(&sharded.search(&q, k), &expected);
+            prop_assert_eq!(
+                &sharded_search(&sharded, &terms, k, &SearchContext::default()),
+                &expected
+            );
         }
     }
 
@@ -281,9 +315,10 @@ proptest! {
 
     // The executor determinism contract: for any corpus, query, shard
     // count, pool size, and k, the adaptive inline path, forced inline,
-    // forced dispatch onto a persistent ShardExecutor, and the scoped-
-    // thread fallback all return bit-identical hits (ids, order, scores,
-    // matched_terms — Hit's PartialEq compares f64 exactly).
+    // forced dispatch onto a persistent ShardExecutor, and the per-shard
+    // slots run one after another on the calling thread (Degrade, inline)
+    // all return bit-identical hits (ids, order, scores, matched_terms —
+    // Hit's PartialEq compares f64 exactly).
     #[test]
     fn inline_and_dispatched_execution_bit_identical(
         texts in prop::collection::vec(doc_text(), 1..20),
@@ -297,62 +332,44 @@ proptest! {
         let terms = Analyzer::keep_all().tokenize(&q);
         let exec = ShardExecutor::new(pool_threads);
         let pool = ScratchPool::new();
-        let inline = sharded.search_terms_where_ctx(
-            &terms,
-            k,
-            |_| true,
-            &SearchContext {
-                policy: DispatchPolicy::force_inline(),
-                ..SearchContext::default()
-            },
-        );
-        let dispatched = sharded.search_terms_where_ctx(
-            &terms,
-            k,
-            |_| true,
-            &SearchContext {
-                exec: Some(&exec),
-                pool: Some(&pool),
-                policy: DispatchPolicy::force_dispatch(),
-                ..SearchContext::default()
-            },
-        );
-        let scoped = sharded.search_terms_where_ctx(
-            &terms,
-            k,
-            |_| true,
-            &SearchContext {
-                policy: DispatchPolicy::force_dispatch(),
-                ..SearchContext::default()
-            },
-        );
+        let accept_all = |_: DocId| true;
+        let run = |ctx: &SearchContext| {
+            sharded
+                .try_search_terms_where_ctx(&terms, k, Some(&accept_all), ctx)
+                .expect("no probe, no faults")
+        };
+        let inline = run(&SearchContext {
+            policy: DispatchPolicy::force_inline(),
+            ..SearchContext::default()
+        });
+        let dispatched = run(&SearchContext {
+            exec: Some(&exec),
+            pool: Some(&pool),
+            policy: DispatchPolicy::force_dispatch(),
+            ..SearchContext::default()
+        });
+        let serial_slots = run(&SearchContext {
+            policy: DispatchPolicy::force_inline(),
+            on_failure: ShardFailurePolicy::Degrade,
+            ..SearchContext::default()
+        });
         // adaptive with a zero threshold dispatches everything with
         // postings; with usize::MAX it inlines everything — both must
         // agree with each other and with the forced modes
-        let adaptive_low = sharded.search_terms_where_ctx(
-            &terms,
-            k,
-            |_| true,
-            &SearchContext {
-                exec: Some(&exec),
-                pool: Some(&pool),
-                policy: DispatchPolicy::adaptive(0),
-                ..SearchContext::default()
-            },
-        );
-        let adaptive_high = sharded.search_terms_where_ctx(
-            &terms,
-            k,
-            |_| true,
-            &SearchContext {
-                exec: Some(&exec),
-                pool: Some(&pool),
-                policy: DispatchPolicy::adaptive(usize::MAX),
-                ..SearchContext::default()
-            },
-        );
+        let adaptive_low = run(&SearchContext {
+            exec: Some(&exec),
+            pool: Some(&pool),
+            policy: DispatchPolicy::adaptive(0),
+            ..SearchContext::default()
+        });
+        let adaptive_high = run(&SearchContext {
+            exec: Some(&exec),
+            pool: Some(&pool),
+            policy: DispatchPolicy::adaptive(usize::MAX),
+            ..SearchContext::default()
+        });
         prop_assert_eq!(&dispatched, &inline);
-        prop_assert_eq!(&scoped, &inline);
+        prop_assert_eq!(&serial_slots, &inline);
         prop_assert_eq!(&adaptive_low, &inline);
         prop_assert_eq!(&adaptive_high, &inline);
     }
@@ -361,8 +378,8 @@ proptest! {
     // reference — docs, order, matched_terms, and score bits — for
     // k ∈ {1, 3, all}, every block size (1, tiny, default), flat and
     // sharded, inline and dispatched. This pins both that no pruned tier
-    // ever diverges and that the forced reference paths
-    // (`QUNITS_FORCE_EXHAUSTIVE` & co.) stay wired up.
+    // ever diverges and that the tiers `QUNITS_KERNEL` selects stay wired
+    // up.
     #[test]
     fn all_kernel_tiers_bit_identical_to_naive(
         texts in prop::collection::vec(doc_text(), 1..20),
@@ -382,12 +399,13 @@ proptest! {
         let sharded = ShardedSearcher::new(&sx, scoring);
         let exec = ShardExecutor::new(2);
         let pool = ScratchPool::new();
+        let mut scratch = ScoreScratch::new();
         let tiers = [KernelTier::BlockMax, KernelTier::MaxScore, KernelTier::Exhaustive];
         for k in [1usize, 3, texts.len() + 5] {
             let expected = naive_search(&ix, scoring, &terms, k);
             for tier in tiers {
                 let flat = Searcher::new(&ix, scoring).with_tier(tier);
-                assert_bit_identical(&flat.search_terms(&terms, k), &expected)?;
+                assert_bit_identical(&flat.search_terms_with(&terms, k, &mut scratch), &expected)?;
                 let inline = sharded.try_search_terms_where_ctx(&terms, k, None, &SearchContext {
                     policy: DispatchPolicy::force_inline(),
                     tier,
@@ -423,8 +441,8 @@ proptest! {
         let fingerprint = sx.fingerprint();
         let flat_bytes = sx.posting_store_bytes();
         let terms = Analyzer::keep_all().tokenize(&q);
-        let flat_hits = ShardedSearcher::new(&sx, ScoringFunction::default())
-            .search_terms(&terms, k);
+        let ctx = SearchContext::default();
+        let flat_hits = sharded_search(&ShardedSearcher::new(&sx, ScoringFunction::default()), &terms, k, &ctx);
         sx.compress_postings();
         prop_assert_eq!(sx.postings_codec(), irengine::PostingsCodec::DeltaVarint);
         // `sx` remembers its fingerprint from above, so the walk over
@@ -434,7 +452,7 @@ proptest! {
         prop_assert_eq!(walked_compressed.fingerprint(), fingerprint);
         prop_assert_eq!(sx.fingerprint(), fingerprint);
         let sharded = ShardedSearcher::new(&sx, ScoringFunction::default());
-        assert_bit_identical(&sharded.search_terms(&terms, k), &flat_hits)?;
+        assert_bit_identical(&sharded_search(&sharded, &terms, k, &ctx), &flat_hits)?;
         for tier in [KernelTier::BlockMax, KernelTier::MaxScore, KernelTier::Exhaustive] {
             let forced = sharded.try_search_terms_where_ctx(&terms, k, None, &SearchContext {
                 tier,
@@ -479,10 +497,9 @@ proptest! {
         prop_assert_eq!(loaded.num_docs(), sx.num_docs());
         prop_assert_eq!(loaded.num_postings(), sx.num_postings());
         let terms = Analyzer::keep_all().tokenize(&q);
-        let expected = ShardedSearcher::new(&sx, ScoringFunction::default())
-            .search_terms(&terms, k);
-        let got = ShardedSearcher::new(&loaded, ScoringFunction::default())
-            .search_terms(&terms, k);
+        let ctx = SearchContext::default();
+        let expected = sharded_search(&ShardedSearcher::new(&sx, ScoringFunction::default()), &terms, k, &ctx);
+        let got = sharded_search(&ShardedSearcher::new(&loaded, ScoringFunction::default()), &terms, k, &ctx);
         assert_bit_identical(&got, &expected)?;
     }
 
@@ -495,8 +512,8 @@ proptest! {
         let ix = build_index(&texts);
         let bm = Searcher::new(&ix, ScoringFunction::default());
         let tf = Searcher::new(&ix, ScoringFunction::TfIdf);
-        let mut a: Vec<u32> = bm.search("star", 100).into_iter().map(|h| h.doc).collect();
-        let mut b: Vec<u32> = tf.search("star", 100).into_iter().map(|h| h.doc).collect();
+        let mut a: Vec<u32> = search(&bm, "star", 100).into_iter().map(|h| h.doc).collect();
+        let mut b: Vec<u32> = search(&tf, "star", 100).into_iter().map(|h| h.doc).collect();
         a.sort_unstable();
         b.sort_unstable();
         prop_assert_eq!(a, b);

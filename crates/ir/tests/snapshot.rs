@@ -133,11 +133,10 @@ fn round_trip_preserves_documents() {
     let before = ShardedSearcher::new(&original, ScoringFunction::default());
     let after = ShardedSearcher::new(&loaded, ScoringFunction::default());
     let terms: Vec<String> = vec!["entity3".into(), "surname2".into()];
-    for (w, g) in before
-        .search_terms(&terms, 20)
-        .iter()
-        .zip(&after.search_terms(&terms, 20))
-    {
+    let ctx = SearchContext::default();
+    let want = before.try_search_terms_where_ctx(&terms, 20, None, &ctx);
+    let got = after.try_search_terms_where_ctx(&terms, 20, None, &ctx);
+    for (w, g) in want.unwrap().hits.iter().zip(&got.unwrap().hits) {
         assert_eq!(w.doc, g.doc);
     }
 }
