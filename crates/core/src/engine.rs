@@ -58,17 +58,12 @@
 //!
 //! # Service hardening
 //!
-//! Three knobs defend the tail under open-loop load (all inert at their
-//! defaults, CI-gated bit-identical when un-hit): per-query deadlines
+//! One knob defends the tail: a per-query deadline
 //! ([`EngineConfig::deadline`], checked at fixed pipeline checkpoints and
-//! at deterministic mid-kernel posting counts), admission control
-//! ([`EngineConfig::max_concurrent_queries`], rejecting
-//! with [`SearchError::Overloaded`] — carrying a deterministic
-//! `retry_after` backoff hint — from [`QunitSearchEngine::try_search`]
-//! instead of queueing), and bounded executor queues
-//! ([`EngineConfig::executor_queue_capacity`], over-capacity shard tasks
-//! degrade to the submitting thread). Every query-path event lands in
-//! cheap relaxed-atomic counters surfaced as one coherent
+//! at deterministic mid-kernel posting counts; inert at its default, and
+//! CI-gated bit-identical when un-hit). Admission and request queueing
+//! belong to the caller that embeds the engine. Every query-path event
+//! lands in cheap relaxed-atomic counters surfaced as one coherent
 //! [`QunitSearchEngine::obs_snapshot`] (see [`crate::obs`]); the repo
 //! benchmark's open-loop `imdb_zipf_serve` workload (`perf/`) replays a
 //! Zipf query log at a target QPS against all of it.
@@ -170,25 +165,6 @@ pub struct EngineConfig {
     /// partial query is never cached. `QUNITS_DEADLINE_MS` overrides this
     /// at build time.
     pub deadline: Option<Duration>,
-    /// Admission limit: maximum queries allowed inside
-    /// [`QunitSearchEngine::try_search`] at once; `0` (the default)
-    /// disables admission control. Over-limit queries are rejected
-    /// immediately with [`SearchError::Overloaded`] instead of queueing —
-    /// under sustained overload an open-loop arrival stream otherwise
-    /// builds an unbounded backlog whose queueing delay dwarfs service
-    /// time. Only the fallible service entry point rejects; `search` /
-    /// `search_batch` stay infallible and admission-free.
-    /// `QUNITS_MAX_CONCURRENT` overrides this at build time.
-    pub max_concurrent_queries: usize,
-    /// Capacity of each of the shard executor's priority queues (urgent /
-    /// bulk), in tasks; `usize::MAX` (the default) is unbounded. Tasks
-    /// over capacity are not dropped and do not block: they run on the
-    /// submitting thread, exactly as the executor's work-helping loop
-    /// would have run them, so results are bit-identical at any capacity
-    /// (CI-gated at capacity 1) — only scheduling changes. `0` degrades
-    /// every dispatched task to the submitting thread.
-    /// `QUNITS_EXEC_QUEUE_CAP` overrides this at build time.
-    pub executor_queue_capacity: usize,
     /// The scoring kernel tier every query runs; the default is
     /// [`KernelTier::default`]. Purely a performance knob: every tier is
     /// bit-identical (the CI determinism gate diffs transcripts across all
@@ -247,15 +223,6 @@ pub struct EngineConfig {
     /// with corpus-global stats and merge exactly as a full run would.
     /// `QUNITS_ON_SHARD_FAILURE=fail|degrade` overrides this at build time.
     pub on_shard_failure: ShardFailurePolicy,
-    /// Deterministic fault-injection schedule installed at build time (see
-    /// [`irengine::fault`] for the `site=action@trigger` syntax); `None`
-    /// (the default) leaves the process-wide registry untouched, and a
-    /// disarmed registry costs one relaxed atomic load per site. Test-only
-    /// in spirit but safe anywhere: injected faults flow through the same
-    /// error/degradation paths as organic ones. The registry is
-    /// process-global, so the last engine built wins.
-    /// `QUNITS_FAULT_SCHEDULE` overrides this at build time.
-    pub fault_schedule: Option<String>,
 }
 
 impl Default for EngineConfig {
@@ -276,15 +243,12 @@ impl Default for EngineConfig {
             executor_threads: 0,
             inline_postings_threshold: DispatchPolicy::DEFAULT_INLINE_THRESHOLD,
             deadline: None,
-            max_concurrent_queries: 0,
-            executor_queue_capacity: usize::MAX,
             kernel: KernelTier::default(),
             force_exhaustive: false,
             block_size: irengine::DEFAULT_BLOCK_SIZE,
             compress_postings: false,
             snapshot_path: None,
             on_shard_failure: ShardFailurePolicy::Fail,
-            fault_schedule: None,
         }
     }
 }
@@ -296,10 +260,6 @@ impl EngineConfig {
     ///
     /// - `QUNITS_DEADLINE_MS=<n>` — set [`EngineConfig::deadline`] to `n`
     ///   milliseconds;
-    /// - `QUNITS_MAX_CONCURRENT=<n>` — set
-    ///   [`EngineConfig::max_concurrent_queries`];
-    /// - `QUNITS_EXEC_QUEUE_CAP=<n>` — set
-    ///   [`EngineConfig::executor_queue_capacity`];
     /// - `QUNITS_KERNEL=blockmax|maxscore|exhaustive` — set
     ///   [`EngineConfig::kernel`] (the determinism gate diffs transcripts
     ///   across all three);
@@ -308,7 +268,9 @@ impl EngineConfig {
     ///   — set [`EngineConfig::compress_postings`] (the determinism gate
     ///   diffs transcripts against this too);
     /// - `QUNITS_SNAPSHOT_PATH=<path>` — set
-    ///   [`EngineConfig::snapshot_path`].
+    ///   [`EngineConfig::snapshot_path`];
+    /// - `QUNITS_ON_SHARD_FAILURE=fail|degrade` — set
+    ///   [`EngineConfig::on_shard_failure`].
     ///
     /// Unparseable values panic, like `QUNITS_INLINE_THRESHOLD`:
     /// a typo'd override silently falling back to the default would run
@@ -327,12 +289,6 @@ impl EngineConfig {
         }
         if let Some(ms) = parsed("QUNITS_DEADLINE_MS") {
             self.deadline = Some(Duration::from_millis(ms));
-        }
-        if let Some(n) = parsed("QUNITS_MAX_CONCURRENT") {
-            self.max_concurrent_queries = n as usize;
-        }
-        if let Some(n) = parsed("QUNITS_EXEC_QUEUE_CAP") {
-            self.executor_queue_capacity = n as usize;
         }
         if let Ok(v) = std::env::var("QUNITS_KERNEL") {
             self.kernel = match v.as_str() {
@@ -364,11 +320,6 @@ impl EngineConfig {
                 }
             };
         }
-        if let Ok(spec) = std::env::var("QUNITS_FAULT_SCHEDULE") {
-            if !spec.is_empty() {
-                self.fault_schedule = Some(spec);
-            }
-        }
         self
     }
 }
@@ -388,31 +339,14 @@ pub enum SearchError {
         /// Pipeline checkpoint at which the budget was found exhausted.
         phase: &'static str,
     },
-    /// Admission control turned the query away:
-    /// [`EngineConfig::max_concurrent_queries`] queries were already in
-    /// flight. The query did no work at all; retry after the hinted
-    /// backoff.
-    Overloaded {
-        /// Queries in flight at the moment of rejection.
-        in_flight: usize,
-        /// The configured admission limit.
-        limit: usize,
-        /// Deterministic backoff hint derived from the rejection-time
-        /// pressure (excess in-flight queries plus executor queue
-        /// backlog), not from any clock or randomness — the same
-        /// rejection state always hints the same wait, so transcript
-        /// tests can match it structurally. Clients should jitter it
-        /// themselves before sleeping.
-        retry_after: Duration,
-    },
     /// A shard task panicked mid-query and the engine contained it at the
     /// query boundary instead of unwinding the caller (under
     /// [`ShardFailurePolicy::Fail`], or when every shard that had
     /// documents failed under [`ShardFailurePolicy::Degrade`]). The
     /// engine, its worker pool, and its scratch buffers all remain
-    /// healthy — a crashed query releases its admission slot and scratch
-    /// on the way out — so callers may keep querying; the counter family
-    /// in [`crate::obs::ObsSnapshot`] tracks how often this fires.
+    /// healthy — a crashed query returns its scratch on the way out — so
+    /// callers may keep querying; the counter family in
+    /// [`crate::obs::ObsSnapshot`] tracks how often this fires.
     Internal {
         /// The panic's message — for injected faults, the failpoint site
         /// name (`"injected fault at exec.task"`); for organic panics,
@@ -426,17 +360,6 @@ impl std::fmt::Display for SearchError {
         match self {
             SearchError::DeadlineExceeded { phase } => {
                 write!(f, "query deadline exceeded at the {phase} checkpoint")
-            }
-            SearchError::Overloaded {
-                in_flight,
-                limit,
-                retry_after,
-            } => {
-                write!(
-                    f,
-                    "engine overloaded: {in_flight} queries in flight (limit {limit}), retry after {}ms",
-                    retry_after.as_millis()
-                )
             }
             SearchError::Internal { site } => {
                 write!(f, "internal query failure contained: {site}")
@@ -481,17 +404,6 @@ impl DeadlineCheck {
     /// though a `deadline: None` engine never even wires the probe up.
     fn expired(&self) -> bool {
         matches!(self.0, Some((start, budget)) if start.elapsed() >= budget)
-    }
-}
-
-/// RAII in-flight token: admission increments on entry, drop decrements —
-/// on every exit path including panics, so a crashed query can never leak
-/// a permanently occupied slot.
-struct AdmitGuard<'a>(&'a AtomicU64);
-
-impl Drop for AdmitGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Release);
     }
 }
 
@@ -627,16 +539,12 @@ pub struct QunitSearchEngine {
     /// environment overrides.
     policy: DispatchPolicy,
     /// Engine-owned observability counters (queries served, deadline
-    /// trips, admission rejections); merged with the cache, executor, and
+    /// trips, contained failures); merged with the cache, executor, and
     /// shard-timing counters in [`QunitSearchEngine::obs_snapshot`].
     obs: EngineObs,
     /// Inline-vs-dispatch decision tally, recorded by the sharded search
     /// path through [`SearchContext::decisions`].
     dispatch_counts: DispatchCounts,
-    /// Queries currently inside [`QunitSearchEngine::try_search`]
-    /// (admission control; see
-    /// [`EngineConfig::max_concurrent_queries`]).
-    in_flight: AtomicU64,
     /// Phase clock of the build that made this engine.
     build_timings: BuildTimings,
 }
@@ -982,14 +890,6 @@ impl QunitSearchEngine {
                 DefId::MAX_DEFINITIONS
             )));
         }
-        if let Some(spec) = &config.fault_schedule {
-            // Same philosophy as the numeric env overrides: a typo'd
-            // schedule silently ignored would run a chaos experiment with
-            // no chaos in it, so a bad spec fails loudly. A failed install
-            // leaves the registry disarmed.
-            irengine::fault::install(spec)
-                .unwrap_or_else(|e| panic!("invalid fault schedule {spec:?}: {e}"));
-        }
         let mut timings = BuildTimings::default();
         let mut clock = Instant::now();
         let dict = match &config.entity_specs {
@@ -1093,10 +993,7 @@ impl QunitSearchEngine {
         // The persistent worker pool every parallel search dispatches onto
         // — constructed once here, parked until queries arrive, joined on
         // drop. Scheduling only: pool size can never change results.
-        let exec = ShardExecutor::with_queue_capacity(
-            config.executor_threads,
-            config.executor_queue_capacity,
-        );
+        let exec = ShardExecutor::new(config.executor_threads);
         let policy =
             DispatchPolicy::adaptive(config.inline_postings_threshold).with_env_overrides();
         Ok(QunitSearchEngine {
@@ -1118,7 +1015,6 @@ impl QunitSearchEngine {
             policy,
             obs: EngineObs::default(),
             dispatch_counts: DispatchCounts::new(),
-            in_flight: AtomicU64::new(0),
             build_timings: timings,
         })
     }
@@ -1217,16 +1113,16 @@ impl QunitSearchEngine {
         self.dispatch_counts.snapshot()
     }
 
-    /// Queue counters from the persistent shard executor: admissions,
-    /// overflows (tasks degraded to the submitting thread), dequeues, and
-    /// accumulated queue-wait nanoseconds.
+    /// Queue counters from the persistent shard executor: enqueues,
+    /// overflows (tasks a refused enqueue sent back to the submitting
+    /// thread), dequeues, and accumulated queue-wait nanoseconds.
     pub fn executor_stats(&self) -> ExecutorStats {
         self.exec.stats()
     }
 
     /// One coherent snapshot of every observability signal the engine
     /// tracks — queries served, cache hits/misses, inline-vs-dispatch
-    /// decisions, deadline trips, admission rejections, per-shard scoring
+    /// decisions, deadline trips, contained failures, per-shard scoring
     /// nanos, and executor queue stats. Monotonic totals since build;
     /// snapshot twice and subtract for interval rates. Reading is a
     /// handful of relaxed atomic loads plus one `Vec` for the shard slots
@@ -1242,7 +1138,6 @@ impl QunitSearchEngine {
             inline_queries,
             dispatched_queries,
             deadline_exceeded: self.obs.deadline_exceeded.get(),
-            rejected_overload: self.obs.rejected_overload.get(),
             internal_errors: self.obs.internal_errors.get(),
             panics_contained: self.obs.panics_contained.get(),
             degraded_results: self.obs.degraded_results.get(),
@@ -1329,11 +1224,11 @@ impl QunitSearchEngine {
     /// [`QunitSearchEngine::search_uncached`] and cached under the current
     /// feedback generation.
     ///
-    /// Infallible and admission-free by design: a tripped
-    /// [`EngineConfig::deadline`] returns an empty result list (the
-    /// documented degraded answer — deterministic, never cached). A
-    /// service front door that needs to distinguish "no matches" from
-    /// "out of budget" uses [`QunitSearchEngine::try_search`].
+    /// Infallible by design: a tripped [`EngineConfig::deadline`] returns
+    /// an empty result list (the documented degraded answer —
+    /// deterministic, never cached). A caller that needs to distinguish
+    /// "no matches" from "out of budget" uses
+    /// [`QunitSearchEngine::try_search`].
     pub fn search(&self, query: &str, k: usize) -> Vec<QunitResult> {
         self.search_infallible(query, k, self.policy)
     }
@@ -1353,65 +1248,24 @@ impl QunitSearchEngine {
         }
     }
 
-    /// Fallible service entry point: [`QunitSearchEngine::search`] plus
-    /// admission control and surfaced deadline errors.
-    ///
-    /// Rejects immediately with [`SearchError::Overloaded`] when
-    /// [`EngineConfig::max_concurrent_queries`] queries are already inside
-    /// this method, and returns [`SearchError::DeadlineExceeded`] when the
-    /// per-query budget trips at a pipeline checkpoint. With both knobs at
-    /// their defaults (no limit, no deadline) this never errors and is
-    /// bit-identical to [`QunitSearchEngine::search`].
+    /// Fallible entry point: [`QunitSearchEngine::search`] with its errors
+    /// surfaced — [`SearchError::DeadlineExceeded`] when the per-query
+    /// budget trips at a pipeline checkpoint, [`SearchError::Internal`]
+    /// when a contained panic killed the query. With no deadline and no
+    /// fault this never errors and is bit-identical to
+    /// [`QunitSearchEngine::search`].
     pub fn try_search(&self, query: &str, k: usize) -> SearchResult<Vec<QunitResult>> {
         self.try_search_partial(query, k).map(|r| r.results)
     }
 
     /// [`QunitSearchEngine::try_search`] with the degraded-answer tag:
-    /// identical admission, cache, and deadline behavior, but the response
-    /// says whether any shard failed to contribute (always `false` under
-    /// the default [`ShardFailurePolicy::Fail`]; see
-    /// [`EngineConfig::on_shard_failure`]). Service front doors that serve
-    /// partial answers should use this and surface the flag to clients.
+    /// identical cache and deadline behavior, but the response says
+    /// whether any shard failed to contribute (always `false` under the
+    /// default [`ShardFailurePolicy::Fail`]; see
+    /// [`EngineConfig::on_shard_failure`]). Callers that serve partial
+    /// answers should use this and surface the flag to their clients.
     pub fn try_search_partial(&self, query: &str, k: usize) -> SearchResult<SearchResponse> {
-        let _guard = self.admit()?;
         self.try_search_with_policy(query, k, self.policy)
-    }
-
-    /// Take an in-flight slot, or reject. `None` guard = admission
-    /// disabled.
-    fn admit(&self) -> SearchResult<Option<AdmitGuard<'_>>> {
-        let limit = self.config.max_concurrent_queries;
-        if limit == 0 {
-            return Ok(None);
-        }
-        let prev = self.in_flight.fetch_add(1, Ordering::AcqRel) as usize;
-        if prev >= limit {
-            self.in_flight.fetch_sub(1, Ordering::Release);
-            self.obs.rejected_overload.incr();
-            return Err(SearchError::Overloaded {
-                in_flight: prev,
-                limit,
-                retry_after: self.retry_after_hint(prev, limit),
-            });
-        }
-        Ok(Some(AdmitGuard(&self.in_flight)))
-    }
-
-    /// Deterministic backoff hint for a rejected query: half a millisecond
-    /// per unit of drain-ahead work — the queries over the admission limit
-    /// plus the shard tasks sitting undequeued in the executor queues —
-    /// capped at 100ms so a pathological backlog never hints an unbounded
-    /// sleep. Pure arithmetic over counters already maintained for
-    /// observability; no clock read, no randomness, so the same rejection
-    /// state always produces the same hint.
-    fn retry_after_hint(&self, in_flight: usize, limit: usize) -> Duration {
-        const STEP_MICROS: u64 = 500;
-        const CAP_STEPS: u64 = 200; // 200 × 500µs = 100ms
-        let stats = self.exec.stats();
-        let queue_depth = stats.enqueued.saturating_sub(stats.dequeued);
-        let excess = in_flight.saturating_sub(limit) as u64 + 1;
-        let steps = excess.saturating_add(queue_depth).min(CAP_STEPS);
-        Duration::from_micros(STEP_MICROS * steps)
     }
 
     /// [`QunitSearchEngine::search`] under an explicit dispatch policy
@@ -1475,6 +1329,11 @@ impl QunitSearchEngine {
     /// parallelism; splitting it again would just add queue churn), except
     /// under a forced-dispatch policy, which is honored for the
     /// determinism gate.
+    ///
+    /// Infallible like [`QunitSearchEngine::search`]: a chunk task that
+    /// panics is contained, and every query of that chunk answers an empty
+    /// list, counted in [`ObsSnapshot::degraded_to_empty`] (and the lost
+    /// task in [`ObsSnapshot::panics_contained`]).
     pub fn search_batch(&self, queries: &[&str], k: usize) -> Vec<Vec<QunitResult>> {
         let threads = self.exec.pool_size().clamp(1, queries.len().max(1));
         let mut out: Vec<Vec<QunitResult>> = vec![Vec::new(); queries.len()];
@@ -1496,18 +1355,32 @@ impl QunitSearchEngine {
             _ if chunks >= self.exec.pool_size() => DispatchPolicy::force_inline(),
             _ => self.policy,
         };
+        // A chunk marks itself done as its last act, so a task lost to a
+        // panic leaves its flag down whatever it had written.
+        let mut done = vec![false; chunks];
         let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = queries
             .chunks(chunk)
             .zip(out.chunks_mut(chunk))
-            .map(|(q_chunk, out_chunk)| {
+            .zip(&mut done)
+            .map(|((q_chunk, out_chunk), done)| {
                 Box::new(move || {
                     for (q, slot) in q_chunk.iter().zip(out_chunk) {
                         *slot = self.search_infallible(q, k, policy);
                     }
+                    *done = true;
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
-        self.exec.run(tasks);
+        // The flags say which chunks were lost; the first panic's payload
+        // adds nothing to that.
+        let _ = self.exec.try_run(tasks);
+        for (out_chunk, _) in out.chunks_mut(chunk).zip(&done).filter(|(_, d)| !**d) {
+            self.obs.panics_contained.incr();
+            for slot in out_chunk {
+                slot.clear();
+                self.obs.degraded_to_empty.incr();
+            }
+        }
         out
     }
 
@@ -1526,7 +1399,7 @@ impl QunitSearchEngine {
     }
 
     /// Fallible uncached search: the full pipeline with deadline
-    /// checkpoints, no cache probe, no admission control.
+    /// checkpoints and no cache probe.
     pub fn try_search_uncached(&self, query: &str, k: usize) -> SearchResult<Vec<QunitResult>> {
         self.obs.queries.incr();
         let started = Instant::now();
@@ -1541,8 +1414,7 @@ impl QunitSearchEngine {
     /// segmenter, the exact-anchor rescore, result materialization), so
     /// *no* panic on any query path unwinds into the caller — it becomes
     /// [`SearchError::Internal`] and the engine keeps serving. Scratch is
-    /// epoch-guarded and the admission guard is RAII, so nothing leaks on
-    /// the unwind path.
+    /// epoch-guarded, so nothing leaks on the unwind path.
     fn search_uncached_guarded(
         &self,
         query: &str,

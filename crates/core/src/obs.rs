@@ -218,17 +218,16 @@ pub struct ObsSnapshot {
     /// Queries that hit their deadline checkpoint and returned
     /// `SearchError::DeadlineExceeded`.
     pub deadline_exceeded: u64,
-    /// Queries rejected at admission with `SearchError::Overloaded`.
-    pub rejected_overload: u64,
     /// Queries that returned `SearchError::Internal` — a shard task
     /// panicked and the engine contained it at the query boundary instead
-    /// of unwinding the caller. With `deadline_exceeded` and
-    /// `rejected_overload` this completes the per-variant error totals.
+    /// of unwinding the caller. With `deadline_exceeded` this completes
+    /// the per-variant error totals.
     pub internal_errors: u64,
     /// Failures caught and contained without unwinding any caller or
     /// worker, for injected faults and organic panics alike: each shard a
-    /// degraded answer lost counts one, and each query surfaced as
-    /// `SearchError::Internal` counts one. A query degraded across three
+    /// degraded answer lost counts one, each query surfaced as
+    /// `SearchError::Internal` counts one, and each `search_batch` chunk
+    /// task lost to a panic counts one. A query degraded across three
     /// lost shards therefore counts three.
     pub panics_contained: u64,
     /// Queries answered with a partial result list under
@@ -250,10 +249,10 @@ pub struct ObsSnapshot {
     /// Cumulative scoring nanoseconds per index shard (length =
     /// `num_shards`), from the dispatch path's [`irengine::ShardTimings`].
     pub per_shard_scoring_nanos: Vec<u64>,
-    /// Shard tasks admitted to the executor's bounded queues.
+    /// Shard tasks accepted into the executor's queues.
     pub tasks_enqueued: u64,
-    /// Shard tasks that overflowed the bounded queues and ran on the
-    /// submitting thread instead (graceful degradation, not loss).
+    /// Shard tasks a refused enqueue (the `exec.enqueue` failpoint) sent
+    /// back to the submitting thread, which ran them itself.
     pub tasks_overflowed: u64,
     /// Shard tasks dequeued by pool workers or work-helping callers.
     pub tasks_dequeued: u64,
@@ -302,8 +301,6 @@ pub struct EngineObs {
     pub queries: Counter,
     /// Deadline-checkpoint trips.
     pub deadline_exceeded: Counter,
-    /// Admission rejections.
-    pub rejected_overload: Counter,
     /// Queries failed with `SearchError::Internal` (contained panics).
     pub internal_errors: Counter,
     /// Shard-scoped failures contained at the query boundary, per shard.

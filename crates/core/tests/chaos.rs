@@ -1,6 +1,6 @@
 //! Seeded chaos suite: deterministic fault injection against the full
-//! engine, exercising panic containment, graceful degradation, admission
-//! control against a slot held by a delayed kernel, snapshot
+//! engine, exercising panic containment (single queries and batches),
+//! graceful degradation, refused executor enqueues, snapshot
 //! quarantine/retry, and the fault counter family.
 //!
 //! The failpoint registry ([`irengine::fault`]) is process-global, so every
@@ -22,7 +22,6 @@ use qunit_core::{
     EngineConfig, QunitSearchEngine, SearchError, SearchResponse, ShardFailurePolicy,
 };
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
 
 static REGISTRY: Mutex<()> = Mutex::new(());
 
@@ -93,18 +92,15 @@ fn armed_but_never_firing_schedule_is_bit_identical_to_baseline() {
     let expected: Vec<_> = queries.iter().map(|q| baseline.search(q, 5)).collect();
 
     // Armed on every hot-path site, but with triggers no tiny-corpus run
-    // can reach: the armed-registry code path runs on every check, and the
-    // results must not move a bit.
-    let config = EngineConfig {
-        fault_schedule: Some(
-            "exec.task=panic@#1000000;exec.enqueue=error@#1000000;\
-             postings.decode=error@#1000000;kernel.checkpoint=error@#1000000;\
-             snapshot.read=error@#1000000;snapshot.write=error@#1000000"
-                .to_string(),
-        ),
-        ..dispatch_config()
-    };
-    let engine = build_engine(config);
+    // can reach: the armed-registry code path runs on every check, from the
+    // build on, and the results must not move a bit.
+    fault::install(
+        "exec.task=panic@#1000000;exec.enqueue=error@#1000000;\
+         postings.decode=error@#1000000;kernel.checkpoint=error@#1000000;\
+         snapshot.read=error@#1000000;snapshot.write=error@#1000000",
+    )
+    .unwrap();
+    let engine = build_engine(dispatch_config());
     assert!(fault::armed());
     let got: Vec<_> = queries.iter().map(|q| engine.search(q, 5)).collect();
     assert_eq!(got, expected);
@@ -302,153 +298,68 @@ fn panic_storm_under_concurrent_load_balances_counters_exactly() {
 }
 
 #[test]
-fn admission_slots_survive_a_panic_storm() {
+fn a_lost_batch_task_empties_its_chunk_and_never_unwinds_the_caller() {
     let _guard = hold_registry();
-    let config = EngineConfig {
-        max_concurrent_queries: 2,
+    // Two workers over six queries: two chunk tasks of three queries, and
+    // a batch that saturates the pool scores its shards inline, so the
+    // chunk tasks are the only executor tasks `exec.task` can hit.
+    let engine = build_engine(EngineConfig {
+        executor_threads: 2,
+        cache_capacity: 0,
         ..dispatch_config()
-    };
-    let engine = build_engine(config);
-    let q = cast_query();
-
-    fault::install("exec.task=panic").unwrap();
-    for _ in 0..10 {
-        // Every shard task panics, every query errors — and every one of
-        // them must hand its admission slot back on the way out.
-        assert!(matches!(
-            engine.try_search(&q, 5),
-            Err(SearchError::Internal { .. })
-        ));
-    }
-    fault::install("").unwrap();
-    // No leaked slots: with the limit at 2, a leak of even one error-path
-    // slot would reject this immediately as Overloaded.
-    assert!(engine.try_search(&q, 5).is_ok());
-    let snap = engine.obs_snapshot();
-    assert_eq!(snap.internal_errors, 10);
-    assert_eq!(snap.rejected_overload, 0);
-}
-
-// --- admission under constructed pressure ---------------------------------
-
-/// Offer `CONTENDERS × ATTEMPTS` queries to an engine that admits one at a
-/// time while a query is **held inside the kernel**: the first checkpoint
-/// any query reaches sleeps (`kernel.checkpoint=delay`), the one query
-/// issued before the contenders start is long enough to reach it, and the
-/// contenders start once the failpoint reports it fired — so each one's
-/// first attempt finds `in_flight == limit`. Collisions are constructed,
-/// not hoped for. Returns the engine and every contender attempt's outcome.
-fn offer_against_a_held_slot() -> (QunitSearchEngine, Vec<Result<usize, SearchError>>) {
-    const CONTENDERS: usize = 7;
-    const ATTEMPTS: usize = 40;
-    // Checkpoints come every 4 096 postings of one kernel run, which takes
-    // the full-size corpus, unsharded, and a deadline (nothing polls
-    // without one; this one never trips).
-    static DATA: OnceLock<ImdbData> = OnceLock::new();
-    let data = DATA.get_or_init(|| ImdbData::generate(ImdbConfig::default()));
-    let engine = QunitSearchEngine::build(
-        &data.db,
-        expert_imdb_qunits(&data.db).unwrap(),
-        EngineConfig {
-            max_concurrent_queries: 1,
-            cache_capacity: 0,
-            search_shards: 1,
-            deadline: Some(Duration::from_secs(60)),
-            fault_schedule: Some("kernel.checkpoint=delay:250@#1".to_string()),
-            ..EngineConfig::default()
-        },
-    )
-    .unwrap();
-    let held = format!("{} movies", data.people[0].name);
-    let queries: Vec<String> = (data.movies.iter().take(8))
-        .flat_map(|m| [format!("{} cast", m.title), m.title.clone()])
-        .collect();
-    let outcomes = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        let holder = scope.spawn(|| engine.try_search(&held, 10));
-        for t in 0..CONTENDERS {
-            let (engine, queries, outcomes) = (&engine, &queries, &outcomes);
-            scope.spawn(move || {
-                while fault::site_counters(site::KERNEL_CHECKPOINT).1 == 0 {
-                    std::thread::yield_now();
-                }
-                let mine: Vec<_> = (0..ATTEMPTS)
-                    .map(|i| {
-                        let q = &queries[(t * 7 + i) % queries.len()];
-                        engine.try_search(q, 10).map(|results| results.len())
-                    })
-                    .collect();
-                outcomes.lock().unwrap().extend(mine);
-            });
-        }
-        let held = holder.join().unwrap();
-        assert!(held.is_ok(), "nothing was in flight before it: {held:?}");
     });
-    let outcomes = outcomes.into_inner().unwrap();
-    assert_eq!(outcomes.len(), CONTENDERS * ATTEMPTS);
-    (engine, outcomes)
-}
+    let queries = mixed_queries();
+    let batch: Vec<&str> = queries.iter().take(6).map(String::as_str).collect();
+    let expected = engine.search_batch(&batch, 5);
+    assert!(
+        expected.iter().all(|r| !r.is_empty()),
+        "fixture queries must match"
+    );
 
-#[test]
-fn admission_accounting_balances_under_pressure() {
-    let _guard = hold_registry();
-    let (engine, outcomes) = offer_against_a_held_slot();
-    let mut rejected = 0u64;
-    for outcome in &outcomes {
-        match outcome {
-            Ok(_) => {}
-            Err(SearchError::Overloaded { limit, .. }) => {
-                assert_eq!(*limit, 1);
-                rejected += 1;
-            }
-            Err(e) => panic!("unexpected error: {e}"),
+    fault::install("exec.task=panic@#1").unwrap();
+    let got = engine.search_batch(&batch, 5);
+    assert_eq!(fault::site_counters(site::EXEC_TASK), (2, 1));
+    // Whichever chunk ran first was lost whole; the other is untouched.
+    let lost: Vec<usize> = (0..2)
+        .filter(|&c| got[c * 3..c * 3 + 3].iter().all(Vec::is_empty))
+        .collect();
+    assert_eq!(lost.len(), 1, "exactly one chunk lost: {got:?}");
+    for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+        if i / 3 != lost[0] {
+            assert_eq!(g, e, "slot {i} of the surviving chunk");
         }
     }
-    // served + rejected = offered by the match above; each contender's
-    // first attempt met the held slot.
-    assert!(rejected >= 7, "only {rejected} attempts were rejected");
-    assert_eq!(engine.obs_snapshot().rejected_overload, rejected);
-    // Every admitted query eventually released its slot.
-    for _ in 0..3 {
-        assert!(engine.try_search(&cast_query(), 10).is_ok());
-    }
+    let snap = engine.obs_snapshot();
+    assert_eq!(snap.degraded_to_empty, 3);
+    assert_eq!(snap.panics_contained, 1);
+
+    fault::clear();
+    assert_eq!(engine.search_batch(&batch, 5), expected);
 }
 
 #[test]
-fn overload_rejections_carry_bounded_retry_after_hints() {
-    // The hint is pure arithmetic over rejection-time pressure: half a
-    // millisecond per unit of drain-ahead work, never zero (a rejection
-    // implies at least one query must finish first), never above the
-    // 100ms cap, always a whole number of 500µs steps. No clock feeds it,
-    // so the same pressure always hints the same wait.
+fn refused_enqueues_run_on_the_caller_bit_identically() {
     let _guard = hold_registry();
-    let (_engine, outcomes) = offer_against_a_held_slot();
-    let hints: Vec<Duration> = outcomes
-        .into_iter()
-        .filter_map(|outcome| match outcome {
-            Err(SearchError::Overloaded {
-                in_flight,
-                limit,
-                retry_after,
-            }) => {
-                assert!(in_flight >= limit);
-                Some(retry_after)
-            }
-            _ => None,
-        })
-        .collect();
-    assert!(hints.len() >= 7, "only {} rejections", hints.len());
-    const STEP: Duration = Duration::from_micros(500);
-    const CAP: Duration = Duration::from_millis(100);
-    for h in &hints {
-        assert!(*h >= STEP, "hint below one backoff step: {h:?}");
-        assert!(*h <= CAP, "hint above the 100ms cap: {h:?}");
-        assert_eq!(
-            h.as_micros() % STEP.as_micros(),
-            0,
-            "hint not a whole number of 500µs steps: {h:?}"
-        );
-    }
+    let queries = mixed_queries();
+    let baseline = build_engine(dispatch_config());
+    let expected: Vec<_> = queries.iter().map(|q| baseline.search(q, 5)).collect();
+
+    // Every dispatched batch is refused at the queue: the submitting
+    // thread runs all of its tasks itself, through the same latch.
+    let engine = build_engine(dispatch_config());
+    fault::install("exec.enqueue=error@*").unwrap();
+    let got: Vec<_> = queries.iter().map(|q| engine.search(q, 5)).collect();
+    assert_eq!(got, expected);
+
+    let stats = engine.executor_stats();
+    assert_eq!(stats.enqueued, 0);
+    assert_eq!(stats.dequeued, 0);
+    assert_eq!(stats.queue_wait_nanos, 0);
+    assert!(
+        stats.overflowed > 0,
+        "dispatched tasks must have run on the caller"
+    );
+    assert_eq!(engine.obs_snapshot().tasks_overflowed, stats.overflowed);
 }
 
 // --- snapshot quarantine and retry ----------------------------------------
@@ -479,11 +390,8 @@ fn transient_snapshot_read_errors_are_retried_with_backoff() {
     assert!(path.exists(), "fresh build must write the snapshot");
 
     // One injected transient error: attempt 1 fails, attempt 2 loads.
-    let config = EngineConfig {
-        fault_schedule: Some("snapshot.read=error@#1".to_string()),
-        ..snapshot_config(path.clone())
-    };
-    let engine = build_engine(config);
+    fault::install("snapshot.read=error@#1").unwrap();
+    let engine = build_engine(snapshot_config(path.clone()));
     assert_eq!(
         fault::site_counters(site::SNAPSHOT_READ),
         (2, 1),
@@ -495,11 +403,8 @@ fn transient_snapshot_read_errors_are_retried_with_backoff() {
     // Persistent errors: the bounded budget (3 attempts) is spent, then
     // the engine falls back to a rebuild — and does NOT quarantine a file
     // that may be healthy on a sick volume.
-    let config = EngineConfig {
-        fault_schedule: Some("snapshot.read=error".to_string()),
-        ..snapshot_config(path.clone())
-    };
-    let engine = build_engine(config);
+    fault::install("snapshot.read=error").unwrap();
+    let engine = build_engine(snapshot_config(path.clone()));
     assert_eq!(fault::site_counters(site::SNAPSHOT_READ).0, 3);
     assert!(!path.with_extension("snap.corrupt").exists());
     assert!(!engine.search(&cast_query(), 3).is_empty());

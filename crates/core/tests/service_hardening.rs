@@ -1,31 +1,34 @@
-//! Service-hardening contract tests: deadline semantics, admission
-//! control, bounded executor queues, and the observability counters —
-//! the guarantees behind serving open-loop load.
+//! Service-hardening contract tests: deadline semantics, the kernel tiers,
+//! and the observability counters — the guarantees behind serving
+//! open-loop load.
 //!
 //! The load-bearing claims pinned here, complementing the CI determinism
 //! transcript gate (which diffs `exp_determinism` under
-//! `QUNITS_DEADLINE_MS`/`QUNITS_MAX_CONCURRENT`/`QUNITS_EXEC_QUEUE_CAP`):
+//! `QUNITS_DEADLINE_MS` with `QUNITS_FORCE_DISPATCH`):
 //!
 //! 1. a deadline of `None` (default) and an un-hit deadline are
-//!    bit-identical to each other — keys, order, score bits;
+//!    bit-identical to each other — keys, order, score bits — inline and
+//!    under forced dispatch;
 //! 2. a zero deadline trips the *first* checkpoint every time — the
 //!    degraded result is deterministic, and never cached;
-//! 3. admission accounting balances exactly (served + rejected = offered)
-//!    and actually rejects under pressure, with a deterministic, bounded
-//!    `retry_after` hint on every rejection — pinned in `chaos.rs`, where
-//!    a failpoint holds the admitted query inside the kernel so the
-//!    collision is constructed rather than hoped for;
-//! 4. the obs counters add up under `search_batch`, including the
+//! 3. the obs counters add up under `search_batch`, including the
 //!    inline-vs-dispatch split;
-//! 5. every scoring kernel tier ([`EngineConfig::kernel`], and the
+//! 4. every scoring kernel tier ([`EngineConfig::kernel`], and the
 //!    [`EngineConfig::force_exhaustive`] shorthand) is bit-identical to the
 //!    default at every shard count;
-//! 6. a deadline — now also polled mid-kernel every
-//!    `CANCEL_POSTING_BUDGET` postings — only ever trips at a named phase,
-//!    and every query that completes under its budget is bit-identical to
-//!    an undeadlined run.
+//! 5. a deadline — also polled mid-kernel every `CANCEL_POSTING_BUDGET`
+//!    postings — only ever trips at a named phase, and every query that
+//!    completes under its budget is bit-identical to an undeadlined run;
+//! 6. under forced dispatch, refused executor enqueues (the caller runs
+//!    every batch itself) are bit-identical too, per query and per batch.
+//!
+//! Claim 6 arms the process-global failpoint registry. Its one action,
+//! `exec.enqueue=error`, changes where tasks run and never what they
+//! return, and no other test here reads the executor counters it moves,
+//! so the tests of this binary need not serialize on the registry.
 
 use datagen::imdb::{ImdbConfig, ImdbData};
+use irengine::fault;
 use irengine::KernelTier;
 use qunit_core::derive::manual::expert_imdb_qunits;
 use qunit_core::{EngineConfig, QunitSearchEngine, SearchError};
@@ -72,47 +75,74 @@ fn transcript(engine: &QunitSearchEngine, queries: &[String]) -> Vec<(String, u6
 fn unhit_deadline_and_bounded_queue_are_bit_identical_to_baseline() {
     let data = data();
     let baseline = build(&data, EngineConfig::default());
-    // Hardened service config: a deadline no test query can hit, an
-    // admission limit, and a queue capacity of 1 (nearly every dispatched
-    // task degrades to the submitting thread).
-    let hardened = build(
+    let qs = workload(&data);
+    let want = transcript(&baseline, &qs);
+    // A deadline no test query can hit, with every ranking pass inline
+    // (the default, on this tiny corpus) and then dispatched onto the
+    // executor, where the mid-kernel probe crosses into the shard tasks.
+    let deadline = Some(Duration::from_secs(600));
+    let inline = build(
         &data,
         EngineConfig {
-            deadline: Some(Duration::from_secs(600)),
-            max_concurrent_queries: 64,
-            executor_queue_capacity: 1,
+            deadline,
             ..EngineConfig::default()
         },
     );
-    let qs = workload(&data);
-    assert_eq!(transcript(&baseline, &qs), transcript(&hardened, &qs));
+    assert_eq!(want, transcript(&inline, &qs));
+    let dispatched = build(
+        &data,
+        EngineConfig {
+            deadline,
+            search_shards: 4,
+            executor_threads: 2,
+            inline_postings_threshold: 0,
+            ..EngineConfig::default()
+        },
+    );
+    assert_eq!(want, transcript(&dispatched, &qs));
+    assert!(dispatched.obs_snapshot().dispatched_queries > 0);
 }
 
 #[test]
 fn zero_queue_capacity_is_bit_identical_under_forced_dispatch() {
+    /// Clears the schedule on every exit path, a failed assertion's
+    /// unwind included, so it cannot outlive this test.
+    struct Disarm;
+    impl Drop for Disarm {
+        fn drop(&mut self) {
+            fault::clear();
+        }
+    }
+
     let data = data();
-    // Force every query down the dispatch path so the bounded queue is
-    // actually exercised, then starve the queue completely: every task
-    // must degrade to the caller and results must not move.
+    // Force every query down the dispatch path, then refuse every enqueue:
+    // the queues admit nothing, each dispatched task runs on its caller,
+    // and results must not move.
     let config = EngineConfig {
         inline_postings_threshold: 0,
         search_shards: 4,
         executor_threads: 2,
+        cache_capacity: 0,
         ..EngineConfig::default()
     };
     let baseline = build(&data, config.clone());
-    let starved = build(
-        &data,
-        EngineConfig {
-            executor_queue_capacity: 0,
-            ..config
-        },
-    );
+    let starved = build(&data, config);
     let qs = workload(&data);
-    assert_eq!(transcript(&baseline, &qs), transcript(&starved, &qs));
+    let refs: Vec<&str> = qs.iter().map(String::as_str).collect();
+    let want = transcript(&baseline, &qs);
+    let want_batch = baseline.search_batch(&refs, 10);
+
+    let _disarm = Disarm;
+    fault::install("exec.enqueue=error@*").unwrap();
+    assert_eq!(want, transcript(&starved, &qs));
+    assert_eq!(want_batch, starved.search_batch(&refs, 10));
     let stats = starved.executor_stats();
-    assert_eq!(stats.enqueued, 0, "capacity 0 admits nothing");
-    assert!(stats.overflowed > 0, "dispatched tasks must have degraded");
+    assert_eq!(stats.enqueued, 0, "a refused enqueue admits nothing");
+    assert_eq!(stats.dequeued, 0);
+    assert!(
+        stats.overflowed > 0,
+        "dispatched tasks must run on the caller"
+    );
 }
 
 #[test]

@@ -10,6 +10,10 @@
 //! workers" and "1 shard ≡ N shards" identities into a standing gate
 //! instead of a claim in a doc comment.
 //!
+//! `--fault-schedule SPEC` installs a failpoint schedule
+//! (`irengine::fault` syntax) before the build; an invalid spec panics.
+//! With triggers no run reaches, the transcript must not move.
+//!
 //! ```sh
 //! cargo run --release -p qunit-eval --bin exp_determinism -- \
 //!     --build-threads 8 --search-shards 8
@@ -19,10 +23,16 @@ use datagen::imdb::{ImdbConfig, ImdbData};
 use qunit_core::derive::manual::expert_imdb_qunits;
 use qunit_core::{EngineConfig, QunitSearchEngine};
 
+fn value_after<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+    let i = args.iter().position(|a| a == flag)?;
+    let v = args
+        .get(i + 1)
+        .unwrap_or_else(|| panic!("{flag} needs a value"));
+    Some(v)
+}
+
 fn arg_after(args: &[String], flag: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
+    value_after(args, flag)
         .map(|v| {
             v.parse()
                 .unwrap_or_else(|_| panic!("bad value for {flag}: {v}"))
@@ -34,6 +44,10 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let build_threads = arg_after(&args, "--build-threads", 1);
     let search_shards = arg_after(&args, "--search-shards", 1);
+    if let Some(spec) = value_after(&args, "--fault-schedule") {
+        irengine::fault::install(spec)
+            .unwrap_or_else(|e| panic!("invalid fault schedule {spec:?}: {e}"));
+    }
 
     let data = ImdbData::generate(ImdbConfig {
         n_movies: 120,

@@ -31,6 +31,10 @@
 //!   — no queue lock, no wakeup — because even a parked-worker handoff
 //!   costs more than scoring a few hundred postings.
 //!
+//! Every enqueue is counted in [`ExecutorStats`], including the queue-wait
+//! nanoseconds of every dequeued task, so an operator can see queueing
+//! delay build before it becomes a tail-latency incident.
+//!
 //! # Determinism
 //!
 //! The executor adds no ordering freedom that can reach results: shard
@@ -41,20 +45,6 @@
 //! `tests/prop_ir.rs`; the CI determinism
 //! job additionally diffs `QUNITS_FORCE_INLINE=1` against
 //! `QUNITS_FORCE_DISPATCH=1` transcripts).
-//!
-//! # Admission control
-//!
-//! Each priority class's queue is **bounded**
-//! ([`ShardExecutor::with_queue_capacity`]; the default is unbounded, which
-//! preserves the historical behavior bit-for-bit). A batch that arrives at
-//! a full queue does not block and is not dropped: the tasks that do not
-//! fit are executed by the **calling thread** itself, exactly as the
-//! work-helping loop would have run them. Over-capacity therefore degrades
-//! a dispatch toward inline execution — latency flattens instead of the
-//! queue (and its wait times) growing without bound. Every admission
-//! outcome is counted in [`ExecutorStats`], including the queue-wait
-//! nanoseconds of every dequeued task, so an operator can see queueing
-//! delay build before it becomes a tail-latency incident.
 //!
 //! # Panic containment and shutdown
 //!
@@ -95,9 +85,9 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 struct QueuedJob {
     job: Job,
     latch: Arc<Latch>,
-    /// When the job entered a queue; `None` for over-capacity jobs the
-    /// caller executes directly (they never wait, so they record no wait).
-    enqueued_at: Option<Instant>,
+    /// When the batch was submitted. Read only when a queue hands the job
+    /// out, so jobs a refused enqueue left to the caller record no wait.
+    enqueued_at: Instant,
 }
 
 impl QueuedJob {
@@ -159,7 +149,7 @@ struct Shared {
     queue: Mutex<Queue>,
     /// Signaled when jobs arrive or shutdown begins.
     work_ready: Condvar,
-    /// Queue-admission and queue-wait counters (see [`ExecutorStats`]).
+    /// Enqueue and queue-wait counters (see [`ExecutorStats`]).
     counters: QueueCounters,
 }
 
@@ -178,25 +168,23 @@ impl QueueCounters {
     /// Record a job leaving a queue for execution: one dequeue plus the
     /// nanoseconds it spent queued (a single clock read per dequeued job;
     /// jobs the caller ran directly never pass through here).
-    fn note_dequeue(&self, enqueued_at: Option<Instant>) {
-        if let Some(t) = enqueued_at {
-            self.queue_wait_nanos
-                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            self.dequeued.fetch_add(1, Ordering::Relaxed);
-        }
+    fn note_dequeue(&self, enqueued_at: Instant) {
+        self.queue_wait_nanos
+            .fetch_add(enqueued_at.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.dequeued.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-/// Snapshot of a [`ShardExecutor`]'s admission and queue-wait counters —
+/// Snapshot of a [`ShardExecutor`]'s enqueue and queue-wait counters —
 /// the queueing-delay half of the service observability story (per-shard
 /// scoring time lives in [`crate::ShardTimings`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecutorStats {
-    /// Tasks accepted into a bounded queue.
+    /// Tasks accepted into a queue.
     pub enqueued: u64,
-    /// Tasks that arrived at a full queue and ran on the calling thread
-    /// instead (the graceful over-capacity path — work shed to the
-    /// submitter, never blocked, never dropped).
+    /// Tasks a refused enqueue (the `exec.enqueue` failpoint's `error`
+    /// action) sent back to the calling thread, which ran them itself —
+    /// never blocked, never dropped.
     pub overflowed: u64,
     /// Tasks popped from a queue by a worker or a helping caller.
     pub dequeued: u64,
@@ -297,8 +285,6 @@ impl Latch {
 pub struct ShardExecutor {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    /// Per-priority-class queue bound (tasks); `usize::MAX` = unbounded.
-    queue_capacity: usize,
 }
 
 impl std::fmt::Debug for ShardExecutor {
@@ -314,21 +300,10 @@ const _: () = assert_send_sync::<ShardExecutor>();
 
 impl ShardExecutor {
     /// Spawn a pool of `threads` parked workers (`0` = one per available
-    /// core) with **unbounded** queues. The pool never grows or shrinks;
-    /// with the caller helping, `threads + 1` threads can execute tasks
+    /// core) with unbounded queues. The pool never grows or shrinks; with
+    /// the caller helping, `threads + 1` threads can execute tasks
     /// concurrently.
     pub fn new(threads: usize) -> Self {
-        Self::with_queue_capacity(threads, usize::MAX)
-    }
-
-    /// [`ShardExecutor::new`] with a bounded admission queue:
-    /// `queue_capacity` is the maximum number of queued tasks **per
-    /// priority class** (urgent and bulk each get the full bound). Tasks
-    /// beyond the bound are executed by the submitting thread itself — see
-    /// the [module docs](self) on admission control. A capacity of `0` is
-    /// valid and means every multi-task batch runs entirely on its caller
-    /// (results are identical either way; only scheduling changes).
-    pub fn with_queue_capacity(threads: usize, queue_capacity: usize) -> Self {
         let threads = match threads {
             0 => std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -345,11 +320,7 @@ impl ShardExecutor {
                     .expect("spawn shard executor worker")
             })
             .collect();
-        ShardExecutor {
-            shared,
-            workers,
-            queue_capacity,
-        }
+        ShardExecutor { shared, workers }
     }
 
     /// Number of worker threads parked in the pool.
@@ -357,12 +328,7 @@ impl ShardExecutor {
         self.workers.len()
     }
 
-    /// The per-class queue bound (`usize::MAX` = unbounded).
-    pub fn queue_capacity(&self) -> usize {
-        self.queue_capacity
-    }
-
-    /// Snapshot of the admission and queue-wait counters.
+    /// Snapshot of the enqueue and queue-wait counters.
     pub fn stats(&self) -> ExecutorStats {
         let c = &self.shared.counters;
         ExecutorStats {
@@ -448,14 +414,17 @@ impl ShardExecutor {
             _ => {}
         }
 
-        // Failpoint: an injected `exec.enqueue` error deterministically
-        // forces the whole batch down the over-capacity caller-runs path
-        // (as if the queue were full); an injected panic unwinds the
-        // submitting caller before any task is queued.
-        let admit_none = fault::check(site::EXEC_ENQUEUE).is_err();
+        // Failpoint: an injected `exec.enqueue` error refuses the enqueue,
+        // and the caller runs the whole batch itself below; an injected
+        // panic unwinds the submitting caller before any task is queued.
+        let refused = fault::check(site::EXEC_ENQUEUE).is_err();
 
+        // One clock read covers the whole batch — per-task `Instant::now()`
+        // would put N clock reads on the dispatch path this pool exists to
+        // make cheap.
+        let now = Instant::now();
         let latch = Arc::new(Latch::new(tasks.len()));
-        let mut jobs: Vec<QueuedJob> = tasks
+        let jobs: Vec<QueuedJob> = tasks
             .into_iter()
             .map(|task| QueuedJob {
                 // SAFETY: lifetime erasure only — same trait object, same
@@ -466,54 +435,38 @@ impl ShardExecutor {
                 // ends.
                 job: unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(task) },
                 latch: Arc::clone(&latch),
-                enqueued_at: None,
+                enqueued_at: now,
             })
             .collect();
 
-        // Bounded admission: enqueue only what this priority class has room
-        // for; the rest stay with the caller and run below, exactly as the
-        // work-helping loop would have run them. One clock read covers the
-        // whole batch — per-task `Instant::now()` would put N clock reads on
-        // the dispatch path this pool exists to make cheap.
-        let now = Instant::now();
-        let (enqueued, overflow, depth) = {
-            let mut q = lock(&self.shared.queue);
-            let class = if urgent { &mut q.urgent } else { &mut q.bulk };
-            let room = if admit_none {
-                0
-            } else {
-                self.queue_capacity.saturating_sub(class.len())
-            };
-            let accepted = jobs.len().min(room);
-            let overflow = jobs.split_off(accepted);
-            for mut job in jobs {
-                job.enqueued_at = Some(now);
-                class.push_back(job);
-            }
-            (accepted, overflow, q.urgent.len() + q.bulk.len())
-        };
         let counters = &self.shared.counters;
-        counters
-            .enqueued
-            .fetch_add(enqueued as u64, Ordering::Relaxed);
-        counters
-            .overflowed
-            .fetch_add(overflow.len() as u64, Ordering::Relaxed);
-        counters
-            .max_queue_depth
-            .fetch_max(depth as u64, Ordering::Relaxed);
-        // Wake only as many workers as there are jobs to take: notify_all
-        // on a big pool would stampede every parked worker onto the queue
-        // mutex just to find it empty — overhead on the exact dispatch
-        // path this pool exists to make cheap.
-        for _ in 0..enqueued.min(self.workers.len()) {
-            self.shared.work_ready.notify_one();
-        }
-        // Over-capacity jobs run here on the caller. They share the batch
-        // latch, so a panic defers through it like any queued job's and the
-        // borrow-soundness argument is unchanged.
-        for job in overflow {
-            job.execute();
+        let n = jobs.len() as u64;
+        if refused {
+            // The jobs share the batch latch, so a panic defers through it
+            // like a queued job's, and the wait on the latch below is what
+            // keeps their borrows sound.
+            counters.overflowed.fetch_add(n, Ordering::Relaxed);
+            for job in jobs {
+                job.execute();
+            }
+        } else {
+            let depth = {
+                let mut q = lock(&self.shared.queue);
+                let class = if urgent { &mut q.urgent } else { &mut q.bulk };
+                class.extend(jobs);
+                q.urgent.len() + q.bulk.len()
+            };
+            counters.enqueued.fetch_add(n, Ordering::Relaxed);
+            counters
+                .max_queue_depth
+                .fetch_max(depth as u64, Ordering::Relaxed);
+            // Wake only as many workers as there are jobs to take:
+            // notify_all on a big pool would stampede every parked worker
+            // onto the queue mutex just to find it empty — overhead on the
+            // exact dispatch path this pool exists to make cheap.
+            for _ in 0..n.min(self.workers.len() as u64) {
+                self.shared.work_ready.notify_one();
+            }
         }
 
         // Work-helping wait: execute queued tasks (ours or another
@@ -757,10 +710,18 @@ mod tests {
         }
     }
 
+    // The tests that arm `exec.enqueue` — and every test whose assertions
+    // a refused enqueue would move (queue counters, a worker pinned inside
+    // a queued task) — hold the registry lock. The rest stay correct under
+    // a refusal: the caller runs the batch, and results do not change.
+
     #[test]
     fn zero_capacity_runs_everything_on_the_caller() {
-        let exec = ShardExecutor::with_queue_capacity(2, 0);
-        assert_eq!(exec.queue_capacity(), 0);
+        // A refused enqueue leaves the queues no room at all: the caller
+        // runs the whole batch, and nothing is queued or dequeued.
+        let _g = fault::registry_test_lock();
+        fault::install("exec.enqueue=error@*").unwrap();
+        let exec = ShardExecutor::new(2);
         let counters: Vec<AtomicUsize> = (0..16).map(|_| AtomicUsize::new(0)).collect();
         let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = counters
             .iter()
@@ -771,6 +732,7 @@ mod tests {
             })
             .collect();
         exec.run(tasks);
+        fault::clear();
         for c in &counters {
             assert_eq!(c.load(Ordering::Relaxed), 1);
         }
@@ -779,35 +741,47 @@ mod tests {
         assert_eq!(stats.overflowed, 16);
         assert_eq!(stats.dequeued, 0);
         assert_eq!(stats.queue_wait_nanos, 0);
+        assert_eq!(stats.max_queue_depth, 0);
     }
 
     #[test]
     fn tiny_capacity_splits_between_queue_and_caller() {
-        let exec = ShardExecutor::with_queue_capacity(1, 1);
+        // Alternate refused and accepted batches on one pool: each task
+        // runs exactly once either way, and the counters split the tasks
+        // between the two paths exactly.
+        let _g = fault::registry_test_lock();
+        let exec = ShardExecutor::new(1);
         let counters: Vec<AtomicUsize> = (0..32).map(|_| AtomicUsize::new(0)).collect();
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = counters
-            .iter()
-            .map(|c| {
-                Box::new(move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        exec.run(tasks);
+        for (i, batch) in counters.chunks(8).enumerate() {
+            if i % 2 == 0 {
+                fault::install("exec.enqueue=error@*").unwrap();
+            } else {
+                fault::clear();
+            }
+            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = batch
+                .iter()
+                .map(|c| {
+                    Box::new(move || {
+                        c.fetch_add(1, Ordering::Relaxed);
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            exec.run(tasks);
+        }
+        fault::clear();
         for c in &counters {
             assert_eq!(c.load(Ordering::Relaxed), 1);
         }
         let stats = exec.stats();
-        assert_eq!(stats.enqueued + stats.overflowed, 32);
-        assert!(
-            stats.overflowed >= 31,
-            "capacity 1 admits at most 1 per batch"
-        );
-        assert!(stats.max_queue_depth <= 1);
+        assert_eq!(stats.overflowed, 16);
+        assert_eq!(stats.enqueued, 16);
+        assert!(stats.dequeued <= stats.enqueued);
+        assert!(stats.max_queue_depth <= 8, "one accepted batch at a time");
     }
 
     #[test]
     fn unbounded_default_never_overflows() {
+        let _g = fault::registry_test_lock();
         let exec = ShardExecutor::new(2);
         for _ in 0..10 {
             let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..8)
@@ -983,6 +957,7 @@ mod tests {
         // are workers: if a panic could kill a worker thread, the pool
         // would wedge long before the end. Drop afterwards must still join
         // every worker (none has exited early).
+        let _g = fault::registry_test_lock();
         let exec = ShardExecutor::new(2);
         let survived = AtomicUsize::new(0);
         for _ in 0..10 {
@@ -1011,6 +986,7 @@ mod tests {
         // complete (executing its own tasks itself) WITHOUT touching the
         // queued bulk work — that is the no-head-of-line-blocking
         // contract.
+        let _g = fault::registry_test_lock();
         let exec = ShardExecutor::new(1);
         let (worker_in, worker_entered) = std::sync::mpsc::channel::<()>();
         let (release, release_worker) = std::sync::mpsc::channel::<()>();

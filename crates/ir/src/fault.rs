@@ -63,9 +63,9 @@ pub mod site {
     /// Posting-block decode (compressed codec block expansion). The
     /// decode path is infallible, so `error` escalates to a panic.
     pub const POSTINGS_DECODE: &str = "postings.decode";
-    /// Executor batch admission ([`crate::ShardExecutor`] `run`/`try_run`):
-    /// `error` forces the whole batch onto the calling thread (as if the
-    /// queue were full); `panic` unwinds the submitting caller.
+    /// Executor batch enqueue ([`crate::ShardExecutor`] `run`/`try_run`):
+    /// `error` refuses the enqueue, and the calling thread runs the whole
+    /// batch itself; `panic` unwinds the submitting caller.
     pub const EXEC_ENQUEUE: &str = "exec.enqueue";
     /// Executor task body, evaluated on the executing worker/helper just
     /// before the job runs. `error` escalates to a panic (a task has no
