@@ -2,14 +2,15 @@
 //! of strings: the dense `doc → definition` lane behind the engine's
 //! typed-IR restriction (§3: "standard IR … against qunit instances *of the
 //! identified type*") and the `anchor → documents` table behind exact-anchor
-//! injection.
+//! injection and the anchor bonus.
 //!
 //! A definition's id is its catalog position, so every per-definition fact
-//! on the query path (type scores, the preferred set, the per-document
-//! owner) is an array indexed by [`DefId`] instead of a map keyed by name.
-//! The scoring kernel asks "is this document of a preferred definition?"
-//! once per candidate; [`DocDefLane::accepts`] answers with two array reads.
+//! on the query path (type scores, the routed set, the per-document owner)
+//! is an array indexed by [`DefId`] instead of a map keyed by name. The
+//! scoring kernel asks "does the query's route admit this document?" once
+//! per candidate; the lane answers with one or two array reads.
 
+use crate::engine::normalized_query_into;
 use irengine::DocId;
 use relstore::Value;
 use std::collections::HashMap;
@@ -79,7 +80,7 @@ impl DocDefLane {
             .map(|&d| DefId(d))
     }
 
-    /// The kernel's definition filter: is `doc` of a definition whose
+    /// The typed route's admission test: is `doc` of a definition whose
     /// [`DefId::index`] slot in `allowed` is set? Out-of-range documents
     /// and definitions read `false`; `allowed` is sized by the catalog,
     /// which [`DefId::MAX_DEFINITIONS`] keeps short of the slot that marks
@@ -98,17 +99,18 @@ impl DocDefLane {
 /// Chain end in [`AnchorDocs::next`].
 const NO_DOC: DocId = DocId::MAX;
 
-/// Which documents carry a given anchor, frozen at engine build: the
-/// exact-anchor injection's lookup. One string probe per segmented entity
-/// finds every instance that entity anchors, of whatever definition — where
-/// composing `definition::anchor` keys costs a string and a probe per entity
-/// × definition.
+/// Which documents carry a given anchor, frozen at engine build: the one
+/// definition of the documents a segmented entity anchors. One string probe
+/// per entity finds every instance it anchors, of whatever definition —
+/// where composing `definition::anchor` keys costs a string and a probe per
+/// entity × definition.
 ///
-/// Anchors are keyed by their display string ([`Value`]'s `Display`, the
-/// text instance keys end in), compared exactly.
+/// Anchors are keyed by the segmenter's normal form of their display string
+/// ([`Value`]'s `Display`, the text instance keys end in), so `"Star Wars"`,
+/// `"STAR  WARS"` and `"star-wars"` all anchor the entity `star wars`.
 #[derive(Debug)]
 pub(crate) struct AnchorDocs {
-    /// Anchor display string → the lowest document id carrying it.
+    /// Anchor normal form → the lowest document id carrying it.
     first: HashMap<Box<str>, DocId>,
     /// Per document: the next higher id carrying the same anchor, or
     /// [`NO_DOC`] (also the slot of an unanchored document).
@@ -124,33 +126,28 @@ impl AnchorDocs {
         DocId::try_from(anchors.len()).expect("document ids fit DocId");
         let mut first: HashMap<Box<str>, DocId> = HashMap::new();
         let mut next = vec![NO_DOC; anchors.len()];
-        let mut shown = String::new();
+        let (mut shown, mut key) = (String::new(), String::new());
         // Highest id first: each document goes on the front of its chain,
         // so the chains come out ascending.
         for (doc, anchor) in anchors.enumerate().rev() {
-            let text = match anchor {
-                None => continue,
-                Some(Value::Text(text)) => text.as_str(),
-                Some(other) => {
-                    shown.clear();
-                    write!(shown, "{other}").expect("writing to a String");
-                    shown.as_str()
-                }
-            };
-            match first.get_mut(text) {
+            let Some(anchor) = anchor else { continue };
+            shown.clear();
+            write!(shown, "{anchor}").expect("writing to a String");
+            normalized_query_into(&shown, &mut key);
+            match first.get_mut(key.as_str()) {
                 Some(head) => next[doc] = std::mem::replace(head, doc as DocId),
                 None => {
-                    first.insert(text.into(), doc as DocId);
+                    first.insert(key.as_str().into(), doc as DocId);
                 }
             }
         }
         AnchorDocs { first, next }
     }
 
-    /// The documents whose anchor displays exactly as `anchor`, in doc-id
-    /// (insertion) order.
-    pub(crate) fn docs_of(&self, anchor: &str) -> impl Iterator<Item = DocId> + '_ {
-        let first = self.first.get(anchor).copied();
+    /// The documents `entity` anchors — those whose anchor's normal form is
+    /// `entity`, a segmenter entity text — in doc-id (insertion) order.
+    pub(crate) fn docs_of(&self, entity: &str) -> impl Iterator<Item = DocId> + '_ {
+        let first = self.first.get(entity).copied();
         std::iter::successors(first, |&doc| {
             Some(self.next[doc as usize]).filter(|&next| next != NO_DOC)
         })
@@ -201,9 +198,8 @@ mod tests {
         ];
         let table = AnchorDocs::build(anchors.iter().map(Option::as_ref));
         let docs = |anchor: &str| table.docs_of(anchor).collect::<Vec<_>>();
-        assert_eq!(docs("solaris"), [0, 4, 6]);
+        assert_eq!(docs("solaris"), [0, 4, 5, 6]);
         assert_eq!(docs("star wars"), [2]);
-        assert_eq!(docs("Solaris"), [5], "exact, not case-folded");
         assert_eq!(docs("1977"), [3], "a non-text anchor by its display");
         assert_eq!(docs("*"), [], "a singleton has no anchor");
         assert_eq!(docs("alien"), []);
@@ -211,5 +207,27 @@ mod tests {
             AnchorDocs::build(std::iter::empty()).docs_of("x").count(),
             0
         );
+    }
+
+    #[test]
+    fn an_entity_finds_every_anchor_with_its_normal_form() {
+        let anchors = [
+            Some(Value::from("Star Wars")),
+            Some(Value::from("STAR  WARS")),
+            Some(Value::from("star-wars")),
+            Some(Value::from("star wars 2")),
+            Some(Value::from("starwars")),
+            Some(Value::Int(1977)),
+            Some(Value::from("Amélie")),
+        ];
+        let table = AnchorDocs::build(anchors.iter().map(Option::as_ref));
+        let docs = |entity: &str| table.docs_of(entity).collect::<Vec<_>>();
+        // what the segmenter hands over for each of them
+        assert_eq!(docs("star wars"), [0, 1, 2]);
+        assert_eq!(docs("star wars 2"), [3]);
+        assert_eq!(docs("starwars"), [4]);
+        assert_eq!(docs("1977"), [5]);
+        assert_eq!(docs("amélie"), [6]);
+        assert_eq!(docs("Star Wars"), [], "probed by the normal form only");
     }
 }

@@ -18,9 +18,10 @@
 //!    plus intent-term overlap plus utility prior) — "one high-ranking
 //!    segmentation is `[movie.name] [cast]`, and this has a very high
 //!    overlap with the qunit definition that involves a join between
-//!    movie.name and cast";
-//! 3. rank instances of well-matched types with standard IR, each instance
-//!    an independent document.
+//!    movie.name and cast" — and, before any posting is read, decide which
+//!    documents the ranking is open to;
+//! 3. rank those instances with standard IR, each instance an independent
+//!    document, and rescore.
 //!
 //! # Concurrency model
 //!
@@ -508,12 +509,12 @@ pub struct QunitSearchEngine {
     feedback: FeedbackStore,
     /// Catalog-ordered metadata (see [`DefMeta`]), indexed by [`DefId`].
     def_meta: Vec<DefMeta>,
-    /// Owning definition of every global document id — what the kernel's
-    /// definition filter and the rescoring loop read instead of resolving
-    /// a key to a definition name per candidate.
+    /// Owning definition of every global document id — what
+    /// [`QueryPlan::admits`] and the rescoring loop read instead of
+    /// resolving a key to a definition name per candidate.
     doc_def: DocDefLane,
-    /// The documents each anchor instantiates: exact-anchor injection's
-    /// lookup.
+    /// The documents each anchor instantiates, by the anchor's normal form:
+    /// where a plan's anchored documents come from.
     anchors: AnchorDocs,
     /// Highest utility in the catalog (normalizer for the utility prior).
     max_utility: f64,
@@ -556,12 +557,13 @@ const _: () = assert_send_sync::<QunitSearchEngine>();
 
 /// Cache-key normal form of a query: token-joined, lower-cased. Both the
 /// segmenter and the IR analyzer tokenize on the same boundaries, so two
-/// queries with equal normal forms yield identical search results.
+/// queries with equal normal forms yield identical search results. Entity
+/// texts come in this form, so [`AnchorDocs`] keys anchors by it too.
 ///
 /// Writes into a reused buffer — byte-identical to
 /// `relstore::index::tokenize(query).join(" ")` without materializing the
 /// token `Vec` (this runs on every cached lookup, ahead of the kernel).
-fn normalized_query_into(query: &str, out: &mut String) {
+pub(crate) fn normalized_query_into(query: &str, out: &mut String) {
     out.clear();
     let mut in_token = false;
     for ch in query.chars() {
@@ -592,14 +594,56 @@ struct QueryScratch {
     seg: SegmentScratch,
     /// Analyzer token buffer for the IR query terms.
     terms: Vec<String>,
-    /// Type score of every definition ([`QunitSearchEngine::type_scores_into`]).
-    type_scores: Vec<f64>,
-    /// Feedback boost of every definition ([`FeedbackStore::boosts_into`]).
-    boosts: Vec<f64>,
-    /// [`DefFactors`] of every definition.
-    factors: Vec<DefFactors>,
+    /// The query's plan, decided in place ([`QunitSearchEngine::plan`]).
+    plan: QueryPlan,
     /// The rescored candidates, before the top k are kept.
     scored: Vec<Scored>,
+}
+
+/// Which documents a query's ranking is open to (§3: "standard IR …
+/// against qunit instances *of the identified type*").
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Route {
+    /// An underspecified query's default definition (§4.2).
+    Default(DefId),
+    /// The definitions within 0.25 of a best type score of at least 1.5:
+    /// [`QueryPlan::typed`].
+    Typed,
+    /// Every document: the typing is not confident.
+    #[default]
+    Open,
+}
+
+/// What the uncached pipeline decides before it reads the index (§3's
+/// "identify the qunit type"), refilled for every query by
+/// [`QunitSearchEngine::plan`]: run by [`QunitSearchEngine::candidates`],
+/// read by [`QunitSearchEngine::rescore`].
+#[derive(Debug, Default)]
+struct QueryPlan {
+    route: Route,
+    type_scores: Vec<f64>,
+    boosts: Vec<f64>,
+    /// Every definition's factors, by [`DefId`].
+    factors: Vec<DefFactors>,
+    /// [`Route::Typed`]'s definitions, by [`DefId`].
+    typed: Vec<bool>,
+    /// Hits asked of the kernel.
+    fetch: usize,
+    /// Every document a segmented entity anchors, ascending: what injection
+    /// considers and the anchor bonus multiplies.
+    anchored: Vec<DocId>,
+}
+
+impl QueryPlan {
+    /// Whether the route ranks `doc`: the kernel's filter and the anchor
+    /// injection's check.
+    fn admits(&self, lane: &DocDefLane, doc: DocId) -> bool {
+        match self.route {
+            Route::Default(d) => lane.def_of(doc) == Some(d),
+            Route::Typed => lane.accepts(&self.typed, doc),
+            Route::Open => true,
+        }
+    }
 }
 
 /// What one query multiplies into every hit of one definition: pure
@@ -634,14 +678,10 @@ struct Scored {
     doc: DocId,
 }
 
-/// What the first half of the uncached pipeline
-/// ([`QunitSearchEngine::candidates`]) hands the rescoring half, beside the
-/// per-definition factors it leaves in the [`QueryScratch`].
+/// What running a [`QueryPlan`] ([`QunitSearchEngine::candidates`]) hands
+/// the rescoring half.
 struct Candidates {
-    seg: SegmentedQuery,
-    /// The default definition of an underspecified query.
-    default_def: Option<DefId>,
-    /// IR hits plus injected exact-anchor instances.
+    /// IR hits plus injected anchored documents.
     hits: Vec<Hit>,
     /// Shards that failed to contribute to `hits` (under
     /// [`ShardFailurePolicy::Degrade`]).
@@ -1462,10 +1502,12 @@ impl QunitSearchEngine {
             });
         }
         let deadline = DeadlineCheck::new(self.config.deadline);
-        let found = self.candidates(query, k, policy, qs, &deadline)?;
-        deadline
-            .check("materialize")
-            .map_err(|e| self.deadline_trip(e))?;
+        let trip = |e| self.deadline_trip(e);
+        deadline.check("segment").map_err(trip)?;
+        let seg = self.segmenter.segment_with(query, &mut qs.seg);
+        self.plan(&seg, k, &mut qs.plan);
+        let found = self.candidates(&qs.plan, query, policy, &mut qs.terms, &deadline)?;
+        deadline.check("materialize").map_err(trip)?;
         let degraded = found.degraded_shards > 0;
         if degraded {
             // One degraded *answer* regardless of how many shards were
@@ -1474,7 +1516,7 @@ impl QunitSearchEngine {
             self.obs.degraded_results.incr();
         }
         Ok(SearchResponse {
-            results: self.rescore(&found, &qs.factors, k, &mut qs.scored),
+            results: self.rescore(&qs.plan, &found, k, &mut qs.scored),
             degraded,
         })
     }
@@ -1485,24 +1527,14 @@ impl QunitSearchEngine {
         e
     }
 
-    /// The first half of the uncached pipeline: segment the query, identify
-    /// the qunit type, run IR over the instances (of that type, when the
-    /// typing is confident) and add the exact-anchor instances the fetch
-    /// cutoff missed. Leaves every definition's [`DefFactors`] for this
-    /// query in `qs.factors`.
-    fn candidates(
-        &self,
-        query: &str,
-        k: usize,
-        policy: DispatchPolicy,
-        qs: &mut QueryScratch,
-        deadline: &DeadlineCheck,
-    ) -> SearchResult<Candidates> {
-        let trip = |e| self.deadline_trip(e);
-        deadline.check("segment").map_err(trip)?;
-        let seg = self.segmenter.segment_with(query, &mut qs.seg);
-        self.type_scores_into(&seg, &mut qs.type_scores);
-        let type_scores = &qs.type_scores;
+    /// Identify the qunit type of a segmented query and decide into `plan`
+    /// everything its ranking needs: every definition's [`DefFactors`], the
+    /// [`Route`], the fetch depth and the anchored documents. Reads the
+    /// catalog metadata, the config weights, the feedback store and the
+    /// anchor table — never the index.
+    fn plan(&self, seg: &SegmentedQuery, k: usize, plan: &mut QueryPlan) {
+        self.type_scores_into(seg, &mut plan.type_scores);
+        let type_scores = &plan.type_scores;
 
         // Everything the rescoring loop multiplies in that depends on the
         // definition alone. The store is read once, under one lock, so the
@@ -1510,16 +1542,16 @@ impl QunitSearchEngine {
         // clicks.
         let config = &self.config;
         if config.feedback_weight == 0.0 {
-            qs.boosts.clear();
-            qs.boosts.resize(self.def_meta.len(), 0.0);
+            plan.boosts.clear();
+            plan.boosts.resize(self.def_meta.len(), 0.0);
         } else {
             let names = self.def_meta.iter().map(|m| m.name.as_str());
             self.feedback
-                .boosts_into(&seg.template_signature(), names, &mut qs.boosts);
+                .boosts_into(&seg.template_signature(), names, &mut plan.boosts);
         }
-        let boosts = &qs.boosts;
-        qs.factors.clear();
-        qs.factors.extend(
+        let boosts = &plan.boosts;
+        plan.factors.clear();
+        plan.factors.extend(
             type_scores
                 .iter()
                 .zip(boosts)
@@ -1560,35 +1592,47 @@ impl QunitSearchEngine {
         } else {
             None
         };
-
-        // §3: "standard IR techniques can be used to evaluate this query
-        // against qunit instances *of the identified type*". When typing is
-        // confident — a default definition for an underspecified query, or
-        // definitions whose anchor AND intent both align — restrict ranking
-        // to those definitions (`allowed`, by `DefId`); otherwise rank
-        // everything and let the soft type score re-rank.
+        // Otherwise, definitions whose anchor AND intent both align.
         let best_ts = type_scores.iter().copied().fold(0.0, f64::max);
-        let allowed: Option<Vec<bool>> = if let Some(d) = default_def {
-            let mut allowed = vec![false; self.def_meta.len()];
-            allowed[d.index()] = true;
-            Some(allowed)
-        } else if best_ts >= 1.5 {
-            Some(type_scores.iter().map(|&ts| ts >= best_ts - 0.25).collect())
-        } else {
-            None
+        plan.typed.clear();
+        plan.typed
+            .extend(type_scores.iter().map(|&ts| ts >= best_ts - 0.25));
+        plan.route = match default_def {
+            Some(d) => Route::Default(d),
+            None if best_ts >= 1.5 => Route::Typed,
+            None => Route::Open,
         };
+        plan.fetch = k.saturating_mul(10).max(50);
+        plan.anchored.clear();
+        let anchored = seg.entity_texts().flat_map(|t| self.anchors.docs_of(t));
+        plan.anchored.extend(anchored);
+        plan.anchored.sort_unstable();
+        plan.anchored.dedup();
+    }
 
+    /// Run a plan: rank the documents its route admits with IR, rank every
+    /// document instead when the route admits none that match (a movie with
+    /// no soundtrack asked for its ost), then add the anchored documents the
+    /// route admits and the fetch cutoff missed.
+    fn candidates(
+        &self,
+        plan: &QueryPlan,
+        query: &str,
+        policy: DispatchPolicy,
+        terms: &mut Vec<String>,
+        deadline: &DeadlineCheck,
+    ) -> SearchResult<Candidates> {
         // Intra-query parallelism: every ranking pass below fans across
         // the index shards — inline or on the persistent executor per the
         // policy — scored with corpus-global stats and merged
         // deterministically, so results are identical at any shard count,
         // pool size, or dispatch mode. Per-shard scoring time lands in the
         // atomic shard counters.
+        let trip = |e| self.deadline_trip(e);
         deadline.check("rank").map_err(trip)?;
         let searcher = ShardedSearcher::new(&self.index, self.config.scoring);
-        self.index.analyzer().tokenize_into(query, &mut qs.terms);
-        let terms = &qs.terms;
-        let fetch = k.saturating_mul(10).max(50);
+        self.index.analyzer().tokenize_into(query, terms);
+        let terms = &*terms;
         // The mid-kernel probe is wired only when a deadline exists: a
         // `deadline: None` engine keeps the probe-free kernel loops (no
         // posting-budget bookkeeping at all, same as before deadlines).
@@ -1625,7 +1669,7 @@ impl QunitSearchEngine {
         let mut fan_out = |filter: Option<&(dyn Fn(DocId) -> bool + Sync)>| {
             self.sharded_searches.fetch_add(1, Ordering::Relaxed);
             let outcome = searcher
-                .try_search_terms_where_ctx(terms, fetch, filter, &ctx)
+                .try_search_terms_where_ctx(terms, plan.fetch, filter, &ctx)
                 .map_err(&rank_trip)?;
             // Contained failures are counted per fan-out, eagerly: if a
             // later fan-out errors out, the shards this one lost are
@@ -1636,53 +1680,30 @@ impl QunitSearchEngine {
             degraded_shards += outcome.failed_shards;
             SearchResult::Ok(outcome.hits)
         };
-        let mut hits = match &allowed {
-            Some(allowed) => {
-                self.obs.typed_queries.incr();
-                let hits = fan_out(Some(&|doc| self.doc_def.accepts(allowed, doc)))?;
-                if hits.is_empty() {
-                    // The identified type has no matching instance (a
-                    // movie with no soundtrack asked for its ost): fall
-                    // back to the unrestricted pool.
-                    self.obs.typed_fallbacks.incr();
-                    fan_out(None)?
-                } else {
-                    hits
-                }
-            }
-            None => fan_out(None)?,
-        };
+        let typed = plan.route != Route::Open;
+        if typed {
+            self.obs.typed_queries.incr();
+        }
+        let admits = |doc| plan.admits(&self.doc_def, doc);
+        let mut hits = fan_out(typed.then_some(&admits))?;
+        if typed && hits.is_empty() {
+            self.obs.typed_fallbacks.incr();
+            hits = fan_out(None)?;
+        }
 
-        // Exact-anchor injection: the instance a segmented entity anchors
-        // is always a candidate, in each definition ranking is open to,
-        // even when BM25 ranks it below the fetch cutoff (a star's
-        // filmography document is long, scores low, and would otherwise
-        // vanish behind 50 short near-misses). The entity's chain is in
-        // doc-id order — catalog order, a definition's documents together
-        // — so the first of a definition is the first-inserted.
-        for text in seg.entity_texts() {
-            let mut last_def = None;
-            for doc in self.anchors.docs_of(text) {
-                let def = self.doc_def.def_of(doc);
-                let open = match &allowed {
-                    Some(allowed) => self.doc_def.accepts(allowed, doc),
-                    None => def.is_some(),
-                };
-                if !open || def == last_def {
-                    continue;
-                }
-                last_def = def;
-                if !hits.iter().any(|h| h.doc == doc) {
-                    let scored = searcher.score_doc(query, doc);
-                    if scored.score > 0.0 {
-                        hits.push(scored);
-                    }
+        // Exact-anchor injection: an anchored document the planned route
+        // admits — a fallback does not widen it — is a candidate even below
+        // the fetch cutoff (a star's filmography document is long, scores
+        // low, and would otherwise vanish behind 50 short near-misses).
+        for &doc in &plan.anchored {
+            if admits(doc) && !hits.iter().any(|h| h.doc == doc) {
+                let scored = searcher.score_doc(terms, doc);
+                if scored.score > 0.0 {
+                    hits.push(scored);
                 }
             }
         }
         Ok(Candidates {
-            seg,
-            default_def,
             hits,
             degraded_shards,
         })
@@ -1692,12 +1713,13 @@ impl QunitSearchEngine {
     /// exact-anchor, default-definition and feedback factors — in that
     /// order, which the score's bits depend on — and build results for the
     /// best `k`. Per candidate that is array reads by doc id and by
-    /// [`DefId`]; keys are compared only to break score ties, and owned only
-    /// by the `k` results (with a reference-count bump each).
+    /// [`DefId`] and a binary search of the plan's anchored documents; keys
+    /// are compared only to break score ties, and owned only by the `k`
+    /// results (with a reference-count bump each).
     fn rescore(
         &self,
+        plan: &QueryPlan,
         found: &Candidates,
-        factors: &[DefFactors],
         k: usize,
         scored: &mut Vec<Scored>,
     ) -> Vec<QunitResult> {
@@ -1706,13 +1728,12 @@ impl QunitSearchEngine {
         scored.clear();
         scored.extend(found.hits.iter().map(|h| {
             let def = self.doc_def.def_of(h.doc);
-            let of_def = def.map_or(&DefFactors::NO_DEF, |d| &factors[d.index()]);
-            let inst = &self.instances[h.doc as usize];
+            let of_def = def.map_or(&DefFactors::NO_DEF, |d| &plan.factors[d.index()]);
             let mut score = h.score * of_def.type_factor;
-            if found.seg.entity_texts().any(|t| inst.anchor_is(t)) {
+            if plan.anchored.binary_search(&h.doc).is_ok() {
                 score *= anchor_factor;
             }
-            if found.default_def.is_some() && found.default_def == def {
+            if matches!(plan.route, Route::Default(d) if def == Some(d)) {
                 score *= default_factor;
             }
             score *= of_def.feedback_factor;
@@ -2215,12 +2236,15 @@ mod tests {
         /// definition name, and the whole list sorted by score then key.
         fn rescore_reference(
             &self,
+            seg: &SegmentedQuery,
+            plan: &QueryPlan,
             found: &Candidates,
-            type_scores: &[f64],
             k: usize,
         ) -> Vec<QunitResult> {
-            let seg = &found.seg;
-            let default_def = found.default_def;
+            let default_def = match plan.route {
+                Route::Default(d) => Some(d),
+                _ => None,
+            };
             let seg_signature = seg.template_signature();
             let entity_texts: Vec<String> = seg
                 .segments
@@ -2244,7 +2268,7 @@ mod tests {
                     let key = self.index.external_id(h.doc)?;
                     let inst = self.instance(key)?;
                     let def = self.doc_def.def_of(h.doc);
-                    let ts = def.map_or(0.0, |d| type_scores[d.index()]);
+                    let ts = def.map_or(0.0, |d| plan.factors[d.index()].type_score);
                     let mut score = h.score * (1.0 + self.config.type_weight * ts);
                     if let Some(anchor) = inst.anchor_text() {
                         if entity_texts.iter().any(|t| t.eq_ignore_ascii_case(&anchor)) {
@@ -2329,8 +2353,9 @@ mod tests {
                 QunitSearchEngine::build(&data.db, expert_imdb_qunits(&data.db).unwrap(), config)
                     .unwrap();
             // States no build produces, which rescoring must still agree
-            // on: every third text anchor in upper case, and every seventh
-            // document owned by no definition of the catalog.
+            // on: every third text anchor in upper case (in the anchor table
+            // too), and every seventh document owned by no definition of the
+            // catalog.
             let owners: Vec<Option<DefId>> = (0..e.instances.len() as DocId)
                 .map(|doc| e.doc_def.def_of(doc).filter(|_| doc % 7 != 0))
                 .collect();
@@ -2345,6 +2370,7 @@ mod tests {
                 }
                 *slot = Arc::new(inst);
             }
+            e.anchors = AnchorDocs::build(e.instances.iter().map(|i| i.anchor_value.as_ref()));
 
             let mut clicks = 0;
             for clicks_wanted in [0, 3, 50] {
@@ -2387,11 +2413,14 @@ mod tests {
     /// One query's candidates rescored both ways, and held equal.
     fn compare_rescoring(e: &QunitSearchEngine, q: &str, k: usize, seen: &mut RescoreCoverage) {
         let mut qs = QueryScratch::default();
+        let seg = e.segmenter.segment(q);
+        e.plan(&seg, k, &mut qs.plan);
+        let plan = &qs.plan;
         let found = e
-            .candidates(q, k, e.policy, &mut qs, &DeadlineCheck::new(None))
+            .candidates(plan, q, e.policy, &mut qs.terms, &DeadlineCheck::new(None))
             .unwrap();
-        let new = e.rescore(&found, &qs.factors, k, &mut qs.scored);
-        let old = e.rescore_reference(&found, &qs.type_scores, k);
+        let new = e.rescore(plan, &found, k, &mut qs.scored);
+        let old = e.rescore_reference(&seg, plan, &found, k);
         let bits = |r: &QunitResult| {
             (
                 r.key.clone(),
@@ -2412,14 +2441,12 @@ mod tests {
         seen.compared += 1;
         seen.truncated += usize::from(found.hits.len() > k);
         seen.short += usize::from(found.hits.len() < k);
-        seen.default_definition += usize::from(found.default_def.is_some());
+        seen.default_definition += usize::from(matches!(plan.route, Route::Default(_)));
         seen.score_ties += usize::from(new.windows(2).any(|w| w[0].score == w[1].score));
         let of = |h: &Hit| &e.instances[h.doc as usize];
         seen.case_folded_anchor += usize::from(found.hits.iter().any(|h| {
             let anchor = of(h).anchor_text().unwrap_or_default();
-            found
-                .seg
-                .entity_texts()
+            seg.entity_texts()
                 .any(|t| t != anchor && t.eq_ignore_ascii_case(&anchor))
         }));
         let owner = |h: &Hit| e.doc_def.def_of(h.doc);
@@ -2428,7 +2455,7 @@ mod tests {
             found
                 .hits
                 .iter()
-                .any(|h| owner(h).is_some_and(|d| qs.factors[d.index()].feedback_factor > 1.0)),
+                .any(|h| owner(h).is_some_and(|d| plan.factors[d.index()].feedback_factor > 1.0)),
         );
     }
 
@@ -2552,6 +2579,222 @@ mod tests {
         let obs = e.obs_snapshot();
         assert_eq!((obs.typed_queries, obs.typed_fallbacks), (2, 1));
         assert_eq!(e.shard_stats().searches, 4);
+    }
+
+    /// The route of `plan` and the definitions it admits, asked of each
+    /// definition's first document: `"open"` when that is every definition.
+    fn route_of(e: &QunitSearchEngine, plan: &QueryPlan) -> String {
+        let admitted: Vec<&str> = e
+            .def_meta
+            .iter()
+            .filter(|m| {
+                let mut docs = 0..e.doc_def.len() as DocId;
+                docs.find(|&doc| e.doc_def.def_of(doc) == Some(m.id))
+                    .is_some_and(|doc| plan.admits(&e.doc_def, doc))
+            })
+            .map(|m| m.name.as_str())
+            .collect();
+        match plan.route {
+            Route::Open if admitted.len() == e.def_meta.len() => "open".into(),
+            Route::Open => format!("open, yet only {admitted:?}"),
+            Route::Default(_) => format!("default {}", admitted.join(" ")),
+            Route::Typed => format!("typed {}", admitted.join(" ")),
+        }
+    }
+
+    #[test]
+    fn every_querylog_template_takes_its_pinned_route() {
+        let (data, e) = engine();
+        let title = &data.movies[0].title;
+        let (person, other) = (&data.people[0].name, &data.people[1].name);
+        // `exp_querylog`'s 14 most frequent templates, in its order; the
+        // routes were recorded from the engine before the plan was a value.
+        let table = [
+            ("[movie.title]", title.clone(), "default movie_page"),
+            ("[person.name]", person.clone(), "default person_page"),
+            ("[movie.title] [freetext]", format!("{title} scene"), "open"),
+            ("movie [freetext]", "movie premiere".into(), "open"),
+            ("[freetext]", "wallpaper".into(), "open"),
+            (
+                "[movie.title] cast",
+                format!("{title} cast"),
+                "typed movie_cast",
+            ),
+            (
+                "[person.name] movies",
+                format!("{person} movies"),
+                "typed person_filmography",
+            ),
+            (
+                "[movie.title] plot",
+                format!("{title} plot"),
+                "typed movie_plot",
+            ),
+            (
+                "[movie.title] year",
+                format!("{title} year"),
+                "typed movie_page",
+            ),
+            (
+                "[movie.title] box office",
+                format!("{title} box office"),
+                "typed movie_boxoffice",
+            ),
+            (
+                "[movie.title] ost",
+                format!("{title} ost"),
+                "typed movie_soundtrack",
+            ),
+            (
+                "[movie.title] posters",
+                format!("{title} posters"),
+                "typed movie_posters",
+            ),
+            (
+                "[person.name] [movie.title]",
+                format!("{person} {title}"),
+                "default movie_page",
+            ),
+            (
+                "[person.name] [person.name]",
+                format!("{person} {other}"),
+                "default person_page",
+            ),
+        ];
+        let mut plan = QueryPlan::default();
+        for (template, query, route) in table {
+            let seg = e.segmenter.segment(&query);
+            assert_eq!(seg.template_signature(), template, "{query:?}");
+            e.plan(&seg, 10, &mut plan);
+            assert_eq!(route_of(&e, &plan), route, "{query:?}");
+            // the typed counter counts the route
+            let before = e.obs_snapshot().typed_queries;
+            e.search_uncached(&query, 10);
+            let typed = e.obs_snapshot().typed_queries - before;
+            assert_eq!(typed, u64::from(plan.route != Route::Open), "{query:?}");
+        }
+    }
+
+    #[test]
+    fn a_fallback_injects_only_what_the_planned_route_admits() {
+        // No movie has a soundtrack: "<movie> ost" plans the typed route to
+        // `movie_soundtrack`, whose pass finds nothing and falls back.
+        let mut data = ImdbData::generate(ImdbConfig::tiny());
+        let soundtrack = data.db.catalog().table_id("soundtrack").unwrap();
+        let table = data.db.table_mut(soundtrack).unwrap();
+        let rows: Vec<_> = table.scan().map(|(id, _)| id).collect();
+        for id in rows {
+            table.delete(id).unwrap();
+        }
+        let e = QunitSearchEngine::build(
+            &data.db,
+            expert_imdb_qunits(&data.db).unwrap(),
+            EngineConfig::default(),
+        )
+        .unwrap();
+        let query = format!("{} ost", data.movies[0].title);
+        let mut qs = QueryScratch::default();
+        e.plan(&e.segmenter.segment(&query), 5, &mut qs.plan);
+        let plan = &qs.plan;
+        assert_eq!(plan.route, Route::Typed);
+        let routed = e.def_meta.iter().filter(|m| plan.typed[m.id.index()]);
+        let routed: Vec<&str> = routed.map(|m| m.name.as_str()).collect();
+        assert_eq!(routed, ["movie_soundtrack"]);
+        // The title's other pages are anchored, and the open pass may rank
+        // them, but the planned route admits none of them…
+        assert!(plan.anchored.len() > 3, "{:?}", plan.anchored);
+        assert!(plan
+            .anchored
+            .iter()
+            .all(|&doc| !plan.admits(&e.doc_def, doc)));
+        let found = e
+            .candidates(
+                plan,
+                &query,
+                e.policy,
+                &mut qs.terms,
+                &DeadlineCheck::new(None),
+            )
+            .unwrap();
+        // …so the candidates are the open pass's hits and nothing more.
+        let open = ShardedSearcher::new(&e.index, e.config.scoring)
+            .try_search_terms_where_ctx(&qs.terms, plan.fetch, None, &SearchContext::default())
+            .unwrap()
+            .hits;
+        assert!(!open.is_empty());
+        assert_eq!(found.hits, open);
+        assert_eq!(e.obs_snapshot().typed_fallbacks, 1);
+    }
+
+    #[test]
+    fn a_capitalised_anchor_below_the_fetch_cutoff_is_injected() {
+        use crate::presentation::ConversionExpr;
+        use crate::qunit::{AnchorSpec, DerivationSource};
+        use relstore::{ColumnDef, DataType, Predicate, QueryBuilder, TableSchema, View};
+
+        let mut db = Database::new("d");
+        db.create_table(
+            TableSchema::new("movie")
+                .column(ColumnDef::new("id", DataType::Int).not_null())
+                .column(ColumnDef::new("title", DataType::Text))
+                .column(ColumnDef::new("plot", DataType::Text))
+                .primary_key("id"),
+        )
+        .unwrap();
+        // Sixty short near-misses, then one long page BM25 ranks below all
+        // of them, titled in capitals the segmenter folds away.
+        for i in 1..=60 {
+            let row = vec![i.into(), format!("star wars {i}").into(), "short".into()];
+            db.insert("movie", row).unwrap();
+        }
+        let plot: Vec<String> = (0..150).map(|w| format!("filler{w}")).collect();
+        let row = vec![61.into(), "Star Wars".into(), plot.join(" ").into()];
+        db.insert("movie", row).unwrap();
+        let b = QueryBuilder::new(&db).table("movie").unwrap();
+        let title = b.col(0, "title").unwrap();
+        let mut catalog = QunitCatalog::new();
+        catalog.add(QunitDefinition {
+            name: "movie_page".into(),
+            base: View::new(
+                "movie_page",
+                b.filter(Predicate::eq_param(title, "x")).build(),
+            ),
+            conversion: ConversionExpr::flat("movie_page"),
+            anchor: Some(AnchorSpec {
+                table: "movie".into(),
+                column: "title".into(),
+                param: "x".into(),
+            }),
+            intent_terms: Vec::new(),
+            covered_fields: vec!["movie.title".into()],
+            utility: 1.0,
+            provenance: DerivationSource::Manual,
+        });
+        let config = EngineConfig {
+            entity_specs: Some(vec![("movie".into(), "title".into())]),
+            ..EngineConfig::default()
+        };
+        let e = QunitSearchEngine::build(&db, catalog, config).unwrap();
+        let page = "movie_page::Star Wars";
+        let doc = e.index.doc_for_external(page).unwrap();
+        let terms = e.index.analyzer().tokenize("star wars");
+        let searcher = ShardedSearcher::new(&e.index, e.config.scoring);
+        let ranked = searcher
+            .try_search_terms_where_ctx(&terms, 61, None, &SearchContext::default())
+            .unwrap()
+            .hits;
+        let rank = ranked.iter().position(|h| h.doc == doc).unwrap();
+        assert!(
+            rank >= 50,
+            "the page must fall below fetch 50, not at {rank}"
+        );
+
+        let answer = e.search_uncached("star wars", 5);
+        assert!(
+            answer.iter().any(|r| r.key == page),
+            "{:?}",
+            answer.iter().map(|r| &r.key).collect::<Vec<_>>()
+        );
     }
 
     #[test]

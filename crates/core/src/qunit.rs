@@ -121,37 +121,6 @@ impl QunitInstance {
     pub fn anchor_text(&self) -> Option<String> {
         self.anchor_value.as_ref().map(Value::display_plain)
     }
-
-    /// Whether [`QunitInstance::anchor_text`] equals `text` up to ASCII
-    /// case — decided on the anchor value where it lies, without building
-    /// the string.
-    pub(crate) fn anchor_is(&self, text: &str) -> bool {
-        /// Accepts writes for as long as they spell out what is left of a
-        /// string.
-        struct Rest<'t>(&'t [u8]);
-        impl std::fmt::Write for Rest<'_> {
-            fn write_str(&mut self, written: &str) -> std::fmt::Result {
-                match self.0.split_at_checked(written.len()) {
-                    Some((head, rest)) if head.eq_ignore_ascii_case(written.as_bytes()) => {
-                        self.0 = rest;
-                        Ok(())
-                    }
-                    _ => Err(std::fmt::Error),
-                }
-            }
-        }
-        match &self.anchor_value {
-            None => false,
-            Some(Value::Text(anchor)) => anchor.eq_ignore_ascii_case(text),
-            // What `display_plain` would build for any other value is what
-            // its `Display` writes.
-            Some(other) => {
-                let mut rest = Rest(text.as_bytes());
-                std::fmt::Write::write_fmt(&mut rest, format_args!("{other}")).is_ok()
-                    && rest.0.is_empty()
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -220,59 +189,5 @@ mod tests {
             tuple_count: 3,
         };
         assert_eq!(inst.anchor_text().as_deref(), Some("star wars"));
-    }
-
-    #[test]
-    fn anchor_is_compares_as_the_built_string_would() {
-        let anchors = [
-            None,
-            Some(Value::from("Star Wars")),
-            Some(Value::from("amélie")),
-            Some(Value::from("")),
-            Some(Value::Int(1977)),
-            Some(Value::Float(7.5)),
-            Some(Value::Bool(true)),
-            Some(Value::Null),
-        ];
-        let texts = [
-            "star wars",
-            "STAR WARS",
-            "star war",
-            "star wars 2",
-            "amélie",
-            "AMÉLIE",
-            "",
-            "1977",
-            "197",
-            "19770",
-            "7.5",
-            "TRUE",
-            "true",
-            "∅",
-        ];
-        let mut matches = 0;
-        for anchor_value in anchors {
-            let inst = QunitInstance {
-                key: String::new(),
-                definition: String::new(),
-                anchor_value,
-                rendered: String::new(),
-                text: String::new(),
-                fields: vec![],
-                tuple_count: 0,
-            };
-            for text in texts {
-                let built = inst.anchor_text();
-                let want = built.is_some_and(|a| a.eq_ignore_ascii_case(text));
-                assert_eq!(
-                    inst.anchor_is(text),
-                    want,
-                    "{:?} is {text:?}",
-                    inst.anchor_value
-                );
-                matches += usize::from(want);
-            }
-        }
-        assert_eq!(matches, 9, "every kind of value matches its own display");
     }
 }

@@ -11,13 +11,16 @@
 //! only by the k results. Measured with this allocator at k = 10 on a
 //! 100-movie synthetic IMDb, cache off, warmed thread — allocations (bytes):
 //!
-//! | | `"star odyssey cast"` (typed, 10 results) | `"bear"` (6 hits) | `"clooney"` (100 hits) | 100 hits − 6 hits, result keys aside |
-//! |---|---|---|---|---|
-//! | parent (per hit: its anchor text built; per query: a sort buffer) | 169 (24 366) | 43 (5 086) | 146 (22 992) | 99 |
-//! | now | 46 (5 600) | 30 (4 002) | 34 (4 326) | 0 |
+//! | | `"star odyssey cast"` (typed, 10 results) | `"bear"` (6 hits) | `"clooney"` (100 hits) | 100 hits − 6 hits, result keys aside | `"george clooney movies"` at k = 1 (typed, one document injected) |
+//! |---|---|---|---|---|---|
+//! | rescoring by key (per hit: its anchor text built; per query: a sort buffer) | 169 (24 366) | 43 (5 086) | 146 (22 992) | 99 | — |
+//! | rescoring by doc id (per query: the typed route's mask; per injected document: the query tokenised again) | 46 (5 600) | 30 (4 002) | 34 (4 326) | 0 | 46 (6 336) |
+//! | now (the mask in the thread's scratch; injection scores the terms analyzed once) | 45 (5 588) | 30 (4 002) | 34 (4 326) | 0 | 40 (6 201) |
 //!
-//! `driver.allocs_per_query` (ROADMAP item 1) will replace this file's
-//! numbers with the benchmark's.
+//! The two typed counts are pinned ([`TYPED_MISS`], [`INJECTING_MISS`]), so
+//! neither a per-query mask nor a per-injected-document tokenisation comes
+//! back unnoticed. `driver.allocs_per_query` (ROADMAP item 1) will replace
+//! this file's numbers with the benchmark's.
 
 mod counting_alloc;
 
@@ -32,6 +35,13 @@ static GLOBAL: Counting = Counting;
 /// Allocations the kernel's own hit lists may add between a query of a few
 /// hits and one of a hundred.
 const VEC_GROWTH: u64 = 8;
+
+/// Allocations of the typed `"<title> cast"` miss at k = 10.
+const TYPED_MISS: u64 = 45;
+
+/// Allocations of the `"<person> movies"` miss at k = 1, which injects one
+/// anchored document.
+const INJECTING_MISS: u64 = 40;
 
 /// A one-word, entity-free query matching between `at_least` and `at_most`
 /// instances, drawn from the words of the instances themselves.
@@ -79,30 +89,48 @@ fn a_miss_allocates_by_k_not_by_the_number_of_hits() {
 
     let few = word_matching(&engine, 3, 8);
     let many = word_matching(&engine, FETCH, usize::MAX);
-    let miss = |query: &str| {
+    let miss_at = |query: &str, k: usize| {
         // Warm-up: this thread's query scratch and the pooled accumulators.
-        let warm = engine.search(query, K);
-        let (answer, cost) = measured(|| engine.search(query, K));
+        let warm = engine.search(query, k);
+        let (answer, cost) = measured(|| engine.search(query, k));
         assert_eq!(answer, warm);
         (answer.len() as u64, cost)
     };
+    let miss = |query: &str| miss_at(query, K);
     let typed_query = format!("{} cast", data.movies[0].title);
     let (typed_results, typed) = miss(&typed_query);
     let (few_results, few_cost) = miss(&few);
     let (many_results, many_cost) = miss(&many);
+    // At k = 1 the kernel is asked for 50 hits, and the most-cast person's
+    // long filmography page ranks below them: it is injected and scored on
+    // its own.
+    let star = &data.people[0].name;
+    let injecting = format!("{star} movies");
+    let (_, injected) = miss_at(&injecting, 1);
     assert_eq!(engine.cache_stats().hits, 0, "every one of them a miss");
     assert!(typed_results > 0);
     assert!((3..=8).contains(&few_results), "{few:?}: {few_results}");
     assert_eq!(many_results, K as u64, "{many:?}");
     println!(
         "k = {K} miss: {typed_query:?} ({typed_results} results) {} allocations ({} B); {few:?} \
-         ({few_results} hits) {} ({} B); {many:?} ({FETCH} hits) {} ({} B)",
+         ({few_results} hits) {} ({} B); {many:?} ({FETCH} hits) {} ({} B); k = 1 miss: \
+         {injecting:?} (one document injected) {} ({} B)",
         typed.allocs,
         typed.allocated_bytes,
         few_cost.allocs,
         few_cost.allocated_bytes,
         many_cost.allocs,
         many_cost.allocated_bytes,
+        injected.allocs,
+        injected.allocated_bytes,
+    );
+    // The typed route reads its definition mask from the thread's scratch,
+    // and an injected document is scored on the query's terms as analyzed
+    // once: neither allocates per query, nor per injected document.
+    assert_eq!(typed.allocs, TYPED_MISS, "{typed_query:?}: {typed:?}");
+    assert_eq!(
+        injected.allocs, INJECTING_MISS,
+        "{injecting:?}: {injected:?}"
     );
 
     // Same shape of query, twenty times the hits: beyond the key each

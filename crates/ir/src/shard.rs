@@ -895,8 +895,9 @@ impl<'a> ShardedSearcher<'a> {
         }
         out
     }
-    /// Score one specific **global** document against a query (same
-    /// accumulation as [`ShardedSearcher::try_search_terms_where_ctx`],
+    /// Score one specific **global** document against the analyzed query
+    /// `terms` (same accumulation as
+    /// [`ShardedSearcher::try_search_terms_where_ctx`] over the same terms,
     /// restricted to `doc`). Returns a zero-score hit when no query term
     /// matches.
     ///
@@ -904,11 +905,10 @@ impl<'a> ShardedSearcher<'a> {
     /// kernel — the bounds come from the same corpus-global statistics —
     /// so the float total is bit-identical to the document's full-search
     /// score.
-    pub fn score_doc(&self, query: &str, doc: DocId) -> Hit {
-        let terms = self.index.analyzer().tokenize(query);
+    pub fn score_doc(&self, terms: &[String], doc: DocId) -> Hit {
         let (s, local) = self.index.to_local(doc);
         let shard = &self.index.shards()[s];
-        let deduped = dedup_terms(&terms);
+        let deduped = dedup_terms(terms);
         let bounds: Vec<f64> = deduped
             .iter()
             .map(|(term, qtf)| {
@@ -1112,7 +1112,7 @@ mod tests {
                         score: 0.0,
                         matched_terms: 0,
                     });
-                    let got = sharded.score_doc(q, g);
+                    let got = sharded.score_doc(&terms, g);
                     assert_eq!(got.doc, g);
                     assert_eq!(got.score.to_bits(), want.score.to_bits(), "{q} doc {g}");
                     assert_eq!(got.matched_terms, want.matched_terms, "{q} doc {g}");
