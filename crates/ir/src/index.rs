@@ -82,9 +82,21 @@
 //! the flat lanes, or a bit-exact decode into a caller-supplied
 //! [`PostingsBuf`]. Everything downstream (scores, MaxScore bound lanes,
 //! shard fingerprints) is bit-identical across the two codecs.
+//!
+//! # Strings
+//!
+//! An index holds no `String` per term or per stored document. The
+//! vocabulary is one text arena in [`TermId`] order, and
+//! [`IndexBuilder::add`] copies each document's external id and field texts
+//! into another as documents arrive (a `DocStore`; field names interned).
+//! The dictionary and the external-id lookup are open-addressing tables of
+//! ids over those arenas, so a lookup compares against the arena and
+//! nothing is stored twice. [`Index::document`] hands back a [`DocView`]
+//! borrowed from the index.
 
 use crate::analysis::{for_each_raw_token, Analyzer};
-use crate::document::{DocId, Document};
+use crate::arena::{IdTable, StrHashState, TextArena};
+use crate::document::{DocId, DocStore, DocView, Document};
 use crate::shard::ShardedIndex;
 use std::collections::HashMap;
 
@@ -451,16 +463,15 @@ pub struct Index {
     analyzer: Analyzer,
     /// Term dictionary: analyzed term → interned [`TermId`].
     ///
-    /// Deliberately held *beside* the sorted `terms` Vec even though a
+    /// Deliberately held *beside* the sorted `terms` arena even though a
     /// binary search over it could answer the same lookups: the dictionary
     /// probe is the entry point of every query term's scoring, and O(1)
     /// hashing beats ~log2(V) cache-missing string compares there. The
-    /// price is each term String stored twice; vocabulary is the small
-    /// side of an index (postings dominate), so the hot path wins.
-    term_ids: HashMap<String, TermId>,
-    /// Inverse dictionary: `terms[t]` is the term interned as id `t`.
+    /// table stores ids, not strings: a probe compares against the arena.
+    term_ids: IdTable,
+    /// Inverse dictionary: string `t` is the term interned as id `t`.
     /// Sorted — [`TermId`]s are assigned in lexicographic term order.
-    terms: Vec<String>,
+    terms: TextArena,
     /// CSR row offsets: term `t`'s postings span
     /// `offsets[t] .. offsets[t + 1]` in the posting store below.
     /// `offsets.len() == terms.len() + 1`; `u32` bounds the index at 4 B
@@ -483,8 +494,10 @@ pub struct Index {
     blocks: BlockLanes,
     doc_lengths: Vec<f64>,
     avg_doc_length: f64,
-    docs: Vec<Document>,
-    external_to_doc: HashMap<String, DocId>,
+    /// Stored documents, one text arena (see [`DocStore`]).
+    docs: DocStore,
+    /// External id → the first document carrying it.
+    external_to_doc: IdTable,
 }
 
 const fn assert_send_sync<T: Send + Sync>() {}
@@ -510,12 +523,12 @@ impl Index {
     /// the **one** hash lookup a query term pays; everything after it is
     /// array indexing.
     pub fn term_id(&self, term: &str) -> Option<TermId> {
-        self.term_ids.get(term).copied()
+        self.term_ids.get(term, |id| self.terms.get(id as usize))
     }
 
     /// The term interned as `id`, if in range.
     pub fn term(&self, id: TermId) -> Option<&str> {
-        self.terms.get(id as usize).map(String::as_str)
+        self.terms.try_get(id as usize)
     }
 
     /// Postings for a term (already analyzed form): dictionary lookup +
@@ -772,19 +785,20 @@ impl Index {
         self.avg_doc_length
     }
 
-    /// The stored document.
-    pub fn document(&self, doc: DocId) -> Option<&Document> {
-        self.docs.get(doc as usize)
+    /// The stored document, borrowed from the index.
+    pub fn document(&self, doc: DocId) -> Option<DocView<'_>> {
+        self.docs.doc(doc as usize)
     }
 
     /// External id of a document.
     pub fn external_id(&self, doc: DocId) -> Option<&str> {
-        self.docs.get(doc as usize).map(|d| d.external_id.as_str())
+        ((doc as usize) < self.docs.len()).then(|| self.docs.external_id(doc as usize))
     }
 
-    /// Internal id for an external id.
+    /// Internal id for an external id (the first document carrying it).
     pub fn doc_for_external(&self, external: &str) -> Option<DocId> {
-        self.external_to_doc.get(external).copied()
+        self.external_to_doc
+            .get(external, |d| self.docs.external_id(d as usize))
     }
 
     /// The analyzer this index was built with (use it for queries).
@@ -794,12 +808,12 @@ impl Index {
 
     /// Every indexed term, in [`TermId`] order (lexicographically sorted).
     pub fn terms(&self) -> impl Iterator<Item = &str> {
-        self.terms.iter().map(String::as_str)
+        self.terms.iter()
     }
 
     // --- raw access for the snapshot writer/reader (crate::snapshot) ---
 
-    pub(crate) fn raw_terms(&self) -> &[String] {
+    pub(crate) fn raw_terms(&self) -> &TextArena {
         &self.terms
     }
 
@@ -819,25 +833,26 @@ impl Index {
         &self.blocks
     }
 
-    pub(crate) fn raw_docs(&self) -> &[Document] {
+    #[cfg(test)]
+    pub(crate) fn raw_docs(&self) -> &DocStore {
         &self.docs
     }
 
     /// Reassemble an [`Index`] from snapshot sections. Derived state
-    /// (dictionary, external-id map, average length) is rebuilt here — it is
-    /// a pure function of the stored lanes, so the result is identical to
+    /// (dictionary, external-id table, average length) is rebuilt here — it
+    /// is a pure function of the stored lanes, so the result is identical to
     /// the originally built index. Returns a description of the first
     /// violated invariant instead of constructing a malformed index.
     #[allow(clippy::too_many_arguments)] // one parameter per snapshot section
     pub(crate) fn from_raw_parts(
         analyzer: Analyzer,
-        terms: Vec<String>,
+        terms: TextArena,
         offsets: Vec<u32>,
         store: PostingStore,
         term_max_tfs: Vec<f64>,
         blocks: BlockLanes,
         doc_lengths: Vec<f64>,
-        docs: Vec<Document>,
+        docs: DocStore,
     ) -> Result<Index, String> {
         if offsets.len() != terms.len() + 1 {
             return Err(format!(
@@ -856,7 +871,7 @@ impl Index {
                 terms.len()
             ));
         }
-        if terms.windows(2).any(|w| w[0] >= w[1]) {
+        if (1..terms.len()).any(|t| terms.get(t - 1) >= terms.get(t)) {
             return Err("term dictionary is not strictly sorted".to_owned());
         }
         if doc_lengths.len() != docs.len() {
@@ -935,17 +950,8 @@ impl Index {
             }
         }
 
-        let term_ids = terms
-            .iter()
-            .enumerate()
-            .map(|(t, term)| (term.clone(), t as TermId))
-            .collect();
-        let mut external_to_doc = HashMap::with_capacity(docs.len());
-        for (i, doc) in docs.iter().enumerate() {
-            external_to_doc
-                .entry(doc.external_id.clone())
-                .or_insert(i as DocId);
-        }
+        let term_ids = term_table(&terms);
+        let external_to_doc = external_id_table(&docs);
         // Same reduction order as IndexBuilder::build (insertion order), so
         // the float result is bit-identical to the built index's.
         let avg_doc_length = if doc_lengths.is_empty() {
@@ -969,13 +975,34 @@ impl Index {
     }
 }
 
+/// The dictionary of a sorted, duplicate-free vocabulary: term → [`TermId`].
+fn term_table(terms: &TextArena) -> IdTable {
+    let mut table = IdTable::with_capacity(terms.len());
+    for (t, term) in terms.iter().enumerate() {
+        table.insert_first(term, t as TermId, |id| terms.get(id as usize));
+    }
+    table
+}
+
+/// External id → the first document carrying it.
+fn external_id_table(docs: &DocStore) -> IdTable {
+    let mut table = IdTable::with_capacity(docs.len());
+    for d in 0..docs.len() {
+        table.insert_first(docs.external_id(d), d as DocId, |id| {
+            docs.external_id(id as usize)
+        });
+    }
+    table
+}
+
 /// Mutable accumulation of documents into an [`Index`].
 #[derive(Debug, Clone)]
 pub struct IndexBuilder {
     analyzer: Analyzer,
     field_boosts: HashMap<String, f64>,
     block_size: usize,
-    docs: Vec<Document>,
+    /// Every document added so far, copied into one text arena.
+    docs: DocStore,
 }
 
 impl Default for IndexBuilder {
@@ -991,7 +1018,7 @@ impl IndexBuilder {
             analyzer: Analyzer::new(),
             field_boosts: HashMap::new(),
             block_size: DEFAULT_BLOCK_SIZE,
-            docs: Vec::new(),
+            docs: DocStore::default(),
         }
     }
 
@@ -1014,11 +1041,17 @@ impl IndexBuilder {
         self.block_size = block_size.max(1);
     }
 
-    /// Add a document. Duplicate external ids are allowed but
+    /// Add a document: its external id and fields are copied into the
+    /// builder's text arena. Duplicate external ids are allowed but
     /// [`Index::doc_for_external`] will resolve to the first.
     pub fn add(&mut self, doc: Document) -> DocId {
         let id = self.docs.len() as DocId;
-        self.docs.push(doc);
+        self.docs.push(
+            &doc.external_id,
+            doc.fields
+                .iter()
+                .map(|(name, text)| (name.as_str(), text.as_str())),
+        );
         id
     }
 
@@ -1029,7 +1062,7 @@ impl IndexBuilder {
 
     /// True iff no documents were added.
     pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
+        self.docs.len() == 0
     }
 
     /// Freeze into a sharded index of `n` independent [`Index`] shards (at
@@ -1045,18 +1078,21 @@ impl IndexBuilder {
     /// contiguous ranges) also balances shard sizes to within one document,
     /// so intra-query fan-out degrades gracefully at any shard count.
     pub fn build_sharded(self, n: usize) -> ShardedIndex {
-        let n = n.max(1);
-        let mut parts: Vec<IndexBuilder> = (0..n)
-            .map(|_| IndexBuilder {
+        if n <= 1 {
+            return ShardedIndex::from_shards(vec![self.build()]);
+        }
+        let parts: Vec<IndexBuilder> = self
+            .docs
+            .deal(n)
+            .into_iter()
+            .map(|docs| IndexBuilder {
                 analyzer: self.analyzer.clone(),
                 field_boosts: self.field_boosts.clone(),
                 block_size: self.block_size,
-                docs: Vec::new(),
+                docs,
             })
             .collect();
-        for (i, doc) in self.docs.into_iter().enumerate() {
-            parts[i % n].docs.push(doc);
-        }
+        drop(self);
         ShardedIndex::from_shards(parts.into_iter().map(IndexBuilder::build).collect())
     }
 
@@ -1071,23 +1107,19 @@ impl IndexBuilder {
             "doc ids are u32: index exceeds 4B documents"
         );
         let mut doc_lengths = Vec::with_capacity(self.docs.len());
-        let mut external_to_doc = HashMap::with_capacity(self.docs.len());
+        let boosts = self.field_boosts();
 
-        let mut provisional: HashMap<Box<str>, u32, TokenHashState> = HashMap::default();
+        let mut provisional: HashMap<Box<str>, u32, StrHashState> = HashMap::default();
         let mut slots: Vec<TermSlot> = Vec::new();
         // Provisional ids first seen in the current document, in that order.
         let mut touched: Vec<u32> = Vec::new();
         let mut rows: Vec<PostingRow> = Vec::new();
         let mut token = String::new();
-        for (i, doc) in self.docs.iter().enumerate() {
+        for i in 0..self.docs.len() {
             let doc_id = i as DocId;
-            external_to_doc
-                .entry(doc.external_id.clone())
-                .or_insert(doc_id);
-
             let mut length = 0.0;
-            for (field, text) in &doc.fields {
-                let boost = self.field_boosts.get(field).copied().unwrap_or(1.0);
+            for (field, text) in self.docs.field_ids(i) {
+                let boost = boosts[field as usize];
                 for_each_raw_token(text, &mut token, |tok| {
                     let id = match provisional.get(tok) {
                         Some(&id) => id,
@@ -1143,17 +1175,15 @@ impl IndexBuilder {
             .filter(|&(_, id)| slots[id as usize].kept)
             .collect();
         vocabulary.sort_unstable();
-        let mut term_ids = HashMap::with_capacity(vocabulary.len());
-        let mut terms = Vec::with_capacity(vocabulary.len());
+        let bytes = vocabulary.iter().map(|(term, _)| term.len()).sum();
+        let mut terms = TextArena::with_capacity(vocabulary.len(), bytes);
         let mut offsets = Vec::with_capacity(vocabulary.len() + 1);
         offsets.push(0u32);
         // Per provisional id: where its term's next posting goes.
         let mut cursors = vec![0u32; slots.len()];
         let mut total = 0u32;
         for (term, id) in vocabulary {
-            let term = String::from(term);
-            term_ids.insert(term.clone(), terms.len() as TermId);
-            terms.push(term);
+            terms.push(&term);
             cursors[id as usize] = total;
             total += slots[id as usize].doc_freq;
             offsets.push(total);
@@ -1189,7 +1219,7 @@ impl IndexBuilder {
         let blocks = BlockLanes::freeze(self.block_size, &offsets, &posting_docs, &posting_tfs);
         Index {
             analyzer: self.analyzer,
-            term_ids,
+            term_ids: term_table(&terms),
             terms,
             offsets,
             store: PostingStore::Flat {
@@ -1200,9 +1230,17 @@ impl IndexBuilder {
             blocks,
             doc_lengths,
             avg_doc_length,
+            external_to_doc: external_id_table(&self.docs),
             docs: self.docs,
-            external_to_doc,
         }
+    }
+
+    /// The boost of each of the stored documents' field names, by name id.
+    fn field_boosts(&self) -> Vec<f64> {
+        self.docs
+            .field_names()
+            .map(|name| self.field_boosts.get(name).copied().unwrap_or(1.0))
+            .collect()
     }
 }
 
@@ -1228,57 +1266,6 @@ struct PostingRow {
     tf: f64,
 }
 
-/// Hasher of the freeze-time intern table: one multiply-rotate round per
-/// eight bytes, where SipHash costs more than the rest of a token's
-/// handling. The table lives for one `build`, maps tokens to ids that are
-/// assigned in first-seen order (so nothing it does reaches the frozen
-/// index), and is keyed per process so colliding tokens cannot be prepared
-/// in advance. The frozen dictionary keeps the default hasher.
-struct TokenHashState(u64);
-
-impl Default for TokenHashState {
-    fn default() -> Self {
-        use std::hash::BuildHasher;
-        TokenHashState(std::collections::hash_map::RandomState::new().hash_one(0u8))
-    }
-}
-
-impl std::hash::BuildHasher for TokenHashState {
-    type Hasher = TokenHasher;
-    fn build_hasher(&self) -> TokenHasher {
-        TokenHasher(self.0)
-    }
-}
-
-struct TokenHasher(u64);
-
-impl TokenHasher {
-    fn mix(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl std::hash::Hasher for TokenHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.mix(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut word = [0u8; 8];
-            word[..rest.len()].copy_from_slice(rest);
-            self.mix(u64::from_le_bytes(word));
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        // The last multiply leaves the low bits — the table's bucket index —
-        // a function of the input's low bits only; fold the high half in.
-        self.0 ^ (self.0 >> 32)
-    }
-}
-
 #[cfg(test)]
 impl IndexBuilder {
     /// `build` as it stood before the single-pass freeze — a map of
@@ -1288,18 +1275,13 @@ impl IndexBuilder {
         // Transient per-term lists; flattened into the CSR arrays below.
         let mut lists: HashMap<String, Vec<(DocId, f64)>> = HashMap::new();
         let mut doc_lengths = Vec::with_capacity(self.docs.len());
-        let mut external_to_doc = HashMap::with_capacity(self.docs.len());
 
         // `tf` is cleared per document but keeps its table allocation.
         let mut tf: HashMap<String, f64> = HashMap::new();
-        for (i, doc) in self.docs.iter().enumerate() {
+        for i in 0..self.docs.len() {
             let doc_id = i as DocId;
-            external_to_doc
-                .entry(doc.external_id.clone())
-                .or_insert(doc_id);
-
             let mut length = 0.0;
-            for (field, text) in &doc.fields {
+            for (field, text) in self.docs.doc(i).expect("in range").fields() {
                 let boost = self.field_boosts.get(field).copied().unwrap_or(1.0);
                 for tok in self.analyzer.tokenize_reference(text) {
                     *tf.entry(tok).or_insert(0.0) += boost;
@@ -1329,16 +1311,14 @@ impl IndexBuilder {
             total <= u32::MAX as usize,
             "CSR offsets are u32: index exceeds 4B postings"
         );
-        let mut term_ids = HashMap::with_capacity(entries.len());
-        let mut terms = Vec::with_capacity(entries.len());
+        let mut terms = TextArena::default();
         let mut offsets = Vec::with_capacity(entries.len() + 1);
         let mut posting_docs = Vec::with_capacity(total);
         let mut posting_tfs = Vec::with_capacity(total);
         let mut term_max_tfs = Vec::with_capacity(entries.len());
         offsets.push(0u32);
         for (term, mut list) in entries {
-            term_ids.insert(term.clone(), terms.len() as TermId);
-            terms.push(term);
+            terms.push(&term);
             // Documents were scanned in id order, so each list arrives
             // sorted by doc — but the binary searches in score_doc and the
             // ascending-docs contract of `Postings` lean on this, so keep
@@ -1363,7 +1343,7 @@ impl IndexBuilder {
         let blocks = BlockLanes::freeze(self.block_size, &offsets, &posting_docs, &posting_tfs);
         Index {
             analyzer: self.analyzer,
-            term_ids,
+            term_ids: term_table(&terms),
             terms,
             offsets,
             store: PostingStore::Flat {
@@ -1374,8 +1354,8 @@ impl IndexBuilder {
             blocks,
             doc_lengths,
             avg_doc_length,
+            external_to_doc: external_id_table(&self.docs),
             docs: self.docs,
-            external_to_doc,
         }
     }
 }
@@ -1643,13 +1623,13 @@ mod tests {
         let ix = small_index();
         let bad = Index::from_raw_parts(
             ix.analyzer().clone(),
-            ix.raw_terms().to_vec(),
+            ix.raw_terms().clone(),
             vec![0; ix.raw_offsets().len() + 1],
             ix.raw_store().clone(),
             ix.raw_term_max_tfs().to_vec(),
             ix.raw_blocks().clone(),
             ix.doc_lengths().to_vec(),
-            ix.raw_docs().to_vec(),
+            ix.raw_docs().clone(),
         );
         assert!(bad.is_err());
         // Malformed block lanes are caught too: a dropped block entry…
@@ -1657,13 +1637,13 @@ mod tests {
         chopped.max_tfs.pop();
         let bad_blocks = Index::from_raw_parts(
             ix.analyzer().clone(),
-            ix.raw_terms().to_vec(),
+            ix.raw_terms().clone(),
             ix.raw_offsets().to_vec(),
             ix.raw_store().clone(),
             ix.raw_term_max_tfs().to_vec(),
             chopped,
             ix.doc_lengths().to_vec(),
-            ix.raw_docs().to_vec(),
+            ix.raw_docs().clone(),
         );
         assert!(bad_blocks.is_err());
         // …and a block size that disagrees with the per-term block counts.
@@ -1671,24 +1651,24 @@ mod tests {
         skewed.block_size = 1;
         let bad_size = Index::from_raw_parts(
             ix.analyzer().clone(),
-            ix.raw_terms().to_vec(),
+            ix.raw_terms().clone(),
             ix.raw_offsets().to_vec(),
             ix.raw_store().clone(),
             ix.raw_term_max_tfs().to_vec(),
             skewed,
             ix.doc_lengths().to_vec(),
-            ix.raw_docs().to_vec(),
+            ix.raw_docs().clone(),
         );
         assert!(bad_size.is_err());
         let good = Index::from_raw_parts(
             ix.analyzer().clone(),
-            ix.raw_terms().to_vec(),
+            ix.raw_terms().clone(),
             ix.raw_offsets().to_vec(),
             ix.raw_store().clone(),
             ix.raw_term_max_tfs().to_vec(),
             ix.raw_blocks().clone(),
             ix.doc_lengths().to_vec(),
-            ix.raw_docs().to_vec(),
+            ix.raw_docs().clone(),
         )
         .unwrap();
         assert_eq!(good.num_docs(), ix.num_docs());
@@ -1824,7 +1804,9 @@ mod tests {
     /// Every lane of `got` equals `want`'s, floats compared as bit patterns.
     fn assert_same_index(got: &Index, want: &Index, what: &str) {
         assert_eq!(got.terms, want.terms, "terms, {what}");
-        assert_eq!(got.term_ids, want.term_ids, "dictionary, {what}");
+        for (t, term) in want.terms().enumerate() {
+            assert_eq!(got.term_id(term), Some(t as TermId), "dictionary, {what}");
+        }
         assert_eq!(got.offsets, want.offsets, "offsets, {what}");
         let (
             PostingStore::Flat { docs, tfs },
@@ -1872,10 +1854,14 @@ mod tests {
             "avg_doc_length, {what}"
         );
         assert_eq!(got.docs, want.docs, "stored docs, {what}");
-        assert_eq!(
-            got.external_to_doc, want.external_to_doc,
-            "external ids (first wins), {what}"
-        );
+        for d in 0..want.num_docs() as DocId {
+            let external = want.external_id(d).unwrap();
+            assert_eq!(
+                got.doc_for_external(external),
+                want.doc_for_external(external),
+                "external ids (first wins), {what}"
+            );
+        }
     }
 
     /// Text fragments for the equivalence proptest: stopwords, one- and

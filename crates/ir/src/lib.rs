@@ -48,6 +48,7 @@
 #[cfg(test)]
 mod alloc_probe;
 pub mod analysis;
+mod arena;
 pub mod document;
 pub mod exec;
 pub mod fault;
@@ -59,7 +60,7 @@ pub mod snapshot;
 pub mod snippet;
 
 pub use analysis::Analyzer;
-pub use document::{DocId, Document};
+pub use document::{DocId, DocView, Document};
 pub use exec::{
     DispatchCounts, DispatchMode, DispatchPolicy, ExecutorStats, ShardExecutor, TaskPanic,
 };

@@ -41,7 +41,7 @@
 //!    to resolve arbitrarily because global doc ids are unique.
 
 use crate::analysis::Analyzer;
-use crate::document::{DocId, Document};
+use crate::document::{DocId, DocView};
 use crate::exec::{DispatchCounts, DispatchPolicy, ShardExecutor, TaskPanic};
 use crate::index::{Index, PostingsBuf, PostingsCodec, TermId};
 use crate::score::{ScoringFunction, TermScorer, TermStats};
@@ -188,8 +188,8 @@ impl ShardedIndex {
         self.shards[shard].doc_length(local)
     }
 
-    /// The stored document for a global id.
-    pub fn document(&self, doc: DocId) -> Option<&Document> {
+    /// The stored document for a global id, borrowed from its shard.
+    pub fn document(&self, doc: DocId) -> Option<DocView<'_>> {
         let (shard, local) = self.to_local(doc);
         self.shards[shard].document(local)
     }
@@ -243,9 +243,9 @@ impl ShardedIndex {
             let doc = self.shards[shard]
                 .document(local)
                 .expect("global id < num_docs resolves");
-            h.write_str(&doc.external_id);
-            h.write_usize(doc.fields.len());
-            for (name, text) in &doc.fields {
+            h.write_str(doc.external_id());
+            h.write_usize(doc.fields().len());
+            for (name, text) in doc.fields() {
                 h.write_str(name);
                 h.write_str(text);
             }
@@ -343,6 +343,7 @@ impl ShardedIndex {
 /// FNV-1a with explicit framing (lengths prefix variable-size values), so
 /// the fingerprint is a function of the content alone. Shared with the
 /// snapshot section checksums ([`crate::snapshot`]).
+#[derive(Clone, Copy)]
 pub(crate) struct Fnv1a(u64);
 
 impl Fnv1a {
@@ -980,6 +981,7 @@ mod tests {
     use super::*;
     use crate::index::IndexBuilder;
     use crate::search::Searcher;
+    use crate::Document;
 
     /// Unfiltered search on the calling thread under `ctx`.
     fn search(s: &ShardedSearcher, q: &str, k: usize, ctx: &SearchContext) -> Vec<Hit> {

@@ -14,11 +14,17 @@
 //! shard 1  …                                         (same 8 sections)
 //! ```
 //!
-//! Derived state — the term dictionary, the external-id map, average
-//! document lengths — is *not* stored: each is a pure function of the
-//! persisted lanes and is rebuilt on load (`Index::from_raw_parts`), so a
-//! loaded index is identical to the originally built one, fingerprint and
-//! all. The posting lanes are stored under whichever
+//! The `terms` and `docs` sections are each walked once, every string copied
+//! into one text arena reserved from the section's length — the
+//! vocabulary; the external ids and field texts — so a load allocates per
+//! section, never per string or document, and constructs no `Document`.
+//! Derived state — the term dictionary and the external-id table (both
+//! open-addressing tables of ids into those arenas), the average document
+//! length — is *not* stored: each is a pure function of the persisted lanes
+//! and is rebuilt on load (`Index::from_raw_parts`), so a loaded index is
+//! identical to the originally built one, fingerprint and all. The bytes
+//! are version 2's either way: the arenas are an in-memory layout, not a
+//! format change. The posting lanes are stored under whichever
 //! [`crate::PostingsCodec`] the index held at save time; a compressed index
 //! snapshots compressed and loads compressed.
 //!
@@ -36,14 +42,16 @@
 //! loading from disk.
 
 use crate::analysis::Analyzer;
-use crate::document::Document;
+use crate::arena::TextArena;
+use crate::document::DocStore;
 use crate::fault::{self, site};
 use crate::index::{BlockLanes, Index, PostingStore};
 use crate::shard::{Fnv1a, ShardedIndex};
 use std::fmt;
 use std::fs::File;
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// First 8 bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"QNITSNAP";
@@ -201,10 +209,10 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 /// A counted list of strings.
-fn put_strs<S: AsRef<str>>(out: &mut Vec<u8>, strs: &[S]) {
+fn put_strs<'s>(out: &mut Vec<u8>, strs: impl ExactSizeIterator<Item = &'s str>) {
     put_u64(out, strs.len() as u64);
     for s in strs {
-        put_str(out, s.as_ref());
+        put_str(out, s);
     }
 }
 
@@ -231,6 +239,43 @@ fn checksum(payload: &[u8]) -> u64 {
     h.finish()
 }
 
+/// Payloads the verifier hashes side by side.
+const LANES: usize = 4;
+
+/// [`checksum`] of each payload, computed side by side. One payload's hash
+/// is a chain of dependent multiplies, one per byte; walking several
+/// payloads in lockstep keeps that many chains in flight. Each lockstep
+/// pass covers the shortest payload not yet done; a payload already done
+/// walks along (over a live one's bytes) and keeps the hash it had.
+fn checksums(payloads: [&[u8]; LANES]) -> [u64; LANES] {
+    let mut hashes = [Fnv1a::new(); LANES];
+    let mut rest = payloads;
+    while let Some(live) = rest.iter().copied().find(|p| !p.is_empty()) {
+        let step = rest
+            .iter()
+            .map(|p| p.len())
+            .filter(|&n| n > 0)
+            .min()
+            .unwrap_or(0);
+        let done = rest.map(|p| p.is_empty());
+        let walked = rest.map(|p| &(if p.is_empty() { live } else { p })[..step]);
+        let kept = hashes;
+        for i in 0..step {
+            for (hash, bytes) in hashes.iter_mut().zip(&walked) {
+                hash.write_bytes(std::slice::from_ref(&bytes[i]));
+            }
+        }
+        for lane in 0..LANES {
+            if done[lane] {
+                hashes[lane] = kept[lane];
+            } else {
+                rest[lane] = &rest[lane][step..];
+            }
+        }
+    }
+    hashes.map(|h| h.finish())
+}
+
 fn write_shard(w: &mut impl Write, shard: &Index, payload: &mut Vec<u8>) -> std::io::Result<()> {
     // Fill `payload`, then frame it: tag, length, payload, checksum.
     let mut section = |tag: u8, fill: &dyn Fn(&mut Vec<u8>)| -> std::io::Result<()> {
@@ -247,10 +292,10 @@ fn write_shard(w: &mut impl Write, shard: &Index, payload: &mut Vec<u8>) -> std:
         put_u64(p, shard.analyzer().min_token_len() as u64);
         let mut stopwords: Vec<&str> = shard.analyzer().stopwords().collect();
         stopwords.sort_unstable();
-        put_strs(p, &stopwords);
+        put_strs(p, stopwords.into_iter());
     })?;
     // 2: terms, in TermId (lexicographic) order.
-    section(2, &|p| put_strs(p, shard.raw_terms()))?;
+    section(2, &|p| put_strs(p, shard.raw_terms().iter()))?;
     // 3: CSR offsets.
     section(3, &|p| put_lane(p, shard.raw_offsets()))?;
     // 4: posting lanes, under whichever codec the index currently holds.
@@ -277,11 +322,12 @@ fn write_shard(w: &mut impl Write, shard: &Index, payload: &mut Vec<u8>) -> std:
     section(6, &|p| put_lane(p, shard.doc_lengths()))?;
     // 7: stored documents (external id + fields), in local-id order.
     section(7, &|p| {
-        put_u64(p, shard.raw_docs().len() as u64);
-        for doc in shard.raw_docs() {
-            put_str(p, &doc.external_id);
-            put_u64(p, doc.fields.len() as u64);
-            for (name, text) in &doc.fields {
+        put_u64(p, shard.num_docs() as u64);
+        for d in 0..shard.num_docs() as u32 {
+            let doc = shard.document(d).expect("a local id below num_docs");
+            put_str(p, doc.external_id());
+            put_u64(p, doc.fields().len() as u64);
+            for (name, text) in doc.fields() {
                 put_str(p, name);
                 put_str(p, text);
             }
@@ -375,29 +421,57 @@ impl<'a> Reader<'a> {
         self.items(n)
     }
 
-    /// An empty `Vec` with room for `n` variable-size items — but a `String`
-    /// or `Document` is several times wider in memory than its smallest
-    /// encoding, so even a count [`Reader::count`] passed reserves no more
-    /// than the bytes left could fill; a list of tiny items grows from there.
-    fn room_for<T>(&self, n: usize) -> Vec<T> {
-        Vec::with_capacity(n.min((self.data.len() - self.pos) / std::mem::size_of::<T>()))
+    /// The bytes left, checked to fit a text arena's `u32` offsets: a
+    /// snapshot this crate wrote never holds more than 4 GiB of text in one
+    /// section, because its builder's arena could not.
+    fn text_room(&self) -> Result<usize, SnapshotError> {
+        let rest = self.data.len() - self.pos;
+        if rest > u32::MAX as usize {
+            return Err(corrupt(format!(
+                "{} section holds more than 4 GiB",
+                self.section
+            )));
+        }
+        Ok(rest)
     }
 
-    fn str(&mut self) -> Result<String, SnapshotError> {
+    /// A string, borrowed from the file.
+    fn str(&mut self) -> Result<&'a str, SnapshotError> {
         let len = self.count(1)?;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(bytes)
             .map_err(|_| corrupt(format!("non-UTF-8 string in {} section", self.section)))
     }
 
-    /// A counted list of strings.
-    fn strs(&mut self) -> Result<Vec<String>, SnapshotError> {
+    /// A counted list of strings, as [`put_strs`] wrote it, copied into one
+    /// arena: each string follows its 8-byte length, so the text is exactly
+    /// what the payload holds beyond the lengths.
+    fn strs(&mut self) -> Result<TextArena, SnapshotError> {
         let n = self.count(8)?;
-        let mut out = self.room_for(n);
+        let bytes = self.text_room()?.saturating_sub(8 * n);
+        let mut arena = TextArena::with_capacity(n, bytes);
         for _ in 0..n {
-            out.push(self.str()?);
+            arena.push(self.str()?);
         }
-        Ok(out)
+        Ok(arena)
+    }
+
+    /// The stored documents, as section 7 holds them, copied into one
+    /// store in one walk. Every stored string — an external id with its
+    /// field count, or a field text with its name — comes with at least 16
+    /// bytes of lengths, and all their text is less than the bytes left.
+    fn docs(&mut self) -> Result<DocStore, SnapshotError> {
+        let n = self.count(8)?;
+        let rest = self.text_room()?;
+        let mut docs = DocStore::with_capacity(n, rest / 16, rest);
+        for _ in 0..n {
+            docs.push_external_id(self.str()?);
+            for _ in 0..self.count(16)? {
+                let name = self.str()?;
+                docs.push_field(name, self.str()?);
+            }
+        }
+        Ok(docs)
     }
 
     fn finish(self) -> Result<(), SnapshotError> {
@@ -434,13 +508,64 @@ fn frame_section<'a>(
     })
 }
 
-/// The first section, in file order, whose payload does not hash to its
-/// stored checksum. Runs on the helper thread and allocates nothing, so
-/// all index memory stays on the calling thread's allocator arena.
-fn first_bad_checksum(sections: &[Section<'_>]) -> Option<usize> {
-    sections
-        .iter()
-        .position(|s| checksum(s.payload) != s.stored)
+/// Checksum verification shared by the loader's two threads. Each claims
+/// the next [`LANES`] unverified sections, largest first, and hashes them
+/// side by side ([`checksums`]) until none is left: the helper from the
+/// start, the caller once it has decoded. Largest first puts a section
+/// beside one of like size (the same section of another shard), so the
+/// lockstep passes stay full. Claiming and hashing allocate nothing, so all
+/// index memory stays on the calling thread's allocator arena.
+struct Verifier<'s, 'a> {
+    sections: &'s [Section<'a>],
+    /// Section indices, largest payload first: the claim order.
+    order: Vec<usize>,
+    /// The next position in `order` to claim.
+    next: AtomicUsize,
+    /// The first section in file order found bad so far (`sections.len()`
+    /// while none is).
+    first_bad: AtomicUsize,
+}
+
+impl<'s, 'a> Verifier<'s, 'a> {
+    fn new(sections: &'s [Section<'a>]) -> Self {
+        let mut order: Vec<usize> = (0..sections.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(sections[i].payload.len()));
+        Verifier {
+            sections,
+            order,
+            next: AtomicUsize::new(0),
+            first_bad: AtomicUsize::new(sections.len()),
+        }
+    }
+
+    /// Verify claimed sections until every section is claimed. Relaxed
+    /// throughout: the counters publish nothing but themselves, and the
+    /// result is read after both threads are done.
+    fn run(&self) {
+        loop {
+            let at = self.next.fetch_add(LANES, Ordering::Relaxed);
+            let Some(claimed) = self.order.get(at..(at + LANES).min(self.order.len())) else {
+                return;
+            };
+            let mut payloads: [&[u8]; LANES] = [&[]; LANES];
+            for (payload, &i) in payloads.iter_mut().zip(claimed) {
+                *payload = self.sections[i].payload;
+            }
+            let hashes = checksums(payloads);
+            for (&i, hash) in claimed.iter().zip(hashes) {
+                if hash != self.sections[i].stored {
+                    self.first_bad.fetch_min(i, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+
+    /// The first section, in file order, whose payload does not hash to its
+    /// stored checksum; call once every `run` has returned.
+    fn first_bad(&self) -> Option<usize> {
+        let bad = self.first_bad.load(Ordering::Relaxed);
+        (bad < self.sections.len()).then_some(bad)
+    }
 }
 
 /// Decode one whole section with `parse`, rejecting trailing bytes.
@@ -467,7 +592,7 @@ fn decode_shard(sections: &[Section<'_>]) -> Result<Index, SnapshotError> {
     let analyzer = parse_section(analyzer, |r| {
         let min_token_len = r.u64()? as usize;
         Ok(Analyzer::keep_all()
-            .with_stopwords(r.strs()?)
+            .with_stopwords(r.strs()?.iter())
             .with_min_token_len(min_token_len))
     })?;
     let terms = parse_section(terms, Reader::strs)?;
@@ -492,20 +617,7 @@ fn decode_shard(sections: &[Section<'_>]) -> Result<Index, SnapshotError> {
     })?;
     let term_max_tfs = parse_section(term_max_tfs, Reader::lane::<f64>)?;
     let doc_lengths = parse_section(doc_lengths, Reader::lane::<f64>)?;
-    let docs = parse_section(docs, |r| {
-        let n = r.count(8)?;
-        let mut docs = r.room_for(n);
-        for _ in 0..n {
-            let mut doc = Document::new(r.str()?);
-            let n_fields = r.count(16)?;
-            doc.fields = r.room_for(n_fields);
-            for _ in 0..n_fields {
-                doc.fields.push((r.str()?, r.str()?));
-            }
-            docs.push(doc);
-        }
-        Ok(docs)
-    })?;
+    let docs = parse_section(docs, Reader::docs)?;
     let blocks = parse_section(blockmax, |r| {
         Ok(BlockLanes {
             block_size: r.u64()? as usize,
@@ -530,8 +642,9 @@ fn decode_shard(sections: &[Section<'_>]) -> Result<Index, SnapshotError> {
 }
 
 /// Decode a whole snapshot file: frame every section, verify the checksums
-/// on one helper thread while this thread decodes, then report what a
-/// reader going through the file serially would have reported.
+/// on a helper thread while this thread decodes and then on both, then
+/// report what a reader going through the file serially would have
+/// reported.
 fn decode_snapshot(data: &[u8]) -> Result<ShardedIndex, SnapshotError> {
     let header_bytes: &[u8; HEADER_LEN] = data
         .get(..HEADER_LEN)
@@ -555,8 +668,9 @@ fn decode_snapshot(data: &[u8]) -> Result<ShardedIndex, SnapshotError> {
         })
         .err();
 
-    // Decode the fully framed shards here while the helper hashes. A decode
-    // error stops at its shard, as the serial order would.
+    // Decode the fully framed shards here while the helper hashes, then
+    // hash beside it. A decode error stops at its shard, as the serial order
+    // would.
     let decode = || {
         let mut shards = Vec::with_capacity(sections.len() / per_shard);
         let error = sections
@@ -565,17 +679,19 @@ fn decode_snapshot(data: &[u8]) -> Result<ShardedIndex, SnapshotError> {
             .err();
         (shards, error)
     };
-    let ((shards, decode_error), bad_checksum) = std::thread::scope(|scope| {
-        let verifier =
-            std::thread::Builder::new().spawn_scoped(scope, || first_bad_checksum(&sections));
+    let verifier = Verifier::new(&sections);
+    let (shards, decode_error) = std::thread::scope(|scope| {
+        let helper = std::thread::Builder::new().spawn_scoped(scope, || verifier.run());
         let decoded = decode();
-        let bad_checksum = match verifier {
-            Ok(handle) => handle.join().expect("hashing byte slices cannot panic"),
-            // No thread to be had: verify here, after the decode.
-            Err(_) => first_bad_checksum(&sections),
-        };
-        (decoded, bad_checksum)
+        // Whatever the helper has not claimed yet — everything, if no
+        // thread was to be had.
+        verifier.run();
+        if let Ok(helper) = helper {
+            helper.join().expect("hashing byte slices cannot panic");
+        }
+        decoded
     });
+    let bad_checksum = verifier.first_bad();
 
     // A serial reader frames and verifies a shard section by section, then
     // decodes it, then moves on. So a bad checksum outranks a decode error
@@ -656,16 +772,46 @@ impl ShardedIndex {
     /// indistinguishable from the originally built index — same
     /// fingerprint, same scores to the last bit, same codec.
     ///
-    /// The checksums are verified on one helper thread while this thread
-    /// decodes (see *Loader order* in `docs/INDEX_FORMAT.md`); nothing is
-    /// returned before every one of them held, and a damaged file is
-    /// reported exactly as a serial verify-then-decode reader would.
+    /// Two threads read the file, half each; the checksums are verified on
+    /// a helper thread while this thread decodes, and on both threads once
+    /// it has (see *Loader order* in `docs/INDEX_FORMAT.md`). Nothing is
+    /// returned before every checksum held, and a damaged file is reported
+    /// exactly as a serial verify-then-decode reader would.
     pub fn load_snapshot(path: impl AsRef<Path>) -> Result<ShardedIndex, SnapshotError> {
         // `snapshot.read` failpoint: injects a transient read error ahead
         // of the real file read, for exercising retry/quarantine paths.
         fault::check(site::SNAPSHOT_READ).map_err(io_fault)?;
-        decode_snapshot(&std::fs::read(path)?)
+        decode_snapshot(&read_file(path.as_ref())?)
     }
+}
+
+/// The whole file in one buffer, its first half read on this thread and
+/// its second on a scoped helper, each faulting in its own half of the
+/// buffer — on a fresh buffer that costs more than the copy. The helper
+/// reads into memory this thread allocated and allocates nothing itself; if
+/// no thread is to be had, this thread reads both halves.
+fn read_file(path: &Path) -> std::io::Result<Vec<u8>> {
+    let mut head_file = File::open(path)?;
+    let mut tail_file = File::open(path)?;
+    let len = usize::try_from(head_file.metadata()?.len())
+        .map_err(|_| std::io::Error::other("snapshot larger than the address space"))?;
+    let mut data = vec![0u8; len];
+    let (head, tail) = data.split_at_mut(len / 2);
+    tail_file.seek(SeekFrom::Start(head.len() as u64))?;
+    let helper_read = std::thread::scope(|scope| {
+        let helper = std::thread::Builder::new().spawn_scoped(scope, || tail_file.read_exact(tail));
+        head_file.read_exact(head)?;
+        Ok::<_, std::io::Error>(
+            helper
+                .ok()
+                .map(|helper| helper.join().expect("reading a file does not panic")),
+        )
+    })?;
+    match helper_read {
+        Some(read) => read?,
+        None => tail_file.read_exact(tail)?,
+    }
+    Ok(data)
 }
 
 #[cfg(test)]
@@ -675,7 +821,7 @@ mod tests {
 
     use super::*;
     use crate::alloc_probe::largest_allocation_during;
-    use crate::IndexBuilder;
+    use crate::{Document, IndexBuilder};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     // --- the serial reference ----------------------------------------------
@@ -827,15 +973,28 @@ mod tests {
             last_docs,
         };
 
+        // Copied into the index's containers only once every section has
+        // been decoded element by element.
+        let mut term_arena = TextArena::default();
+        for term in terms {
+            term_arena.push(term);
+        }
+        let mut doc_store = DocStore::default();
+        for doc in &docs {
+            doc_store.push(
+                &doc.external_id,
+                doc.fields.iter().map(|(n, t)| (n.as_str(), t.as_str())),
+            );
+        }
         Index::from_raw_parts(
             analyzer,
-            terms,
+            term_arena,
             offsets,
             store,
             term_max_tfs,
             blocks,
             doc_lengths,
-            docs,
+            doc_store,
         )
         .map_err(corrupt)
     }
@@ -1143,6 +1302,33 @@ mod tests {
                     }
                 }
             }
+            // Two damages in different shards, both ways round: a length or
+            // count restamped in one (a decode error, mostly) and a payload
+            // bit flipped under a stale checksum in the other. Both threads
+            // verify, so which damage is seen first varies; the message
+            // must not.
+            let per_shard = SECTION_NAMES.len();
+            for (k, field) in fields.iter().enumerate() {
+                let shard = field.section / per_shard;
+                let other = &spans[(1 - shard) * per_shard + k % per_shard];
+                let flip = (other.payload.start + other.payload.end) / 2;
+                for v in [0, u64_at(&valid, field.at) + 1, u64::MAX] {
+                    damaged(
+                        format!(
+                            "field at {} of shard {shard} set to {v}, restamped, and bit \
+                             flipped at {flip} in shard {}",
+                            field.at,
+                            1 - shard
+                        ),
+                        &|b| {
+                            b[field.at..field.at + 8].copy_from_slice(&v.to_le_bytes());
+                            restamp(b, &spans[field.section]);
+                            b[flip] ^= 0x10;
+                        },
+                    );
+                }
+            }
+
             // The header's own counts (it carries no checksum).
             for v in [0u32, 1, 3, 1 << 20, u32::MAX] {
                 damaged(format!("shard_count set to {v}"), &|b| {
@@ -1156,7 +1342,6 @@ mod tests {
             }
 
             // Two section tags swapped: neighbours, and one pair across shards.
-            let per_shard = SECTION_NAMES.len();
             let pairs = (0..spans.len() - 1)
                 .map(|i| (i, i + 1))
                 .chain([(1, per_shard + 2)]);
@@ -1170,6 +1355,25 @@ mod tests {
             // damage with a valid checksum that still describes an index
             // (a different `min_token_len`, say).
             assert!(rejected > 1000, "{codec}: only {rejected} files rejected");
+        }
+    }
+
+    #[test]
+    fn side_by_side_checksums_equal_one_at_a_time() {
+        let bytes: Vec<u8> = (0..3000u32).map(|i| (i * 7 + i / 13) as u8).collect();
+        for lens in [
+            [0, 0, 0, 0],
+            [5, 0, 3, 3],
+            [1000, 1, 999, 500],
+            [7, 7, 7, 7],
+            [0, 0, 0, 12],
+        ] {
+            let mut at = 0;
+            let payloads = lens.map(|n| {
+                at += 17;
+                &bytes[at..at + n]
+            });
+            assert_eq!(checksums(payloads), payloads.map(checksum), "{lens:?}");
         }
     }
 

@@ -1,9 +1,9 @@
 //! Property tests over the IR engine's core invariants.
 
 use irengine::{
-    Analyzer, DispatchPolicy, DocId, Document, Hit, Index, IndexBuilder, KernelTier, ScoreScratch,
-    ScoringFunction, ScratchPool, SearchContext, Searcher, ShardExecutor, ShardFailurePolicy,
-    ShardedSearcher, TermStats,
+    Analyzer, DispatchPolicy, DocId, DocView, Document, Hit, Index, IndexBuilder, KernelTier,
+    ScoreScratch, ScoringFunction, ScratchPool, SearchContext, Searcher, ShardExecutor,
+    ShardFailurePolicy, ShardedIndex, ShardedSearcher, TermStats,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -517,5 +517,106 @@ proptest! {
         a.sort_unstable();
         b.sort_unstable();
         prop_assert_eq!(a, b);
+    }
+}
+
+/// Stored-document ingredients: empty strings, multi-byte UTF-8 (two-,
+/// three- and four-byte, and a combining mark), and few enough external ids
+/// and field names that both repeat.
+const EXTERNAL_IDS: &[&str] = &["", "d1", "d2", "é", "d1 "];
+const FIELD_NAMES: &[&str] = &["title", "body", "", "名前"];
+const FIELD_TEXTS: &[&str] = &[
+    "",
+    "star wars",
+    "İstanbul straße",
+    "日本語 テキスト",
+    "a\u{307} 🎬",
+    " ",
+];
+
+/// A document of 0–4 fields.
+fn stored_document() -> impl Strategy<Value = Document> {
+    (
+        prop::sample::select(EXTERNAL_IDS.to_vec()),
+        prop::collection::vec(
+            (
+                prop::sample::select(FIELD_NAMES.to_vec()),
+                prop::sample::select(FIELD_TEXTS.to_vec()),
+            ),
+            0..5,
+        ),
+    )
+        .prop_map(|(id, fields)| {
+            fields
+                .into_iter()
+                .fold(Document::new(id), |doc, (name, text)| doc.field(name, text))
+        })
+}
+
+/// Every stored document reads back as the `Document` added, and every
+/// external id resolves to the first document added with it.
+fn assert_stored<'a>(
+    docs: &[Document],
+    document: impl Fn(DocId) -> Option<DocView<'a>>,
+    doc_for_external: impl Fn(&str) -> Option<DocId>,
+    what: &str,
+) {
+    for (i, want) in docs.iter().enumerate() {
+        let view = document(i as DocId).expect("in range");
+        assert_eq!(view.external_id(), want.external_id.as_str(), "{what}");
+        let fields: Vec<(&str, &str)> = view.fields().collect();
+        let want_fields: Vec<(&str, &str)> = want
+            .fields
+            .iter()
+            .map(|(name, text)| (name.as_str(), text.as_str()))
+            .collect();
+        assert_eq!(fields, want_fields, "{what}");
+        for name in FIELD_NAMES.iter().chain(&["absent"]) {
+            assert_eq!(view.get_field(name), want.get_field(name), "{what}");
+        }
+        assert_eq!(view.full_text(), want.full_text(), "{what}");
+        let first = docs
+            .iter()
+            .position(|d| d.external_id == want.external_id)
+            .map(|p| p as DocId);
+        assert_eq!(doc_for_external(&want.external_id), first, "{what}");
+    }
+    assert!(document(docs.len() as DocId).is_none(), "{what}");
+    assert_eq!(doc_for_external("absent"), None, "{what}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Stored documents through the text arena and the id table: a cold
+    /// build, unsharded and at 1 and 3 shards, and the same after a save
+    /// and load.
+    #[test]
+    fn stored_documents_read_back_as_added(docs in prop::collection::vec(stored_document(), 0..12)) {
+        let builder = || {
+            let mut b = IndexBuilder::new();
+            for doc in &docs {
+                b.add(doc.clone());
+            }
+            b
+        };
+        let ix = builder().build();
+        assert_stored(&docs, |d| ix.document(d), |e| ix.doc_for_external(e), "unsharded");
+        for n in [1usize, 3] {
+            let built = builder().build_sharded(n);
+            let cold = format!("cold, {n} shards");
+            assert_stored(&docs, |d| built.document(d), |e| built.doc_for_external(e), &cold);
+            static UNIQUE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+            let path = std::env::temp_dir().join(format!(
+                "qunits-prop-stored-{}-{}.qx",
+                std::process::id(),
+                UNIQUE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+            ));
+            built.save_snapshot(&path).unwrap();
+            let loaded = ShardedIndex::load_snapshot(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+            let reloaded = format!("loaded, {n} shards");
+            assert_stored(&docs, |d| loaded.document(d), |e| loaded.doc_for_external(e), &reloaded);
+        }
     }
 }
