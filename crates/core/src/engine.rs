@@ -117,9 +117,11 @@ pub struct EngineConfig {
     /// Entity columns for the segmenter; `None` uses
     /// [`EntityDictionary::imdb_specs`].
     pub entity_specs: Option<Vec<(String, String)>>,
-    /// Worker threads for the build phase; 0 = one per available core. Any
-    /// value produces a byte-identical index (the merge replays catalog
-    /// order), so this is purely a wall-clock knob.
+    /// Worker threads for materialising the instances; 0 = one per
+    /// available core. Any value produces byte-identical instances (the
+    /// merge replays catalog order), so this is purely a wall-clock knob. The
+    /// index freeze does not read it: it runs one thread per shard, at most
+    /// one per core ([`IndexBuilder::build_sharded`]).
     pub build_threads: usize,
     /// Query-cache capacity in cached result lists; 0 disables caching.
     /// Cached and uncached searches return identical results — the cache is

@@ -166,14 +166,14 @@ impl IdTable {
     }
 }
 
-/// Hasher of the index's string tables — the freeze-time intern table and
-/// every [`IdTable`]: one multiply-rotate round per eight bytes, where
-/// SipHash costs more than the rest of a lookup (a load inserts every
-/// external id and term). The keys come from the indexed content, and
+/// Hasher of every [`IdTable`] — the freeze-time intern table among them:
+/// one multiply-rotate round per eight bytes, where SipHash costs more than
+/// the rest of a lookup (a freeze probes once per token, a load inserts
+/// every external id and term). The keys come from the indexed content, and
 /// each table is keyed per process from `RandomState`, so colliding keys
 /// cannot be prepared in advance; a query only probes, never inserts.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct StrHashState(u64);
+struct StrHashState(u64);
 
 impl Default for StrHashState {
     fn default() -> Self {
@@ -188,7 +188,7 @@ impl BuildHasher for StrHashState {
     }
 }
 
-pub(crate) struct StrHasher(u64);
+struct StrHasher(u64);
 
 impl StrHasher {
     fn mix(&mut self, word: u64) {

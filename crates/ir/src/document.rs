@@ -160,8 +160,12 @@ impl DocStore {
     }
 
     /// Deal the documents round-robin into `n` stores — document `i` to store
-    /// `i % n` — each sized exactly before the copy.
-    pub(crate) fn deal(&self, n: usize) -> Vec<DocStore> {
+    /// `i % n` — each sized exactly before the copy, and this one freed after
+    /// it. One store is this one.
+    pub(crate) fn deal(self, n: usize) -> Vec<DocStore> {
+        if n <= 1 {
+            return vec![self];
+        }
         let mut sizes = vec![(0usize, 0usize, 0usize); n];
         for d in 0..self.len() {
             let span = self.span(d);

@@ -31,30 +31,45 @@
 //!
 //! # The freeze pipeline
 //!
-//! [`IndexBuilder::build`] produces that layout in one pass over the
-//! documents and one over the postings:
+//! [`IndexBuilder::build_sharded`] deals document `i` to shard `i % n` and
+//! freezes the shards side by side, one thread per shard and at most one per
+//! core, the caller among them; [`IndexBuilder::build`] is the same pipeline
+//! at one shard. Only the caller allocates anything that grows with the
+//! documents or the postings:
 //!
-//! 1. **intern** — each token, lent as a `&str` by the analyzer's one
-//!    tokenizer loop, is mapped by one cheap hash probe to a *provisional
-//!    id* (first-seen order); the stopword / minimum-length verdict is
-//!    asked once per distinct token and kept in the id's slot;
-//! 2. **row log** — the slot accumulates the token's weighted tf for the
-//!    current document behind a doc stamp, and after each document every
-//!    touched slot logs one flat `(provisional id, doc, tf)` row;
-//! 3. **rank** — the kept tokens are sorted, rank = [`TermId`], and the
-//!    prefix sum of their document frequencies is the `offsets` lane;
-//! 4. **scatter** — one pass over the row log drops each row at its term's
-//!    cursor; rows were logged in document order, so every CSR row is
-//!    doc-ascending by construction.
+//! 1. **reserve** (caller) — per shard, a `u32` token log of
+//!    Σ (field bytes / 2 + 1) entries, a log end per field and a length per
+//!    document: a field cannot hold more tokens than that;
+//! 2. **intern** (phase 1, one thread per shard) — each token, lent as a
+//!    `&str` by the analyzer's one tokenizer loop, is mapped by one probe of
+//!    an id table over a text arena to a *provisional id* (first-seen
+//!    order); the stopword / minimum-length verdict is asked once per
+//!    distinct token and kept in the id's slot, a doc stamp counts each
+//!    token's document frequency, and each kept token's id is logged. The
+//!    vocabulary is all this phase allocates;
+//! 3. **rank** (caller) — the kept tokens are sorted, rank = [`TermId`], the
+//!    prefix sum of their document frequencies is the `offsets` lane, and the
+//!    posting lanes are allocated at their exact size;
+//! 4. **replay** (phase 2, one thread per shard) — the log is walked again in
+//!    token order, each id dropped at its term's cursor with a doc stamp
+//!    telling a document's first occurrence from the rest; documents replay
+//!    in order and a cursor only advances, so every CSR row is doc-ascending
+//!    by construction. Nothing is allocated;
+//! 5. **finish** (caller) — `term_max_tfs`, the block lanes and both id
+//!    tables are built from the finished lanes.
+//!
+//! Which thread freezes a shard depends on the shard and thread counts
+//! alone, and a shard's lanes on its documents alone, so the thread count
+//! moves no lane. A helper's panic resurfaces on the caller.
 //!
 //! The tf bits cannot move: a posting's tf is the float sum
 //! `0.0 + b₁ + b₂ + …` of the boosts of the term's occurrences in token
 //! order (so a boost of `0.0` still yields a posting), a document's length
 //! the same sum over its kept tokens, and float addition does not
-//! associate — the pass does exactly those additions in exactly that order.
-//! The map-of-lists builder it replaced is kept under `#[cfg(test)]` as
-//! `build_reference` and a proptest holds the two equal lane for lane, bit
-//! for bit.
+//! associate — the pipeline does exactly those additions in exactly that
+//! order. The map-of-lists builder it replaced is kept under `#[cfg(test)]`
+//! as `build_reference` and a proptest holds the two equal lane for lane,
+//! bit for bit.
 //!
 //! # Block-max lanes
 //!
@@ -95,7 +110,7 @@
 //! borrowed from the index.
 
 use crate::analysis::{for_each_raw_token, Analyzer};
-use crate::arena::{IdTable, StrHashState, TextArena};
+use crate::arena::{IdTable, TextArena};
 use crate::document::{DocId, DocStore, DocView, Document};
 use crate::shard::ShardedIndex;
 use std::collections::HashMap;
@@ -952,13 +967,9 @@ impl Index {
 
         let term_ids = term_table(&terms);
         let external_to_doc = external_id_table(&docs);
-        // Same reduction order as IndexBuilder::build (insertion order), so
-        // the float result is bit-identical to the built index's.
-        let avg_doc_length = if doc_lengths.is_empty() {
-            0.0
-        } else {
-            doc_lengths.iter().sum::<f64>() / doc_lengths.len() as f64
-        };
+        // The freeze's reduction, so the float result is bit-identical to
+        // the built index's.
+        let avg_doc_length = mean(&doc_lengths);
         Ok(Index {
             analyzer,
             term_ids,
@@ -1072,176 +1083,86 @@ impl IndexBuilder {
     /// order**: document `i` goes to shard `i % n` at local position
     /// `i / n`. Insertion order is the only input, so two builders fed the
     /// same documents in the same order shard identically no matter how
-    /// many worker threads produced those documents — that, plus the
-    /// per-shard [`IndexBuilder::build`] being a pure function of its docs,
-    /// is what the CI determinism gate hashes. Round-robin (rather than
-    /// contiguous ranges) also balances shard sizes to within one document,
-    /// so intra-query fan-out degrades gracefully at any shard count.
+    /// many worker threads produced those documents — that, plus each
+    /// shard's freeze being a pure function of its docs, is what the CI
+    /// determinism gate hashes. Round-robin (rather than contiguous ranges)
+    /// also balances shard sizes to within one document, so intra-query
+    /// fan-out degrades gracefully at any shard count.
+    ///
+    /// The shards freeze side by side, one thread per shard and at most one
+    /// per core, the caller among them (see *The freeze pipeline* in the
+    /// module docs); the thread count moves no lane.
     pub fn build_sharded(self, n: usize) -> ShardedIndex {
-        if n <= 1 {
-            return ShardedIndex::from_shards(vec![self.build()]);
-        }
-        let parts: Vec<IndexBuilder> = self
-            .docs
-            .deal(n)
-            .into_iter()
-            .map(|docs| IndexBuilder {
-                analyzer: self.analyzer.clone(),
-                field_boosts: self.field_boosts.clone(),
-                block_size: self.block_size,
-                docs,
-            })
-            .collect();
-        drop(self);
-        ShardedIndex::from_shards(parts.into_iter().map(IndexBuilder::build).collect())
+        let n = n.max(1);
+        ShardedIndex::from_shards(self.freeze(n, freeze_threads(n)))
     }
 
-    /// Freeze into a searchable index in one pass over the documents (see
-    /// *The freeze pipeline* in the module docs): intern each token to a
-    /// provisional id, accumulate its weighted tf in a dense per-id slot,
-    /// log one row per distinct term per document, then rank the sorted
-    /// vocabulary and counting-scatter the rows into the CSR lanes.
+    /// Freeze into a searchable index: [`IndexBuilder::build_sharded`]'s
+    /// pipeline at one shard, on the calling thread.
     pub fn build(self) -> Index {
+        self.freeze(1, 1)
+            .pop()
+            .expect("one shard in, one index out")
+    }
+
+    /// Deal the documents into `shards` parts and freeze each on one of
+    /// `threads` threads (see *The freeze pipeline* in the module docs).
+    /// Only the caller allocates what grows with documents or postings.
+    fn freeze(self, shards: usize, threads: usize) -> Vec<Index> {
         assert!(
             self.docs.len() < NEVER_SEEN as usize,
             "doc ids are u32: index exceeds 4B documents"
         );
-        let mut doc_lengths = Vec::with_capacity(self.docs.len());
-        let boosts = self.field_boosts();
-
-        let mut provisional: HashMap<Box<str>, u32, StrHashState> = HashMap::default();
-        let mut slots: Vec<TermSlot> = Vec::new();
-        // Provisional ids first seen in the current document, in that order.
-        let mut touched: Vec<u32> = Vec::new();
-        let mut rows: Vec<PostingRow> = Vec::new();
-        let mut token = String::new();
-        for i in 0..self.docs.len() {
-            let doc_id = i as DocId;
-            let mut length = 0.0;
-            for (field, text) in self.docs.field_ids(i) {
-                let boost = boosts[field as usize];
-                for_each_raw_token(text, &mut token, |tok| {
-                    let id = match provisional.get(tok) {
-                        Some(&id) => id,
-                        None => {
-                            let id = slots.len() as u32;
-                            provisional.insert(tok.into(), id);
-                            slots.push(TermSlot {
-                                kept: self.analyzer.keeps(tok),
-                                seen_in: NEVER_SEEN,
-                                doc_freq: 0,
-                                tf: 0.0,
-                            });
-                            id
-                        }
-                    };
-                    let slot = &mut slots[id as usize];
-                    if !slot.kept {
-                        return;
-                    }
-                    if slot.seen_in != doc_id {
-                        slot.seen_in = doc_id;
-                        // From 0.0, not from `boost`: the frozen tf bits are
-                        // those of 0.0 + b1 + b2 + …, in token order.
-                        slot.tf = 0.0;
-                        touched.push(id);
-                    }
-                    slot.tf += boost;
-                    length += boost;
-                });
-            }
-            doc_lengths.push(length);
-            for id in touched.drain(..) {
-                let slot = &mut slots[id as usize];
-                slot.doc_freq += 1;
-                rows.push(PostingRow {
-                    term: id,
-                    doc: doc_id,
-                    tf: slot.tf,
-                });
-            }
-        }
-        assert!(
-            rows.len() <= u32::MAX as usize,
-            "CSR offsets are u32: index exceeds 4B postings"
-        );
-
-        // Rank the vocabulary: TermId assignment must be a pure function of
-        // the content (first-seen order is not, across shard counts), and the
-        // sort clusters prefix-sharing terms' postings for locality. A kept
-        // token was seen in a document, so every ranked term has a row.
-        let mut vocabulary: Vec<(Box<str>, u32)> = provisional
+        let IndexBuilder {
+            analyzer,
+            field_boosts,
+            block_size,
+            docs,
+        } = self;
+        let mut parts: Vec<ShardFreeze> = docs
+            .deal(shards)
             .into_iter()
-            .filter(|&(_, id)| slots[id as usize].kept)
+            .map(|docs| ShardFreeze::new(docs, &field_boosts))
             .collect();
-        vocabulary.sort_unstable();
-        let bytes = vocabulary.iter().map(|(term, _)| term.len()).sum();
-        let mut terms = TextArena::with_capacity(vocabulary.len(), bytes);
-        let mut offsets = Vec::with_capacity(vocabulary.len() + 1);
-        offsets.push(0u32);
-        // Per provisional id: where its term's next posting goes.
-        let mut cursors = vec![0u32; slots.len()];
-        let mut total = 0u32;
-        for (term, id) in vocabulary {
-            terms.push(&term);
-            cursors[id as usize] = total;
-            total += slots[id as usize].doc_freq;
-            offsets.push(total);
-        }
-        drop(slots);
-
-        // Counting scatter. Rows were logged in document order and a term's
-        // cursor only advances, so every CSR row comes out doc-ascending —
-        // the contract `Postings` and the kernels' binary searches lean on.
-        let mut posting_docs = vec![0 as DocId; rows.len()];
-        let mut posting_tfs = vec![0.0f64; rows.len()];
-        for row in &rows {
-            let at = &mut cursors[row.term as usize];
-            posting_docs[*at as usize] = row.doc;
-            posting_tfs[*at as usize] = row.tf;
-            *at += 1;
-        }
-        drop(rows);
-        let term_max_tfs = offsets
-            .windows(2)
-            .map(|w| {
-                posting_tfs[w[0] as usize..w[1] as usize]
-                    .iter()
-                    .fold(0.0f64, |a, &b| a.max(b))
-            })
-            .collect();
-
-        let avg_doc_length = if doc_lengths.is_empty() {
-            0.0
-        } else {
-            doc_lengths.iter().sum::<f64>() / doc_lengths.len() as f64
-        };
-        let blocks = BlockLanes::freeze(self.block_size, &offsets, &posting_docs, &posting_tfs);
-        Index {
-            analyzer: self.analyzer,
-            term_ids: term_table(&terms),
-            terms,
-            offsets,
-            store: PostingStore::Flat {
-                docs: posting_docs,
-                tfs: posting_tfs,
-            },
-            term_max_tfs,
-            blocks,
-            doc_lengths,
-            avg_doc_length,
-            external_to_doc: external_id_table(&self.docs),
-            docs: self.docs,
-        }
-    }
-
-    /// The boost of each of the stored documents' field names, by name id.
-    fn field_boosts(&self) -> Vec<f64> {
-        self.docs
-            .field_names()
-            .map(|name| self.field_boosts.get(name).copied().unwrap_or(1.0))
+        fan_out(&mut parts, threads, |part| part.intern(&analyzer));
+        parts.iter_mut().for_each(ShardFreeze::rank);
+        fan_out(&mut parts, threads, ShardFreeze::replay);
+        parts
+            .into_iter()
+            .map(|part| part.finish(analyzer.clone(), block_size))
             .collect()
     }
+}
+
+/// Threads a freeze of `shards` shards runs on: one per shard, at most one
+/// per core, the caller among them.
+fn freeze_threads(shards: usize) -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(shards)
+}
+
+/// `work` on every item, the items cut into at most `threads` runs of
+/// neighbours: the caller works through the first run and one scoped helper
+/// through each other, so which thread takes an item depends on the counts
+/// alone, never on timing. A helper's panic resurfaces on the caller with
+/// its own payload.
+fn fan_out<T: Send>(items: &mut [T], threads: usize, work: impl Fn(&mut T) + Sync) {
+    let run = items.len().div_ceil(threads.max(1)).max(1);
+    let mut runs = items.chunks_mut(run);
+    let first = runs.next();
+    let work = &work;
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = runs
+            .map(|run| scope.spawn(move || run.iter_mut().for_each(work)))
+            .collect();
+        first.into_iter().flatten().for_each(work);
+        for helper in helpers {
+            if let Err(panic) = helper.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
 }
 
 /// [`TermSlot::seen_in`] before the token's first document.
@@ -1251,19 +1172,252 @@ const NEVER_SEEN: DocId = DocId::MAX;
 struct TermSlot {
     /// The analyzer's stopword / minimum-length verdict, asked once.
     kept: bool,
-    /// Document whose weighted tf `tf` is accumulating (the doc stamp): a
-    /// slot is reset on its first token of each document, never swept.
+    /// The document the phase last met the token in (the doc stamp): the
+    /// first token of each document is told apart without sweeping slots
+    /// between documents. Reset between the phases.
     seen_in: DocId,
-    /// Documents containing the token so far.
+    /// Documents containing the token, counted in phase 1.
     doc_freq: u32,
-    tf: f64,
+    /// Where the token's term's next posting goes, from ranking on.
+    next: u32,
 }
 
-/// One logged posting: the weighted tf of `term` (a provisional id) in `doc`.
-struct PostingRow {
-    term: u32,
-    doc: DocId,
-    tf: f64,
+/// One shard's freeze in flight: its documents, and what each phase leaves
+/// for the next.
+struct ShardFreeze {
+    docs: DocStore,
+    /// The boost of each of `docs`' field names, by name id.
+    boosts: Vec<f64>,
+    /// Provisional id of every kept token, in token order.
+    log: Vec<u32>,
+    /// Where each field's tokens end in `log`, fields in document order.
+    field_ends: Vec<u32>,
+    doc_lengths: Vec<f64>,
+    /// Every distinct raw token, in first-seen order: provisional id `i` is
+    /// string `i`.
+    tokens: TextArena,
+    slots: Vec<TermSlot>,
+    /// The kept tokens, sorted: [`TermId`] `t` is string `t`.
+    terms: TextArena,
+    offsets: Vec<u32>,
+    posting_docs: Vec<DocId>,
+    posting_tfs: Vec<f64>,
+}
+
+impl ShardFreeze {
+    /// On the caller: reserve what phase 1 fills. A field of `b` bytes holds
+    /// at most `b / 2 + 1` tokens — each is at least a byte long, and a
+    /// byte at least parts two — so the log never outgrows its reservation.
+    fn new(docs: DocStore, field_boosts: &HashMap<String, f64>) -> ShardFreeze {
+        let boosts = docs
+            .field_names()
+            .map(|name| field_boosts.get(name).copied().unwrap_or(1.0))
+            .collect();
+        let (fields, tokens) = (0..docs.len())
+            .flat_map(|d| docs.field_ids(d))
+            .fold((0, 0), |(fields, tokens), (_, text)| {
+                (fields + 1, tokens + text.len() / 2 + 1)
+            });
+        assert!(
+            tokens <= u32::MAX as usize,
+            "the token log is u32-addressed: a shard's text could hold over 4B tokens"
+        );
+        ShardFreeze {
+            boosts,
+            log: Vec::with_capacity(tokens),
+            field_ends: Vec::with_capacity(fields),
+            doc_lengths: Vec::with_capacity(docs.len()),
+            docs,
+            tokens: TextArena::default(),
+            slots: Vec::new(),
+            terms: TextArena::default(),
+            offsets: Vec::new(),
+            posting_docs: Vec::new(),
+            posting_tfs: Vec::new(),
+        }
+    }
+
+    /// Phase 1, one thread per shard: tokenise, intern each token to a
+    /// provisional id, count document frequencies, log each kept token and
+    /// sum each document's length. Allocates the vocabulary alone.
+    fn intern(&mut self, analyzer: &Analyzer) {
+        let ShardFreeze {
+            docs,
+            boosts,
+            log,
+            field_ends,
+            doc_lengths,
+            tokens,
+            slots,
+            ..
+        } = self;
+        let mut ids = IdTable::with_capacity(0);
+        let mut token = String::new();
+        for d in 0..docs.len() {
+            let doc = d as DocId;
+            let mut length = 0.0;
+            for (field, text) in docs.field_ids(d) {
+                let boost = boosts[field as usize];
+                for_each_raw_token(text, &mut token, |tok| {
+                    let next = tokens.len() as u32;
+                    let id = ids.insert_first(tok, next, |id| tokens.get(id as usize));
+                    if id == next {
+                        tokens.push(tok);
+                        slots.push(TermSlot {
+                            kept: analyzer.keeps(tok),
+                            seen_in: NEVER_SEEN,
+                            doc_freq: 0,
+                            next: 0,
+                        });
+                    }
+                    let slot = &mut slots[id as usize];
+                    if slot.kept {
+                        if slot.seen_in != doc {
+                            slot.seen_in = doc;
+                            slot.doc_freq += 1;
+                        }
+                        log.push(id);
+                        length += boost;
+                    }
+                });
+                field_ends.push(log.len() as u32);
+            }
+            doc_lengths.push(length);
+        }
+    }
+
+    /// Between the phases, on the caller: rank the kept tokens — TermId
+    /// assignment must be a pure function of the content (first-seen order
+    /// is not, across shard counts), and the sort clusters prefix-sharing
+    /// terms' postings for locality — lay out the offsets as the prefix sum
+    /// of their document frequencies, point each term's slot at its first
+    /// posting, and allocate the posting lanes at their exact size.
+    fn rank(&mut self) {
+        let (tokens, slots) = (&self.tokens, &mut self.slots);
+        let mut kept: Vec<u32> = Vec::with_capacity(slots.len());
+        kept.extend((0..slots.len() as u32).filter(|&id| slots[id as usize].kept));
+        kept.sort_unstable_by(|&a, &b| tokens.get(a as usize).cmp(tokens.get(b as usize)));
+        let total: usize = kept
+            .iter()
+            .map(|&id| slots[id as usize].doc_freq as usize)
+            .sum();
+        assert!(
+            total <= u32::MAX as usize,
+            "CSR offsets are u32: index exceeds 4B postings"
+        );
+        let bytes = kept.iter().map(|&id| tokens.get(id as usize).len()).sum();
+        let mut terms = TextArena::with_capacity(kept.len(), bytes);
+        let mut offsets = Vec::with_capacity(kept.len() + 1);
+        offsets.push(0u32);
+        let mut end = 0u32;
+        for &id in &kept {
+            terms.push(tokens.get(id as usize));
+            let slot = &mut slots[id as usize];
+            slot.seen_in = NEVER_SEEN;
+            slot.next = end;
+            end += slot.doc_freq;
+            offsets.push(end);
+        }
+        self.tokens = TextArena::default();
+        self.terms = terms;
+        self.offsets = offsets;
+        self.posting_docs = vec![0; total];
+        self.posting_tfs = vec![0.0; total];
+    }
+
+    /// Phase 2, one thread per shard: replay the log into the posting lanes,
+    /// allocating nothing. Documents replay in order and a term's cursor only
+    /// advances, so every CSR row comes out doc-ascending — the contract
+    /// `Postings` and the kernels' binary searches lean on — and a posting's
+    /// tf is re-added as `0.0 + b₁ + b₂ + …` in token order, so its bits are
+    /// those of the builder this pipeline replaced.
+    fn replay(&mut self) {
+        let ShardFreeze {
+            docs,
+            boosts,
+            log,
+            field_ends,
+            slots,
+            posting_docs,
+            posting_tfs,
+            ..
+        } = self;
+        let mut ends = field_ends.iter();
+        let mut start = 0;
+        for d in 0..docs.len() {
+            let doc = d as DocId;
+            for (field, _) in docs.field_ids(d) {
+                let boost = boosts[field as usize];
+                let end = *ends.next().expect("phase 1 ends every field") as usize;
+                for &id in &log[start..end] {
+                    let slot = &mut slots[id as usize];
+                    let at = slot.next as usize;
+                    if slot.seen_in == doc {
+                        posting_tfs[at - 1] += boost;
+                    } else {
+                        slot.seen_in = doc;
+                        slot.next += 1;
+                        posting_docs[at] = doc;
+                        // From 0.0, not from `boost`: `0.0 + -0.0` is `+0.0`.
+                        posting_tfs[at] = 0.0 + boost;
+                    }
+                }
+                start = end;
+            }
+        }
+    }
+
+    /// On the caller: free the log, then fold the lanes into `term_max_tfs`
+    /// and the block lanes and build both id tables.
+    fn finish(self, analyzer: Analyzer, block_size: usize) -> Index {
+        let ShardFreeze {
+            docs,
+            log,
+            field_ends,
+            slots,
+            doc_lengths,
+            terms,
+            offsets,
+            posting_docs,
+            posting_tfs,
+            ..
+        } = self;
+        drop((log, field_ends, slots));
+        let term_max_tfs = offsets
+            .windows(2)
+            .map(|w| {
+                posting_tfs[w[0] as usize..w[1] as usize]
+                    .iter()
+                    .fold(0.0f64, |a, &b| a.max(b))
+            })
+            .collect();
+        let blocks = BlockLanes::freeze(block_size, &offsets, &posting_docs, &posting_tfs);
+        Index {
+            analyzer,
+            term_ids: term_table(&terms),
+            terms,
+            offsets,
+            store: PostingStore::Flat {
+                docs: posting_docs,
+                tfs: posting_tfs,
+            },
+            term_max_tfs,
+            blocks,
+            avg_doc_length: mean(&doc_lengths),
+            doc_lengths,
+            external_to_doc: external_id_table(&docs),
+            docs,
+        }
+    }
+}
+
+/// Mean document length, summed in document order (0 for no documents).
+fn mean(doc_lengths: &[f64]) -> f64 {
+    if doc_lengths.is_empty() {
+        0.0
+    } else {
+        doc_lengths.iter().sum::<f64>() / doc_lengths.len() as f64
+    }
 }
 
 #[cfg(test)]
@@ -1964,6 +2118,67 @@ mod tests {
                     assert_same_index(shard, &part.build_reference(), &format!("shard {s} of {n}"));
                 }
             }
+        }
+    }
+
+    /// Each shard of a freeze on 1, 2 or `n` threads equals its dealt part
+    /// frozen alone, lane for lane — with more shards than threads, and at 8
+    /// shards more shards than documents.
+    #[test]
+    fn the_thread_count_cannot_move_a_lane() {
+        let mut empty = IndexBuilder::new();
+        empty.set_block_size(2);
+        empty.set_field_boost("title", 2.5);
+        empty.set_field_boost("hidden", 0.0);
+        let docs: Vec<Document> = (0..6)
+            .map(|i| {
+                Document::new(format!("d{}", i % 4))
+                    .field("title", FRAGMENTS[i % FRAGMENTS.len()])
+                    .field("body", format!("star wars w{} w{} the Star", i % 3, i % 2))
+                    .field("hidden", "ghost İstanbul")
+            })
+            .collect();
+        let mut whole = empty.clone();
+        for doc in &docs {
+            whole.add(doc.clone());
+        }
+        for n in [2usize, 3, 8] {
+            for threads in [1, n.min(2), n] {
+                let shards = whole.clone().freeze(n, threads);
+                assert_eq!(shards.len(), n);
+                for (s, shard) in shards.iter().enumerate() {
+                    let mut part = empty.clone();
+                    for doc in docs.iter().skip(s).step_by(n) {
+                        part.add(doc.clone());
+                    }
+                    let what = format!("shard {s} of {n} on {threads} threads");
+                    assert_same_index(shard, &part.build(), &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_resurfaces_a_helper_panic() {
+        let mut items: Vec<usize> = (0..6).collect();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            fan_out(&mut items, 3, |i| {
+                if *i == 4 {
+                    panic!("shard {i} blew up");
+                }
+                *i *= 10;
+            })
+        }));
+        let payload = caught.expect_err("the helper's panic must reach the caller");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("shard 4 blew up")
+        );
+        // Every item once, whatever the thread count.
+        for threads in [1, 2, 4, 9] {
+            let mut items: Vec<usize> = (0..7).collect();
+            fan_out(&mut items, threads, |i| *i *= 10);
+            assert_eq!(items, (0..7).map(|i| i * 10).collect::<Vec<_>>());
         }
     }
 

@@ -217,10 +217,6 @@ fn put_strs<'s>(out: &mut Vec<u8>, strs: impl ExactSizeIterator<Item = &'s str>)
 }
 
 /// The elements of a lane, back to back (its count is written elsewhere).
-/// No up-front `reserve`: `out` is the one buffer every section of a save
-/// reuses, and sizing it exactly changes which of glibc's allocation paths
-/// it — and after it the loader's lanes — take; `corpus_scale` peaks 13 %
-/// higher with it (`docs/OPERATIONS.md`, *Build phases*).
 fn put_items<T: LaneItem>(out: &mut Vec<u8>, lane: &[T]) {
     for &v in lane {
         v.put(out);
