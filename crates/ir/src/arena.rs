@@ -39,10 +39,42 @@ impl TextArena {
     ///
     /// If the arena would pass 4 GiB of text.
     pub(crate) fn push(&mut self, s: &str) -> u32 {
+        self.push_part(s);
+        self.end_string()
+    }
+
+    /// Append `s` to the string being assembled, which is everything pushed
+    /// since the last [`TextArena::end_string`]: a string that arrives in
+    /// pieces is stored as it arrives.
+    pub(crate) fn push_part(&mut self, s: &str) {
         self.text.push_str(s);
+    }
+
+    /// End the string being assembled; returns its position.
+    ///
+    /// # Panics
+    ///
+    /// If the arena would pass 4 GiB of text.
+    pub(crate) fn end_string(&mut self) -> u32 {
         let end = u32::try_from(self.text.len()).expect("a text arena holds at most 4 GiB");
         self.ends.push(end);
         (self.ends.len() - 1) as u32
+    }
+
+    /// The string being assembled.
+    pub(crate) fn pending(&self) -> &str {
+        &self.text[self.ends.last().map_or(0, |&e| e as usize)..]
+    }
+
+    /// Discard the string being assembled.
+    pub(crate) fn drop_pending(&mut self) {
+        self.text
+            .truncate(self.ends.last().map_or(0, |&e| e as usize));
+    }
+
+    /// Whether `bytes` more text and one more string fit without growing.
+    pub(crate) fn has_room(&self, bytes: usize) -> bool {
+        self.text.capacity() - self.text.len() >= bytes && self.ends.capacity() > self.ends.len()
     }
 
     /// String `i`. Panics when out of range; positions come from the arena.
@@ -97,6 +129,11 @@ impl IdTable {
             len: 0,
             hasher: StrHashState::default(),
         }
+    }
+
+    /// Whether one more key fits without growing.
+    pub(crate) fn has_room(&self) -> bool {
+        2 * (self.len + 1) <= self.slots.len()
     }
 
     fn hash(&self, key: &str) -> u32 {

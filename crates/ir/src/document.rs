@@ -1,7 +1,7 @@
 //! Documents: external-id'd bags of named text fields.
 //!
 //! [`Document`] is what a caller hands [`crate::IndexBuilder::add`]; an index
-//! keeps no `Document`s. It copies each one into its [`DocStore`] — every
+//! keeps no `Document`s. It copies each one into its `DocStore` — every
 //! external id and field text of the index in one text arena — and hands
 //! stored documents back as [`DocView`]s borrowed from it.
 
@@ -90,6 +90,14 @@ impl DocStore {
         }
     }
 
+    /// This store, with room for `names` distinct field names of `bytes`
+    /// bytes in all: as many as [`DocStore::end_name`] takes without growing.
+    pub(crate) fn with_name_room(mut self, names: usize, bytes: usize) -> DocStore {
+        self.names = TextArena::with_capacity(names, bytes);
+        self.name_ids = IdTable::with_capacity(names);
+        self
+    }
+
     /// Number of documents.
     pub(crate) fn len(&self) -> usize {
         self.firsts.len()
@@ -97,23 +105,80 @@ impl DocStore {
 
     /// Start a new document.
     pub(crate) fn push_external_id(&mut self, external_id: &str) {
-        self.firsts.push(self.strings.push(external_id));
-        self.field_of.push(NO_FIELD);
+        self.text_part(external_id);
+        self.end_external_id();
     }
 
     /// Append a field to the last document.
     pub(crate) fn push_field(&mut self, name: &str, text: &str) {
-        debug_assert!(!self.firsts.is_empty(), "a field follows an external id");
-        let next = self.names.len() as u32;
-        let names = &self.names;
-        let name_id = self
-            .name_ids
-            .insert_first(name, next, |id| names.get(id as usize));
-        if name_id == next {
-            self.names.push(name);
+        let name = self.end_name(name, true).expect("a growing store has room");
+        self.text_part(text);
+        self.end_field(name);
+    }
+
+    // A document can also arrive in pieces, as a snapshot streams in: the
+    // text of its external id, then for each field the text of its name and
+    // of the field, each string in as many parts as it takes.
+
+    /// Append to the external id or field text being assembled.
+    pub(crate) fn text_part(&mut self, s: &str) {
+        self.strings.push_part(s);
+    }
+
+    /// The text assembled is the next document's external id.
+    pub(crate) fn end_external_id(&mut self) {
+        self.firsts.push(self.strings.end_string());
+        self.field_of.push(NO_FIELD);
+    }
+
+    /// Append to the field name being assembled; `false`, and nothing
+    /// appended, if it does not fit the room reserved for names and the
+    /// store may not `grow`.
+    pub(crate) fn name_part(&mut self, s: &str, grow: bool) -> bool {
+        if !grow && !self.names.has_room(s.len()) {
+            return false;
         }
-        self.strings.push(text);
-        self.field_of.push(name_id);
+        self.names.push_part(s);
+        true
+    }
+
+    /// The name assembled ends with `last`: its id, interned on first sight
+    /// — `None` if it is new and does not fit the room reserved for names
+    /// and the store may not `grow`.
+    pub(crate) fn end_name(&mut self, last: &str, grow: bool) -> Option<u32> {
+        let names = &self.names;
+        if names.pending().is_empty() {
+            if let Some(id) = self.name_ids.get(last, |id| names.get(id as usize)) {
+                return Some(id);
+            }
+        }
+        if !self.name_part(last, grow) {
+            return None;
+        }
+        let names = &self.names;
+        if let Some(id) = self
+            .name_ids
+            .get(names.pending(), |id| names.get(id as usize))
+        {
+            self.names.drop_pending();
+            return Some(id);
+        }
+        let room = self.names.has_room(0) && self.name_ids.has_room();
+        if !(grow || room) {
+            return None;
+        }
+        let id = self.names.end_string();
+        let names = &self.names;
+        self.name_ids
+            .insert_first(names.get(id as usize), id, |id| names.get(id as usize));
+        Some(id)
+    }
+
+    /// The text assembled is a field of the last document, named `name`.
+    pub(crate) fn end_field(&mut self, name: u32) {
+        debug_assert!(!self.firsts.is_empty(), "a field follows an external id");
+        self.strings.end_string();
+        self.field_of.push(name);
     }
 
     /// Append a whole document.

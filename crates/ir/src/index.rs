@@ -853,11 +853,9 @@ impl Index {
         &self.docs
     }
 
-    /// Reassemble an [`Index`] from snapshot sections. Derived state
-    /// (dictionary, external-id table, average length) is rebuilt here — it
-    /// is a pure function of the stored lanes, so the result is identical to
-    /// the originally built index. Returns a description of the first
-    /// violated invariant instead of constructing a malformed index.
+    /// [`Index::from_indexed_parts`], with the dictionary and the
+    /// external-id table built here from the stored lanes.
+    #[cfg(test)]
     #[allow(clippy::too_many_arguments)] // one parameter per snapshot section
     pub(crate) fn from_raw_parts(
         analyzer: Analyzer,
@@ -868,6 +866,37 @@ impl Index {
         blocks: BlockLanes,
         doc_lengths: Vec<f64>,
         docs: DocStore,
+    ) -> Result<Index, String> {
+        let term_ids = term_table(&terms);
+        let external_to_doc = external_id_table(&docs);
+        Index::from_indexed_parts(
+            analyzer,
+            (terms, term_ids),
+            offsets,
+            store,
+            term_max_tfs,
+            blocks,
+            doc_lengths,
+            (docs, external_to_doc),
+        )
+    }
+
+    /// Reassemble an [`Index`] from snapshot sections, each arena with the
+    /// table that indexes it ([`index_terms`], [`index_external_ids`]: the
+    /// snapshot loader fills them where it decodes). The derived state is
+    /// a pure function of the stored lanes, so the result is identical to
+    /// the originally built index. Returns a description of the first
+    /// violated invariant instead of constructing a malformed index.
+    #[allow(clippy::too_many_arguments)] // one parameter per snapshot section
+    pub(crate) fn from_indexed_parts(
+        analyzer: Analyzer,
+        (terms, term_ids): (TextArena, IdTable),
+        offsets: Vec<u32>,
+        store: PostingStore,
+        term_max_tfs: Vec<f64>,
+        blocks: BlockLanes,
+        doc_lengths: Vec<f64>,
+        (docs, external_to_doc): (DocStore, IdTable),
     ) -> Result<Index, String> {
         if offsets.len() != terms.len() + 1 {
             return Err(format!(
@@ -965,8 +994,6 @@ impl Index {
             }
         }
 
-        let term_ids = term_table(&terms);
-        let external_to_doc = external_id_table(&docs);
         // The freeze's reduction, so the float result is bit-identical to
         // the built index's.
         let avg_doc_length = mean(&doc_lengths);
@@ -989,21 +1016,34 @@ impl Index {
 /// The dictionary of a sorted, duplicate-free vocabulary: term → [`TermId`].
 fn term_table(terms: &TextArena) -> IdTable {
     let mut table = IdTable::with_capacity(terms.len());
+    index_terms(&mut table, terms);
+    table
+}
+
+/// Enter every term into `table`, which has room for them all when it was
+/// made with `IdTable::with_capacity(terms.len())`.
+pub(crate) fn index_terms(table: &mut IdTable, terms: &TextArena) {
     for (t, term) in terms.iter().enumerate() {
         table.insert_first(term, t as TermId, |id| terms.get(id as usize));
     }
-    table
 }
 
 /// External id → the first document carrying it.
 fn external_id_table(docs: &DocStore) -> IdTable {
     let mut table = IdTable::with_capacity(docs.len());
+    index_external_ids(&mut table, docs);
+    table
+}
+
+/// Enter every document's external id into `table` (first one wins), which
+/// has room for them all when it was made with
+/// `IdTable::with_capacity(docs.len())`.
+pub(crate) fn index_external_ids(table: &mut IdTable, docs: &DocStore) {
     for d in 0..docs.len() {
         table.insert_first(docs.external_id(d), d as DocId, |id| {
             docs.external_id(id as usize)
         });
     }
-    table
 }
 
 /// Mutable accumulation of documents into an [`Index`].
@@ -1515,7 +1555,7 @@ impl IndexBuilder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -1956,24 +1996,38 @@ mod tests {
     }
 
     /// Every lane of `got` equals `want`'s, floats compared as bit patterns.
-    fn assert_same_index(got: &Index, want: &Index, what: &str) {
+    pub(crate) fn assert_same_index(got: &Index, want: &Index, what: &str) {
         assert_eq!(got.terms, want.terms, "terms, {what}");
         for (t, term) in want.terms().enumerate() {
             assert_eq!(got.term_id(term), Some(t as TermId), "dictionary, {what}");
         }
         assert_eq!(got.offsets, want.offsets, "offsets, {what}");
-        let (
-            PostingStore::Flat { docs, tfs },
-            PostingStore::Flat {
-                docs: want_docs,
-                tfs: want_tfs,
-            },
-        ) = (&got.store, &want.store)
-        else {
-            panic!("both builders freeze flat lanes, {what}");
-        };
-        assert_eq!(docs, want_docs, "posting docs, {what}");
-        assert_eq!(bits(tfs), bits(want_tfs), "posting tf bits, {what}");
+        match (&got.store, &want.store) {
+            (
+                PostingStore::Flat { docs, tfs },
+                PostingStore::Flat {
+                    docs: want_docs,
+                    tfs: want_tfs,
+                },
+            ) => {
+                assert_eq!(docs, want_docs, "posting docs, {what}");
+                assert_eq!(bits(tfs), bits(want_tfs), "posting tf bits, {what}");
+            }
+            (
+                PostingStore::Compressed {
+                    bytes,
+                    byte_offsets,
+                },
+                PostingStore::Compressed {
+                    bytes: want_bytes,
+                    byte_offsets: want_offsets,
+                },
+            ) => {
+                assert_eq!(bytes, want_bytes, "posting bytes, {what}");
+                assert_eq!(byte_offsets, want_offsets, "posting byte offsets, {what}");
+            }
+            _ => panic!("both indexes hold one codec, {what}"),
+        }
         assert_eq!(
             bits(&got.term_max_tfs),
             bits(&want.term_max_tfs),

@@ -14,17 +14,27 @@
 //! shard 1  …                                         (same 8 sections)
 //! ```
 //!
-//! The `terms` and `docs` sections are each walked once, every string copied
-//! into one text arena reserved from the section's length — the
-//! vocabulary; the external ids and field texts — so a load allocates per
-//! section, never per string or document, and constructs no `Document`.
-//! Derived state — the term dictionary and the external-id table (both
+//! Neither side holds the file in memory. A save counts each section's
+//! length from its lanes, writes the frame, then streams the payload
+//! through one fixed buffer, hashing it on the way out. A load frames every
+//! section by seeking (17 bytes read per section), reserves every lane,
+//! text arena and table on the calling thread from the frame lengths and
+//! leading counts, then streams the sections on that thread and one helper,
+//! largest first, through one fixed buffer each: every chunk is hashed
+//! beside the chunks of up to three other sections and decoded where it
+//! landed. So beyond the index, a load holds two buffers whatever the file
+//! size, and the helper allocates nothing. The `terms` and `docs` sections
+//! are copied string by string into one text arena each — the vocabulary;
+//! the external ids and field texts — so a load allocates per section,
+//! never per string or document, and constructs no `Document`. Derived
+//! state — the term dictionary and the external-id table (both
 //! open-addressing tables of ids into those arenas), the average document
 //! length — is *not* stored: each is a pure function of the persisted lanes
-//! and is rebuilt on load (`Index::from_raw_parts`), so a loaded index is
-//! identical to the originally built one, fingerprint and all. The bytes
-//! are version 2's either way: the arenas are an in-memory layout, not a
-//! format change. The posting lanes are stored under whichever
+//! and is rebuilt on load (the tables by the thread that decoded their
+//! arena, `Index::from_indexed_parts`), so a loaded index is identical to
+//! the originally built one, fingerprint and all. The bytes are version
+//! 2's either way: the arenas and the streaming are an in-memory matter,
+//! not a format change. The posting lanes are stored under whichever
 //! [`crate::PostingsCodec`] the index held at save time; a compressed index
 //! snapshots compressed and loads compressed.
 //!
@@ -42,16 +52,15 @@
 //! loading from disk.
 
 use crate::analysis::Analyzer;
-use crate::arena::TextArena;
+use crate::arena::{IdTable, TextArena};
 use crate::document::DocStore;
 use crate::fault::{self, site};
-use crate::index::{BlockLanes, Index, PostingStore};
+use crate::index::{index_external_ids, index_terms, BlockLanes, Index, PostingStore};
 use crate::shard::{Fnv1a, ShardedIndex};
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// First 8 bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"QNITSNAP";
@@ -173,13 +182,18 @@ fn parse_header(buf: &[u8; HEADER_LEN]) -> Result<SnapshotHeader, SnapshotError>
 
 // --- lanes -----------------------------------------------------------------
 
-/// An element of a numeric lane — `u32`, `u64`, or `f64` as its exact bit
-/// pattern: fixed width, little-endian, for the writer and the reader alike.
+/// An element of a numeric lane — `u8`, `u32`, `u64`, or `f64` as its exact
+/// bit pattern: fixed width, little-endian, for the writer and the reader
+/// alike.
 trait LaneItem: Copy {
     const SIZE: usize;
     fn put(self, out: &mut Vec<u8>);
     /// `bytes` is exactly `SIZE` long.
     fn get(bytes: &[u8]) -> Self;
+    /// Append the items `bytes` holds, a whole number of them.
+    fn extend_from_le(lane: &mut Vec<Self>, bytes: &[u8]) {
+        lane.extend(bytes.chunks_exact(Self::SIZE).map(Self::get));
+    }
 }
 
 macro_rules! lane_item {
@@ -197,55 +211,37 @@ macro_rules! lane_item {
 }
 lane_item!(u32, u64, f64);
 
-// --- payload writers -------------------------------------------------------
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    v.put(out);
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// A counted list of strings.
-fn put_strs<'s>(out: &mut Vec<u8>, strs: impl ExactSizeIterator<Item = &'s str>) {
-    put_u64(out, strs.len() as u64);
-    for s in strs {
-        put_str(out, s);
+impl LaneItem for u8 {
+    const SIZE: usize = 1;
+    fn put(self, out: &mut Vec<u8>) {
+        out.push(self);
+    }
+    fn get(bytes: &[u8]) -> Self {
+        bytes[0]
+    }
+    fn extend_from_le(lane: &mut Vec<u8>, bytes: &[u8]) {
+        lane.extend_from_slice(bytes);
     }
 }
 
-/// The elements of a lane, back to back (its count is written elsewhere).
-fn put_items<T: LaneItem>(out: &mut Vec<u8>, lane: &[T]) {
-    for &v in lane {
-        v.put(out);
-    }
-}
+/// Bytes a thread streams through at once: the save's one buffer, and each
+/// loading thread's, split between the sections it hashes side by side.
+/// Below glibc's initial 128 KiB mmap threshold, so a buffer comes from the
+/// heap and freeing it cannot move the threshold (*Build phases* in
+/// `docs/OPERATIONS.md`).
+const STREAM_BUFFER: usize = 64 << 10;
 
-/// A counted lane: `u64` element count, then the elements.
-fn put_lane<T: LaneItem>(out: &mut Vec<u8>, lane: &[T]) {
-    put_u64(out, lane.len() as u64);
-    put_items(out, lane);
-}
-
-fn checksum(payload: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_bytes(payload);
-    h.finish()
-}
-
-/// Payloads the verifier hashes side by side.
+/// Sections a loading thread hashes side by side.
 const LANES: usize = 4;
 
-/// [`checksum`] of each payload, computed side by side. One payload's hash
-/// is a chain of dependent multiplies, one per byte; walking several
-/// payloads in lockstep keeps that many chains in flight. Each lockstep
-/// pass covers the shortest payload not yet done; a payload already done
-/// walks along (over a live one's bytes) and keeps the hash it had.
-fn checksums(payloads: [&[u8]; LANES]) -> [u64; LANES] {
-    let mut hashes = [Fnv1a::new(); LANES];
-    let mut rest = payloads;
+/// [`Fnv1a`] over each lane's bytes, side by side: `hashes[i]` goes on over
+/// `chunks[i]`. One chain is a dependent multiply per byte; walking several
+/// in lockstep keeps that many in flight. Each lockstep pass covers the
+/// shortest chunk not yet done; a lane already done walks along (over a live
+/// one's bytes) and keeps the hash it had.
+fn checksums(hashes: &mut [Fnv1a; LANES], chunks: [&[u8]; LANES]) {
+    let mut lanes = *hashes;
+    let mut rest = chunks;
     while let Some(live) = rest.iter().copied().find(|p| !p.is_empty()) {
         let step = rest
             .iter()
@@ -255,398 +251,1132 @@ fn checksums(payloads: [&[u8]; LANES]) -> [u64; LANES] {
             .unwrap_or(0);
         let done = rest.map(|p| p.is_empty());
         let walked = rest.map(|p| &(if p.is_empty() { live } else { p })[..step]);
-        let kept = hashes;
+        let kept = lanes;
         for i in 0..step {
-            for (hash, bytes) in hashes.iter_mut().zip(&walked) {
+            for (hash, bytes) in lanes.iter_mut().zip(&walked) {
                 hash.write_bytes(std::slice::from_ref(&bytes[i]));
             }
         }
         for lane in 0..LANES {
             if done[lane] {
-                hashes[lane] = kept[lane];
+                lanes[lane] = kept[lane];
             } else {
                 rest[lane] = &rest[lane][step..];
             }
         }
     }
-    hashes.map(|h| h.finish())
+    *hashes = lanes;
 }
 
-fn write_shard(w: &mut impl Write, shard: &Index, payload: &mut Vec<u8>) -> std::io::Result<()> {
-    // Fill `payload`, then frame it: tag, length, payload, checksum.
-    let mut section = |tag: u8, fill: &dyn Fn(&mut Vec<u8>)| -> std::io::Result<()> {
-        payload.clear();
-        fill(payload);
-        w.write_all(&[tag])?;
-        w.write_all(&(payload.len() as u64).to_le_bytes())?;
-        w.write_all(payload)?;
-        w.write_all(&checksum(payload).to_le_bytes())
-    };
-    // 1: analyzer — min token length + sorted stopwords (the set iterates
-    // in hash order; sorting makes the bytes a pure function of content).
-    section(1, &|p| {
-        put_u64(p, shard.analyzer().min_token_len() as u64);
-        let mut stopwords: Vec<&str> = shard.analyzer().stopwords().collect();
-        stopwords.sort_unstable();
-        put_strs(p, stopwords.into_iter());
-    })?;
-    // 2: terms, in TermId (lexicographic) order.
-    section(2, &|p| put_strs(p, shard.raw_terms().iter()))?;
-    // 3: CSR offsets.
-    section(3, &|p| put_lane(p, shard.raw_offsets()))?;
-    // 4: posting lanes, under whichever codec the index currently holds.
-    section(4, &|p| match shard.raw_store() {
-        PostingStore::Flat { docs, tfs } => {
-            p.push(CODEC_FLAT);
-            put_u64(p, docs.len() as u64);
-            put_items(p, docs);
-            put_items(p, tfs);
-        }
-        PostingStore::Compressed {
-            bytes,
-            byte_offsets,
-        } => {
-            p.push(CODEC_DELTA_VARINT);
-            put_lane(p, byte_offsets);
-            put_u64(p, bytes.len() as u64);
-            p.extend_from_slice(bytes);
-        }
-    })?;
-    // 5 and 6: the frozen MaxScore bound lane and the weighted document
-    // lengths, as exact bit patterns.
-    section(5, &|p| put_lane(p, shard.raw_term_max_tfs()))?;
-    section(6, &|p| put_lane(p, shard.doc_lengths()))?;
-    // 7: stored documents (external id + fields), in local-id order.
-    section(7, &|p| {
-        put_u64(p, shard.num_docs() as u64);
-        for d in 0..shard.num_docs() as u32 {
-            let doc = shard.document(d).expect("a local id below num_docs");
-            put_str(p, doc.external_id());
-            put_u64(p, doc.fields().len() as u64);
-            for (name, text) in doc.fields() {
-                put_str(p, name);
-                put_str(p, text);
+// --- the writer ------------------------------------------------------------
+
+/// Where a payload goes: [`Counted`] to learn its length, then [`Out`] to
+/// write it. The same walk feeds both, so the frame's length is the length
+/// of what follows it.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]) -> std::io::Result<()>;
+    fn put_items<T: LaneItem>(&mut self, lane: &[T]) -> std::io::Result<()>;
+}
+
+/// A payload's length in bytes.
+struct Counted(u64);
+
+impl Sink for Counted {
+    fn put(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.0 += bytes.len() as u64;
+        Ok(())
+    }
+
+    fn put_items<T: LaneItem>(&mut self, lane: &[T]) -> std::io::Result<()> {
+        self.0 += (lane.len() * T::SIZE) as u64;
+        Ok(())
+    }
+}
+
+/// A payload on its way to the file through one fixed buffer, every byte
+/// folded into the section's checksum as the buffer empties.
+struct Out<'a, W> {
+    w: &'a mut W,
+    buf: &'a mut Vec<u8>,
+    hash: Fnv1a,
+}
+
+impl<W: Write> Out<'_, W> {
+    fn room(&self) -> usize {
+        self.buf.capacity() - self.buf.len()
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.hash.write_bytes(self.buf);
+        self.w.write_all(self.buf)?;
+        self.buf.clear();
+        Ok(())
+    }
+}
+
+impl<W: Write> Sink for Out<'_, W> {
+    fn put(&mut self, mut bytes: &[u8]) -> std::io::Result<()> {
+        while !bytes.is_empty() {
+            if self.room() == 0 {
+                self.flush()?;
             }
+            let (now, later) = bytes.split_at(self.room().min(bytes.len()));
+            self.buf.extend_from_slice(now);
+            bytes = later;
         }
-    })?;
-    // 8: the frozen block-max lanes — block size, per-term block offsets,
-    // and the three parallel per-block lanes (max weighted tf as exact bit
-    // patterns, first and last doc ids).
-    section(8, &|p| {
-        let blocks = shard.raw_blocks();
-        put_u64(p, blocks.block_size as u64);
-        put_lane(p, &blocks.offsets);
-        put_lane(p, &blocks.max_tfs);
-        put_lane(p, &blocks.first_docs);
-        put_lane(p, &blocks.last_docs);
-    })
-}
-
-// --- payload reader --------------------------------------------------------
-
-/// One section as framed in the file: located and bounds-checked, its
-/// payload neither verified against `stored` nor decoded yet.
-struct Section<'a> {
-    name: &'static str,
-    payload: &'a [u8],
-    /// The checksum the file claims for `payload`.
-    stored: u64,
-}
-
-/// Bounds-checked little-endian cursor over a loaded snapshot. Every read
-/// that would run past the end is a [`SnapshotError::Corrupt`], so bogus
-/// lengths can never cause wild allocations or slices.
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-    /// Name of the section being parsed, for error messages.
-    section: &'static str,
-}
-
-impl<'a> Reader<'a> {
-    fn at(data: &'a [u8], pos: usize, section: &'static str) -> Self {
-        Reader { data, pos, section }
+        Ok(())
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.data.len());
-        let Some(end) = end else {
-            return Err(corrupt(format!(
-                "truncated {} section (wanted {n} more bytes)",
-                self.section
-            )));
-        };
-        let s = &self.data[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::get(self.take(u64::SIZE)?))
-    }
-
-    /// A u64 count of items at least `itemsize` bytes each, validated
-    /// against the bytes actually remaining before any allocation.
-    fn count(&mut self, item_size: usize) -> Result<usize, SnapshotError> {
-        let n = self.u64()? as usize;
-        if n.checked_mul(item_size)
-            .is_none_or(|total| total > self.data.len() - self.pos)
-        {
-            return Err(corrupt(format!(
-                "implausible count {n} in {} section",
-                self.section
-            )));
-        }
-        Ok(n)
-    }
-
-    /// `n` lane elements, decoded in bulk (`n` comes from [`Reader::count`]
-    /// at an item size no smaller than `T`'s).
-    fn items<T: LaneItem>(&mut self, n: usize) -> Result<Vec<T>, SnapshotError> {
-        let bytes = self.take(n.saturating_mul(T::SIZE))?;
-        Ok(bytes.chunks_exact(T::SIZE).map(T::get).collect())
-    }
-
-    /// A counted lane, as [`put_lane`] wrote it.
-    fn lane<T: LaneItem>(&mut self) -> Result<Vec<T>, SnapshotError> {
-        let n = self.count(T::SIZE)?;
-        self.items(n)
-    }
-
-    /// The bytes left, checked to fit a text arena's `u32` offsets: a
-    /// snapshot this crate wrote never holds more than 4 GiB of text in one
-    /// section, because its builder's arena could not.
-    fn text_room(&self) -> Result<usize, SnapshotError> {
-        let rest = self.data.len() - self.pos;
-        if rest > u32::MAX as usize {
-            return Err(corrupt(format!(
-                "{} section holds more than 4 GiB",
-                self.section
-            )));
-        }
-        Ok(rest)
-    }
-
-    /// A string, borrowed from the file.
-    fn str(&mut self) -> Result<&'a str, SnapshotError> {
-        let len = self.count(1)?;
-        let bytes = self.take(len)?;
-        std::str::from_utf8(bytes)
-            .map_err(|_| corrupt(format!("non-UTF-8 string in {} section", self.section)))
-    }
-
-    /// A counted list of strings, as [`put_strs`] wrote it, copied into one
-    /// arena: each string follows its 8-byte length, so the text is exactly
-    /// what the payload holds beyond the lengths.
-    fn strs(&mut self) -> Result<TextArena, SnapshotError> {
-        let n = self.count(8)?;
-        let bytes = self.text_room()?.saturating_sub(8 * n);
-        let mut arena = TextArena::with_capacity(n, bytes);
-        for _ in 0..n {
-            arena.push(self.str()?);
-        }
-        Ok(arena)
-    }
-
-    /// The stored documents, as section 7 holds them, copied into one
-    /// store in one walk. Every stored string — an external id with its
-    /// field count, or a field text with its name — comes with at least 16
-    /// bytes of lengths, and all their text is less than the bytes left.
-    fn docs(&mut self) -> Result<DocStore, SnapshotError> {
-        let n = self.count(8)?;
-        let rest = self.text_room()?;
-        let mut docs = DocStore::with_capacity(n, rest / 16, rest);
-        for _ in 0..n {
-            docs.push_external_id(self.str()?);
-            for _ in 0..self.count(16)? {
-                let name = self.str()?;
-                docs.push_field(name, self.str()?);
+    fn put_items<T: LaneItem>(&mut self, mut lane: &[T]) -> std::io::Result<()> {
+        while !lane.is_empty() {
+            if self.room() < T::SIZE {
+                self.flush()?;
             }
-        }
-        Ok(docs)
-    }
-
-    fn finish(self) -> Result<(), SnapshotError> {
-        if self.pos != self.data.len() {
-            return Err(corrupt(format!(
-                "{} section has {} trailing bytes",
-                self.section,
-                self.data.len() - self.pos
-            )));
+            let (now, later) = lane.split_at((self.room() / T::SIZE).min(lane.len()));
+            for &v in now {
+                v.put(self.buf);
+            }
+            lane = later;
         }
         Ok(())
     }
 }
 
-/// Locate the next framed section of `file` and check its tag; the checksum
-/// is the verifier's business ([`first_bad_checksum`]).
-fn frame_section<'a>(
-    file: &mut Reader<'a>,
-    expect_tag: u8,
-    name: &'static str,
-) -> Result<Section<'a>, SnapshotError> {
-    file.section = name;
-    let tag = file.u8()?;
+fn put_u64(out: &mut impl Sink, v: u64) -> std::io::Result<()> {
+    out.put(&v.to_le_bytes())
+}
+
+fn put_str(out: &mut impl Sink, s: &str) -> std::io::Result<()> {
+    put_u64(out, s.len() as u64)?;
+    out.put(s.as_bytes())
+}
+
+/// A counted list of strings.
+fn put_strs<'s>(
+    out: &mut impl Sink,
+    mut strs: impl ExactSizeIterator<Item = &'s str>,
+) -> std::io::Result<()> {
+    put_u64(out, strs.len() as u64)?;
+    strs.try_for_each(|s| put_str(out, s))
+}
+
+/// A counted lane: `u64` element count, then the elements.
+fn put_lane<T: LaneItem>(out: &mut impl Sink, lane: &[T]) -> std::io::Result<()> {
+    put_u64(out, lane.len() as u64)?;
+    out.put_items(lane)
+}
+
+/// The payload of section `section` (its position in [`SECTION_NAMES`]).
+fn put_payload(out: &mut impl Sink, shard: &Index, section: usize) -> std::io::Result<()> {
+    match section {
+        // analyzer — min token length + sorted stopwords (the set iterates
+        // in hash order; sorting makes the bytes a pure function of content).
+        0 => {
+            put_u64(out, shard.analyzer().min_token_len() as u64)?;
+            let mut stopwords: Vec<&str> = shard.analyzer().stopwords().collect();
+            stopwords.sort_unstable();
+            put_strs(out, stopwords.into_iter())
+        }
+        // terms, in TermId (lexicographic) order.
+        1 => put_strs(out, shard.raw_terms().iter()),
+        // CSR offsets.
+        2 => put_lane(out, shard.raw_offsets()),
+        // posting lanes, under whichever codec the index currently holds.
+        3 => match shard.raw_store() {
+            PostingStore::Flat { docs, tfs } => {
+                out.put(&[CODEC_FLAT])?;
+                put_u64(out, docs.len() as u64)?;
+                out.put_items(docs)?;
+                out.put_items(tfs)
+            }
+            PostingStore::Compressed {
+                bytes,
+                byte_offsets,
+            } => {
+                out.put(&[CODEC_DELTA_VARINT])?;
+                put_lane(out, byte_offsets)?;
+                put_u64(out, bytes.len() as u64)?;
+                out.put(bytes)
+            }
+        },
+        // the frozen MaxScore bound lane and the weighted document lengths,
+        // as exact bit patterns.
+        4 => put_lane(out, shard.raw_term_max_tfs()),
+        5 => put_lane(out, shard.doc_lengths()),
+        // stored documents (external id + fields), in local-id order.
+        6 => {
+            put_u64(out, shard.num_docs() as u64)?;
+            for d in 0..shard.num_docs() as u32 {
+                let doc = shard.document(d).expect("a local id below num_docs");
+                put_str(out, doc.external_id())?;
+                put_u64(out, doc.fields().len() as u64)?;
+                for (name, text) in doc.fields() {
+                    put_str(out, name)?;
+                    put_str(out, text)?;
+                }
+            }
+            Ok(())
+        }
+        // the frozen block-max lanes — block size, per-term block offsets,
+        // and the three parallel per-block lanes (max weighted tf as exact
+        // bit patterns, first and last doc ids).
+        _ => {
+            let blocks = shard.raw_blocks();
+            put_u64(out, blocks.block_size as u64)?;
+            put_lane(out, &blocks.offsets)?;
+            put_lane(out, &blocks.max_tfs)?;
+            put_lane(out, &blocks.first_docs)?;
+            put_lane(out, &blocks.last_docs)
+        }
+    }
+}
+
+/// Every section of `shard`, each framed: tag, payload length, payload,
+/// checksum. The length is counted from the lanes, then the payload streams
+/// through `buf`.
+fn write_shard(w: &mut impl Write, shard: &Index, buf: &mut Vec<u8>) -> std::io::Result<()> {
+    for (section, tag) in (0..SECTION_NAMES.len()).zip(1u8..) {
+        let mut len = Counted(0);
+        put_payload(&mut len, shard, section)?;
+        w.write_all(&[tag])?;
+        w.write_all(&len.0.to_le_bytes())?;
+        let mut out = Out {
+            w: &mut *w,
+            buf: &mut *buf,
+            hash: Fnv1a::new(),
+        };
+        put_payload(&mut out, shard, section)?;
+        out.flush()?;
+        let hash = out.hash.finish();
+        w.write_all(&hash.to_le_bytes())?;
+    }
+    Ok(())
+}
+
+// --- the loader: framing and set-up -----------------------------------------
+
+/// Read `buf.len()` bytes at `pos`.
+fn read_at(file: &mut (impl Read + Seek), pos: u64, buf: &mut [u8]) -> std::io::Result<()> {
+    file.seek(SeekFrom::Start(pos))?;
+    file.read_exact(buf)
+}
+
+/// One section as framed in the file: located and bounds-checked, its
+/// payload neither hashed nor decoded yet.
+#[derive(Clone, Copy)]
+struct Frame {
+    /// Position in [`SECTION_NAMES`].
+    section: usize,
+    /// File offset of the payload.
+    start: u64,
+    len: u64,
+    /// The checksum the file claims for the payload.
+    stored: u64,
+}
+
+impl Frame {
+    fn name(&self) -> &'static str {
+        SECTION_NAMES[self.section]
+    }
+}
+
+/// Locate section `section` of a shard at `pos`, reading its tag, length
+/// and stored checksum — 17 bytes — and check its tag; hashing is the
+/// stream's business.
+fn frame_section(
+    file: &mut (impl Read + Seek),
+    file_len: u64,
+    pos: u64,
+    section: usize,
+) -> Result<Frame, SnapshotError> {
+    let name = SECTION_NAMES[section];
+    let rest = file_len - pos;
+    let truncated = |n| Bad::Truncated(n).error(name);
+    if rest < 1 {
+        return Err(truncated(1));
+    }
+    let mut tag_len = [0u8; 9];
+    let got = (rest - 1).min(8) as usize;
+    read_at(file, pos, &mut tag_len[..1 + got])?;
+    let (tag, expect_tag) = (tag_len[0], section as u8 + 1);
     if tag != expect_tag {
         return Err(corrupt(format!(
             "expected {name} section (tag {expect_tag}), found tag {tag}"
         )));
     }
-    let len = file.count(1)?;
-    Ok(Section {
-        name,
-        payload: file.take(len)?,
-        stored: file.u64()?,
+    if got < 8 {
+        return Err(truncated(8));
+    }
+    let len = u64::from_le_bytes(tag_len[1..].try_into().expect("8 bytes"));
+    if len > rest - 9 {
+        return Err(Bad::Count(len as usize).error(name));
+    }
+    let start = pos + 9;
+    if rest - 9 - len < 8 {
+        return Err(truncated(8));
+    }
+    let mut stored = [0u8; 8];
+    read_at(file, start + len, &mut stored)?;
+    Ok(Frame {
+        section,
+        start,
+        len,
+        stored: u64::from_le_bytes(stored),
     })
 }
 
-/// Checksum verification shared by the loader's two threads. Each claims
-/// the next [`LANES`] unverified sections, largest first, and hashes them
-/// side by side ([`checksums`]) until none is left: the helper from the
-/// start, the caller once it has decoded. Largest first puts a section
-/// beside one of like size (the same section of another shard), so the
-/// lockstep passes stay full. Claiming and hashing allocate nothing, so all
-/// index memory stays on the calling thread's allocator arena.
-struct Verifier<'s, 'a> {
-    sections: &'s [Section<'a>],
-    /// Section indices, largest payload first: the claim order.
-    order: Vec<usize>,
-    /// The next position in `order` to claim.
-    next: AtomicUsize,
-    /// The first section in file order found bad so far (`sections.len()`
-    /// while none is).
-    first_bad: AtomicUsize,
+/// What makes a section undecodable, kept as data: a loading thread formats
+/// no message — it allocates nothing — and the caller names the section.
+#[derive(Debug, Clone, Copy)]
+enum Bad {
+    /// Fewer bytes left than the next field takes.
+    Truncated(usize),
+    /// A count of more items than the bytes left could hold.
+    Count(usize),
+    /// More than 4 GiB of text, which no text arena holds.
+    TextRoom,
+    Utf8,
+    /// Bytes left after the last field.
+    Trailing(usize),
+    Codec(u8),
+    /// A field the set-up read differs from the same field streamed: the
+    /// file changed under the loader.
+    Changed,
 }
 
-impl<'s, 'a> Verifier<'s, 'a> {
-    fn new(sections: &'s [Section<'a>]) -> Self {
-        let mut order: Vec<usize> = (0..sections.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(sections[i].payload.len()));
-        Verifier {
-            sections,
-            order,
-            next: AtomicUsize::new(0),
-            first_bad: AtomicUsize::new(sections.len()),
+impl Bad {
+    fn error(self, section: &str) -> SnapshotError {
+        corrupt(match self {
+            Bad::Truncated(n) => format!("truncated {section} section (wanted {n} more bytes)"),
+            Bad::Count(n) => format!("implausible count {n} in {section} section"),
+            Bad::TextRoom => format!("{section} section holds more than 4 GiB"),
+            Bad::Utf8 => format!("non-UTF-8 string in {section} section"),
+            Bad::Trailing(n) => format!("{section} section has {n} trailing bytes"),
+            Bad::Codec(byte) => format!("unknown postings codec byte {byte}"),
+            Bad::Changed => format!("{section} section changed while it was read"),
+        })
+    }
+}
+
+/// Why set-up could not prepare a section's walk.
+enum Stop {
+    Bad(Bad),
+    Io(std::io::Error),
+}
+
+impl From<Bad> for Stop {
+    fn from(bad: Bad) -> Self {
+        Stop::Bad(bad)
+    }
+}
+
+impl From<std::io::Error> for Stop {
+    fn from(e: std::io::Error) -> Self {
+        Stop::Io(e)
+    }
+}
+
+/// A stretch of a section's payload, in order; set-up lists them.
+#[derive(Debug, Clone, Copy)]
+enum Piece {
+    /// A field set-up read — a count, the codec byte, a scalar — `width`
+    /// bytes that must stream in with the same value.
+    Seen { value: u64, width: usize },
+    /// `n` items of the destination's lane `lane`.
+    Items { lane: usize, n: usize },
+    /// `n` strings, each a `u64` length and its text, into the arena.
+    Strs(usize),
+    /// `n` stored documents.
+    Docs(usize),
+}
+
+/// Where one section's payload lands, reserved by the caller before any
+/// thread streams: every lane at its count, every arena at the section's
+/// length, every table at its count, so decoding allocates nothing.
+enum Dest {
+    /// `min_token_len` and the stopwords.
+    Analyzer(usize, TextArena),
+    /// The vocabulary and the dictionary over it.
+    Terms(TextArena, IdTable),
+    Offsets(Vec<u32>),
+    Flat(Vec<u32>, Vec<f64>),
+    /// Per-block byte offsets and the stream.
+    Compressed(Vec<u64>, Vec<u8>),
+    /// `term_max_tfs` or `doc_lengths`.
+    F64s(Vec<f64>),
+    /// The stored documents and the external-id table over them.
+    Docs(DocStore, IdTable),
+    Blocks(BlockLanes),
+}
+
+/// A numeric lane being filled from the stream.
+trait Lane {
+    fn item_size(&self) -> usize;
+    /// Append the items `bytes` holds, a whole number of them.
+    fn extend_le(&mut self, bytes: &[u8]);
+}
+
+impl<T: LaneItem> Lane for Vec<T> {
+    fn item_size(&self) -> usize {
+        T::SIZE
+    }
+
+    fn extend_le(&mut self, bytes: &[u8]) {
+        T::extend_from_le(self, bytes);
+    }
+}
+
+impl Dest {
+    /// Lane `i`, numbered as set-up numbered the [`Piece::Items`].
+    fn lane(&mut self, i: usize) -> &mut dyn Lane {
+        match (self, i) {
+            (Dest::Offsets(v) | Dest::Flat(v, _), 0) => v,
+            (Dest::Flat(_, v) | Dest::F64s(v), _) => v,
+            (Dest::Compressed(v, _), 0) => v,
+            (Dest::Compressed(_, v), _) => v,
+            (Dest::Blocks(b), 0) => &mut b.offsets,
+            (Dest::Blocks(b), 1) => &mut b.max_tfs,
+            (Dest::Blocks(b), 2) => &mut b.first_docs,
+            (Dest::Blocks(b), _) => &mut b.last_docs,
+            _ => unreachable!("set-up numbers each section's lanes"),
         }
     }
 
-    /// Verify claimed sections until every section is claimed. Relaxed
-    /// throughout: the counters publish nothing but themselves, and the
-    /// result is read after both threads are done.
-    fn run(&self) {
-        loop {
-            let at = self.next.fetch_add(LANES, Ordering::Relaxed);
-            let Some(claimed) = self.order.get(at..(at + LANES).min(self.order.len())) else {
-                return;
-            };
-            let mut payloads: [&[u8]; LANES] = [&[]; LANES];
-            for (payload, &i) in payloads.iter_mut().zip(claimed) {
-                *payload = self.sections[i].payload;
+    fn arena(&mut self) -> &mut TextArena {
+        match self {
+            Dest::Analyzer(_, arena) | Dest::Terms(arena, _) => arena,
+            _ => unreachable!("only the analyzer and terms sections hold a string list"),
+        }
+    }
+
+    fn docs(&mut self) -> &mut DocStore {
+        match self {
+            Dest::Docs(docs, _) => docs,
+            _ => unreachable!("only the docs section holds documents"),
+        }
+    }
+
+    /// Fill the table over a complete arena; it has room for every entry.
+    fn index(&mut self) {
+        match self {
+            Dest::Terms(terms, table) => index_terms(table, terms),
+            Dest::Docs(docs, table) => index_external_ids(table, docs),
+            _ => {}
+        }
+    }
+}
+
+/// Field names a `docs` section's store has room for without growing, and
+/// their bytes in all. A section with more is decoded again by the caller.
+const NAME_ROOM: usize = 32;
+const NAME_BYTES: usize = 1 << 10;
+
+/// The caller's look at a section before it streams: the walk of its
+/// fixed fields, as the serial reader walks them (the same checks, in the
+/// same order, with the same errors), read at their offsets and listed as
+/// [`Piece`]s.
+struct Peek<'f, R> {
+    file: &'f mut R,
+    frame: Frame,
+    /// Payload bytes walked.
+    pos: usize,
+    pieces: Vec<Piece>,
+}
+
+impl<R: Read + Seek> Peek<'_, R> {
+    fn rest(&self) -> usize {
+        self.frame.len as usize - self.pos
+    }
+
+    /// A `width`-byte little-endian field.
+    fn seen(&mut self, width: usize) -> Result<u64, Stop> {
+        if self.rest() < width {
+            return Err(Bad::Truncated(width).into());
+        }
+        let mut le = [0u8; 8];
+        read_at(
+            self.file,
+            self.frame.start + self.pos as u64,
+            &mut le[..width],
+        )?;
+        self.pos += width;
+        let value = u64::from_le_bytes(le);
+        self.pieces.push(Piece::Seen { value, width });
+        Ok(value)
+    }
+
+    /// A `u64` count of items at least `item_size` bytes each, checked
+    /// against the bytes left before anything is reserved for them.
+    fn count(&mut self, item_size: usize) -> Result<usize, Stop> {
+        let n = self.seen(8)? as usize;
+        if n.checked_mul(item_size)
+            .is_none_or(|total| total > self.rest())
+        {
+            return Err(Bad::Count(n).into());
+        }
+        Ok(n)
+    }
+
+    /// `n` items of `size` bytes into lane `lane` (`n` from [`Peek::count`]).
+    fn items(&mut self, lane: usize, n: usize, size: usize) {
+        self.pos += n * size;
+        self.pieces.push(Piece::Items { lane, n });
+    }
+
+    /// A counted lane, reserved at its count.
+    fn lane<T: LaneItem>(&mut self, lane: usize) -> Result<Vec<T>, Stop> {
+        let n = self.count(T::SIZE)?;
+        self.items(lane, n, T::SIZE);
+        Ok(Vec::with_capacity(n))
+    }
+
+    /// A counted list to the end of the section, of entries at least
+    /// `item_size` bytes each: the count and the bytes after it, checked to
+    /// fit a text arena's `u32` offsets (a snapshot this crate wrote never
+    /// holds more than 4 GiB of text in one section, because its builder's
+    /// arena could not). The stream walks the entries.
+    fn list(
+        &mut self,
+        item_size: usize,
+        piece: fn(usize) -> Piece,
+    ) -> Result<(usize, usize), Stop> {
+        let n = self.count(item_size)?;
+        let rest = self.rest();
+        if rest > u32::MAX as usize {
+            return Err(Bad::TextRoom.into());
+        }
+        self.pieces.push(piece(n));
+        self.pos = self.frame.len as usize;
+        Ok((n, rest))
+    }
+
+    /// Strings, as `put_strs` wrote them, into one arena: each follows its
+    /// 8-byte length, so the text is what the payload holds beyond the
+    /// lengths.
+    fn strs(&mut self) -> Result<(usize, TextArena), Stop> {
+        let (n, rest) = self.list(8, Piece::Strs)?;
+        Ok((n, TextArena::with_capacity(n, rest.saturating_sub(8 * n))))
+    }
+
+    /// Reserve the destination of this section, walking its fixed fields
+    /// — all the way to its end, unless it ends in a list the stream walks.
+    fn dest(&mut self) -> Result<Dest, Stop> {
+        let dest = match self.frame.section {
+            0 => {
+                let min_token_len = self.seen(8)? as usize;
+                Dest::Analyzer(min_token_len, self.strs()?.1)
             }
-            let hashes = checksums(payloads);
-            for (&i, hash) in claimed.iter().zip(hashes) {
-                if hash != self.sections[i].stored {
-                    self.first_bad.fetch_min(i, Ordering::Relaxed);
+            1 => {
+                let (n, terms) = self.strs()?;
+                Dest::Terms(terms, IdTable::with_capacity(n))
+            }
+            2 => Dest::Offsets(self.lane(0)?),
+            3 => match self.seen(1)? as u8 {
+                CODEC_FLAT => {
+                    let n = self.count(u32::SIZE + f64::SIZE)?;
+                    self.items(0, n, u32::SIZE);
+                    self.items(1, n, f64::SIZE);
+                    Dest::Flat(Vec::with_capacity(n), Vec::with_capacity(n))
+                }
+                CODEC_DELTA_VARINT => Dest::Compressed(self.lane(0)?, self.lane(1)?),
+                other => return Err(Bad::Codec(other).into()),
+            },
+            4 | 5 => Dest::F64s(self.lane(0)?),
+            // Every stored string — an external id with its field count, or
+            // a field text with its name — comes with at least 16 bytes of
+            // lengths, and all their text is less than the bytes left; so
+            // is every document's.
+            6 => {
+                let (n, rest) = self.list(8, Piece::Docs)?;
+                let docs = DocStore::with_capacity(n, rest / 16, rest);
+                Dest::Docs(
+                    docs.with_name_room(NAME_ROOM, NAME_BYTES),
+                    IdTable::with_capacity(n.min(rest / 16)),
+                )
+            }
+            _ => Dest::Blocks(BlockLanes {
+                block_size: self.seen(8)? as usize,
+                offsets: self.lane(0)?,
+                max_tfs: self.lane(1)?,
+                first_docs: self.lane(2)?,
+                last_docs: self.lane(3)?,
+            }),
+        };
+        if self.rest() > 0 {
+            return Err(Bad::Trailing(self.rest()).into());
+        }
+        Ok(dest)
+    }
+}
+
+// --- the loader: streaming ------------------------------------------------
+
+/// Why a walk stopped decoding.
+enum Halt {
+    Bad(Bad),
+    /// A new field name did not fit the room reserved for names, on a
+    /// thread that may not grow it.
+    NoRoom,
+}
+
+impl From<Bad> for Halt {
+    fn from(bad: Bad) -> Self {
+        Halt::Bad(bad)
+    }
+}
+
+/// Which string is being read, and so where its text goes.
+#[derive(Debug, Clone, Copy)]
+enum Text {
+    /// A string of an analyzer or terms list.
+    Str,
+    /// A document's external id.
+    Id,
+    /// A field's name.
+    Name,
+    /// A field's text.
+    Field,
+}
+
+/// What the walk of a section takes next.
+#[derive(Debug, Clone, Copy)]
+enum Want {
+    /// The bytes of the current [`Piece::Seen`].
+    Seen,
+    /// Items of the current [`Piece::Items`]: [`Walk::left`] of them.
+    Items,
+    /// A string's `u64` length.
+    Len(Text),
+    /// The rest of a string's text, this many bytes.
+    Text(Text, usize),
+    /// A document's `u64` field count.
+    Fields,
+    /// Nothing: the section is complete.
+    Done,
+}
+
+/// Up to three bytes of a character cut by a chunk boundary.
+#[derive(Default)]
+struct Utf8 {
+    bytes: [u8; 4],
+    have: usize,
+}
+
+impl Utf8 {
+    /// Validate the next bytes of a string and hand them to `push` as text,
+    /// holding back a character the chunk cuts; `push` says whether it had
+    /// room.
+    fn feed(&mut self, mut bytes: &[u8], mut push: impl FnMut(&str) -> bool) -> Result<(), Halt> {
+        if self.have > 0 {
+            let width = match self.bytes[0] {
+                0xc0..=0xdf => 2,
+                0xe0..=0xef => 3,
+                _ => 4,
+            };
+            let take = (width - self.have).min(bytes.len());
+            self.bytes[self.have..self.have + take].copy_from_slice(&bytes[..take]);
+            self.have += take;
+            bytes = &bytes[take..];
+            if self.have < width {
+                return Ok(());
+            }
+            self.have = 0;
+            let c = std::str::from_utf8(&self.bytes[..width]).map_err(|_| Bad::Utf8)?;
+            if !push(c) {
+                return Err(Halt::NoRoom);
+            }
+        }
+        let (text, cut) = match std::str::from_utf8(bytes) {
+            Ok(text) => (text, &[][..]),
+            // Only a character the chunk cuts short is left over.
+            Err(e) if e.error_len().is_none() => {
+                let (valid, cut) = bytes.split_at(e.valid_up_to());
+                (std::str::from_utf8(valid).expect("valid up to here"), cut)
+            }
+            Err(_) => return Err(Bad::Utf8.into()),
+        };
+        if !push(text) {
+            return Err(Halt::NoRoom);
+        }
+        self.bytes[..cut.len()].copy_from_slice(cut);
+        self.have = cut.len();
+        Ok(())
+    }
+}
+
+/// A section's payload decoded as it streams in, chunk by chunk: the push
+/// form of the serial reader's walk, making the same checks in the same
+/// order, so the first error is the one it would report.
+struct Walk {
+    pieces: Vec<Piece>,
+    dest: Dest,
+    /// The current piece.
+    at: usize,
+    len: usize,
+    /// Payload bytes consumed.
+    pos: usize,
+    want: Want,
+    /// Items, strings or documents left in the current piece.
+    left: usize,
+    /// Fields left in the current document.
+    fields: usize,
+    /// Id of the current field's name.
+    name: u32,
+    /// A fixed-width field or lane item cut by a chunk boundary.
+    word: [u8; 8],
+    have: usize,
+    utf8: Utf8,
+}
+
+impl Walk {
+    /// Every section starts with a field set-up read.
+    fn new(pieces: Vec<Piece>, dest: Dest, len: usize) -> Walk {
+        debug_assert!(matches!(pieces.first(), Some(Piece::Seen { .. })));
+        Walk {
+            pieces,
+            dest,
+            at: 0,
+            len,
+            pos: 0,
+            want: Want::Seen,
+            left: 0,
+            fields: 0,
+            name: 0,
+            word: [0; 8],
+            have: 0,
+            utf8: Utf8::default(),
+        }
+    }
+
+    /// Decode the next bytes of the payload. `grow` lets the store grow its
+    /// field names beyond the room reserved for them.
+    fn feed(&mut self, mut chunk: &[u8], grow: bool) -> Result<(), Halt> {
+        while !chunk.is_empty() {
+            match self.want {
+                Want::Done => unreachable!("a walk ends where its payload does"),
+                Want::Items => self.items(&mut chunk)?,
+                // The rest of the string is in this chunk, from a character
+                // boundary on: validated and stored in one step.
+                Want::Text(text, left) if left <= chunk.len() && self.utf8.have == 0 => {
+                    let (last, rest) = chunk.split_at(left);
+                    chunk = rest;
+                    self.pos += left;
+                    let last = std::str::from_utf8(last).map_err(|_| Bad::Utf8)?;
+                    self.end_text(text, last, grow)?;
+                }
+                Want::Text(text, left) => {
+                    let (part, rest) = chunk.split_at(left.min(chunk.len()));
+                    chunk = rest;
+                    self.pos += part.len();
+                    self.text_part(text, part, grow)?;
+                    if part.len() == left {
+                        self.end_text(text, "", grow)?;
+                    } else {
+                        self.want = Want::Text(text, left - part.len());
+                    }
+                }
+                Want::Seen | Want::Len(_) | Want::Fields => {
+                    let width = match (self.want, self.pieces[self.at]) {
+                        (Want::Seen, Piece::Seen { width, .. }) => width,
+                        _ => 8,
+                    };
+                    if self.fill(&mut chunk, width) {
+                        let value = u64::from_le_bytes(std::mem::take(&mut self.word));
+                        self.got(value, grow)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Move bytes of `chunk` into the word until it holds `width`; whether
+    /// it does.
+    fn fill(&mut self, chunk: &mut &[u8], width: usize) -> bool {
+        let take = (width - self.have).min(chunk.len());
+        self.word[self.have..self.have + take].copy_from_slice(&chunk[..take]);
+        *chunk = &chunk[take..];
+        self.have += take;
+        self.pos += take;
+        let full = self.have == width;
+        if full {
+            self.have = 0;
+        }
+        full
+    }
+
+    /// Items of the current lane: one cut by the last chunk, then every
+    /// whole one in this chunk, then the start of one it cuts.
+    fn items(&mut self, chunk: &mut &[u8]) -> Result<(), Halt> {
+        let Piece::Items { lane, .. } = self.pieces[self.at] else {
+            unreachable!("items are wanted in an items piece")
+        };
+        let size = self.dest.lane(lane).item_size();
+        if self.have > 0 {
+            if !self.fill(chunk, size) {
+                return Ok(());
+            }
+            let word = std::mem::take(&mut self.word);
+            self.dest.lane(lane).extend_le(&word[..size]);
+            self.left -= 1;
+        }
+        let whole = self.left.min(chunk.len() / size);
+        let (items, rest) = chunk.split_at(whole * size);
+        self.dest.lane(lane).extend_le(items);
+        self.left -= whole;
+        self.pos += items.len();
+        *chunk = rest;
+        if self.left == 0 {
+            return self.next_piece();
+        }
+        self.fill(chunk, size);
+        Ok(())
+    }
+
+    /// A complete field of the current want.
+    fn got(&mut self, value: u64, grow: bool) -> Result<(), Halt> {
+        match self.want {
+            Want::Seen => {
+                let Piece::Seen { value: seen, .. } = self.pieces[self.at] else {
+                    unreachable!("a seen field is wanted in a seen piece")
+                };
+                if value != seen {
+                    return Err(Bad::Changed.into());
+                }
+                self.next_piece()
+            }
+            Want::Fields => {
+                self.fields = self.count(value, 16)?;
+                self.next_field()
+            }
+            Want::Len(text) => match self.count(value, 1)? {
+                0 => self.end_text(text, "", grow),
+                n => {
+                    self.want = Want::Text(text, n);
+                    Ok(())
+                }
+            },
+            _ => unreachable!("only fixed-width fields complete here"),
+        }
+    }
+
+    /// `value` as a count of items at least `item_size` bytes each,
+    /// checked against the bytes left.
+    fn count(&self, value: u64, item_size: usize) -> Result<usize, Bad> {
+        let n = value as usize;
+        if n.checked_mul(item_size)
+            .is_none_or(|total| total > self.len - self.pos)
+        {
+            return Err(Bad::Count(n));
+        }
+        Ok(n)
+    }
+
+    /// Want a `u64` next, if the bytes left hold one.
+    fn want_u64(&mut self, want: Want) -> Result<(), Halt> {
+        if self.len - self.pos < 8 {
+            return Err(Bad::Truncated(8).into());
+        }
+        self.want = want;
+        Ok(())
+    }
+
+    fn next_piece(&mut self) -> Result<(), Halt> {
+        self.at += 1;
+        match self.pieces.get(self.at) {
+            None => {
+                if self.pos != self.len {
+                    return Err(Bad::Trailing(self.len - self.pos).into());
+                }
+                self.want = Want::Done;
+                self.dest.index();
+                Ok(())
+            }
+            Some(Piece::Seen { .. }) => {
+                self.want = Want::Seen;
+                Ok(())
+            }
+            Some(&Piece::Items { n: 0, .. }) => self.next_piece(),
+            Some(&Piece::Items { n, .. }) => {
+                self.left = n;
+                self.want = Want::Items;
+                Ok(())
+            }
+            Some(&Piece::Strs(n)) => {
+                self.left = n;
+                self.next_str()
+            }
+            Some(&Piece::Docs(n)) => {
+                self.left = n;
+                self.next_doc()
+            }
+        }
+    }
+
+    fn next_str(&mut self) -> Result<(), Halt> {
+        if self.left == 0 {
+            return self.next_piece();
+        }
+        self.left -= 1;
+        self.want_u64(Want::Len(Text::Str))
+    }
+
+    fn next_doc(&mut self) -> Result<(), Halt> {
+        if self.left == 0 {
+            return self.next_piece();
+        }
+        self.left -= 1;
+        self.want_u64(Want::Len(Text::Id))
+    }
+
+    fn next_field(&mut self) -> Result<(), Halt> {
+        if self.fields == 0 {
+            return self.next_doc();
+        }
+        self.fields -= 1;
+        self.want_u64(Want::Len(Text::Name))
+    }
+
+    /// Part of a string's text, where that string goes.
+    fn text_part(&mut self, text: Text, bytes: &[u8], grow: bool) -> Result<(), Halt> {
+        let dest = &mut self.dest;
+        self.utf8.feed(bytes, |s| match text {
+            Text::Str => {
+                dest.arena().push_part(s);
+                true
+            }
+            Text::Id | Text::Field => {
+                dest.docs().text_part(s);
+                true
+            }
+            Text::Name => dest.docs().name_part(s, grow),
+        })
+    }
+
+    /// A string is complete with its `last` part, which is valid text.
+    fn end_text(&mut self, text: Text, last: &str, grow: bool) -> Result<(), Halt> {
+        if self.utf8.have > 0 {
+            return Err(Bad::Utf8.into());
+        }
+        match text {
+            Text::Str => {
+                let arena = self.dest.arena();
+                arena.push_part(last);
+                arena.end_string();
+                self.next_str()
+            }
+            Text::Id => {
+                let docs = self.dest.docs();
+                docs.text_part(last);
+                docs.end_external_id();
+                self.want_u64(Want::Fields)
+            }
+            Text::Name => {
+                self.name = self.dest.docs().end_name(last, grow).ok_or(Halt::NoRoom)?;
+                self.want_u64(Want::Len(Text::Field))
+            }
+            Text::Field => {
+                let (docs, name) = (self.dest.docs(), self.name);
+                docs.text_part(last);
+                docs.end_field(name);
+                self.next_field()
+            }
+        }
+    }
+}
+
+/// One section on its way through a loading thread: hashed chunk by chunk,
+/// each chunk decoded where it lands.
+struct Stream {
+    frame: Frame,
+    /// Payload bytes read and hashed.
+    read: u64,
+    hash: Fnv1a,
+    /// The decode, for a section of a fully framed shard whose set-up held
+    /// (boxed, so the caller's list of streams stays small).
+    walk: Option<Box<Walk>>,
+    /// The first decode error, from set-up or the walk.
+    error: Option<Bad>,
+    /// Stopped for want of room for field names: the caller streams the
+    /// section again, letting the store grow.
+    deferred: bool,
+}
+
+impl Stream {
+    /// A section to hash, and to decode if `decode`: set-up reads its fixed
+    /// fields and reserves its destination.
+    fn new(file: &mut (impl Read + Seek), frame: Frame, decode: bool) -> std::io::Result<Stream> {
+        let mut stream = Stream {
+            frame,
+            read: 0,
+            hash: Fnv1a::new(),
+            walk: None,
+            error: None,
+            deferred: false,
+        };
+        if decode {
+            let mut peek = Peek {
+                file,
+                frame,
+                pos: 0,
+                pieces: Vec::new(),
+            };
+            match peek.dest() {
+                Ok(dest) => {
+                    stream.walk = Some(Box::new(Walk::new(peek.pieces, dest, frame.len as usize)))
+                }
+                Err(Stop::Bad(bad)) => stream.error = Some(bad),
+                Err(Stop::Io(e)) => return Err(e),
+            }
+        }
+        Ok(stream)
+    }
+
+    fn feed(&mut self, chunk: &[u8], grow: bool) {
+        if self.error.is_some() {
+            return;
+        }
+        if let Some(walk) = &mut self.walk {
+            match walk.feed(chunk, grow) {
+                Ok(()) => {}
+                Err(Halt::Bad(bad)) => self.error = Some(bad),
+                Err(Halt::NoRoom) => self.deferred = true,
+            }
+        }
+    }
+
+    /// The decoded destination, once the whole payload has streamed.
+    fn take_dest(&mut self) -> Dest {
+        let walk = self
+            .walk
+            .take()
+            .expect("a section without an error was set up");
+        debug_assert!(matches!(walk.want, Want::Done), "{:?}", walk.want);
+        walk.dest
+    }
+}
+
+/// Stream `streams` in order through `buffer`, up to [`LANES`] at a time:
+/// read the next chunk of each, hash the chunks side by side
+/// ([`checksums`]), decode each where it landed; a lane whose section ends
+/// takes the next. Allocates nothing unless `grow` lets a store grow its
+/// field names.
+fn stream<'s, R: Read + Seek>(
+    file: &mut R,
+    streams: impl IntoIterator<Item = &'s mut Stream>,
+    buffer: &mut [u8],
+    grow: bool,
+) -> std::io::Result<()> {
+    let slot = buffer.len() / LANES;
+    let mut queue = streams.into_iter();
+    let mut lanes: [Option<&mut Stream>; LANES] = Default::default();
+    loop {
+        for lane in lanes.iter_mut().filter(|lane| lane.is_none()) {
+            *lane = queue.next();
+        }
+        if lanes.iter().all(Option::is_none) {
+            return Ok(());
+        }
+        let mut lens = [0; LANES];
+        for ((lane, buf), n) in lanes.iter().zip(buffer.chunks_mut(slot)).zip(&mut lens) {
+            if let Some(s) = lane {
+                *n = (s.frame.len - s.read).min(slot as u64) as usize;
+                read_at(file, s.frame.start + s.read, &mut buf[..*n])?;
+            }
+        }
+        let mut chunks: [&[u8]; LANES] = [&[]; LANES];
+        for ((chunk, buf), n) in chunks.iter_mut().zip(buffer.chunks(slot)).zip(lens) {
+            *chunk = &buf[..n];
+        }
+        let mut hashes = lanes
+            .each_ref()
+            .map(|lane| lane.as_ref().map_or(Fnv1a::new(), |s| s.hash));
+        checksums(&mut hashes, chunks);
+        for ((lane, chunk), hash) in lanes.iter_mut().zip(chunks).zip(hashes) {
+            if let Some(s) = lane {
+                s.hash = hash;
+                s.read += chunk.len() as u64;
+                s.feed(chunk, grow);
+                if s.deferred || s.read == s.frame.len {
+                    *lane = None;
                 }
             }
         }
     }
+}
 
-    /// The first section, in file order, whose payload does not hash to its
-    /// stored checksum; call once every `run` has returned.
-    fn first_bad(&self) -> Option<usize> {
-        let bad = self.first_bad.load(Ordering::Relaxed);
-        (bad < self.sections.len()).then_some(bad)
+/// Split `streams` between the caller and one helper: largest first, each
+/// to whichever has fewer bytes so far (the caller on a tie), so both stream
+/// about half the file and each walks sections of like size side by side.
+fn deal(streams: &mut [Stream]) -> [Vec<&mut Stream>; 2] {
+    let mut order: Vec<&mut Stream> = streams.iter_mut().collect();
+    order.sort_by_key(|s| std::cmp::Reverse(s.frame.len));
+    let mut dealt = [Vec::new(), Vec::new()];
+    let mut bytes = [0u64; 2];
+    for s in order {
+        let to = usize::from(bytes[1] < bytes[0]);
+        bytes[to] += s.frame.len;
+        dealt[to].push(s);
     }
+    dealt
 }
 
-/// Decode one whole section with `parse`, rejecting trailing bytes.
-fn parse_section<'a, T>(
-    section: &Section<'a>,
-    parse: impl FnOnce(&mut Reader<'a>) -> Result<T, SnapshotError>,
-) -> Result<T, SnapshotError> {
-    let mut r = Reader::at(section.payload, 0, section.name);
-    let value = parse(&mut r)?;
-    r.finish()?;
-    Ok(value)
-}
-
-/// Decode one shard from its eight framed sections, in section order, then
-/// check the lanes against each other (`Index::from_raw_parts`). The bytes
-/// may not have been verified yet: every read is bounds-checked, nothing
-/// panics, and the caller keeps the result only if every checksum held.
-fn decode_shard(sections: &[Section<'_>]) -> Result<Index, SnapshotError> {
-    let [analyzer, terms, offsets, postings, term_max_tfs, doc_lengths, docs, blockmax] = sections
+/// One shard from its eight streamed sections: the first section in file
+/// order that did not decode, or the lanes checked against each other
+/// (`Index::from_indexed_parts`).
+fn assemble(group: &mut [Stream]) -> Result<Index, SnapshotError> {
+    if let Some(e) = group
+        .iter()
+        .find_map(|s| s.error.map(|bad| bad.error(s.frame.name())))
+    {
+        return Err(e);
+    }
+    let dests: [Dest; SECTION_NAMES.len()] = std::array::from_fn(|i| group[i].take_dest());
+    let [Dest::Analyzer(min_token_len, stopwords), Dest::Terms(terms, term_ids), Dest::Offsets(offsets), postings, Dest::F64s(term_max_tfs), Dest::F64s(doc_lengths), Dest::Docs(docs, external_to_doc), Dest::Blocks(blocks)] =
+        dests
     else {
-        unreachable!("a shard is framed as {} sections", SECTION_NAMES.len());
+        unreachable!("set-up reserves each section's destination")
     };
-
-    let analyzer = parse_section(analyzer, |r| {
-        let min_token_len = r.u64()? as usize;
-        Ok(Analyzer::keep_all()
-            .with_stopwords(r.strs()?.iter())
-            .with_min_token_len(min_token_len))
-    })?;
-    let terms = parse_section(terms, Reader::strs)?;
-    let offsets = parse_section(offsets, Reader::lane::<u32>)?;
-    let store = parse_section(postings, |r| match r.u8()? {
-        CODEC_FLAT => {
-            let n = r.count(u32::SIZE + f64::SIZE)?;
-            Ok(PostingStore::Flat {
-                docs: r.items(n)?,
-                tfs: r.items(n)?,
-            })
-        }
-        CODEC_DELTA_VARINT => {
-            let byte_offsets = r.lane()?;
-            let len = r.count(1)?;
-            Ok(PostingStore::Compressed {
-                bytes: r.take(len)?.to_vec(),
-                byte_offsets,
-            })
-        }
-        other => Err(corrupt(format!("unknown postings codec byte {other}"))),
-    })?;
-    let term_max_tfs = parse_section(term_max_tfs, Reader::lane::<f64>)?;
-    let doc_lengths = parse_section(doc_lengths, Reader::lane::<f64>)?;
-    let docs = parse_section(docs, Reader::docs)?;
-    let blocks = parse_section(blockmax, |r| {
-        Ok(BlockLanes {
-            block_size: r.u64()? as usize,
-            offsets: r.lane()?,
-            max_tfs: r.lane()?,
-            first_docs: r.lane()?,
-            last_docs: r.lane()?,
-        })
-    })?;
-
-    Index::from_raw_parts(
+    let store = match postings {
+        Dest::Flat(docs, tfs) => PostingStore::Flat { docs, tfs },
+        Dest::Compressed(byte_offsets, bytes) => PostingStore::Compressed {
+            bytes,
+            byte_offsets,
+        },
+        _ => unreachable!("set-up reserves posting lanes"),
+    };
+    let analyzer = Analyzer::keep_all()
+        .with_stopwords(stopwords.iter())
+        .with_min_token_len(min_token_len);
+    Index::from_indexed_parts(
         analyzer,
-        terms,
+        (terms, term_ids),
         offsets,
         store,
         term_max_tfs,
         blocks,
         doc_lengths,
-        docs,
+        (docs, external_to_doc),
     )
     .map_err(corrupt)
 }
 
-/// Decode a whole snapshot file: frame every section, verify the checksums
-/// on a helper thread while this thread decodes and then on both, then
+/// Decode a snapshot of `file_len` bytes, read through `file` by this
+/// thread and through `helper_file` by one helper: frame every section,
+/// reserve every destination, stream the sections on both threads, then
 /// report what a reader going through the file serially would have
 /// reported.
-fn decode_snapshot(data: &[u8]) -> Result<ShardedIndex, SnapshotError> {
-    let header_bytes: &[u8; HEADER_LEN] = data
-        .get(..HEADER_LEN)
-        .and_then(|s| s.try_into().ok())
-        .ok_or_else(|| corrupt("truncated header (shorter than 32 bytes)"))?;
-    let header = parse_header(header_bytes)?;
+fn decode_snapshot<R: Read + Seek + Send>(
+    mut file: R,
+    mut helper_file: R,
+    file_len: u64,
+) -> Result<ShardedIndex, SnapshotError> {
+    let mut header_bytes = [0u8; HEADER_LEN];
+    if file_len < HEADER_LEN as u64 {
+        return Err(corrupt("truncated header (shorter than 32 bytes)"));
+    }
+    read_at(&mut file, 0, &mut header_bytes)?;
+    let header = parse_header(&header_bytes)?;
     if header.shard_count == 0 {
         return Err(corrupt("snapshot declares zero shards"));
     }
@@ -655,39 +1385,74 @@ fn decode_snapshot(data: &[u8]) -> Result<ShardedIndex, SnapshotError> {
     // before anything is hashed or decoded; it stops at the first section
     // that cannot be located, and the sections before it still count.
     let per_shard = SECTION_NAMES.len();
-    let mut sections = Vec::new();
-    let mut file = Reader::at(data, HEADER_LEN, "header");
+    let mut frames = Vec::new();
+    let mut end = HEADER_LEN as u64;
     let framing_error = (0..header.shard_count)
-        .flat_map(|_| (1u8..).zip(SECTION_NAMES))
-        .try_for_each(|(tag, name)| {
-            frame_section(&mut file, tag, name).map(|section| sections.push(section))
+        .flat_map(|_| 0..per_shard)
+        .try_for_each(|section| {
+            let frame = frame_section(&mut file, file_len, end, section)?;
+            end = frame.start + frame.len + 8;
+            frames.push(frame);
+            Ok(())
         })
         .err();
-
-    // Decode the fully framed shards here while the helper hashes, then
-    // hash beside it. A decode error stops at its shard, as the serial order
-    // would.
-    let decode = || {
-        let mut shards = Vec::with_capacity(sections.len() / per_shard);
-        let error = sections
-            .chunks_exact(per_shard)
-            .try_for_each(|framed| decode_shard(framed).map(|shard| shards.push(shard)))
-            .err();
-        (shards, error)
+    let framing_error = match framing_error {
+        Some(SnapshotError::Io(e)) => return Err(SnapshotError::Io(e)),
+        other => other,
     };
-    let verifier = Verifier::new(&sections);
-    let (shards, decode_error) = std::thread::scope(|scope| {
-        let helper = std::thread::Builder::new().spawn_scoped(scope, || verifier.run());
-        let decoded = decode();
-        // Whatever the helper has not claimed yet — everything, if no
-        // thread was to be had.
-        verifier.run();
-        if let Ok(helper) = helper {
-            helper.join().expect("hashing byte slices cannot panic");
-        }
-        decoded
+
+    // Set-up: every section of a fully framed shard gets its destination
+    // reserved here, on the calling thread; the rest are only hashed.
+    let framed = frames.len() / per_shard * per_shard;
+    let mut streams = Vec::with_capacity(frames.len());
+    for (i, &frame) in frames.iter().enumerate() {
+        streams.push(Stream::new(&mut file, frame, i < framed)?);
+    }
+
+    // Both threads stream their share through a buffer allocated here; a
+    // helper that cannot be spawned leaves its share to this thread.
+    let slot = (STREAM_BUFFER.min(file_len as usize) / LANES).max(1);
+    let mut buffer = vec![0u8; slot * LANES];
+    let mut helper_buffer = vec![0u8; slot * LANES];
+    let [mine, mut theirs] = deal(&mut streams);
+    let (streamed, helped) = std::thread::scope(|scope| {
+        let helper = std::thread::Builder::new().spawn_scoped(scope, || {
+            stream(
+                &mut helper_file,
+                theirs.iter_mut().map(|s| &mut **s),
+                &mut helper_buffer,
+                false,
+            )
+        });
+        let streamed = stream(&mut file, mine, &mut buffer, true);
+        let helped = helper
+            .ok()
+            .map(|helper| helper.join().expect("streaming a section does not panic"));
+        (streamed, helped)
     });
-    let bad_checksum = verifier.first_bad();
+    streamed?;
+    match helped {
+        Some(helped) => helped?,
+        None => stream(&mut file, theirs, &mut buffer, true)?,
+    }
+    drop(helper_buffer);
+    // Sections a helper left for want of room for field names, streamed
+    // again from the start here.
+    for s in streams.iter_mut().filter(|s| s.deferred) {
+        *s = Stream::new(&mut file, s.frame, true)?;
+        stream(&mut file, [&mut *s], &mut buffer, true)?;
+    }
+    drop(buffer);
+
+    // Decode the fully framed shards in order, stopping at the first error.
+    let bad_checksum = streams
+        .iter()
+        .position(|s| s.hash.finish() != s.frame.stored);
+    let mut shards = Vec::with_capacity(framed / per_shard);
+    let decode_error = streams
+        .chunks_exact_mut(per_shard)
+        .try_for_each(|group| assemble(group).map(|shard| shards.push(shard)))
+        .err();
 
     // A serial reader frames and verifies a shard section by section, then
     // decodes it, then moves on. So a bad checksum outranks a decode error
@@ -695,16 +1460,16 @@ fn decode_snapshot(data: &[u8]) -> Result<ShardedIndex, SnapshotError> {
     // the framing error, which lies beyond every framed section; a decode
     // error outranks the framing error, which lies beyond every decoded shard.
     if let Some(bad) = bad_checksum.filter(|bad| bad / per_shard <= shards.len()) {
-        let name = sections[bad].name;
+        let name = streams[bad].frame.name();
         return Err(corrupt(format!("checksum mismatch in {name} section")));
     }
     if let Some(e) = decode_error.or(framing_error) {
         return Err(e);
     }
-    if file.pos != data.len() {
+    if end != file_len {
         return Err(corrupt(format!(
             "{} trailing bytes after the last shard",
-            data.len() - file.pos
+            file_len - end
         )));
     }
 
@@ -722,8 +1487,13 @@ fn decode_snapshot(data: &[u8]) -> Result<ShardedIndex, SnapshotError> {
 impl ShardedIndex {
     /// Serialize this index to `path` (written to a `.tmp` sibling first,
     /// then renamed, so a crash mid-save never leaves a half-written file
-    /// at the final path). Stores the posting lanes under their current
-    /// [`crate::PostingsCodec`] and the corpus fingerprint in the header.
+    /// at the final path; a save that fails removes its `.tmp`). Stores the
+    /// posting lanes under their current [`crate::PostingsCodec`] and the
+    /// corpus fingerprint in the header.
+    ///
+    /// Each section's length is counted from its lanes, then its payload
+    /// streams through one fixed buffer, hashed on the way out: the save
+    /// holds no copy of a section, whatever its size.
     ///
     /// ```
     /// use irengine::{Document, IndexBuilder, ShardedIndex};
@@ -746,20 +1516,28 @@ impl ShardedIndex {
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
         let tmp = std::path::PathBuf::from(tmp);
+        let saved = self
+            .write_snapshot(&tmp)
+            .and_then(|()| std::fs::rename(&tmp, path));
+        if saved.is_err() {
+            // The partial file would hold the space a full disk lacked.
+            let _ = std::fs::remove_file(&tmp);
+        }
+        Ok(saved?)
+    }
 
-        let mut w = BufWriter::new(File::create(&tmp)?);
+    fn write_snapshot(&self, tmp: &Path) -> std::io::Result<()> {
+        let mut w = BufWriter::new(File::create(tmp)?);
         w.write_all(&SNAPSHOT_MAGIC)?;
         w.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
         w.write_all(&(self.num_shards() as u32).to_le_bytes())?;
         w.write_all(&(self.num_docs() as u64).to_le_bytes())?;
         w.write_all(&self.fingerprint().to_le_bytes())?;
-        let mut payload = Vec::new();
+        let mut buf = Vec::with_capacity(STREAM_BUFFER);
         for shard in self.shards() {
-            write_shard(&mut w, shard, &mut payload)?;
+            write_shard(&mut w, shard, &mut buf)?;
         }
-        w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        w.into_inner().map_err(|e| e.into_error())?.sync_all()
     }
 
     /// Load a snapshot previously written by [`ShardedIndex::save_snapshot`].
@@ -768,46 +1546,23 @@ impl ShardedIndex {
     /// indistinguishable from the originally built index — same
     /// fingerprint, same scores to the last bit, same codec.
     ///
-    /// Two threads read the file, half each; the checksums are verified on
-    /// a helper thread while this thread decodes, and on both threads once
-    /// it has (see *Loader order* in `docs/INDEX_FORMAT.md`). Nothing is
-    /// returned before every checksum held, and a damaged file is reported
-    /// exactly as a serial verify-then-decode reader would.
+    /// This thread frames every section by seeking and reserves every lane,
+    /// arena and table from the frame lengths and leading counts; then it
+    /// and one helper stream half the sections each through fixed buffers,
+    /// hashing each chunk and decoding it where it lands (see *Loader
+    /// order* in `docs/INDEX_FORMAT.md`). The file is never held in memory:
+    /// beyond the index, a load holds two buffers. Nothing is returned
+    /// before every checksum held, and a damaged file is reported exactly
+    /// as a serial verify-then-decode reader would.
     pub fn load_snapshot(path: impl AsRef<Path>) -> Result<ShardedIndex, SnapshotError> {
         // `snapshot.read` failpoint: injects a transient read error ahead
         // of the real file read, for exercising retry/quarantine paths.
         fault::check(site::SNAPSHOT_READ).map_err(io_fault)?;
-        decode_snapshot(&read_file(path.as_ref())?)
+        let path = path.as_ref();
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        decode_snapshot(file, File::open(path)?, len)
     }
-}
-
-/// The whole file in one buffer, its first half read on this thread and
-/// its second on a scoped helper, each faulting in its own half of the
-/// buffer — on a fresh buffer that costs more than the copy. The helper
-/// reads into memory this thread allocated and allocates nothing itself; if
-/// no thread is to be had, this thread reads both halves.
-fn read_file(path: &Path) -> std::io::Result<Vec<u8>> {
-    let mut head_file = File::open(path)?;
-    let mut tail_file = File::open(path)?;
-    let len = usize::try_from(head_file.metadata()?.len())
-        .map_err(|_| std::io::Error::other("snapshot larger than the address space"))?;
-    let mut data = vec![0u8; len];
-    let (head, tail) = data.split_at_mut(len / 2);
-    tail_file.seek(SeekFrom::Start(head.len() as u64))?;
-    let helper_read = std::thread::scope(|scope| {
-        let helper = std::thread::Builder::new().spawn_scoped(scope, || tail_file.read_exact(tail));
-        head_file.read_exact(head)?;
-        Ok::<_, std::io::Error>(
-            helper
-                .ok()
-                .map(|helper| helper.join().expect("reading a file does not panic")),
-        )
-    })?;
-    match helper_read {
-        Some(read) => read?,
-        None => tail_file.read_exact(tail)?,
-    }
-    Ok(data)
 }
 
 #[cfg(test)]
@@ -817,15 +1572,121 @@ mod tests {
 
     use super::*;
     use crate::alloc_probe::largest_allocation_during;
+    use crate::index::tests::assert_same_index;
     use crate::{Document, IndexBuilder};
+    use proptest::prelude::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     // --- the serial reference ----------------------------------------------
 
-    impl Reader<'_> {
+    fn checksum(payload: &[u8]) -> u64 {
+        let mut h = Fnv1a::new();
+        h.write_bytes(payload);
+        h.finish()
+    }
+
+    /// One section as framed in the file: located and bounds-checked, its
+    /// payload neither verified against `stored` nor decoded yet.
+    struct Section<'a> {
+        payload: &'a [u8],
+        /// The checksum the file claims for `payload`.
+        stored: u64,
+    }
+
+    /// Bounds-checked little-endian cursor over a whole snapshot in memory.
+    /// Every read that would run past the end is a
+    /// [`SnapshotError::Corrupt`], so bogus lengths can never cause wild
+    /// allocations or slices.
+    struct Reader<'a> {
+        data: &'a [u8],
+        pos: usize,
+        /// Name of the section being parsed, for error messages.
+        section: &'static str,
+    }
+
+    impl<'a> Reader<'a> {
+        fn at(data: &'a [u8], pos: usize, section: &'static str) -> Self {
+            Reader { data, pos, section }
+        }
+
+        fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+            let end = self.pos.checked_add(n).filter(|&e| e <= self.data.len());
+            let Some(end) = end else {
+                return Err(corrupt(format!(
+                    "truncated {} section (wanted {n} more bytes)",
+                    self.section
+                )));
+            };
+            let s = &self.data[self.pos..end];
+            self.pos = end;
+            Ok(s)
+        }
+
+        fn u8(&mut self) -> Result<u8, SnapshotError> {
+            Ok(self.take(1)?[0])
+        }
+
         fn u32(&mut self) -> Result<u32, SnapshotError> {
             Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
         }
+
+        fn u64(&mut self) -> Result<u64, SnapshotError> {
+            Ok(u64::get(self.take(u64::SIZE)?))
+        }
+
+        /// A u64 count of items at least `itemsize` bytes each, validated
+        /// against the bytes actually remaining before any allocation.
+        fn count(&mut self, item_size: usize) -> Result<usize, SnapshotError> {
+            let n = self.u64()? as usize;
+            if n.checked_mul(item_size)
+                .is_none_or(|total| total > self.data.len() - self.pos)
+            {
+                return Err(corrupt(format!(
+                    "implausible count {n} in {} section",
+                    self.section
+                )));
+            }
+            Ok(n)
+        }
+
+        /// A string, borrowed from the file.
+        fn str(&mut self) -> Result<&'a str, SnapshotError> {
+            let len = self.count(1)?;
+            let bytes = self.take(len)?;
+            std::str::from_utf8(bytes)
+                .map_err(|_| corrupt(format!("non-UTF-8 string in {} section", self.section)))
+        }
+
+        fn finish(self) -> Result<(), SnapshotError> {
+            if self.pos != self.data.len() {
+                return Err(corrupt(format!(
+                    "{} section has {} trailing bytes",
+                    self.section,
+                    self.data.len() - self.pos
+                )));
+            }
+            Ok(())
+        }
+    }
+
+    /// Locate the next framed section of `file` and check its tag.
+    fn frame_section<'a>(
+        file: &mut Reader<'a>,
+        expect_tag: u8,
+        name: &'static str,
+    ) -> Result<Section<'a>, SnapshotError> {
+        file.section = name;
+        let tag = file.u8()?;
+        if tag != expect_tag {
+            return Err(corrupt(format!(
+                "expected {name} section (tag {expect_tag}), found tag {tag}"
+            )));
+        }
+        let len = file.count(1)?;
+        Ok(Section {
+            payload: file.take(len)?,
+            stored: file.u64()?,
+        })
     }
 
     /// Frame one section and verify its checksum before returning it.
@@ -1135,12 +1996,13 @@ mod tests {
 
     // --- the sweep -------------------------------------------------------------
 
-    /// A small two-shard index with every kind of content the sections can
-    /// hold: stopwords, multi-posting rows that span blocks, fractional tfs,
-    /// a field-less document, duplicate and empty external ids. The stored
-    /// text is most of the file, as in a real one — so a `docs` count taken
-    /// at its on-disk width would reserve several times the file.
-    fn valid_snapshot(compressed: bool) -> Vec<u8> {
+    /// A small index of `shards` shards with every kind of content the
+    /// sections can hold: stopwords, multi-posting rows that span blocks,
+    /// fractional tfs, a field-less document, duplicate and empty external
+    /// ids. The stored text is most of the file, as in a real one — so a
+    /// `docs` count taken at its on-disk width would reserve several times
+    /// the file.
+    fn valid_snapshot(compressed: bool, shards: usize) -> Vec<u8> {
         let mut b = IndexBuilder::new();
         b.set_block_size(3);
         b.set_field_boost("anchor", 2.5);
@@ -1155,10 +2017,15 @@ mod tests {
             );
         }
         b.add(Document::new(""));
-        let mut index = b.build_sharded(2);
+        let mut index = b.build_sharded(shards);
         if compressed {
             index.compress_postings();
         }
+        saved(&index)
+    }
+
+    /// The bytes `save_snapshot` writes for `index`.
+    fn saved(index: &ShardedIndex) -> Vec<u8> {
         static UNIQUE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let path = std::env::temp_dir().join(format!(
             "qunits-snapshot-sweep-{}-{}.qx",
@@ -1169,6 +2036,13 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         bytes
+    }
+
+    /// The loader over a snapshot in memory, each thread through a cursor of
+    /// its own.
+    fn decode_bytes(bytes: &[u8]) -> Result<ShardedIndex, SnapshotError> {
+        let cursor = || std::io::Cursor::new(bytes);
+        decode_snapshot(cursor(), cursor(), bytes.len() as u64)
     }
 
     /// What a load came to, in comparable form.
@@ -1189,7 +2063,7 @@ mod tests {
     /// Returns the verdict.
     fn check(bytes: &[u8], what: &str) -> Result<(usize, usize), String> {
         let (outcome, largest) =
-            largest_allocation_during(|| catch_unwind(AssertUnwindSafe(|| decode_snapshot(bytes))));
+            largest_allocation_during(|| catch_unwind(AssertUnwindSafe(|| decode_bytes(bytes))));
         let got = verdict(outcome.unwrap_or_else(|_| panic!("the loader panicked on {what}")));
         assert!(
             largest <= bytes.len().max(ERROR_MESSAGE),
@@ -1202,10 +2076,11 @@ mod tests {
 
     #[test]
     fn damaged_files_are_rejected_as_the_serial_reader_rejects_them() {
-        for compressed in [false, true] {
-            let valid = valid_snapshot(compressed);
+        for (compressed, shards) in [(false, 2), (true, 2), (false, 1)] {
+            let valid = valid_snapshot(compressed, shards);
             let (spans, fields) = map_of(&valid);
             let codec = if compressed { "compressed" } else { "flat" };
+            let codec = &format!("{codec}, {shards} shard(s)");
             let (docs, _) = check(&valid, codec).expect("the undamaged file loads");
             assert_eq!(docs, 15);
             let mut rejected = 0usize;
@@ -1304,7 +2179,7 @@ mod tests {
             // verify, so which damage is seen first varies; the message
             // must not.
             let per_shard = SECTION_NAMES.len();
-            for (k, field) in fields.iter().enumerate() {
+            for (k, field) in fields.iter().enumerate().filter(|_| shards == 2) {
                 let shard = field.section / per_shard;
                 let other = &spans[(1 - shard) * per_shard + k % per_shard];
                 let flip = (other.payload.start + other.payload.end) / 2;
@@ -1340,7 +2215,7 @@ mod tests {
             // Two section tags swapped: neighbours, and one pair across shards.
             let pairs = (0..spans.len() - 1)
                 .map(|i| (i, i + 1))
-                .chain([(1, per_shard + 2)]);
+                .chain([(1, per_shard + 2)].into_iter().filter(|_| shards == 2));
             for (i, j) in pairs {
                 damaged(format!("tags of sections {i} and {j} swapped"), &|b| {
                     b.swap(spans[i].tag, spans[j].tag)
@@ -1369,7 +2244,22 @@ mod tests {
                 at += 17;
                 &bytes[at..at + n]
             });
-            assert_eq!(checksums(payloads), payloads.map(checksum), "{lens:?}");
+            let mut whole = [Fnv1a::new(); LANES];
+            checksums(&mut whole, payloads);
+            assert_eq!(
+                whole.map(|h| h.finish()),
+                payloads.map(checksum),
+                "{lens:?}"
+            );
+            // Resumed at a cut in each payload, as chunk after chunk.
+            let mut resumed = [Fnv1a::new(); LANES];
+            checksums(&mut resumed, payloads.map(|p| &p[..p.len() / 3]));
+            checksums(&mut resumed, payloads.map(|p| &p[p.len() / 3..]));
+            assert_eq!(
+                resumed.map(|h| h.finish()),
+                payloads.map(checksum),
+                "{lens:?}"
+            );
         }
     }
 
@@ -1378,7 +2268,7 @@ mod tests {
     /// decode — not the order the overlapped loader happens to notice them.
     #[test]
     fn the_first_error_in_file_order_wins() {
-        let valid = valid_snapshot(false);
+        let valid = valid_snapshot(false, 2);
         let (spans, fields) = map_of(&valid);
         let per_shard = SECTION_NAMES.len();
         let why = |bytes: &[u8], what: &str| check(bytes, what).unwrap_err();
@@ -1410,5 +2300,119 @@ mod tests {
             why(&framed, "checksum, then framing"),
             "checksum mismatch in doc_lengths section"
         );
+    }
+
+    // --- strings cut by chunk boundaries ------------------------------------
+
+    /// Characters of every UTF-8 width, the wider ones most often, so a
+    /// chunk boundary that falls inside a string usually cuts a character.
+    const CHARS: &[char] = &['a', ' ', 'İ', 'ß', '€', '🎬', '🎬'];
+
+    /// A field name longer than the room a loading helper has for names.
+    fn long_name() -> String {
+        "ß".repeat(NAME_BYTES)
+    }
+
+    prop_compose! {
+        /// Text of up to three stream buffers, or (one time in four) a few
+        /// bytes, so strings both span refills and share chunks.
+        fn text()(
+            len in 0usize..=3 * STREAM_BUFFER,
+            short in 0usize..4,
+            seed in 0u64..u64::MAX,
+        ) -> String {
+            let len = if short == 0 { len % 40 } else { len };
+            let mut state = seed;
+            let mut text = String::with_capacity(len + 4);
+            while text.len() < len {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                text.push(CHARS[(state >> 33) as usize % CHARS.len()]);
+            }
+            text
+        }
+    }
+
+    prop_compose! {
+        fn document()(
+            id in text(),
+            fields in prop::collection::vec(
+                (prop::sample::select(vec!["body".to_owned(), "İ".to_owned(), long_name()]), text()),
+                0..3,
+            ),
+        ) -> Document {
+            fields
+                .into_iter()
+                .fold(Document::new(id), |doc, (name, text)| doc.field(name, text))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// External ids, field names and texts from empty to three stream
+        /// buffers long, multi-byte characters cut by refills: what loads is
+        /// what was saved, lane for lane, at 1, 2 and 3 shards and both
+        /// codecs.
+        #[test]
+        fn strings_cut_at_chunk_boundaries_load_back_as_saved(
+            docs in prop::collection::vec(document(), 1..6),
+            shards in 1usize..=3,
+            compressed in 0usize..2,
+        ) {
+            let mut b = IndexBuilder::new();
+            for doc in docs {
+                b.add(doc);
+            }
+            let mut built = b.build_sharded(shards);
+            if compressed == 1 {
+                built.compress_postings();
+            }
+            let loaded = decode_bytes(&saved(&built)).expect("a saved index loads");
+            prop_assert_eq!(loaded.fingerprint(), built.fingerprint());
+            for (i, (got, want)) in loaded.shards().iter().zip(built.shards()).enumerate() {
+                assert_same_index(got, want, &format!("shard {i} of {shards}"));
+            }
+        }
+    }
+
+    /// More distinct field names than a helper has room for: the helper
+    /// stops decoding the `docs` section and the caller streams it again,
+    /// free to grow, so the load is still the saved index.
+    #[test]
+    fn a_helper_leaves_a_docs_section_with_many_field_names_to_the_caller() {
+        let mut b = IndexBuilder::new();
+        for i in 0..3 * NAME_ROOM {
+            b.add(Document::new(format!("d{i}")).field(format!("field{i}"), "star wars"));
+        }
+        let built = b.build_sharded(2);
+        let bytes = saved(&built);
+
+        // On its own, a non-growing stream of shard 0's docs section defers it.
+        let mut file = std::io::Cursor::new(&bytes[..]);
+        let mut pos = HEADER_LEN as u64;
+        let frame = (0..SECTION_NAMES.len())
+            .map(|section| {
+                let frame = super::frame_section(&mut file, bytes.len() as u64, pos, section);
+                let frame = frame.expect("a saved section frames");
+                pos = frame.start + frame.len + 8;
+                frame
+            })
+            .find(|frame| frame.name() == "docs")
+            .expect("a shard has a docs section");
+        let mut stream_of_docs = Stream::new(&mut file, frame, true).unwrap();
+        let mut buffer = vec![0u8; STREAM_BUFFER];
+        stream(&mut file, [&mut stream_of_docs], &mut buffer, false).unwrap();
+        assert!(
+            stream_of_docs.deferred,
+            "a helper ran out of room for names"
+        );
+        assert!(stream_of_docs.error.is_none());
+
+        let loaded = decode_bytes(&bytes).expect("the caller decodes the section again");
+        for (i, (got, want)) in loaded.shards().iter().zip(built.shards()).enumerate() {
+            assert_same_index(got, want, &format!("shard {i}"));
+        }
     }
 }

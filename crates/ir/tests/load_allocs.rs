@@ -3,21 +3,26 @@
 //!
 //! A test binary of its own, because it installs a counting global
 //! allocator. While a load is measured every thread is counted, the calling
-//! thread apart from the rest, so the helpers the loader spawns — one reads
-//! half the file, one verifies checksums — are seen too: they must allocate
-//! nothing (*Loader order* in `docs/INDEX_FORMAT.md`). Run it alone (`RUST_TEST_THREADS=1`, as CI does)
-//! or with its single test, so no other test's allocations are counted.
+//! thread apart from the rest, so the helper the loader spawns is seen too:
+//! it streams half the sections — reads each chunk, hashes it, decodes it
+//! into the lanes, arenas and tables the calling thread reserved, and fills
+//! the term and external-id tables of the sections it decoded — and must
+//! allocate nothing (*Loader order* in `docs/INDEX_FORMAT.md`). Run it alone
+//! (`RUST_TEST_THREADS=1`, as CI does) or with its single test, so no other
+//! test's allocations are counted.
 //!
 //! The loader copies every stored string into one text arena per section and
 //! rebuilds the term and external-id tables as open-addressing slot arrays,
-//! so a load allocates per shard — each lane, arena and table once, plus the
-//! analyzer's stopword set, one `String` per stopword — and the same number
-//! of times at N and at 2N documents. Measured with this allocator, 2 shards:
+//! so a load allocates per shard — each lane, arena and table once, each
+//! section's walk and list of fixed fields, plus the analyzer's stopword
+//! set, one `String` per stopword — and the same number of times at N and
+//! at 2N documents. Measured with this allocator, 2 shards:
 //!
 //! | allocations of one load, beyond the helpers' spawns | 2 000 docs, 1 501 terms per shard | 4 000 docs, 3 001 terms per shard |
 //! |---|---|---|
 //! | a `String` per stored string, `HashMap`s keyed by cloned `String`s | 20 085 | 40 085 |
-//! | now: text arenas, id tables ([`LOAD_ALLOCS`]) | 92 | 92 |
+//! | text arenas, id tables, the whole file in one buffer | 92 | 92 |
+//! | now: sections streamed, each set up with a boxed walk ([`LOAD_ALLOCS`]) | 134 | 134 |
 
 use irengine::{Document, IndexBuilder, ShardedIndex};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -25,10 +30,9 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Allocations of one 2-shard load on the calling thread, beyond those of
-/// spawning its two helpers — one reads half the file, one verifies
-/// checksums — which depend on the test harness (capturing output installs
-/// a spawn hook).
-const LOAD_ALLOCS: u64 = 92;
+/// spawning its helper, which depend on the test harness (capturing output
+/// installs a spawn hook).
+const LOAD_ALLOCS: u64 = 134;
 
 struct Counting;
 
@@ -108,7 +112,7 @@ fn a_load_allocates_per_section_not_per_document() {
     // Warm-up: whatever this thread sets up on its first load.
     drop(ShardedIndex::load_snapshot(&small).expect("load"));
 
-    // What spawning a helper costs, the way the loader spawns each.
+    // What spawning a helper costs, the way the loader spawns it.
     let ((), spawn, _) = measured(|| {
         std::thread::scope(|scope| {
             let helper = std::thread::Builder::new().spawn_scoped(scope, || ());
@@ -127,7 +131,7 @@ fn a_load_allocates_per_section_not_per_document() {
             index.shards()[0].num_terms()
         );
         assert_eq!(others, 0, "a helper allocated at {docs} docs");
-        counts.push(caller - 2 * spawn);
+        counts.push(caller - spawn);
     }
     std::fs::remove_file(&small).unwrap();
     std::fs::remove_file(&large).unwrap();

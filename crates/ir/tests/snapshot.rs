@@ -246,3 +246,24 @@ fn missing_file_is_io_error() {
         other => panic!("expected Io error, got {other:?}"),
     }
 }
+
+/// A save that fails after creating its temp file removes it: the partial
+/// file would keep the space a full disk lacked. Saving onto a directory
+/// writes the whole temp file and then fails to rename it.
+#[test]
+fn a_failed_save_leaves_no_temp_file() {
+    let dir = temp_path();
+    std::fs::create_dir(&dir).unwrap();
+    let saved = build(1).save_snapshot(&dir);
+    let mut tmp = dir.clone().into_os_string();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let left = tmp.exists();
+    std::fs::remove_dir(&dir).unwrap();
+    let _ = std::fs::remove_file(&tmp);
+    assert!(
+        matches!(saved, Err(SnapshotError::Io(_))),
+        "saving onto a directory fails: {saved:?}"
+    );
+    assert!(!left, "the failed save left {}", tmp.display());
+}
