@@ -47,6 +47,11 @@ impl QunitCatalog {
         self.by_name.get(name).and_then(|&i| DefId::new(i))
     }
 
+    /// The definition at catalog `position` (a [`DefId::index`]).
+    pub(crate) fn at(&self, position: usize) -> &QunitDefinition {
+        &self.defs[position]
+    }
+
     /// All definitions.
     pub fn iter(&self) -> impl Iterator<Item = &QunitDefinition> {
         self.defs.iter()

@@ -1,15 +1,22 @@
 //! The qunit search engine (§3) — a concurrent search service.
 //!
-//! Build phase: materialize every instance of every definition in the
-//! catalog, render each through its conversion expression, and index the
-//! renderings as plain documents (anchor text and intent vocabulary get
-//! boosted fields). Definitions materialize independently, so scoped worker
-//! threads ([`EngineConfig::build_threads`]) each claim the next one until
-//! none is left, and the per-definition batches are merged back in catalog
-//! order — the resulting index is byte-identical to a single-threaded
-//! build. A snapshot ([`EngineConfig::snapshot_path`]) replaces the
-//! tokenise-and-freeze half of that, not the materialization
-//! ([`BuildTimings`] says where a build's time went).
+//! Build phase: run the joins of every definition in the catalog and group
+//! their rows into instances ([`crate::materialize`]), render each instance
+//! once through its conversion expression, and index the renderings as
+//! plain documents (anchor text and intent vocabulary get boosted fields).
+//! Definitions join independently, so scoped worker threads
+//! ([`EngineConfig::build_threads`]) each claim the next one until none is
+//! left, and the per-definition row ids are merged back in catalog order —
+//! the resulting index is byte-identical to a single-threaded build. A
+//! snapshot ([`EngineConfig::snapshot_path`]) replaces the render,
+//! tokenise and freeze half of that, not the joins ([`BuildTimings`] says
+//! where a build's time went).
+//!
+//! The engine keeps no page: it shares the caller's database and keeps each
+//! instance's row ids, and renders a page again only when a query returns
+//! it — the k results of a cache miss, which the cache then holds. The one
+//! exception is the handful of instances of more than 256 rows (the charts,
+//! the most-cast people's filmographies), each kept once first rendered.
 //!
 //! Query phase, exactly the paper's pipeline:
 //!
@@ -73,14 +80,15 @@ use crate::cache::{CacheStats, QueryCache};
 use crate::catalog::QunitCatalog;
 use crate::doc_def::{AnchorDocs, DefId, DocDefLane};
 use crate::feedback::FeedbackStore;
-use crate::materialize::materialize_all;
+use crate::materialize::DefRows;
 use crate::obs::{EngineObs, ObsSnapshot};
+use crate::presentation::RenderBuf;
 use crate::qunit::{QunitDefinition, QunitInstance};
 use crate::segment::{EntityDictionary, SegmentScratch, SegmentedQuery, Segmenter};
 use irengine::{
-    DispatchCounts, DispatchMode, DispatchPolicy, DocId, Document, ExecutorStats, Hit,
-    IndexBuilder, KernelTier, ScoringFunction, ScratchPool, SearchContext, SearchFailure,
-    ShardExecutor, ShardFailurePolicy, ShardTimings, ShardedIndex, ShardedSearcher, SnapshotError,
+    DispatchCounts, DispatchMode, DispatchPolicy, DocId, ExecutorStats, Hit, IndexBuilder,
+    KernelTier, ScoringFunction, ScratchPool, SearchContext, SearchFailure, ShardExecutor,
+    ShardFailurePolicy, ShardTimings, ShardedIndex, ShardedSearcher, SnapshotError,
 };
 use relstore::{Database, Error, Result};
 use std::cell::RefCell;
@@ -413,10 +421,11 @@ impl DeadlineCheck {
 /// One ranked search result: the scores of one query, and the instance
 /// they rank.
 ///
-/// The instance is the engine's own — the handle [`QunitSearchEngine::build`]
-/// stored, shared with every cached and returned list that ranks it, never
-/// copied. A result derefs to it, so `result.definition`, `result.rendered`,
-/// `result.text`, `result.fields` and `result.anchor_text()` read through.
+/// The instance is rendered when a cache miss returns it, and shared from
+/// then on: the cached list and every list served from it hold the very
+/// handle the miss rendered, never a copy. A result derefs to it, so
+/// `result.definition`, `result.rendered`, `result.text`, `result.fields`
+/// and `result.anchor_text()` read through.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QunitResult {
     /// Instance key (`definition::anchor`), owned so callers can move it out.
@@ -500,11 +509,15 @@ pub struct ShardStats {
 /// intra-query parallelism ([`EngineConfig::search_shards`]).
 pub struct QunitSearchEngine {
     index: ShardedIndex,
-    /// The instance of every document, indexed by global doc id — the only
-    /// handle the query path holds for one. The `Arc` is what every result
-    /// holds: a result list costs a reference-count bump per instance, built
-    /// or cloned.
-    instances: Vec<Arc<QunitInstance>>,
+    /// The database every page is rendered from, shared with the caller.
+    db: Arc<Database>,
+    /// Every definition's instances as row ids, by [`DefId`]: what a page
+    /// is rendered from when a query returns it.
+    rows: Vec<DefRows>,
+    /// The first document of each definition, by [`DefId`], then the
+    /// document count: definition `d` owns documents
+    /// `first_doc[d]..first_doc[d + 1]`.
+    first_doc: Vec<DocId>,
     catalog: QunitCatalog,
     segmenter: Segmenter,
     config: EngineConfig,
@@ -600,6 +613,8 @@ struct QueryScratch {
     plan: QueryPlan,
     /// The rescored candidates, before the top k are kept.
     scored: Vec<Scored>,
+    /// Where the k results' pages are rendered.
+    render: RenderBuf,
 }
 
 /// Which documents a query's ranking is open to (§3: "standard IR …
@@ -733,9 +748,9 @@ fn quarantine_snapshot(path: &std::path::Path, why: &str) {
 
 /// Try the snapshot fast path: if [`EngineConfig::snapshot_path`] names an
 /// existing file that loads cleanly (header, checksums, lane invariants)
-/// and holds this build's documents — `batches`' instances, key for key in
-/// catalog × materialisation order, in `shard_count` shards — return the
-/// loaded index; otherwise `None` and the caller freezes from scratch.
+/// and holds this build's documents — `keys`, key for key in catalog ×
+/// materialisation order, in `shard_count` shards — return the loaded
+/// index; otherwise `None` and the caller freezes from scratch.
 /// Failures are diagnostic, never fatal, and handled by kind:
 ///
 /// - transient I/O errors get [`SNAPSHOT_LOAD_ATTEMPTS`] tries with linear
@@ -748,14 +763,14 @@ fn quarantine_snapshot(path: &std::path::Path, why: &str) {
 ///   instead of re-parsing a file known to be bad.
 fn try_load_snapshot(
     config: &EngineConfig,
-    batches: &[Vec<QunitInstance>],
+    keys: &DocKeys,
     shard_count: usize,
 ) -> Option<ShardedIndex> {
     let path = config.snapshot_path.as_deref()?;
     if !path.exists() {
         return None;
     }
-    let num_docs: usize = batches.iter().map(Vec::len).sum();
+    let num_docs = keys.len();
     let block_size = config.block_size.max(1);
     let mut attempt = 0u32;
     let result = loop {
@@ -784,13 +799,9 @@ fn try_load_snapshot(
             // doc-indexed lane is filled by position, so position by
             // position the file must hold the document the catalog puts
             // there.
-            let keys = batches.iter().flatten().map(|inst| inst.key.as_str());
-            match keys
-                .zip(0..)
-                .find(|&(key, doc)| index.external_id(doc) != Some(key))
-            {
+            match keys.first_unlike(|doc| index.external_id(doc)) {
                 None => Some(index),
-                Some((key, doc)) => {
+                Some((doc, key)) => {
                     let why = format!(
                         "stale: document {doc} is {:?}, the catalog's is {key:?}",
                         index.external_id(doc).unwrap_or_default()
@@ -874,17 +885,71 @@ fn claim_each<T: Send>(items: usize, threads: usize, work: impl Fn(usize) -> T +
     done.into_iter().map(|(_, out)| out).collect()
 }
 
-/// The index document of one instance. `intent` is the definition's intent
-/// terms, joined.
-fn document_of(inst: &QunitInstance, intent: &str) -> Document {
-    let mut doc = Document::new(inst.key.clone());
-    if let Some(a) = inst.anchor_text() {
-        doc = doc.field("anchor", a);
+/// Every document's key, in document order: each definition's instances,
+/// in catalog order, read from their rows.
+struct DocKeys<'a> {
+    db: &'a Database,
+    defs: &'a [&'a QunitDefinition],
+    rows: &'a [DefRows],
+}
+
+impl DocKeys<'_> {
+    /// Number of documents.
+    fn len(&self) -> usize {
+        self.rows.iter().map(DefRows::len).sum()
     }
-    if !intent.is_empty() {
-        doc = doc.field("intent", intent);
+
+    /// The first document whose key is not `key_at(doc)`, and its key.
+    fn first_unlike<'k>(
+        &self,
+        key_at: impl Fn(DocId) -> Option<&'k str>,
+    ) -> Option<(DocId, String)> {
+        let mut key = String::new();
+        let mut doc: DocId = 0;
+        for (def, rows) in self.defs.iter().zip(self.rows) {
+            for i in 0..rows.len() {
+                rows.write_key(self.db, def, i, &mut key);
+                if key_at(doc) != Some(key.as_str()) {
+                    return Some((doc, key));
+                }
+                doc += 1;
+            }
+        }
+        None
     }
-    doc.field("body", inst.text.clone())
+}
+
+/// Render every instance once, in document order, into a fresh index
+/// builder: the anchor text and the definition's intent terms as boosted
+/// fields, the page's text as the body. Each page is dropped as soon as it
+/// is added.
+fn index_documents(
+    db: &Database,
+    defs: &[&QunitDefinition],
+    rows: &[DefRows],
+    config: &EngineConfig,
+) -> IndexBuilder {
+    let mut builder = IndexBuilder::new();
+    builder.set_field_boost("anchor", config.anchor_boost);
+    builder.set_field_boost("intent", config.intent_boost);
+    builder.set_block_size(config.block_size);
+    let (mut buf, mut key) = (RenderBuf::default(), String::new());
+    for (def, rows) in defs.iter().zip(rows) {
+        let intent = def.intent_terms.join(" ");
+        for i in 0..rows.len() {
+            rows.render(db, i, &mut buf);
+            rows.write_key(db, def, i, &mut key);
+            // The key is `definition::anchor`.
+            let anchor = rows.anchor(db, i).map(|_| &key[def.name.len() + 2..]);
+            let fields = [
+                anchor.map(|a| ("anchor", a)),
+                (!intent.is_empty()).then_some(("intent", intent.as_str())),
+                Some(("body", buf.text.as_str())),
+            ];
+            builder.add_fields(&key, fields.into_iter().flatten());
+        }
+    }
+    builder
 }
 
 /// Wall-clock of each phase of one [`QunitSearchEngine::build`], in the
@@ -894,18 +959,20 @@ fn document_of(inst: &QunitInstance, intent: &str) -> Document {
 pub struct BuildTimings {
     /// Entity dictionary and segmenter.
     pub dictionary: Duration,
-    /// Every definition materialised and rendered, across the build
-    /// workers — wall-clock, not the CPU sum.
+    /// Every definition joined and its rows grouped into instances, across
+    /// the build workers — wall-clock, not the CPU sum. Nothing is rendered
+    /// here.
     pub materialize: Duration,
-    /// Obtaining the index: on a cold build, documents tokenised and the
-    /// index frozen; on a restart, the snapshot load. Either way including
-    /// the conversion to the configured postings codec.
+    /// Obtaining the index: on a cold build, every page rendered once, its
+    /// document tokenised, and the index frozen; on a restart, the
+    /// snapshot load and the check of every document's key. Either way
+    /// including the conversion to the configured postings codec.
     pub index: Duration,
     /// Writing the snapshot (zero unless a cold build has a
     /// [`EngineConfig::snapshot_path`]).
     pub snapshot_save: Duration,
     /// The doc-indexed lanes, filled by position: every document's
-    /// instance and definition, and the anchor → documents table.
+    /// definition, and the anchor → documents table.
     pub doc_def: Duration,
     /// Whether the index came from the snapshot.
     pub from_snapshot: bool,
@@ -921,9 +988,10 @@ fn lap(since: &mut Instant) -> Duration {
 }
 
 impl QunitSearchEngine {
-    /// Materialize and index every instance of `catalog` against `db`,
+    /// Join, render and index every instance of `catalog` against `db`,
     /// fanning definitions across [`EngineConfig::build_threads`] workers.
-    pub fn build(db: &Database, catalog: QunitCatalog, config: EngineConfig) -> Result<Self> {
+    /// The engine keeps `db` to render the pages queries return.
+    pub fn build(db: &Arc<Database>, catalog: QunitCatalog, config: EngineConfig) -> Result<Self> {
         let config = config.with_env_overrides();
         if catalog.len() > DefId::MAX_DEFINITIONS {
             return Err(Error::InvalidSchema(format!(
@@ -945,16 +1013,17 @@ impl QunitSearchEngine {
         let segmenter = Segmenter::new(dict);
         timings.dictionary = lap(&mut clock);
 
-        // `batches[i]` is definition i's instances whichever worker claimed
+        // `rows[i]` is definition i's instances whichever worker claimed
         // it, so everything below replays exact catalog × materialization
         // order — which is what makes the index byte-identical to a serial
         // build (guarded by the determinism test suite). If definitions
         // fail, the build fails with the first one's error.
         let defs: Vec<&QunitDefinition> = catalog.iter().collect();
-        let materialize = |i: usize| materialize_all(db, defs[i]);
-        let batches = claim_each(defs.len(), config.build_threads, materialize)
-            .into_iter()
-            .collect::<Result<Vec<Vec<QunitInstance>>>>()?;
+        let rows = claim_each(defs.len(), config.build_threads, |i| {
+            DefRows::join(db, defs[i])
+        })
+        .into_iter()
+        .collect::<Result<Vec<DefRows>>>()?;
         timings.materialize = lap(&mut clock);
 
         // Shard for intra-query parallelism. The partition is round-robin
@@ -962,24 +1031,19 @@ impl QunitSearchEngine {
         // only on the catalog — not on build_threads, not on search_shards
         // (the fingerprint is shard-count invariant; the CI determinism
         // gate holds both).
-        let num_docs = batches.iter().map(Vec::len).sum();
+        let keys = DocKeys {
+            db,
+            defs: &defs,
+            rows: &rows,
+        };
+        let num_docs = keys.len();
         let shard_count = worker_count(config.search_shards, num_docs);
-        let loaded = try_load_snapshot(&config, &batches, shard_count);
+        let loaded = try_load_snapshot(&config, &keys, shard_count);
         timings.from_snapshot = loaded.is_some();
-        // Documents exist only on a cold build: a restart constructs and
+        // Pages are rendered only on a cold build: a restart renders and
         // tokenises nothing it would then discard.
         let mut index = loaded.unwrap_or_else(|| {
-            let mut builder = IndexBuilder::new();
-            builder.set_field_boost("anchor", config.anchor_boost);
-            builder.set_field_boost("intent", config.intent_boost);
-            builder.set_block_size(config.block_size);
-            for (def, batch) in defs.iter().zip(&batches) {
-                let intent = def.intent_terms.join(" ");
-                for inst in batch {
-                    builder.add(document_of(inst, &intent));
-                }
-            }
-            builder.build_sharded(shard_count)
+            index_documents(db, &defs, &rows, &config).build_sharded(shard_count)
         });
         // The codec knob governs the in-memory representation regardless of
         // how the index was obtained (a flat snapshot loads then
@@ -1004,15 +1068,22 @@ impl QunitSearchEngine {
         // The doc-indexed lanes, filled by position: document d of the
         // index — built above or verified key by key on load — is the d-th
         // instance in catalog × materialisation order, and its definition
-        // is the batch it came in.
+        // is the one whose rows it came in.
         assert_eq!(index.num_docs(), num_docs);
-        let doc_def = DocDefLane::build(batches.iter().enumerate().flat_map(|(i, batch)| {
+        let mut first_doc: Vec<DocId> = vec![0];
+        for def_rows in &rows {
+            let last = *first_doc.last().expect("starts at 0");
+            first_doc.push(last + DocId::try_from(def_rows.len()).expect("doc ids fit DocId"));
+        }
+        let doc_def = DocDefLane::build(rows.iter().enumerate().flat_map(|(i, def_rows)| {
             let id = DefId::new(i).expect("catalog size checked on entry");
-            std::iter::repeat_n(Some(id), batch.len())
+            std::iter::repeat_n(Some(id), def_rows.len())
         }));
-        let instances: Vec<Arc<QunitInstance>> =
-            batches.into_iter().flatten().map(Arc::new).collect();
-        let anchors = AnchorDocs::build(instances.iter().map(|inst| inst.anchor_value.as_ref()));
+        let anchors: Vec<Option<&relstore::Value>> = rows
+            .iter()
+            .flat_map(|def_rows| (0..def_rows.len()).map(|i| def_rows.anchor(db, i)))
+            .collect();
+        let anchors = AnchorDocs::build(anchors.into_iter());
         timings.doc_def = lap(&mut clock);
 
         let def_meta: Vec<DefMeta> = catalog
@@ -1040,7 +1111,9 @@ impl QunitSearchEngine {
             DispatchPolicy::adaptive(config.inline_postings_threshold).with_env_overrides();
         Ok(QunitSearchEngine {
             index,
-            instances,
+            db: Arc::clone(db),
+            rows,
+            first_doc,
             catalog,
             segmenter,
             config,
@@ -1069,7 +1142,7 @@ impl QunitSearchEngine {
 
     /// Number of indexed instances.
     pub fn num_instances(&self) -> usize {
-        self.instances.len()
+        self.doc_def.len()
     }
 
     /// The catalog behind the engine.
@@ -1082,18 +1155,29 @@ impl QunitSearchEngine {
         &self.segmenter
     }
 
-    /// Look up a materialized instance: the handle every result ranking it
-    /// shares. Should two documents share a key, this is the first-inserted
-    /// one's, as [`ShardedIndex::doc_for_external`] resolves it.
-    pub fn instance(&self, key: &str) -> Option<&Arc<QunitInstance>> {
+    /// The instance of `key`, rendered on demand. Should two documents
+    /// share a key, this is the first-inserted one's, as
+    /// [`ShardedIndex::doc_for_external`] resolves it.
+    pub fn instance(&self, key: &str) -> Option<Arc<QunitInstance>> {
         let doc = self.index.doc_for_external(key)?;
-        self.instances.get(doc as usize)
+        Some(self.page(doc, &mut RenderBuf::default()))
     }
 
-    /// All materialized instances in document-id order: catalog order, and
-    /// within a definition the order it materialised them in.
-    pub fn instances(&self) -> impl Iterator<Item = &QunitInstance> {
-        self.instances.iter().map(Arc::as_ref)
+    /// Every instance, rendered on demand one at a time, in document-id
+    /// order: catalog order, and within a definition the order it
+    /// materialised them in.
+    pub fn instances(&self) -> impl Iterator<Item = Arc<QunitInstance>> + '_ {
+        let mut buf = RenderBuf::default();
+        (0..self.doc_def.len() as DocId).map(move |doc| self.page(doc, &mut buf))
+    }
+
+    /// Document `doc`'s page, rendered in `buf` (unless it is one of the
+    /// few the engine keeps once rendered, [`DefRows::page`]).
+    fn page(&self, doc: DocId, buf: &mut RenderBuf) -> Arc<QunitInstance> {
+        // The last definition that starts at or before `doc` owns it.
+        let d = self.first_doc.partition_point(|&first| first <= doc) - 1;
+        let i = (doc - self.first_doc[d]) as usize;
+        self.rows[d].page(&self.db, self.catalog.at(d), i, buf)
     }
 
     /// The relevance-feedback store.
@@ -1210,14 +1294,17 @@ impl QunitSearchEngine {
     /// With [`EngineConfig::feedback_weight`] at 0 this does nothing: the
     /// salience of a default definition and the per-hit factor both
     /// multiply the boost by the weight, so no click could move a score
-    /// and the cache keeps every entry.
+    /// and the cache keeps every entry. Neither does a key no document
+    /// carries. The key's definition is read off the doc-indexed lane;
+    /// nothing is rendered.
     pub fn record_click(&self, query: &str, result_key: &str) {
         if self.config.feedback_weight == 0.0 {
             return;
         }
-        if let Some(inst) = self.instance(result_key) {
+        let doc = self.index.doc_for_external(result_key);
+        if let Some(def) = doc.and_then(|doc| self.doc_def.def_of(doc)) {
             let sig = self.segmenter.segment(query).template_signature();
-            self.feedback.record(&sig, &inst.definition);
+            self.feedback.record(&sig, &self.def_meta[def.index()].name);
             // The feedback generation stamp already marks every cached entry
             // stale; the eager clear just releases the memory now.
             self.cache.invalidate_all();
@@ -1518,7 +1605,7 @@ impl QunitSearchEngine {
             self.obs.degraded_results.incr();
         }
         Ok(SearchResponse {
-            results: self.rescore(&qs.plan, &found, k, &mut qs.scored),
+            results: self.rescore(&qs.plan, &found, k, &mut qs.scored, &mut qs.render),
             degraded,
         })
     }
@@ -1716,14 +1803,15 @@ impl QunitSearchEngine {
     /// order, which the score's bits depend on — and build results for the
     /// best `k`. Per candidate that is array reads by doc id and by
     /// [`DefId`] and a binary search of the plan's anchored documents; keys
-    /// are compared only to break score ties, and owned only by the `k`
-    /// results (with a reference-count bump each).
+    /// are compared only to break score ties. Only the `k` results own
+    /// anything: a key, and their page, rendered in `render`.
     fn rescore(
         &self,
         plan: &QueryPlan,
         found: &Candidates,
         k: usize,
         scored: &mut Vec<Scored>,
+        render: &mut RenderBuf,
     ) -> Vec<QunitResult> {
         let anchor_factor = 1.0 + self.config.anchor_exact_bonus;
         let default_factor = 1.0 + self.config.default_def_bonus;
@@ -1749,7 +1837,7 @@ impl QunitSearchEngine {
         // Best score first, then by key; two documents under one key, by
         // insertion. A total order, so selecting the best k and sorting only
         // those is the full sort's prefix.
-        let key = |s: &Scored| self.instances[s.doc as usize].key.as_str();
+        let key = |s: &Scored| self.index.external_id(s.doc).unwrap_or_default();
         let by_rank = |a: &Scored, b: &Scored| {
             b.score
                 .partial_cmp(&a.score)
@@ -1765,13 +1853,13 @@ impl QunitSearchEngine {
         scored
             .iter()
             .map(|s| {
-                let instance = &self.instances[s.doc as usize];
+                let instance = self.page(s.doc, render);
                 QunitResult {
                     key: instance.key.clone(),
                     score: s.score,
                     ir_score: s.ir_score,
                     type_score: s.type_score,
-                    instance: Arc::clone(instance),
+                    instance,
                 }
             })
             .collect()
@@ -1787,6 +1875,7 @@ impl QunitSearchEngine {
 mod tests {
     use super::*;
     use crate::derive::manual::expert_imdb_qunits;
+    use crate::materialize::materialize_all;
     use datagen::imdb::{ImdbConfig, ImdbData};
     use datagen::querylog::{QueryLog, QueryLogConfig};
     use relstore::Value;
@@ -2197,14 +2286,15 @@ mod tests {
             search_shards: 2,
             ..EngineConfig::default()
         };
-        let e = QunitSearchEngine::build(&db, catalog, config).unwrap();
+        let e = QunitSearchEngine::build(&Arc::new(db), catalog, config).unwrap();
 
-        let keys: Vec<&str> = e.instances().map(|i| i.key.as_str()).collect();
+        let pages: Vec<Arc<QunitInstance>> = e.instances().collect();
+        let keys: Vec<&str> = pages.iter().map(|i| i.key.as_str()).collect();
         assert_eq!(keys, ["a::b::x", "a::x", "a::b::b::x", "a::b::x"]);
         assert_eq!(e.num_instances(), 4, "every document, not every key");
         // by key: the first-inserted, as the index resolves it
         let first = e.instance("a::b::x").unwrap();
-        assert!(Arc::ptr_eq(first, &e.instances[0]));
+        assert_eq!(first, pages[0]);
         assert_eq!(first.definition, "a");
 
         // An underspecified query defaults to `a`, the more useful page,
@@ -2217,31 +2307,40 @@ mod tests {
             .expect("document 0");
         assert_eq!(hit.definition, "a");
         assert_eq!(hit.anchor_text().as_deref(), Some("b::x"));
-        assert!(Arc::ptr_eq(&hit.instance, &e.instances[0]));
+        assert_eq!(hit.instance, pages[0]);
         // The intent term types the query to `a::b`, whose document 3
         // carries the same key and its own page.
         let of_ab = e.search_uncached("x cast", 10);
         assert_eq!(of_ab[0].key, "a::b::x");
         assert_eq!(of_ab[0].definition, "a::b");
         assert_eq!(of_ab[0].anchor_text().as_deref(), Some("x"));
-        assert!(Arc::ptr_eq(&of_ab[0].instance, &e.instances[3]));
+        assert_eq!(of_ab[0].instance, pages[3]);
         for r in of_a.iter().chain(&of_ab) {
             assert_eq!(r.key, r.instance.key);
         }
     }
 
+    /// What the rescoring oracle reads of each document's instance, by doc
+    /// id: its anchor and its definition's name.
+    struct DocFacts {
+        anchor: Option<Value>,
+        definition: String,
+    }
+
     impl QunitSearchEngine {
         /// Rescoring as it was while instances lived in a map by key, kept
         /// as [`QunitSearchEngine::rescore`]'s oracle: every hit resolved
-        /// through its external id, its anchor text built to be compared,
-        /// its feedback boost read from the store by signature and
-        /// definition name, and the whole list sorted by score then key.
+        /// through its external id to its instance's `facts`, its anchor
+        /// text built to be compared, its feedback boost read from the store
+        /// by signature and definition name, and the whole list sorted by
+        /// score then key.
         fn rescore_reference(
             &self,
             seg: &SegmentedQuery,
             plan: &QueryPlan,
             found: &Candidates,
             k: usize,
+            facts: &[DocFacts],
         ) -> Vec<QunitResult> {
             let default_def = match plan.route {
                 Route::Default(d) => Some(d),
@@ -2261,18 +2360,19 @@ mod tests {
                 ir_score: f64,
                 type_score: f64,
                 key: &'e str,
-                inst: &'e Arc<QunitInstance>,
+                doc: DocId,
             }
             let mut scored: Vec<Scored> = found
                 .hits
                 .iter()
                 .filter_map(|h| {
                     let key = self.index.external_id(h.doc)?;
-                    let inst = self.instance(key)?;
+                    let doc = self.index.doc_for_external(key)?;
+                    let inst = &facts[doc as usize];
                     let def = self.doc_def.def_of(h.doc);
                     let ts = def.map_or(0.0, |d| plan.factors[d.index()].type_score);
                     let mut score = h.score * (1.0 + self.config.type_weight * ts);
-                    if let Some(anchor) = inst.anchor_text() {
+                    if let Some(anchor) = inst.anchor.as_ref().map(Value::display_plain) {
                         if entity_texts.iter().any(|t| t.eq_ignore_ascii_case(&anchor)) {
                             score *= 1.0 + self.config.anchor_exact_bonus;
                         }
@@ -2289,7 +2389,7 @@ mod tests {
                         ir_score: h.score,
                         type_score: ts,
                         key,
-                        inst,
+                        doc,
                     })
                 })
                 .collect();
@@ -2307,7 +2407,7 @@ mod tests {
                     score: s.score,
                     ir_score: s.ir_score,
                     type_score: s.type_score,
-                    instance: Arc::clone(s.inst),
+                    instance: self.page(s.doc, &mut RenderBuf::default()),
                 })
                 .collect()
         }
@@ -2358,21 +2458,33 @@ mod tests {
             // on: every third text anchor in upper case (in the anchor table
             // too), and every seventh document owned by no definition of the
             // catalog.
-            let owners: Vec<Option<DefId>> = (0..e.instances.len() as DocId)
+            let owners: Vec<Option<DefId>> = (0..e.num_instances() as DocId)
                 .map(|doc| e.doc_def.def_of(doc).filter(|_| doc % 7 != 0))
                 .collect();
             e.doc_def = DocDefLane::build(owners);
-            for (doc, slot) in e.instances.iter_mut().enumerate() {
-                let mut inst = QunitInstance::clone(slot);
-                if let (0, Some(Value::Text(anchor))) = (doc % 3, &mut inst.anchor_value) {
-                    anchor.make_ascii_uppercase();
-                }
-                if doc % 7 == 0 {
-                    inst.definition = "of_no_catalog".into();
-                }
-                *slot = Arc::new(inst);
-            }
-            e.anchors = AnchorDocs::build(e.instances.iter().map(|i| i.anchor_value.as_ref()));
+            let facts: Vec<DocFacts> = e
+                .instances()
+                .enumerate()
+                .map(|(doc, inst)| {
+                    let mut anchor = inst.anchor_value.clone();
+                    if let (0, Some(Value::Text(text))) = (doc % 3, &mut anchor) {
+                        text.make_ascii_uppercase();
+                    }
+                    let definition = match doc % 7 {
+                        0 => "of_no_catalog".into(),
+                        _ => inst.definition.clone(),
+                    };
+                    DocFacts { anchor, definition }
+                })
+                .collect();
+            e.anchors = AnchorDocs::build(facts.iter().map(|f| f.anchor.as_ref()));
+            let definition_of = |r: &QunitResult| {
+                let doc = e
+                    .index
+                    .doc_for_external(&r.key)
+                    .expect("a result's key resolves");
+                facts[doc as usize].definition.as_str()
+            };
 
             let mut clicks = 0;
             for clicks_wanted in [0, 3, 50] {
@@ -2384,16 +2496,16 @@ mod tests {
                     }
                     let answer = e.search_uncached(q, 10);
                     let mut pick = answer.iter().cycle().skip(i).take(answer.len());
-                    if let Some(r) = pick.find(|r| r.definition != "of_no_catalog") {
+                    if let Some(r) = pick.find(|r| definition_of(r) != "of_no_catalog") {
                         let signature = e.segmenter.segment(q).template_signature();
-                        e.feedback.record(&signature, &r.definition);
+                        e.feedback.record(&signature, definition_of(r));
                         clicks += 1;
                     }
                 }
                 assert_eq!(e.feedback.generation(), clicks_wanted);
                 for k in [1, 10, 200] {
                     for q in &queries {
-                        compare_rescoring(&e, q, k, &mut seen);
+                        compare_rescoring(&e, q, k, &facts, &mut seen);
                     }
                 }
             }
@@ -2413,7 +2525,13 @@ mod tests {
     }
 
     /// One query's candidates rescored both ways, and held equal.
-    fn compare_rescoring(e: &QunitSearchEngine, q: &str, k: usize, seen: &mut RescoreCoverage) {
+    fn compare_rescoring(
+        e: &QunitSearchEngine,
+        q: &str,
+        k: usize,
+        facts: &[DocFacts],
+        seen: &mut RescoreCoverage,
+    ) {
         let mut qs = QueryScratch::default();
         let seg = e.segmenter.segment(q);
         e.plan(&seg, k, &mut qs.plan);
@@ -2421,8 +2539,8 @@ mod tests {
         let found = e
             .candidates(plan, q, e.policy, &mut qs.terms, &DeadlineCheck::new(None))
             .unwrap();
-        let new = e.rescore(plan, &found, k, &mut qs.scored);
-        let old = e.rescore_reference(&seg, plan, &found, k);
+        let new = e.rescore(plan, &found, k, &mut qs.scored, &mut qs.render);
+        let old = e.rescore_reference(&seg, plan, &found, k, facts);
         let bits = |r: &QunitResult| {
             (
                 r.key.clone(),
@@ -2437,7 +2555,7 @@ mod tests {
             "{q:?} at k = {k}"
         );
         for (n, o) in new.iter().zip(&old) {
-            assert!(Arc::ptr_eq(&n.instance, &o.instance), "{q:?}: {}", n.key);
+            assert_eq!(n.instance, o.instance, "{q:?}: {}", n.key);
         }
 
         seen.compared += 1;
@@ -2445,9 +2563,9 @@ mod tests {
         seen.short += usize::from(found.hits.len() < k);
         seen.default_definition += usize::from(matches!(plan.route, Route::Default(_)));
         seen.score_ties += usize::from(new.windows(2).any(|w| w[0].score == w[1].score));
-        let of = |h: &Hit| &e.instances[h.doc as usize];
         seen.case_folded_anchor += usize::from(found.hits.iter().any(|h| {
-            let anchor = of(h).anchor_text().unwrap_or_default();
+            let anchor = facts[h.doc as usize].anchor.as_ref();
+            let anchor = anchor.map(Value::display_plain).unwrap_or_default();
             seg.entity_texts()
                 .any(|t| t != anchor && t.eq_ignore_ascii_case(&anchor))
         }));
@@ -2546,7 +2664,8 @@ mod tests {
         // with nothing to rank and must answer from the unrestricted pool.
         let mut data = ImdbData::generate(ImdbConfig::tiny());
         let soundtrack = data.db.catalog().table_id("soundtrack").unwrap();
-        let table = data.db.table_mut(soundtrack).unwrap();
+        let db = Arc::get_mut(&mut data.db).expect("not shared yet");
+        let table = db.table_mut(soundtrack).unwrap();
         let rows: Vec<_> = table.scan().map(|(id, _)| id).collect();
         for id in rows {
             table.delete(id).unwrap();
@@ -2683,7 +2802,8 @@ mod tests {
         // `movie_soundtrack`, whose pass finds nothing and falls back.
         let mut data = ImdbData::generate(ImdbConfig::tiny());
         let soundtrack = data.db.catalog().table_id("soundtrack").unwrap();
-        let table = data.db.table_mut(soundtrack).unwrap();
+        let db = Arc::get_mut(&mut data.db).expect("not shared yet");
+        let table = db.table_mut(soundtrack).unwrap();
         let rows: Vec<_> = table.scan().map(|(id, _)| id).collect();
         for id in rows {
             table.delete(id).unwrap();
@@ -2776,7 +2896,7 @@ mod tests {
             entity_specs: Some(vec![("movie".into(), "title".into())]),
             ..EngineConfig::default()
         };
-        let e = QunitSearchEngine::build(&db, catalog, config).unwrap();
+        let e = QunitSearchEngine::build(&Arc::new(db), catalog, config).unwrap();
         let page = "movie_page::Star Wars";
         let doc = e.index.doc_for_external(page).unwrap();
         let terms = e.index.analyzer().tokenize("star wars");
@@ -3056,6 +3176,29 @@ mod tests {
             }
             assert_eq!(again, engine.search_uncached(&q, 5));
         }
+    }
+
+    #[test]
+    fn a_click_on_a_key_no_document_carries_changes_nothing() {
+        let (data, engine) = engine();
+        let q = data.movies[0].title.to_string();
+        let cold = engine.search(&q, 5);
+        let before = engine.cache_stats();
+        for key in ["movie_cast::no such movie", "no_such_definition::*", ""] {
+            engine.record_click(&q, key);
+        }
+        assert_eq!(engine.feedback().generation(), 0);
+        assert_eq!(engine.cache_stats().entries, before.entries);
+        assert_eq!(engine.search(&q, 5), cold);
+        assert_eq!(
+            engine.cache_stats().hits,
+            before.hits + 1,
+            "served from the cache"
+        );
+        // a key that resolves does count
+        engine.record_click(&q, &cold[0].key);
+        assert_eq!(engine.feedback().generation(), 1);
+        assert_eq!(engine.cache_stats().entries, 0);
     }
 
     #[test]

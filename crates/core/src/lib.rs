@@ -47,9 +47,10 @@
 //!   click changes scores, so cached and uncached searches always agree
 //!   (property-tested), and the key deliberately excludes the shard count
 //!   (identical results make entries interchangeable across layouts).
-//!   A [`QunitResult`] holds the engine's own `Arc<QunitInstance>`, so an
-//!   entry — and the clone a hit returns — is k keys and k pointers, not
-//!   k rendered pages. Hit/miss counters are exposed via
+//!   A [`QunitResult`] holds the `Arc<QunitInstance>` its miss rendered,
+//!   so an entry holds its k pages once, and the clone a hit returns is
+//!   k keys and k pointers, not k rendered pages. Hit/miss counters are
+//!   exposed via
 //!   [`QunitSearchEngine::cache_stats`].
 //!
 //! Throughput, latency and build cost are measured by the repo benchmark
@@ -69,6 +70,7 @@
 //! # db.insert("movie", vec![1.into(), "star wars".into()]).unwrap();
 //! // … derive a qunit catalog and search it:
 //! let catalog = manual::movie_summary_only(&db).unwrap();
+//! let db = std::sync::Arc::new(db);
 //! let engine = QunitSearchEngine::build(&db, catalog, EngineConfig::default()).unwrap();
 //! let results = engine.search("star wars", 5);
 //! assert!(!results.is_empty());
@@ -95,7 +97,7 @@ pub use engine::{
 };
 pub use feedback::FeedbackStore;
 pub use irengine::ShardFailurePolicy;
-pub use materialize::{materialize_all, materialize_one};
+pub use materialize::materialize_all;
 pub use obs::{Counter, ObsSnapshot};
 pub use presentation::ConversionExpr;
 pub use qunit::{AnchorSpec, DerivationSource, QunitDefinition, QunitInstance};

@@ -1,182 +1,277 @@
-//! On-demand qunit materialization.
+//! Qunit materialization, from row ids.
 //!
 //! The paper stresses that qunits need not be materialized ("we expect that
 //! most qunits will not be materialized in most implementations"); what the
-//! search engine needs is the *document rendering* of each instance. Two
-//! paths are provided:
+//! search engine needs is the *document rendering* of an instance, and only
+//! of the instances it is about to index or to return. So the one thing
+//! kept per definition is `DefRows`: its joins run once, and for every
+//! instance the joined rows it is made of — row ids, never cells or pages.
+//! There is one rendering path, `DefRows::render`: it reads an instance's
+//! cells where they live in the tables and writes its page into buffers
+//! reused from the previous render. The engine renders a page when it
+//! indexes it and when a query returns it (`DefRows::page`, which keeps
+//! the page of the few instances of more than `KEEP_ABOVE` rows once
+//! rendered); [`materialize_all`] renders every instance of a definition in
+//! one pass.
 //!
-//! * [`materialize_all`] — bulk path for indexing: star-decompose the base
-//!   expression at the anchor, run each branch *unbound* once (anchor
-//!   predicate stripped) and group rows by the anchor column, yielding one
-//!   instance per anchor value at a fraction of the per-instance query cost.
-//! * [`materialize_one`] — the on-demand path for serving one result: the
-//!   same branches with the anchor parameter bound, through the same
-//!   grouping and rendering, so it yields exactly the instance
-//!   [`materialize_all`] yields for that anchor value.
-//!
-//! Both read every cell where it lives: a branch's rows are row ids from
-//! [`relstore::exec::join`], grouped by borrowed anchor values, and each
-//! instance renders into buffers reused from the previous one and is copied
-//! out at its exact size. An instance's own strings are the only copies.
-//!
-//! **Order contract.** [`materialize_all`] yields instances in first-seen
-//! order over its branches' rows, branch after branch, each branch's rows
-//! in `relstore::exec::join`'s output order (probe order × build insertion
+//! **Order contract.** A definition's instances come in first-seen order
+//! over its branches' rows, branch after branch, each branch's rows in
+//! `relstore::exec::join`'s output order (probe order × build insertion
 //! order) — a pure function of the database, never of thread timing or map
 //! iteration. The whole determinism chain hangs off this: the engine's
 //! build merge replays catalog × materialization order into document
 //! insertion order, and the round-robin index sharding partitions by that
 //! insertion order, so "1 worker ≡ 8 workers" and "1 shard ≡ N shards"
-//! (both CI-gated) are only as good as this function staying
-//! deterministic. Don't introduce `HashMap`-ordered iteration here.
+//! (both CI-gated) are only as good as this staying deterministic. Don't
+//! introduce `HashMap`-ordered iteration here.
 
 use crate::presentation::{Cells, ConversionExpr, RenderBuf, RowRenderer};
-use crate::qunit::{AnchorSpec, QunitDefinition, QunitInstance};
-use relstore::exec::join;
+use crate::qunit::{QunitDefinition, QunitInstance};
+use relstore::exec::{join, RowIds};
 use relstore::{Binding, Database, Error, Predicate, Query, Result, Value};
 use std::collections::HashMap;
 use std::fmt::Write;
+use std::sync::{Arc, OnceLock};
 
-/// Materialize the instance for one anchor value: the one
-/// [`materialize_all`] yields for it, or, if no row carries that value, an
-/// instance with no tuples and an empty rendering.
-pub fn materialize_one(
-    db: &Database,
-    def: &QunitDefinition,
-    anchor_value: &Value,
-) -> Result<QunitInstance> {
-    let anchor = def
-        .anchor
-        .as_ref()
-        .ok_or_else(|| Error::UnboundParameter("<no anchor>".into()))?;
-    let binding = Binding::empty().with(anchor.param.clone(), anchor_value.clone());
-    let branches = star_branches(&def.base.query, &def.base.query.predicate);
-    let found = materialize_anchored(db, def, anchor, &branches, &binding, Some(anchor_value))?;
-    Ok(found.into_iter().next().unwrap_or_else(|| {
-        instance(
-            def,
-            Some(anchor_value.clone()),
-            &mut RenderBuf::default(),
-            0,
-        )
-    }))
+/// Materialize every instance of a definition: `DefRows::join`, then
+/// every instance rendered in order.
+pub fn materialize_all(db: &Database, def: &QunitDefinition) -> Result<Vec<QunitInstance>> {
+    let rows = DefRows::join(db, def)?;
+    let mut buf = RenderBuf::default();
+    Ok((0..rows.len())
+        .map(|i| rows.instance(db, def, i, &mut buf))
+        .collect())
 }
 
-/// Materialize every instance of a definition.
+/// Every instance of one definition, as the joined rows it is made of.
 ///
 /// For anchored definitions the base expression's join tree is first
 /// **star-decomposed** at the anchor: each connected component of non-anchor
 /// tables becomes its own branch query (anchor + component). Branches run
 /// unbound (anchor predicate stripped), rows are grouped by anchor value,
-/// and per-anchor branch results are merged into one instance.
+/// and an instance is its anchor value's rows across the branches.
 ///
 /// This gives outer-join semantics across satellites: a movie with cast but
 /// no soundtrack still gets an instance (its soundtrack branch is simply
 /// empty), and two one-to-many satellites never cross-product each other —
 /// exactly how an entity page composes independent sections.
-pub fn materialize_all(db: &Database, def: &QunitDefinition) -> Result<Vec<QunitInstance>> {
-    let Some(anchor) = &def.anchor else {
-        let rows = join(db, &def.base.query, &Binding::empty())?;
-        let template = def.conversion.resolve(&rows.columns);
-        let mut buf = RenderBuf::default();
-        let branch = (&template, rows.rows());
-        return Ok(vec![instance_from_branches(def, None, [branch], &mut buf)]);
-    };
-    let residual = strip_param(&def.base.query.predicate, &anchor.param);
-    let branches = star_branches(&def.base.query, &residual);
-    materialize_anchored(db, def, anchor, &branches, &Binding::empty(), None)
+#[derive(Debug)]
+pub(crate) struct DefRows {
+    branches: Vec<Branch>,
+    /// Instance `i`'s rows are `members[start[i]..start[i + 1]]`.
+    start: Vec<u32>,
+    /// Every instance's rows as `(branch, row)`, contiguous and in the
+    /// order they were joined.
+    members: Vec<(u32, u32)>,
+    /// The instances of more than `KEEP_ABOVE` rows, ascending, and each
+    /// one's page once it is first rendered.
+    kept: Vec<(u32, OnceLock<Arc<QunitInstance>>)>,
 }
 
-/// The instances of an anchored definition from its star `branches` run
-/// under `binding`: rows grouped by anchor value (only `only`'s, if given)
-/// in first-seen order, and each group rendered branch by branch.
-fn materialize_anchored(
-    db: &Database,
-    def: &QunitDefinition,
-    anchor: &AnchorSpec,
-    branches: &[Query],
-    binding: &Binding,
-    only: Option<&Value>,
-) -> Result<Vec<QunitInstance>> {
-    let anchor_column = anchor.qualified();
-    // Group ids in first-seen order, by borrowed anchor value, and every
-    // row's group, branch after branch (`None`: a NULL or another value).
-    let mut group_of: HashMap<&Value, usize> = HashMap::new();
-    let mut anchors: Vec<&Value> = Vec::new();
-    let mut row_groups: Vec<Option<usize>> = Vec::new();
-    let mut joined = Vec::with_capacity(branches.len());
-    for branch in branches {
-        let rows = join(db, branch, binding)?;
-        let anchor_col = rows
-            .column_index(&anchor_column)
-            .ok_or_else(|| Error::UnknownColumn {
-                table: anchor.table.clone(),
-                column: anchor.column.clone(),
-            })?;
-        row_groups.extend(rows.rows().map(|row| {
-            let value = row.get(anchor_col);
-            if value.is_null() || only.is_some_and(|only| only != value) {
-                return None;
+/// Instances of more rows than this keep their page once it is rendered. A
+/// catalog has a handful — the charts, the filmographies of the most-cast
+/// people — and one of them costs a query more to render than all its other
+/// results together.
+///
+/// Chosen by sweep on the benchmark's `imdb_uncached` (IMDb ×4 seed 42,
+/// 27 098 instances, 2 cores, 15 s runs, thresholds alternated in rounds;
+/// `query_p99_us` as the median ratio to 64 over 6 rounds): 64 keeps 83
+/// pages (2.1 MB of markup and text once all are asked for); 256 keeps 23
+/// (1.6 MB), p99 ×0.97; 1024 keeps 5 (0.9 MB), p99 ×1.13; never keeping,
+/// ×1.15. Keeping every page read p99 ×0.78 but `peak_rss_mb` ×1.29 in an
+/// earlier 5-round sweep. `query_p50_us` and `peak_rss_mb` stayed within
+/// the runs' spread from 32 to 1024. 256 is the largest threshold tried
+/// that keeps 64's tail.
+const KEEP_ABOVE: usize = 256;
+
+/// One star branch's joined rows, and how they render.
+#[derive(Debug)]
+struct Branch {
+    rows: RowIds,
+    /// The anchor's output column; `None` for a singleton definition.
+    anchor: Option<usize>,
+    /// The conversion resolved against the rows' columns: in full for an
+    /// instance's first branch, header-less for later ones so header fields
+    /// aren't repeated.
+    templates: [RowRenderer; 2],
+}
+
+impl Branch {
+    fn new(def: &QunitDefinition, rows: RowIds, anchor: Option<usize>) -> Self {
+        let headerless = ConversionExpr {
+            header: Vec::new(),
+            ..def.conversion.clone()
+        };
+        let templates = [
+            def.conversion.resolve(&rows.columns),
+            headerless.resolve(&rows.columns),
+        ];
+        Branch {
+            rows,
+            anchor,
+            templates,
+        }
+    }
+}
+
+/// A count or position as stored in `DefRows`.
+fn narrow(n: usize) -> u32 {
+    u32::try_from(n).expect("row counts fit u32")
+}
+
+impl DefRows {
+    /// Run `def`'s joins against `db` and group their rows into instances.
+    pub(crate) fn join(db: &Database, def: &QunitDefinition) -> Result<Self> {
+        let Some(anchor) = &def.anchor else {
+            // One instance of every row.
+            let rows = join(db, &def.base.query, &Binding::empty())?.into_row_ids();
+            let n = narrow(rows.len());
+            return Ok(DefRows::new(
+                vec![Branch::new(def, rows, None)],
+                vec![0, n],
+                (0..n).map(|r| (0, r)).collect(),
+            ));
+        };
+        let residual = strip_param(&def.base.query.predicate, &anchor.param);
+        let anchor_column = anchor.qualified();
+        // Group ids in first-seen order, by borrowed anchor value, and every
+        // row's group, branch after branch (`None`: a NULL).
+        let mut group_of: HashMap<&Value, u32> = HashMap::new();
+        let mut row_groups: Vec<Option<u32>> = Vec::new();
+        let mut joined = Vec::new();
+        for branch in star_branches(&def.base.query, &residual) {
+            let rows = join(db, &branch, &Binding::empty())?;
+            let anchor_col =
+                rows.column_index(&anchor_column)
+                    .ok_or_else(|| Error::UnknownColumn {
+                        table: anchor.table.clone(),
+                        column: anchor.column.clone(),
+                    })?;
+            row_groups.extend(rows.rows().map(|row| {
+                let value = row.get(anchor_col);
+                if value.is_null() {
+                    return None;
+                }
+                let next = narrow(group_of.len());
+                Some(*group_of.entry(value).or_insert(next))
+            }));
+            joined.push((rows.into_row_ids(), anchor_col));
+        }
+        let groups = group_of.len();
+
+        // Each group's rows as `(branch, row)`, contiguous and in the order
+        // they were seen: a counting sort of `row_groups`.
+        let mut start = vec![0u32; groups + 1];
+        for &g in row_groups.iter().flatten() {
+            start[g as usize + 1] += 1;
+        }
+        for g in 0..groups {
+            start[g + 1] += start[g];
+        }
+        let mut fill = start.clone();
+        let mut members = vec![(0, 0); start[groups] as usize];
+        let every_row = joined
+            .iter()
+            .enumerate()
+            .flat_map(|(b, (rows, _))| (0..rows.len()).map(move |r| (narrow(b), narrow(r))));
+        for (g, at) in row_groups.into_iter().zip(every_row) {
+            if let Some(g) = g {
+                let slot = &mut fill[g as usize];
+                members[*slot as usize] = at;
+                *slot += 1;
             }
-            Some(*group_of.entry(value).or_insert_with(|| {
-                anchors.push(value);
-                anchors.len() - 1
-            }))
-        }));
-        joined.push(rows);
+        }
+        let branches = joined
+            .into_iter()
+            .map(|(rows, anchor_col)| Branch::new(def, rows, Some(anchor_col)))
+            .collect();
+        Ok(DefRows::new(branches, start, members))
     }
 
-    // Each group's rows as `(branch, row)`, contiguous and in the order
-    // they were seen: a counting sort of `row_groups`.
-    let mut start = vec![0; anchors.len() + 1];
-    for &g in row_groups.iter().flatten() {
-        start[g + 1] += 1;
-    }
-    for g in 0..anchors.len() {
-        start[g + 1] += start[g];
-    }
-    let mut fill = start.clone();
-    let mut members = vec![(0, 0); start[anchors.len()]];
-    let every_row = joined
-        .iter()
-        .enumerate()
-        .flat_map(|(b, rows)| (0..rows.len()).map(move |r| (b, r)));
-    for (g, at) in row_groups.into_iter().zip(every_row) {
-        if let Some(g) = g {
-            members[fill[g]] = at;
-            fill[g] += 1;
+    fn new(branches: Vec<Branch>, start: Vec<u32>, members: Vec<(u32, u32)>) -> Self {
+        let kept = (0..start.len() - 1)
+            .filter(|&i| (start[i + 1] - start[i]) as usize > KEEP_ABOVE)
+            .map(|i| (narrow(i), OnceLock::new()))
+            .collect();
+        DefRows {
+            branches,
+            start,
+            members,
+            kept,
         }
     }
 
-    // The first branch an instance has renders in full, later ones
-    // header-less so header fields aren't repeated.
-    let headerless = ConversionExpr {
-        header: Vec::new(),
-        ..def.conversion.clone()
-    };
-    let templates: Vec<[RowRenderer; 2]> = joined
-        .iter()
-        .map(|rows| {
-            [
-                def.conversion.resolve(&rows.columns),
-                headerless.resolve(&rows.columns),
-            ]
-        })
-        .collect();
-    let mut buf = RenderBuf::default();
-    Ok(anchors
-        .iter()
-        .enumerate()
-        .map(|(g, &value)| {
-            let runs = members[start[g]..start[g + 1]].chunk_by(|x, y| x.0 == y.0);
-            let branches = runs.enumerate().map(|(nth, run)| {
-                let rows = &joined[run[0].0];
-                let template = &templates[run[0].0][usize::from(nth > 0)];
-                (template, run.iter().map(move |&(_, r)| rows.row(r)))
-            });
-            instance_from_branches(def, Some(value.clone()), branches, &mut buf)
-        })
-        .collect())
+    /// Number of instances.
+    pub(crate) fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Instance `i`'s rows, as `(branch, row)`.
+    fn members(&self, i: usize) -> &[(u32, u32)] {
+        &self.members[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+
+    /// Instance `i`'s anchor value, read from `db`; `None` for a singleton.
+    pub(crate) fn anchor<'db>(&self, db: &'db Database, i: usize) -> Option<&'db Value> {
+        let &(b, r) = self.members(i).first()?;
+        let branch = &self.branches[b as usize];
+        Some(branch.rows.row(db, r as usize).get(branch.anchor?))
+    }
+
+    /// Instance `i`'s key, `definition::anchor` (`definition::*` for a
+    /// singleton), written over `out`.
+    pub(crate) fn write_key(
+        &self,
+        db: &Database,
+        def: &QunitDefinition,
+        i: usize,
+        out: &mut String,
+    ) {
+        write_key(def, self.anchor(db, i), out);
+    }
+
+    /// Render instance `i`'s page and text over `buf.markup` and
+    /// `buf.text`, branch by branch; returns its number of tuples.
+    pub(crate) fn render(&self, db: &Database, i: usize, buf: &mut RenderBuf) -> usize {
+        let runs = self.members(i).chunk_by(|x, y| x.0 == y.0);
+        let branches = runs.enumerate().map(|(nth, run)| {
+            let branch = &self.branches[run[0].0 as usize];
+            let rows = run
+                .iter()
+                .map(move |&(_, r)| branch.rows.row(db, r as usize));
+            (&branch.templates[usize::from(nth > 0)], rows)
+        });
+        render_branches(branches, buf)
+    }
+
+    /// Instance `i`'s page: rendered in `buf` and copied out, or, for an
+    /// instance of more than `KEEP_ABOVE` rows, the page kept from its
+    /// first render.
+    pub(crate) fn page(
+        &self,
+        db: &Database,
+        def: &QunitDefinition,
+        i: usize,
+        buf: &mut RenderBuf,
+    ) -> Arc<QunitInstance> {
+        let mut render = || Arc::new(self.instance(db, def, i, buf));
+        match self.kept.binary_search_by_key(&narrow(i), |(at, _)| *at) {
+            Ok(k) => Arc::clone(self.kept[k].1.get_or_init(render)),
+            Err(_) => render(),
+        }
+    }
+
+    /// Instance `i`, rendered in `buf` and copied out.
+    pub(crate) fn instance(
+        &self,
+        db: &Database,
+        def: &QunitDefinition,
+        i: usize,
+        buf: &mut RenderBuf,
+    ) -> QunitInstance {
+        let tuple_count = self.render(db, i, buf);
+        instance(def, self.anchor(db, i).cloned(), buf, tuple_count)
+    }
 }
 
 /// Decompose an anchored query into star branches: the anchor table
@@ -324,14 +419,12 @@ fn strip_param(p: &Predicate, param: &str) -> Predicate {
     }
 }
 
-/// Assemble one instance from the non-empty ones of `branches`, each
-/// rendered by the template it comes with, in `buf`.
-fn instance_from_branches<'t, R: Cells, Rows: ExactSizeIterator<Item = R>>(
-    def: &QunitDefinition,
-    anchor_value: Option<Value>,
-    branches: impl IntoIterator<Item = (&'t RowRenderer<'t>, Rows)>,
+/// Render the non-empty ones of `branches` over `buf`, each by the template
+/// it comes with; returns the number of rows rendered.
+fn render_branches<'t, R: Cells, Rows: ExactSizeIterator<Item = R>>(
+    branches: impl IntoIterator<Item = (&'t RowRenderer, Rows)>,
     buf: &mut RenderBuf,
-) -> QunitInstance {
+) -> usize {
     buf.markup.clear();
     buf.text.clear();
     let mut tuple_count = 0;
@@ -352,7 +445,18 @@ fn instance_from_branches<'t, R: Cells, Rows: ExactSizeIterator<Item = R>>(
             buf.text.truncate(joined_at);
         }
     }
-    instance(def, anchor_value, buf, tuple_count)
+    tuple_count
+}
+
+/// The key of `def`'s instance of `anchor`, `definition::anchor`
+/// (`definition::*` for a singleton), written over `out`.
+fn write_key(def: &QunitDefinition, anchor: Option<&Value>, out: &mut String) {
+    out.clear();
+    match anchor {
+        Some(v) => write!(out, "{}::{v}", def.name),
+        None => write!(out, "{}::*", def.name),
+    }
+    .expect("writing to a String cannot fail");
 }
 
 /// The instance whose rendering `buf` holds, copied out at its exact size.
@@ -365,12 +469,7 @@ fn instance(
     let rendered = buf.markup.as_str().into();
     let text = buf.text.as_str().into();
     // The key is written where the page was, and copied out the same way.
-    buf.markup.clear();
-    match &anchor_value {
-        Some(v) => write!(buf.markup, "{}::{v}", def.name),
-        None => write!(buf.markup, "{}::*", def.name),
-    }
-    .expect("writing to a String cannot fail");
+    write_key(def, anchor_value.as_ref(), &mut buf.markup);
     QunitInstance {
         key: buf.markup.as_str().into(),
         definition: def.name.clone(),
@@ -390,6 +489,7 @@ mod tests {
     use crate::derive::manual::expert_imdb_qunits;
     use crate::derive::querylog::{self, QueryLogDeriveConfig};
     use crate::derive::schema_data::{self, SchemaDataConfig};
+    use crate::engine::{EngineConfig, QunitSearchEngine};
     use crate::presentation::ConversionExpr;
     use crate::qunit::{AnchorSpec, DerivationSource};
     use crate::segment::{EntityDictionary, Segmenter};
@@ -480,7 +580,9 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(nth, (b, rows))| (&templates[*b][usize::from(nth > 0)], rows.iter()));
-        instance_from_branches(def, Some(key), rendered, &mut RenderBuf::default())
+        let mut buf = RenderBuf::default();
+        let tuple_count = render_branches(rendered, &mut buf);
+        instance(def, Some(key), &mut buf, tuple_count)
     }
 
     fn instance_from(
@@ -489,8 +591,9 @@ mod tests {
         rs: &ResultSet,
     ) -> QunitInstance {
         let template = def.conversion.resolve(&rs.columns);
-        let branch = (&template, rs.rows.iter());
-        instance_from_branches(def, anchor_value, [branch], &mut RenderBuf::default())
+        let mut buf = RenderBuf::default();
+        let tuple_count = render_branches([(&template, rs.rows.iter())], &mut buf);
+        instance(def, anchor_value, &mut buf, tuple_count)
     }
 
     fn movie_db() -> Database {
@@ -624,20 +727,46 @@ mod tests {
         (data, catalogs)
     }
 
+    /// The one-definition catalog of [`cast_def`] over [`movie_db`], as an
+    /// engine.
+    fn cast_engine() -> QunitSearchEngine {
+        let db = Arc::new(movie_db());
+        let mut catalog = QunitCatalog::new();
+        catalog.add(cast_def(&db));
+        let config = EngineConfig {
+            entity_specs: Some(vec![("movie".into(), "title".into())]),
+            ..EngineConfig::default()
+        };
+        QunitSearchEngine::build(&db, catalog, config).unwrap()
+    }
+
     #[test]
-    fn materialize_one_binds_anchor() {
-        let db = movie_db();
-        let def = cast_def(&db);
-        let inst = materialize_one(&db, &def, &"star wars".into()).unwrap();
+    fn an_instance_renders_on_demand_bound_to_its_anchor() {
+        let engine = cast_engine();
+        let inst = engine.instance("movie_cast::star wars").unwrap();
         assert_eq!(inst.key, "movie_cast::star wars");
         assert_eq!(inst.tuple_count, 2);
         assert!(inst.text.contains("harrison ford"));
         assert!(inst.text.contains("carrie fisher"));
         assert!(!inst.text.contains("solaris"));
-        // a value no row carries: an instance with nothing in it
-        let none = materialize_one(&db, &def, &"uncast movie".into()).unwrap();
-        assert_eq!(none.key, "movie_cast::uncast movie");
-        assert_eq!((none.tuple_count, none.rendered.as_str()), (0, ""));
+        // a value no row carries has no instance, so nothing to render
+        assert!(engine.instance("movie_cast::uncast movie").is_none());
+    }
+
+    /// Asked for twice, the page of an instance of more than `KEEP_ABOVE`
+    /// rows is the very same handle, and every other page a fresh render.
+    #[test]
+    fn only_the_largest_instances_keep_their_page() {
+        let data = ImdbData::generate(ImdbConfig::default());
+        let catalog = expert_imdb_qunits(&data.db).unwrap();
+        let engine = QunitSearchEngine::build(&data.db, catalog, EngineConfig::default()).unwrap();
+        let mut kept = 0;
+        for (first, again) in engine.instances().zip(engine.instances()) {
+            let large = first.tuple_count > KEEP_ABOVE;
+            assert_eq!(Arc::ptr_eq(&first, &again), large, "{}", first.key);
+            kept += usize::from(large);
+        }
+        assert!(kept > 0, "no instance large enough to keep");
     }
 
     #[test]
@@ -654,35 +783,46 @@ mod tests {
         assert_eq!(sw.tuple_count, 2);
     }
 
-    /// The on-demand path yields exactly the bulk path's instance, for every
-    /// instance of every anchored definition of all four catalogs —
-    /// multi-branch pages, and titles several movies share, included.
+    /// The engine's on-demand render yields exactly the bulk path's
+    /// instances, for every instance of every definition of all four
+    /// catalogs — in document order, and by key — multi-branch pages, and
+    /// titles several movies share, included.
     #[test]
-    fn bulk_and_one_agree() {
+    fn on_demand_renders_equal_materialize_all() {
         let db = movie_db();
-        let def = cast_def(&db);
-        for inst in materialize_all(&db, &def).unwrap() {
-            let single = materialize_one(&db, &def, inst.anchor_value.as_ref().unwrap()).unwrap();
-            assert_eq!(single, inst);
-        }
+        let rendered: Vec<QunitInstance> = cast_engine()
+            .instances()
+            .map(Arc::unwrap_or_clone)
+            .collect();
+        assert_eq!(rendered, materialize_all(&db, &cast_def(&db)).unwrap());
 
         let (data, catalogs) = imdb_catalogs();
         let mut multi_branch = 0;
-        for def in catalogs.iter().flat_map(QunitCatalog::iter) {
-            if !def.is_anchored() {
-                continue;
+        for catalog in catalogs {
+            for def in catalog.iter().filter(|def| def.is_anchored()) {
+                let anchor = def.anchor.as_ref().unwrap();
+                let residual = strip_param(&def.base.query.predicate, &anchor.param);
+                if star_branches(&def.base.query, &residual).len() > 1 {
+                    multi_branch += 1;
+                }
             }
-            let anchor = def.anchor.as_ref().unwrap();
-            let residual = strip_param(&def.base.query.predicate, &anchor.param);
-            if star_branches(&def.base.query, &residual).len() > 1 {
-                multi_branch += 1;
+            let mut bulk: Vec<QunitInstance> = Vec::new();
+            for def in catalog.iter() {
+                let all = materialize_all(&data.db, def).unwrap();
+                // no anchored definition may pass vacuously
+                assert!(!def.is_anchored() || !all.is_empty(), "{}", def.name);
+                bulk.extend(all);
             }
-            let all = materialize_all(&data.db, def).unwrap();
-            assert!(!all.is_empty(), "{}", def.name);
-            for inst in all {
-                let value = inst.anchor_value.as_ref().unwrap();
-                let single = materialize_one(&data.db, def, value).unwrap();
-                assert_eq!(single, inst, "{}", def.name);
+            let engine =
+                QunitSearchEngine::build(&data.db, catalog, EngineConfig::default()).unwrap();
+            let mut first_of_key = HashMap::new();
+            for (on_demand, inst) in engine.instances().zip(&bulk) {
+                assert_eq!(*on_demand, *inst);
+                first_of_key.entry(inst.key.as_str()).or_insert(inst);
+            }
+            assert_eq!(engine.num_instances(), bulk.len());
+            for (key, inst) in first_of_key {
+                assert_eq!(*engine.instance(key).unwrap(), *inst, "{key}");
             }
         }
         assert!(multi_branch > 0, "no multi-branch definition covered");
@@ -731,8 +871,6 @@ mod tests {
         assert_eq!(all[0].key, "all_movies::*");
         assert!(all[0].text.contains("solaris"));
         assert!(all[0].text.contains("uncast movie"));
-        // materialize_one on an un-anchored def is an error
-        assert!(materialize_one(&db, &def, &1.into()).is_err());
     }
 
     /// `instance_from_branches` as it was when each branch was its own

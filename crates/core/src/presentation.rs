@@ -72,16 +72,16 @@ impl ConversionExpr {
     /// Look this template's columns up in `columns` once, so that rendering
     /// any number of row groups of that result set is index reads and
     /// appends.
-    pub(crate) fn resolve<'a>(&'a self, columns: &'a [String]) -> RowRenderer<'a> {
-        let cells = |names: &'a [String]| -> Vec<Cell<'a>> {
-            let cell = |n: &'a String| Some((short(n), columns.iter().position(|c| c == n)?));
+    pub(crate) fn resolve(&self, columns: &[String]) -> RowRenderer {
+        let cells = |names: &[String]| -> Vec<Cell> {
+            let cell = |n: &String| Some((short(n).into(), columns.iter().position(|c| c == n)?));
             names.iter().filter_map(cell).collect()
         };
         // A flat template (no header, no foreach) renders every column of
         // every row.
         let flat = self.header.is_empty() && self.foreach.is_empty();
         RowRenderer {
-            root_label: &self.root_label,
+            root_label: self.root_label.clone(),
             header: cells(&self.header),
             foreach: cells(if flat { columns } else { &self.foreach }),
         }
@@ -100,7 +100,7 @@ fn short(qualified: &str) -> &str {
 }
 
 /// One rendered field: its tag and the column it reads.
-type Cell<'a> = (&'a str, usize);
+type Cell = (Box<str>, usize);
 
 /// A row's cells by result column: an owned row, or a joined row read in
 /// place from the tables.
@@ -128,7 +128,7 @@ impl<C: Cells + ?Sized> Cells for &C {
 
 /// Where rendering writes, reused from one instance to the next: the
 /// markup and text, and the blocks already written.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub(crate) struct RenderBuf {
     pub(crate) markup: String,
     pub(crate) text: String,
@@ -138,7 +138,7 @@ pub(crate) struct RenderBuf {
 /// The `<tuple>` blocks one [`RowRenderer::render_rows`] call has kept, as
 /// byte ranges of the markup they were written to: a repeat is found by
 /// hash and confirmed by content, and nothing is copied.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct SeenBlocks {
     /// Content hash → the latest kept block with that hash.
     latest: HashMap<u64, usize>,
@@ -174,16 +174,19 @@ impl SeenBlocks {
     }
 }
 
-/// A [`ConversionExpr`] resolved against one result set's columns.
-pub(crate) struct RowRenderer<'a> {
-    root_label: &'a str,
+/// A [`ConversionExpr`] resolved against one result set's columns: the
+/// columns it reads and the tags it writes, owned, so it is kept beside the
+/// rows it renders.
+#[derive(Debug)]
+pub(crate) struct RowRenderer {
+    root_label: String,
     /// Rendered once, from the first row.
-    header: Vec<Cell<'a>>,
+    header: Vec<Cell>,
     /// Rendered per row, as one `<tuple>` block.
-    foreach: Vec<Cell<'a>>,
+    foreach: Vec<Cell>,
 }
 
-impl RowRenderer<'_> {
+impl RowRenderer {
     /// Append the rendering of `rows` to `buf.markup` and its plain text,
     /// space-separated, to `buf.text`.
     pub(crate) fn render_rows<R: Cells>(
@@ -194,10 +197,10 @@ impl RowRenderer<'_> {
         let RenderBuf { markup, text, seen } = buf;
         seen.clear();
         let text_start = text.len();
-        push_tag(markup, "<", self.root_label);
+        push_tag(markup, "<", &self.root_label);
         for (i, row) in rows.into_iter().enumerate() {
             if i == 0 {
-                for &cell in &self.header {
+                for cell in &self.header {
                     push_cell(markup, text, text_start, cell, &row);
                 }
             }
@@ -210,7 +213,7 @@ impl RowRenderer<'_> {
                 text.push(' ');
             }
             let block_text_start = text.len();
-            for &cell in &self.foreach {
+            for cell in &self.foreach {
                 push_cell(markup, text, block_text_start, cell, &row);
             }
             if markup.len() == block_at || !seen.keep(markup, block_at..markup.len()) {
@@ -220,7 +223,7 @@ impl RowRenderer<'_> {
                 markup.push_str("</tuple>");
             }
         }
-        push_tag(markup, "</", self.root_label);
+        push_tag(markup, "</", &self.root_label);
     }
 }
 
@@ -230,12 +233,12 @@ fn push_cell(
     markup: &mut String,
     text: &mut String,
     text_start: usize,
-    cell: Cell,
+    (tag, column): &Cell,
     row: &impl Cells,
 ) {
-    push_tag(markup, "<", cell.0);
+    push_tag(markup, "<", tag);
     let value_at = markup.len();
-    match row.cell(cell.1) {
+    match row.cell(*column) {
         Value::Text(s) => markup.push_str(s),
         other => write!(markup, "{other}").expect("writing to a String cannot fail"),
     }
@@ -243,7 +246,7 @@ fn push_cell(
         text.push(' ');
     }
     text.push_str(&markup[value_at..]);
-    push_tag(markup, "</", cell.0);
+    push_tag(markup, "</", tag);
 }
 
 fn push_tag(markup: &mut String, open: &str, tag: &str) {

@@ -6,14 +6,16 @@
 //!
 //! What a hit costs is what it returns — one `Vec` and k owned keys — and a
 //! click drops a cached list the same way, key by key, without freeing any
-//! instance text: the instances belong to the engine and the lists only
-//! point at them. Measured with this allocator on `"star wars cast"`, k = 10,
-//! default synthetic IMDb:
+//! instance text a caller still holds: the pages the miss rendered are
+//! shared by its answer and the cached list, and a hit's answer, and freed
+//! with the last of them. Measured with this allocator on `"star wars cast"`,
+//! k = 10, default synthetic IMDb:
 //!
 //! | | allocations per hit | bytes per hit | frees by a click, per cached list | bytes |
 //! |---|---|---|---|---|
-//! | parent (results own copies of the instance) | 92 (and 1 free) | 5 910 | 92 | 5 910 |
-//! | now (results share the engine's instance) | 11 | 781 | 12 | 795 |
+//! | results own copies of the instance | 92 (and 1 free) | 5 910 | 92 | 5 910 |
+//! | results share the engine's instance | 11 | 781 | 12 | 795 |
+//! | now (results share the pages their miss rendered; the miss's answer still held) | 11 | 781 | 12 | 795 |
 
 mod counting_alloc;
 
@@ -48,10 +50,10 @@ fn a_hit_allocates_its_keys_and_a_click_frees_no_instance_text() {
     assert_eq!(cost.allocs, K as u64 + 1, "one Vec and k keys: {cost:?}");
     assert!(cost.allocated_bytes < 1024, "{cost:?}");
     assert_eq!(cost.frees, 0, "{cost:?}");
-    drop((hit, miss));
+    drop(hit);
 
     // The first click drops the one cached list; the second finds the cache
-    // empty and is otherwise the same call.
+    // empty and is otherwise the same call. `miss` still holds the pages.
     assert_eq!(engine.cache_stats().entries, 1);
     let ((), with_list) = measured(|| engine.record_click(QUERY, &clicked));
     assert_eq!(engine.cache_stats().entries, 0);
@@ -65,4 +67,8 @@ fn a_hit_allocates_its_keys_and_a_click_frees_no_instance_text() {
         with_list.freed_bytes - without.freed_bytes < 1024 + QUERY.len() as u64,
         "{with_list:?} vs {without:?}"
     );
+    // With the cache's hold gone, the answer holds the only handles: it
+    // takes the k pages with it.
+    let ((), dropped) = measured(|| drop(miss));
+    assert!(dropped.frees > 3 * K as u64, "{dropped:?}");
 }

@@ -16,7 +16,8 @@
 //! | | allocations | per instance | bytes allocated |
 //! |---|---|---|---|
 //! | before (an owned `Vec<Value>` per joined row, a cloned `Value` per cell, a `String` per distinct tuple block, growing page buffers) | 50 315 | 72.5 | 3 648 540 |
-//! | now | 7 524 | 10.8 | 1 218 169 |
+//! | rows read in place | 7 524 | 10.8 | 1 218 169 |
+//! | now (row ids detached from the join; each resolved template owns its tags) | 7 567 | 10.9 | 1 167 409 |
 
 mod counting_alloc;
 

@@ -11,8 +11,8 @@
 //! (when each result still owned copies of all of it), so whatever a result
 //! is from then on, this is what it must say.
 //!
-//! The same passes check the sharing itself: every result, built or served
-//! from the cache, holds the engine's own handle for its key.
+//! The same passes check the sharing itself: a miss renders its k pages,
+//! and a cache hit holds the very handles its miss rendered, never a copy.
 //!
 //! If a change moves the constants *on purpose* (scoring, rendering, the
 //! query log), recompute them with `RESULT_GOLDEN_PRINT=1 cargo test -p
@@ -24,7 +24,7 @@ use datagen::imdb::{ImdbConfig, ImdbData};
 use datagen::querylog::{QueryLog, QueryLogConfig};
 use fnv::Fnv1a;
 use qunit_core::derive::manual::expert_imdb_qunits;
-use qunit_core::{EngineConfig, QunitSearchEngine};
+use qunit_core::{EngineConfig, QunitResult, QunitSearchEngine};
 use std::sync::Arc;
 
 /// Every query answered by the full pipeline. A cache hit must say exactly
@@ -36,15 +36,14 @@ const AFTER_CLICKS_FNV1A: u64 = 0x2441_1e4b_88dc_510c;
 const QUERIES: usize = 200;
 const K: usize = 10;
 
-/// Answer every query and hash all that the answers say.
-fn pass(engine: &QunitSearchEngine, queries: &[String]) -> u64 {
+/// Answer every query and hash all that the answers say; the answers too.
+fn pass(engine: &QunitSearchEngine, queries: &[String]) -> (u64, Vec<Vec<QunitResult>>) {
     let mut h = Fnv1a::new();
+    let mut answers = Vec::with_capacity(queries.len());
     for q in queries {
         let results = engine.search(q, K);
         h.u64(results.len() as u64);
         for r in &results {
-            let stored = engine.instance(&r.key).expect("result key resolves");
-            assert!(Arc::ptr_eq(&r.instance, stored), "{q:?}: {} copied", r.key);
             h.str(&r.key);
             h.u64(r.score.to_bits());
             h.u64(r.ir_score.to_bits());
@@ -64,8 +63,9 @@ fn pass(engine: &QunitSearchEngine, queries: &[String]) -> u64 {
                 None => h.u64(0),
             }
         }
+        answers.push(results);
     }
-    h.0
+    (h.0, answers)
 }
 
 #[test]
@@ -83,14 +83,23 @@ fn results_match_the_pinned_constants() {
     let engine =
         QunitSearchEngine::build(&data.db, catalog, EngineConfig::default()).expect("engine");
 
-    let cold = pass(&engine, &queries);
+    let (cold, misses) = pass(&engine, &queries);
     let hits_before = engine.cache_stats().hits;
-    let cached = pass(&engine, &queries);
+    let (cached, hits) = pass(&engine, &queries);
     assert_eq!(
         engine.cache_stats().hits - hits_before,
         QUERIES as u64,
         "the second pass is served from the cache"
     );
+    for ((q, miss), hit) in queries.iter().zip(&misses).zip(&hits) {
+        for (m, h) in miss.iter().zip(hit) {
+            assert!(
+                Arc::ptr_eq(&m.instance, &h.instance),
+                "{q:?}: {} copied",
+                h.key
+            );
+        }
+    }
 
     // Three clicks that can move a ranking: for the first three queries
     // whose answer spans two definitions, the best result that is not of
@@ -110,7 +119,7 @@ fn results_match_the_pinned_constants() {
         }
     }
     assert_eq!(clicks, 3);
-    let after_clicks = pass(&engine, &queries);
+    let (after_clicks, _) = pass(&engine, &queries);
 
     if std::env::var_os("RESULT_GOLDEN_PRINT").is_some() {
         println!("COLD_FNV1A {cold:#018x} AFTER_CLICKS_FNV1A {after_clicks:#018x}");

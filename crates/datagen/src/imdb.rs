@@ -18,6 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use relstore::{ColumnDef, DataType, Database, TableSchema, Value};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Generation parameters.
 #[derive(Debug, Clone)]
@@ -107,8 +108,9 @@ pub struct PersonRow {
 /// The generated database plus entity directories used downstream.
 #[derive(Debug, Clone)]
 pub struct ImdbData {
-    /// The relational database (12 tables).
-    pub db: Database,
+    /// The relational database (12 tables), shared with the engines built
+    /// over it.
+    pub db: Arc<Database>,
     /// Movies in id order.
     pub movies: Vec<MovieRow>,
     /// People in popularity order: index 0 is the most-cast person.
@@ -443,7 +445,7 @@ impl ImdbData {
 
         db.set_enforce_fk(true);
         ImdbData {
-            db,
+            db: Arc::new(db),
             movies,
             people,
             config,

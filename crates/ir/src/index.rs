@@ -1096,13 +1096,23 @@ impl IndexBuilder {
     /// builder's text arena. Duplicate external ids are allowed but
     /// [`Index::doc_for_external`] will resolve to the first.
     pub fn add(&mut self, doc: Document) -> DocId {
-        let id = self.docs.len() as DocId;
-        self.docs.push(
+        let fields = doc.fields.iter();
+        self.add_fields(
             &doc.external_id,
-            doc.fields
-                .iter()
-                .map(|(name, text)| (name.as_str(), text.as_str())),
-        );
+            fields.map(|(name, text)| (name.as_str(), text.as_str())),
+        )
+    }
+
+    /// [`IndexBuilder::add`] from borrowed text: the document of
+    /// `external_id` and `(field name, text)` pairs, copied straight into
+    /// the builder.
+    pub fn add_fields<'s>(
+        &mut self,
+        external_id: &str,
+        fields: impl IntoIterator<Item = (&'s str, &'s str)>,
+    ) -> DocId {
+        let id = self.docs.len() as DocId;
+        self.docs.push(external_id, fields);
         id
     }
 

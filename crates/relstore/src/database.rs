@@ -8,6 +8,7 @@ use crate::schema::{Catalog, TableId, TableSchema};
 use crate::table::Table;
 use crate::tuple::RowId;
 use crate::types::Value;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An in-memory relational database.
 #[derive(Debug, Clone)]
@@ -16,6 +17,16 @@ pub struct Database {
     catalog: Catalog,
     tables: Vec<Table>,
     enforce_fk: bool,
+    /// Unique in the process, renewed by every change that may add, move or
+    /// remove a row: row ids kept from a join are read back only from the
+    /// rows they came from.
+    version: u64,
+}
+
+/// A version no database has had before.
+fn next_version() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 impl Database {
@@ -26,7 +37,14 @@ impl Database {
             catalog: Catalog::new(),
             tables: Vec::new(),
             enforce_fk: true,
+            version: next_version(),
         }
+    }
+
+    /// This database's version: equal only for a database and its clones
+    /// while none of them has changed since.
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// Database name.
@@ -49,6 +67,7 @@ impl Database {
     pub fn create_table(&mut self, schema: TableSchema) -> Result<TableId> {
         let id = self.catalog.add_table(schema.clone())?;
         self.tables.push(Table::new(schema));
+        self.version = next_version();
         Ok(id)
     }
 
@@ -64,8 +83,10 @@ impl Database {
             .and_then(|id| self.tables.get(id))
     }
 
-    /// Mutable access to table storage by id (for index creation).
+    /// Mutable access to table storage by id (for index creation). Renews
+    /// [`Database::version`]: the caller may change rows through it.
     pub fn table_mut(&mut self, id: TableId) -> Option<&mut Table> {
+        self.version = next_version();
         self.tables.get_mut(id)
     }
 
@@ -87,6 +108,7 @@ impl Database {
             .tables
             .get_mut(table)
             .ok_or(Error::UnknownTable(format!("#{table}")))?;
+        self.version = next_version();
         t.insert(values)
     }
 

@@ -20,7 +20,7 @@ use crate::database::Database;
 use crate::error::{Error, Result};
 use crate::expr::{ColRef, Predicate};
 use crate::query::{Binding, JoinEdge, Query};
-use crate::table::Table;
+use crate::schema::TableId;
 use crate::tuple::{Row, RowId};
 use crate::types::Value;
 use std::collections::hash_map::Entry;
@@ -105,12 +105,55 @@ impl ResultSet {
 
 /// The rows a query selects, as row ids into the database's tables.
 pub struct Joined<'db> {
+    db: &'db Database,
+    rows: RowIds,
+}
+
+impl<'db> Joined<'db> {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True iff no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Index of an output column by its qualified name.
+    pub fn column_index(&self, qualified: &str) -> Option<usize> {
+        self.rows.column_index(qualified)
+    }
+
+    /// Row `i`.
+    pub fn row(&self, i: usize) -> JoinedRow<'_, 'db> {
+        self.rows.row(self.db, i)
+    }
+
+    /// Every row, in output order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = JoinedRow<'_, 'db>> {
+        (0..self.len()).map(|i| self.row(i))
+    }
+
+    /// The row ids, without the borrow of the database.
+    pub fn into_row_ids(self) -> RowIds {
+        self.rows
+    }
+}
+
+/// A [`Joined`] without its borrow of the database: what a caller keeps to
+/// read the same rows again later, through [`RowIds::row`], from the
+/// database they were joined over (or a clone of it), unchanged since.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowIds {
+    /// The [`Database::version`] the ids were joined over.
+    version: u64,
     /// Qualified output column names, e.g. `movie.title`.
     pub columns: Vec<String>,
     /// Which `(FROM position, column)` each output column comes from.
     pub sources: Vec<ColRef>,
     /// The table at each FROM position.
-    tables: Vec<&'db Table>,
+    tables: Vec<TableId>,
     /// FROM position → its slot in a tuple: tuples hold row ids in the order
     /// positions were joined.
     slot_of: Vec<usize>,
@@ -118,7 +161,7 @@ pub struct Joined<'db> {
     ids: Vec<RowId>,
 }
 
-impl<'db> Joined<'db> {
+impl RowIds {
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.ids.len().checked_div(self.tables.len()).unwrap_or(0)
@@ -134,32 +177,39 @@ impl<'db> Joined<'db> {
         self.columns.iter().position(|c| c == qualified)
     }
 
-    /// Row `i`.
-    pub fn row(&self, i: usize) -> JoinedRow<'_, 'db> {
+    /// Row `i`, read from `db`.
+    ///
+    /// # Panics
+    ///
+    /// If `db` is not the database the ids were joined over, or has changed
+    /// since.
+    pub fn row<'j, 'db>(&'j self, db: &'db Database, i: usize) -> JoinedRow<'j, 'db> {
+        assert_eq!(
+            db.version(),
+            self.version,
+            "row ids read from a database they were not joined over"
+        );
         let width = self.tables.len();
         JoinedRow {
-            joined: self,
+            db,
+            rows: self,
             ids: &self.ids[i * width..(i + 1) * width],
         }
     }
-
-    /// Every row, in output order.
-    pub fn rows(&self) -> impl ExactSizeIterator<Item = JoinedRow<'_, 'db>> {
-        (0..self.len()).map(|i| self.row(i))
-    }
 }
 
-/// One row of a [`Joined`]: a row id per FROM position.
+/// One row of a [`Joined`] or [`RowIds`]: a row id per FROM position.
 #[derive(Clone, Copy)]
 pub struct JoinedRow<'j, 'db> {
-    joined: &'j Joined<'db>,
+    db: &'db Database,
+    rows: &'j RowIds,
     ids: &'j [RowId],
 }
 
 impl<'db> JoinedRow<'_, 'db> {
     /// Output column `i`'s cell.
     pub fn get(&self, i: usize) -> &'db Value {
-        self.cell(self.joined.sources[i])
+        self.cell(self.rows.sources[i])
     }
 
     /// The cell at `col`, whether or not it is an output column.
@@ -169,9 +219,10 @@ impl<'db> JoinedRow<'_, 'db> {
 
     /// The stored row at FROM position `pos`.
     fn at(&self, pos: usize) -> &'db Row {
-        let joined = self.joined;
-        joined.tables[pos]
-            .row(self.ids[joined.slot_of[pos]])
+        let rows = self.rows;
+        self.db
+            .table(rows.tables[pos])
+            .and_then(|table| table.row(self.ids[rows.slot_of[pos]]))
             .expect("live row")
     }
 }
@@ -182,14 +233,15 @@ pub fn execute(db: &Database, query: &Query, binding: &Binding) -> Result<Result
     let rows = joined
         .rows()
         .map(|row| {
-            (0..joined.sources.len())
+            (0..joined.rows.sources.len())
                 .map(|i| row.get(i).clone())
                 .collect()
         })
         .collect();
+    let ids = joined.into_row_ids();
     Ok(ResultSet {
-        columns: joined.columns,
-        sources: joined.sources,
+        columns: ids.columns,
+        sources: ids.sources,
         rows,
     })
 }
@@ -203,18 +255,17 @@ pub fn join<'db>(db: &'db Database, query: &Query, binding: &Binding) -> Result<
             return Err(Error::UnboundParameter(p));
         }
     }
-    let tables: Vec<&Table> = query
-        .tables
-        .iter()
-        .map(|&t| db.table(t).expect("validated"))
-        .collect();
     let sources = output_columns(db, query);
     let mut joined = Joined {
-        columns: column_names(db, query, &sources),
-        sources,
-        slot_of: vec![0; tables.len()],
-        tables,
-        ids: Vec::new(),
+        db,
+        rows: RowIds {
+            version: db.version(),
+            columns: column_names(db, query, &sources),
+            sources,
+            tables: query.tables.clone(),
+            slot_of: vec![0; query.tables.len()],
+            ids: Vec::new(),
+        },
     };
     if query.tables.is_empty() {
         return Ok(joined);
@@ -263,11 +314,11 @@ pub fn join<'db>(db: &'db Database, query: &Query, binding: &Binding) -> Result<
         let pos = remaining.remove(pick_idx);
         let candidates = seed_rows(db, query, pos, &eq_constraints);
         ids = hash_join(&joined, &ids, width, pos, &edges, candidates);
-        joined.slot_of[pos] = width;
+        joined.rows.slot_of[pos] = width;
         is_joined[pos] = true;
         width += 1;
     }
-    joined.ids = ids;
+    joined.rows.ids = ids;
     filter_and_limit(&mut joined, query, binding)?;
     Ok(joined)
 }
@@ -299,7 +350,7 @@ fn hash_join(
     edges: &[&JoinEdge],
     candidates: Vec<RowId>,
 ) -> Vec<RowId> {
-    let table = joined.tables[pos];
+    let table = joined.db.table(joined.rows.tables[pos]).expect("validated");
 
     // Key extraction: for each edge, which column on the new table and which
     // (position, column) on the existing side.
@@ -351,7 +402,11 @@ fn hash_join(
     let mut key: Vec<&Value> = Vec::with_capacity(key_len);
     'probe: for tuple in ids.chunks_exact(width) {
         key.clear();
-        let row = JoinedRow { joined, ids: tuple };
+        let row = JoinedRow {
+            db: joined.db,
+            rows: &joined.rows,
+            ids: tuple,
+        };
         for &col in &old_refs {
             let v = row.cell(col);
             if v.is_null() {
@@ -377,10 +432,10 @@ fn hash_join(
 /// Keep the tuples the residual predicate accepts, up to the limit, in
 /// place. A `True` residual is not evaluated.
 fn filter_and_limit(joined: &mut Joined, query: &Query, binding: &Binding) -> Result<()> {
-    let width = joined.tables.len();
+    let width = joined.rows.tables.len();
     let limit = query.limit.unwrap_or(usize::MAX);
     if matches!(query.predicate, Predicate::True) {
-        joined.ids.truncate(limit.saturating_mul(width));
+        joined.rows.ids.truncate(limit.saturating_mul(width));
         return Ok(());
     }
     let mut kept = 0;
@@ -395,12 +450,13 @@ fn filter_and_limit(joined: &mut Joined, query: &Query, binding: &Binding) -> Re
         ctx.extend((0..width).map(|pos| row.at(pos)));
         if query.predicate.eval(&ctx, binding)? {
             joined
+                .rows
                 .ids
                 .copy_within(i * width..(i + 1) * width, kept * width);
             kept += 1;
         }
     }
-    joined.ids.truncate(kept * width);
+    joined.rows.ids.truncate(kept * width);
     Ok(())
 }
 
@@ -1006,6 +1062,28 @@ mod tests {
         let pid = b.col(0, "person_id").unwrap();
         let q = b.filter(Predicate::eq(pid, 1)).build();
         assert_eq!(db.execute(&q).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn row_ids_read_back_only_from_the_rows_they_were_joined_over() {
+        let mut db = movie_db();
+        let b = QueryBuilder::new(&db).table("person").unwrap();
+        let name = b.col(0, "name").unwrap();
+        let q = b.filter(Predicate::eq(name, "Brad Pitt")).build();
+        let ids = join(&db, &q, &Binding::empty()).unwrap().into_row_ids();
+        let read = |db: &Database| ids.row(db, 0).get(1).clone();
+        let clone = db.clone();
+        assert_eq!(read(&db), Value::from("Brad Pitt"));
+        assert_eq!(read(&clone), Value::from("Brad Pitt"));
+        let refused = |db: &Database| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| read(db))).is_err()
+        };
+        // another database with the same tables, or this one changed
+        assert!(refused(&movie_db()));
+        db.insert("person", vec![4.into(), "Tilda Swinton".into()])
+            .unwrap();
+        assert!(refused(&db));
+        assert_eq!(read(&clone), Value::from("Brad Pitt"));
     }
 
     /// One draw from `strategy`.

@@ -93,7 +93,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. Build the engine: qunit instances are materialized, rendered, and
-    //    indexed as independent documents.
+    //    indexed as independent documents. The engine shares the database,
+    //    and renders a result's page again when a query returns it.
+    let db = std::sync::Arc::new(db);
     let engine = QunitSearchEngine::build(&db, catalog, EngineConfig::default())?;
     println!(
         "engine ready: {} qunit instances indexed\n",

@@ -72,6 +72,7 @@ fn handmade_db_star_wars_cast_matches_example_walkthrough() {
         catalog.get("movie_cast").is_some(),
         "expert catalog must define the paper's cast qunit"
     );
+    let db = std::sync::Arc::new(db);
     let engine =
         QunitSearchEngine::build(&db, catalog, EngineConfig::default()).expect("engine builds");
     let top = engine
