@@ -14,6 +14,7 @@ use crate::derive::common::{base_expression, label_column_with_stats};
 use crate::presentation::ConversionExpr;
 use crate::qunit::{AnchorSpec, DerivationSource, QunitDefinition};
 use crate::segment::EntityDictionary;
+use irengine::NormalForm;
 use relstore::{Database, DatabaseStats, Result, View};
 use std::collections::HashMap;
 
@@ -56,12 +57,7 @@ pub fn page_signature(dict: &EntityDictionary, page: &EvidencePage) -> Option<Ty
     let mut leading: Option<String> = None;
     let mut mentions = 0usize;
     for (_, text) in &page.elements {
-        let toks = relstore::index::tokenize(text);
-        if toks.is_empty() {
-            continue;
-        }
-        let joined = toks.join(" ");
-        if let Some((table, column)) = dict.lookup_entity(&joined) {
+        if let Some((table, column)) = dict.lookup_entity(NormalForm::of(text).as_str()) {
             let ty = format!("{table}.{column}");
             *counts.entry(ty.clone()).or_insert(0) += 1;
             mentions += 1;
@@ -177,7 +173,7 @@ pub fn derive(
 
         let mut intent: Vec<String> = Vec::new();
         for t in &include {
-            intent.extend(relstore::index::tokenize(t));
+            intent.extend(NormalForm::of(t).tokens().map(str::to_string));
         }
         intent.sort();
         intent.dedup();

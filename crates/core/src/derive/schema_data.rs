@@ -23,6 +23,7 @@ use crate::catalog::QunitCatalog;
 use crate::derive::common::{base_expression, display_columns, label_column_with_stats};
 use crate::presentation::ConversionExpr;
 use crate::qunit::{AnchorSpec, DerivationSource, QunitDefinition};
+use irengine::NormalForm;
 use relstore::{DataType, Database, DatabaseStats, Result, View};
 use std::collections::HashMap;
 
@@ -173,11 +174,11 @@ pub fn derive(db: &Database, config: &SchemaDataConfig) -> Result<QunitCatalog> 
         // Intent: the names of the joined tables and their label columns.
         let mut intent: Vec<String> = Vec::new();
         for t in &from_tables {
-            intent.extend(relstore::index::tokenize(t));
+            intent.extend(NormalForm::of(t).tokens().map(str::to_string));
         }
         for f in &foreach {
             if let Some((_, col)) = f.split_once('.') {
-                intent.extend(relstore::index::tokenize(col));
+                intent.extend(NormalForm::of(col).tokens().map(str::to_string));
             }
         }
         intent.sort();

@@ -10,8 +10,7 @@
 //! scoring kernel asks "does the query's route admit this document?" once
 //! per candidate; the lane answers with one or two array reads.
 
-use crate::engine::normalized_query_into;
-use irengine::DocId;
+use irengine::{DocId, NormalForm};
 use relstore::Value;
 use std::collections::HashMap;
 use std::fmt::Write;
@@ -105,7 +104,7 @@ const NO_DOC: DocId = DocId::MAX;
 /// where composing `definition::anchor` keys costs a string and a probe per
 /// entity × definition.
 ///
-/// Anchors are keyed by the segmenter's normal form of their display string
+/// Anchors are keyed by the [`NormalForm`] of their display string
 /// ([`Value`]'s `Display`, the text instance keys end in), so `"Star Wars"`,
 /// `"STAR  WARS"` and `"star-wars"` all anchor the entity `star wars`.
 #[derive(Debug)]
@@ -126,14 +125,14 @@ impl AnchorDocs {
         DocId::try_from(anchors.len()).expect("document ids fit DocId");
         let mut first: HashMap<Box<str>, DocId> = HashMap::new();
         let mut next = vec![NO_DOC; anchors.len()];
-        let (mut shown, mut key) = (String::new(), String::new());
+        let (mut shown, mut key) = (String::new(), NormalForm::default());
         // Highest id first: each document goes on the front of its chain,
         // so the chains come out ascending.
         for (doc, anchor) in anchors.enumerate().rev() {
             let Some(anchor) = anchor else { continue };
             shown.clear();
             write!(shown, "{anchor}").expect("writing to a String");
-            normalized_query_into(&shown, &mut key);
+            key.fill(&shown);
             match first.get_mut(key.as_str()) {
                 Some(head) => next[doc] = std::mem::replace(head, doc as DocId),
                 None => {

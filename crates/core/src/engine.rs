@@ -84,11 +84,11 @@ use crate::materialize::DefRows;
 use crate::obs::{EngineObs, ObsSnapshot};
 use crate::presentation::RenderBuf;
 use crate::qunit::{QunitDefinition, QunitInstance};
-use crate::segment::{EntityDictionary, SegmentScratch, SegmentedQuery, Segmenter};
+use crate::segment::{EntityDictionary, SegmentedQuery, Segmenter};
 use irengine::{
     DispatchCounts, DispatchMode, DispatchPolicy, DocId, ExecutorStats, Hit, IndexBuilder,
-    KernelTier, ScoringFunction, ScratchPool, SearchContext, SearchFailure, ShardExecutor,
-    ShardFailurePolicy, ShardTimings, ShardedIndex, ShardedSearcher, SnapshotError,
+    KernelTier, NormalForm, ScoringFunction, ScratchPool, SearchContext, SearchFailure,
+    ShardExecutor, ShardFailurePolicy, ShardTimings, ShardedIndex, ShardedSearcher, SnapshotError,
 };
 use relstore::{Database, Error, Result};
 use std::cell::RefCell;
@@ -570,32 +570,6 @@ pub struct QunitSearchEngine {
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = assert_send_sync::<QunitSearchEngine>();
 
-/// Cache-key normal form of a query: token-joined, lower-cased. Both the
-/// segmenter and the IR analyzer tokenize on the same boundaries, so two
-/// queries with equal normal forms yield identical search results. Entity
-/// texts come in this form, so [`AnchorDocs`] keys anchors by it too.
-///
-/// Writes into a reused buffer — byte-identical to
-/// `relstore::index::tokenize(query).join(" ")` without materializing the
-/// token `Vec` (this runs on every cached lookup, ahead of the kernel).
-pub(crate) fn normalized_query_into(query: &str, out: &mut String) {
-    out.clear();
-    let mut in_token = false;
-    for ch in query.chars() {
-        if ch.is_alphanumeric() {
-            if !in_token && !out.is_empty() {
-                out.push(' ');
-            }
-            in_token = true;
-            for lc in ch.to_lowercase() {
-                out.push(lc);
-            }
-        } else {
-            in_token = false;
-        }
-    }
-}
-
 /// Per-thread working buffers for the query path, so neither the cache
 /// lookup nor the segmentation/tokenization ahead of the scoring kernel
 /// allocates afresh per query. The executor's workers are persistent, so
@@ -603,12 +577,9 @@ pub(crate) fn normalized_query_into(query: &str, out: &mut String) {
 /// these away).
 #[derive(Debug, Default)]
 struct QueryScratch {
-    /// Normalized cache-key buffer ([`normalized_query_into`]).
-    norm: String,
-    /// Segmenter working buffers ([`Segmenter::segment_with`]).
-    seg: SegmentScratch,
-    /// Analyzer token buffer for the IR query terms.
-    terms: Vec<String>,
+    /// The query's one tokenization, filled by [`with_query`]: the cache
+    /// key, the segmenter's windows and the IR terms all read it.
+    norm: NormalForm,
     /// The query's plan, decided in place ([`QunitSearchEngine::plan`]).
     plan: QueryPlan,
     /// The rescored candidates, before the top k are kept.
@@ -709,13 +680,19 @@ thread_local! {
     static QUERY_SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch::default());
 }
 
-/// Run `f` with this thread's query scratch. Falls back to a fresh scratch
-/// if the thread-local is already borrowed (re-entrant searches — e.g. a
-/// caller inside a filter callback — stay correct, just unamortized).
-fn with_query_scratch<R>(f: impl FnOnce(&mut QueryScratch) -> R) -> R {
+/// Run `f` with this thread's query scratch, `query` tokenized into it:
+/// the one tokenization of a query on every search path. Falls back to a
+/// fresh scratch if the thread-local is already borrowed (re-entrant
+/// searches — e.g. a caller inside a filter callback — stay correct, just
+/// unamortized).
+fn with_query<R>(query: &str, f: impl FnOnce(&mut QueryScratch) -> R) -> R {
+    let run = |qs: &mut QueryScratch| {
+        qs.norm.fill(query);
+        f(qs)
+    };
     QUERY_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => f(&mut scratch),
-        Err(_) => f(&mut QueryScratch::default()),
+        Ok(mut scratch) => run(&mut scratch),
+        Err(_) => run(&mut QueryScratch::default()),
     })
 }
 
@@ -1326,11 +1303,10 @@ impl QunitSearchEngine {
     /// [`QunitSearchEngine::type_scores`] indexed by [`DefId`], into `out`
     /// (cleared first).
     fn type_scores_into(&self, seg: &SegmentedQuery, out: &mut Vec<f64>) {
-        let residual: Vec<&str> = seg.residual().collect();
         let typed = seg.entity_texts().next().is_some();
         out.clear();
         out.extend(self.catalog.iter().zip(&self.def_meta).map(|(def, meta)| {
-            let intent = def.intent_overlap(&residual);
+            let intent = def.intent_overlap(seg.residual());
             let anchor = match &meta.anchor_qualified {
                 Some(a) if seg.segments.iter().any(|s| s.is_entity_of(a)) => 1.0,
                 Some(_) if !typed => 0.25, // nothing contradicts it
@@ -1410,15 +1386,14 @@ impl QunitSearchEngine {
         let out = if k == 0 || !self.cache.is_enabled() {
             // k == 0 skips the cache entirely: no point spending an LRU
             // slot (and maybe an eviction) on an always-empty result.
-            with_query_scratch(|qs| self.search_uncached_guarded(query, k, policy, qs))
+            with_query(query, |qs| self.search_uncached_guarded(k, policy, qs))
         } else {
-            with_query_scratch(|qs| {
-                normalized_query_into(query, &mut qs.norm);
+            with_query(query, |qs| {
                 // Read the generation *before* searching: a click landing
                 // mid-search makes the entry immediately stale rather than
                 // wrongly fresh.
                 let generation = self.feedback.generation();
-                if let Some(cached) = self.cache.get(&qs.norm, k, generation) {
+                if let Some(cached) = self.cache.get(qs.norm.as_str(), k, generation) {
                     return Ok(SearchResponse {
                         results: cached,
                         degraded: false,
@@ -1429,13 +1404,14 @@ impl QunitSearchEngine {
                 // uncached", and a later, faster run of the same query
                 // would complete. Degraded partial answers are skipped for
                 // the same reason: a fault-free rerun would return more.
-                let response = self.search_uncached_guarded(query, k, policy, qs)?;
+                let response = self.search_uncached_guarded(k, policy, qs)?;
                 if !response.degraded {
                     // The cache owns its key, so a miss pays one String
                     // clone; a hit borrows the normal form and allocates
                     // only the list it returns (one `Vec`, k keys).
+                    let key = qs.norm.as_str().to_string();
                     self.cache
-                        .insert(qs.norm.clone(), k, generation, response.results.clone());
+                        .insert(key, k, generation, response.results.clone());
                 }
                 Ok(response)
             })
@@ -1532,7 +1508,7 @@ impl QunitSearchEngine {
     pub fn try_search_uncached(&self, query: &str, k: usize) -> SearchResult<Vec<QunitResult>> {
         self.obs.queries.incr();
         let started = Instant::now();
-        let out = with_query_scratch(|qs| self.search_uncached_guarded(query, k, self.policy, qs));
+        let out = with_query(query, |qs| self.search_uncached_guarded(k, self.policy, qs));
         self.obs.latency.record(started.elapsed().as_nanos() as u64);
         out.map(|r| r.results)
     }
@@ -1546,13 +1522,12 @@ impl QunitSearchEngine {
     /// epoch-guarded, so nothing leaks on the unwind path.
     fn search_uncached_guarded(
         &self,
-        query: &str,
         k: usize,
         policy: DispatchPolicy,
         qs: &mut QueryScratch,
     ) -> SearchResult<SearchResponse> {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.search_uncached_inner(query, k, policy, qs)
+            self.search_uncached_inner(k, policy, qs)
         })) {
             Ok(out) => out,
             Err(payload) => {
@@ -1565,8 +1540,10 @@ impl QunitSearchEngine {
         }
     }
 
-    /// The uncached pipeline with explicit working buffers (`qs`) and
-    /// dispatch policy — the one body behind every search entry point.
+    /// The uncached pipeline with explicit working buffers (`qs`, the query
+    /// already tokenized into them by [`with_query`]; it never tokenizes
+    /// again) and dispatch policy — the one body behind every search entry
+    /// point.
     ///
     /// Deadline checkpoints sit at fixed phase boundaries ("segment" on
     /// entry, "rank" before the IR fan-out, "materialize" before result
@@ -1579,7 +1556,6 @@ impl QunitSearchEngine {
     /// `DeadlineExceeded { phase: "rank" }` like the boundary check.
     fn search_uncached_inner(
         &self,
-        query: &str,
         k: usize,
         policy: DispatchPolicy,
         qs: &mut QueryScratch,
@@ -1593,9 +1569,9 @@ impl QunitSearchEngine {
         let deadline = DeadlineCheck::new(self.config.deadline);
         let trip = |e| self.deadline_trip(e);
         deadline.check("segment").map_err(trip)?;
-        let seg = self.segmenter.segment_with(query, &mut qs.seg);
+        let seg = self.segmenter.segment_normal(&qs.norm);
         self.plan(&seg, k, &mut qs.plan);
-        let found = self.candidates(&qs.plan, query, policy, &mut qs.terms, &deadline)?;
+        let found = self.candidates(&qs.plan, &qs.norm, policy, &deadline)?;
         deadline.check("materialize").map_err(trip)?;
         let degraded = found.degraded_shards > 0;
         if degraded {
@@ -1706,9 +1682,8 @@ impl QunitSearchEngine {
     fn candidates(
         &self,
         plan: &QueryPlan,
-        query: &str,
+        norm: &NormalForm,
         policy: DispatchPolicy,
-        terms: &mut Vec<String>,
         deadline: &DeadlineCheck,
     ) -> SearchResult<Candidates> {
         // Intra-query parallelism: every ranking pass below fans across
@@ -1720,8 +1695,10 @@ impl QunitSearchEngine {
         let trip = |e| self.deadline_trip(e);
         deadline.check("rank").map_err(trip)?;
         let searcher = ShardedSearcher::new(&self.index, self.config.scoring);
-        self.index.analyzer().tokenize_into(query, terms);
-        let terms = &*terms;
+        // The IR terms: the query's tokens the analyzer keeps, borrowed.
+        let analyzer = self.index.analyzer();
+        let terms: Vec<&str> = norm.tokens().filter(|t| analyzer.keeps(t)).collect();
+        let terms = terms.as_slice();
         // The mid-kernel probe is wired only when a deadline exists: a
         // `deadline: None` engine keeps the probe-free kernel loops (no
         // posting-budget bookkeeping at all, same as before deadlines).
@@ -1885,27 +1862,6 @@ mod tests {
         let catalog = expert_imdb_qunits(&data.db).unwrap();
         let engine = QunitSearchEngine::build(&data.db, catalog, EngineConfig::default()).unwrap();
         (data, engine)
-    }
-
-    #[test]
-    fn normalized_query_matches_tokenizer_exactly() {
-        // The cache-key normal form hand-walks chars instead of calling
-        // the tokenizer; this pins the two byte-identical so they cannot
-        // silently drift (equal normal forms MUST mean identical results).
-        let mut buf = String::from("stale");
-        for q in [
-            "",
-            "   ",
-            "Star Wars: Episode IV!!",
-            "george   clooney-movies",
-            "AMÉLIE 2001 ost",
-            "..leading, and trailing..",
-            "İstanbul İ", // multi-char lowercase expansion
-            "a",
-        ] {
-            normalized_query_into(q, &mut buf);
-            assert_eq!(buf, relstore::index::tokenize(q).join(" "), "{q:?}");
-        }
     }
 
     #[test]
@@ -2533,11 +2489,12 @@ mod tests {
         seen: &mut RescoreCoverage,
     ) {
         let mut qs = QueryScratch::default();
-        let seg = e.segmenter.segment(q);
+        qs.norm.fill(q);
+        let seg = e.segmenter.segment_normal(&qs.norm);
         e.plan(&seg, k, &mut qs.plan);
         let plan = &qs.plan;
         let found = e
-            .candidates(plan, q, e.policy, &mut qs.terms, &DeadlineCheck::new(None))
+            .candidates(plan, &qs.norm, e.policy, &DeadlineCheck::new(None))
             .unwrap();
         let new = e.rescore(plan, &found, k, &mut qs.scored, &mut qs.render);
         let old = e.rescore_reference(&seg, plan, &found, k, facts);
@@ -2816,6 +2773,7 @@ mod tests {
         .unwrap();
         let query = format!("{} ost", data.movies[0].title);
         let mut qs = QueryScratch::default();
+        qs.norm.fill(&query);
         e.plan(&e.segmenter.segment(&query), 5, &mut qs.plan);
         let plan = &qs.plan;
         assert_eq!(plan.route, Route::Typed);
@@ -2830,17 +2788,12 @@ mod tests {
             .iter()
             .all(|&doc| !plan.admits(&e.doc_def, doc)));
         let found = e
-            .candidates(
-                plan,
-                &query,
-                e.policy,
-                &mut qs.terms,
-                &DeadlineCheck::new(None),
-            )
+            .candidates(plan, &qs.norm, e.policy, &DeadlineCheck::new(None))
             .unwrap();
         // …so the candidates are the open pass's hits and nothing more.
+        let terms = e.index.analyzer().tokenize(&query);
         let open = ShardedSearcher::new(&e.index, e.config.scoring)
-            .try_search_terms_where_ctx(&qs.terms, plan.fetch, None, &SearchContext::default())
+            .try_search_terms_where_ctx(&terms, plan.fetch, None, &SearchContext::default())
             .unwrap()
             .hits;
         assert!(!open.is_empty());

@@ -101,4 +101,4 @@ pub use materialize::materialize_all;
 pub use obs::{Counter, ObsSnapshot};
 pub use presentation::ConversionExpr;
 pub use qunit::{AnchorSpec, DerivationSource, QunitDefinition, QunitInstance};
-pub use segment::{EntityDictionary, Segment, SegmentScratch, SegmentedQuery, Segmenter};
+pub use segment::{EntityDictionary, Segment, SegmentedQuery, Segmenter};

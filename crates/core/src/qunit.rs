@@ -84,15 +84,16 @@ impl QunitDefinition {
 
     /// Intent-term overlap with a set of query terms, normalized by the
     /// number of query terms provided (0.0 ..= 1.0).
-    pub fn intent_overlap<S: AsRef<str>>(&self, terms: &[S]) -> f64 {
-        if terms.is_empty() {
+    pub fn intent_overlap<'a>(&self, terms: impl Iterator<Item = &'a str>) -> f64 {
+        let (mut len, mut hits) = (0usize, 0usize);
+        for t in terms {
+            len += 1;
+            hits += usize::from(self.intent_terms.iter().any(|i| i == t));
+        }
+        if len == 0 {
             return 0.0;
         }
-        let hits = terms
-            .iter()
-            .filter(|t| self.intent_terms.iter().any(|i| i == t.as_ref()))
-            .count();
-        hits as f64 / terms.len() as f64
+        hits as f64 / len as f64
     }
 }
 
@@ -164,11 +165,13 @@ mod tests {
     #[test]
     fn intent_overlap_normalizes() {
         let d = def(&["cast", "crew"]);
-        let terms = vec!["cast".to_string(), "photos".to_string()];
-        assert!((d.intent_overlap(&terms) - 0.5).abs() < 1e-12);
-        assert_eq!(d.intent_overlap::<&str>(&[]), 0.0);
-        let all = vec!["cast".to_string(), "crew".to_string()];
-        assert!((d.intent_overlap(&all) - 1.0).abs() < 1e-12);
+        assert_eq!(d.intent_overlap(["cast", "photos"].into_iter()), 0.5);
+        assert_eq!(d.intent_overlap(std::iter::empty()), 0.0);
+        assert_eq!(d.intent_overlap(["cast", "crew"].into_iter()), 1.0);
+        assert_eq!(
+            d.intent_overlap(["crew", "crew", "x"].into_iter()),
+            2.0 / 3.0
+        );
     }
 
     #[test]

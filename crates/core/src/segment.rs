@@ -8,7 +8,7 @@
 //! schema elements — "cast", "movies", "ost") or *freetext*, and emits the
 //! typed template signature used throughout §5.2 ("`[title] cast`" etc.).
 
-use relstore::index::{tokenize, tokenize_into};
+use irengine::NormalForm;
 use relstore::{DataType, Database, Value};
 use std::collections::HashMap;
 
@@ -63,8 +63,6 @@ impl Segment {
 /// A fully segmented query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentedQuery {
-    /// The raw query.
-    pub raw: String,
     /// Segments in order.
     pub segments: Vec<Segment>,
 }
@@ -86,8 +84,8 @@ impl SegmentedQuery {
         })
     }
 
-    /// [`SegmentedQuery::residual_terms`], borrowed.
-    pub(crate) fn residual(&self) -> impl Iterator<Item = &str> + Clone {
+    /// All non-entity terms (attribute + freetext), for intent matching.
+    pub fn residual(&self) -> impl Iterator<Item = &str> {
         self.segments.iter().filter_map(|s| match s {
             Segment::Attribute { term, .. } | Segment::Freetext { term } => Some(term.as_str()),
             Segment::Entity { .. } => None,
@@ -114,11 +112,6 @@ impl SegmentedQuery {
                 _ => None,
             })
             .collect()
-    }
-
-    /// All non-entity terms (attribute + freetext), for intent matching.
-    pub fn residual_terms(&self) -> Vec<String> {
-        self.residual().map(str::to_string).collect()
     }
 
     /// The abstract template signature, §5.2-style: entities become
@@ -258,23 +251,26 @@ impl EntityDictionary {
 
     /// Register one entity string.
     pub fn add_entity(&mut self, text: &str, table: &str, column: &str) {
-        let toks = tokenize(text);
-        if toks.is_empty() {
+        let norm = NormalForm::of(text);
+        if norm.is_empty() {
             return;
         }
-        self.max_entity_tokens = self.max_entity_tokens.max(toks.len());
-        self.entities
-            .insert(toks.join(" "), (table.to_string(), column.to_string()));
+        self.max_entity_tokens = self.max_entity_tokens.max(norm.len());
+        self.entities.insert(
+            norm.as_str().into(),
+            (table.to_string(), column.to_string()),
+        );
     }
 
     /// Register one attribute term (word or two-word phrase).
     pub fn add_attribute_term(&mut self, term: &str, target: &str) {
-        let toks = tokenize(term);
-        if toks.is_empty() {
+        let norm = NormalForm::of(term);
+        if norm.is_empty() {
             return;
         }
-        self.max_attr_tokens = self.max_attr_tokens.max(toks.len());
-        self.attributes.insert(toks.join(" "), target.to_string());
+        self.max_attr_tokens = self.max_attr_tokens.max(norm.len());
+        self.attributes
+            .insert(norm.as_str().into(), target.to_string());
     }
 
     /// Exact entity lookup on a token-joined string.
@@ -291,18 +287,6 @@ impl EntityDictionary {
     pub fn num_entities(&self) -> usize {
         self.entities.len()
     }
-}
-
-/// Reusable working buffers for [`Segmenter::segment_with`]: the query's
-/// token list and the window-join string probed against the dictionaries.
-/// Holding one per long-lived thread (the engine threads one through its
-/// per-thread query scratch) means the greedy matcher allocates nothing
-/// per window probe — the same buffer-reuse contract as
-/// `irengine::Analyzer::tokenize_into`.
-#[derive(Debug, Default)]
-pub struct SegmentScratch {
-    tokens: Vec<String>,
-    joined: String,
 }
 
 /// Greedy longest-match segmenter over an [`EntityDictionary`].
@@ -323,86 +307,99 @@ impl Segmenter {
     }
 
     /// Segment a raw query.
-    ///
-    /// Convenience wrapper over [`Segmenter::segment_with`] paying for
-    /// fresh buffers; hot loops should hold a [`SegmentScratch`].
     pub fn segment(&self, raw: &str) -> SegmentedQuery {
-        self.segment_with(raw, &mut SegmentScratch::default())
+        self.segment_normal(&NormalForm::of(raw))
     }
 
-    /// [`Segmenter::segment`] drawing its working buffers from `scratch`.
-    /// The returned [`SegmentedQuery`] owns its strings either way; only
-    /// the intermediate token list and window-join probes reuse capacity.
-    pub fn segment_with(&self, raw: &str, scratch: &mut SegmentScratch) -> SegmentedQuery {
-        tokenize_into(raw, &mut scratch.tokens);
-        let toks = &scratch.tokens;
-        // One reused probe buffer: write the window `toks[i..i+len]`
-        // space-joined into it (identical bytes to `join(" ")`).
-        let joined = &mut scratch.joined;
-        let join_window = |joined: &mut String, i: usize, len: usize| {
-            joined.clear();
-            for (n, t) in toks[i..i + len].iter().enumerate() {
-                if n > 0 {
-                    joined.push(' ');
-                }
-                joined.push_str(t);
-            }
-        };
+    /// [`Segmenter::segment`], given the query's normal form: each window
+    /// probed against the dictionaries is a slice of `norm`, so only the
+    /// segments own strings.
+    pub(crate) fn segment_normal(&self, norm: &NormalForm) -> SegmentedQuery {
         let mut segments = Vec::new();
         let mut i = 0;
-        while i < toks.len() {
+        while i < norm.len() {
+            let longest = |max: usize| (1..=max.min(norm.len() - i)).rev();
             // longest entity match first
-            let mut matched = false;
-            let max_e = self.dict.max_entity_tokens.min(toks.len() - i);
-            for len in (1..=max_e).rev() {
-                join_window(joined, i, len);
-                if let Some((table, column)) = self.dict.lookup_entity(joined) {
-                    segments.push(Segment::Entity {
-                        table: table.clone(),
-                        column: column.clone(),
-                        text: joined.clone(),
-                    });
-                    i += len;
-                    matched = true;
-                    break;
-                }
-            }
-            if matched {
-                continue;
-            }
-            // then attribute terms (may be 2-word, e.g. "box office")
-            let max_a = self.dict.max_attr_tokens.min(toks.len() - i);
-            for len in (1..=max_a).rev() {
-                join_window(joined, i, len);
-                if let Some(target) = self.dict.lookup_attribute(joined) {
-                    segments.push(Segment::Attribute {
-                        term: joined.clone(),
-                        target: target.clone(),
-                    });
-                    i += len;
-                    matched = true;
-                    break;
-                }
-            }
-            if matched {
-                continue;
-            }
-            segments.push(Segment::Freetext {
-                term: toks[i].clone(),
+            let entity = longest(self.dict.max_entity_tokens).find_map(|len| {
+                let text = norm.window(i, len);
+                let (table, column) = self.dict.lookup_entity(text)?;
+                let entity = Segment::Entity {
+                    table: table.clone(),
+                    column: column.clone(),
+                    text: text.to_string(),
+                };
+                Some((len, entity))
             });
-            i += 1;
+            // then attribute terms (may be 2-word, e.g. "box office")
+            let found = entity.or_else(|| {
+                longest(self.dict.max_attr_tokens).find_map(|len| {
+                    let term = norm.window(i, len);
+                    let target = self.dict.lookup_attribute(term)?.clone();
+                    let term = term.to_string();
+                    Some((len, Segment::Attribute { term, target }))
+                })
+            });
+            let (len, segment) = found.unwrap_or_else(|| {
+                let term = norm.window(i, 1).to_string();
+                (1, Segment::Freetext { term })
+            });
+            segments.push(segment);
+            i += len;
         }
-        SegmentedQuery {
-            raw: raw.to_string(),
-            segments,
-        }
+        SegmentedQuery { segments }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use irengine::Analyzer;
+    use proptest::prelude::*;
     use relstore::{ColumnDef, TableSchema};
+
+    /// Characters that stress both tokenizer loops: ASCII of each class
+    /// (`_` included), lower-casings that expand (`İ` → `i` + U+0307, `ẞ`)
+    /// or leave ASCII behind (Kelvin `K` → `k`), titlecase `ǅ`, final sigma,
+    /// combining marks, digits of other scripts, emoji, and separators wider
+    /// than one byte, in runs.
+    const STRESS: &[char] = &[
+        'a', 'Z', '0', '9', '_', ' ', ' ', '\t', '-', '.', 'İ', 'ẞ', 'ß', 'K', 'ǅ', 'ǆ', 'Σ', 'ς',
+        'É', '\u{301}', '\u{307}', '٣', '²', 'Ⅻ', '𝟙', '中', '🎬', '😀', '—', '\u{3000}',
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The normal form is what the storage layer's tokenizer and the
+        /// IR analyzer's would each give: the one is its tokens joined and
+        /// split again, the other its tokens the analyzer keeps.
+        #[test]
+        fn normal_form_matches_both_tokenizers(
+            picks in prop::collection::vec(
+                (0u8..3, 0u32..0x11_0000, prop::sample::select(STRESS.to_vec())),
+                0..40,
+            ),
+        ) {
+            // a third each: the stress set, the BMP, any code point
+            let text: String = picks
+                .into_iter()
+                .map(|(class, code, stress)| match class {
+                    0 => stress,
+                    1 => char::from_u32(code % 0x1_0000).unwrap_or(' '),
+                    _ => char::from_u32(code).unwrap_or(' '),
+                })
+                .collect();
+            let mut norm = NormalForm::of("stale text");
+            norm.fill(&text);
+            let tokens = relstore::index::tokenize(&text);
+            prop_assert_eq!(norm.as_str(), tokens.join(" "));
+            prop_assert_eq!(norm.tokens().collect::<Vec<_>>(), tokens);
+            for analyzer in [Analyzer::new(), Analyzer::keep_all()] {
+                let admitted: Vec<&str> = norm.tokens().filter(|t| analyzer.keeps(t)).collect();
+                prop_assert_eq!(admitted, analyzer.tokenize(&text));
+            }
+        }
+    }
 
     fn movie_db() -> Database {
         let mut db = Database::new("d");
@@ -466,7 +463,7 @@ mod tests {
             q.entity_texts().collect::<Vec<_>>(),
             ["george clooney", "star wars"]
         );
-        assert_eq!(q.residual().collect::<Vec<_>>(), q.residual_terms());
+        assert_eq!(q.residual().collect::<Vec<_>>(), ["cast", "wallpaper"]);
         for seg in &q.segments {
             for qualified in [
                 "movie.title",
@@ -560,10 +557,7 @@ mod tests {
     fn residual_terms_union() {
         let s = segmenter();
         let q = s.segment("star wars cast wallpaper");
-        assert_eq!(
-            q.residual_terms(),
-            vec!["cast".to_string(), "wallpaper".to_string()]
-        );
+        assert_eq!(q.residual().collect::<Vec<_>>(), ["cast", "wallpaper"]);
     }
 
     #[test]
@@ -583,8 +577,8 @@ mod tests {
     #[test]
     fn reused_scratch_matches_fresh_segmentation() {
         let s = segmenter();
-        let mut scratch = SegmentScratch::default();
-        // one scratch across many queries: stale tokens/probes never leak
+        let mut norm = NormalForm::of("stale tokens");
+        // one normal form across many queries: stale tokens never leak
         for q in [
             "star wars cast",
             "george clooney ocean eleven",
@@ -593,7 +587,8 @@ mod tests {
             "highest revenue ever",
             "STAR WARS Cast",
         ] {
-            assert_eq!(s.segment_with(q, &mut scratch), s.segment(q), "{q}");
+            norm.fill(q);
+            assert_eq!(s.segment_normal(&norm), s.segment(q), "{q}");
         }
     }
 }

@@ -17,11 +17,12 @@
 //! | rescoring by key (per hit: its anchor text built; per query: a sort buffer) | 169 (24 366) | 43 (5 086) | 146 (22 992) | 99 | — |
 //! | rescoring by doc id (per query: the typed route's mask; per injected document: the query tokenised again) | 46 (5 600) | 30 (4 002) | 34 (4 326) | 0 | 46 (6 336) |
 //! | the mask in the thread's scratch; injection scores the terms analyzed once | 45 (5 588) | 30 (4 002) | 34 (4 326) | 0 | 40 (6 201) |
-//! | now (the engine keeps row ids, not pages: each result's page is rendered, 9–10 blocks a page; only the few instances of more than 256 rows keep theirs once rendered, and none of these results is one) | 145 (11 955) | 90 (6 864) | 145 (15 523) | 0 | 49 (13 647) |
+//! | the engine keeps row ids, not pages: each result's page is rendered, 9–10 blocks a page; only the few instances of more than 256 rows keep theirs once rendered, and none of these results is one | 145 (11 955) | 90 (6 864) | 145 (15 523) | 0 | 49 (13 647) |
+//! | now (the query is tokenized once, into the thread's buffers: no token `String`s for the segmenter or the IR terms, no analyzer buffer, no residual `Vec`, no copy of the raw query in the segmentation; the IR terms are borrowed in one `Vec<&str>`) | 137 (11 891) | 86 (6 840) | 141 (15 493) | 0 | 41 (13 575) |
 //!
 //! The two typed counts are pinned ([`TYPED_MISS`], [`INJECTING_MISS`]), so
-//! neither a per-query mask nor a per-injected-document tokenisation comes
-//! back unnoticed; what the results own ([`result_blocks`]) is set aside
+//! neither a per-query mask, a per-injected-document tokenisation nor a
+//! second tokenization of the query comes back unnoticed; what the results own ([`result_blocks`]) is set aside
 //! when 100 hits are held to 6. `driver.allocs_per_query` (ROADMAP item 1) will replace
 //! this file's numbers with the benchmark's.
 
@@ -42,11 +43,11 @@ const VEC_GROWTH: u64 = 8;
 
 /// Allocations of the typed `"<title> cast"` miss at k = 10, its ten pages
 /// included.
-const TYPED_MISS: u64 = 145;
+const TYPED_MISS: u64 = 137;
 
 /// Allocations of the `"<person> movies"` miss at k = 1, which injects one
 /// anchored document, its page included.
-const INJECTING_MISS: u64 = 49;
+const INJECTING_MISS: u64 = 41;
 
 /// Heap blocks a result owns: its key, and the page rendered for it — the
 /// `Arc` and the page's own strings (key, definition, anchor, markup, text,

@@ -92,7 +92,7 @@ proptest! {
     #[test]
     fn residual_plus_entities_cover_all_segments(q in query_strategy()) {
         let seg = segmenter().segment(&q);
-        let n = seg.entities().len() + seg.residual_terms().len();
+        let n = seg.entities().len() + seg.residual().count();
         prop_assert_eq!(n, seg.segments.len());
     }
 

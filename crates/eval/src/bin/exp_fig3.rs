@@ -28,5 +28,7 @@ fn main() {
     );
     let result = fig3::run(&ctx, 25, true);
     println!("{}", result.render());
-    println!("paper reference shape: BANKS < LCA < MLCA < qunits(auto) < qunits(human) < max");
+    let labels: Vec<&str> = fig3::PAPER_ORDER.iter().map(|&(_, label)| label).collect();
+    println!("paper reference shape: {}", labels.join(" < "));
+    println!("measured in this run:  {}", result.measured_order());
 }

@@ -14,6 +14,13 @@ fn main() {
         "  of which underspecified: {} (paper: 8)",
         study.underspecified_single_entity_count()
     );
+    let seeds = 0..20;
+    println!("over seeds {}–{}:", seeds.start, seeds.end - 1);
+    let [single, under] = table1::sweep(seeds, 5, 5);
+    let spread =
+        |(mean, min, max): (f64, usize, usize)| format!("mean {mean:.2}, range {min}–{max}");
+    println!("  single-entity queries  : {} (paper: 10)", spread(single));
+    println!("  of which underspecified: {} (paper: 8)", spread(under));
     println!(
         "need<->query mapping is many-to-many: {}",
         if study.is_many_to_many() { "yes" } else { "no" }

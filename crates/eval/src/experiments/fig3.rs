@@ -243,7 +243,44 @@ pub fn run(ctx: &EvalContext, n_queries: usize, include_discover: bool) -> Fig3R
     }
 }
 
+/// The systems the paper's reference shape orders, worst first, each as
+/// `(system name, the paper's label)`.
+pub const PAPER_ORDER: &[(&str, &str)] = &[
+    ("banks", "BANKS"),
+    ("lca", "LCA"),
+    ("mlca", "MLCA"),
+    ("qunits-auto", "qunits(auto)"),
+    ("qunits-human", "qunits(human)"),
+    ("theoretical-max", "max"),
+];
+
+/// `(label, score)` pairs as a chain in the given order, each adjacent pair
+/// joined by `<` where the score rises and by `≥` where it does not.
+pub fn order_chain(items: &[(&str, f64)]) -> String {
+    let mut out = items
+        .first()
+        .map_or(String::new(), |(label, _)| label.to_string());
+    for pair in items.windows(2) {
+        let rel = if pair[0].1 < pair[1].1 { '<' } else { '≥' };
+        out.push_str(&format!(" {rel} {}", pair[1].0));
+    }
+    out
+}
+
 impl Fig3Result {
+    /// The systems of [`PAPER_ORDER`] this run scored, in that order, as
+    /// [`order_chain`] joins them by their measured scores.
+    pub fn measured_order(&self) -> String {
+        let scored: Vec<(&str, f64)> = PAPER_ORDER
+            .iter()
+            .filter_map(|&(system, label)| match system {
+                "theoretical-max" => Some((label, self.theoretical_max)),
+                _ => Some((label, self.score_of(system)?)),
+            })
+            .collect();
+        order_chain(&scored)
+    }
+
     /// Score of a system by name.
     pub fn score_of(&self, system: &str) -> Option<f64> {
         self.scores
@@ -315,10 +352,23 @@ mod tests {
         // agreement statistic is populated and plausible
         assert!(result.agreement_80 > 0.0 && result.agreement_80 <= 1.0);
 
+        let measured = result.measured_order();
+        assert!(measured.starts_with("BANKS ") && measured.ends_with(" < max"));
+
         // render sanity
         let r = result.render();
         assert!(r.contains("qunits-human"));
         assert!(r.contains("theoretical-max"));
+    }
+
+    #[test]
+    fn the_chain_marks_each_rise_and_each_fall_or_tie() {
+        assert_eq!(order_chain(&[]), "");
+        assert_eq!(order_chain(&[("A", 0.5)]), "A");
+        assert_eq!(
+            order_chain(&[("A", 0.1), ("B", 0.2), ("C", 0.15), ("D", 0.15), ("E", 1.0)]),
+            "A < B ≥ C ≥ D < E"
+        );
     }
 
     #[test]

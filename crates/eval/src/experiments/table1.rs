@@ -10,6 +10,7 @@ use datagen::needs::{InformationNeed, QueryTemplate, ALL_NEEDS, ALL_TEMPLATES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// One elicited (user, need, template) triple.
 #[derive(Debug, Clone)]
@@ -49,6 +50,28 @@ pub fn run(seed: u64, n_users: usize, needs_per_user: usize) -> Table1 {
         }
     }
     Table1 { entries }
+}
+
+/// The single-entity count and the underspecified single-entity count of
+/// the study at every seed in `seeds`, each as `(mean, min, max)`. One draw
+/// of 25 queries is noisy; the paper's 10 and 8 are compared with these.
+pub fn sweep(seeds: Range<u64>, n_users: usize, needs_per_user: usize) -> [(f64, usize, usize); 2] {
+    let studies: Vec<Table1> = seeds
+        .map(|seed| run(seed, n_users, needs_per_user))
+        .collect();
+    let counts: [fn(&Table1) -> usize; 2] = [
+        Table1::single_entity_count,
+        Table1::underspecified_single_entity_count,
+    ];
+    counts.map(|count| {
+        let counts = studies.iter().map(count);
+        let mean = counts.clone().sum::<usize>() as f64 / studies.len() as f64;
+        (
+            mean,
+            counts.clone().min().unwrap_or(0),
+            counts.max().unwrap_or(0),
+        )
+    })
 }
 
 fn sample_template(rng: &mut StdRng, need: InformationNeed) -> QueryTemplate {
@@ -193,6 +216,15 @@ mod tests {
             assert_eq!(t.underspecified_single_entity_count(), single);
         }
         assert!(in_range >= 15, "only {in_range}/20 seeds near paper counts");
+    }
+
+    #[test]
+    fn the_sweep_mean_is_near_the_papers_ten() {
+        let [single, under] = sweep(0..20, 5, 5);
+        let (mean, min, max) = single;
+        assert!((8.0..=12.0).contains(&mean), "{single:?}");
+        assert!(min as f64 <= mean && mean <= max as f64, "{single:?}");
+        assert_eq!(under, single, "every single-entity query is underspecified");
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! both sides always agree on token boundaries.
 
 use std::collections::HashSet;
+use std::ops::Range;
 
 /// Default English stopword list — small on purpose: entity-heavy movie
 /// queries ("it", "up") punish aggressive lists, and the paper's workloads
@@ -86,17 +87,9 @@ impl Analyzer {
     /// are still owned by the caller once emitted).
     pub fn tokenize_into(&self, text: &str, out: &mut Vec<String>) {
         out.clear();
-        let mut buf = String::new();
-        self.for_each_token(text, &mut buf, |tok| out.push(tok.to_owned()));
-    }
-
-    /// Visit the tokens of `text` — exactly those [`Analyzer::tokenize`]
-    /// returns, in order — without allocating: each token is assembled in
-    /// `buf` (cleared first; keep one across calls) and lent to `f`.
-    pub fn for_each_token(&self, text: &str, buf: &mut String, mut f: impl FnMut(&str)) {
-        for_each_raw_token(text, buf, |tok| {
+        for_each_raw_token(text, &mut String::new(), |tok| {
             if self.keeps(tok) {
-                f(tok);
+                out.push(tok.to_owned());
             }
         });
     }
@@ -104,7 +97,8 @@ impl Analyzer {
     /// The stopword / minimum-length verdict on one lower-cased raw token.
     /// A pure function of the token, so a caller that interns tokens (the
     /// index builder) asks once per distinct token, not once per occurrence.
-    pub(crate) fn keeps(&self, tok: &str) -> bool {
+    /// A query's IR terms are the tokens of its [`NormalForm`] it admits.
+    pub fn keeps(&self, tok: &str) -> bool {
         tok.chars().count() >= self.min_token_len && !self.stopwords.contains(tok)
     }
 }
@@ -114,31 +108,101 @@ impl Analyzer {
 /// indexed text — is classified and folded with two byte-range checks; other
 /// characters take the Unicode tables, and a lower-casing that expands
 /// (`İ` → `i̇`) pushes every resulting character.
-pub(crate) fn for_each_raw_token(text: &str, buf: &mut String, mut f: impl FnMut(&str)) {
-    buf.clear();
+///
+/// Each token's characters are appended to `out`; once a token is complete,
+/// `end` gets `out` and the byte offset where the token starts.
+fn raw_token_loop(text: &str, out: &mut String, mut end: impl FnMut(&mut String, usize)) {
+    let mut start = out.len();
     for ch in text.chars() {
         if ch.is_ascii() {
             if ch.is_ascii_alphanumeric() {
-                buf.push(ch.to_ascii_lowercase());
+                out.push(ch.to_ascii_lowercase());
                 continue;
             }
         } else if ch.is_alphanumeric() {
-            buf.extend(ch.to_lowercase());
+            out.extend(ch.to_lowercase());
             continue;
         }
-        if !buf.is_empty() {
-            f(buf);
-            buf.clear();
+        if out.len() > start {
+            end(out, start);
+            start = out.len();
         }
     }
-    if !buf.is_empty() {
+    if out.len() > start {
+        end(out, start);
+    }
+}
+
+/// Visit the raw tokens of `text` ([`raw_token_loop`]), each assembled in
+/// `buf` (cleared first; keep one across calls) and lent to `f`.
+pub(crate) fn for_each_raw_token(text: &str, buf: &mut String, mut f: impl FnMut(&str)) {
+    buf.clear();
+    raw_token_loop(text, buf, |buf, _| {
         f(buf);
+        buf.clear();
+    });
+}
+
+/// A text's normal form: its raw tokens (maximal alphanumeric runs,
+/// lower-cased, by the one tokenizer loop) joined by single spaces, with
+/// each token's byte range in that string. A run of tokens is one slice of
+/// it, and the tokens an [`Analyzer`] indexes are those [`Analyzer::keeps`]
+/// admits. [`NormalForm::fill`] reuses the buffers of the text before.
+#[derive(Debug, Clone, Default)]
+pub struct NormalForm {
+    text: String,
+    spans: Vec<Range<usize>>,
+}
+
+impl NormalForm {
+    /// The normal form of `text`, in fresh buffers.
+    pub fn of(text: &str) -> Self {
+        let mut norm = NormalForm::default();
+        norm.fill(text);
+        norm
+    }
+
+    /// Replace the contents with the normal form of `text`.
+    pub fn fill(&mut self, text: &str) {
+        self.text.clear();
+        self.spans.clear();
+        raw_token_loop(text, &mut self.text, |norm, start| {
+            self.spans.push(start..norm.len());
+            norm.push(' ');
+        });
+        // the separator after the last token
+        self.text.pop();
+    }
+
+    /// The tokens joined by single spaces.
+    pub fn as_str(&self) -> &str {
+        &self.text
+    }
+
+    /// Number of tokens.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Whether there are no tokens.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// The `len` tokens from the `i`-th, joined by single spaces.
+    pub fn window(&self, i: usize, len: usize) -> &str {
+        &self.text[self.spans[i].start..self.spans[i + len - 1].end]
+    }
+
+    /// The tokens, in order.
+    pub fn tokens(&self) -> impl Iterator<Item = &str> {
+        self.spans.iter().map(|span| &self.text[span.clone()])
     }
 }
 
 #[cfg(test)]
 impl Analyzer {
-    /// The tokenizer as it stood before [`Analyzer::for_each_token`]: one
+    /// The tokenizer as it stood before the one raw-token loop: one
     /// `String` per token, the filter hashed per occurrence. Kept as the
     /// oracle for the equivalence proptests here and in `crate::index`.
     pub(crate) fn tokenize_reference(&self, text: &str) -> Vec<String> {
@@ -206,11 +270,10 @@ pub(crate) mod tests {
             chars in prop::collection::vec(prop::sample::select(ALPHABET.to_vec()), 0..40),
         ) {
             let text: String = chars.into_iter().collect();
-            let mut buf = String::from("stale");
+            let mut got = vec!["stale".to_string()];
             for a in analyzers() {
                 let want = a.tokenize_reference(&text);
-                let mut got = Vec::new();
-                a.for_each_token(&text, &mut buf, |tok| got.push(tok.to_owned()));
+                a.tokenize_into(&text, &mut got);
                 prop_assert_eq!(&got, &want);
                 prop_assert_eq!(a.tokenize(&text), want);
             }

@@ -59,7 +59,7 @@ pub mod shard;
 pub mod snapshot;
 pub mod snippet;
 
-pub use analysis::Analyzer;
+pub use analysis::{Analyzer, NormalForm};
 pub use document::{DocId, DocView, Document};
 pub use exec::{
     DispatchCounts, DispatchMode, DispatchPolicy, ExecutorStats, ShardExecutor, TaskPanic,

@@ -149,12 +149,12 @@ const _: () = assert_send_sync::<ScratchPool>();
 /// and with it every floating-point sum — stays a pure function of the
 /// query text. Queries are a handful of terms, hence the quadratic scan
 /// instead of a map.
-pub(crate) fn dedup_terms(terms: &[String]) -> Vec<(&str, usize)> {
+pub(crate) fn dedup_terms(terms: &[impl AsRef<str>]) -> Vec<(&str, usize)> {
     let mut out: Vec<(&str, usize)> = Vec::with_capacity(terms.len());
-    for t in terms {
-        match out.iter_mut().find(|(s, _)| *s == t.as_str()) {
+    for t in terms.iter().map(AsRef::as_ref) {
+        match out.iter_mut().find(|(s, _)| *s == t) {
             Some((_, c)) => *c += 1,
-            None => out.push((t.as_str(), 1)),
+            None => out.push((t, 1)),
         }
     }
     out
@@ -1226,7 +1226,7 @@ impl<'a> Searcher<'a> {
     /// so pruning is fully armed.
     pub fn search_terms_with(
         &self,
-        terms: &[String],
+        terms: &[impl AsRef<str>],
         k: usize,
         scratch: &mut ScoreScratch,
     ) -> Vec<Hit> {

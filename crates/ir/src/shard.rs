@@ -668,7 +668,7 @@ impl<'a> ShardedSearcher<'a> {
     /// failure surfaces only when every shard that had documents failed.
     pub fn try_search_terms_where_ctx(
         &self,
-        terms: &[String],
+        terms: &[impl AsRef<str>],
         k: usize,
         filter: Option<&(dyn Fn(DocId) -> bool + Sync)>,
         ctx: &SearchContext,
@@ -906,7 +906,7 @@ impl<'a> ShardedSearcher<'a> {
     /// kernel — the bounds come from the same corpus-global statistics —
     /// so the float total is bit-identical to the document's full-search
     /// score.
-    pub fn score_doc(&self, terms: &[String], doc: DocId) -> Hit {
+    pub fn score_doc(&self, terms: &[impl AsRef<str>], doc: DocId) -> Hit {
         let (s, local) = self.index.to_local(doc);
         let shard = &self.index.shards()[s];
         let deduped = dedup_terms(terms);

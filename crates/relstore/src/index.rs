@@ -57,25 +57,13 @@ impl HashIndex {
     }
 }
 
-/// Split text into lower-cased alphanumeric tokens. This is the single
-/// tokenizer used across the storage layer so that index-time and query-time
-/// tokenization always agree.
-///
-/// Convenience wrapper over [`tokenize_into`] allocating a fresh `Vec` per
-/// call; loops tokenizing many texts should hold a buffer and use
-/// `tokenize_into` instead.
+/// Split text into lower-cased alphanumeric tokens: the storage layer's
+/// tokenizer, behind [`TextIndex`] and the keyword-search baselines. The
+/// qunit engine tokenizes with `irengine`'s loop instead; `qunit-core`'s
+/// `normal_form_matches_both_tokenizers` proptest pins the two to the same
+/// tokens over arbitrary Unicode.
 pub fn tokenize(text: &str) -> Vec<String> {
     let mut out = Vec::new();
-    tokenize_into(text, &mut out);
-    out
-}
-
-/// [`tokenize`] into a caller-owned buffer: `out` is cleared, then filled
-/// with the tokens of `text`. The `Vec` allocation is reused across calls
-/// (token `String`s are owned by the caller once emitted) — the same
-/// buffer-reuse contract as `irengine::Analyzer::tokenize_into`.
-pub fn tokenize_into(text: &str, out: &mut Vec<String>) {
-    out.clear();
     let mut cur = String::new();
     for ch in text.chars() {
         if ch.is_alphanumeric() {
@@ -89,6 +77,7 @@ pub fn tokenize_into(text: &str, out: &mut Vec<String>) {
     if !cur.is_empty() {
         out.push(cur);
     }
+    out
 }
 
 /// Full-text index: token → row ids whose indexed column contains the token.
