@@ -76,6 +76,8 @@
 //! assert!(!results.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod catalog;
 pub mod derive;

@@ -18,6 +18,8 @@
 //! Every generator takes an explicit seed; the same seed always reproduces
 //! the same bytes, which keeps experiments and benches comparable.
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod evidence;
 pub mod imdb;

@@ -17,6 +17,8 @@
 //! spanning tree of matched tuples *demarcates* a result poorly — too much
 //! via id-chains, too little via missing satellite attributes.
 
+#![forbid(unsafe_code)]
+
 pub mod banks;
 pub mod discover;
 pub mod graph;

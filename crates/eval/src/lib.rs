@@ -18,6 +18,8 @@
 //! * [`experiments`] — drivers for Table 1, the §5.2 log statistics,
 //!   Figure 3, and the derivation ablations (`exp_ablation`).
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod oracle;
 pub mod report;

@@ -21,6 +21,7 @@ struct Probe;
 // SAFETY: every method forwards its arguments unchanged to `System`, whose
 // contract is the one the caller upholds; `note` only writes a thread-local
 // `Cell<usize>`.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for Probe {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());

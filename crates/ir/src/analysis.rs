@@ -3,6 +3,7 @@
 //! One [`Analyzer`] instance is shared between index-time and query-time so
 //! both sides always agree on token boundaries.
 
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::ops::Range;
 
@@ -84,13 +85,20 @@ impl Analyzer {
     /// then filled with the tokens of `text`. The buffer's allocation is
     /// reused across calls, so a loop tokenizing many texts pays for one
     /// `Vec` total instead of one per text (the `String` tokens themselves
-    /// are still owned by the caller once emitted).
+    /// are still owned by the caller once emitted). Raw tokens are assembled
+    /// in one buffer per thread, so a call allocates the tokens it keeps and
+    /// nothing else, once that buffer has held a token as long.
     pub fn tokenize_into(&self, text: &str, out: &mut Vec<String>) {
+        thread_local! {
+            static RAW_TOKEN: RefCell<String> = const { RefCell::new(String::new()) };
+        }
         out.clear();
-        for_each_raw_token(text, &mut String::new(), |tok| {
-            if self.keeps(tok) {
-                out.push(tok.to_owned());
-            }
+        RAW_TOKEN.with_borrow_mut(|buf| {
+            for_each_raw_token(text, buf, |tok| {
+                if self.keeps(tok) {
+                    out.push(tok.to_owned());
+                }
+            })
         });
     }
 

@@ -424,6 +424,9 @@ impl ShardExecutor {
         // make cheap.
         let now = Instant::now();
         let latch = Arc::new(Latch::new(tasks.len()));
+        // The crate's one `unsafe` outside test code (`#![deny(unsafe_code)]`
+        // in `lib.rs`): the job erasure below.
+        #[allow(unsafe_code)]
         let jobs: Vec<QueuedJob> = tasks
             .into_iter()
             .map(|task| QueuedJob {

@@ -57,8 +57,9 @@ pub mod site {
     /// `SnapshotError::Io`.
     pub const SNAPSHOT_READ: &str = "snapshot.read";
     /// Snapshot file write ([`crate::ShardedIndex::save_snapshot`]):
-    /// fires before the tmp-file rename; `error` surfaces as
-    /// `SnapshotError::Io`.
+    /// checked once per section, on the thread that writes it, after the
+    /// `.tmp` file is created and before the rename; `error` surfaces as
+    /// `SnapshotError::Io` and removes the `.tmp`.
     pub const SNAPSHOT_WRITE: &str = "snapshot.write";
     /// Posting-block decode (compressed codec block expansion). The
     /// decode path is infallible, so `error` escalates to a panic.

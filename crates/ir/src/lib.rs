@@ -45,6 +45,8 @@
 //! assert_eq!(index.external_id(hits[0].doc).unwrap(), "m1");
 //! ```
 
+#![deny(unsafe_code)]
+
 #[cfg(test)]
 mod alloc_probe;
 pub mod analysis;

@@ -235,6 +235,12 @@ impl ShardedIndex {
         *self.fingerprint.get_or_init(|| self.compute_fingerprint())
     }
 
+    /// Whether [`ShardedIndex::fingerprint`] is computed already (a save
+    /// weighs the walk by it).
+    pub(crate) fn fingerprint_known(&self) -> bool {
+        self.fingerprint.get().is_some()
+    }
+
     fn compute_fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.write_usize(self.num_docs);

@@ -14,27 +14,31 @@
 //! shard 1  …                                         (same 8 sections)
 //! ```
 //!
-//! Neither side holds the file in memory. A save counts each section's
-//! length from its lanes, writes the frame, then streams the payload
-//! through one fixed buffer, hashing it on the way out. A load frames every
-//! section by seeking (17 bytes read per section), reserves every lane,
-//! text arena and table on the calling thread from the frame lengths and
-//! leading counts, then streams the sections on that thread and one helper,
-//! largest first, through one fixed buffer each: every chunk is hashed
-//! beside the chunks of up to three other sections and decoded where it
-//! landed. So beyond the index, a load holds two buffers whatever the file
-//! size, and the helper allocates nothing. The `terms` and `docs` sections
-//! are copied string by string into one text arena each — the vocabulary;
-//! the external ids and field texts — so a load allocates per section,
-//! never per string or document, and constructs no `Document`. Derived
-//! state — the term dictionary and the external-id table (both
+//! Neither side holds the file in memory. A save counts every section's
+//! length from its lanes first, which places every frame in the file; then
+//! the calling thread and one helper write the sections at their places,
+//! dealt largest first as a load deals them, each thread streaming payloads
+//! through one fixed buffer and hashing them back from the file four side by
+//! side, as a load hashes them, while one of the threads computes the
+//! fingerprint; the header, which carries it, goes last. A load frames every
+//! section by seeking (17 bytes read per section), reserves every lane, text
+//! arena and table on the calling thread from the frame lengths and leading
+//! counts, then streams the sections on that thread and one helper, largest
+//! first, through one fixed buffer each: every chunk is hashed beside the
+//! chunks of up to three other sections and decoded where it landed. So
+//! beyond the index, a save or a load holds two buffers whatever the file
+//! size, and a loading helper allocates nothing. The `terms` and `docs`
+//! sections are copied string by string into one text arena each — the
+//! vocabulary; the external ids and field texts — so a load allocates per
+//! section, never per string or document, and constructs no `Document`.
+//! Derived state — the term dictionary and the external-id table (both
 //! open-addressing tables of ids into those arenas), the average document
 //! length — is *not* stored: each is a pure function of the persisted lanes
 //! and is rebuilt on load (the tables by the thread that decoded their
 //! arena, `Index::from_indexed_parts`), so a loaded index is identical to
-//! the originally built one, fingerprint and all. The bytes are version
-//! 2's either way: the arenas and the streaming are an in-memory matter,
-//! not a format change. The posting lanes are stored under whichever
+//! the originally built one, fingerprint and all. The bytes are version 2's
+//! either way: the arenas and the streaming are an in-memory matter, not a
+//! format change. The posting lanes are stored under whichever
 //! [`crate::PostingsCodec`] the index held at save time; a compressed index
 //! snapshots compressed and loads compressed.
 //!
@@ -59,7 +63,7 @@ use crate::index::{index_external_ids, index_terms, BlockLanes, Index, PostingSt
 use crate::shard::{Fnv1a, ShardedIndex};
 use std::fmt;
 use std::fs::File;
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// First 8 bytes of every snapshot file.
@@ -133,8 +137,8 @@ fn corrupt(why: impl Into<String>) -> SnapshotError {
 }
 
 /// An injected fault dressed as the transient I/O error it simulates.
-fn io_fault(f: fault::InjectedFault) -> SnapshotError {
-    SnapshotError::Io(std::io::Error::other(f.to_string()))
+fn io_fault(f: fault::InjectedFault) -> std::io::Error {
+    std::io::Error::other(f.to_string())
 }
 
 /// The decoded fixed header of a snapshot file.
@@ -224,14 +228,14 @@ impl LaneItem for u8 {
     }
 }
 
-/// Bytes a thread streams through at once: the save's one buffer, and each
-/// loading thread's, split between the sections it hashes side by side.
+/// Bytes a thread streams through at once: each saving or loading thread's
+/// one buffer, split between the sections it hashes side by side.
 /// Below glibc's initial 128 KiB mmap threshold, so a buffer comes from the
 /// heap and freeing it cannot move the threshold (*Build phases* in
 /// `docs/OPERATIONS.md`).
 const STREAM_BUFFER: usize = 64 << 10;
 
-/// Sections a loading thread hashes side by side.
+/// Sections a thread hashes side by side, saving or loading.
 const LANES: usize = 4;
 
 /// [`Fnv1a`] over each lane's bytes, side by side: `hashes[i]` goes on over
@@ -268,11 +272,28 @@ fn checksums(hashes: &mut [Fnv1a; LANES], chunks: [&[u8]; LANES]) {
     *hashes = lanes;
 }
 
+/// Split `jobs` between the caller and one helper, a save's or a load's
+/// alike: largest first, each to whichever has the less `weight` so far (the
+/// caller on a tie), so both do about half and a loading thread walks
+/// sections of like size side by side.
+fn deal<T>(jobs: impl IntoIterator<Item = T>, weight: impl Fn(&T) -> u64) -> [Vec<T>; 2] {
+    let mut order: Vec<T> = jobs.into_iter().collect();
+    order.sort_by_key(|job| std::cmp::Reverse(weight(job)));
+    let mut dealt = [Vec::new(), Vec::new()];
+    let mut load = [0u64; 2];
+    for job in order {
+        let to = usize::from(load[1] < load[0]);
+        load[to] += weight(&job);
+        dealt[to].push(job);
+    }
+    dealt
+}
+
 // --- the writer ------------------------------------------------------------
 
-/// Where a payload goes: [`Counted`] to learn its length, then [`Out`] to
-/// write it. The same walk feeds both, so the frame's length is the length
-/// of what follows it.
+/// Where a payload goes: [`Counted`] to learn its length, then a [`Writer`]
+/// to write it. The same walk feeds both, so the frame's length is the
+/// length of what follows it.
 trait Sink {
     fn put(&mut self, bytes: &[u8]) -> std::io::Result<()>;
     fn put_items<T: LaneItem>(&mut self, lane: &[T]) -> std::io::Result<()>;
@@ -293,28 +314,49 @@ impl Sink for Counted {
     }
 }
 
-/// A payload on its way to the file through one fixed buffer, every byte
-/// folded into the section's checksum as the buffer empties.
-struct Out<'a, W> {
-    w: &'a mut W,
-    buf: &'a mut Vec<u8>,
-    hash: Fnv1a,
+/// A writing thread's way into the file: a handle of its own and one fixed
+/// buffer, which holds the bytes bound for the file from `pos` on.
+struct Writer {
+    file: File,
+    pos: u64,
+    buf: Vec<u8>,
 }
 
-impl<W: Write> Out<'_, W> {
+impl Writer {
+    fn new(file: File) -> Writer {
+        Writer {
+            file,
+            pos: 0,
+            buf: Vec::with_capacity(STREAM_BUFFER),
+        }
+    }
+
     fn room(&self) -> usize {
         self.buf.capacity() - self.buf.len()
     }
 
+    /// Write out what the buffer holds.
     fn flush(&mut self) -> std::io::Result<()> {
-        self.hash.write_bytes(self.buf);
-        self.w.write_all(self.buf)?;
-        self.buf.clear();
+        if !self.buf.is_empty() {
+            self.file.seek(SeekFrom::Start(self.pos))?;
+            self.file.write_all(&self.buf)?;
+            self.pos += self.buf.len() as u64;
+            self.buf.clear();
+        }
+        Ok(())
+    }
+
+    /// Go on at file offset `at`.
+    fn seek(&mut self, at: u64) -> std::io::Result<()> {
+        if at != self.pos + self.buf.len() as u64 {
+            self.flush()?;
+            self.pos = at;
+        }
         Ok(())
     }
 }
 
-impl<W: Write> Sink for Out<'_, W> {
+impl Sink for Writer {
     fn put(&mut self, mut bytes: &[u8]) -> std::io::Result<()> {
         while !bytes.is_empty() {
             if self.room() == 0 {
@@ -334,7 +376,7 @@ impl<W: Write> Sink for Out<'_, W> {
             }
             let (now, later) = lane.split_at((self.room() / T::SIZE).min(lane.len()));
             for &v in now {
-                v.put(self.buf);
+                v.put(&mut self.buf);
             }
             lane = later;
         }
@@ -366,16 +408,21 @@ fn put_lane<T: LaneItem>(out: &mut impl Sink, lane: &[T]) -> std::io::Result<()>
     out.put_items(lane)
 }
 
-/// The payload of section `section` (its position in [`SECTION_NAMES`]).
-fn put_payload(out: &mut impl Sink, shard: &Index, section: usize) -> std::io::Result<()> {
+/// The payload of section `section` (its position in [`SECTION_NAMES`]) of
+/// `shard`, whose analyzer's stopwords are `stopwords`, sorted: the set
+/// iterates in hash order, and sorting makes the bytes a pure function of
+/// content.
+fn put_payload(
+    out: &mut impl Sink,
+    shard: &Index,
+    stopwords: &[&str],
+    section: usize,
+) -> std::io::Result<()> {
     match section {
-        // analyzer — min token length + sorted stopwords (the set iterates
-        // in hash order; sorting makes the bytes a pure function of content).
+        // analyzer — min token length + sorted stopwords.
         0 => {
             put_u64(out, shard.analyzer().min_token_len() as u64)?;
-            let mut stopwords: Vec<&str> = shard.analyzer().stopwords().collect();
-            stopwords.sort_unstable();
-            put_strs(out, stopwords.into_iter())
+            put_strs(out, stopwords.iter().copied())
         }
         // terms, in TermId (lexicographic) order.
         1 => put_strs(out, shard.raw_terms().iter()),
@@ -431,26 +478,31 @@ fn put_payload(out: &mut impl Sink, shard: &Index, section: usize) -> std::io::R
     }
 }
 
-/// Every section of `shard`, each framed: tag, payload length, payload,
-/// checksum. The length is counted from the lanes, then the payload streams
-/// through `buf`.
-fn write_shard(w: &mut impl Write, shard: &Index, buf: &mut Vec<u8>) -> std::io::Result<()> {
-    for (section, tag) in (0..SECTION_NAMES.len()).zip(1u8..) {
-        let mut len = Counted(0);
-        put_payload(&mut len, shard, section)?;
-        w.write_all(&[tag])?;
-        w.write_all(&len.0.to_le_bytes())?;
-        let mut out = Out {
-            w: &mut *w,
-            buf: &mut *buf,
-            hash: Fnv1a::new(),
-        };
-        put_payload(&mut out, shard, section)?;
-        out.flush()?;
-        let hash = out.hash.finish();
-        w.write_all(&hash.to_le_bytes())?;
-    }
-    Ok(())
+/// A shard's stopwords, sorted.
+fn sorted_stopwords(shard: &Index) -> Vec<&str> {
+    let mut stopwords: Vec<&str> = shard.analyzer().stopwords().collect();
+    stopwords.sort_unstable();
+    stopwords
+}
+
+/// A writing thread's share of a save: the header's fingerprint, or one
+/// section of `shard` (whose [`sorted_stopwords`] are `stopwords`), placed
+/// by its stream's frame and hashed back from the file by that stream.
+enum Job<'a> {
+    Fingerprint,
+    Section {
+        shard: &'a Index,
+        stopwords: &'a [&'a str],
+        stream: Stream,
+    },
+}
+
+/// The sections among `jobs`, as streams to hash.
+fn sections<'s, 'a>(jobs: &'s mut [Job<'a>]) -> impl Iterator<Item = &'s mut Stream> + use<'s, 'a> {
+    jobs.iter_mut().filter_map(|job| match job {
+        Job::Fingerprint => None,
+        Job::Section { stream, .. } => Some(stream),
+    })
 }
 
 // --- the loader: framing and set-up -----------------------------------------
@@ -1203,31 +1255,34 @@ struct Stream {
 }
 
 impl Stream {
-    /// A section to hash, and to decode if `decode`: set-up reads its fixed
-    /// fields and reserves its destination.
-    fn new(file: &mut (impl Read + Seek), frame: Frame, decode: bool) -> std::io::Result<Stream> {
-        let mut stream = Stream {
+    /// A section to hash only.
+    fn hashed(frame: Frame) -> Stream {
+        Stream {
             frame,
             read: 0,
             hash: Fnv1a::new(),
             walk: None,
             error: None,
             deferred: false,
+        }
+    }
+
+    /// A section to hash and decode: set-up reads its fixed fields and
+    /// reserves its destination.
+    fn decoded(file: &mut (impl Read + Seek), frame: Frame) -> std::io::Result<Stream> {
+        let mut stream = Stream::hashed(frame);
+        let mut peek = Peek {
+            file,
+            frame,
+            pos: 0,
+            pieces: Vec::new(),
         };
-        if decode {
-            let mut peek = Peek {
-                file,
-                frame,
-                pos: 0,
-                pieces: Vec::new(),
-            };
-            match peek.dest() {
-                Ok(dest) => {
-                    stream.walk = Some(Box::new(Walk::new(peek.pieces, dest, frame.len as usize)))
-                }
-                Err(Stop::Bad(bad)) => stream.error = Some(bad),
-                Err(Stop::Io(e)) => return Err(e),
+        match peek.dest() {
+            Ok(dest) => {
+                stream.walk = Some(Box::new(Walk::new(peek.pieces, dest, frame.len as usize)))
             }
+            Err(Stop::Bad(bad)) => stream.error = Some(bad),
+            Err(Stop::Io(e)) => return Err(e),
         }
         Ok(stream)
     }
@@ -1303,22 +1358,6 @@ fn stream<'s, R: Read + Seek>(
             }
         }
     }
-}
-
-/// Split `streams` between the caller and one helper: largest first, each
-/// to whichever has fewer bytes so far (the caller on a tie), so both stream
-/// about half the file and each walks sections of like size side by side.
-fn deal(streams: &mut [Stream]) -> [Vec<&mut Stream>; 2] {
-    let mut order: Vec<&mut Stream> = streams.iter_mut().collect();
-    order.sort_by_key(|s| std::cmp::Reverse(s.frame.len));
-    let mut dealt = [Vec::new(), Vec::new()];
-    let mut bytes = [0u64; 2];
-    for s in order {
-        let to = usize::from(bytes[1] < bytes[0]);
-        bytes[to] += s.frame.len;
-        dealt[to].push(s);
-    }
-    dealt
 }
 
 /// One shard from its eight streamed sections: the first section in file
@@ -1406,7 +1445,11 @@ fn decode_snapshot<R: Read + Seek + Send>(
     let framed = frames.len() / per_shard * per_shard;
     let mut streams = Vec::with_capacity(frames.len());
     for (i, &frame) in frames.iter().enumerate() {
-        streams.push(Stream::new(&mut file, frame, i < framed)?);
+        streams.push(if i < framed {
+            Stream::decoded(&mut file, frame)?
+        } else {
+            Stream::hashed(frame)
+        });
     }
 
     // Both threads stream their share through a buffer allocated here; a
@@ -1414,7 +1457,7 @@ fn decode_snapshot<R: Read + Seek + Send>(
     let slot = (STREAM_BUFFER.min(file_len as usize) / LANES).max(1);
     let mut buffer = vec![0u8; slot * LANES];
     let mut helper_buffer = vec![0u8; slot * LANES];
-    let [mine, mut theirs] = deal(&mut streams);
+    let [mine, mut theirs] = deal(streams.iter_mut(), |s| s.frame.len);
     let (streamed, helped) = std::thread::scope(|scope| {
         let helper = std::thread::Builder::new().spawn_scoped(scope, || {
             stream(
@@ -1439,7 +1482,7 @@ fn decode_snapshot<R: Read + Seek + Send>(
     // Sections a helper left for want of room for field names, streamed
     // again from the start here.
     for s in streams.iter_mut().filter(|s| s.deferred) {
-        *s = Stream::new(&mut file, s.frame, true)?;
+        *s = Stream::decoded(&mut file, s.frame)?;
         stream(&mut file, [&mut *s], &mut buffer, true)?;
     }
     drop(buffer);
@@ -1491,9 +1534,15 @@ impl ShardedIndex {
     /// posting lanes under their current [`crate::PostingsCodec`] and the
     /// corpus fingerprint in the header.
     ///
-    /// Each section's length is counted from its lanes, then its payload
-    /// streams through one fixed buffer, hashed on the way out: the save
-    /// holds no copy of a section, whatever its size.
+    /// Every section's length is counted from its lanes first, which places
+    /// every frame in the file. Then this thread and one helper write half
+    /// the sections each at their places, each payload streamed through the
+    /// thread's one fixed buffer, then hashed back from the file four
+    /// sections side by side, while one of them computes the fingerprint if
+    /// it is not yet known; the header goes last (see *Writer order* in
+    /// `docs/INDEX_FORMAT.md`). The save holds no copy of a section,
+    /// whatever its size. The `snapshot.write` failpoint is checked once
+    /// per section, on the thread that writes it.
     ///
     /// ```
     /// use irengine::{Document, IndexBuilder, ShardedIndex};
@@ -1509,9 +1558,6 @@ impl ShardedIndex {
     /// std::fs::remove_file(&path).unwrap();
     /// ```
     pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        // `snapshot.write` failpoint: a deterministic stand-in for a full
-        // disk / yanked volume, surfaced as the same `Io` a real one would.
-        fault::check(site::SNAPSHOT_WRITE).map_err(io_fault)?;
         let path = path.as_ref();
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
@@ -1527,17 +1573,107 @@ impl ShardedIndex {
     }
 
     fn write_snapshot(&self, tmp: &Path) -> std::io::Result<()> {
-        let mut w = BufWriter::new(File::create(tmp)?);
-        w.write_all(&SNAPSHOT_MAGIC)?;
-        w.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
-        w.write_all(&(self.num_shards() as u32).to_le_bytes())?;
-        w.write_all(&(self.num_docs() as u64).to_le_bytes())?;
-        w.write_all(&self.fingerprint().to_le_bytes())?;
-        let mut buf = Vec::with_capacity(STREAM_BUFFER);
-        for shard in self.shards() {
-            write_shard(&mut w, shard, &mut buf)?;
+        // Every frame's place, from the lengths counted first. The sorted
+        // stopwords are the one thing a payload needs allocated: sorted
+        // here, before the buffers, they leave the writing threads nothing
+        // to allocate, so a save's peak memory is the same on every run.
+        let stopwords: Vec<Vec<&str>> = self.shards().iter().map(sorted_stopwords).collect();
+        let mut end = HEADER_LEN as u64;
+        let mut jobs = vec![Job::Fingerprint];
+        for (shard, stopwords) in self.shards().iter().zip(&stopwords) {
+            for section in 0..SECTION_NAMES.len() {
+                let mut len = Counted(0);
+                put_payload(&mut len, shard, stopwords, section)?;
+                let frame = Frame {
+                    section,
+                    start: end + 9,
+                    len: len.0,
+                    stored: 0,
+                };
+                end = frame.start + frame.len + 8;
+                jobs.push(Job::Section {
+                    shard,
+                    stopwords,
+                    stream: Stream::hashed(frame),
+                });
+            }
         }
-        w.into_inner().map_err(|e| e.into_error())?.sync_all()
+        // The fingerprint walks every document and posting once: weighed as
+        // the whole file while it is unknown, as nothing once it is kept.
+        let fingerprint = if self.fingerprint_known() { 0 } else { end };
+        let [mut mine, mut theirs] = deal(jobs, |job| match job {
+            Job::Fingerprint => fingerprint,
+            Job::Section { stream, .. } => stream.frame.len,
+        });
+
+        // Each thread writes through a handle of its own, so neither moves
+        // the other's file position, and a buffer allocated here; a helper
+        // that cannot be spawned leaves its share to this thread.
+        let open = File::options().read(true).write(true).clone();
+        let mut writer = Writer::new(open.clone().create(true).truncate(true).open(tmp)?);
+        let mut helper_writer = Writer::new(open.open(tmp)?);
+        let (written, helped) = std::thread::scope(|scope| {
+            let helper = std::thread::Builder::new()
+                .spawn_scoped(scope, || self.write_jobs(&mut theirs, &mut helper_writer));
+            let written = self.write_jobs(&mut mine, &mut writer);
+            let helped = helper.ok().map(|helper| {
+                helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            });
+            (written, helped)
+        });
+        written?;
+        match helped {
+            Some(helped) => helped?,
+            None => self.write_jobs(&mut theirs, &mut writer)?,
+        }
+
+        // The header goes last: it carries the fingerprint.
+        writer.seek(0)?;
+        writer.put(&SNAPSHOT_MAGIC)?;
+        writer.put(&SNAPSHOT_VERSION.to_le_bytes())?;
+        writer.put(&(self.num_shards() as u32).to_le_bytes())?;
+        put_u64(&mut writer, self.num_docs() as u64)?;
+        put_u64(&mut writer, self.fingerprint())?;
+        writer.flush()?;
+        writer.file.sync_all()
+    }
+
+    /// One writing thread's share: every section's tag, length and payload
+    /// written at its frame, then every payload hashed back from the file up
+    /// to [`LANES`] side by side, as a load hashes them, and its checksum
+    /// written after it.
+    fn write_jobs(&self, jobs: &mut [Job], w: &mut Writer) -> std::io::Result<()> {
+        for job in jobs.iter() {
+            let Job::Section {
+                shard,
+                stopwords,
+                stream: Stream { frame, .. },
+            } = job
+            else {
+                self.fingerprint();
+                continue;
+            };
+            // `snapshot.write` failpoint: a deterministic stand-in for a full
+            // disk or a yanked volume, once per section, on the thread that
+            // writes it.
+            fault::check(site::SNAPSHOT_WRITE).map_err(io_fault)?;
+            w.seek(frame.start - 9)?;
+            w.put(&[frame.section as u8 + 1])?;
+            put_u64(w, frame.len)?;
+            put_payload(w, shard, stopwords, frame.section)?;
+            debug_assert_eq!(w.pos + w.buf.len() as u64, frame.start + frame.len);
+        }
+        w.flush()?;
+        w.buf.resize(STREAM_BUFFER, 0);
+        stream(&mut w.file, sections(jobs), &mut w.buf, false)?;
+        w.buf.clear();
+        for s in sections(jobs) {
+            w.seek(s.frame.start + s.frame.len)?;
+            put_u64(w, s.hash.finish())?;
+        }
+        w.flush()
     }
 
     /// Load a snapshot previously written by [`ShardedIndex::save_snapshot`].
@@ -1890,6 +2026,46 @@ mod tests {
         Ok(loaded)
     }
 
+    // --- the serial writer ---------------------------------------------------
+
+    impl Sink for Vec<u8> {
+        fn put(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            self.extend_from_slice(bytes);
+            Ok(())
+        }
+
+        fn put_items<T: LaneItem>(&mut self, lane: &[T]) -> std::io::Result<()> {
+            for &v in lane {
+                v.put(self);
+            }
+            Ok(())
+        }
+    }
+
+    /// The save as it was before the threads, into one buffer: the header,
+    /// then every shard's sections in file order, each gathered whole and
+    /// framed — tag, length, payload, checksum.
+    fn saved_reference(index: &ShardedIndex) -> Vec<u8> {
+        let mut file = SNAPSHOT_MAGIC.to_vec();
+        file.extend(SNAPSHOT_VERSION.to_le_bytes());
+        file.extend((index.num_shards() as u32).to_le_bytes());
+        file.extend((index.num_docs() as u64).to_le_bytes());
+        file.extend(index.fingerprint().to_le_bytes());
+        for shard in index.shards() {
+            let stopwords = sorted_stopwords(shard);
+            for (section, tag) in (0..SECTION_NAMES.len()).zip(1u8..) {
+                let mut payload = Vec::new();
+                put_payload(&mut payload, shard, &stopwords, section).unwrap();
+                let sum = checksum(&payload);
+                file.push(tag);
+                file.extend((payload.len() as u64).to_le_bytes());
+                file.extend(payload);
+                file.extend(sum.to_le_bytes());
+            }
+        }
+        file
+    }
+
     // --- a map of a valid file -----------------------------------------------
 
     /// Where one section sits in the file: `tag` is its first byte, the
@@ -2002,7 +2178,7 @@ mod tests {
     /// ids. The stored text is most of the file, as in a real one — so a
     /// `docs` count taken at its on-disk width would reserve several times
     /// the file.
-    fn valid_snapshot(compressed: bool, shards: usize) -> Vec<u8> {
+    fn valid_index(compressed: bool, shards: usize) -> ShardedIndex {
         let mut b = IndexBuilder::new();
         b.set_block_size(3);
         b.set_field_boost("anchor", 2.5);
@@ -2021,17 +2197,29 @@ mod tests {
         if compressed {
             index.compress_postings();
         }
-        saved(&index)
+        index
     }
 
-    /// The bytes `save_snapshot` writes for `index`.
-    fn saved(index: &ShardedIndex) -> Vec<u8> {
+    /// The bytes `save_snapshot` writes for [`valid_index`].
+    fn valid_snapshot(compressed: bool, shards: usize) -> Vec<u8> {
+        saved(&valid_index(compressed, shards))
+    }
+
+    /// A path of its own in the temporary directory.
+    fn scratch_path() -> std::path::PathBuf {
         static UNIQUE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        let path = std::env::temp_dir().join(format!(
+        std::env::temp_dir().join(format!(
             "qunits-snapshot-sweep-{}-{}.qx",
             std::process::id(),
             UNIQUE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
+        ))
+    }
+
+    /// The bytes `save_snapshot` writes for `index`. The save holds the
+    /// fault registry, so no test's `snapshot.write` schedule reaches it.
+    fn saved(index: &ShardedIndex) -> Vec<u8> {
+        let _registry = fault::registry_test_lock();
+        let path = scratch_path();
         index.save_snapshot(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
@@ -2401,7 +2589,7 @@ mod tests {
             })
             .find(|frame| frame.name() == "docs")
             .expect("a shard has a docs section");
-        let mut stream_of_docs = Stream::new(&mut file, frame, true).unwrap();
+        let mut stream_of_docs = Stream::decoded(&mut file, frame).unwrap();
         let mut buffer = vec![0u8; STREAM_BUFFER];
         stream(&mut file, [&mut stream_of_docs], &mut buffer, false).unwrap();
         assert!(
@@ -2413,6 +2601,84 @@ mod tests {
         let loaded = decode_bytes(&bytes).expect("the caller decodes the section again");
         for (i, (got, want)) in loaded.shards().iter().zip(built.shards()).enumerate() {
             assert_same_index(got, want, &format!("shard {i}"));
+        }
+    }
+
+    // --- the threaded writer --------------------------------------------------
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The threaded save writes the serial writer's bytes: at 1 to 4
+        /// shards (more shards than documents leaves some empty), under both
+        /// codecs, with the fingerprint known beforehand or computed beside
+        /// the sections, over payloads that span many buffer refills.
+        #[test]
+        fn a_threaded_save_writes_the_serial_writers_bytes(
+            docs in prop::collection::vec(document(), 0..5),
+            shards in 1usize..=4,
+            compressed in 0usize..2,
+            fingerprinted in 0usize..2,
+        ) {
+            let mut b = IndexBuilder::new();
+            for doc in docs {
+                b.add(doc);
+            }
+            let mut built = b.build_sharded(shards);
+            if compressed == 1 {
+                built.compress_postings();
+            }
+            if fingerprinted == 1 {
+                built.fingerprint();
+            }
+            let threaded = saved(&built);
+            prop_assert!(threaded == saved_reference(&built), "{shards} shard(s): the bytes differ");
+        }
+    }
+
+    /// `snapshot.write=error@#k` for every section a save writes: each k is
+    /// an `Io` error that leaves no `.tmp` beside the path and the snapshot
+    /// already at the path as it was. One more section than there are never
+    /// fires, and that save writes the serial writer's bytes.
+    #[test]
+    fn a_write_that_fails_at_any_section_leaves_the_old_snapshot() {
+        let _registry = fault::registry_test_lock();
+        for shards in [1, 2] {
+            let index = valid_index(false, shards);
+            let path = scratch_path();
+            let mut tmp = path.clone().into_os_string();
+            tmp.push(".tmp");
+            valid_index(true, shards).save_snapshot(&path).unwrap();
+            let old = std::fs::read(&path).unwrap();
+            let sections = SECTION_NAMES.len() * shards;
+            for k in 1..=sections + 1 {
+                fault::install(&format!("snapshot.write=error@#{k}")).unwrap();
+                let result = index.save_snapshot(&path);
+                let (hits, fired) = fault::site_counters(site::SNAPSHOT_WRITE);
+                fault::clear();
+                let what = format!("{shards} shard(s), error at section #{k}");
+                assert!(
+                    !std::path::Path::new(&tmp).exists(),
+                    "{what}: a .tmp is left"
+                );
+                if k <= sections {
+                    assert!(
+                        matches!(result, Err(SnapshotError::Io(_))),
+                        "{what}: {result:?}"
+                    );
+                    assert_eq!(fired, 1, "{what}");
+                    assert_eq!(
+                        std::fs::read(&path).unwrap(),
+                        old,
+                        "{what}: the old file moved"
+                    );
+                } else {
+                    result.unwrap();
+                    assert_eq!((hits, fired), (sections as u64, 0), "{what}");
+                    assert_eq!(std::fs::read(&path).unwrap(), saved_reference(&index));
+                }
+            }
+            std::fs::remove_file(&path).unwrap();
         }
     }
 }

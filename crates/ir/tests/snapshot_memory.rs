@@ -6,9 +6,11 @@
 //! it alone (`RUST_TEST_THREADS=1`, as CI does) or with its single test, so
 //! no other test's allocations are counted.
 //!
-//! * A save counts each section's length from its lanes and streams the
-//!   payload through one buffer into the file's `BufWriter`: what it holds
-//!   above what was live before it is those two buffers and bookkeeping.
+//! * A save counts every section's length from its lanes, then writes the
+//!   sections at their places on two threads, one buffer per writing
+//!   thread, each payload streamed through its thread's buffer: what it
+//!   holds above what was live before it is those two buffers and
+//!   bookkeeping.
 //! * A load streams every section through one buffer per thread into lanes,
 //!   arenas and tables reserved up front: what it holds above what the
 //!   loaded index holds afterwards is those two buffers and bookkeeping.
@@ -22,9 +24,10 @@ use irengine::{Document, IndexBuilder, ShardedIndex};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The streaming buffers — one for a save, two for a load (64 KiB each) —
-/// plus room for bookkeeping: the save's `BufWriter`, the loader's section
-/// frames and walks, a helper thread's spawn.
+/// The streaming buffers — one per writing or loading thread, two either
+/// way (64 KiB each) — plus room for bookkeeping: the save's section places
+/// and sorted stopwords, the loader's section frames and walks, a helper
+/// thread's spawn.
 const TRANSIENT_BOUND: usize = 2 * (64 << 10) + (32 << 10);
 
 struct Tracking;

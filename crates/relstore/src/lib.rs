@@ -31,6 +31,8 @@
 //! assert_eq!(db.table(movie).unwrap().len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod database;
 pub mod error;
 pub mod exec;

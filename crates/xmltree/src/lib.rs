@@ -15,6 +15,8 @@
 //! site crawl of an IMDb-like database looks: a `movies` section with nested
 //! cast, and a `people` section with nested filmographies.
 
+#![forbid(unsafe_code)]
+
 pub mod build;
 pub mod lca;
 pub mod mlca;

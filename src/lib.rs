@@ -36,6 +36,8 @@
 //! See `examples/` for runnable walkthroughs and `crates/eval/src/bin/` for
 //! the experiment binaries regenerating every table and figure of the paper.
 
+#![forbid(unsafe_code)]
+
 pub use datagen;
 pub use datagraph;
 pub use irengine as ir;
