@@ -436,6 +436,38 @@ fn corrupt_snapshot_is_quarantined_for_post_mortem() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A snapshot of the previous format version (the version field at byte 8
+/// patched to 2 over a current file) is stale: quarantined as `.corrupt`,
+/// rebuilt over with a file of the current version, and the next build
+/// restarts from that file with the cold build's fingerprint.
+#[test]
+fn a_previous_version_snapshot_is_quarantined_and_saved_again() {
+    let _guard = hold_registry();
+    let dir = scratch_dir("upgrade");
+    let path = dir.join("idx.snap");
+    let cold = build_engine(snapshot_config(path.clone()));
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let rebuilt = build_engine(snapshot_config(path.clone()));
+    let quarantined = {
+        let mut p = path.as_os_str().to_owned();
+        p.push(".corrupt");
+        std::path::PathBuf::from(p)
+    };
+    assert_eq!(std::fs::read(&quarantined).unwrap(), bytes);
+    assert!(!rebuilt.build_timings().from_snapshot);
+    let header = irengine::read_snapshot_header(&path).expect("the rebuild saved again");
+    assert_eq!(header.version, irengine::SNAPSHOT_VERSION);
+
+    let restarted = build_engine(snapshot_config(path.clone()));
+    assert!(restarted.build_timings().from_snapshot);
+    assert_eq!(restarted.index_fingerprint(), cold.index_fingerprint());
+    assert_eq!(header.fingerprint, cold.index_fingerprint());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn stale_snapshot_is_quarantined_and_rebuilt_over() {
     let _guard = hold_registry();

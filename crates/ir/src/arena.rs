@@ -39,42 +39,38 @@ impl TextArena {
     ///
     /// If the arena would pass 4 GiB of text.
     pub(crate) fn push(&mut self, s: &str) -> u32 {
-        self.push_part(s);
-        self.end_string()
-    }
-
-    /// Append `s` to the string being assembled, which is everything pushed
-    /// since the last [`TextArena::end_string`]: a string that arrives in
-    /// pieces is stored as it arrives.
-    pub(crate) fn push_part(&mut self, s: &str) {
         self.text.push_str(s);
-    }
-
-    /// End the string being assembled; returns its position.
-    ///
-    /// # Panics
-    ///
-    /// If the arena would pass 4 GiB of text.
-    pub(crate) fn end_string(&mut self) -> u32 {
         let end = u32::try_from(self.text.len()).expect("a text arena holds at most 4 GiB");
         self.ends.push(end);
         (self.ends.len() - 1) as u32
     }
 
-    /// The string being assembled.
-    pub(crate) fn pending(&self) -> &str {
-        &self.text[self.ends.last().map_or(0, |&e| e as usize)..]
+    /// The arena whose strings end at `ends` in `text`, as a snapshot stores
+    /// it: checked, without copying, that the ends climb to the end of the
+    /// text and that every string is UTF-8 on its own. The error names the
+    /// first violation.
+    pub(crate) fn from_lanes(ends: Vec<u32>, text: Vec<u8>) -> Result<TextArena, &'static str> {
+        if ends.windows(2).any(|w| w[0] > w[1]) {
+            return Err("string ends out of order");
+        }
+        if ends.last().map_or(0, |&e| e as usize) != text.len() {
+            return Err("string ends not at the end of the text");
+        }
+        let text = String::from_utf8(text).map_err(|_| "non-UTF-8 string")?;
+        if !ends.iter().all(|&e| text.is_char_boundary(e as usize)) {
+            return Err("non-UTF-8 string");
+        }
+        Ok(TextArena { text, ends })
     }
 
-    /// Discard the string being assembled.
-    pub(crate) fn drop_pending(&mut self) {
-        self.text
-            .truncate(self.ends.last().map_or(0, |&e| e as usize));
+    /// Every string's end offset, in position order.
+    pub(crate) fn ends(&self) -> &[u32] {
+        &self.ends
     }
 
-    /// Whether `bytes` more text and one more string fit without growing.
-    pub(crate) fn has_room(&self, bytes: usize) -> bool {
-        self.text.capacity() - self.text.len() >= bytes && self.ends.capacity() > self.ends.len()
+    /// The strings back to back.
+    pub(crate) fn text(&self) -> &str {
+        &self.text
     }
 
     /// String `i`. Panics when out of range; positions come from the arena.
@@ -129,11 +125,6 @@ impl IdTable {
             len: 0,
             hasher: StrHashState::default(),
         }
-    }
-
-    /// Whether one more key fits without growing.
-    pub(crate) fn has_room(&self) -> bool {
-        2 * (self.len + 1) <= self.slots.len()
     }
 
     fn hash(&self, key: &str) -> u32 {
@@ -271,6 +262,31 @@ mod tests {
         );
         assert_eq!(arena.try_get(4), Some("wars"));
         assert_eq!(arena.try_get(5), None);
+        let lanes = TextArena::from_lanes(arena.ends().to_vec(), arena.text().as_bytes().to_vec());
+        assert_eq!(lanes, Ok(arena));
+    }
+
+    #[test]
+    fn lanes_that_do_not_make_an_arena_are_refused() {
+        let lanes = |ends: &[u32], text: &[u8]| TextArena::from_lanes(ends.to_vec(), text.to_vec());
+        assert_eq!(lanes(&[], b""), Ok(TextArena::default()));
+        assert_eq!(lanes(&[2, 1, 3], b"abc"), Err("string ends out of order"));
+        assert_eq!(
+            lanes(&[1, 4], b"abc"),
+            Err("string ends not at the end of the text")
+        );
+        assert_eq!(
+            lanes(&[1, 2], b"abc"),
+            Err("string ends not at the end of the text")
+        );
+        assert_eq!(
+            lanes(&[], b"a"),
+            Err("string ends not at the end of the text")
+        );
+        assert_eq!(lanes(&[1], b"\xff"), Err("non-UTF-8 string"));
+        // "İ" is two bytes: an end between them splits it across two strings.
+        assert_eq!(lanes(&[1, 2], "İ".as_bytes()), Err("non-UTF-8 string"));
+        assert!(lanes(&[0, 2, 2], "İ".as_bytes()).is_ok());
     }
 
     #[test]

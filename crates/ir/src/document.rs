@@ -90,95 +90,83 @@ impl DocStore {
         }
     }
 
-    /// This store, with room for `names` distinct field names of `bytes`
-    /// bytes in all: as many as [`DocStore::end_name`] takes without growing.
-    pub(crate) fn with_name_room(mut self, names: usize, bytes: usize) -> DocStore {
-        self.names = TextArena::with_capacity(names, bytes);
-        self.name_ids = IdTable::with_capacity(names);
-        self
-    }
-
     /// Number of documents.
     pub(crate) fn len(&self) -> usize {
         self.firsts.len()
     }
 
     /// Start a new document.
-    pub(crate) fn push_external_id(&mut self, external_id: &str) {
-        self.text_part(external_id);
-        self.end_external_id();
-    }
-
-    /// Append a field to the last document.
-    pub(crate) fn push_field(&mut self, name: &str, text: &str) {
-        let name = self.end_name(name, true).expect("a growing store has room");
-        self.text_part(text);
-        self.end_field(name);
-    }
-
-    // A document can also arrive in pieces, as a snapshot streams in: the
-    // text of its external id, then for each field the text of its name and
-    // of the field, each string in as many parts as it takes.
-
-    /// Append to the external id or field text being assembled.
-    pub(crate) fn text_part(&mut self, s: &str) {
-        self.strings.push_part(s);
-    }
-
-    /// The text assembled is the next document's external id.
-    pub(crate) fn end_external_id(&mut self) {
-        self.firsts.push(self.strings.end_string());
+    fn push_external_id(&mut self, external_id: &str) {
+        self.firsts.push(self.strings.push(external_id));
         self.field_of.push(NO_FIELD);
     }
 
-    /// Append to the field name being assembled; `false`, and nothing
-    /// appended, if it does not fit the room reserved for names and the
-    /// store may not `grow`.
-    pub(crate) fn name_part(&mut self, s: &str, grow: bool) -> bool {
-        if !grow && !self.names.has_room(s.len()) {
-            return false;
-        }
-        self.names.push_part(s);
-        true
+    /// Append a field to the last document, its name interned on first
+    /// sight.
+    fn push_field(&mut self, name: &str, text: &str) {
+        debug_assert!(!self.firsts.is_empty(), "a field follows an external id");
+        let names = &self.names;
+        let id = match self.name_ids.get(name, |id| names.get(id as usize)) {
+            Some(id) => id,
+            None => {
+                let id = self.names.push(name);
+                let names = &self.names;
+                self.name_ids
+                    .insert_first(name, id, |id| names.get(id as usize))
+            }
+        };
+        self.strings.push(text);
+        self.field_of.push(id);
     }
 
-    /// The name assembled ends with `last`: its id, interned on first sight
-    /// — `None` if it is new and does not fit the room reserved for names
-    /// and the store may not `grow`.
-    pub(crate) fn end_name(&mut self, last: &str, grow: bool) -> Option<u32> {
-        let names = &self.names;
-        if names.pending().is_empty() {
-            if let Some(id) = self.name_ids.get(last, |id| names.get(id as usize)) {
-                return Some(id);
+    /// The store a snapshot holds as lanes — the strings, each document's
+    /// first string, each string's field-name id, the field names — checked
+    /// to describe documents: the external ids start at string 0 and climb,
+    /// exactly the strings they name have [`NO_FIELD`], every other string
+    /// names a field that exists, and the names are distinct. `name_ids` is
+    /// empty, with room for every name, so nothing is allocated here. The
+    /// error names the first violation.
+    pub(crate) fn from_lanes(
+        strings: TextArena,
+        firsts: Vec<u32>,
+        field_of: Vec<u32>,
+        names: TextArena,
+        mut name_ids: IdTable,
+    ) -> Result<DocStore, &'static str> {
+        let first_string = firsts.first().map_or(strings.len(), |&f| f as usize);
+        let past = firsts.last().is_some_and(|&f| f as usize >= strings.len());
+        if first_string != 0 || past || firsts.windows(2).any(|w| w[0] >= w[1]) {
+            return Err("document firsts out of range");
+        }
+        if field_of.len() != strings.len() {
+            return Err("field name ids out of range");
+        }
+        // The firsts climb within the strings: each is met once, in order.
+        let mut next = firsts.iter().peekable();
+        for (s, &name) in field_of.iter().enumerate() {
+            let first = next.next_if_eq(&&(s as u32)).is_some();
+            if first != (name == NO_FIELD) || (!first && name as usize >= names.len()) {
+                return Err("field name ids out of range");
             }
         }
-        if !self.name_part(last, grow) {
-            return None;
+        for (id, name) in names.iter().enumerate() {
+            if name_ids.insert_first(name, id as u32, |id| names.get(id as usize)) != id as u32 {
+                return Err("duplicate field name");
+            }
         }
-        let names = &self.names;
-        if let Some(id) = self
-            .name_ids
-            .get(names.pending(), |id| names.get(id as usize))
-        {
-            self.names.drop_pending();
-            return Some(id);
-        }
-        let room = self.names.has_room(0) && self.name_ids.has_room();
-        if !(grow || room) {
-            return None;
-        }
-        let id = self.names.end_string();
-        let names = &self.names;
-        self.name_ids
-            .insert_first(names.get(id as usize), id, |id| names.get(id as usize));
-        Some(id)
+        Ok(DocStore {
+            strings,
+            firsts,
+            field_of,
+            names,
+            name_ids,
+        })
     }
 
-    /// The text assembled is a field of the last document, named `name`.
-    pub(crate) fn end_field(&mut self, name: u32) {
-        debug_assert!(!self.firsts.is_empty(), "a field follows an external id");
-        self.strings.end_string();
-        self.field_of.push(name);
+    /// The lanes [`DocStore::from_lanes`] takes: strings, firsts,
+    /// field-name ids, names.
+    pub(crate) fn lanes(&self) -> (&TextArena, &[u32], &[u32], &TextArena) {
+        (&self.strings, &self.firsts, &self.field_of, &self.names)
     }
 
     /// Append a whole document.
@@ -395,6 +383,51 @@ mod tests {
         assert_eq!(
             store.field_names().collect::<Vec<_>>(),
             ["title", "body", ""]
+        );
+    }
+
+    #[test]
+    fn lanes_that_do_not_describe_documents_are_refused() {
+        let mut store = DocStore::default();
+        store.push("q1", [("title", "Star Wars"), ("body", "cast")]);
+        store.push("q2", [("body", "crew")]);
+        let (strings, firsts, field_of, names) = store.lanes();
+        let lanes = |firsts: &[u32], field_of: &[u32], names: &TextArena| {
+            let table = IdTable::with_capacity(names.len());
+            let (firsts, field_of) = (firsts.to_vec(), field_of.to_vec());
+            DocStore::from_lanes(strings.clone(), firsts, field_of, names.clone(), table)
+        };
+        assert_eq!(lanes(firsts, field_of, names), Ok(store.clone()));
+        let refused = [
+            (&[1, 3][..], field_of, "document firsts out of range"),
+            (&[0, 5], field_of, "document firsts out of range"),
+            (&[3, 3], field_of, "document firsts out of range"),
+            (
+                firsts,
+                &[NO_FIELD, 0, 2, NO_FIELD, 1],
+                "field name ids out of range",
+            ),
+            (
+                firsts,
+                &[NO_FIELD, 0, 1, 1, 1],
+                "field name ids out of range",
+            ),
+            (
+                firsts,
+                &[0, 0, 1, NO_FIELD, 1],
+                "field name ids out of range",
+            ),
+        ];
+        for (firsts, field_of, why) in refused {
+            let got = lanes(firsts, field_of, names).map(|_| ());
+            assert_eq!(got, Err(why), "{firsts:?} {field_of:?}");
+        }
+        let mut twice = TextArena::default();
+        twice.push("body");
+        twice.push("body");
+        assert_eq!(
+            lanes(firsts, field_of, &twice).map(|_| ()),
+            Err("duplicate field name")
         );
     }
 }

@@ -848,7 +848,6 @@ impl Index {
         &self.blocks
     }
 
-    #[cfg(test)]
     pub(crate) fn raw_docs(&self) -> &DocStore {
         &self.docs
     }

@@ -4,25 +4,25 @@
 //! A test binary of its own, because it installs a counting global
 //! allocator. While a load is measured every thread is counted, the calling
 //! thread apart from the rest, so the helper the loader spawns is seen too:
-//! it streams half the sections — reads each chunk, hashes it, decodes it
-//! into the lanes, arenas and tables the calling thread reserved, and fills
-//! the term and external-id tables of the sections it decoded — and must
-//! allocate nothing (*Loader order* in `docs/INDEX_FORMAT.md`). Run it alone
-//! (`RUST_TEST_THREADS=1`, as CI does) or with its single test, so no other
-//! test's allocations are counted.
+//! it copies half the sections — reads each chunk, hashes it, copies it into
+//! the lanes the calling thread reserved — then checks them and fills the
+//! term, field-name and external-id tables of the sections it copied, and
+//! must allocate nothing (*Loader order* in `docs/INDEX_FORMAT.md`). Run it
+//! alone (`RUST_TEST_THREADS=1`, as CI does) or with its single test, so no
+//! other test's allocations are counted.
 //!
-//! The loader copies every stored string into one text arena per section and
-//! rebuilds the term and external-id tables as open-addressing slot arrays,
-//! so a load allocates per shard — each lane, arena and table once, each
-//! section's walk and list of fixed fields, plus the analyzer's stopword
-//! set, one `String` per stopword — and the same number of times at N and
-//! at 2N documents. Measured with this allocator, 2 shards:
+//! The loader copies every text arena as its two lanes and rebuilds the
+//! tables as open-addressing slot arrays, so a load allocates per shard —
+//! each lane and table once, each section's boxed decode state, plus the
+//! analyzer's stopword set, one `String` per stopword — and the same number
+//! of times at N and at 2N documents. Measured with this allocator, 2 shards:
 //!
 //! | allocations of one load, beyond the helpers' spawns | 2 000 docs, 1 501 terms per shard | 4 000 docs, 3 001 terms per shard |
 //! |---|---|---|
 //! | a `String` per stored string, `HashMap`s keyed by cloned `String`s | 20 085 | 40 085 |
 //! | text arenas, id tables, the whole file in one buffer | 92 | 92 |
-//! | now: sections streamed, each set up with a boxed walk ([`LOAD_ALLOCS`]) | 134 | 134 |
+//! | sections streamed, each set up with a boxed walk | 134 | 134 |
+//! | now: lanes copied, each section's decode state boxed ([`LOAD_ALLOCS`]) | 116 | 116 |
 
 use irengine::{Document, IndexBuilder, ShardedIndex};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// Allocations of one 2-shard load on the calling thread, beyond those of
 /// spawning its helper, which depend on the test harness (capturing output
 /// installs a spawn hook).
-const LOAD_ALLOCS: u64 = 134;
+const LOAD_ALLOCS: u64 = 116;
 
 struct Counting;
 

@@ -11,8 +11,8 @@
 //!   thread, each payload streamed through its thread's buffer: what it
 //!   holds above what was live before it is those two buffers and
 //!   bookkeeping.
-//! * A load streams every section through one buffer per thread into lanes,
-//!   arenas and tables reserved up front: what it holds above what the
+//! * A load copies every section through one buffer per thread into lanes
+//!   and tables reserved up front: what it holds above what the
 //!   loaded index holds afterwards is those two buffers and bookkeeping.
 //!
 //! Both peaks are measured at N and 2N documents, 1 and 2 shards; each must
@@ -26,8 +26,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The streaming buffers — one per writing or loading thread, two either
 /// way (64 KiB each) — plus room for bookkeeping: the save's section places
-/// and sorted stopwords, the loader's section frames and walks, a helper
-/// thread's spawn.
+/// and sorted stopwords, the loader's section frames and decode states, a
+/// helper thread's spawn.
 const TRANSIENT_BOUND: usize = 2 * (64 << 10) + (32 << 10);
 
 struct Tracking;
