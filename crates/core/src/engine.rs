@@ -87,8 +87,8 @@ use crate::qunit::{QunitDefinition, QunitInstance};
 use crate::segment::{EntityDictionary, SegmentedQuery, Segmenter};
 use irengine::{
     DispatchCounts, DispatchMode, DispatchPolicy, DocId, ExecutorStats, Hit, IndexBuilder,
-    KernelTier, NormalForm, ScoringFunction, ScratchPool, SearchContext, SearchFailure,
-    ShardExecutor, ShardFailurePolicy, ShardTimings, ShardedIndex, ShardedSearcher, SnapshotError,
+    KernelTier, NormalForm, PostingsBuf, ScoringFunction, ScratchPool, SearchContext,
+    SearchFailure, ShardExecutor, ShardTimings, ShardedIndex, ShardedSearcher, SnapshotError,
 };
 use relstore::{Database, Error, Result};
 use std::cell::RefCell;
@@ -207,8 +207,8 @@ pub struct EngineConfig {
     /// pass per (term, shard) scored. Purely representational: results are
     /// bit-identical to the flat codec (CI-gated), and the in-memory codec
     /// also becomes the snapshot's on-disk codec. `false` (the default)
-    /// keeps the flat zero-decode lanes. `QUNITS_COMPRESS_POSTINGS` (any
-    /// non-empty value other than `"0"`) overrides this at build time.
+    /// keeps the flat zero-decode lanes. `QUNITS_COMPRESS_POSTINGS=1`
+    /// overrides this at build time.
     pub compress_postings: bool,
     /// Index snapshot location. When set, [`QunitSearchEngine::build`]
     /// loads the index from this file if it exists and passes validation
@@ -223,17 +223,6 @@ pub struct EngineConfig {
     /// `None` (the default) never touches disk. `QUNITS_SNAPSHOT_PATH`
     /// overrides this at build time.
     pub snapshot_path: Option<PathBuf>,
-    /// What a query does when a shard-scoped failure (a contained panic or
-    /// a mid-fanout deadline trip) kills part of its fan-out:
-    /// [`ShardFailurePolicy::Fail`] (the default) surfaces the first
-    /// failure as a [`SearchError`]; [`ShardFailurePolicy::Degrade`]
-    /// merges the surviving shards' top-k into a partial answer tagged
-    /// degraded — returned but **never cached** (the cache contract stays
-    /// "identical to a full uncached run"). Degraded content is
-    /// deterministic given the same fault schedule: surviving shards score
-    /// with corpus-global stats and merge exactly as a full run would.
-    /// `QUNITS_ON_SHARD_FAILURE=fail|degrade` overrides this at build time.
-    pub on_shard_failure: ShardFailurePolicy,
 }
 
 impl Default for EngineConfig {
@@ -259,79 +248,7 @@ impl Default for EngineConfig {
             block_size: irengine::DEFAULT_BLOCK_SIZE,
             compress_postings: false,
             snapshot_path: None,
-            on_shard_failure: ShardFailurePolicy::Fail,
         }
-    }
-}
-
-impl EngineConfig {
-    /// Fold [`EngineConfig::force_exhaustive`] into [`EngineConfig::kernel`],
-    /// then apply the service-hardening environment overrides (the
-    /// dispatch overrides live on [`DispatchPolicy::with_env_overrides`]):
-    ///
-    /// - `QUNITS_DEADLINE_MS=<n>` — set [`EngineConfig::deadline`] to `n`
-    ///   milliseconds;
-    /// - `QUNITS_KERNEL=blockmax|maxscore|exhaustive` — set
-    ///   [`EngineConfig::kernel`] (the determinism gate diffs transcripts
-    ///   across all three);
-    /// - `QUNITS_BLOCK_SIZE=<n>` — set [`EngineConfig::block_size`];
-    /// - `QUNITS_COMPRESS_POSTINGS` (any non-empty value other than `"0"`)
-    ///   — set [`EngineConfig::compress_postings`] (the determinism gate
-    ///   diffs transcripts against this too);
-    /// - `QUNITS_SNAPSHOT_PATH=<path>` — set
-    ///   [`EngineConfig::snapshot_path`];
-    /// - `QUNITS_ON_SHARD_FAILURE=fail|degrade` — set
-    ///   [`EngineConfig::on_shard_failure`].
-    ///
-    /// Unparseable values panic, like `QUNITS_INLINE_THRESHOLD`:
-    /// a typo'd override silently falling back to the default would run
-    /// (and measure, and gate) the wrong configuration while claiming to
-    /// pin a custom one. Applied automatically by
-    /// [`QunitSearchEngine::build`].
-    fn with_env_overrides(mut self) -> Self {
-        fn parsed(name: &str) -> Option<u64> {
-            std::env::var(name).ok().map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("{name} must be a non-negative integer, got {v:?}"))
-            })
-        }
-        if self.force_exhaustive {
-            self.kernel = KernelTier::Exhaustive;
-        }
-        if let Some(ms) = parsed("QUNITS_DEADLINE_MS") {
-            self.deadline = Some(Duration::from_millis(ms));
-        }
-        if let Ok(v) = std::env::var("QUNITS_KERNEL") {
-            self.kernel = match v.as_str() {
-                "blockmax" => KernelTier::BlockMax,
-                "maxscore" => KernelTier::MaxScore,
-                "exhaustive" => KernelTier::Exhaustive,
-                other => panic!(
-                    "QUNITS_KERNEL must be \"blockmax\", \"maxscore\" or \"exhaustive\", got {other:?}"
-                ),
-            };
-        }
-        if let Some(n) = parsed("QUNITS_BLOCK_SIZE") {
-            self.block_size = (n as usize).max(1);
-        }
-        if std::env::var_os("QUNITS_COMPRESS_POSTINGS").is_some_and(|v| !v.is_empty() && v != "0") {
-            self.compress_postings = true;
-        }
-        if let Some(path) = std::env::var_os("QUNITS_SNAPSHOT_PATH") {
-            if !path.is_empty() {
-                self.snapshot_path = Some(PathBuf::from(path));
-            }
-        }
-        if let Ok(v) = std::env::var("QUNITS_ON_SHARD_FAILURE") {
-            self.on_shard_failure = match v.as_str() {
-                "fail" => ShardFailurePolicy::Fail,
-                "degrade" => ShardFailurePolicy::Degrade,
-                other => {
-                    panic!("QUNITS_ON_SHARD_FAILURE must be \"fail\" or \"degrade\", got {other:?}")
-                }
-            };
-        }
-        self
     }
 }
 
@@ -350,10 +267,10 @@ pub enum SearchError {
         /// Pipeline checkpoint at which the budget was found exhausted.
         phase: &'static str,
     },
-    /// A shard task panicked mid-query and the engine contained it at the
-    /// query boundary instead of unwinding the caller (under
-    /// [`ShardFailurePolicy::Fail`], or when every shard that had
-    /// documents failed under [`ShardFailurePolicy::Degrade`]). The
+    /// A shard task panicked mid-query, or the pipeline around it did,
+    /// and the engine contained it at the query boundary instead of
+    /// unwinding the caller. A failed shard fails the whole query: no
+    /// partial answer is ever returned or cached. The
     /// engine, its worker pool, and its scratch buffers all remain
     /// healthy — a crashed query returns its scratch on the way out — so
     /// callers may keep querying; the counter family in
@@ -457,20 +374,15 @@ impl QunitResult {
     }
 }
 
-/// A complete answer from the partial-result-aware entry points
-/// ([`QunitSearchEngine::try_search_partial`]): the ranked results plus
-/// whether they are a degraded partial answer.
-///
-/// `degraded` is `false` on every path a default-config engine can take;
-/// it turns `true` only under [`ShardFailurePolicy::Degrade`] when one or
-/// more shards failed mid-query and the surviving shards' top-k was merged
-/// instead. A degraded answer is deterministic given the same fault
-/// schedule, and is never inserted into the query cache.
+/// The answer of [`QunitSearchEngine::try_search_partial`]: the ranked
+/// results, tagged "not degraded". Kept only because the benchmark harness
+/// under `perf/` still reads it; a failed shard fails the query, so no
+/// answer is partial.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchResponse {
-    /// Ranked results (possibly from a subset of shards; see `degraded`).
+    /// Ranked results.
     pub results: Vec<QunitResult>,
-    /// Whether any shard failed to contribute to `results`.
+    /// Always `false`.
     pub degraded: bool,
 }
 
@@ -551,8 +463,8 @@ pub struct QunitSearchEngine {
     /// spawns never happen on the query path.
     exec: ShardExecutor,
     /// Inline-vs-dispatch decision, resolved at build time from
-    /// [`EngineConfig::inline_postings_threshold`] plus the `QUNITS_*`
-    /// environment overrides.
+    /// [`EngineConfig::inline_postings_threshold`] and the `QUNITS_*`
+    /// environment overrides (`crate::overrides`).
     policy: DispatchPolicy,
     /// Engine-owned observability counters (queries served, deadline
     /// trips, contained failures); merged with the cache, executor, and
@@ -664,16 +576,6 @@ struct Scored {
     ir_score: f64,
     type_score: f64,
     doc: DocId,
-}
-
-/// What running a [`QueryPlan`] ([`QunitSearchEngine::candidates`]) hands
-/// the rescoring half.
-struct Candidates {
-    /// IR hits plus injected anchored documents.
-    hits: Vec<Hit>,
-    /// Shards that failed to contribute to `hits` (under
-    /// [`ShardFailurePolicy::Degrade`]).
-    degraded_shards: usize,
 }
 
 thread_local! {
@@ -968,8 +870,16 @@ impl QunitSearchEngine {
     /// Join, render and index every instance of `catalog` against `db`,
     /// fanning definitions across [`EngineConfig::build_threads`] workers.
     /// The engine keeps `db` to render the pages queries return.
-    pub fn build(db: &Arc<Database>, catalog: QunitCatalog, config: EngineConfig) -> Result<Self> {
-        let config = config.with_env_overrides();
+    pub fn build(
+        db: &Arc<Database>,
+        catalog: QunitCatalog,
+        mut config: EngineConfig,
+    ) -> Result<Self> {
+        // The shorthand first, so that `QUNITS_KERNEL` overrides it.
+        if config.force_exhaustive {
+            config.kernel = KernelTier::Exhaustive;
+        }
+        let (config, policy) = crate::overrides::from_env(config);
         if catalog.len() > DefId::MAX_DEFINITIONS {
             return Err(Error::InvalidSchema(format!(
                 "catalog has {} definitions; the doc→definition lane addresses at most {}",
@@ -1084,8 +994,6 @@ impl QunitSearchEngine {
         // — constructed once here, parked until queries arrive, joined on
         // drop. Scheduling only: pool size can never change results.
         let exec = ShardExecutor::new(config.executor_threads);
-        let policy =
-            DispatchPolicy::adaptive(config.inline_postings_threshold).with_env_overrides();
         Ok(QunitSearchEngine {
             index,
             db: Arc::clone(db),
@@ -1243,7 +1151,6 @@ impl QunitSearchEngine {
             deadline_exceeded: self.obs.deadline_exceeded.get(),
             internal_errors: self.obs.internal_errors.get(),
             panics_contained: self.obs.panics_contained.get(),
-            degraded_results: self.obs.degraded_results.get(),
             degraded_to_empty: self.obs.degraded_to_empty.get(),
             typed_queries: self.obs.typed_queries.get(),
             typed_fallbacks: self.obs.typed_fallbacks.get(),
@@ -1345,7 +1252,7 @@ impl QunitSearchEngine {
     /// visible to operators even through the infallible API.
     fn search_infallible(&self, query: &str, k: usize, policy: DispatchPolicy) -> Vec<QunitResult> {
         match self.try_search_with_policy(query, k, policy) {
-            Ok(r) => r.results,
+            Ok(results) => results,
             Err(_) => {
                 self.obs.degraded_to_empty.incr();
                 Vec::new()
@@ -1360,17 +1267,17 @@ impl QunitSearchEngine {
     /// fault this never errors and is bit-identical to
     /// [`QunitSearchEngine::search`].
     pub fn try_search(&self, query: &str, k: usize) -> SearchResult<Vec<QunitResult>> {
-        self.try_search_partial(query, k).map(|r| r.results)
+        self.try_search_with_policy(query, k, self.policy)
     }
 
-    /// [`QunitSearchEngine::try_search`] with the degraded-answer tag:
-    /// identical cache and deadline behavior, but the response says
-    /// whether any shard failed to contribute (always `false` under the
-    /// default [`ShardFailurePolicy::Fail`]; see
-    /// [`EngineConfig::on_shard_failure`]). Callers that serve partial
-    /// answers should use this and surface the flag to their clients.
+    /// [`QunitSearchEngine::try_search`], its results wrapped in a
+    /// [`SearchResponse`] that is never degraded. Kept only because the
+    /// benchmark harness under `perf/` still calls it.
     pub fn try_search_partial(&self, query: &str, k: usize) -> SearchResult<SearchResponse> {
-        self.try_search_with_policy(query, k, self.policy)
+        self.try_search(query, k).map(|results| SearchResponse {
+            results,
+            degraded: false,
+        })
     }
 
     /// [`QunitSearchEngine::search`] under an explicit dispatch policy
@@ -1380,7 +1287,7 @@ impl QunitSearchEngine {
         query: &str,
         k: usize,
         policy: DispatchPolicy,
-    ) -> SearchResult<SearchResponse> {
+    ) -> SearchResult<Vec<QunitResult>> {
         self.obs.queries.incr();
         let started = Instant::now();
         let out = if k == 0 || !self.cache.is_enabled() {
@@ -1394,26 +1301,19 @@ impl QunitSearchEngine {
                 // wrongly fresh.
                 let generation = self.feedback.generation();
                 if let Some(cached) = self.cache.get(qs.norm.as_str(), k, generation) {
-                    return Ok(SearchResponse {
-                        results: cached,
-                        degraded: false,
-                    });
+                    return Ok(cached);
                 }
-                // `?` before the insert: a deadline-truncated query must
-                // never be cached — the cache contract is "identical to
-                // uncached", and a later, faster run of the same query
-                // would complete. Degraded partial answers are skipped for
-                // the same reason: a fault-free rerun would return more.
-                let response = self.search_uncached_guarded(k, policy, qs)?;
-                if !response.degraded {
-                    // The cache owns its key, so a miss pays one String
-                    // clone; a hit borrows the normal form and allocates
-                    // only the list it returns (one `Vec`, k keys).
-                    let key = qs.norm.as_str().to_string();
-                    self.cache
-                        .insert(key, k, generation, response.results.clone());
-                }
-                Ok(response)
+                // `?` before the insert: a failed or deadline-truncated
+                // query is never cached — the cache contract is "identical
+                // to uncached", and a later run of the same query would
+                // complete.
+                let results = self.search_uncached_guarded(k, policy, qs)?;
+                // The cache owns its key, so a miss pays one String clone;
+                // a hit borrows the normal form and allocates only the list
+                // it returns (one `Vec`, k keys).
+                let key = qs.norm.as_str().to_string();
+                self.cache.insert(key, k, generation, results.clone());
+                Ok(results)
             })
         };
         // Hits, misses, and deadline trips all count: the histogram is the
@@ -1510,7 +1410,7 @@ impl QunitSearchEngine {
         let started = Instant::now();
         let out = with_query(query, |qs| self.search_uncached_guarded(k, self.policy, qs));
         self.obs.latency.record(started.elapsed().as_nanos() as u64);
-        out.map(|r| r.results)
+        out
     }
 
     /// [`QunitSearchEngine::search_uncached_inner`] behind the query-level
@@ -1525,7 +1425,7 @@ impl QunitSearchEngine {
         k: usize,
         policy: DispatchPolicy,
         qs: &mut QueryScratch,
-    ) -> SearchResult<SearchResponse> {
+    ) -> SearchResult<Vec<QunitResult>> {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.search_uncached_inner(k, policy, qs)
         })) {
@@ -1559,31 +1459,18 @@ impl QunitSearchEngine {
         k: usize,
         policy: DispatchPolicy,
         qs: &mut QueryScratch,
-    ) -> SearchResult<SearchResponse> {
+    ) -> SearchResult<Vec<QunitResult>> {
         if k == 0 {
-            return Ok(SearchResponse {
-                results: Vec::new(),
-                degraded: false,
-            });
+            return Ok(Vec::new());
         }
         let deadline = DeadlineCheck::new(self.config.deadline);
         let trip = |e| self.deadline_trip(e);
         deadline.check("segment").map_err(trip)?;
         let seg = self.segmenter.segment_normal(&qs.norm);
         self.plan(&seg, k, &mut qs.plan);
-        let found = self.candidates(&qs.plan, &qs.norm, policy, &deadline)?;
+        let hits = self.candidates(&qs.plan, &qs.norm, policy, &deadline)?;
         deadline.check("materialize").map_err(trip)?;
-        let degraded = found.degraded_shards > 0;
-        if degraded {
-            // One degraded *answer* regardless of how many shards were
-            // lost; the per-shard tally went into `panics_contained` at
-            // the fan-outs.
-            self.obs.degraded_results.incr();
-        }
-        Ok(SearchResponse {
-            results: self.rescore(&qs.plan, &found, k, &mut qs.scored, &mut qs.render),
-            degraded,
-        })
+        Ok(self.rescore(&qs.plan, &hits, k, &mut qs.scored, &mut qs.render))
     }
 
     /// Count a tripped deadline on its way out.
@@ -1685,7 +1572,7 @@ impl QunitSearchEngine {
         norm: &NormalForm,
         policy: DispatchPolicy,
         deadline: &DeadlineCheck,
-    ) -> SearchResult<Candidates> {
+    ) -> SearchResult<Vec<Hit>> {
         // Intra-query parallelism: every ranking pass below fans across
         // the index shards — inline or on the persistent executor per the
         // policy — scored with corpus-global stats and merged
@@ -1698,7 +1585,8 @@ impl QunitSearchEngine {
         // The IR terms: the query's tokens the analyzer keeps, borrowed.
         let analyzer = self.index.analyzer();
         let terms: Vec<&str> = norm.tokens().filter(|t| analyzer.keeps(t)).collect();
-        let terms = terms.as_slice();
+        // Folded once: both fan-outs and the injection below read it.
+        let folded = searcher.fold(&terms);
         // The mid-kernel probe is wired only when a deadline exists: a
         // `deadline: None` engine keeps the probe-free kernel loops (no
         // posting-budget bookkeeping at all, same as before deadlines).
@@ -1715,36 +1603,28 @@ impl QunitSearchEngine {
                 .is_some()
                 .then_some(irengine::CancelProbe(&expired)),
             tier: self.config.kernel,
-            on_failure: self.config.on_shard_failure,
         };
         // A mid-kernel deadline trip aborts the fan-out with `Cancelled`
         // and re-surfaces here as a "rank"-phase trip; a shard panic the
-        // fan-out contained surfaces as `Internal`. Either way the error
-        // lands before the caller's cache insert — a truncated query is
-        // never cached. Under `Degrade` the fan-out returns survivors
-        // instead, tallied into `degraded_shards` below.
+        // fan-out contained surfaces as `Internal`, counting every shard
+        // that panicked — the chaos suite balances `panics_contained`
+        // against the fault registry's fired count exactly. Either way the
+        // error lands before the caller's cache insert — a failed query is
+        // never cached.
         let rank_trip = |f: SearchFailure| match f {
             SearchFailure::Cancelled => trip(SearchError::DeadlineExceeded { phase: "rank" }),
-            SearchFailure::Panicked { message } => {
+            SearchFailure::Panicked { message, shards } => {
                 self.obs.internal_errors.incr();
-                self.obs.panics_contained.incr();
+                self.obs.panics_contained.add(shards as u64);
                 SearchError::Internal { site: message }
             }
         };
-        let mut degraded_shards = 0usize;
-        let mut fan_out = |filter: Option<&(dyn Fn(DocId) -> bool + Sync)>| {
+        let fan_out = |filter: Option<&(dyn Fn(DocId) -> bool + Sync)>| {
             self.sharded_searches.fetch_add(1, Ordering::Relaxed);
-            let outcome = searcher
-                .try_search_terms_where_ctx(terms, plan.fetch, filter, &ctx)
-                .map_err(&rank_trip)?;
-            // Contained failures are counted per fan-out, eagerly: if a
-            // later fan-out errors out, the shards this one lost are
-            // already on the books — the chaos suite balances
-            // `panics_contained` against the fault registry's fired count
-            // exactly.
-            self.obs.panics_contained.add(outcome.failed_shards as u64);
-            degraded_shards += outcome.failed_shards;
-            SearchResult::Ok(outcome.hits)
+            searcher
+                .try_search_folded(&folded, plan.fetch, filter, &ctx)
+                .map(|outcome| outcome.hits)
+                .map_err(rank_trip)
         };
         let typed = plan.route != Route::Open;
         if typed {
@@ -1761,18 +1641,16 @@ impl QunitSearchEngine {
         // admits — a fallback does not widen it — is a candidate even below
         // the fetch cutoff (a star's filmography document is long, scores
         // low, and would otherwise vanish behind 50 short near-misses).
+        let mut buf = PostingsBuf::new();
         for &doc in &plan.anchored {
             if admits(doc) && !hits.iter().any(|h| h.doc == doc) {
-                let scored = searcher.score_doc(terms, doc);
+                let scored = searcher.score_doc(&folded, doc, &mut buf);
                 if scored.score > 0.0 {
                     hits.push(scored);
                 }
             }
         }
-        Ok(Candidates {
-            hits,
-            degraded_shards,
-        })
+        Ok(hits)
     }
 
     /// The second half: multiply each candidate's IR score by its type,
@@ -1785,7 +1663,7 @@ impl QunitSearchEngine {
     fn rescore(
         &self,
         plan: &QueryPlan,
-        found: &Candidates,
+        hits: &[Hit],
         k: usize,
         scored: &mut Vec<Scored>,
         render: &mut RenderBuf,
@@ -1793,7 +1671,7 @@ impl QunitSearchEngine {
         let anchor_factor = 1.0 + self.config.anchor_exact_bonus;
         let default_factor = 1.0 + self.config.default_def_bonus;
         scored.clear();
-        scored.extend(found.hits.iter().map(|h| {
+        scored.extend(hits.iter().map(|h| {
             let def = self.doc_def.def_of(h.doc);
             let of_def = def.map_or(&DefFactors::NO_DEF, |d| &plan.factors[d.index()]);
             let mut score = h.score * of_def.type_factor;
@@ -2294,7 +2172,7 @@ mod tests {
             &self,
             seg: &SegmentedQuery,
             plan: &QueryPlan,
-            found: &Candidates,
+            found: &[Hit],
             k: usize,
             facts: &[DocFacts],
         ) -> Vec<QunitResult> {
@@ -2319,7 +2197,6 @@ mod tests {
                 doc: DocId,
             }
             let mut scored: Vec<Scored> = found
-                .hits
                 .iter()
                 .filter_map(|h| {
                     let key = self.index.external_id(h.doc)?;
@@ -2516,21 +2393,20 @@ mod tests {
         }
 
         seen.compared += 1;
-        seen.truncated += usize::from(found.hits.len() > k);
-        seen.short += usize::from(found.hits.len() < k);
+        seen.truncated += usize::from(found.len() > k);
+        seen.short += usize::from(found.len() < k);
         seen.default_definition += usize::from(matches!(plan.route, Route::Default(_)));
         seen.score_ties += usize::from(new.windows(2).any(|w| w[0].score == w[1].score));
-        seen.case_folded_anchor += usize::from(found.hits.iter().any(|h| {
+        seen.case_folded_anchor += usize::from(found.iter().any(|h| {
             let anchor = facts[h.doc as usize].anchor.as_ref();
             let anchor = anchor.map(Value::display_plain).unwrap_or_default();
             seg.entity_texts()
                 .any(|t| t != anchor && t.eq_ignore_ascii_case(&anchor))
         }));
         let owner = |h: &Hit| e.doc_def.def_of(h.doc);
-        seen.no_definition += usize::from(found.hits.iter().any(|h| owner(h).is_none()));
+        seen.no_definition += usize::from(found.iter().any(|h| owner(h).is_none()));
         seen.boosted += usize::from(
             found
-                .hits
                 .iter()
                 .any(|h| owner(h).is_some_and(|d| plan.factors[d.index()].feedback_factor > 1.0)),
         );
@@ -2797,7 +2673,7 @@ mod tests {
             .unwrap()
             .hits;
         assert!(!open.is_empty());
-        assert_eq!(found.hits, open);
+        assert_eq!(found, open);
         assert_eq!(e.obs_snapshot().typed_fallbacks, 1);
     }
 

@@ -86,6 +86,7 @@ pub mod engine;
 pub mod feedback;
 pub mod materialize;
 pub mod obs;
+mod overrides;
 pub mod presentation;
 pub mod qunit;
 pub mod segment;
@@ -98,7 +99,6 @@ pub use engine::{
     SearchResult, ShardStats,
 };
 pub use feedback::FeedbackStore;
-pub use irengine::ShardFailurePolicy;
 pub use materialize::materialize_all;
 pub use obs::{Counter, ObsSnapshot};
 pub use presentation::ConversionExpr;

@@ -223,17 +223,13 @@ pub struct ObsSnapshot {
     /// of unwinding the caller. With `deadline_exceeded` this completes
     /// the per-variant error totals.
     pub internal_errors: u64,
-    /// Failures caught and contained without unwinding any caller or
-    /// worker, for injected faults and organic panics alike: each shard a
-    /// degraded answer lost counts one, each query surfaced as
-    /// `SearchError::Internal` counts one, and each `search_batch` chunk
-    /// task lost to a panic counts one. A query degraded across three
-    /// lost shards therefore counts three.
+    /// Panics caught and contained without unwinding any caller or
+    /// worker, for injected faults and organic panics alike: each shard
+    /// whose scoring panicked counts one (a dispatched query that lost
+    /// three shards counts three; the inline sweep stops at its first), a
+    /// panic elsewhere in a query's pipeline counts one, and each
+    /// `search_batch` chunk task lost to a panic counts one.
     pub panics_contained: u64,
-    /// Queries answered with a partial result list under
-    /// `ShardFailurePolicy::Degrade` — some shards failed, the survivors
-    /// were merged, and the (never-cached) answer was tagged degraded.
-    pub degraded_results: u64,
     /// Errors the *infallible* entry points (`search`, `search_uncached`,
     /// `search_batch`) swallowed into an empty result list. Nonzero here
     /// with quiet error counters means callers are losing errors to the
@@ -303,10 +299,9 @@ pub struct EngineObs {
     pub deadline_exceeded: Counter,
     /// Queries failed with `SearchError::Internal` (contained panics).
     pub internal_errors: Counter,
-    /// Shard-scoped failures contained at the query boundary, per shard.
+    /// Panics contained at the query boundary: one per panicked shard,
+    /// pipeline or batch chunk.
     pub panics_contained: Counter,
-    /// Partial (degraded) answers served under `ShardFailurePolicy::Degrade`.
-    pub degraded_results: Counter,
     /// Errors swallowed into empty lists by the infallible entry points.
     pub degraded_to_empty: Counter,
     /// Uncached queries ranked under a definition restriction.

@@ -1,7 +1,8 @@
 //! Seeded chaos suite: deterministic fault injection against the full
-//! engine, exercising panic containment (single queries and batches),
-//! graceful degradation, refused executor enqueues, snapshot
-//! quarantine/retry, and the fault counter family.
+//! engine, exercising panic containment (single queries and batches), the
+//! one shard-failure rule (a failed shard fails the query, which is never
+//! cached), refused executor enqueues, snapshot quarantine/retry, and the
+//! fault counter family.
 //!
 //! The failpoint registry ([`irengine::fault`]) is process-global, so every
 //! test here serializes on one mutex ([`hold_registry`]) — a schedule armed
@@ -9,18 +10,14 @@
 //! are separate processes and never see these schedules.
 //!
 //! Determinism story: schedules are seeded by *hit counts*, not clocks, so
-//! a failpoint with a deterministic hit order (inline scoring, snapshot
-//! load) produces byte-identical degraded answers on every run. Sites hit
-//! from pool workers (`exec.task`) fire at scheduling-dependent *shards*,
-//! so those tests assert containment, counter balance, and recovery rather
-//! than exact degraded content.
+//! a schedule produces the same errors on every run. Sites hit from pool
+//! workers (`exec.task`) fire at scheduling-dependent *shards*, so those
+//! tests assert containment, counter balance, and recovery.
 
 use datagen::imdb::{ImdbConfig, ImdbData};
 use irengine::fault::{self, site};
 use qunit_core::derive::manual::expert_imdb_qunits;
-use qunit_core::{
-    EngineConfig, QunitSearchEngine, SearchError, SearchResponse, ShardFailurePolicy,
-};
+use qunit_core::{EngineConfig, QunitSearchEngine, SearchError};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 static REGISTRY: Mutex<()> = Mutex::new(());
@@ -108,7 +105,6 @@ fn armed_but_never_firing_schedule_is_bit_identical_to_baseline() {
     let snap = engine.obs_snapshot();
     assert_eq!(snap.internal_errors, 0);
     assert_eq!(snap.panics_contained, 0);
-    assert_eq!(snap.degraded_results, 0);
     assert_eq!(snap.degraded_to_empty, 0);
 }
 
@@ -138,7 +134,6 @@ fn injected_task_panic_is_contained_and_the_engine_keeps_serving() {
     let snap = engine.obs_snapshot();
     assert_eq!(snap.internal_errors, 1);
     assert_eq!(snap.panics_contained, 1);
-    assert_eq!(snap.degraded_results, 0);
 }
 
 #[test]
@@ -157,85 +152,61 @@ fn infallible_search_counts_errors_it_degrades_to_empty() {
 }
 
 #[test]
-fn degrade_policy_serves_partial_answers_and_never_caches_them() {
+fn a_decode_fault_fails_the_query_deterministically_and_is_never_cached() {
     let _guard = hold_registry();
-    let config = EngineConfig {
-        on_shard_failure: ShardFailurePolicy::Degrade,
-        ..dispatch_config()
-    };
-    let engine = build_engine(config);
-    let q = cast_query();
-
-    fault::install("exec.task=panic@#1").unwrap();
-    let degraded = engine.try_search_partial(&q, 5).unwrap();
-    assert!(degraded.degraded, "one lost shard must tag the answer");
-    assert_eq!(fault::site_counters(site::EXEC_TASK).1, 1);
-
-    // Re-ask with the schedule spent: a cached degraded answer would come
-    // back verbatim — instead the cache was skipped, the query reruns
-    // fault-free, and the answer matches a never-faulted engine's.
-    let full = engine.try_search_partial(&q, 5).unwrap();
-    assert!(!full.degraded);
-    fault::clear();
-    let control = build_engine(EngineConfig {
-        on_shard_failure: ShardFailurePolicy::Degrade,
-        ..dispatch_config()
-    });
-    assert_eq!(
-        full.results,
-        control.try_search_partial(&q, 5).unwrap().results
-    );
-
-    // The *full* answer was cached; asking again is a hit with identical
-    // content.
-    let cached = engine.try_search_partial(&q, 5).unwrap();
-    assert_eq!(cached, full);
-    let snap = engine.obs_snapshot();
-    assert!(snap.cache_hits >= 1);
-    assert_eq!(snap.degraded_results, 1);
-    assert_eq!(snap.panics_contained, 1);
-    assert_eq!(snap.internal_errors, 0);
-}
-
-#[test]
-fn inline_decode_fault_degrades_deterministically() {
-    let _guard = hold_registry();
-    // Inline scoring visits shards in index order and the compressed
-    // codec decodes blocks in posting order, so `postings.decode` hit
-    // counts — and therefore the degraded answer — are deterministic.
-    let config = EngineConfig {
-        on_shard_failure: ShardFailurePolicy::Degrade,
+    // Inline scoring visits shards in index order and the compressed codec
+    // decodes blocks in posting order, so the inline error is the same on
+    // every run; dispatched, the first decode to panic is on whichever
+    // shard gets there first, and the error names the same site.
+    let inline = EngineConfig {
         compress_postings: true,
         search_shards: 4,
         inline_postings_threshold: usize::MAX,
-        cache_capacity: 0,
         ..EngineConfig::default()
     };
-    let engine = build_engine(config);
-    let q = cast_query();
-
-    let run = |spec: &str| -> SearchResponse {
-        fault::install(spec).unwrap();
-        engine.try_search_partial(&q, 10).unwrap()
+    let dispatched = EngineConfig {
+        compress_postings: true,
+        ..dispatch_config()
     };
-    let first = run("postings.decode=panic@#1");
-    let second = run("postings.decode=panic@#1");
-    assert!(first.degraded);
-    assert_eq!(first, second, "same seed, same partial answer");
+    let q = cast_query();
+    for (leg, config) in [("inline", inline), ("dispatched", dispatched)] {
+        let control = build_engine(config.clone()).try_search(&q, 10).unwrap();
+        assert!(!control.is_empty(), "fixture query must match");
+        let engine = build_engine(config);
+        let run = || {
+            fault::install("postings.decode=panic@#1").unwrap();
+            engine.try_search(&q, 10).unwrap_err()
+        };
+        let first = run();
+        assert_eq!(first, run(), "{leg}: same schedule, same error");
+        match &first {
+            SearchError::Internal { site } => {
+                assert!(site.contains("postings.decode"), "{leg}: {site}")
+            }
+            other => panic!("{leg}: expected Internal, got {other:?}"),
+        }
+        assert_eq!(
+            engine.cache_stats().entries,
+            0,
+            "{leg}: an error was cached"
+        );
 
-    fault::install("").unwrap();
-    let full = engine.try_search_partial(&q, 10).unwrap();
-    assert!(!full.degraded);
-    let snap = engine.obs_snapshot();
-    assert_eq!(snap.degraded_results, 2);
-    assert_eq!(snap.internal_errors, 0);
+        // Disarmed, the same engine misses, answers in full, and caches
+        // that answer.
+        fault::clear();
+        assert_eq!(engine.try_search(&q, 10).unwrap(), control, "{leg}");
+        assert_eq!(engine.try_search(&q, 10).unwrap(), control, "{leg}");
+        let snap = engine.obs_snapshot();
+        assert_eq!((snap.cache_misses, snap.cache_hits), (3, 1), "{leg}");
+        assert_eq!(snap.internal_errors, 2, "{leg}");
+        assert_eq!(snap.panics_contained, 2, "{leg}");
+    }
 }
 
 #[test]
 fn panic_storm_under_concurrent_load_balances_counters_exactly() {
     let _guard = hold_registry();
     let config = EngineConfig {
-        on_shard_failure: ShardFailurePolicy::Degrade,
         cache_capacity: 0, // every query fans out, so the balance is exact
         ..dispatch_config()
     };
@@ -249,44 +220,40 @@ fn panic_storm_under_concurrent_load_balances_counters_exactly() {
         .map(|v| v.parse().expect("QUNITS_CHAOS_CADENCE must be an integer"))
         .unwrap_or(5);
     fault::install(&format!("exec.task=panic@%{cadence}")).unwrap();
-    let mut degraded_total = 0u64;
     let mut internal_total = 0u64;
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
             .map(|t| {
                 let engine = &engine;
-                let queries = &queries;
+                let (queries, expected) = (&queries, &expected);
                 scope.spawn(move || {
-                    let (mut degraded, mut internal) = (0u64, 0u64);
+                    let mut internal = 0u64;
                     for (i, q) in queries.iter().enumerate() {
-                        match engine.try_search_partial(q, 5) {
-                            Ok(r) if r.degraded => degraded += 1,
-                            Ok(_) => {}
+                        match engine.try_search(q, 5) {
+                            // An answer is never partial: it is the full one.
+                            Ok(r) => assert_eq!(r, expected[i], "thread {t} query {i}"),
                             Err(SearchError::Internal { .. }) => internal += 1,
                             Err(other) => panic!("thread {t} query {i}: {other:?}"),
                         }
                     }
-                    (degraded, internal)
+                    internal
                 })
             })
             .collect();
         for h in handles {
-            let (d, i) = h.join().expect("no storm thread may die");
-            degraded_total += d;
-            internal_total += i;
+            internal_total += h.join().expect("no storm thread may die");
         }
     });
 
-    // Exact balance: every cadence-th task hit panicked. A degraded answer charges
-    // one contained failure per lost shard; an all-4-shards-failed fan-out
-    // surfaces as one Internal error (1 contained, 4 fired), so the fired
-    // count exceeds the contained count by exactly 3 per Internal error.
+    // Exact balance: every cadence-th task hit panicked, each panic killed
+    // one shard task, and each killed shard task is one contained panic of
+    // a query that failed with Internal (a query loses 1 to 4 shards).
     let (hits, fired) = fault::site_counters(site::EXEC_TASK);
     assert!(fired > 0, "storm must actually inject ({hits} hits)");
     let snap = engine.obs_snapshot();
-    assert_eq!(snap.degraded_results, degraded_total);
     assert_eq!(snap.internal_errors, internal_total);
-    assert_eq!(snap.panics_contained + 3 * snap.internal_errors, fired);
+    assert_eq!(snap.panics_contained, fired);
+    assert!(snap.internal_errors <= fired && fired <= 4 * snap.internal_errors);
     // The executor queues drained: nothing lost, nothing stuck.
     let stats = engine.executor_stats();
     assert_eq!(stats.enqueued, stats.dequeued);

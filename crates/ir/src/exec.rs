@@ -39,9 +39,8 @@
 //!
 //! The executor adds no ordering freedom that can reach results: shard
 //! tasks write into disjoint result slots and the merge happens on the
-//! calling thread after every task completes, so inline execution, pool
-//! dispatch at any pool size, and the same per-shard tasks run one after
-//! another on the calling thread are bit-identical (property-tested in
+//! calling thread after every task completes, so inline execution and pool
+//! dispatch at any pool size are bit-identical (property-tested in
 //! `tests/prop_ir.rs`; the CI determinism
 //! job additionally diffs `QUNITS_FORCE_INLINE=1` against
 //! `QUNITS_FORCE_DISPATCH=1` transcripts).
@@ -563,12 +562,10 @@ pub enum DispatchMode {
 /// costs more than the scoring itself; above it, the fan-out wins on
 /// multi-core hosts.
 ///
-/// Environment overrides (read by [`DispatchPolicy::with_env_overrides`],
-/// which the qunit engine applies at build time):
-///
-/// - `QUNITS_FORCE_INLINE=1` — force [`DispatchMode::ForceInline`];
-/// - `QUNITS_FORCE_DISPATCH=1` — force [`DispatchMode::ForceDispatch`];
-/// - `QUNITS_INLINE_THRESHOLD=<n>` — override the adaptive threshold.
+/// The qunit engine builds its policy at build time, and its
+/// `QUNITS_FORCE_INLINE`, `QUNITS_FORCE_DISPATCH` and
+/// `QUNITS_INLINE_THRESHOLD` environment overrides set the mode and the
+/// threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchPolicy {
     /// The dispatch decision mode.
@@ -605,28 +602,6 @@ impl DispatchPolicy {
             mode: DispatchMode::ForceDispatch,
             inline_postings_threshold: 0,
         }
-    }
-
-    /// Apply the `QUNITS_*` environment overrides documented on the type.
-    pub fn with_env_overrides(self) -> Self {
-        fn flag(name: &str) -> bool {
-            std::env::var_os(name).is_some_and(|v| !v.is_empty() && v != "0")
-        }
-        let mut policy = self;
-        if let Ok(v) = std::env::var("QUNITS_INLINE_THRESHOLD") {
-            // A typo'd override must not silently fall back to the default
-            // — a perf sweep would then measure the wrong configuration
-            // while claiming to pin a custom one.
-            policy.inline_postings_threshold = v.parse().unwrap_or_else(|_| {
-                panic!("QUNITS_INLINE_THRESHOLD must be a non-negative integer, got {v:?}")
-            });
-        }
-        if flag("QUNITS_FORCE_INLINE") {
-            policy.mode = DispatchMode::ForceInline;
-        } else if flag("QUNITS_FORCE_DISPATCH") {
-            policy.mode = DispatchMode::ForceDispatch;
-        }
-        policy
     }
 
     /// Decide: score inline on the calling thread (`true`) or dispatch

@@ -4,7 +4,7 @@
 //!
 //! Production code never fails on purpose — which means the containment
 //! machinery around it (panic isolation in [`crate::ShardExecutor`], the
-//! engine's degraded-answer path, snapshot quarantine) is exactly the code
+//! engine's `SearchError::Internal` path, snapshot quarantine) is exactly the code
 //! that ships least tested. Failpoints make faults a *first-class, seeded
 //! input*: a chaos test installs a schedule, runs real queries, and the
 //! same schedule provokes the same faults at the same site hit ordinals

@@ -75,7 +75,7 @@ pub use search::{
     Cancelled, Hit, KernelTier, ScoreScratch, ScratchPool, Searcher, CANCEL_POSTING_BUDGET,
 };
 pub use shard::{
-    CancelProbe, SearchContext, SearchFailure, SearchOutcome, ShardFailurePolicy, ShardTimings,
+    CancelProbe, FoldedTerms, SearchContext, SearchFailure, SearchOutcome, ShardTimings,
     ShardedIndex, ShardedSearcher,
 };
 pub use snapshot::{read_snapshot_header, SnapshotError, SnapshotHeader, SNAPSHOT_VERSION};

@@ -449,27 +449,6 @@ impl std::fmt::Debug for CancelProbe<'_> {
     }
 }
 
-/// What a sharded search does when one shard fails — a task panic caught
-/// at the fan-out boundary, or a [`CancelProbe`] trip mid-kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardFailurePolicy {
-    /// The whole query fails: the first shard failure (in shard order)
-    /// surfaces as the search's error. The historical behavior, and the
-    /// default.
-    #[default]
-    Fail,
-    /// Failed shards are dropped and the **surviving** shards' top-k lists
-    /// merge into a partial answer; [`SearchOutcome::failed_shards`] counts
-    /// the casualties so the caller can tag the result degraded (and, e.g.,
-    /// keep it out of caches). The query only errors when *every* shard
-    /// that had documents to score fails. Under this policy an inline
-    /// search runs the dispatch path's per-shard body one shard after
-    /// another on the calling thread — each shard into its own top-k, then
-    /// a merge, bit-identical by the determinism contract — so one shard's
-    /// fault cannot pollute a shared accumulator.
-    Degrade,
-}
-
 /// Why a sharded search (or one shard of it) failed.
 #[derive(Debug)]
 pub enum SearchFailure {
@@ -479,8 +458,12 @@ pub enum SearchFailure {
     /// and the pool workers survived. `message` is the panic payload when
     /// it was a string (injected faults name their site here).
     Panicked {
-        /// Best-effort panic message.
+        /// Best-effort panic message of one panicking shard.
         message: String,
+        /// How many shards' scoring panicked: 1 on the inline sweep,
+        /// which stops at its first panic; every panicked slot when the
+        /// query was dispatched, since every slot runs to completion.
+        shards: usize,
     },
 }
 
@@ -490,22 +473,19 @@ impl From<Cancelled> for SearchFailure {
     }
 }
 
-/// A sharded search's result: the merged hits plus how many shards failed
-/// to contribute (always `0` under [`ShardFailurePolicy::Fail`]; under
-/// [`ShardFailurePolicy::Degrade`] a nonzero count marks the answer
-/// partial/degraded).
+/// A sharded search's result: the top-k hits merged from every shard. A
+/// shard that fails fails the whole search, so an outcome is never partial.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SearchOutcome {
-    /// Top-k hits, best first, merged from the contributing shards.
+    /// Top-k hits, best first.
     pub hits: Vec<Hit>,
-    /// Shards that panicked or cancelled and were excluded from the merge.
-    pub failed_shards: usize,
 }
 
 impl SearchOutcome {
-    /// True iff any shard failed to contribute.
+    /// Always `false`: no outcome is partial. Kept only because the
+    /// benchmark harness under `perf/` still reads it.
     pub fn degraded(&self) -> bool {
-        self.failed_shards > 0
+        false
     }
 }
 
@@ -528,6 +508,7 @@ fn contained<T>(score: impl FnOnce() -> Result<T, Cancelled>) -> Result<T, Searc
         Ok(out) => out.map_err(SearchFailure::from),
         Err(payload) => Err(SearchFailure::Panicked {
             message: TaskPanic { payload }.message(),
+            shards: 1,
         }),
     }
 }
@@ -562,17 +543,14 @@ pub struct SearchContext<'a> {
     /// tiers return bit-identical hits; [`KernelTier::Exhaustive`] is the
     /// reference every pruned run must match bit-for-bit.
     pub tier: KernelTier,
-    /// What to do when one shard fails (panic or cancel): fail the query
-    /// or merge the survivors. See [`ShardFailurePolicy`].
-    pub on_failure: ShardFailurePolicy,
 }
 
 impl SearchContext<'_> {
     /// Run `f` with a scratch from this context: a [`ScratchPool`]
     /// checkout (returned afterwards) when a pool is configured, the
     /// executing thread's thread-local otherwise. The single place the
-    /// checkout contract lives — the inline sweep, the serial slot runner
-    /// and each dispatched task all draw through here.
+    /// checkout contract lives — the inline sweep and each dispatched task
+    /// draw through here.
     /// Panic-safe: a panic inside `f` still returns the scratch to the
     /// pool before resuming (the buffers hold no cross-query invariant — a
     /// fresh `begin` bumps the accumulator epoch, so a half-written scratch
@@ -640,64 +618,39 @@ impl Ord for MergeHead {
     }
 }
 
+/// A query's distinct terms folded once against the corpus-global
+/// statistics ([`ShardedSearcher::fold`]): each term with its multiplicity,
+/// its scorer and its score upper bound, in the canonical accumulation
+/// order, plus the dispatch decision's work estimate. Every fan-out of the
+/// query and every [`ShardedSearcher::score_doc`] call reads the one value.
+#[derive(Debug, Clone)]
+pub struct FoldedTerms<'t> {
+    /// Distinct terms and their multiplicity, in bound order.
+    terms: Vec<(&'t str, usize)>,
+    /// One scorer per term, parallel to `terms`.
+    scorers: Vec<TermScorer>,
+    /// One score upper bound per term (multiplicity included), parallel to
+    /// `terms` and descending.
+    bounds: Vec<f64>,
+    /// Sum of the terms' corpus-global document frequencies.
+    estimated_postings: usize,
+}
+
 impl<'a> ShardedSearcher<'a> {
     /// New searcher with the given scoring function.
     pub fn new(index: &'a ShardedIndex, scoring: ScoringFunction) -> Self {
         ShardedSearcher { index, scoring }
     }
 
-    /// Run a query given pre-analyzed terms, returning up to `k` hits, best
-    /// first — identical (ids, order, scores to the last bit) to an
-    /// unsharded search over the same documents. `filter` is optional
-    /// (`None` = unfiltered, which additionally arms the kernel's
-    /// partial-threshold pruning probe) and sees **global** doc ids. Every
-    /// resource — scratch pool, executor, timing counters, dispatch policy,
-    /// cancel probe, kernel tier, failure policy — comes from `ctx`;
-    /// `&SearchContext::default()` scores every shard on the calling thread.
-    ///
-    /// Two bodies run a search, with bit-identical results:
-    ///
-    /// - **The shared-top-k sweep**, under [`ShardFailurePolicy::Fail`]
-    ///   when the query scores inline: every shard on the calling thread
-    ///   into ONE bounded heap, behind one panic/cancel boundary.
-    /// - **Per-shard slots**: each shard into its own top-k behind its own
-    ///   boundary, then a deterministic merge. The executor runs the slots
-    ///   when the query is dispatched; under
-    ///   [`ShardFailurePolicy::Degrade`] an inline query runs them one
-    ///   shard after another on the calling thread.
-    ///
-    /// A query is dispatched only when the context has an executor, the
-    /// index has more than one shard, and the policy weighs the query's
-    /// estimated postings walk (the sum of corpus-global document
-    /// frequencies of its terms, free as a by-product of folding the
-    /// scorers) against the pool and declines to inline it.
-    ///
-    /// A tripped [`SearchContext::cancel`] probe surfaces as
-    /// `Err(`[`SearchFailure::Cancelled`]`)` and a panicking shard as
-    /// `Err(`[`SearchFailure::Panicked`]`)`. Under
-    /// [`ShardFailurePolicy::Fail`] no partial results are ever returned;
-    /// under [`ShardFailurePolicy::Degrade`] failed shards drop out of the
-    /// merge, [`SearchOutcome::failed_shards`] counts them, and the first
-    /// failure surfaces only when every shard that had documents failed.
-    pub fn try_search_terms_where_ctx(
-        &self,
-        terms: &[impl AsRef<str>],
-        k: usize,
-        filter: Option<&(dyn Fn(DocId) -> bool + Sync)>,
-        ctx: &SearchContext,
-    ) -> Result<SearchOutcome, SearchFailure> {
-        let shards = self.index.shards();
-        if k == 0 || terms.is_empty() {
-            return Ok(SearchOutcome::default());
-        }
+    /// Fold analyzed query terms against the corpus-global statistics, once
+    /// per query: every fan-out and every [`ShardedSearcher::score_doc`]
+    /// call of that query reads the result. Scorers and bounds are pure
+    /// functions of corpus-global statistics (document frequency, corpus
+    /// size, average length, the largest weighted tf over all shards), so
+    /// the bound order — the canonical accumulation order — is the same
+    /// on every shard and at every shard count.
+    pub fn fold<'t>(&self, terms: &'t [impl AsRef<str>]) -> FoldedTerms<'t> {
         let deduped = dedup_terms(terms);
-        // Corpus-global statistics, folded into one scorer per distinct
-        // term: every shard scores against the same df / N / avgdl (and the
-        // same precomputed IDF) the unsharded path uses. The df sum doubles
-        // as the dispatch-decision work estimate. The score upper bounds
-        // are likewise corpus-global (max weighted tf over all shards), so
-        // the bound order below — the canonical accumulation order — is
-        // identical on every shard and at every shard count.
         let mut estimated_postings = 0usize;
         let mut bounds: Vec<f64> = Vec::with_capacity(deduped.len());
         let scorers: Vec<TermScorer> = deduped
@@ -711,22 +664,80 @@ impl<'a> ShardedSearcher<'a> {
             })
             .collect();
         let order = bound_order(&bounds);
-        let deduped: Vec<(&str, usize)> = order.iter().map(|&i| deduped[i]).collect();
-        let scorers: Vec<TermScorer> = order.iter().map(|&i| scorers[i]).collect();
-        let bounds: Vec<f64> = order.iter().map(|&i| bounds[i]).collect();
+        FoldedTerms {
+            terms: order.iter().map(|&i| deduped[i]).collect(),
+            scorers: order.iter().map(|&i| scorers[i]).collect(),
+            bounds: order.iter().map(|&i| bounds[i]).collect(),
+            estimated_postings,
+        }
+    }
 
+    /// Run a query given pre-analyzed terms: [`ShardedSearcher::fold`],
+    /// then [`ShardedSearcher::try_search_folded`].
+    pub fn try_search_terms_where_ctx(
+        &self,
+        terms: &[impl AsRef<str>],
+        k: usize,
+        filter: Option<&(dyn Fn(DocId) -> bool + Sync)>,
+        ctx: &SearchContext,
+    ) -> Result<SearchOutcome, SearchFailure> {
+        self.try_search_folded(&self.fold(terms), k, filter, ctx)
+    }
+
+    /// Run a folded query, returning up to `k` hits, best first —
+    /// identical (ids, order, scores to the last bit) to an unsharded
+    /// search over the same documents. `filter` is optional (`None` =
+    /// unfiltered, which additionally arms the kernel's partial-threshold
+    /// pruning probe) and sees **global** doc ids. Every resource — scratch
+    /// pool, executor, timing counters, dispatch policy, cancel probe,
+    /// kernel tier — comes from `ctx`; `&SearchContext::default()` scores
+    /// every shard on the calling thread.
+    ///
+    /// Two bodies run a search, with bit-identical results:
+    ///
+    /// - **The shared-top-k sweep**, when the query scores inline: every
+    ///   shard on the calling thread into ONE bounded heap, behind one
+    ///   panic/cancel boundary.
+    /// - **Per-shard slots**, when it is dispatched: each shard into its
+    ///   own top-k behind its own boundary on the executor, then a
+    ///   deterministic merge.
+    ///
+    /// A query is dispatched only when the context has an executor, the
+    /// index has more than one shard, and the policy weighs the query's
+    /// estimated postings walk (the sum of corpus-global document
+    /// frequencies of its terms, a by-product of folding them) against the
+    /// pool and declines to inline it.
+    ///
+    /// A shard that fails fails the query; no partial result is ever
+    /// returned. A panicking shard surfaces as
+    /// `Err(`[`SearchFailure::Panicked`]`)` and a tripped
+    /// [`SearchContext::cancel`] probe as
+    /// `Err(`[`SearchFailure::Cancelled`]`)`; when dispatched slots fail
+    /// both ways, the panic wins, so that every contained panic is
+    /// counted.
+    pub fn try_search_folded(
+        &self,
+        folded: &FoldedTerms,
+        k: usize,
+        filter: Option<&(dyn Fn(DocId) -> bool + Sync)>,
+        ctx: &SearchContext,
+    ) -> Result<SearchOutcome, SearchFailure> {
+        let shards = self.index.shards();
+        if k == 0 || folded.terms.is_empty() {
+            return Ok(SearchOutcome::default());
+        }
         let n = shards.len();
         let dispatch_to = ctx.exec.filter(|exec| {
             n > 1
                 && !ctx
                     .policy
-                    .should_inline(estimated_postings, exec.pool_size())
+                    .should_inline(folded.estimated_postings, exec.pool_size())
         });
         if let Some(d) = ctx.decisions {
             d.record(dispatch_to.is_none());
         }
 
-        if dispatch_to.is_none() && ctx.on_failure == ShardFailurePolicy::Fail {
+        let Some(exec) = dispatch_to else {
             // Zero-dispatch path: walk the shards on this thread, reusing
             // ONE scratch (each shard re-begins it, so the accumulator
             // stays cache-warm shard to shard), ONE resolved-terms buffer,
@@ -738,129 +749,84 @@ impl<'a> ShardedSearcher<'a> {
             // shards also hands later shards a ready pruning threshold.)
             let score_all = |scratch: &mut ScoreScratch| {
                 let mut top = TopK::new(k);
-                let mut resolved = Vec::with_capacity(deduped.len());
+                let mut resolved = Vec::with_capacity(folded.terms.len());
                 for (s, shard) in shards.iter().enumerate() {
                     if shard.num_docs() == 0 {
                         continue;
                     }
-                    self.score_shard(
-                        s,
-                        &deduped,
-                        &scorers,
-                        &bounds,
-                        filter,
-                        ctx,
-                        scratch,
-                        &mut resolved,
-                        &mut top,
-                    )?;
+                    self.score_shard(s, folded, filter, ctx, scratch, &mut resolved, &mut top)?;
                 }
                 Ok(top.into_sorted_hits())
             };
             // A kernel panic on the caller's own thread is still contained
-            // at this boundary (under Fail it is the query's error, not the
-            // process's) — with_scratch has already returned the scratch.
+            // at this boundary (the query's error, not the process's) —
+            // with_scratch has already returned the scratch.
             let hits = contained(|| ctx.with_scratch(score_all))?;
-            return Ok(SearchOutcome {
-                hits,
-                failed_shards: 0,
-            });
-        }
+            return Ok(SearchOutcome { hits });
+        };
 
         // Per-shard slots: each shard's own top-k, or its own failure.
-        // Empty shards contribute nothing and are not scored (nor, on the
-        // executor, given a task).
+        // Empty shards contribute nothing and are not given a task.
         let has_docs = |s: usize| shards[s].num_docs() > 0;
         let score_slot =
             |s: usize, scratch: &mut ScoreScratch| -> Result<Vec<Hit>, SearchFailure> {
                 let mut top = TopK::new(k);
-                let mut resolved = Vec::with_capacity(deduped.len());
+                let mut resolved = Vec::with_capacity(folded.terms.len());
                 contained(|| {
-                    self.score_shard(
-                        s,
-                        &deduped,
-                        &scorers,
-                        &bounds,
-                        filter,
-                        ctx,
-                        scratch,
-                        &mut resolved,
-                        &mut top,
-                    )
+                    self.score_shard(s, folded, filter, ctx, scratch, &mut resolved, &mut top)
                 })?;
                 Ok(top.into_sorted_hits())
             };
         let mut slots: Vec<Option<Result<Vec<Hit>, SearchFailure>>> =
             (0..n).map(|_| None).collect();
-        let run_panic: Option<TaskPanic> = match dispatch_to {
-            Some(exec) => {
-                // Organic panics are caught inside each task (so its slot
-                // records them and the other slots still fill), while a
-                // panic injected at the executor's own `exec.task` site
-                // fires outside that catch and comes back through
-                // `try_run_urgent` — its shard's slot stays `None`.
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(s, _)| has_docs(*s))
-                    .map(|(s, slot)| {
-                        let score_slot = &score_slot;
-                        Box::new(move || *slot = Some(ctx.with_scratch(|sc| score_slot(s, sc))))
-                            as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                // Shard tasks are the latency class: they jump ahead
-                // of any queued batch chunks (see `run_urgent`).
-                exec.try_run_urgent(tasks).err()
-            }
-            None => {
-                // Degrade, inline: the same slots in shard order through
-                // one scratch. A panic caught mid-kernel leaves the scratch
-                // reusable — the next shard's `begin` bumps its epoch.
-                ctx.with_scratch(|scratch| {
-                    for (s, slot) in slots.iter_mut().enumerate() {
-                        if has_docs(s) {
-                            *slot = Some(score_slot(s, scratch));
-                        }
-                    }
-                });
-                None
-            }
-        };
-        // Under Fail, a failure on ANY shard fails the query (partial
-        // merges would not be bit-identical to anything); under Degrade,
-        // failed shards drop out and the survivors merge.
+        // Organic panics are caught inside each task (so its slot records
+        // them and the other slots still fill), while a panic injected at
+        // the executor's own `exec.task` site fires outside that catch and
+        // comes back through `try_run_urgent` — its shard's slot stays
+        // `None`.
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
+            .iter_mut()
+            .enumerate()
+            .filter(|(s, _)| has_docs(*s))
+            .map(|(s, slot)| {
+                let score_slot = &score_slot;
+                Box::new(move || *slot = Some(ctx.with_scratch(|sc| score_slot(s, sc))))
+                    as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        // Shard tasks are the latency class: they jump ahead of any queued
+        // batch chunks (see `run_urgent`).
+        let run_panic = exec.try_run_urgent(tasks).err();
+        // Any failed slot fails the query: a merge of the survivors would
+        // not be bit-identical to anything. Every slot is read, so the
+        // failure counts each panicked shard.
         let mut lists: Vec<Vec<Hit>> = Vec::with_capacity(n);
-        let mut failed_shards = 0usize;
-        let mut first_failure: Option<SearchFailure> = None;
+        let mut panic: Option<(String, usize)> = None;
+        let mut cancelled = false;
         for (s, slot) in slots.into_iter().enumerate() {
-            let failure = match slot {
+            let message = match slot {
                 Some(Ok(hits)) => {
                     lists.push(hits);
                     continue;
                 }
-                Some(Err(f)) => f,
-                None if has_docs(s) => SearchFailure::Panicked {
-                    message: run_panic
-                        .as_ref()
-                        .map(TaskPanic::message)
-                        .unwrap_or_else(|| "shard task panicked".to_string()),
-                },
+                Some(Err(SearchFailure::Cancelled)) => {
+                    cancelled = true;
+                    continue;
+                }
+                Some(Err(SearchFailure::Panicked { message, .. })) => message,
+                None if has_docs(s) => run_panic
+                    .as_ref()
+                    .map(TaskPanic::message)
+                    .unwrap_or_else(|| "shard task panicked".to_string()),
                 None => continue,
             };
-            if ctx.on_failure == ShardFailurePolicy::Fail {
-                return Err(failure);
-            }
-            failed_shards += 1;
-            first_failure.get_or_insert(failure);
+            panic.get_or_insert((message, 0)).1 += 1;
         }
-        match first_failure {
-            // Every shard that had documents failed: an empty answer would
-            // hide a total outage, so surface the first failure instead.
-            Some(failure) if lists.is_empty() => Err(failure),
-            _ => Ok(SearchOutcome {
+        match panic {
+            Some((message, shards)) => Err(SearchFailure::Panicked { message, shards }),
+            None if cancelled => Err(SearchFailure::Cancelled),
+            None => Ok(SearchOutcome {
                 hits: merge_top_k(lists, k),
-                failed_shards,
             }),
         }
     }
@@ -877,9 +843,7 @@ impl<'a> ShardedSearcher<'a> {
     fn score_shard(
         &self,
         s: usize,
-        deduped: &[(&str, usize)],
-        scorers: &[TermScorer],
-        bounds: &[f64],
+        folded: &FoldedTerms,
         filter: Option<&(dyn Fn(DocId) -> bool + Sync)>,
         ctx: &SearchContext,
         scratch: &mut ScoreScratch,
@@ -891,13 +855,13 @@ impl<'a> ShardedSearcher<'a> {
         // Resolve the query against this shard's own dictionary (TermIds
         // never cross shards): one probe per distinct term per shard.
         resolved.clear();
-        resolved.extend(deduped.iter().map(|(t, qtf)| (shard.term_id(t), *qtf)));
+        resolved.extend(folded.terms.iter().map(|(t, qtf)| (shard.term_id(t), *qtf)));
         let to_global = |local| self.index.to_global(s, local);
         let out = score_terms_into_topk(
             shard,
             resolved,
-            scorers,
-            bounds,
+            &folded.scorers,
+            &folded.bounds,
             scratch,
             to_global,
             filter.map(|f| f as &dyn Fn(DocId) -> bool),
@@ -909,42 +873,28 @@ impl<'a> ShardedSearcher<'a> {
         }
         out
     }
-    /// Score one specific **global** document against the analyzed query
-    /// `terms` (same accumulation as
-    /// [`ShardedSearcher::try_search_terms_where_ctx`] over the same terms,
-    /// restricted to `doc`). Returns a zero-score hit when no query term
-    /// matches.
+
+    /// Score one specific **global** document against a folded query (the
+    /// accumulation [`ShardedSearcher::try_search_folded`] runs, restricted
+    /// to `doc`); `buf` is the decode buffer a compressed store needs.
+    /// Returns a zero-score hit when no query term matches.
     ///
-    /// Sums term contributions in the same bound-descending order as the
-    /// kernel — the bounds come from the same corpus-global statistics —
-    /// so the float total is bit-identical to the document's full-search
-    /// score.
-    pub fn score_doc(&self, terms: &[impl AsRef<str>], doc: DocId) -> Hit {
+    /// Sums term contributions in the folded bound order with the folded
+    /// scorers, as the kernel does, so the float total is bit-identical to
+    /// the document's full-search score.
+    pub fn score_doc(&self, folded: &FoldedTerms, doc: DocId, buf: &mut PostingsBuf) -> Hit {
         let (s, local) = self.index.to_local(doc);
         let shard = &self.index.shards()[s];
-        let deduped = dedup_terms(terms);
-        let bounds: Vec<f64> = deduped
-            .iter()
-            .map(|(term, qtf)| {
-                let scorer = self.scoring.scorer(self.index.term_stats(term));
-                scorer.max_score(self.index.max_weighted_tf(term)) * *qtf as f64
-            })
-            .collect();
         let mut score = 0.0;
         let mut matched_terms = 0;
-        let mut buf = PostingsBuf::new();
-        for &i in &bound_order(&bounds) {
-            let (term, qtf) = deduped[i];
+        for (&(term, qtf), scorer) in folded.terms.iter().zip(&folded.scorers) {
             // One postings resolution per term (decoded through the buffer
             // on a compressed store); the doc probe is a binary search over
             // the doc-id slice.
-            let postings = shard.postings_with(term, &mut buf);
+            let postings = shard.postings_with(term, buf);
             if let Ok(p) = postings.docs.binary_search(&local) {
-                score += self.scoring.score_term_stats(
-                    self.index.term_stats(term),
-                    shard.doc_length(local),
-                    postings.weighted_tfs[p],
-                ) * qtf as f64;
+                score +=
+                    scorer.score(shard.doc_length(local), postings.weighted_tfs[p]) * qtf as f64;
                 matched_terms += 1;
             }
         }
@@ -1103,6 +1053,8 @@ mod tests {
             for q in ["star cast", "star wars", "drama", "zzz"] {
                 let all = search(&sharded, q, docs.len(), &exhaustive);
                 let terms = sx.analyzer().tokenize(q);
+                let folded = sharded.fold(&terms);
+                let mut buf = PostingsBuf::new();
                 for k in [1usize, 2, 10] {
                     let want: Vec<Hit> = all
                         .iter()
@@ -1111,12 +1063,7 @@ mod tests {
                         .cloned()
                         .collect();
                     let got = sharded
-                        .try_search_terms_where_ctx(
-                            &terms,
-                            k,
-                            Some(&even),
-                            &SearchContext::default(),
-                        )
+                        .try_search_folded(&folded, k, Some(&even), &SearchContext::default())
                         .unwrap()
                         .hits;
                     assert_eq!(got, want, "{q} k={k} n={n}");
@@ -1127,7 +1074,7 @@ mod tests {
                         score: 0.0,
                         matched_terms: 0,
                     });
-                    let got = sharded.score_doc(&terms, g);
+                    let got = sharded.score_doc(&folded, g, &mut buf);
                     assert_eq!(got.doc, g);
                     assert_eq!(got.score.to_bits(), want.score.to_bits(), "{q} doc {g}");
                     assert_eq!(got.matched_terms, want.matched_terms, "{q} doc {g}");
@@ -1210,9 +1157,8 @@ mod tests {
         }
     }
 
-    /// Every way shards get scored agrees bit for bit: the shared-heap
-    /// sweep, the per-shard slots on the executor, and the same slots run
-    /// one after another on the calling thread (`Degrade`, inline).
+    /// Both ways shards get scored agree bit for bit: the shared-heap
+    /// sweep and the per-shard slots on the executor.
     #[test]
     fn inline_executor_and_scoped_dispatch_agree_bitwise() {
         let docs = corpus();
@@ -1237,13 +1183,7 @@ mod tests {
                 policy: DispatchPolicy::force_dispatch(),
                 ..SearchContext::default()
             });
-            let serial_slots = run(&SearchContext {
-                policy: DispatchPolicy::force_inline(),
-                on_failure: ShardFailurePolicy::Degrade,
-                ..SearchContext::default()
-            });
             assert_eq!(inline, dispatched, "{q}");
-            assert_eq!(inline, serial_slots, "{q}");
         }
     }
 

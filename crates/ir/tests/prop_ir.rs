@@ -3,7 +3,7 @@
 use irengine::{
     Analyzer, DispatchPolicy, DocId, DocView, Document, Hit, Index, IndexBuilder, KernelTier,
     ScoreScratch, ScoringFunction, ScratchPool, SearchContext, Searcher, ShardExecutor,
-    ShardFailurePolicy, ShardedIndex, ShardedSearcher, TermStats,
+    ShardedIndex, ShardedSearcher, TermStats,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -314,11 +314,10 @@ proptest! {
     }
 
     // The executor determinism contract: for any corpus, query, shard
-    // count, pool size, and k, the adaptive inline path, forced inline,
-    // forced dispatch onto a persistent ShardExecutor, and the per-shard
-    // slots run one after another on the calling thread (Degrade, inline)
-    // all return bit-identical hits (ids, order, scores, matched_terms —
-    // Hit's PartialEq compares f64 exactly).
+    // count, pool size, and k, the adaptive inline path, forced inline and
+    // forced dispatch onto a persistent ShardExecutor all return
+    // bit-identical hits (ids, order, scores, matched_terms — Hit's
+    // PartialEq compares f64 exactly).
     #[test]
     fn inline_and_dispatched_execution_bit_identical(
         texts in prop::collection::vec(doc_text(), 1..20),
@@ -348,11 +347,6 @@ proptest! {
             policy: DispatchPolicy::force_dispatch(),
             ..SearchContext::default()
         });
-        let serial_slots = run(&SearchContext {
-            policy: DispatchPolicy::force_inline(),
-            on_failure: ShardFailurePolicy::Degrade,
-            ..SearchContext::default()
-        });
         // adaptive with a zero threshold dispatches everything with
         // postings; with usize::MAX it inlines everything — both must
         // agree with each other and with the forced modes
@@ -369,7 +363,6 @@ proptest! {
             ..SearchContext::default()
         });
         prop_assert_eq!(&dispatched, &inline);
-        prop_assert_eq!(&serial_slots, &inline);
         prop_assert_eq!(&adaptive_low, &inline);
         prop_assert_eq!(&adaptive_high, &inline);
     }

@@ -1,7 +1,8 @@
 //! A total outage is an error on every path. When every shard that had
-//! documents to score fails, a sharded search returns the first failure —
-//! under either failure policy, inline or dispatched — even when the index
-//! also has empty shards, which contribute nothing and cannot "survive".
+//! documents to score fails, a sharded search returns `Err(Panicked)`,
+//! inline or dispatched, even when the index also has empty shards, which
+//! contribute nothing and cannot "survive". A dispatched search counts
+//! each shard that panicked; the inline sweep stops at the first.
 //!
 //! This is its own test binary because the failpoint registry is
 //! process-global: the schedule it arms must not share a process with
@@ -9,7 +10,7 @@
 
 use irengine::{
     fault, Analyzer, DispatchPolicy, Document, IndexBuilder, ScoringFunction, ScratchPool,
-    SearchContext, SearchFailure, ShardExecutor, ShardFailurePolicy, ShardedSearcher,
+    SearchContext, SearchFailure, ShardExecutor, ShardedSearcher,
 };
 
 #[test]
@@ -27,31 +28,30 @@ fn every_shard_with_documents_failing_is_an_error_inline_and_dispatched() {
 
     // Every posting-block decode panics, so both real shards fail.
     fault::install("postings.decode=panic@*").expect("valid schedule");
-    let mut outcomes = Vec::new();
-    for on_failure in [ShardFailurePolicy::Fail, ShardFailurePolicy::Degrade] {
-        let inline = SearchContext {
-            policy: DispatchPolicy::force_inline(),
-            on_failure,
-            ..SearchContext::default()
-        };
-        let dispatched = SearchContext {
-            exec: Some(&exec),
-            pool: Some(&pool),
-            policy: DispatchPolicy::force_dispatch(),
-            on_failure,
-            ..SearchContext::default()
-        };
-        for (path, ctx) in [("inline", inline), ("dispatched", dispatched)] {
+    let inline = SearchContext {
+        policy: DispatchPolicy::force_inline(),
+        ..SearchContext::default()
+    };
+    let dispatched = SearchContext {
+        exec: Some(&exec),
+        pool: Some(&pool),
+        policy: DispatchPolicy::force_dispatch(),
+        ..SearchContext::default()
+    };
+    let outcomes: Vec<_> = [("inline", inline, 1), ("dispatched", dispatched, 2)]
+        .into_iter()
+        .map(|(leg, ctx, panicked)| {
             let outcome = searcher.try_search_terms_where_ctx(&terms, 10, None, &ctx);
-            outcomes.push((format!("{on_failure:?} {path}"), outcome));
-        }
-    }
+            (leg, outcome, panicked)
+        })
+        .collect();
     fault::clear();
 
-    for (leg, outcome) in outcomes {
+    for (leg, outcome, panicked) in outcomes {
         match outcome {
-            Err(SearchFailure::Panicked { message }) => {
-                assert!(message.contains("postings.decode"), "{leg}: {message}")
+            Err(SearchFailure::Panicked { message, shards }) => {
+                assert!(message.contains("postings.decode"), "{leg}: {message}");
+                assert_eq!(shards, panicked, "{leg}");
             }
             other => panic!("{leg}: expected Err(Panicked), got {other:?}"),
         }
