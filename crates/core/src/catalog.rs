@@ -2,7 +2,7 @@
 //! independent qunits" the database is modeled as (§2).
 
 use crate::doc_def::DefId;
-use crate::qunit::{DerivationSource, QunitDefinition};
+use crate::qunit::QunitDefinition;
 use std::collections::HashMap;
 
 /// A qunit catalog. Definitions are unique by name; re-adding replaces.
@@ -66,32 +66,13 @@ impl QunitCatalog {
     pub fn is_empty(&self) -> bool {
         self.defs.is_empty()
     }
-
-    /// Definitions from one derivation source.
-    pub fn from_source(&self, source: DerivationSource) -> Vec<&QunitDefinition> {
-        self.defs
-            .iter()
-            .filter(|d| d.provenance == source)
-            .collect()
-    }
-
-    /// Definitions ranked by utility, best first.
-    pub fn by_utility(&self) -> Vec<&QunitDefinition> {
-        let mut v: Vec<&QunitDefinition> = self.defs.iter().collect();
-        v.sort_by(|a, b| {
-            b.utility
-                .partial_cmp(&a.utility)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.name.cmp(&b.name))
-        });
-        v
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::presentation::ConversionExpr;
+    use crate::qunit::DerivationSource;
     use relstore::{Predicate, Query, View};
 
     fn def(name: &str, utility: f64, source: DerivationSource) -> QunitDefinition {
@@ -131,17 +112,6 @@ mod tests {
             assert_eq!(cat.def_id(&d.name).map(DefId::index), Some(i));
         }
         assert_eq!(cat.def_id("missing"), None);
-    }
-
-    #[test]
-    fn source_filter_and_utility_ranking() {
-        let mut cat = QunitCatalog::new();
-        cat.add(def("a", 1.0, DerivationSource::Manual));
-        cat.add(def("b", 3.0, DerivationSource::SchemaData));
-        cat.add(def("c", 2.0, DerivationSource::SchemaData));
-        assert_eq!(cat.from_source(DerivationSource::SchemaData).len(), 2);
-        let ranked: Vec<&str> = cat.by_utility().iter().map(|d| d.name.as_str()).collect();
-        assert_eq!(ranked, vec!["b", "c", "a"]);
     }
 
     #[test]

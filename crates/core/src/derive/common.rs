@@ -114,18 +114,13 @@ pub fn base_expression(
 }
 
 /// Pick the *label column* of a table — the human-facing attribute that
-/// identifies a row. Preference order:
+/// identifies a row — from the database's precomputed statistics.
+/// Preference order:
 ///
 /// 1. TEXT columns, scored by `distinctness × min(avg_tokens, 4)` with a
 ///    penalty for essay-length content (plot outlines make bad labels);
 /// 2. otherwise the first non-key numeric column (e.g. `boxoffice.gross`);
 /// 3. `None` for pure link tables.
-pub fn label_column(db: &Database, table: &str) -> Option<String> {
-    let stats = relstore::DatabaseStats::collect(db);
-    label_column_with_stats(db, &stats, table)
-}
-
-/// [`label_column`] against precomputed statistics (cheaper in loops).
 pub fn label_column_with_stats(
     db: &Database,
     stats: &relstore::DatabaseStats,
@@ -244,6 +239,8 @@ mod tests {
     #[test]
     fn label_columns_prefer_names_over_plots() {
         let data = ImdbData::generate(ImdbConfig::tiny());
+        let stats = relstore::DatabaseStats::collect(&data.db);
+        let label_column = |db, table| label_column_with_stats(db, &stats, table);
         assert_eq!(
             label_column(&data.db, "movie").as_deref(),
             Some("movie.title")

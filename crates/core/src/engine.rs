@@ -1096,12 +1096,6 @@ impl QunitSearchEngine {
         self.index.posting_store_bytes()
     }
 
-    /// Whether the posting lanes are currently delta+varint compressed
-    /// (per [`EngineConfig::compress_postings`]).
-    pub fn postings_compressed(&self) -> bool {
-        self.index.postings_codec() == irengine::PostingsCodec::DeltaVarint
-    }
-
     /// Per-shard scoring-time counters accumulated by every uncached
     /// search (cache hits never touch the shards, so they don't count).
     pub fn shard_stats(&self) -> ShardStats {
@@ -1909,7 +1903,7 @@ mod tests {
     #[test]
     fn compressed_postings_return_identical_results() {
         let (data, plain) = engine();
-        assert!(!plain.postings_compressed());
+        assert_eq!(plain.index.postings_codec(), irengine::PostingsCodec::Flat);
         let packed = QunitSearchEngine::build(
             &data.db,
             expert_imdb_qunits(&data.db).unwrap(),
@@ -1919,7 +1913,10 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(packed.postings_compressed());
+        assert_eq!(
+            packed.index.postings_codec(),
+            irengine::PostingsCodec::DeltaVarint
+        );
         // compression is a physical re-encoding: logical content, posting
         // counts, and every ranked list stay bit-identical
         assert_eq!(packed.index_fingerprint(), plain.index_fingerprint());

@@ -129,11 +129,6 @@ impl FeedbackStore {
                 .map(|d| clicks.map_or(0.0, |s| s.boost(d))),
         );
     }
-
-    /// Number of distinct signatures with any feedback.
-    pub fn num_signatures(&self) -> usize {
-        self.signatures.read().len()
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +140,7 @@ mod tests {
         let s = FeedbackStore::new();
         assert_eq!(s.boost("[movie.title] cast", "movie_cast"), 0.0);
         assert_eq!(s.total("[movie.title] cast"), 0);
-        assert_eq!(s.num_signatures(), 0);
+        assert!(s.signatures.read().is_empty());
     }
 
     #[test]
@@ -168,7 +163,7 @@ mod tests {
         assert_eq!(s.clicks("[movie.title]", "movie_page"), 2);
         assert_eq!(s.clicks("[movie.title]", "movie_cast"), 1);
         assert_eq!(s.total("[movie.title]"), 3);
-        assert_eq!(s.num_signatures(), 1);
+        assert_eq!(s.signatures.read().len(), 1);
     }
 
     #[test]

@@ -275,16 +275,6 @@ impl ObsSnapshot {
             self.cache_hits as f64 / total as f64
         }
     }
-
-    /// Mean queue wait per dequeued task in nanoseconds, `0.0` before any
-    /// task has been dequeued.
-    pub fn mean_queue_wait_nanos(&self) -> f64 {
-        if self.tasks_dequeued == 0 {
-            0.0
-        } else {
-            self.queue_wait_nanos as f64 / self.tasks_dequeued as f64
-        }
-    }
 }
 
 /// The engine's live counter block: everything [`ObsSnapshot`] reports
@@ -335,7 +325,6 @@ mod tests {
     fn snapshot_rates_handle_zero_denominators() {
         let s = ObsSnapshot::default();
         assert_eq!(s.cache_hit_rate(), 0.0);
-        assert_eq!(s.mean_queue_wait_nanos(), 0.0);
         assert_eq!(s.latency.count(), 0);
         assert_eq!(s.latency.p50(), 0);
         assert_eq!(s.latency.p99(), 0);

@@ -86,13 +86,6 @@ impl ConversionExpr {
             foreach: cells(if flat { columns } else { &self.foreach }),
         }
     }
-
-    /// All qualified columns this template mentions.
-    pub fn mentioned_columns(&self) -> Vec<String> {
-        let mut out = self.header.clone();
-        out.extend(self.foreach.clone());
-        out
-    }
 }
 
 fn short(qualified: &str) -> &str {
@@ -476,14 +469,5 @@ pub(crate) mod tests {
         let (markup, text) = conv.render(&rs);
         assert_eq!(markup, "<cast></cast>");
         assert!(text.is_empty());
-    }
-
-    #[test]
-    fn mentioned_columns_union() {
-        let conv = ConversionExpr::nested("c", vec!["a.b".into()], vec!["c.d".into()]);
-        assert_eq!(
-            conv.mentioned_columns(),
-            vec!["a.b".to_string(), "c.d".to_string()]
-        );
     }
 }

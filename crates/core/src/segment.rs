@@ -39,16 +39,8 @@ pub enum Segment {
 }
 
 impl Segment {
-    /// Qualified entity type, if this is an entity segment.
-    pub fn entity_type(&self) -> Option<String> {
-        match self {
-            Segment::Entity { table, column, .. } => Some(format!("{table}.{column}")),
-            _ => None,
-        }
-    }
-
-    /// Whether [`Segment::entity_type`] is `qualified`, compared without
-    /// building it.
+    /// Whether this is an entity segment whose qualified entity type
+    /// (`table.column`) is `qualified`, compared without building it.
     pub(crate) fn is_entity_of(&self, qualified: &str) -> bool {
         match self {
             Segment::Entity { table, column, .. } => qualified
@@ -282,11 +274,6 @@ impl EntityDictionary {
     pub fn lookup_attribute(&self, joined: &str) -> Option<&String> {
         self.attributes.get(joined)
     }
-
-    /// Number of entities.
-    pub fn num_entities(&self) -> usize {
-        self.entities.len()
-    }
 }
 
 /// Greedy longest-match segmenter over an [`EntityDictionary`].
@@ -356,6 +343,15 @@ mod tests {
     use irengine::Analyzer;
     use proptest::prelude::*;
     use relstore::{ColumnDef, TableSchema};
+
+    /// Qualified entity type of an entity segment: the reference
+    /// [`Segment::is_entity_of`] is held to.
+    fn entity_type(seg: &Segment) -> Option<String> {
+        match seg {
+            Segment::Entity { table, column, .. } => Some(format!("{table}.{column}")),
+            _ => None,
+        }
+    }
 
     /// Characters that stress both tokenizer loops: ASCII of each class
     /// (`_` included), lower-casings that expand (`İ` → `i` + U+0307, `ẞ`)
@@ -448,7 +444,7 @@ mod tests {
         let s = segmenter();
         let q = s.segment("star wars cast");
         assert_eq!(q.segments.len(), 2);
-        assert_eq!(q.segments[0].entity_type().as_deref(), Some("movie.title"));
+        assert!(q.segments[0].is_entity_of("movie.title"));
         assert!(matches!(&q.segments[1], Segment::Attribute { term, target }
             if term == "cast" && target == "cast"));
         assert_eq!(q.template_signature(), "[movie.title] cast");
@@ -476,7 +472,7 @@ mod tests {
             ] {
                 assert_eq!(
                     seg.is_entity_of(qualified),
-                    seg.entity_type().as_deref() == Some(qualified),
+                    entity_type(seg).as_deref() == Some(qualified),
                     "{seg:?} of {qualified:?}"
                 );
             }
@@ -534,7 +530,7 @@ mod tests {
     fn role_entity_recognized() {
         let s = segmenter();
         let q = s.segment("actor");
-        assert_eq!(q.segments[0].entity_type().as_deref(), Some("cast.role"));
+        assert!(q.segments[0].is_entity_of("cast.role"));
     }
 
     #[test]
@@ -563,7 +559,7 @@ mod tests {
     #[test]
     fn dictionary_counts() {
         let s = segmenter();
-        assert_eq!(s.dictionary().num_entities(), 4); // 2 movies, 1 person, 1 role
+        assert_eq!(s.dictionary().entities.len(), 4); // 2 movies, 1 person, 1 role
         assert!(s.dictionary().lookup_attribute("box office").is_some());
     }
 

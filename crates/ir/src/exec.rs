@@ -19,7 +19,7 @@
 //!   engine's batch path dispatches query tasks whose searches could
 //!   dispatch shard tasks) keeps executing queued work while it waits.
 //! - **Two traffic classes, no head-of-line blocking.** Per-query shard
-//!   tasks ([`ShardExecutor::run_urgent`]) are microseconds; batch query
+//!   tasks ([`ShardExecutor::try_run_urgent`]) are microseconds; batch query
 //!   chunks ([`ShardExecutor::run`]) are milliseconds. Urgent jobs are
 //!   always served before bulk jobs, and an urgent caller never helps
 //!   with bulk work — so under mixed traffic a single query's tail is
@@ -54,9 +54,8 @@
 //! / [`ShardExecutor::try_run_urgent`] return the first payload as an
 //! `Err(`[`TaskPanic`]`)` after every task in the batch has completed — the
 //! fault-isolated service path, which the engine maps to
-//! `SearchError::Internal` — while [`ShardExecutor::run`] /
-//! [`ShardExecutor::run_urgent`] resume the payload (the historical
-//! `std::thread::scope` semantics).
+//! `SearchError::Internal` — while [`ShardExecutor::run`] resumes the
+//! payload (the historical `std::thread::scope` semantics).
 //!
 //! Dropping the executor parks no new work, wakes every worker, and joins
 //! them; already-queued tasks are drained first so no in-flight `run` is
@@ -354,18 +353,6 @@ impl ShardExecutor {
         }
     }
 
-    /// [`ShardExecutor::run`] at **urgent** priority — the latency entry
-    /// point (per-query shard tasks). Urgent jobs are always served before
-    /// bulk jobs, and an urgent caller's work-helping loop never picks up
-    /// bulk work: with every worker stuck in long batch chunks, the caller
-    /// executes its own shard tasks itself and the query degrades to
-    /// inline latency instead of waiting out the batch backlog.
-    pub fn run_urgent<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        if let Err(p) = self.run_at(tasks, true) {
-            resume_unwind(p.payload);
-        }
-    }
-
     /// [`ShardExecutor::run`] with panic **containment** instead of
     /// propagation: every task still runs to completion (a panicking task
     /// counts its latch down like any other), but the first panic payload
@@ -379,7 +366,12 @@ impl ShardExecutor {
         self.run_at(tasks, false)
     }
 
-    /// [`ShardExecutor::try_run`] at **urgent** priority.
+    /// [`ShardExecutor::try_run`] at **urgent** priority — the latency
+    /// entry point (per-query shard tasks). Urgent jobs are always served
+    /// before bulk jobs, and an urgent caller's work-helping loop never
+    /// picks up bulk work: with every worker stuck in long batch chunks,
+    /// the caller executes its own shard tasks itself and the query
+    /// degrades to inline latency instead of waiting out the batch backlog.
     pub fn try_run_urgent<'env>(
         &self,
         tasks: Vec<Box<dyn FnOnce() + Send + 'env>>,
@@ -474,7 +466,7 @@ impl ShardExecutor {
         // Work-helping wait: execute queued tasks (ours or another
         // caller's) until our batch is done, then sleep only if workers
         // still hold the last of our jobs. An urgent caller restricts its
-        // helping to urgent jobs (see `run_urgent`); a bulk caller helps
+        // helping to urgent jobs (see `try_run_urgent`); a bulk caller helps
         // with anything, urgent first.
         loop {
             if latch.is_done() {
@@ -999,7 +991,7 @@ mod tests {
                     }) as Box<dyn FnOnce() + Send + '_>
                 })
                 .collect();
-            exec.run_urgent(urgent);
+            exec.try_run_urgent(urgent).expect("no urgent task panics");
             assert_eq!(urgent_done.load(Ordering::SeqCst), 4);
             // the blocking bulk task is still parked, so the urgent run
             // returned without waiting out the bulk backlog

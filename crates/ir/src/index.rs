@@ -546,47 +546,23 @@ impl Index {
         self.terms.try_get(id as usize)
     }
 
-    /// Postings for a term (already analyzed form): dictionary lookup +
-    /// [`Index::postings_of`]. Unknown terms yield the empty view.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a [`PostingsCodec::DeltaVarint`] index — a borrowed view
-    /// cannot be served from an encoded stream. Use
-    /// [`Index::postings_with`], which works under either codec.
-    pub fn postings(&self, term: &str) -> Postings<'_> {
-        match self.term_id(term) {
-            Some(id) => self.postings_of(id),
-            None => Postings::empty(),
-        }
-    }
-
-    /// Postings for an interned term id: two parallel subslices of the CSR
-    /// arrays, no hashing. Out-of-range ids yield the empty view (ids only
-    /// come from [`Index::term_id`], but total beats panicking).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a [`PostingsCodec::DeltaVarint`] index (see
-    /// [`Index::postings`]); use [`Index::postings_of_with`] there.
-    pub fn postings_of(&self, id: TermId) -> Postings<'_> {
+    /// The flat lanes' row of an interned term id: its doc ids and weighted
+    /// tfs, zero-copy. `None` under [`PostingsCodec::DeltaVarint`], whose
+    /// rows only a decode can serve ([`Index::postings_of_with`]).
+    /// Out-of-range ids yield the empty row (ids only come from
+    /// [`Index::term_id`], but total beats panicking).
+    pub(crate) fn flat_row(&self, id: TermId) -> Option<(&[DocId], &[f64])> {
+        let PostingStore::Flat { docs, tfs } = &self.store else {
+            return None;
+        };
         let t = id as usize;
         // (compare against terms.len(), not offsets.len() - 1 or t + 1:
         // both alternatives overflow at the extremes on 32-bit targets)
         if t >= self.terms.len() {
-            return Postings::empty();
+            return Some((&[], &[]));
         }
         let (lo, hi) = (self.offsets[t] as usize, self.offsets[t + 1] as usize);
-        match &self.store {
-            PostingStore::Flat { docs, tfs } => Postings {
-                docs: &docs[lo..hi],
-                weighted_tfs: &tfs[lo..hi],
-            },
-            PostingStore::Compressed { .. } => panic!(
-                "Index::postings_of on a compressed index: the lanes are \
-                 delta+varint encoded, use postings_of_with with a PostingsBuf"
-            ),
-        }
+        Some((&docs[lo..hi], &tfs[lo..hi]))
     }
 
     /// Postings for an interned term id under **either codec**: a zero-copy
@@ -1591,7 +1567,8 @@ pub(crate) mod tests {
     #[test]
     fn postings_sorted_by_doc() {
         let ix = small_index();
-        let ps = ix.postings("star");
+        let mut buf = PostingsBuf::new();
+        let ps = ix.postings_with("star", &mut buf);
         assert!(ps.docs.windows(2).all(|w| w[0] < w[1]));
     }
 
@@ -1618,8 +1595,9 @@ pub(crate) mod tests {
         let ix = small_index();
         assert_eq!(ix.num_postings(), 7); // 3 + 2 + 2 tokens, all distinct per doc
         for term in ["star", "trek", "cast"] {
-            let by_name = ix.postings(term);
-            let by_id = ix.postings_of(ix.term_id(term).unwrap());
+            let (mut name_buf, mut id_buf) = (PostingsBuf::new(), PostingsBuf::new());
+            let by_name = ix.postings_with(term, &mut name_buf);
+            let by_id = ix.postings_of_with(ix.term_id(term).unwrap(), &mut id_buf);
             assert_eq!(by_name.docs, by_id.docs);
             assert_eq!(by_name.weighted_tfs, by_id.weighted_tfs);
             assert_eq!(by_name.len(), ix.doc_freq(term));
@@ -1628,7 +1606,9 @@ pub(crate) mod tests {
             }
             assert_eq!(by_name.get(by_name.len()), None);
         }
-        assert!(ix.postings_of(TermId::MAX).is_empty());
+        assert!(ix
+            .postings_of_with(TermId::MAX, &mut PostingsBuf::new())
+            .is_empty());
     }
 
     #[test]
@@ -1644,7 +1624,7 @@ pub(crate) mod tests {
         let ix = b.build();
         for term in ["star", "wars"] {
             let expect = ix
-                .postings(term)
+                .postings_with(term, &mut PostingsBuf::new())
                 .weighted_tfs
                 .iter()
                 .fold(0.0f64, |a, &b| a.max(b));
@@ -1688,7 +1668,8 @@ pub(crate) mod tests {
                 .field("body", "star"),
         );
         let ix = b.build();
-        let p = ix.postings("star");
+        let mut buf = PostingsBuf::new();
+        let p = ix.postings_with("star", &mut buf);
         assert_eq!(p.len(), 1);
         assert_eq!(p.weighted_tfs[0], 4.0);
         assert_eq!(ix.doc_length(0), 4.0);
@@ -1701,7 +1682,7 @@ pub(crate) mod tests {
         assert_eq!(ix.num_terms(), 0);
         assert_eq!(ix.num_postings(), 0);
         assert_eq!(ix.avg_doc_length(), 0.0);
-        assert!(ix.postings("x").is_empty());
+        assert!(ix.postings_with("x", &mut PostingsBuf::new()).is_empty());
     }
 
     #[test]
@@ -1733,9 +1714,9 @@ pub(crate) mod tests {
         ix.compress_postings(); // idempotent
 
         assert_eq!(ix.num_postings(), flat.num_postings());
-        let mut buf = PostingsBuf::new();
+        let (mut buf, mut flat_buf) = (PostingsBuf::new(), PostingsBuf::new());
         for term in flat.terms() {
-            let want = flat.postings(term);
+            let want = flat.postings_with(term, &mut flat_buf);
             let got = ix.postings_with(term, &mut buf);
             assert_eq!(got.docs, want.docs, "{term}");
             let want_bits: Vec<u64> = want.weighted_tfs.iter().map(|t| t.to_bits()).collect();
@@ -1753,19 +1734,11 @@ pub(crate) mod tests {
         ix.decompress_postings();
         assert_eq!(ix.postings_codec(), PostingsCodec::Flat);
         for term in flat.terms() {
-            let want = flat.postings(term);
-            let got = ix.postings(term);
+            let want = flat.postings_with(term, &mut flat_buf);
+            let got = ix.postings_with(term, &mut buf);
             assert_eq!(got.docs, want.docs);
             assert_eq!(got.weighted_tfs, want.weighted_tfs);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "compressed index")]
-    fn zero_copy_postings_panic_on_compressed_store() {
-        let mut ix = small_index();
-        ix.compress_postings();
-        let _ = ix.postings("star");
     }
 
     #[test]
@@ -1773,7 +1746,8 @@ pub(crate) mod tests {
         let ix = small_index();
         let mut buf = PostingsBuf::new();
         let view = ix.postings_with("star", &mut buf);
-        assert_eq!(view.docs, ix.postings("star").docs);
+        let (docs, _) = ix.flat_row(ix.term_id("star").unwrap()).unwrap();
+        assert_eq!(view.docs, docs);
         assert!(buf.docs.is_empty(), "flat path must not touch the buffer");
     }
 
@@ -1957,7 +1931,7 @@ pub(crate) mod tests {
             for term in ["common", "rare", "spike"] {
                 assert_eq!(
                     packed.postings_with(term, &mut buf).docs.to_vec(),
-                    ix.postings(term).docs
+                    ix.postings_with(term, &mut PostingsBuf::new()).docs
                 );
             }
         }
@@ -2253,7 +2227,8 @@ pub(crate) mod tests {
         b.set_field_boost("hidden", 0.0);
         b.add(Document::new("x").field("hidden", "ghost ghost"));
         let ix = b.build();
-        let p = ix.postings("ghost");
+        let mut buf = PostingsBuf::new();
+        let p = ix.postings_with("ghost", &mut buf);
         assert_eq!(p.docs, &[0]);
         assert_eq!(p.weighted_tfs[0].to_bits(), 0.0f64.to_bits());
         assert_eq!(ix.doc_length(0), 0.0);

@@ -72,11 +72,12 @@ pub use index::{
 };
 pub use score::{ScoringFunction, TermScorer, TermStats};
 pub use search::{
-    Cancelled, Hit, KernelTier, ScoreScratch, ScratchPool, Searcher, CANCEL_POSTING_BUDGET,
+    Cancelled, FoldedTerms, Hit, KernelTier, ScoreScratch, ScratchPool, Searcher,
+    CANCEL_POSTING_BUDGET,
 };
 pub use shard::{
-    CancelProbe, FoldedTerms, SearchContext, SearchFailure, SearchOutcome, ShardTimings,
-    ShardedIndex, ShardedSearcher,
+    CancelProbe, SearchContext, SearchFailure, SearchOutcome, ShardTimings, ShardedIndex,
+    ShardedSearcher,
 };
 pub use snapshot::{read_snapshot_header, SnapshotError, SnapshotHeader, SNAPSHOT_VERSION};
 pub use snippet::{extract as extract_snippet, Snippet};

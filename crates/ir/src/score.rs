@@ -113,11 +113,6 @@ impl TermScorer {
         };
         peak * BOUND_MARGIN
     }
-
-    /// The precomputed smoothed IDF.
-    pub fn idf(&self) -> f64 {
-        self.idf
-    }
 }
 
 /// Which ranking model to use.
@@ -148,11 +143,6 @@ impl ScoringFunction {
         let df = doc_freq as f64;
         // BM25+-style floor: ln(1 + (N - df + 0.5)/(df + 0.5)) ≥ 0.
         (1.0 + (n - df + 0.5) / (df + 0.5)).ln()
-    }
-
-    /// Smoothed inverse document frequency of a term in `index`.
-    pub fn idf(index: &Index, term: &str) -> f64 {
-        Self::idf_from(index.num_docs(), index.doc_freq(term))
     }
 
     /// Fold `stats` into a per-term [`TermScorer`], paying the IDF `ln()`
@@ -196,7 +186,12 @@ impl ScoringFunction {
 mod tests {
     use super::*;
     use crate::document::Document;
-    use crate::index::IndexBuilder;
+    use crate::index::{IndexBuilder, PostingsBuf};
+
+    /// Smoothed inverse document frequency of a term in `ix`.
+    fn idf(ix: &Index, term: &str) -> f64 {
+        ScoringFunction::idf_from(ix.num_docs(), ix.doc_freq(term))
+    }
 
     fn index_with(texts: &[&str]) -> Index {
         let mut b = IndexBuilder::new();
@@ -209,22 +204,22 @@ mod tests {
     #[test]
     fn idf_decreases_with_document_frequency() {
         let ix = index_with(&["star wars", "star trek", "ocean"]);
-        let idf_star = ScoringFunction::idf(&ix, "star");
-        let idf_ocean = ScoringFunction::idf(&ix, "ocean");
+        let idf_star = idf(&ix, "star");
+        let idf_ocean = idf(&ix, "ocean");
         assert!(idf_ocean > idf_star);
     }
 
     #[test]
     fn idf_nonnegative_even_for_ubiquitous_terms() {
         let ix = index_with(&["movie", "movie", "movie"]);
-        assert!(ScoringFunction::idf(&ix, "movie") >= 0.0);
+        assert!(idf(&ix, "movie") >= 0.0);
     }
 
     #[test]
     fn unknown_term_has_max_idf() {
         let ix = index_with(&["a b", "c d"]);
-        let unknown = ScoringFunction::idf(&ix, "zzz");
-        let known = ScoringFunction::idf(&ix, "b");
+        let unknown = idf(&ix, "zzz");
+        let known = idf(&ix, "b");
         assert!(unknown > known);
     }
 
@@ -262,7 +257,7 @@ mod tests {
         let ix = index_with(&["star wars cast", "star trek", "ocean drama"]);
         for f in [ScoringFunction::default(), ScoringFunction::TfIdf] {
             for term in ["star", "ocean", "drama"] {
-                for p in ix.postings(term) {
+                for p in ix.postings_with(term, &mut PostingsBuf::new()) {
                     let via_index = f.score_term(&ix, term, p.doc, p.weighted_tf);
                     let via_stats = f.score_term_stats(
                         TermStats::of(&ix, term),
@@ -295,10 +290,7 @@ mod tests {
             for term in ["star", "ocean", "drama", "zzz"] {
                 let stats = TermStats::of(&ix, term);
                 let scorer = f.scorer(stats);
-                assert_eq!(
-                    scorer.idf().to_bits(),
-                    ScoringFunction::idf(&ix, term).to_bits()
-                );
+                assert_eq!(scorer.idf.to_bits(), idf(&ix, term).to_bits());
                 for doc in 0..ix.num_docs() as DocId {
                     for tf in [1.0, 2.0, 7.5] {
                         let hoisted = scorer.score(ix.doc_length(doc), tf);
@@ -329,14 +321,12 @@ mod tests {
         ] {
             for term in ix.terms().map(str::to_owned).collect::<Vec<_>>() {
                 let scorer = f.scorer(TermStats::of(&ix, &term));
-                let mwtf = ix
-                    .postings(&term)
-                    .weighted_tfs
-                    .iter()
-                    .fold(0.0f64, |a, &b| a.max(b));
+                let mut buf = PostingsBuf::new();
+                let postings = ix.postings_with(&term, &mut buf);
+                let mwtf = postings.weighted_tfs.iter().fold(0.0f64, |a, &b| a.max(b));
                 let bound = scorer.max_score(mwtf);
                 assert!(bound.is_finite());
-                for p in ix.postings(&term) {
+                for p in postings {
                     let s = scorer.score(ix.doc_length(p.doc), p.weighted_tf);
                     assert!(s <= bound, "{f:?} {term}: score {s} exceeds bound {bound}");
                 }

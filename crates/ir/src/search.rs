@@ -3,13 +3,14 @@
 //! One query runs in three dense passes, shared verbatim by the unsharded
 //! [`Searcher`] and the per-shard loop of [`crate::ShardedSearcher`]:
 //!
-//! 1. **Resolve** each distinct query term through the dictionary once
-//!    ([`Index::term_id`]) and fold its corpus statistics into a
-//!    [`TermScorer`] (the IDF `ln()` is paid here, not per posting), plus a
-//!    per-term **score upper bound** ([`TermScorer::max_score`] × query
-//!    multiplicity). Terms are then sorted by bound, descending (ties by
-//!    first occurrence in the query) — this bound order is the canonical
-//!    accumulation sequence.
+//! 1. **Fold and resolve.** [`FoldedTerms`] folds each distinct query
+//!    term's statistics once into a [`TermScorer`] (the IDF `ln()` is paid
+//!    here, not per posting), plus a per-term **score upper bound**
+//!    ([`TermScorer::max_score`] × query multiplicity), and sorts the terms
+//!    by bound, descending (ties by first occurrence in the query) — this
+//!    bound order is the canonical accumulation sequence. Each index the
+//!    query runs on then resolves the terms through its own dictionary
+//!    once ([`Index::term_id`]).
 //! 2. **Accumulate** over each term's CSR postings slices into a dense
 //!    [`ScoreScratch`]: `Vec`-indexed score/matched-count slots with epoch
 //!    tags, so the buffer is reused across queries without clearing. Once
@@ -149,7 +150,7 @@ const _: () = assert_send_sync::<ScratchPool>();
 /// and with it every floating-point sum — stays a pure function of the
 /// query text. Queries are a handful of terms, hence the quadratic scan
 /// instead of a map.
-pub(crate) fn dedup_terms(terms: &[impl AsRef<str>]) -> Vec<(&str, usize)> {
+fn dedup_terms(terms: &[impl AsRef<str>]) -> Vec<(&str, usize)> {
     let mut out: Vec<(&str, usize)> = Vec::with_capacity(terms.len());
     for t in terms.iter().map(AsRef::as_ref) {
         match out.iter_mut().find(|(s, _)| *s == t) {
@@ -162,13 +163,14 @@ pub(crate) fn dedup_terms(terms: &[impl AsRef<str>]) -> Vec<(&str, usize)> {
 
 /// The canonical accumulation order: indices into `bounds` sorted by bound
 /// **descending**, ties broken by ascending position (= first occurrence
-/// in the query, via [`dedup_terms`]). Every scoring path — pruned,
+/// in the query, via [`dedup_terms`]). [`FoldedTerms::new`], the one fold,
+/// permutes the terms through this order, and every scoring path — pruned,
 /// exhaustive, sharded, and the single-document
-/// [`crate::ShardedSearcher::score_doc`] —
-/// permutes its terms through this order, so per-document floating-point
-/// sums are identical everywhere. The bounds themselves derive from
-/// corpus-global statistics, making the order shard-count invariant.
-pub(crate) fn bound_order(bounds: &[f64]) -> Vec<usize> {
+/// [`crate::ShardedSearcher::score_doc`] — reads its terms from a fold, so
+/// per-document floating-point sums are identical everywhere. The sharded
+/// fold's bounds derive from corpus-global statistics, making the order
+/// shard-count invariant.
+fn bound_order(bounds: &[f64]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..bounds.len()).collect();
     order.sort_by(|&a, &b| {
         bounds[b]
@@ -179,12 +181,66 @@ pub(crate) fn bound_order(bounds: &[f64]) -> Vec<usize> {
     order
 }
 
+/// A query's distinct terms folded once: each term with its multiplicity,
+/// its scorer and its score upper bound, in the canonical accumulation
+/// order (`bound_order`), plus the dispatch decision's work estimate.
+/// [`crate::ShardedSearcher::fold`] folds against corpus-global statistics
+/// and [`Searcher::search_terms_with`] against its index's own; every kernel
+/// run and every [`crate::ShardedSearcher::score_doc`] call of the query
+/// reads the one value.
+#[derive(Debug, Clone)]
+pub struct FoldedTerms<'t> {
+    /// Distinct terms and their multiplicity, in bound order.
+    pub(crate) terms: Vec<(&'t str, usize)>,
+    /// One scorer per term, parallel to `terms`.
+    pub(crate) scorers: Vec<TermScorer>,
+    /// One score upper bound per term (multiplicity included), parallel to
+    /// `terms` and descending.
+    pub(crate) bounds: Vec<f64>,
+    /// Sum of the terms' document frequencies.
+    pub(crate) estimated_postings: usize,
+}
+
+impl<'t> FoldedTerms<'t> {
+    /// Fold analyzed query terms: [`dedup_terms`], then each distinct term's
+    /// scorer from the [`TermStats`] `stats` gives for it and its bound from
+    /// the largest weighted tf it gives, all permuted into [`bound_order`].
+    /// The bit pattern of every score follows from `stats`, so callers that
+    /// must agree (every shard, every shard count) pass the same statistics.
+    pub(crate) fn new(
+        terms: &'t [impl AsRef<str>],
+        scoring: ScoringFunction,
+        stats: impl Fn(&str) -> (TermStats, f64),
+    ) -> Self {
+        let deduped = dedup_terms(terms);
+        let mut estimated_postings = 0usize;
+        let mut bounds: Vec<f64> = Vec::with_capacity(deduped.len());
+        let scorers: Vec<TermScorer> = deduped
+            .iter()
+            .map(|(t, qtf)| {
+                let (stats, max_weighted_tf) = stats(t);
+                estimated_postings += stats.doc_freq;
+                let scorer = scoring.scorer(stats);
+                bounds.push(scorer.max_score(max_weighted_tf) * *qtf as f64);
+                scorer
+            })
+            .collect();
+        let order = bound_order(&bounds);
+        FoldedTerms {
+            terms: order.iter().map(|&i| deduped[i]).collect(),
+            scorers: order.iter().map(|&i| scorers[i]).collect(),
+            bounds: order.iter().map(|&i| bounds[i]).collect(),
+            estimated_postings,
+        }
+    }
+}
+
 /// The ranking order of hits: descending score, ties broken by ascending
-/// doc id. Shared by the unsharded selection and the sharded per-shard
-/// selection + top-k merge, so both paths order identical score sets
-/// identically. Total on distinct documents — the doc-id tiebreak means no
-/// two hits ever compare `Equal` — which is what makes bounded top-k
-/// selection equivalent to sort-everything-then-truncate.
+/// doc id — the one order of [`TopK`], the only top-k selection, so every
+/// search path orders identical score sets identically. Total on distinct
+/// documents — the doc-id tiebreak means no two hits ever compare `Equal` —
+/// which is what makes bounded top-k selection equivalent to
+/// sort-everything-then-truncate.
 pub(crate) fn rank_hits(a: &Hit, b: &Hit) -> std::cmp::Ordering {
     b.score
         .partial_cmp(&a.score)
@@ -394,10 +450,10 @@ pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut ScoreScratch) -> R) -> 
 /// O(m log m). Because `rank_hits` totally orders distinct documents, the
 /// selected set and its final sorted order are exactly the full sort's
 /// first k entries — and that holds no matter how candidates are batched
-/// into it, which is why the sharded inline path feeds **all** shards
-/// through one `TopK` instead of selecting per shard and merging
-/// (`pub(crate)` for the sharded searcher, whose per-shard slots use it
-/// too).
+/// into it. So it is the one selection every search makes: the unsharded
+/// search and the sharded inline sweep feed all their candidates through
+/// one `TopK`, and a dispatched query pushes each shard slot's own top k
+/// into one more.
 pub(crate) struct TopK {
     k: usize,
     heap: BinaryHeap<WorstFirst>,
@@ -439,7 +495,7 @@ impl TopK {
     }
 
     #[inline]
-    fn push(&mut self, hit: Hit) {
+    pub(crate) fn push(&mut self, hit: Hit) {
         if self.heap.len() < self.k {
             self.heap.push(WorstFirst(hit));
         } else if let Some(worst) = self.heap.peek() {
@@ -599,13 +655,7 @@ impl<'a> BlockCursor<'a> {
         let range = lanes.term_blocks(tid as usize);
         let mut cursor = BlockCursor {
             tid,
-            flat: match index.postings_codec() {
-                crate::index::PostingsCodec::Flat => {
-                    let row = index.postings_of(tid);
-                    Some((row.docs, row.weighted_tfs))
-                }
-                crate::index::PostingsCodec::DeltaVarint => None,
-            },
+            flat: index.flat_row(tid),
             lanes,
             blk_lo: range.start,
             blk_hi: range.end,
@@ -762,8 +812,7 @@ impl<'a> BlockCursor<'a> {
 fn block_max_accumulate(
     index: &Index,
     terms: &[(Option<TermId>, usize)],
-    scorers: &[TermScorer],
-    bounds: &[f64],
+    folded: &FoldedTerms,
     scratch: &mut ScoreScratch,
     to_global: &dyn Fn(DocId) -> DocId,
     filter: Option<&dyn Fn(DocId) -> bool>,
@@ -774,13 +823,13 @@ fn block_max_accumulate(
     // the best score a document matching only terms[i..] could reach.
     let mut suffix = vec![0.0f64; terms.len() + 1];
     for i in (0..terms.len()).rev() {
-        suffix[i] = suffix[i + 1] + bounds[i];
+        suffix[i] = suffix[i + 1] + folded.bounds[i];
     }
     let mut meter = BlockMeter::default();
     let mut bufs = std::mem::take(&mut scratch.block_bufs);
     let mut cursors: Vec<Option<BlockCursor>> = terms
         .iter()
-        .zip(scorers)
+        .zip(&folded.scorers)
         .map(|(&(tid, qtf), &scorer)| {
             let tid = tid?;
             if index.doc_freq_of(tid) == 0 {
@@ -1015,8 +1064,7 @@ fn prune_accumulate(
 fn accumulate_terms(
     index: &Index,
     terms: &[(Option<TermId>, usize)],
-    scorers: &[TermScorer],
-    bounds: &[f64],
+    folded: &FoldedTerms,
     scratch: &mut ScoreScratch,
     filter: Option<&dyn Fn(DocId) -> bool>,
     opts: KernelOpts<'_>,
@@ -1029,7 +1077,7 @@ fn accumulate_terms(
     // to n·ε rounding — absorbed by the bounds' built-in margin.
     let mut suffix = vec![0.0f64; terms.len() + 1];
     for i in (0..terms.len()).rev() {
-        suffix[i] = suffix[i + 1] + bounds[i];
+        suffix[i] = suffix[i + 1] + folded.bounds[i];
     }
     let mut remaining = if opts.cancel.is_some() {
         CANCEL_POSTING_BUDGET
@@ -1037,7 +1085,7 @@ fn accumulate_terms(
         usize::MAX
     };
     let mut pruning = false;
-    for (i, ((tid, qtf), scorer)) in terms.iter().zip(scorers).enumerate() {
+    for (i, ((tid, qtf), scorer)) in terms.iter().zip(&folded.scorers).enumerate() {
         // Strictly-greater: a doc admitted at term i can reach at most
         // suffix[i]; pruning it is only safe when even that loses to the
         // threshold outright (ties would fall through to the doc-id
@@ -1084,47 +1132,19 @@ fn accumulate_terms(
     Ok(())
 }
 
-/// [`score_terms_into_topk`] over one whole unfiltered index, selecting
-/// its own top `k` — the unsharded [`Searcher`]'s kernel call.
-fn score_terms_into(
-    index: &Index,
-    terms: &[(Option<TermId>, usize)],
-    scorers: &[TermScorer],
-    bounds: &[f64],
-    k: usize,
-    scratch: &mut ScoreScratch,
-    opts: KernelOpts<'_>,
-) -> Result<Vec<Hit>, Cancelled> {
-    let mut top = TopK::new(k);
-    score_terms_into_topk(
-        index,
-        terms,
-        scorers,
-        bounds,
-        scratch,
-        |d| d,
-        None,
-        opts,
-        &mut top,
-    )?;
-    Ok(top.into_sorted_hits())
-}
-
-/// The scoring kernel every search path shares: accumulate the resolved
-/// terms' postings into `scratch`, then push the documents accepted by
-/// `filter` into the caller's [`TopK`].
+/// The scoring kernel every search path shares: accumulate the folded
+/// terms' postings in `index` into `scratch`, then push the documents
+/// accepted by `filter` into the caller's [`TopK`].
 ///
-/// `terms` holds each distinct query term **already resolved against this
-/// index's dictionary** (`None` = not in its vocabulary) with its query
-/// multiplicity — the caller pays the one hash probe per term, this loop
-/// pays none. `scorers` and `bounds` are parallel to `terms` (one
-/// [`TermScorer`] and one margin-inflated score upper bound per term,
-/// statistics already folded in — the caller decides whether those are
-/// index-local or corpus-global), and the caller has already permuted all
-/// three into [`bound_order`]. `to_global` maps the index's local doc ids
-/// into the caller's id space (identity for an unsharded index); `filter`
-/// sees mapped ids, as do the pushed hits — `None` means unfiltered and
-/// additionally unlocks the partial-threshold pruning probe.
+/// `folded` carries each distinct query term with its multiplicity, scorer
+/// and margin-inflated score upper bound, already in [`bound_order`] (the
+/// caller decides whether its statistics are index-local or
+/// corpus-global). The terms are resolved against this index's own
+/// dictionary into `resolved` (`None` = not in its vocabulary): one hash
+/// probe per term here, none in the loops. `to_global` maps the index's
+/// local doc ids into the caller's id space (identity for an unsharded
+/// index); `filter` sees mapped ids, as do the pushed hits — `None` means
+/// unfiltered and additionally unlocks the partial-threshold pruning probe.
 ///
 /// Because [`rank_hits`] totally orders distinct documents, feeding
 /// several indexes (the shards of a sharded search) through one `TopK`
@@ -1138,24 +1158,24 @@ fn score_terms_into(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn score_terms_into_topk(
     index: &Index,
-    terms: &[(Option<TermId>, usize)],
-    scorers: &[TermScorer],
-    bounds: &[f64],
+    folded: &FoldedTerms,
+    resolved: &mut Vec<(Option<TermId>, usize)>,
     scratch: &mut ScoreScratch,
     to_global: impl Fn(DocId) -> DocId,
     filter: Option<&dyn Fn(DocId) -> bool>,
     opts: KernelOpts<'_>,
     top: &mut TopK,
 ) -> Result<(), Cancelled> {
+    resolved.clear();
+    resolved.extend(folded.terms.iter().map(|&(t, qtf)| (index.term_id(t), qtf)));
     scratch.begin(index.num_docs());
     if opts.tier == KernelTier::BlockMax {
         // Document-at-a-time: pushes hits into `top` itself during the
         // traversal (that's what feeds θ̂), no touched-slot sweep needed.
         return block_max_accumulate(
             index,
-            terms,
-            scorers,
-            bounds,
+            resolved,
+            folded,
             scratch,
             &to_global,
             filter,
@@ -1171,9 +1191,8 @@ pub(crate) fn score_terms_into_topk(
     let mut decode = std::mem::take(&mut scratch.decode);
     let accumulated = accumulate_terms(
         index,
-        terms,
-        scorers,
-        bounds,
+        resolved,
+        folded,
         scratch,
         filter,
         opts,
@@ -1233,52 +1252,30 @@ impl<'a> Searcher<'a> {
         if k == 0 || terms.is_empty() {
             return Vec::new();
         }
-        let (resolved, scorers, bounds) = self.resolve_terms(&dedup_terms(terms));
+        let mut top = TopK::new(k);
         let opts = KernelOpts {
             tier: self.tier,
             cancel: None,
         };
-        score_terms_into(self.index, &resolved, &scorers, &bounds, k, scratch, opts)
-            .expect("kernel is infallible without a cancel probe")
+        score_terms_into_topk(
+            self.index,
+            &self.fold(terms),
+            &mut Vec::new(),
+            scratch,
+            |d| d,
+            None,
+            opts,
+            &mut top,
+        )
+        .expect("kernel is infallible without a cancel probe");
+        top.into_sorted_hits()
     }
 
-    /// Resolve `deduped` query terms against the dictionary and fold
-    /// statistics: ids + multiplicities, scorers, and margin-inflated
-    /// score bounds, all permuted into [`bound_order`].
-    #[allow(clippy::type_complexity)]
-    fn resolve_terms(
-        &self,
-        deduped: &[(&str, usize)],
-    ) -> (Vec<(Option<TermId>, usize)>, Vec<TermScorer>, Vec<f64>) {
-        // One dictionary probe per distinct term: the resolved id yields
-        // the postings (for the kernel), the document frequency (for the
-        // scorer — the same statistics `TermStats::of` reads), and the
-        // max weighted tf lane (for the bound).
-        let num_docs = self.index.num_docs();
-        let avg_doc_length = self.index.avg_doc_length();
-        let mut resolved = Vec::with_capacity(deduped.len());
-        let mut scorers = Vec::with_capacity(deduped.len());
-        let mut bounds = Vec::with_capacity(deduped.len());
-        for (term, qtf) in deduped {
-            let id = self.index.term_id(term);
-            // Offsets-lane subtraction: O(1) under either postings codec.
-            let doc_freq = id.map_or(0, |id| self.index.doc_freq_of(id));
-            let scorer = self.scoring.scorer(TermStats {
-                num_docs,
-                doc_freq,
-                avg_doc_length,
-            });
-            let max_wtf = id.map_or(0.0, |id| self.index.max_weighted_tf_of(id));
-            bounds.push(scorer.max_score(max_wtf) * *qtf as f64);
-            resolved.push((id, *qtf));
-            scorers.push(scorer);
-        }
-        let order = bound_order(&bounds);
-        (
-            order.iter().map(|&i| resolved[i]).collect(),
-            order.iter().map(|&i| scorers[i]).collect(),
-            order.iter().map(|&i| bounds[i]).collect(),
-        )
+    /// Fold `terms` against this index's own statistics.
+    fn fold<'t>(&self, terms: &'t [impl AsRef<str>]) -> FoldedTerms<'t> {
+        FoldedTerms::new(terms, self.scoring, |t| {
+            (TermStats::of(self.index, t), self.index.max_weighted_tf(t))
+        })
     }
 }
 
@@ -1293,6 +1290,33 @@ mod tests {
     fn search(s: &Searcher, q: &str, k: usize) -> Vec<Hit> {
         let terms = s.index.analyzer().tokenize(q);
         s.search_terms_with(&terms, k, &mut ScoreScratch::new())
+    }
+
+    /// The kernel run [`Searcher::search_terms_with`] makes, under `cancel`.
+    fn search_probed(
+        s: &Searcher,
+        terms: &[String],
+        k: usize,
+        scratch: &mut ScoreScratch,
+        cancel: Option<&dyn Fn() -> bool>,
+    ) -> Result<Vec<Hit>, Cancelled> {
+        let mut top = TopK::new(k);
+        let opts = KernelOpts {
+            tier: s.tier,
+            cancel,
+        };
+        let (folded, to_global) = (s.fold(terms), |d| d);
+        score_terms_into_topk(
+            s.index,
+            &folded,
+            &mut Vec::new(),
+            scratch,
+            to_global,
+            None,
+            opts,
+            &mut top,
+        )?;
+        Ok(top.into_sorted_hits())
     }
 
     fn movie_index() -> Index {
@@ -1555,7 +1579,6 @@ mod tests {
         let ix = b.build();
         let s = Searcher::new(&ix, ScoringFunction::default()).with_tier(KernelTier::Exhaustive);
         let terms = ix.analyzer().tokenize(body);
-        let (resolved, scorers, bounds) = s.resolve_terms(&dedup_terms(&terms));
 
         // A probe that never trips still gets polled exactly once.
         let polls = Cell::new(0u32);
@@ -1567,11 +1590,7 @@ mod tests {
             };
             let mut scratch = ScoreScratch::new();
             let before = scratch.postings_visited();
-            let opts = KernelOpts {
-                tier: KernelTier::Exhaustive,
-                cancel: Some(&probe),
-            };
-            let out = score_terms_into(&ix, &resolved, &scorers, &bounds, 10, &mut scratch, opts);
+            let out = search_probed(&s, &terms, 10, &mut scratch, Some(&probe));
             (out, scratch.postings_visited() - before)
         };
 
@@ -1752,7 +1771,6 @@ mod tests {
         let ix = b.build();
         let s = Searcher::new(&ix, ScoringFunction::default());
         let terms = ix.analyzer().tokenize(body);
-        let (resolved, scorers, bounds) = s.resolve_terms(&dedup_terms(&terms));
 
         let polls = Cell::new(0u32);
         let run = |probe_result: bool| {
@@ -1762,11 +1780,7 @@ mod tests {
                 probe_result
             };
             let mut scratch = ScoreScratch::new();
-            let opts = KernelOpts {
-                tier: KernelTier::BlockMax,
-                cancel: Some(&probe),
-            };
-            let out = score_terms_into(&ix, &resolved, &scorers, &bounds, 10, &mut scratch, opts);
+            let out = search_probed(&s, &terms, 10, &mut scratch, Some(&probe));
             (out, scratch.postings_visited(), polls.get())
         };
 
@@ -1806,15 +1820,10 @@ mod tests {
         let ix = b.build();
         let s = Searcher::new(&ix, ScoringFunction::default()).with_tier(KernelTier::Exhaustive);
         let terms = ix.analyzer().tokenize(body);
-        let (resolved, scorers, bounds) = s.resolve_terms(&dedup_terms(&terms));
         let run = |cancel: Option<&dyn Fn() -> bool>| {
             let mut scratch = ScoreScratch::new();
             let before = scratch.postings_visited();
-            let opts = KernelOpts {
-                tier: KernelTier::Exhaustive,
-                cancel,
-            };
-            let out = score_terms_into(&ix, &resolved, &scorers, &bounds, 10, &mut scratch, opts);
+            let out = search_probed(&s, &terms, 10, &mut scratch, cancel);
             (out, scratch.postings_visited() - before)
         };
 

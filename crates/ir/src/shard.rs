@@ -35,21 +35,22 @@
 //!    shard — and the unsharded path — sorts identically), and MaxScore
 //!    pruning only ever skips documents that provably cannot reach the
 //!    top-k, so the f64 sums agree to the ulp.
-//! 3. **Deterministic top-k merge.** Each shard returns its top-k sorted
-//!    by the shared hit order (score desc, global doc id asc) and a heap
-//!    merge with the same comparator interleaves them; ties are impossible
-//!    to resolve arbitrarily because global doc ids are unique.
+//! 3. **One top-k heap order.** Every selection — the inline sweep's one
+//!    heap over all shards, each dispatched shard's own heap, and the heap
+//!    its hits are then pushed into — is a [`crate::search`] `TopK` under
+//!    the shared hit order (score desc, global doc id asc). That order is
+//!    total because global doc ids are unique, so a heap fed in any batches
+//!    keeps exactly the first k of the full sort.
 
 use crate::analysis::Analyzer;
 use crate::document::{DocId, DocView};
 use crate::exec::{DispatchCounts, DispatchPolicy, ShardExecutor, TaskPanic};
 use crate::index::{Index, PostingsBuf, PostingsCodec, TermId};
-use crate::score::{ScoringFunction, TermScorer, TermStats};
+use crate::score::{ScoringFunction, TermStats};
 use crate::search::{
-    bound_order, dedup_terms, rank_hits, score_terms_into_topk, with_thread_scratch, Cancelled,
-    Hit, KernelOpts, KernelTier, ScoreScratch, ScratchPool, TopK,
+    score_terms_into_topk, with_thread_scratch, Cancelled, FoldedTerms, Hit, KernelOpts,
+    KernelTier, ScoreScratch, ScratchPool, TopK,
 };
-use std::cmp::Ordering;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::OnceLock;
@@ -130,11 +131,6 @@ impl ShardedIndex {
     /// walks in the worst case; the capacity-planning number).
     pub fn num_postings(&self) -> usize {
         self.shards.iter().map(Index::num_postings).sum()
-    }
-
-    /// Corpus-global mean document length (0 for an empty corpus).
-    pub fn avg_doc_length(&self) -> f64 {
-        self.avg_doc_length
     }
 
     /// Corpus-global document frequency of a term (sum over shards).
@@ -584,58 +580,6 @@ pub struct ShardedSearcher<'a> {
     scoring: ScoringFunction,
 }
 
-/// Heap entry for the top-k merge. Ordered so `BinaryHeap::pop` yields the
-/// best-ranked head first; the shard index is a final tie-break making the
-/// order total (it never decides between *distinct* documents — global doc
-/// ids already do — it only keeps `Ord` honest).
-struct MergeHead {
-    hit: Hit,
-    shard: usize,
-    pos: usize,
-}
-
-impl PartialEq for MergeHead {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for MergeHead {}
-
-impl PartialOrd for MergeHead {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for MergeHead {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // rank_hits: Less = ranks first; reverse it so the max-heap pops
-        // the first-ranked head.
-        rank_hits(&self.hit, &other.hit)
-            .then(self.shard.cmp(&other.shard))
-            .reverse()
-    }
-}
-
-/// A query's distinct terms folded once against the corpus-global
-/// statistics ([`ShardedSearcher::fold`]): each term with its multiplicity,
-/// its scorer and its score upper bound, in the canonical accumulation
-/// order, plus the dispatch decision's work estimate. Every fan-out of the
-/// query and every [`ShardedSearcher::score_doc`] call reads the one value.
-#[derive(Debug, Clone)]
-pub struct FoldedTerms<'t> {
-    /// Distinct terms and their multiplicity, in bound order.
-    terms: Vec<(&'t str, usize)>,
-    /// One scorer per term, parallel to `terms`.
-    scorers: Vec<TermScorer>,
-    /// One score upper bound per term (multiplicity included), parallel to
-    /// `terms` and descending.
-    bounds: Vec<f64>,
-    /// Sum of the terms' corpus-global document frequencies.
-    estimated_postings: usize,
-}
-
 impl<'a> ShardedSearcher<'a> {
     /// New searcher with the given scoring function.
     pub fn new(index: &'a ShardedIndex, scoring: ScoringFunction) -> Self {
@@ -650,26 +594,9 @@ impl<'a> ShardedSearcher<'a> {
     /// the bound order — the canonical accumulation order — is the same
     /// on every shard and at every shard count.
     pub fn fold<'t>(&self, terms: &'t [impl AsRef<str>]) -> FoldedTerms<'t> {
-        let deduped = dedup_terms(terms);
-        let mut estimated_postings = 0usize;
-        let mut bounds: Vec<f64> = Vec::with_capacity(deduped.len());
-        let scorers: Vec<TermScorer> = deduped
-            .iter()
-            .map(|(t, qtf)| {
-                let stats = self.index.term_stats(t);
-                estimated_postings += stats.doc_freq;
-                let scorer = self.scoring.scorer(stats);
-                bounds.push(scorer.max_score(self.index.max_weighted_tf(t)) * *qtf as f64);
-                scorer
-            })
-            .collect();
-        let order = bound_order(&bounds);
-        FoldedTerms {
-            terms: order.iter().map(|&i| deduped[i]).collect(),
-            scorers: order.iter().map(|&i| scorers[i]).collect(),
-            bounds: order.iter().map(|&i| bounds[i]).collect(),
-            estimated_postings,
-        }
+        FoldedTerms::new(terms, self.scoring, |t| {
+            (self.index.term_stats(t), self.index.max_weighted_tf(t))
+        })
     }
 
     /// Run a query given pre-analyzed terms: [`ShardedSearcher::fold`],
@@ -699,8 +626,8 @@ impl<'a> ShardedSearcher<'a> {
     ///   shard on the calling thread into ONE bounded heap, behind one
     ///   panic/cancel boundary.
     /// - **Per-shard slots**, when it is dispatched: each shard into its
-    ///   own top-k behind its own boundary on the executor, then a
-    ///   deterministic merge.
+    ///   own top-k behind its own boundary on the executor, then every
+    ///   slot's hits into one more bounded heap.
     ///
     /// A query is dispatched only when the context has an executor, the
     /// index has more than one shard, and the policy weighs the query's
@@ -795,18 +722,19 @@ impl<'a> ShardedSearcher<'a> {
             })
             .collect();
         // Shard tasks are the latency class: they jump ahead of any queued
-        // batch chunks (see `run_urgent`).
+        // batch chunks (see `try_run_urgent`).
         let run_panic = exec.try_run_urgent(tasks).err();
         // Any failed slot fails the query: a merge of the survivors would
         // not be bit-identical to anything. Every slot is read, so the
-        // failure counts each panicked shard.
-        let mut lists: Vec<Vec<Hit>> = Vec::with_capacity(n);
+        // failure counts each panicked shard. The slots' hits feed one
+        // bounded heap, which selects what the sweep's shared heap does.
+        let mut top = TopK::new(k);
         let mut panic: Option<(String, usize)> = None;
         let mut cancelled = false;
         for (s, slot) in slots.into_iter().enumerate() {
             let message = match slot {
                 Some(Ok(hits)) => {
-                    lists.push(hits);
+                    hits.into_iter().for_each(|hit| top.push(hit));
                     continue;
                 }
                 Some(Err(SearchFailure::Cancelled)) => {
@@ -826,7 +754,7 @@ impl<'a> ShardedSearcher<'a> {
             Some((message, shards)) => Err(SearchFailure::Panicked { message, shards }),
             None if cancelled => Err(SearchFailure::Cancelled),
             None => Ok(SearchOutcome {
-                hits: merge_top_k(lists, k),
+                hits: top.into_sorted_hits(),
             }),
         }
     }
@@ -835,7 +763,9 @@ impl<'a> ShardedSearcher<'a> {
     /// ([`crate::search`]'s dense-accumulate + bounded-top-k) against
     /// corpus-global scorers, pushing globally-identified candidates into
     /// `top` — the sweep's shared heap, or a slot's own. `resolved` is the
-    /// dictionary-resolution buffer, reused across the sweep's shards.
+    /// buffer the kernel resolves the terms into against the shard's own
+    /// dictionary (TermIds never cross shards), reused across the sweep's
+    /// shards.
     /// Scoring wall-clock accumulates into the context's [`ShardTimings`]
     /// slot `s` when present (one relaxed atomic add; no timing configured
     /// = not even a clock read).
@@ -847,21 +777,15 @@ impl<'a> ShardedSearcher<'a> {
         filter: Option<&(dyn Fn(DocId) -> bool + Sync)>,
         ctx: &SearchContext,
         scratch: &mut ScoreScratch,
-        resolved: &mut Vec<(Option<crate::index::TermId>, usize)>,
+        resolved: &mut Vec<(Option<TermId>, usize)>,
         top: &mut TopK,
     ) -> Result<(), Cancelled> {
         let start = ctx.timings.map(|_| Instant::now());
-        let shard = &self.index.shards()[s];
-        // Resolve the query against this shard's own dictionary (TermIds
-        // never cross shards): one probe per distinct term per shard.
-        resolved.clear();
-        resolved.extend(folded.terms.iter().map(|(t, qtf)| (shard.term_id(t), *qtf)));
         let to_global = |local| self.index.to_global(s, local);
         let out = score_terms_into_topk(
-            shard,
+            &self.index.shards()[s],
+            folded,
             resolved,
-            &folded.scorers,
-            &folded.bounds,
             scratch,
             to_global,
             filter.map(|f| f as &dyn Fn(DocId) -> bool),
@@ -904,39 +828,6 @@ impl<'a> ShardedSearcher<'a> {
             matched_terms,
         }
     }
-}
-
-/// Deterministic top-k merge of per-shard hit lists, each already sorted by
-/// [`rank_hits`]: a max-heap of list heads pops the best remaining hit
-/// exactly `k` times (or until the lists dry up). `O((k + n) log n)` for
-/// `n` shards — the comparator is the same total order the per-shard sorts
-/// used, so the output equals sorting the concatenation, without paying
-/// `O(nk log nk)`.
-fn merge_top_k(lists: Vec<Vec<Hit>>, k: usize) -> Vec<Hit> {
-    let mut heap = std::collections::BinaryHeap::with_capacity(lists.len());
-    for (shard, list) in lists.iter().enumerate() {
-        if let Some(hit) = list.first() {
-            heap.push(MergeHead {
-                hit: hit.clone(),
-                shard,
-                pos: 0,
-            });
-        }
-    }
-    let mut out = Vec::with_capacity(k.min(lists.iter().map(Vec::len).sum()));
-    while out.len() < k {
-        let Some(head) = heap.pop() else { break };
-        out.push(head.hit);
-        let next = head.pos + 1;
-        if let Some(hit) = lists[head.shard].get(next) {
-            heap.push(MergeHead {
-                hit: hit.clone(),
-                shard: head.shard,
-                pos: next,
-            });
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1001,7 +892,7 @@ mod tests {
         for n in [1usize, 2, 3, 8] {
             let sx = builder_with(&docs).build_sharded(n);
             assert_eq!(
-                sx.avg_doc_length().to_bits(),
+                sx.avg_doc_length.to_bits(),
                 ix.avg_doc_length().to_bits(),
                 "{n} shards"
             );
@@ -1124,7 +1015,7 @@ mod tests {
         let ctx = SearchContext::default();
         let empty = IndexBuilder::new().build_sharded(4);
         assert_eq!(empty.num_docs(), 0);
-        assert_eq!(empty.avg_doc_length(), 0.0);
+        assert_eq!(empty.avg_doc_length, 0.0);
         let s = ShardedSearcher::new(&empty, ScoringFunction::default());
         assert!(search(&s, "star", 10, &ctx).is_empty());
 

@@ -577,14 +577,24 @@ fn finish(
     tables: Vec<IdTable>,
 ) -> Result<Part, &'static str> {
     let mut tables = tables.into_iter();
-    let mut table = || tables.next().expect("set-up reserves the section's tables");
+    // A reserved table, filled; or an empty one in place of a table that
+    // `reserve_tables` left out, for a shard assembly refuses unread.
+    let mut table = |fill: &dyn Fn(&mut IdTable)| {
+        tables.next().map_or_else(
+            || IdTable::with_capacity(0),
+            |mut table| {
+                fill(&mut table);
+                table
+            },
+        )
+    };
     Ok(match (section, lanes) {
         (0, [Buf::U32(ends), Buf::U8(text), ..]) => {
             Part::Analyzer(fields[0] as usize, TextArena::from_lanes(ends, text)?)
         }
         (1, [Buf::U32(ends), Buf::U8(text), ..]) => {
-            let (terms, mut term_ids) = (TextArena::from_lanes(ends, text)?, table());
-            index_terms(&mut term_ids, &terms);
+            let terms = TextArena::from_lanes(ends, text)?;
+            let term_ids = table(&|term_ids| index_terms(term_ids, &terms));
             Part::Terms(terms, term_ids)
         }
         (2, [Buf::U32(offsets), ..]) => Part::Offsets(offsets),
@@ -604,9 +614,8 @@ fn finish(
         ) => {
             let strings = TextArena::from_lanes(ends, text)?;
             let names = TextArena::from_lanes(name_ends, name_text)?;
-            let docs = DocStore::from_lanes(strings, firsts, field_of, names, table())?;
-            let mut external = table();
-            index_external_ids(&mut external, &docs);
+            let docs = DocStore::from_lanes(strings, firsts, field_of, names, table(&|_| {}))?;
+            let external = table(&|external| index_external_ids(external, &docs));
             Part::Docs(docs, external)
         }
         (
@@ -631,7 +640,8 @@ enum Decode {
     /// Only hashed: a section of a shard not fully framed, or one whose
     /// checksum failed.
     None,
-    /// Reserved by set-up: the lanes, and the tables of terms or docs.
+    /// Reserved by set-up: the lanes, and the tables of terms or docs
+    /// (`reserve_tables`).
     Lanes([Buf; MAX_LANES], Vec<IdTable>),
     Done(Part),
     Bad(Bad),
@@ -651,7 +661,7 @@ struct Stream {
 impl Stream {
     /// Set-up of a section, unless it is only to be hashed: read its fields,
     /// check that the lanes they count fill its payload exactly, and reserve
-    /// the lanes and tables.
+    /// the lanes (its shard's tables come after, from `reserve_tables`).
     fn set_up(file: &mut (impl Read + Seek), frame: Frame, hashed: bool) -> std::io::Result<Self> {
         let (mut fields, width) = ([0; 5], 8 * FIELDS[frame.section]);
         let decode = if hashed {
@@ -669,13 +679,7 @@ impl Stream {
                 for (lane, &(kind, field)) in lanes.iter_mut().zip(layout) {
                     *lane = Buf::with_capacity(kind, fields[field] as usize);
                 }
-                let table = |field: usize| IdTable::with_capacity(fields[field] as usize);
-                let tables = match frame.section {
-                    1 => vec![table(0)],
-                    6 => vec![table(3), table(0)],
-                    _ => Vec::new(),
-                };
-                Decode::Lanes(lanes, tables)
+                Decode::Lanes(lanes, Vec::new())
             })
         };
         let decode = Box::new(decode);
@@ -719,6 +723,31 @@ impl Stream {
             (self.sum, *self.decode) = (sum.finish(), decode);
         }
         Ok(())
+    }
+}
+
+/// Reserve the tables of a fully framed shard's sections: the field names'
+/// always, the vocabulary's and the external ids' only when the counts they
+/// are sized from agree with the other sections that count the same terms
+/// and documents. Each count is checked only against its own section's
+/// bytes, and a table takes up to 8 times the bytes of the lane it indexes
+/// (a vocabulary of n empty terms is 4n bytes), so a crafted count could
+/// otherwise reserve more than the file; a shard whose counts disagree is
+/// refused at assembly (`Index::from_indexed_parts`) before a table is read.
+fn reserve_tables(shard: &mut [Stream]) {
+    let count = |section: usize, field: usize| shard[section].fields[field];
+    let (terms, docs, names) = (count(1, 0), count(6, 0), count(6, 3));
+    let rows = terms.checked_add(1);
+    let terms_agree =
+        count(4, 0) == terms && Some(count(2, 0)) == rows && Some(count(7, 1)) == rows;
+    let docs_agree = count(5, 0) == docs;
+    let table = |n: u64| IdTable::with_capacity(n as usize);
+    if let Decode::Lanes(_, tables) = &mut *shard[1].decode {
+        tables.extend(terms_agree.then(|| table(terms)));
+    }
+    if let Decode::Lanes(_, tables) = &mut *shard[6].decode {
+        tables.push(table(names));
+        tables.extend(docs_agree.then(|| table(docs)));
     }
 }
 
@@ -843,6 +872,9 @@ fn decode_snapshot<R: Read + Seek + Send>(
     for (i, &frame) in frames.iter().enumerate() {
         streams.push(Stream::set_up(&mut file, frame, i >= framed)?);
     }
+    streams[..framed]
+        .chunks_exact_mut(per_shard)
+        .for_each(reserve_tables);
 
     // Both threads copy their share through a handle and a buffer of their
     // own, allocated here.
@@ -1695,6 +1727,22 @@ mod tests {
                     b.swap(spans[i].tag, spans[j].tag)
                 });
             }
+
+            // A vocabulary of 100 000 empty terms: zero ends are a valid
+            // arena, and its 400 000 bytes back the count, but the other
+            // sections count the shard's terms as before.
+            damaged(
+                "terms section of 100000 empty terms, restamped".into(),
+                &|b| {
+                    let n = 100_000u64;
+                    let mut payload = [n, 0].map(u64::to_le_bytes).concat();
+                    payload.resize(payload.len() + 4 * n as usize, 0);
+                    let sum = checksum(&payload).to_le_bytes();
+                    let len = (payload.len() as u64).to_le_bytes();
+                    let section = [&[2u8][..], &len, &payload, &sum].concat();
+                    b.splice(spans[1].tag..spans[1].end(), section);
+                },
+            );
 
             // Every item of every lane of `u32`s or `u64`s — ends, firsts,
             // field-name ids, offsets, doc ids, tf and length bits — zeroed

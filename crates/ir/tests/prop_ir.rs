@@ -2,8 +2,8 @@
 
 use irengine::{
     Analyzer, DispatchPolicy, DocId, DocView, Document, Hit, Index, IndexBuilder, KernelTier,
-    ScoreScratch, ScoringFunction, ScratchPool, SearchContext, Searcher, ShardExecutor,
-    ShardedIndex, ShardedSearcher, TermStats,
+    PostingsBuf, ScoreScratch, ScoringFunction, ScratchPool, SearchContext, Searcher,
+    ShardExecutor, ShardedIndex, ShardedSearcher, TermStats,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -48,7 +48,7 @@ fn naive_search(index: &Index, scoring: ScoringFunction, terms: &[String], k: us
     let mut acc: HashMap<DocId, (f64, usize)> = HashMap::new();
     for &i in &order {
         let (term, qtf) = deduped[i];
-        for p in index.postings(term) {
+        for p in index.postings_with(term, &mut PostingsBuf::new()) {
             let s = scoring.score_term_stats(
                 TermStats::of(index, term),
                 index.doc_length(p.doc),
