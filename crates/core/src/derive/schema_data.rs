@@ -55,14 +55,18 @@ pub struct Queriability {
 
 /// Compute queriability for every table, descending.
 pub fn queriability(db: &Database) -> Vec<Queriability> {
-    let stats = DatabaseStats::collect(db);
+    queriability_with(db, &DatabaseStats::collect(db))
+}
+
+/// [`queriability`] from statistics already collected over `db`.
+fn queriability_with(db: &Database, stats: &DatabaseStats) -> Vec<Queriability> {
     let mut out: Vec<Queriability> = db
         .catalog()
         .iter()
         .map(|(_, schema)| {
             let t = stats.table_by_name(&schema.name).expect("stats cover all");
-            let label = label_column_with_stats(db, &stats, &schema.name);
-            let label_score = best_text_score(&schema.name, &stats);
+            let label = label_column_with_stats(db, stats, &schema.name);
+            let label_score = best_text_score(&schema.name, stats);
             let score = (1.0 + t.rows as f64).ln() * (1.0 + t.fk_degree as f64) * label_score;
             Queriability {
                 table: schema.name.clone(),
@@ -100,11 +104,12 @@ fn best_text_score(table: &str, stats: &DatabaseStats) -> f64 {
 
 /// Derive a catalog with the given `k1 × k2` expansion.
 pub fn derive(db: &Database, config: &SchemaDataConfig) -> Result<QunitCatalog> {
-    let scores = queriability(db);
+    let stats = DatabaseStats::collect(db);
+    let scores = queriability_with(db, &stats);
     let score_of: HashMap<&str, f64> = scores.iter().map(|q| (q.table.as_str(), q.score)).collect();
     let anchors: Vec<&Queriability> = scores
         .iter()
-        .filter(|q| q.score > 0.0 && q.label.as_deref().map(is_text_label).unwrap_or(false))
+        .filter(|q| q.score > 0.0 && q.label.is_some())
         .take(config.k1)
         .collect();
 
@@ -155,7 +160,6 @@ pub fn derive(db: &Database, config: &SchemaDataConfig) -> Result<QunitCatalog> 
         let (query, from_tables) = base_expression(db, &atable, &acolumn, "x", &neighbor_refs)?;
 
         // Conversion: anchor display columns once; neighbor labels per tuple.
-        let stats = DatabaseStats::collect(db);
         let header = display_columns(db, &atable);
         let mut foreach = Vec::new();
         for t in &from_tables {
@@ -205,10 +209,6 @@ pub fn derive(db: &Database, config: &SchemaDataConfig) -> Result<QunitCatalog> 
         });
     }
     Ok(cat)
-}
-
-fn is_text_label(_label: &str) -> bool {
-    true // label_column_with_stats already applies the text preference
 }
 
 fn split(qualified: &str) -> (String, String) {

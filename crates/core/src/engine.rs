@@ -66,10 +66,9 @@
 //!
 //! # Service hardening
 //!
-//! One knob defends the tail: a per-query deadline
-//! ([`EngineConfig::deadline`], checked at fixed pipeline checkpoints and
-//! at deterministic mid-kernel posting counts; inert at its default, and
-//! CI-gated bit-identical when un-hit). Admission and request queueing
+//! A query fails only when something panics on its path: the engine
+//! contains the panic at the query boundary ([`SearchError::Internal`]) and
+//! keeps serving. Admission, request queueing and per-query time limits
 //! belong to the caller that embeds the engine. Every query-path event
 //! lands in cheap relaxed-atomic counters surfaced as one coherent
 //! [`QunitSearchEngine::obs_snapshot`] (see [`crate::obs`]); the repo
@@ -159,23 +158,6 @@ pub struct EngineConfig {
     /// / `QUNITS_INLINE_THRESHOLD` environment variables override it at
     /// build time (the CI determinism gate diffs both forced modes).
     pub inline_postings_threshold: usize,
-    /// Per-query wall-clock budget for the uncached pipeline; `None` (the
-    /// default) disables deadline checking entirely — not even a clock
-    /// read. The budget is checked at three fixed pipeline checkpoints
-    /// (`"segment"`, `"rank"`, `"materialize"`) and, inside the `"rank"`
-    /// phase, at a cooperative mid-kernel checkpoint every
-    /// [`irengine::CANCEL_POSTING_BUDGET`] postings walked — a
-    /// deterministic posting *count*, so the places a query can abort are
-    /// fixed even though wall-clock decides whether it does. A deadline
-    /// therefore changes *whether* a query completes but never *what* a
-    /// completed query returns: any query that finishes under its budget
-    /// is bit-identical to one run with no deadline at all (CI-gated).
-    /// A tripped deadline surfaces as
-    /// [`SearchError::DeadlineExceeded`] from the `try_*` entry points and
-    /// as an empty result list from the infallible ones; either way the
-    /// partial query is never cached. `QUNITS_DEADLINE_MS` overrides this
-    /// at build time.
-    pub deadline: Option<Duration>,
     /// The scoring kernel tier every query runs; the default is
     /// [`KernelTier::default`]. Purely a performance knob: every tier is
     /// bit-identical (the CI determinism gate diffs transcripts across all
@@ -242,7 +224,6 @@ impl Default for EngineConfig {
             search_shards: 0,
             executor_threads: 0,
             inline_postings_threshold: DispatchPolicy::DEFAULT_INLINE_THRESHOLD,
-            deadline: None,
             kernel: KernelTier::default(),
             force_exhaustive: false,
             block_size: irengine::DEFAULT_BLOCK_SIZE,
@@ -252,21 +233,11 @@ impl Default for EngineConfig {
     }
 }
 
-/// Why a fallible search entry point declined to produce a full result
-/// list. Both variants are deterministic *in content*: the error carries no
-/// timing data, so transcript-style tests can match them structurally.
+/// Why a fallible search entry point declined to produce a result list.
+/// Deterministic *in content*: the error carries no timing data, so
+/// transcript-style tests can match it structurally.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SearchError {
-    /// The query's [`EngineConfig::deadline`] elapsed at a pipeline
-    /// checkpoint. `phase` names the checkpoint that tripped (`"segment"`,
-    /// `"rank"`, or `"materialize"`) — the work *before* that checkpoint
-    /// is what overran. A `"rank"` trip covers both the phase-boundary
-    /// check and the cooperative mid-kernel checkpoints the scoring
-    /// kernel polls every [`irengine::CANCEL_POSTING_BUDGET`] postings.
-    DeadlineExceeded {
-        /// Pipeline checkpoint at which the budget was found exhausted.
-        phase: &'static str,
-    },
     /// A shard task panicked mid-query, or the pipeline around it did,
     /// and the engine contained it at the query boundary instead of
     /// unwinding the caller. A failed shard fails the whole query: no
@@ -286,9 +257,6 @@ pub enum SearchError {
 impl std::fmt::Display for SearchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SearchError::DeadlineExceeded { phase } => {
-                write!(f, "query deadline exceeded at the {phase} checkpoint")
-            }
             SearchError::Internal { site } => {
                 write!(f, "internal query failure contained: {site}")
             }
@@ -301,39 +269,6 @@ impl std::error::Error for SearchError {}
 /// Result alias for the fallible search entry points
 /// ([`QunitSearchEngine::try_search`] and friends).
 pub type SearchResult<T> = std::result::Result<T, SearchError>;
-
-/// Deadline checkpoints for the uncached pipeline. With no budget this is
-/// a no-op wrapper — no clock read at construction or checkpoints — so a
-/// `deadline: None` engine runs byte-for-byte the pre-deadline code path.
-#[derive(Debug, Clone, Copy)]
-struct DeadlineCheck(Option<(Instant, Duration)>);
-
-impl DeadlineCheck {
-    fn new(budget: Option<Duration>) -> Self {
-        DeadlineCheck(budget.map(|b| (Instant::now(), b)))
-    }
-
-    /// `Err` if the budget has elapsed. `>=` not `>`: a zero budget trips
-    /// the *first* checkpoint always — that determinism is what the
-    /// deadline-semantics tests pin.
-    fn check(&self, phase: &'static str) -> std::result::Result<(), SearchError> {
-        match self.0 {
-            Some((start, budget)) if start.elapsed() >= budget => {
-                Err(SearchError::DeadlineExceeded { phase })
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// The cancel-probe form of [`DeadlineCheck::check`]: has the budget
-    /// elapsed right now? The scoring kernel polls this every
-    /// [`irengine::CANCEL_POSTING_BUDGET`] postings during the `"rank"`
-    /// phase. Always `false` (and clock-free) with no budget configured —
-    /// though a `deadline: None` engine never even wires the probe up.
-    fn expired(&self) -> bool {
-        matches!(self.0, Some((start, budget)) if start.elapsed() >= budget)
-    }
-}
 
 /// One ranked search result: the scores of one query, and the instance
 /// they rank.
@@ -466,8 +401,8 @@ pub struct QunitSearchEngine {
     /// [`EngineConfig::inline_postings_threshold`] and the `QUNITS_*`
     /// environment overrides (`crate::overrides`).
     policy: DispatchPolicy,
-    /// Engine-owned observability counters (queries served, deadline
-    /// trips, contained failures); merged with the cache, executor, and
+    /// Engine-owned observability counters (queries served, contained
+    /// failures); merged with the cache, executor, and
     /// shard-timing counters in [`QunitSearchEngine::obs_snapshot`].
     obs: EngineObs,
     /// Inline-vs-dispatch decision tally, recorded by the sharded search
@@ -1127,7 +1062,7 @@ impl QunitSearchEngine {
 
     /// One coherent snapshot of every observability signal the engine
     /// tracks — queries served, cache hits/misses, inline-vs-dispatch
-    /// decisions, deadline trips, contained failures, per-shard scoring
+    /// decisions, contained failures, per-shard scoring
     /// nanos, and executor queue stats. Monotonic totals since build;
     /// snapshot twice and subtract for interval rates. Reading is a
     /// handful of relaxed atomic loads plus one `Vec` for the shard slots
@@ -1142,7 +1077,6 @@ impl QunitSearchEngine {
             cache_misses: cache.misses,
             inline_queries,
             dispatched_queries,
-            deadline_exceeded: self.obs.deadline_exceeded.get(),
             internal_errors: self.obs.internal_errors.get(),
             panics_contained: self.obs.panics_contained.get(),
             degraded_to_empty: self.obs.degraded_to_empty.get(),
@@ -1230,11 +1164,10 @@ impl QunitSearchEngine {
     /// [`QunitSearchEngine::search_uncached`] and cached under the current
     /// feedback generation.
     ///
-    /// Infallible by design: a tripped [`EngineConfig::deadline`] returns
-    /// an empty result list (the documented degraded answer —
-    /// deterministic, never cached). A caller that needs to distinguish
-    /// "no matches" from "out of budget" uses
-    /// [`QunitSearchEngine::try_search`].
+    /// Infallible by design: a query that fails ([`SearchError`]) returns
+    /// an empty result list (the documented degraded answer, never
+    /// cached). A caller that needs to distinguish "no matches" from a
+    /// failed query uses [`QunitSearchEngine::try_search`].
     pub fn search(&self, query: &str, k: usize) -> Vec<QunitResult> {
         self.search_infallible(query, k, self.policy)
     }
@@ -1255,10 +1188,8 @@ impl QunitSearchEngine {
     }
 
     /// Fallible entry point: [`QunitSearchEngine::search`] with its errors
-    /// surfaced — [`SearchError::DeadlineExceeded`] when the per-query
-    /// budget trips at a pipeline checkpoint, [`SearchError::Internal`]
-    /// when a contained panic killed the query. With no deadline and no
-    /// fault this never errors and is bit-identical to
+    /// surfaced — [`SearchError::Internal`] when a contained panic killed
+    /// the query. With no fault this never errors and is bit-identical to
     /// [`QunitSearchEngine::search`].
     pub fn try_search(&self, query: &str, k: usize) -> SearchResult<Vec<QunitResult>> {
         self.try_search_with_policy(query, k, self.policy)
@@ -1297,10 +1228,8 @@ impl QunitSearchEngine {
                 if let Some(cached) = self.cache.get(qs.norm.as_str(), k, generation) {
                     return Ok(cached);
                 }
-                // `?` before the insert: a failed or deadline-truncated
-                // query is never cached — the cache contract is "identical
-                // to uncached", and a later run of the same query would
-                // complete.
+                // `?` before the insert: a failed query is never cached —
+                // the cache contract is "identical to uncached".
                 let results = self.search_uncached_guarded(k, policy, qs)?;
                 // The cache owns its key, so a miss pays one String clone;
                 // a hit borrows the normal form and allocates only the list
@@ -1310,7 +1239,7 @@ impl QunitSearchEngine {
                 Ok(results)
             })
         };
-        // Hits, misses, and deadline trips all count: the histogram is the
+        // Hits, misses, and failures all count: the histogram is the
         // served-latency distribution, not the kernel-cost one.
         self.obs.latency.record(started.elapsed().as_nanos() as u64);
         out
@@ -1384,9 +1313,9 @@ impl QunitSearchEngine {
     }
 
     /// Run a keyword query without touching the cache, returning up to `k`
-    /// results. Like [`QunitSearchEngine::search`], a tripped deadline
+    /// results. Like [`QunitSearchEngine::search`], a failed query
     /// degrades to an empty list; [`QunitSearchEngine::try_search_uncached`]
-    /// surfaces it instead.
+    /// surfaces its error instead.
     pub fn search_uncached(&self, query: &str, k: usize) -> Vec<QunitResult> {
         match self.try_search_uncached(query, k) {
             Ok(results) => results,
@@ -1397,8 +1326,7 @@ impl QunitSearchEngine {
         }
     }
 
-    /// Fallible uncached search: the full pipeline with deadline
-    /// checkpoints and no cache probe.
+    /// Fallible uncached search: the full pipeline and no cache probe.
     pub fn try_search_uncached(&self, query: &str, k: usize) -> SearchResult<Vec<QunitResult>> {
         self.obs.queries.incr();
         let started = Instant::now();
@@ -1438,16 +1366,6 @@ impl QunitSearchEngine {
     /// already tokenized into them by [`with_query`]; it never tokenizes
     /// again) and dispatch policy — the one body behind every search entry
     /// point.
-    ///
-    /// Deadline checkpoints sit at fixed phase boundaries ("segment" on
-    /// entry, "rank" before the IR fan-out, "materialize" before result
-    /// construction) plus cooperative mid-kernel checkpoints inside the
-    /// "rank" fan-out, polled every [`irengine::CANCEL_POSTING_BUDGET`]
-    /// postings — a deterministic posting count, so the abort *sites* are
-    /// fixed even though wall-clock decides whether one fires. Either
-    /// way an un-hit deadline leaves the result bit-identical, and a hit
-    /// one aborts at a deterministic place; a mid-kernel trip surfaces as
-    /// `DeadlineExceeded { phase: "rank" }` like the boundary check.
     fn search_uncached_inner(
         &self,
         k: usize,
@@ -1457,20 +1375,10 @@ impl QunitSearchEngine {
         if k == 0 {
             return Ok(Vec::new());
         }
-        let deadline = DeadlineCheck::new(self.config.deadline);
-        let trip = |e| self.deadline_trip(e);
-        deadline.check("segment").map_err(trip)?;
         let seg = self.segmenter.segment_normal(&qs.norm);
         self.plan(&seg, k, &mut qs.plan);
-        let hits = self.candidates(&qs.plan, &qs.norm, policy, &deadline)?;
-        deadline.check("materialize").map_err(trip)?;
+        let hits = self.candidates(&qs.plan, &qs.norm, policy)?;
         Ok(self.rescore(&qs.plan, &hits, k, &mut qs.scored, &mut qs.render))
-    }
-
-    /// Count a tripped deadline on its way out.
-    fn deadline_trip(&self, e: SearchError) -> SearchError {
-        self.obs.deadline_exceeded.incr();
-        e
     }
 
     /// Identify the qunit type of a segmented query and decide into `plan`
@@ -1565,7 +1473,6 @@ impl QunitSearchEngine {
         plan: &QueryPlan,
         norm: &NormalForm,
         policy: DispatchPolicy,
-        deadline: &DeadlineCheck,
     ) -> SearchResult<Vec<Hit>> {
         // Intra-query parallelism: every ranking pass below fans across
         // the index shards — inline or on the persistent executor per the
@@ -1573,40 +1480,26 @@ impl QunitSearchEngine {
         // deterministically, so results are identical at any shard count,
         // pool size, or dispatch mode. Per-shard scoring time lands in the
         // atomic shard counters.
-        let trip = |e| self.deadline_trip(e);
-        deadline.check("rank").map_err(trip)?;
         let searcher = ShardedSearcher::new(&self.index, self.config.scoring);
         // The IR terms: the query's tokens the analyzer keeps, borrowed.
         let analyzer = self.index.analyzer();
         let terms: Vec<&str> = norm.tokens().filter(|t| analyzer.keeps(t)).collect();
         // Folded once: both fan-outs and the injection below read it.
         let folded = searcher.fold(&terms);
-        // The mid-kernel probe is wired only when a deadline exists: a
-        // `deadline: None` engine keeps the probe-free kernel loops (no
-        // posting-budget bookkeeping at all, same as before deadlines).
-        let expired = || deadline.expired();
         let ctx = SearchContext {
             pool: Some(&self.scratch_pool),
             exec: Some(&self.exec),
             timings: Some(&self.shard_timings),
             policy,
             decisions: Some(&self.dispatch_counts),
-            cancel: self
-                .config
-                .deadline
-                .is_some()
-                .then_some(irengine::CancelProbe(&expired)),
             tier: self.config.kernel,
         };
-        // A mid-kernel deadline trip aborts the fan-out with `Cancelled`
-        // and re-surfaces here as a "rank"-phase trip; a shard panic the
-        // fan-out contained surfaces as `Internal`, counting every shard
-        // that panicked — the chaos suite balances `panics_contained`
-        // against the fault registry's fired count exactly. Either way the
-        // error lands before the caller's cache insert — a failed query is
-        // never cached.
+        // A shard panic the fan-out contained surfaces as `Internal`,
+        // counting every shard that panicked — the chaos suite balances
+        // `panics_contained` against the fault registry's fired count
+        // exactly. The error lands before the caller's cache insert — a
+        // failed query is never cached.
         let rank_trip = |f: SearchFailure| match f {
-            SearchFailure::Cancelled => trip(SearchError::DeadlineExceeded { phase: "rank" }),
             SearchFailure::Panicked { message, shards } => {
                 self.obs.internal_errors.incr();
                 self.obs.panics_contained.add(shards as u64);
@@ -2367,9 +2260,7 @@ mod tests {
         let seg = e.segmenter.segment_normal(&qs.norm);
         e.plan(&seg, k, &mut qs.plan);
         let plan = &qs.plan;
-        let found = e
-            .candidates(plan, &qs.norm, e.policy, &DeadlineCheck::new(None))
-            .unwrap();
+        let found = e.candidates(plan, &qs.norm, e.policy).unwrap();
         let new = e.rescore(plan, &found, k, &mut qs.scored, &mut qs.render);
         let old = e.rescore_reference(&seg, plan, &found, k, facts);
         let bits = |r: &QunitResult| {
@@ -2660,9 +2551,7 @@ mod tests {
             .anchored
             .iter()
             .all(|&doc| !plan.admits(&e.doc_def, doc)));
-        let found = e
-            .candidates(plan, &qs.norm, e.policy, &DeadlineCheck::new(None))
-            .unwrap();
+        let found = e.candidates(plan, &qs.norm, e.policy).unwrap();
         // …so the candidates are the open pass's hits and nothing more.
         let terms = e.index.analyzer().tokenize(&query);
         let open = ShardedSearcher::new(&e.index, e.config.scoring)

@@ -215,13 +215,9 @@ pub struct ObsSnapshot {
     pub inline_queries: u64,
     /// Multi-shard queries fanned across the shard executor.
     pub dispatched_queries: u64,
-    /// Queries that hit their deadline checkpoint and returned
-    /// `SearchError::DeadlineExceeded`.
-    pub deadline_exceeded: u64,
     /// Queries that returned `SearchError::Internal` — a shard task
     /// panicked and the engine contained it at the query boundary instead
-    /// of unwinding the caller. With `deadline_exceeded` this completes
-    /// the per-variant error totals.
+    /// of unwinding the caller.
     pub internal_errors: u64,
     /// Panics caught and contained without unwinding any caller or
     /// worker, for injected faults and organic panics alike: each shard
@@ -285,8 +281,6 @@ impl ObsSnapshot {
 pub struct EngineObs {
     /// Queries served through the cached entry points.
     pub queries: Counter,
-    /// Deadline-checkpoint trips.
-    pub deadline_exceeded: Counter,
     /// Queries failed with `SearchError::Internal` (contained panics).
     pub internal_errors: Counter,
     /// Panics contained at the query boundary: one per panicked shard,

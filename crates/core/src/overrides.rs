@@ -11,7 +11,6 @@
 use crate::engine::EngineConfig;
 use irengine::{DispatchMode, DispatchPolicy, KernelTier};
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// What the environment can set: the engine's config, and the dispatch
 /// mode of the policy built from its `inline_postings_threshold`.
@@ -26,11 +25,7 @@ type Apply = fn(&mut Overridden, &str) -> Result<(), &'static str>;
 
 /// Every override, in the order applied: `QUNITS_FORCE_INLINE` comes after
 /// `QUNITS_FORCE_DISPATCH`, so it wins when both are set.
-const OVERRIDES: [(&str, Apply); 8] = [
-    ("QUNITS_DEADLINE_MS", |o, v| {
-        o.config.deadline = Some(Duration::from_millis(integer(v)?));
-        Ok(())
-    }),
+const OVERRIDES: [(&str, Apply); 7] = [
     ("QUNITS_KERNEL", |o, v| {
         o.config.kernel = match v {
             "blockmax" => KernelTier::BlockMax,
@@ -124,7 +119,6 @@ mod tests {
     #[test]
     fn every_override_parses_refuses_by_name_and_is_documented() {
         let values = |name: &str| match name {
-            "QUNITS_DEADLINE_MS" => ("250", "soon"),
             "QUNITS_KERNEL" => ("exhaustive", "fast"),
             "QUNITS_BLOCK_SIZE" => ("7", "-1"),
             "QUNITS_COMPRESS_POSTINGS" => ("1", "yes"),

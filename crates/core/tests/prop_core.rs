@@ -234,10 +234,35 @@ mod cache_props {
         ENGINE.get_or_init(fresh_engine)
     }
 
+    /// Shared by `interleaved_clicks_never_leave_a_stale_entry` ONLY — it
+    /// records clicks too.
+    fn interleave_engine() -> &'static QunitSearchEngine {
+        static ENGINE: OnceLock<QunitSearchEngine> = OnceLock::new();
+        ENGINE.get_or_init(fresh_engine)
+    }
+
     /// Shared by `batch_search_equals_sequential` ONLY (never mutated).
     fn batch_engine() -> &'static QunitSearchEngine {
         static ENGINE: OnceLock<QunitSearchEngine> = OnceLock::new();
         ENGINE.get_or_init(fresh_engine)
+    }
+
+    /// Queries for the interleaving property: two pairs that share a
+    /// template signature within the pair and not across it, and three
+    /// shapes of their own.
+    fn interleave_queries() -> Vec<String> {
+        let data = fixtures::data();
+        let (m0, m3) = (&data.movies[0].title, &data.movies[3].title);
+        let (p0, p1) = (&data.people[0].name, &data.people[1].name);
+        vec![
+            format!("{m0} cast"),
+            format!("{m3} cast"),
+            format!("{p0} movies"),
+            format!("{p1} movies"),
+            m0.clone(),
+            "box office".to_string(),
+            format!("{m3} box office"),
+        ]
     }
 
     proptest! {
@@ -260,6 +285,37 @@ mod cache_props {
                 engine.record_click(&q, &top.key);
             }
             prop_assert_eq!(&engine.search(&q, k), &engine.search_uncached(&q, k));
+        }
+
+        // The same contract across queries: a click on one query must not
+        // leave a stale entry for another, whether the two share a
+        // template signature (and so the feedback the click moves) or not.
+        // Searches and clicks interleave at random over several queries;
+        // every search, and finally every query, equals an uncached search.
+        #[test]
+        fn interleaved_clicks_never_leave_a_stale_entry(
+            ops in prop::collection::vec(
+                (0usize..3, 0usize..7, 0usize..7, 0usize..10, 0usize..8),
+                1..24,
+            ),
+        ) {
+            let engine = interleave_engine();
+            let qs = interleave_queries();
+            let seg = segmenter();
+            let sig = |i: usize| seg.segment(&qs[i]).template_signature();
+            prop_assert_eq!(sig(0), sig(1));
+            prop_assert_eq!(sig(2), sig(3));
+            prop_assert_ne!(sig(0), sig(2));
+            for (kind, i, j, r, k) in ops {
+                if kind < 2 {
+                    prop_assert_eq!(&engine.search(&qs[i], k), &engine.search_uncached(&qs[i], k));
+                } else if let Some(hit) = engine.search_uncached(&qs[i], 10).get(r) {
+                    engine.record_click(&qs[j], &hit.key);
+                }
+            }
+            for q in &qs {
+                prop_assert_eq!(&engine.search(q, 5), &engine.search_uncached(q, 5));
+            }
         }
 
         #[test]

@@ -1,28 +1,23 @@
-//! Service-hardening contract tests: deadline semantics, the kernel tiers,
+//! Service-hardening contract tests: the dispatch paths, the kernel tiers,
 //! and the observability counters — the guarantees behind serving
 //! open-loop load.
 //!
 //! The load-bearing claims pinned here, complementing the CI determinism
 //! transcript gate (which diffs `exp_determinism` under
-//! `QUNITS_DEADLINE_MS` with `QUNITS_FORCE_DISPATCH`):
+//! `QUNITS_FORCE_DISPATCH`):
 //!
-//! 1. a deadline of `None` (default) and an un-hit deadline are
-//!    bit-identical to each other — keys, order, score bits — inline and
-//!    under forced dispatch;
-//! 2. a zero deadline trips the *first* checkpoint every time — the
-//!    degraded result is deterministic, and never cached;
-//! 3. the obs counters add up under `search_batch`, including the
+//! 1. a sharded engine is bit-identical to the default one — keys, order,
+//!    score bits — whether every shard is scored inline on the caller or
+//!    dispatched onto the executor;
+//! 2. the obs counters add up under `search_batch`, including the
 //!    inline-vs-dispatch split;
-//! 4. every scoring kernel tier ([`EngineConfig::kernel`], and the
+//! 3. every scoring kernel tier ([`EngineConfig::kernel`], and the
 //!    [`EngineConfig::force_exhaustive`] shorthand) is bit-identical to the
 //!    default at every shard count;
-//! 5. a deadline — also polled mid-kernel every `CANCEL_POSTING_BUDGET`
-//!    postings — only ever trips at a named phase, and every query that
-//!    completes under its budget is bit-identical to an undeadlined run;
-//! 6. under forced dispatch, refused executor enqueues (the caller runs
+//! 4. under forced dispatch, refused executor enqueues (the caller runs
 //!    every batch itself) are bit-identical too, per query and per batch.
 //!
-//! Claim 6 arms the process-global failpoint registry. Its one action,
+//! Claim 4 arms the process-global failpoint registry. Its one action,
 //! `exec.enqueue=error`, changes where tasks run and never what they
 //! return, and no other test here reads the executor counters it moves,
 //! so the tests of this binary need not serialize on the registry.
@@ -31,8 +26,7 @@ use datagen::imdb::{ImdbConfig, ImdbData};
 use irengine::fault;
 use irengine::KernelTier;
 use qunit_core::derive::manual::expert_imdb_qunits;
-use qunit_core::{EngineConfig, QunitSearchEngine, SearchError};
-use std::time::Duration;
+use qunit_core::{EngineConfig, QunitSearchEngine};
 
 fn data() -> ImdbData {
     ImdbData::generate(ImdbConfig::tiny())
@@ -72,31 +66,32 @@ fn transcript(engine: &QunitSearchEngine, queries: &[String]) -> Vec<(String, u6
 }
 
 #[test]
-fn unhit_deadline_and_bounded_queue_are_bit_identical_to_baseline() {
+fn inline_and_dispatched_shards_are_bit_identical_to_baseline() {
     let data = data();
     let baseline = build(&data, EngineConfig::default());
     let qs = workload(&data);
     let want = transcript(&baseline, &qs);
-    // A deadline no test query can hit, with every ranking pass inline
-    // (the default, on this tiny corpus) and then dispatched onto the
-    // executor, where the mid-kernel probe crosses into the shard tasks.
-    let deadline = Some(Duration::from_secs(600));
+    // Four shards with every ranking pass swept inline on the caller, then
+    // dispatched onto the executor.
+    let sharded = EngineConfig {
+        search_shards: 4,
+        executor_threads: 2,
+        ..EngineConfig::default()
+    };
     let inline = build(
         &data,
         EngineConfig {
-            deadline,
-            ..EngineConfig::default()
+            inline_postings_threshold: usize::MAX,
+            ..sharded.clone()
         },
     );
     assert_eq!(want, transcript(&inline, &qs));
+    assert_eq!(inline.obs_snapshot().dispatched_queries, 0);
     let dispatched = build(
         &data,
         EngineConfig {
-            deadline,
-            search_shards: 4,
-            executor_threads: 2,
             inline_postings_threshold: 0,
-            ..EngineConfig::default()
+            ..sharded
         },
     );
     assert_eq!(want, transcript(&dispatched, &qs));
@@ -143,54 +138,6 @@ fn zero_queue_capacity_is_bit_identical_under_forced_dispatch() {
         stats.overflowed > 0,
         "dispatched tasks must run on the caller"
     );
-}
-
-#[test]
-fn zero_deadline_trips_first_checkpoint_deterministically() {
-    let data = data();
-    let engine = build(
-        &data,
-        EngineConfig {
-            deadline: Some(Duration::ZERO),
-            ..EngineConfig::default()
-        },
-    );
-    for _ in 0..3 {
-        // The fallible entry point surfaces the documented error, always
-        // at the first checkpoint (elapsed >= 0 is true immediately).
-        assert_eq!(
-            engine.try_search("star wars cast", 10),
-            Err(SearchError::DeadlineExceeded { phase: "segment" })
-        );
-        // The infallible one degrades to the documented empty list.
-        assert_eq!(engine.search("star wars cast", 10), Vec::new());
-    }
-    // A deadline-truncated query is never cached: every attempt above was
-    // a miss, and no entry was inserted.
-    let cache = engine.cache_stats();
-    assert_eq!(cache.entries, 0, "partial results must not be cached");
-    assert!(cache.misses > 0);
-    assert_eq!(cache.hits, 0);
-    let obs = engine.obs_snapshot();
-    assert_eq!(obs.deadline_exceeded, 6);
-    // k == 0 short-circuits before the deadline checkpoint.
-    assert_eq!(engine.try_search("star wars", 0), Ok(Vec::new()));
-}
-
-#[test]
-fn generous_deadline_never_errors() {
-    let data = data();
-    let engine = build(
-        &data,
-        EngineConfig {
-            deadline: Some(Duration::from_secs(600)),
-            ..EngineConfig::default()
-        },
-    );
-    for q in workload(&data) {
-        assert!(engine.try_search(&q, 10).is_ok(), "query {q:?}");
-    }
-    assert_eq!(engine.obs_snapshot().deadline_exceeded, 0);
 }
 
 #[test]
@@ -261,63 +208,6 @@ fn latency_histogram_covers_every_query() {
         obs.latency.p99() >= obs.latency.p50(),
         "quantiles must be monotone"
     );
-}
-
-#[test]
-fn tight_deadlines_trip_only_at_known_phases() {
-    // With a deadline configured the mid-kernel cancel probe is wired, so
-    // the "rank" phase can trip between posting-budget checkpoints as well
-    // as at its boundary. Whatever the timing, two things must hold: every
-    // error names one of the three known phases (and is counted), and any
-    // query that *completes* under its budget is bit-identical to the
-    // undeadlined engine — the probe's bookkeeping must never leak into
-    // results.
-    let data = data();
-    let reference = build(&data, EngineConfig::default());
-    let qs = workload(&data);
-    for deadline_us in [5u64, 50, 500] {
-        let engine = build(
-            &data,
-            EngineConfig {
-                deadline: Some(Duration::from_micros(deadline_us)),
-                cache_capacity: 0, // every attempt exercises the full pipeline
-                search_shards: 4,
-                executor_threads: 2,
-                inline_postings_threshold: 0, // probe crosses the dispatch path
-                ..EngineConfig::default()
-            },
-        );
-        let mut tripped = 0u64;
-        for q in &qs {
-            match engine.try_search(q, 10) {
-                Ok(results) => {
-                    let expected = reference.search_uncached(q, 10);
-                    let got: Vec<(String, u64)> = results
-                        .into_iter()
-                        .map(|r| (r.key, r.score.to_bits()))
-                        .collect();
-                    let want: Vec<(String, u64)> = expected
-                        .into_iter()
-                        .map(|r| (r.key, r.score.to_bits()))
-                        .collect();
-                    assert_eq!(got, want, "completed query {q:?} diverged from baseline");
-                }
-                Err(SearchError::DeadlineExceeded { phase }) => {
-                    assert!(
-                        ["segment", "rank", "materialize"].contains(&phase),
-                        "unknown trip phase {phase:?}"
-                    );
-                    tripped += 1;
-                }
-                Err(e) => panic!("unexpected error for {q:?}: {e}"),
-            }
-        }
-        assert_eq!(
-            engine.obs_snapshot().deadline_exceeded,
-            tripped,
-            "every trip (boundary or mid-kernel) must be counted exactly once"
-        );
-    }
 }
 
 #[test]

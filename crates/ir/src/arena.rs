@@ -119,12 +119,20 @@ const EMPTY: u32 = u32::MAX;
 impl IdTable {
     /// An empty table that takes `n` keys without growing.
     pub(crate) fn with_capacity(n: usize) -> IdTable {
-        let slots = (2 * n).max(8).next_power_of_two();
         IdTable {
-            slots: vec![Slot { hash: 0, id: EMPTY }; slots],
+            slots: vec![Slot { hash: 0, id: EMPTY }; Self::slots_for(n)],
             len: 0,
             hasher: StrHashState::default(),
         }
+    }
+
+    /// The bytes [`IdTable::with_capacity`]`(n)` allocates.
+    pub(crate) fn reserved_bytes(n: usize) -> usize {
+        Self::slots_for(n) * std::mem::size_of::<Slot>()
+    }
+
+    fn slots_for(n: usize) -> usize {
+        (2 * n).max(8).next_power_of_two()
     }
 
     fn hash(&self, key: &str) -> u32 {

@@ -1,6 +1,6 @@
 //! Deterministic failpoint registry: named injection sites threaded into
 //! the hot paths that can fail in production, each able to inject an
-//! **error**, a **panic**, or a **delay** on a reproducible schedule.
+//! **error** or a **panic** on a reproducible schedule.
 //!
 //! Production code never fails on purpose — which means the containment
 //! machinery around it (panic isolation in [`crate::ShardExecutor`], the
@@ -25,15 +25,14 @@
 //!
 //! - **site** — one of the [`site`] constants (e.g. `exec.task`).
 //! - **action** — `error` (the site returns [`InjectedFault`], mapped to
-//!   its native error type), `panic` (the site panics with a payload
-//!   naming the site), or `delay:<ms>` (the site sleeps, for provoking
-//!   deadline trips and queue buildup).
+//!   its native error type) or `panic` (the site panics with a payload
+//!   naming the site).
 //! - **trigger** — `#<n>` fires on the n-th hit of the site only
 //!   (1-based), `%<p>` fires on every p-th hit, `*` (or omitted) fires on
 //!   every hit.
 //!
-//! Example: `exec.task=panic@#3;kernel.checkpoint=delay:2@%64` panics the
-//! third executor task and sleeps 2ms every 64th kernel checkpoint.
+//! Example: `exec.task=panic@#3;snapshot.read=error@%2` panics the third
+//! executor task and fails every second snapshot read.
 //!
 //! Hit counters are per-site and process-global, so a schedule is
 //! deterministic in terms of site-hit ordinals: a single-threaded workload
@@ -47,7 +46,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// The named injection sites. Each constant is referenced by the schedule
 /// syntax and embedded in injected panic payloads / error messages.
@@ -72,11 +70,6 @@ pub mod site {
     /// before the job runs. `error` escalates to a panic (a task has no
     /// error channel); the panic is caught by the task's `catch_unwind`.
     pub const EXEC_TASK: &str = "exec.task";
-    /// Scoring-kernel accumulate checkpoint (the same cadence as the
-    /// cooperative cancel probe, every [`crate::CANCEL_POSTING_BUDGET`]
-    /// postings). `error` surfaces as [`crate::Cancelled`] — a
-    /// deterministic mid-kernel trip.
-    pub const KERNEL_CHECKPOINT: &str = "kernel.checkpoint";
 
     /// Every site name, for validation and docs.
     pub const ALL: &[&str] = &[
@@ -85,12 +78,11 @@ pub mod site {
         POSTINGS_DECODE,
         EXEC_ENQUEUE,
         EXEC_TASK,
-        KERNEL_CHECKPOINT,
     ];
 }
 
 /// An `error`-action failpoint fired. Sites map this into their native
-/// error type (`SnapshotError::Io`, [`crate::Cancelled`], …); sites with no
+/// error type (`SnapshotError::Io`, …); sites with no
 /// error channel escalate it to a panic via [`check_infallible`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InjectedFault {
@@ -108,7 +100,6 @@ impl std::fmt::Display for InjectedFault {
 enum Action {
     Error,
     Panic,
-    Delay(Duration),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -181,14 +172,9 @@ fn parse(spec: &str) -> Result<Schedule, String> {
             Action::Error
         } else if action_str == "panic" {
             Action::Panic
-        } else if let Some(ms) = action_str.strip_prefix("delay:") {
-            let ms: u64 = ms
-                .parse()
-                .map_err(|_| format!("fault delay {ms:?} is not a millisecond count"))?;
-            Action::Delay(Duration::from_millis(ms))
         } else {
             return Err(format!(
-                "unknown fault action {action_str:?} (want error | panic | delay:<ms>)"
+                "unknown fault action {action_str:?} (want error | panic)"
             ));
         };
         let trigger = match trigger_str {
@@ -276,10 +262,9 @@ pub fn site_counters(site_name: &str) -> (u64, u64) {
 }
 
 /// Evaluate the failpoint at `site_name`. The disarmed path is one relaxed
-/// atomic load. When armed: a matching `delay` clause sleeps, a matching
-/// `panic` clause panics with a payload naming the site, and a matching
-/// `error` clause returns `Err(InjectedFault)` for the caller to map into
-/// its native error type.
+/// atomic load. When armed: a matching `panic` clause panics with a
+/// payload naming the site, and a matching `error` clause returns
+/// `Err(InjectedFault)` for the caller to map into its native error type.
 #[inline(always)]
 pub fn check(site_name: &'static str) -> Result<(), InjectedFault> {
     if !armed() {
@@ -317,7 +302,6 @@ fn check_slow(site_name: &'static str) -> Result<(), InjectedFault> {
         }
         state.fired.fetch_add(1, Ordering::Relaxed);
         match clause.action {
-            Action::Delay(d) => std::thread::sleep(d),
             Action::Panic => panic!("{}", InjectedFault { site: site_name }),
             Action::Error => return Err(InjectedFault { site: site_name }),
         }
@@ -326,8 +310,7 @@ fn check_slow(site_name: &'static str) -> Result<(), InjectedFault> {
 }
 
 /// The registry is process-global; any in-crate test that installs a
-/// schedule takes this lock so tests cannot interleave (also used by the
-/// kernel-checkpoint test in [`crate::search`]).
+/// schedule takes this lock so tests cannot interleave.
 #[cfg(test)]
 pub(crate) fn registry_test_lock() -> std::sync::MutexGuard<'static, ()> {
     static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -399,17 +382,6 @@ mod tests {
             std::panic::catch_unwind(|| check_infallible(site::SNAPSHOT_WRITE)).unwrap_err();
         let msg = payload.downcast_ref::<String>().expect("string payload");
         assert!(msg.contains("snapshot.write"), "{msg}");
-        clear();
-    }
-
-    #[test]
-    fn delay_action_sleeps_and_returns_ok() {
-        let _g = exclusive();
-        install("snapshot.read=delay:5@#1").unwrap();
-        let start = std::time::Instant::now();
-        assert_eq!(check(site::SNAPSHOT_READ), Ok(()));
-        assert!(start.elapsed() >= Duration::from_millis(5));
-        assert_eq!(check(site::SNAPSHOT_READ), Ok(()));
         clear();
     }
 

@@ -71,13 +71,9 @@ pub use index::{
     Index, IndexBuilder, Posting, Postings, PostingsBuf, PostingsCodec, TermId, DEFAULT_BLOCK_SIZE,
 };
 pub use score::{ScoringFunction, TermScorer, TermStats};
-pub use search::{
-    Cancelled, FoldedTerms, Hit, KernelTier, ScoreScratch, ScratchPool, Searcher,
-    CANCEL_POSTING_BUDGET,
-};
+pub use search::{FoldedTerms, Hit, KernelTier, ScoreScratch, ScratchPool, Searcher};
 pub use shard::{
-    CancelProbe, SearchContext, SearchFailure, SearchOutcome, ShardTimings, ShardedIndex,
-    ShardedSearcher,
+    SearchContext, SearchFailure, SearchOutcome, ShardTimings, ShardedIndex, ShardedSearcher,
 };
 pub use snapshot::{read_snapshot_header, SnapshotError, SnapshotHeader, SNAPSHOT_VERSION};
 pub use snippet::{extract as extract_snippet, Snippet};

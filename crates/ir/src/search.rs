@@ -53,11 +53,6 @@
 //! reference in `tests/prop_ir.rs` and held by the CI determinism gate,
 //! which diffs block-max, forced-MaxScore, and forced-exhaustive
 //! transcripts against one another.
-//!
-//! Mid-kernel cooperative cancellation: when a `KernelOpts::cancel`
-//! probe is supplied, the kernel polls it every [`CANCEL_POSTING_BUDGET`]
-//! postings accumulated — a deterministic fire schedule (wall clock only
-//! decides whether a fired probe trips, never where it fires).
 
 use crate::document::DocId;
 use crate::index::{BlockLanes, Index, PostingsBuf, TermId};
@@ -77,27 +72,6 @@ pub struct Hit {
     pub matched_terms: usize,
 }
 
-/// The scoring kernel was stopped by its cooperative cancel probe before
-/// finishing. No partial results are returned; the engine maps this to its
-/// deadline error and never caches it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Cancelled;
-
-impl std::fmt::Display for Cancelled {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("scoring kernel cancelled by its cooperative probe")
-    }
-}
-
-impl std::error::Error for Cancelled {}
-
-/// How many postings the kernel accumulates between two polls of the
-/// cooperative cancel probe. Fixed, so the probe's fire points are a
-/// deterministic function of the query and index — only whether a fired
-/// probe *trips* depends on the wall clock. Bounds the worst-case deadline
-/// overrun to one budget's worth of postings instead of a whole phase.
-pub const CANCEL_POSTING_BUDGET: usize = 4096;
-
 /// Which scoring kernel runs a query. Every tier returns bit-identical
 /// hits (see the module docs); the tiers differ only in how many postings
 /// they touch. The engine selects one with `QUNITS_KERNEL`, mostly so the
@@ -113,16 +87,6 @@ pub enum KernelTier {
     MaxScore,
     /// Walk every posting of every query term (the reference kernel).
     Exhaustive,
-}
-
-/// Per-call kernel switches, bundled so the signatures stay stable.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct KernelOpts<'a> {
-    /// Which kernel tier accumulates (see [`KernelTier`]).
-    pub tier: KernelTier,
-    /// Polled every [`CANCEL_POSTING_BUDGET`] postings; returning `true`
-    /// aborts the kernel with [`Cancelled`]. `None` skips the bookkeeping.
-    pub cancel: Option<&'a dyn Fn() -> bool>,
 }
 
 /// Executes queries against a borrowed index.
@@ -547,35 +511,8 @@ fn current_threshold(top: &TopK, scratch: &mut ScoreScratch, unfiltered: bool) -
     }
 }
 
-/// Count one accumulated posting chunk against the cooperative cancel
-/// budget; polls the probe each time the budget drains. `usize::MAX`
-/// means "no probe installed" and skips all bookkeeping.
-#[inline]
-fn spend_budget(
-    remaining: &mut usize,
-    take: usize,
-    cancel: Option<&dyn Fn() -> bool>,
-) -> Result<(), Cancelled> {
-    if *remaining != usize::MAX {
-        *remaining -= take;
-        if *remaining == 0 {
-            // `kernel.checkpoint` failpoint: shares the cooperative
-            // checkpoint cadence, so an injected trip aborts at exactly
-            // the sites a real deadline could.
-            if crate::fault::check(crate::fault::site::KERNEL_CHECKPOINT).is_err()
-                || cancel.is_some_and(|c| c())
-            {
-                return Err(Cancelled);
-            }
-            *remaining = CANCEL_POSTING_BUDGET;
-        }
-    }
-    Ok(())
-}
-
 /// Work counters local to one block-max kernel run; flushed into the
-/// [`ScoreScratch`] meters when the run ends (on every exit path, so a
-/// cancelled kernel still reports what it walked).
+/// [`ScoreScratch`] meters when the run ends.
 #[derive(Default)]
 struct BlockMeter {
     /// In-block cursor steps (each counts one posting visited).
@@ -587,28 +524,6 @@ struct BlockMeter {
     /// cover the rest — so a fully-walked block costs exactly its length,
     /// the same accounting as the term-at-a-time kernels.
     scored: u64,
-    /// Work counted since the last cancel-budget drain.
-    pending: usize,
-}
-
-impl BlockMeter {
-    /// Charge the work counted since the last drain against the cancel
-    /// budget — the block-max analogue of the chunked [`spend_budget`]
-    /// calls in the term-at-a-time paths. Called at block-granular sites
-    /// (once per document-at-a-time step), so poll points stay a
-    /// deterministic function of the query and index.
-    fn drain(
-        &mut self,
-        remaining: &mut usize,
-        cancel: Option<&dyn Fn() -> bool>,
-    ) -> Result<(), Cancelled> {
-        while self.pending > 0 {
-            let take = (*remaining).min(self.pending);
-            self.pending -= take;
-            spend_budget(remaining, take, cancel)?;
-        }
-        Ok(())
-    }
 }
 
 /// A document-at-a-time read head over one query term's postings, skipping
@@ -705,7 +620,6 @@ impl<'a> BlockCursor<'a> {
             }
             self.loaded = true;
             meter.scored += 1;
-            meter.pending += 1;
         }
     }
 
@@ -787,7 +701,6 @@ impl<'a> BlockCursor<'a> {
             let rel = self.block_docs()[self.pos + 1..].partition_point(|&x| too_small(x));
             self.pos += 1 + rel;
             meter.steps += 1;
-            meter.pending += 1;
         }
         true
     }
@@ -808,7 +721,6 @@ impl<'a> BlockCursor<'a> {
 /// same sequence, as the exhaustive kernel — and pushed into `top`
 /// directly (candidates arrive in ascending doc order, and [`TopK`]
 /// selection is push-order independent, so the final hits are identical).
-#[allow(clippy::too_many_arguments)]
 fn block_max_accumulate(
     index: &Index,
     terms: &[(Option<TermId>, usize)],
@@ -816,16 +728,16 @@ fn block_max_accumulate(
     scratch: &mut ScoreScratch,
     to_global: &dyn Fn(DocId) -> DocId,
     filter: Option<&dyn Fn(DocId) -> bool>,
-    cancel: Option<&dyn Fn() -> bool>,
     top: &mut TopK,
-) -> Result<(), Cancelled> {
+) {
     // Same reverse-summed suffix lane as the MaxScore path: suffix[i] is
     // the best score a document matching only terms[i..] could reach.
     let mut suffix = vec![0.0f64; terms.len() + 1];
     for i in (0..terms.len()).rev() {
         suffix[i] = suffix[i + 1] + folded.bounds[i];
     }
-    let mut meter = BlockMeter::default();
+    let lengths = index.doc_lengths();
+    let meter = &mut BlockMeter::default();
     let mut bufs = std::mem::take(&mut scratch.block_bufs);
     let mut cursors: Vec<Option<BlockCursor>> = terms
         .iter()
@@ -844,53 +756,11 @@ fn block_max_accumulate(
             ))
         })
         .collect();
-    let result = block_max_daat(
-        index,
-        &suffix,
-        &mut cursors,
-        to_global,
-        filter,
-        cancel,
-        top,
-        &mut meter,
-    );
-    // Flush meters and return the decode buffers on every exit path, so a
-    // cancelled kernel still reports its work and keeps its allocations.
-    for c in cursors.into_iter().flatten() {
-        bufs.push(c.buf);
-    }
-    scratch.block_bufs = bufs;
-    scratch.postings_visited += meter.steps + meter.scored;
-    scratch.blocks_skipped += meter.skipped;
-    scratch.blocks_scored += meter.scored;
-    result
-}
-
-/// The traversal loop of [`block_max_accumulate`], split out so the caller
-/// can reclaim cursor buffers and flush meters on the cancelled path too.
-#[allow(clippy::too_many_arguments)]
-fn block_max_daat<'a>(
-    index: &'a Index,
-    suffix: &[f64],
-    cursors: &mut [Option<BlockCursor<'a>>],
-    to_global: &dyn Fn(DocId) -> DocId,
-    filter: Option<&dyn Fn(DocId) -> bool>,
-    cancel: Option<&dyn Fn() -> bool>,
-    top: &mut TopK,
-    meter: &mut BlockMeter,
-) -> Result<(), Cancelled> {
-    let lengths = index.doc_lengths();
-    let mut remaining = if cancel.is_some() {
-        CANCEL_POSTING_BUDGET
-    } else {
-        usize::MAX
-    };
     // Essential prefix size: terms[p..] alone cannot beat θ̂. Starts full
     // (no threshold, no skipping) and only shrinks, like MaxScore
     // engagement — strictly-greater for the same tiebreak-safety reason.
     let mut p = cursors.len();
     loop {
-        meter.drain(&mut remaining, cancel)?;
         let theta = top.full_threshold();
         if let Some(theta) = theta {
             while p > 0 && theta > suffix[p - 1] {
@@ -983,7 +853,14 @@ fn block_max_daat<'a>(
             }
         }
     }
-    Ok(())
+    // Flush the meters and hand the decode buffers back to the scratch.
+    for c in cursors.into_iter().flatten() {
+        bufs.push(c.buf);
+    }
+    scratch.block_bufs = bufs;
+    scratch.postings_visited += meter.steps + meter.scored;
+    scratch.blocks_skipped += meter.skipped;
+    scratch.blocks_scored += meter.scored;
 }
 
 /// Tail-term accumulation once pruning is engaged: update already-touched
@@ -995,9 +872,8 @@ fn block_max_daat<'a>(
 /// Two walk strategies, picked by cost: binary-search each candidate in
 /// the postings (`touched × log₂(df)` probes) when the candidate list is
 /// small relative to the postings, else an epoch-checked walk over the
-/// full postings slice. Both count toward `postings_visited` and the
-/// cancel budget per element walked.
-#[allow(clippy::too_many_arguments)]
+/// full postings slice. Both count toward `postings_visited` per element
+/// walked.
 fn prune_accumulate(
     scratch: &mut ScoreScratch,
     lengths: &[f64],
@@ -1005,9 +881,7 @@ fn prune_accumulate(
     tfs: &[f64],
     scorer: &TermScorer,
     qtf: f64,
-    remaining: &mut usize,
-    cancel: Option<&dyn Fn() -> bool>,
-) -> Result<(), Cancelled> {
+) {
     let ScoreScratch {
         acc,
         touched,
@@ -1019,40 +893,27 @@ fn prune_accumulate(
     let bitlen = (usize::BITS - df.leading_zeros()) as usize;
     if touched.len().saturating_mul(bitlen + 1) < df {
         // Candidate-driven: probe each touched doc against the postings.
-        let mut pos = 0usize;
-        while pos < touched.len() {
-            let take = (*remaining).min(touched.len() - pos);
-            for &doc in &touched[pos..pos + take] {
-                if let Ok(i) = docs.binary_search(&doc) {
-                    // Touched docs are live by construction; no epoch check.
-                    let slot = &mut acc[doc as usize];
-                    slot.score += scorer.score(lengths[doc as usize], tfs[i]) * qtf;
-                    slot.matched += 1;
-                }
+        for &doc in touched.iter() {
+            if let Ok(i) = docs.binary_search(&doc) {
+                // Touched docs are live by construction; no epoch check.
+                let slot = &mut acc[doc as usize];
+                slot.score += scorer.score(lengths[doc as usize], tfs[i]) * qtf;
+                slot.matched += 1;
             }
-            pos += take;
-            *postings_visited += take as u64;
-            spend_budget(remaining, take, cancel)?;
         }
+        *postings_visited += touched.len() as u64;
     } else {
         // Posting-driven: walk the slice, skipping docs with dead slots.
         let ep = *epoch;
-        let mut pos = 0usize;
-        while pos < df {
-            let take = (*remaining).min(df - pos);
-            for (&doc, &weighted_tf) in docs[pos..pos + take].iter().zip(&tfs[pos..pos + take]) {
-                let slot = &mut acc[doc as usize];
-                if slot.epoch == ep {
-                    slot.score += scorer.score(lengths[doc as usize], weighted_tf) * qtf;
-                    slot.matched += 1;
-                }
+        for (&doc, &weighted_tf) in docs.iter().zip(tfs) {
+            let slot = &mut acc[doc as usize];
+            if slot.epoch == ep {
+                slot.score += scorer.score(lengths[doc as usize], weighted_tf) * qtf;
+                slot.matched += 1;
             }
-            pos += take;
-            *postings_visited += take as u64;
-            spend_budget(remaining, take, cancel)?;
         }
+        *postings_visited += df as u64;
     }
-    Ok(())
 }
 
 /// The accumulation half of the kernel: walk each resolved term's postings
@@ -1067,10 +928,10 @@ fn accumulate_terms(
     folded: &FoldedTerms,
     scratch: &mut ScoreScratch,
     filter: Option<&dyn Fn(DocId) -> bool>,
-    opts: KernelOpts<'_>,
+    tier: KernelTier,
     top: &TopK,
     decode: &mut PostingsBuf,
-) -> Result<(), Cancelled> {
+) {
     let lengths = index.doc_lengths();
     // suffix[i] = Σ bounds[i..]: the best score any document first seen at
     // term i could still reach. Summed in reverse so the value is exact up
@@ -1079,11 +940,6 @@ fn accumulate_terms(
     for i in (0..terms.len()).rev() {
         suffix[i] = suffix[i + 1] + folded.bounds[i];
     }
-    let mut remaining = if opts.cancel.is_some() {
-        CANCEL_POSTING_BUDGET
-    } else {
-        usize::MAX
-    };
     let mut pruning = false;
     for (i, ((tid, qtf), scorer)) in terms.iter().zip(&folded.scorers).enumerate() {
         // Strictly-greater: a doc admitted at term i can reach at most
@@ -1091,7 +947,7 @@ fn accumulate_terms(
         // threshold outright (ties would fall through to the doc-id
         // tiebreak, which bounds know nothing about). Once engaged it
         // stays engaged — suffixes shrink and thresholds grow.
-        if opts.tier != KernelTier::Exhaustive && !pruning {
+        if tier != KernelTier::Exhaustive && !pruning {
             pruning = current_threshold(top, scratch, filter.is_none())
                 .is_some_and(|theta| theta > suffix[i]);
         }
@@ -1109,27 +965,17 @@ fn accumulate_terms(
                 postings.weighted_tfs,
                 scorer,
                 qtf,
-                &mut remaining,
-                opts.cancel,
-            )?;
+            );
             continue;
         }
         // Two parallel flat slices: docs ascending, tfs matched by index.
-        // Chunked by the cancel budget so the hot loop stays branch-lean.
         let (docs, tfs) = (postings.docs, postings.weighted_tfs);
-        let mut pos = 0usize;
-        while pos < docs.len() {
-            let take = remaining.min(docs.len() - pos);
-            for (&doc, &weighted_tf) in docs[pos..pos + take].iter().zip(&tfs[pos..pos + take]) {
-                let score = scorer.score(lengths[doc as usize], weighted_tf) * qtf;
-                scratch.add(doc, score);
-            }
-            pos += take;
-            scratch.postings_visited += take as u64;
-            spend_budget(&mut remaining, take, opts.cancel)?;
+        for (&doc, &weighted_tf) in docs.iter().zip(tfs) {
+            let score = scorer.score(lengths[doc as usize], weighted_tf) * qtf;
+            scratch.add(doc, score);
         }
+        scratch.postings_visited += docs.len() as u64;
     }
-    Ok(())
 }
 
 /// The scoring kernel every search path shares: accumulate the folded
@@ -1152,9 +998,6 @@ fn accumulate_terms(
 /// would — minus the per-index heaps, sorts, and hit lists; the sharded
 /// inline sweep cashes that in (and its partially-full heap gives later
 /// shards a head-start pruning threshold).
-///
-/// `Err(Cancelled)` only when `opts.cancel` is set and trips; infallible
-/// otherwise.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn score_terms_into_topk(
     index: &Index,
@@ -1163,44 +1006,34 @@ pub(crate) fn score_terms_into_topk(
     scratch: &mut ScoreScratch,
     to_global: impl Fn(DocId) -> DocId,
     filter: Option<&dyn Fn(DocId) -> bool>,
-    opts: KernelOpts<'_>,
+    tier: KernelTier,
     top: &mut TopK,
-) -> Result<(), Cancelled> {
+) {
     resolved.clear();
     resolved.extend(folded.terms.iter().map(|&(t, qtf)| (index.term_id(t), qtf)));
     scratch.begin(index.num_docs());
-    if opts.tier == KernelTier::BlockMax {
+    if tier == KernelTier::BlockMax {
         // Document-at-a-time: pushes hits into `top` itself during the
         // traversal (that's what feeds θ̂), no touched-slot sweep needed.
-        return block_max_accumulate(
-            index,
-            resolved,
-            folded,
-            scratch,
-            &to_global,
-            filter,
-            opts.cancel,
-            top,
-        );
+        block_max_accumulate(index, resolved, folded, scratch, &to_global, filter, top);
+        return;
     }
     // The decode buffer leaves the scratch for the duration of the
     // accumulation loop: a decoded `Postings` view borrows the buffer,
     // while the accumulators need `&mut scratch` at the same time. Restore
-    // it on every exit path (including cancellation) so the allocation
-    // keeps amortizing.
+    // it afterwards so the allocation keeps amortizing.
     let mut decode = std::mem::take(&mut scratch.decode);
-    let accumulated = accumulate_terms(
+    accumulate_terms(
         index,
         resolved,
         folded,
         scratch,
         filter,
-        opts,
+        tier,
         top,
         &mut decode,
     );
     scratch.decode = decode;
-    accumulated?;
 
     for &doc in &scratch.touched {
         let global = to_global(doc);
@@ -1216,7 +1049,6 @@ pub(crate) fn score_terms_into_topk(
             matched_terms: slot.matched as usize,
         });
     }
-    Ok(())
 }
 
 impl<'a> Searcher<'a> {
@@ -1253,10 +1085,6 @@ impl<'a> Searcher<'a> {
             return Vec::new();
         }
         let mut top = TopK::new(k);
-        let opts = KernelOpts {
-            tier: self.tier,
-            cancel: None,
-        };
         score_terms_into_topk(
             self.index,
             &self.fold(terms),
@@ -1264,10 +1092,9 @@ impl<'a> Searcher<'a> {
             scratch,
             |d| d,
             None,
-            opts,
+            self.tier,
             &mut top,
-        )
-        .expect("kernel is infallible without a cancel probe");
+        );
         top.into_sorted_hits()
     }
 
@@ -1284,39 +1111,11 @@ mod tests {
     use super::*;
     use crate::document::Document;
     use crate::index::IndexBuilder;
-    use std::cell::Cell;
 
     /// [`Searcher::search_terms_with`] from query text, on a fresh scratch.
     fn search(s: &Searcher, q: &str, k: usize) -> Vec<Hit> {
         let terms = s.index.analyzer().tokenize(q);
         s.search_terms_with(&terms, k, &mut ScoreScratch::new())
-    }
-
-    /// The kernel run [`Searcher::search_terms_with`] makes, under `cancel`.
-    fn search_probed(
-        s: &Searcher,
-        terms: &[String],
-        k: usize,
-        scratch: &mut ScoreScratch,
-        cancel: Option<&dyn Fn() -> bool>,
-    ) -> Result<Vec<Hit>, Cancelled> {
-        let mut top = TopK::new(k);
-        let opts = KernelOpts {
-            tier: s.tier,
-            cancel,
-        };
-        let (folded, to_global) = (s.fold(terms), |d| d);
-        score_terms_into_topk(
-            s.index,
-            &folded,
-            &mut Vec::new(),
-            scratch,
-            to_global,
-            None,
-            opts,
-            &mut top,
-        )?;
-        Ok(top.into_sorted_hits())
     }
 
     fn movie_index() -> Index {
@@ -1561,57 +1360,6 @@ mod tests {
         }
     }
 
-    /// The cancel probe fires at deterministic posting counts: every
-    /// [`CANCEL_POSTING_BUDGET`] accumulated postings, regardless of how
-    /// they split across terms.
-    #[test]
-    fn cancel_probe_fires_on_a_deterministic_posting_budget() {
-        // Budget drains hit the kernel.checkpoint failpoint, so hold the
-        // registry lock: a concurrently-armed schedule must not leak in.
-        let _g = crate::fault::registry_test_lock();
-        // 600 docs × 8 shared terms = 4800 postings: the budget (4096)
-        // drains exactly once mid-kernel.
-        let mut b = IndexBuilder::new();
-        let body = "t0 t1 t2 t3 t4 t5 t6 t7";
-        for i in 0..600 {
-            b.add(Document::new(format!("d{i}")).field("body", body));
-        }
-        let ix = b.build();
-        let s = Searcher::new(&ix, ScoringFunction::default()).with_tier(KernelTier::Exhaustive);
-        let terms = ix.analyzer().tokenize(body);
-
-        // A probe that never trips still gets polled exactly once.
-        let polls = Cell::new(0u32);
-        let benign = |probe_result: bool| {
-            polls.set(0);
-            let probe = || {
-                polls.set(polls.get() + 1);
-                probe_result
-            };
-            let mut scratch = ScoreScratch::new();
-            let before = scratch.postings_visited();
-            let out = search_probed(&s, &terms, 10, &mut scratch, Some(&probe));
-            (out, scratch.postings_visited() - before)
-        };
-
-        let (ok, visited) = benign(false);
-        assert_eq!(ok.map(|hits| hits.len()), Ok(10));
-        assert_eq!(visited, 4800);
-        assert_eq!(polls.get(), 1, "4800 postings drain a 4096 budget once");
-
-        let (cancelled, visited) = benign(true);
-        assert_eq!(cancelled, Err(Cancelled));
-        assert_eq!(
-            visited, CANCEL_POSTING_BUDGET as u64,
-            "the abort lands exactly at the first budget boundary"
-        );
-        assert_eq!(polls.get(), 1);
-
-        // Untripped runs match a probe-free run bit-for-bit.
-        let baseline = s.search_terms_with(&terms, 10, &mut ScoreScratch::new());
-        assert_eq!(benign(false).0.unwrap(), baseline);
-    }
-
     /// `postings_visited` is cumulative across queries on one scratch —
     /// callers meter a single search by diffing readings.
     #[test]
@@ -1753,103 +1501,5 @@ mod tests {
             es.postings_visited()
         );
         assert_eq!(es.blocks_skipped(), 0, "exhaustive never skips");
-    }
-
-    /// The block-max kernel polls the cancel probe at the same
-    /// deterministic posting-count boundaries as the other tiers: counts
-    /// drain through the one shared budget, so poll tallies are a pure
-    /// function of query and index.
-    #[test]
-    fn block_max_cancel_polls_are_deterministic() {
-        // Budget drains hit the kernel.checkpoint failpoint (see above).
-        let _g = crate::fault::registry_test_lock();
-        let mut b = IndexBuilder::new();
-        let body = "t0 t1 t2 t3 t4 t5 t6 t7";
-        for i in 0..600 {
-            b.add(Document::new(format!("d{i}")).field("body", body));
-        }
-        let ix = b.build();
-        let s = Searcher::new(&ix, ScoringFunction::default());
-        let terms = ix.analyzer().tokenize(body);
-
-        let polls = Cell::new(0u32);
-        let run = |probe_result: bool| {
-            polls.set(0);
-            let probe = || {
-                polls.set(polls.get() + 1);
-                probe_result
-            };
-            let mut scratch = ScoreScratch::new();
-            let out = search_probed(&s, &terms, 10, &mut scratch, Some(&probe));
-            (out, scratch.postings_visited(), polls.get())
-        };
-
-        let (first, first_visited, first_polls) = run(false);
-        let (second, second_visited, second_polls) = run(false);
-        assert!(first_polls >= 1, "enough postings to drain the budget");
-        assert_eq!(first_polls, second_polls, "poll count is deterministic");
-        assert_eq!(first_visited, second_visited);
-        assert_eq!(first.as_ref().unwrap(), second.as_ref().unwrap());
-        // Untripped block-max under a probe matches the probe-free run.
-        assert_eq!(
-            first.unwrap(),
-            s.search_terms_with(&terms, 10, &mut ScoreScratch::new())
-        );
-
-        let (cancelled, aborted_at, _) = run(true);
-        assert_eq!(cancelled, Err(Cancelled));
-        assert!(
-            aborted_at <= first_visited,
-            "the abort cannot visit more than a full run"
-        );
-    }
-
-    /// The `kernel.checkpoint` failpoint shares the cooperative cancel
-    /// cadence: with a (never-tripping) probe wired, an injected error
-    /// aborts at exactly the first budget boundary — indistinguishable
-    /// from a real deadline trip — and with no probe there are no
-    /// checkpoints, so the site is never even hit.
-    #[test]
-    fn kernel_checkpoint_failpoint_cancels_at_the_budget_boundary() {
-        let _g = crate::fault::registry_test_lock();
-        let mut b = IndexBuilder::new();
-        let body = "t0 t1 t2 t3 t4 t5 t6 t7";
-        for i in 0..600 {
-            b.add(Document::new(format!("d{i}")).field("body", body));
-        }
-        let ix = b.build();
-        let s = Searcher::new(&ix, ScoringFunction::default()).with_tier(KernelTier::Exhaustive);
-        let terms = ix.analyzer().tokenize(body);
-        let run = |cancel: Option<&dyn Fn() -> bool>| {
-            let mut scratch = ScoreScratch::new();
-            let before = scratch.postings_visited();
-            let out = search_probed(&s, &terms, 10, &mut scratch, cancel);
-            (out, scratch.postings_visited() - before)
-        };
-
-        crate::fault::install("kernel.checkpoint=error@#1").unwrap();
-        let never = || false;
-        let (out, visited) = run(Some(&never));
-        assert_eq!(out, Err(Cancelled), "injected trip surfaces as Cancelled");
-        assert_eq!(
-            visited, CANCEL_POSTING_BUDGET as u64,
-            "the abort lands exactly at the first checkpoint"
-        );
-        assert_eq!(
-            crate::fault::site_counters(crate::fault::site::KERNEL_CHECKPOINT),
-            (1, 1)
-        );
-
-        // Probe-free kernels keep zero checkpoint bookkeeping: the armed
-        // schedule is simply never consulted, and the run completes.
-        let (out, visited) = run(None);
-        assert_eq!(out.map(|hits| hits.len()), Ok(10));
-        assert_eq!(visited, 4800);
-        assert_eq!(
-            crate::fault::site_counters(crate::fault::site::KERNEL_CHECKPOINT),
-            (1, 1),
-            "no probe, no checkpoint, no hit"
-        );
-        crate::fault::clear();
     }
 }

@@ -48,8 +48,8 @@ use crate::exec::{DispatchCounts, DispatchPolicy, ShardExecutor, TaskPanic};
 use crate::index::{Index, PostingsBuf, PostingsCodec, TermId};
 use crate::score::{ScoringFunction, TermStats};
 use crate::search::{
-    score_terms_into_topk, with_thread_scratch, Cancelled, FoldedTerms, Hit, KernelOpts,
-    KernelTier, ScoreScratch, ScratchPool, TopK,
+    score_terms_into_topk, with_thread_scratch, FoldedTerms, Hit, KernelTier, ScoreScratch,
+    ScratchPool, TopK,
 };
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -430,26 +430,9 @@ impl ShardTimings {
     }
 }
 
-/// A cooperative cancellation probe the scoring kernel polls every
-/// [`crate::CANCEL_POSTING_BUDGET`] postings accumulated. `Sync` because
-/// the dispatch paths call it from shard worker threads. Returning `true`
-/// aborts the search with [`Cancelled`] — the engine wires its deadline
-/// check in here so a long kernel's worst-case overrun is one budget of
-/// postings, not a whole phase.
-#[derive(Clone, Copy)]
-pub struct CancelProbe<'a>(pub &'a (dyn Fn() -> bool + Sync));
-
-impl std::fmt::Debug for CancelProbe<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("CancelProbe")
-    }
-}
-
 /// Why a sharded search (or one shard of it) failed.
 #[derive(Debug)]
 pub enum SearchFailure {
-    /// The [`CancelProbe`] tripped mid-kernel (deadline exceeded).
-    Cancelled,
     /// A shard task panicked; the panic was caught at the fan-out boundary
     /// and the pool workers survived. `message` is the panic payload when
     /// it was a string (injected faults name their site here).
@@ -461,12 +444,6 @@ pub enum SearchFailure {
         /// query was dispatched, since every slot runs to completion.
         shards: usize,
     },
-}
-
-impl From<Cancelled> for SearchFailure {
-    fn from(_: Cancelled) -> Self {
-        SearchFailure::Cancelled
-    }
 }
 
 /// A sharded search's result: the top-k hits merged from every shard. A
@@ -485,28 +462,13 @@ impl SearchOutcome {
     }
 }
 
-/// The kernel-switch view of a context. Centralizes the unsizing from the
-/// `Sync` probe (needed to cross threads) to the plain `Fn` the kernel
-/// polls — done *inside* each per-shard scorer, after the context has
-/// crossed onto the worker thread.
-fn kernel_opts<'a>(ctx: &SearchContext<'a>) -> KernelOpts<'a> {
-    KernelOpts {
-        tier: ctx.tier,
-        cancel: ctx.cancel.map(|p| p.0 as &dyn Fn() -> bool),
-    }
-}
-
-/// Run scoring behind a panic/cancel boundary: a cancel trip becomes
-/// [`SearchFailure::Cancelled`], and a kernel panic becomes
+/// Run scoring behind a panic boundary: a kernel panic becomes
 /// [`SearchFailure::Panicked`] — the query's error, not the process's.
-fn contained<T>(score: impl FnOnce() -> Result<T, Cancelled>) -> Result<T, SearchFailure> {
-    match catch_unwind(AssertUnwindSafe(score)) {
-        Ok(out) => out.map_err(SearchFailure::from),
-        Err(payload) => Err(SearchFailure::Panicked {
-            message: TaskPanic { payload }.message(),
-            shards: 1,
-        }),
-    }
+fn contained<T>(score: impl FnOnce() -> T) -> Result<T, SearchFailure> {
+    catch_unwind(AssertUnwindSafe(score)).map_err(|payload| SearchFailure::Panicked {
+        message: TaskPanic { payload }.message(),
+        shards: 1,
+    })
 }
 
 /// Everything a sharded search draws from its environment, bundled so the
@@ -531,10 +493,6 @@ pub struct SearchContext<'a> {
     /// Tally of inline-vs-dispatch decisions taken; `None` skips the
     /// bookkeeping (one relaxed `fetch_add` per multi-shard query when set).
     pub decisions: Option<&'a DispatchCounts>,
-    /// Cooperative mid-kernel cancellation probe; `None` skips the polling
-    /// bookkeeping entirely. A trip surfaces as
-    /// [`SearchFailure::Cancelled`].
-    pub cancel: Option<CancelProbe<'a>>,
     /// Which scoring kernel tier to run (`QUNITS_KERNEL` upstream). All
     /// tiers return bit-identical hits; [`KernelTier::Exhaustive`] is the
     /// reference every pruned run must match bit-for-bit.
@@ -616,15 +574,15 @@ impl<'a> ShardedSearcher<'a> {
     /// search over the same documents. `filter` is optional (`None` =
     /// unfiltered, which additionally arms the kernel's partial-threshold
     /// pruning probe) and sees **global** doc ids. Every resource — scratch
-    /// pool, executor, timing counters, dispatch policy, cancel probe,
-    /// kernel tier — comes from `ctx`; `&SearchContext::default()` scores
+    /// pool, executor, timing counters, dispatch policy, kernel tier —
+    /// comes from `ctx`; `&SearchContext::default()` scores
     /// every shard on the calling thread.
     ///
     /// Two bodies run a search, with bit-identical results:
     ///
     /// - **The shared-top-k sweep**, when the query scores inline: every
     ///   shard on the calling thread into ONE bounded heap, behind one
-    ///   panic/cancel boundary.
+    ///   panic boundary.
     /// - **Per-shard slots**, when it is dispatched: each shard into its
     ///   own top-k behind its own boundary on the executor, then every
     ///   slot's hits into one more bounded heap.
@@ -635,13 +593,9 @@ impl<'a> ShardedSearcher<'a> {
     /// frequencies of its terms, a by-product of folding them) against the
     /// pool and declines to inline it.
     ///
-    /// A shard that fails fails the query; no partial result is ever
-    /// returned. A panicking shard surfaces as
-    /// `Err(`[`SearchFailure::Panicked`]`)` and a tripped
-    /// [`SearchContext::cancel`] probe as
-    /// `Err(`[`SearchFailure::Cancelled`]`)`; when dispatched slots fail
-    /// both ways, the panic wins, so that every contained panic is
-    /// counted.
+    /// A shard fails only by panicking, and a shard that fails fails the
+    /// query: it surfaces as `Err(`[`SearchFailure::Panicked`]`)` and no
+    /// partial result is ever returned.
     pub fn try_search_folded(
         &self,
         folded: &FoldedTerms,
@@ -681,9 +635,9 @@ impl<'a> ShardedSearcher<'a> {
                     if shard.num_docs() == 0 {
                         continue;
                     }
-                    self.score_shard(s, folded, filter, ctx, scratch, &mut resolved, &mut top)?;
+                    self.score_shard(s, folded, filter, ctx, scratch, &mut resolved, &mut top);
                 }
-                Ok(top.into_sorted_hits())
+                top.into_sorted_hits()
             };
             // A kernel panic on the caller's own thread is still contained
             // at this boundary (the query's error, not the process's) —
@@ -730,15 +684,10 @@ impl<'a> ShardedSearcher<'a> {
         // bounded heap, which selects what the sweep's shared heap does.
         let mut top = TopK::new(k);
         let mut panic: Option<(String, usize)> = None;
-        let mut cancelled = false;
         for (s, slot) in slots.into_iter().enumerate() {
             let message = match slot {
                 Some(Ok(hits)) => {
                     hits.into_iter().for_each(|hit| top.push(hit));
-                    continue;
-                }
-                Some(Err(SearchFailure::Cancelled)) => {
-                    cancelled = true;
                     continue;
                 }
                 Some(Err(SearchFailure::Panicked { message, .. })) => message,
@@ -752,7 +701,6 @@ impl<'a> ShardedSearcher<'a> {
         }
         match panic {
             Some((message, shards)) => Err(SearchFailure::Panicked { message, shards }),
-            None if cancelled => Err(SearchFailure::Cancelled),
             None => Ok(SearchOutcome {
                 hits: top.into_sorted_hits(),
             }),
@@ -779,23 +727,22 @@ impl<'a> ShardedSearcher<'a> {
         scratch: &mut ScoreScratch,
         resolved: &mut Vec<(Option<TermId>, usize)>,
         top: &mut TopK,
-    ) -> Result<(), Cancelled> {
+    ) {
         let start = ctx.timings.map(|_| Instant::now());
         let to_global = |local| self.index.to_global(s, local);
-        let out = score_terms_into_topk(
+        score_terms_into_topk(
             &self.index.shards()[s],
             folded,
             resolved,
             scratch,
             to_global,
             filter.map(|f| f as &dyn Fn(DocId) -> bool),
-            kernel_opts(ctx),
+            ctx.tier,
             top,
         );
         if let (Some(timings), Some(start)) = (ctx.timings, start) {
             timings.add(s, start.elapsed().as_nanos() as u64);
         }
-        out
     }
 
     /// Score one specific **global** document against a folded query (the

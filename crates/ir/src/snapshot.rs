@@ -733,15 +733,20 @@ impl Stream {
 /// bytes, and a table takes up to 8 times the bytes of the lane it indexes
 /// (a vocabulary of n empty terms is 4n bytes), so a crafted count could
 /// otherwise reserve more than the file; a shard whose counts disagree is
-/// refused at assembly (`Index::from_indexed_parts`) before a table is read.
-fn reserve_tables(shard: &mut [Stream]) {
+/// refused at assembly (`Index::from_indexed_parts`) before a table is read,
+/// and a table that would take more than the file's `file_len` bytes starts
+/// empty instead and grows only as its distinct keys are entered.
+fn reserve_tables(shard: &mut [Stream], file_len: u64) {
     let count = |section: usize, field: usize| shard[section].fields[field];
     let (terms, docs, names) = (count(1, 0), count(6, 0), count(6, 3));
     let rows = terms.checked_add(1);
     let terms_agree =
         count(4, 0) == terms && Some(count(2, 0)) == rows && Some(count(7, 1)) == rows;
     let docs_agree = count(5, 0) == docs;
-    let table = |n: u64| IdTable::with_capacity(n as usize);
+    let table = |n: u64| {
+        let fits = IdTable::reserved_bytes(n as usize) as u64 <= file_len;
+        IdTable::with_capacity(if fits { n as usize } else { 0 })
+    };
     if let Decode::Lanes(_, tables) = &mut *shard[1].decode {
         tables.extend(terms_agree.then(|| table(terms)));
     }
@@ -874,7 +879,7 @@ fn decode_snapshot<R: Read + Seek + Send>(
     }
     streams[..framed]
         .chunks_exact_mut(per_shard)
-        .for_each(reserve_tables);
+        .for_each(|shard| reserve_tables(shard, file_len));
 
     // Both threads copy their share through a handle and a buffer of their
     // own, allocated here.
@@ -1728,19 +1733,56 @@ mod tests {
                 });
             }
 
-            // A vocabulary of 100 000 empty terms: zero ends are a valid
-            // arena, and its 400 000 bytes back the count, but the other
-            // sections count the shard's terms as before.
+            // Counts of 100 000 items, each backed by its own section's
+            // bytes: the vocabulary's 100 000 empty terms (zero ends are a
+            // valid arena) with the other sections counting the shard's
+            // terms as before; the same with all four term counts inflated
+            // alike; and 100 000 empty field names. Each section is framed
+            // and stamped as the writer would, the later ones spliced first.
+            let n = 100_000u64;
+            let zeros = |items: u64, width: u64| vec![0u8; (items * width) as usize];
+            let framed = |section: usize, fields: &[u64], lanes: &[&[u8]]| {
+                let mut payload: Vec<u8> = fields.iter().flat_map(|f| f.to_le_bytes()).collect();
+                lanes
+                    .iter()
+                    .for_each(|lane| payload.extend_from_slice(lane));
+                let len = (payload.len() as u64).to_le_bytes();
+                let sum = checksum(&payload).to_le_bytes();
+                [&[section as u8 + 1][..], &len, &payload, &sum].concat()
+            };
+            let terms = framed(1, &[n, 0], &[&zeros(n, 4)]);
+            let splice = |b: &mut Vec<u8>, section: usize, framed: Vec<u8>| {
+                b.splice(spans[section].tag..spans[section].end(), framed);
+            };
             damaged(
                 "terms section of 100000 empty terms, restamped".into(),
+                &|b| splice(b, 1, terms.clone()),
+            );
+            damaged(
+                "every term count 100000, empty terms, restamped".into(),
                 &|b| {
-                    let n = 100_000u64;
-                    let mut payload = [n, 0].map(u64::to_le_bytes).concat();
-                    payload.resize(payload.len() + 4 * n as usize, 0);
-                    let sum = checksum(&payload).to_le_bytes();
-                    let len = (payload.len() as u64).to_le_bytes();
-                    let section = [&[2u8][..], &len, &payload, &sum].concat();
-                    b.splice(spans[1].tag..spans[1].end(), section);
+                    let blocks = lanes_in(&valid, &spans[7], 7);
+                    let fields = fields_at(&valid, &spans[7], 7);
+                    let lanes = blocks[1..].iter().map(|lane| &valid[lane.clone()]);
+                    let offsets = zeros(n + 1, 4);
+                    let lanes: Vec<&[u8]> = std::iter::once(&offsets[..]).chain(lanes).collect();
+                    splice(b, 7, framed(7, &[fields[0], n + 1, fields[2]], &lanes));
+                    splice(b, 4, framed(4, &[n], &[&zeros(n, 8)]));
+                    splice(b, 2, framed(2, &[n + 1], &[&zeros(n + 1, 4)]));
+                    splice(b, 1, terms.clone());
+                },
+            );
+            damaged(
+                "docs section of 100000 empty field names, restamped".into(),
+                &|b| {
+                    let docs = lanes_in(&valid, &spans[6], 6);
+                    let fields = fields_at(&valid, &spans[6], 6);
+                    let mut lanes: Vec<&[u8]> =
+                        docs[..4].iter().map(|lane| &valid[lane.clone()]).collect();
+                    let names = zeros(n, 4);
+                    lanes.extend([&names[..], &[]]);
+                    let fields = [fields[0], fields[1], fields[2], n, 0];
+                    splice(b, 6, framed(6, &fields, &lanes));
                 },
             );
 
