@@ -42,8 +42,9 @@
 //! time below): share one engine behind an `Arc` — or plain borrows in
 //! scoped threads — and call [`QunitSearchEngine::search`] /
 //! [`QunitSearchEngine::record_click`] freely from any number of threads.
-//! [`QunitSearchEngine::search_batch`] fans a query slice across the shard
-//! executor's workers for multi-query throughput. Cached results are
+//! [`QunitSearchEngine::search_batch`] answers a query slice on scoped
+//! threads, one per executor worker, each claiming the next query and
+//! running [`QunitSearchEngine::search`] on it. Cached results are
 //! stamped with the feedback generation, so a click immediately
 //! invalidates every cached result list.
 //!
@@ -57,12 +58,10 @@
 //! ([`EngineConfig::executor_threads`]) at `build` time, and each search
 //! either enqueues its shard tasks there or — when the estimated postings
 //! walk is at most [`EngineConfig::inline_postings_threshold`] — scores
-//! every shard inline on the calling thread with zero dispatch cost.
-//! [`QunitSearchEngine::search_batch`] rides the same pool (query-level
-//! tasks, shard scoring inlined inside each), so batch throughput and
-//! single-query latency never oversubscribe the machine together.
-//! Per-shard scoring time accumulates in
-//! [`QunitSearchEngine::shard_stats`] beside the cache counters.
+//! every shard inline on the calling thread with zero dispatch cost. A
+//! query's shard fan-out is the executor's one caller. Per-shard scoring
+//! time accumulates in [`QunitSearchEngine::shard_stats`] beside the cache
+//! counters.
 //!
 //! # Service hardening
 //!
@@ -85,9 +84,9 @@ use crate::presentation::RenderBuf;
 use crate::qunit::{QunitDefinition, QunitInstance};
 use crate::segment::{EntityDictionary, SegmentedQuery, Segmenter};
 use irengine::{
-    DispatchCounts, DispatchMode, DispatchPolicy, DocId, ExecutorStats, Hit, IndexBuilder,
-    KernelTier, NormalForm, PostingsBuf, ScoringFunction, ScratchPool, SearchContext,
-    SearchFailure, ShardExecutor, ShardTimings, ShardedIndex, ShardedSearcher, SnapshotError,
+    DispatchCounts, DispatchPolicy, DocId, ExecutorStats, Hit, IndexBuilder, KernelTier,
+    NormalForm, PostingsBuf, ScoringFunction, ScratchPool, SearchContext, SearchFailure,
+    ShardExecutor, ShardTimings, ShardedIndex, ShardedSearcher, SnapshotError,
 };
 use relstore::{Database, Error, Result};
 use std::cell::RefCell;
@@ -145,18 +144,19 @@ pub struct EngineConfig {
     /// only, so shard count never fragments or poisons cached entries.
     pub search_shards: usize,
     /// Worker threads in the persistent [`ShardExecutor`] the engine
-    /// builds once and dispatches every parallel search onto; 0 = one per
-    /// available core. Purely a scheduling knob: any pool size returns
+    /// builds once and dispatches every query's shard fan-out onto; 0 = one
+    /// per available core. [`QunitSearchEngine::search_batch`] runs as many
+    /// scoped threads. Purely a scheduling knob: any pool size returns
     /// bit-identical results (the executor stress tests pin it).
     pub executor_threads: usize,
     /// Adaptive inline cutoff: a query whose estimated postings walk (sum
     /// of its terms' corpus-global document frequencies) is at or below
     /// this scores all shards inline on the calling thread instead of
     /// dispatching — below the threshold even a parked-worker handoff
-    /// costs more than the scoring. `usize::MAX` ≈ always inline, `0` ≈
-    /// always dispatch; the `QUNITS_FORCE_INLINE` / `QUNITS_FORCE_DISPATCH`
-    /// / `QUNITS_INLINE_THRESHOLD` environment variables override it at
-    /// build time (the CI determinism gate diffs both forced modes).
+    /// costs more than the scoring. `usize::MAX` always inlines; `0`
+    /// dispatches every query with postings to walk onto a pool of two or
+    /// more workers. `QUNITS_INLINE_THRESHOLD` overrides it at build time
+    /// (the CI determinism gate diffs both extremes).
     pub inline_postings_threshold: usize,
     /// The scoring kernel tier every query runs; the default is
     /// [`KernelTier::default`]. Purely a performance knob: every tier is
@@ -393,14 +393,9 @@ pub struct QunitSearchEngine {
     /// instead of being reallocated per shard per search.
     scratch_pool: ScratchPool,
     /// The persistent shard executor: parked workers constructed once at
-    /// build time that every dispatched search (single-query shard fan-out
-    /// and batch query fan-out alike) enqueues onto — per-query thread
-    /// spawns never happen on the query path.
+    /// build time that every dispatched shard fan-out enqueues onto —
+    /// per-query thread spawns never happen on the query path.
     exec: ShardExecutor,
-    /// Inline-vs-dispatch decision, resolved at build time from
-    /// [`EngineConfig::inline_postings_threshold`] and the `QUNITS_*`
-    /// environment overrides (`crate::overrides`).
-    policy: DispatchPolicy,
     /// Engine-owned observability counters (queries served, contained
     /// failures); merged with the cache, executor, and
     /// shard-timing counters in [`QunitSearchEngine::obs_snapshot`].
@@ -419,9 +414,8 @@ const _: () = assert_send_sync::<QunitSearchEngine>();
 
 /// Per-thread working buffers for the query path, so neither the cache
 /// lookup nor the segmentation/tokenization ahead of the scoring kernel
-/// allocates afresh per query. The executor's workers are persistent, so
-/// thread-locals actually amortize (a per-query scoped thread would throw
-/// these away).
+/// allocates afresh per query. A serving thread keeps its buffers across
+/// queries, and a `search_batch` thread across the queries it claims.
 #[derive(Debug, Default)]
 struct QueryScratch {
     /// The query's one tokenization, filled by [`with_query`]: the cache
@@ -814,7 +808,7 @@ impl QunitSearchEngine {
         if config.force_exhaustive {
             config.kernel = KernelTier::Exhaustive;
         }
-        let (config, policy) = crate::overrides::from_env(config);
+        let config = crate::overrides::from_env(config);
         if catalog.len() > DefId::MAX_DEFINITIONS {
             return Err(Error::InvalidSchema(format!(
                 "catalog has {} definitions; the doc→definition lane addresses at most {}",
@@ -947,7 +941,6 @@ impl QunitSearchEngine {
             sharded_searches: AtomicU64::new(0),
             scratch_pool: ScratchPool::new(),
             exec,
-            policy,
             obs: EngineObs::default(),
             dispatch_counts: DispatchCounts::new(),
             build_timings: timings,
@@ -1054,8 +1047,7 @@ impl QunitSearchEngine {
     }
 
     /// Queue counters from the persistent shard executor: enqueues,
-    /// overflows (tasks a refused enqueue sent back to the submitting
-    /// thread), dequeues, and accumulated queue-wait nanoseconds.
+    /// dequeues, accumulated queue-wait nanoseconds and the deepest queue.
     pub fn executor_stats(&self) -> ExecutorStats {
         self.exec.stats()
     }
@@ -1070,7 +1062,7 @@ impl QunitSearchEngine {
     pub fn obs_snapshot(&self) -> ObsSnapshot {
         let cache = self.cache.stats();
         let (inline_queries, dispatched_queries) = self.dispatch_counts.snapshot();
-        let exec = self.exec.stats();
+        let queue = self.exec.stats();
         ObsSnapshot {
             queries: self.obs.queries.get(),
             cache_hits: cache.hits,
@@ -1083,11 +1075,10 @@ impl QunitSearchEngine {
             typed_queries: self.obs.typed_queries.get(),
             typed_fallbacks: self.obs.typed_fallbacks.get(),
             per_shard_scoring_nanos: self.shard_timings.snapshot(),
-            tasks_enqueued: exec.enqueued,
-            tasks_overflowed: exec.overflowed,
-            tasks_dequeued: exec.dequeued,
-            queue_wait_nanos: exec.queue_wait_nanos,
-            max_queue_depth: exec.max_queue_depth,
+            tasks_enqueued: queue.enqueued,
+            tasks_dequeued: queue.dequeued,
+            queue_wait_nanos: queue.queue_wait_nanos,
+            max_queue_depth: queue.max_queue_depth,
             latency: self.obs.latency.snapshot(),
         }
     }
@@ -1169,18 +1160,11 @@ impl QunitSearchEngine {
     /// cached). A caller that needs to distinguish "no matches" from a
     /// failed query uses [`QunitSearchEngine::try_search`].
     pub fn search(&self, query: &str, k: usize) -> Vec<QunitResult> {
-        self.search_infallible(query, k, self.policy)
-    }
-
-    /// The infallible degrade-to-empty wrapper behind
-    /// [`QunitSearchEngine::search`] and the batch path: any error becomes
-    /// an empty list, and the swallow is *counted*
-    /// ([`ObsSnapshot::degraded_to_empty`]) so silent error loss is
-    /// visible to operators even through the infallible API.
-    fn search_infallible(&self, query: &str, k: usize, policy: DispatchPolicy) -> Vec<QunitResult> {
-        match self.try_search_with_policy(query, k, policy) {
+        match self.try_search(query, k) {
             Ok(results) => results,
             Err(_) => {
+                // Counted, so silent error loss is visible to operators
+                // even through the infallible API.
                 self.obs.degraded_to_empty.incr();
                 Vec::new()
             }
@@ -1192,33 +1176,12 @@ impl QunitSearchEngine {
     /// the query. With no fault this never errors and is bit-identical to
     /// [`QunitSearchEngine::search`].
     pub fn try_search(&self, query: &str, k: usize) -> SearchResult<Vec<QunitResult>> {
-        self.try_search_with_policy(query, k, self.policy)
-    }
-
-    /// [`QunitSearchEngine::try_search`], its results wrapped in a
-    /// [`SearchResponse`] that is never degraded. Kept only because the
-    /// benchmark harness under `perf/` still calls it.
-    pub fn try_search_partial(&self, query: &str, k: usize) -> SearchResult<SearchResponse> {
-        self.try_search(query, k).map(|results| SearchResponse {
-            results,
-            degraded: false,
-        })
-    }
-
-    /// [`QunitSearchEngine::search`] under an explicit dispatch policy
-    /// (the batch path inlines shard scoring inside its query tasks).
-    fn try_search_with_policy(
-        &self,
-        query: &str,
-        k: usize,
-        policy: DispatchPolicy,
-    ) -> SearchResult<Vec<QunitResult>> {
         self.obs.queries.incr();
         let started = Instant::now();
         let out = if k == 0 || !self.cache.is_enabled() {
             // k == 0 skips the cache entirely: no point spending an LRU
             // slot (and maybe an eviction) on an always-empty result.
-            with_query(query, |qs| self.search_uncached_guarded(k, policy, qs))
+            with_query(query, |qs| self.search_uncached_guarded(k, qs))
         } else {
             with_query(query, |qs| {
                 // Read the generation *before* searching: a click landing
@@ -1230,7 +1193,7 @@ impl QunitSearchEngine {
                 }
                 // `?` before the insert: a failed query is never cached —
                 // the cache contract is "identical to uncached".
-                let results = self.search_uncached_guarded(k, policy, qs)?;
+                let results = self.search_uncached_guarded(k, qs)?;
                 // The cache owns its key, so a miss pays one String clone;
                 // a hit borrows the normal form and allocates only the list
                 // it returns (one `Vec`, k keys).
@@ -1245,71 +1208,26 @@ impl QunitSearchEngine {
         out
     }
 
-    /// Answer a batch of queries, fanning them across the engine's
-    /// persistent shard executor, one chunk per pool worker
-    /// ([`EngineConfig::executor_threads`]). Results arrive in query order
-    /// and are identical to calling [`QunitSearchEngine::search`] per query.
-    ///
-    /// Batch work rides the same [`ShardExecutor`] as single-query shard
-    /// fan-out — one pool for the whole engine, so mixed traffic never
-    /// oversubscribes cores with nested per-query spawns. Query tasks
-    /// score their shards inline (each task is already one unit of
-    /// parallelism; splitting it again would just add queue churn), except
-    /// under a forced-dispatch policy, which is honored for the
-    /// determinism gate.
-    ///
-    /// Infallible like [`QunitSearchEngine::search`]: a chunk task that
-    /// panics is contained, and every query of that chunk answers an empty
-    /// list, counted in [`ObsSnapshot::degraded_to_empty`] (and the lost
-    /// task in [`ObsSnapshot::panics_contained`]).
+    /// [`QunitSearchEngine::try_search`], its results wrapped in a
+    /// [`SearchResponse`] that is never degraded. Kept only because the
+    /// benchmark harness under `perf/` still calls it.
+    pub fn try_search_partial(&self, query: &str, k: usize) -> SearchResult<SearchResponse> {
+        self.try_search(query, k).map(|results| SearchResponse {
+            results,
+            degraded: false,
+        })
+    }
+
+    /// Answer a batch of queries on scoped threads, one per executor
+    /// worker ([`EngineConfig::executor_threads`]), each claiming the next
+    /// unanswered query. Slot `i` is [`QunitSearchEngine::search`] of
+    /// query `i`, failures included: a query that fails answers an empty
+    /// list, counted in [`ObsSnapshot::degraded_to_empty`], and leaves
+    /// every other query's answer alone.
     pub fn search_batch(&self, queries: &[&str], k: usize) -> Vec<Vec<QunitResult>> {
-        let threads = self.exec.pool_size().clamp(1, queries.len().max(1));
-        let mut out: Vec<Vec<QunitResult>> = vec![Vec::new(); queries.len()];
-        if threads <= 1 {
-            for (q, slot) in queries.iter().zip(&mut out) {
-                *slot = self.search(q, k);
-            }
-            return out;
-        }
-        let chunk = queries.len().div_ceil(threads).max(1);
-        let chunks = queries.len().div_ceil(chunk);
-        // Query tasks inline their shard scoring only when the batch alone
-        // already saturates the pool — a small batch of heavy queries on a
-        // big pool keeps nested shard dispatch (and with it intra-query
-        // parallelism), and the work-helping queue makes that safe. A
-        // forced-dispatch policy is honored as-is for the determinism gate.
-        let policy = match self.policy.mode {
-            DispatchMode::ForceDispatch => self.policy,
-            _ if chunks >= self.exec.pool_size() => DispatchPolicy::force_inline(),
-            _ => self.policy,
-        };
-        // A chunk marks itself done as its last act, so a task lost to a
-        // panic leaves its flag down whatever it had written.
-        let mut done = vec![false; chunks];
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = queries
-            .chunks(chunk)
-            .zip(out.chunks_mut(chunk))
-            .zip(&mut done)
-            .map(|((q_chunk, out_chunk), done)| {
-                Box::new(move || {
-                    for (q, slot) in q_chunk.iter().zip(out_chunk) {
-                        *slot = self.search_infallible(q, k, policy);
-                    }
-                    *done = true;
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        // The flags say which chunks were lost; the first panic's payload
-        // adds nothing to that.
-        let _ = self.exec.try_run(tasks);
-        for (out_chunk, _) in out.chunks_mut(chunk).zip(&done).filter(|(_, d)| !**d) {
-            self.obs.panics_contained.incr();
-            for slot in out_chunk {
-                slot.clear();
-                self.obs.degraded_to_empty.incr();
-            }
-        }
-        out
+        claim_each(queries.len(), self.exec.pool_size(), |i| {
+            self.search(queries[i], k)
+        })
     }
 
     /// Run a keyword query without touching the cache, returning up to `k`
@@ -1330,7 +1248,7 @@ impl QunitSearchEngine {
     pub fn try_search_uncached(&self, query: &str, k: usize) -> SearchResult<Vec<QunitResult>> {
         self.obs.queries.incr();
         let started = Instant::now();
-        let out = with_query(query, |qs| self.search_uncached_guarded(k, self.policy, qs));
+        let out = with_query(query, |qs| self.search_uncached_guarded(k, qs));
         self.obs.latency.record(started.elapsed().as_nanos() as u64);
         out
     }
@@ -1345,11 +1263,10 @@ impl QunitSearchEngine {
     fn search_uncached_guarded(
         &self,
         k: usize,
-        policy: DispatchPolicy,
         qs: &mut QueryScratch,
     ) -> SearchResult<Vec<QunitResult>> {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.search_uncached_inner(k, policy, qs)
+            self.search_uncached_inner(k, qs)
         })) {
             Ok(out) => out,
             Err(payload) => {
@@ -1364,12 +1281,10 @@ impl QunitSearchEngine {
 
     /// The uncached pipeline with explicit working buffers (`qs`, the query
     /// already tokenized into them by [`with_query`]; it never tokenizes
-    /// again) and dispatch policy — the one body behind every search entry
-    /// point.
+    /// again) — the one body behind every search entry point.
     fn search_uncached_inner(
         &self,
         k: usize,
-        policy: DispatchPolicy,
         qs: &mut QueryScratch,
     ) -> SearchResult<Vec<QunitResult>> {
         if k == 0 {
@@ -1377,7 +1292,7 @@ impl QunitSearchEngine {
         }
         let seg = self.segmenter.segment_normal(&qs.norm);
         self.plan(&seg, k, &mut qs.plan);
-        let hits = self.candidates(&qs.plan, &qs.norm, policy)?;
+        let hits = self.candidates(&qs.plan, &qs.norm)?;
         Ok(self.rescore(&qs.plan, &hits, k, &mut qs.scored, &mut qs.render))
     }
 
@@ -1468,17 +1383,12 @@ impl QunitSearchEngine {
     /// document instead when the route admits none that match (a movie with
     /// no soundtrack asked for its ost), then add the anchored documents the
     /// route admits and the fetch cutoff missed.
-    fn candidates(
-        &self,
-        plan: &QueryPlan,
-        norm: &NormalForm,
-        policy: DispatchPolicy,
-    ) -> SearchResult<Vec<Hit>> {
+    fn candidates(&self, plan: &QueryPlan, norm: &NormalForm) -> SearchResult<Vec<Hit>> {
         // Intra-query parallelism: every ranking pass below fans across
         // the index shards — inline or on the persistent executor per the
-        // policy — scored with corpus-global stats and merged
+        // inline threshold — scored with corpus-global stats and merged
         // deterministically, so results are identical at any shard count,
-        // pool size, or dispatch mode. Per-shard scoring time lands in the
+        // pool size, or threshold. Per-shard scoring time lands in the
         // atomic shard counters.
         let searcher = ShardedSearcher::new(&self.index, self.config.scoring);
         // The IR terms: the query's tokens the analyzer keeps, borrowed.
@@ -1490,7 +1400,7 @@ impl QunitSearchEngine {
             pool: Some(&self.scratch_pool),
             exec: Some(&self.exec),
             timings: Some(&self.shard_timings),
-            policy,
+            policy: DispatchPolicy::adaptive(self.config.inline_postings_threshold),
             decisions: Some(&self.dispatch_counts),
             tier: self.config.kernel,
         };
@@ -2260,7 +2170,7 @@ mod tests {
         let seg = e.segmenter.segment_normal(&qs.norm);
         e.plan(&seg, k, &mut qs.plan);
         let plan = &qs.plan;
-        let found = e.candidates(plan, &qs.norm, e.policy).unwrap();
+        let found = e.candidates(plan, &qs.norm).unwrap();
         let new = e.rescore(plan, &found, k, &mut qs.scored, &mut qs.render);
         let old = e.rescore_reference(&seg, plan, &found, k, facts);
         let bits = |r: &QunitResult| {
@@ -2551,7 +2461,7 @@ mod tests {
             .anchored
             .iter()
             .all(|&doc| !plan.admits(&e.doc_def, doc)));
-        let found = e.candidates(plan, &qs.norm, e.policy).unwrap();
+        let found = e.candidates(plan, &qs.norm).unwrap();
         // …so the candidates are the open pass's hits and nothing more.
         let terms = e.index.analyzer().tokenize(&query);
         let open = ShardedSearcher::new(&e.index, e.config.scoring)
@@ -2927,7 +2837,7 @@ mod tests {
             .chain([format!("{} movies", data.people[0].name)])
             .collect();
         let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
-        // one worker takes the serial path; two and eight chunk the batch
+        // one, two and eight scoped threads claim the queries
         for executor_threads in [1, 2, 8] {
             let config = EngineConfig {
                 executor_threads,

@@ -222,12 +222,13 @@ pub struct ObsSnapshot {
     /// Panics caught and contained without unwinding any caller or
     /// worker, for injected faults and organic panics alike: each shard
     /// whose scoring panicked counts one (a dispatched query that lost
-    /// three shards counts three; the inline sweep stops at its first), a
-    /// panic elsewhere in a query's pipeline counts one, and each
-    /// `search_batch` chunk task lost to a panic counts one.
+    /// three shards counts three; the inline sweep stops at its first) and
+    /// a panic elsewhere in a query's pipeline counts one. `search_batch`
+    /// runs each query as `search` does, so its queries count the same.
     pub panics_contained: u64,
     /// Errors the *infallible* entry points (`search`, `search_uncached`,
-    /// `search_batch`) swallowed into an empty result list. Nonzero here
+    /// and `search_batch`, one per failed query) swallowed into an empty
+    /// result list. Nonzero here
     /// with quiet error counters means callers are losing errors to the
     /// infallible API — switch them to `try_search`.
     pub degraded_to_empty: u64,
@@ -241,17 +242,14 @@ pub struct ObsSnapshot {
     /// Cumulative scoring nanoseconds per index shard (length =
     /// `num_shards`), from the dispatch path's [`irengine::ShardTimings`].
     pub per_shard_scoring_nanos: Vec<u64>,
-    /// Shard tasks accepted into the executor's queues.
+    /// Shard tasks accepted into the executor's queue.
     pub tasks_enqueued: u64,
-    /// Shard tasks a refused enqueue (the `exec.enqueue` failpoint) sent
-    /// back to the submitting thread, which ran them itself.
-    pub tasks_overflowed: u64,
     /// Shard tasks dequeued by pool workers or work-helping callers.
     pub tasks_dequeued: u64,
     /// Total nanoseconds admitted tasks spent waiting in the executor
     /// queue before a worker picked them up.
     pub queue_wait_nanos: u64,
-    /// High-water mark of the executor queue depth (urgent + bulk).
+    /// High-water mark of the executor queue depth.
     pub max_queue_depth: u64,
     /// Log₂-bucket histogram of full-pipeline latencies for every query
     /// counted in `queries` (cache hits, misses, and uncached runs alike),
@@ -283,8 +281,8 @@ pub struct EngineObs {
     pub queries: Counter,
     /// Queries failed with `SearchError::Internal` (contained panics).
     pub internal_errors: Counter,
-    /// Panics contained at the query boundary: one per panicked shard,
-    /// pipeline or batch chunk.
+    /// Panics contained at the query boundary: one per panicked shard or
+    /// pipeline.
     pub panics_contained: Counter,
     /// Errors swallowed into empty lists by the infallible entry points.
     pub degraded_to_empty: Counter,

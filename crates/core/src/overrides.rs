@@ -1,6 +1,6 @@
 //! The build-time environment overrides: one table of `QUNITS_*` variables,
 //! each with the parser that applies its value to the engine's
-//! [`EngineConfig`] or to its dispatch mode.
+//! [`EngineConfig`].
 //! [`crate::QunitSearchEngine::build`] reads every variable of the table
 //! that is set. A value its parser refuses panics, naming the variable: a
 //! typo'd override silently falling back to the default would run (and
@@ -9,25 +9,16 @@
 //! lists the same variables.
 
 use crate::engine::EngineConfig;
-use irengine::{DispatchMode, DispatchPolicy, KernelTier};
+use irengine::KernelTier;
 use std::path::PathBuf;
 
-/// What the environment can set: the engine's config, and the dispatch
-/// mode of the policy built from its `inline_postings_threshold`.
-#[derive(Debug)]
-struct Overridden {
-    config: EngineConfig,
-    mode: DispatchMode,
-}
-
 /// Parse a value and apply it, or say what the value must be.
-type Apply = fn(&mut Overridden, &str) -> Result<(), &'static str>;
+type Apply = fn(&mut EngineConfig, &str) -> Result<(), &'static str>;
 
-/// Every override, in the order applied: `QUNITS_FORCE_INLINE` comes after
-/// `QUNITS_FORCE_DISPATCH`, so it wins when both are set.
-const OVERRIDES: [(&str, Apply); 7] = [
-    ("QUNITS_KERNEL", |o, v| {
-        o.config.kernel = match v {
+/// Every override, in the order applied.
+const OVERRIDES: [(&str, Apply); 5] = [
+    ("QUNITS_KERNEL", |c, v| {
+        c.kernel = match v {
             "blockmax" => KernelTier::BlockMax,
             "maxscore" => KernelTier::MaxScore,
             "exhaustive" => KernelTier::Exhaustive,
@@ -35,35 +26,23 @@ const OVERRIDES: [(&str, Apply); 7] = [
         };
         Ok(())
     }),
-    ("QUNITS_BLOCK_SIZE", |o, v| {
-        o.config.block_size = (integer(v)? as usize).max(1);
+    ("QUNITS_BLOCK_SIZE", |c, v| {
+        c.block_size = (integer(v)? as usize).max(1);
         Ok(())
     }),
-    ("QUNITS_COMPRESS_POSTINGS", |o, v| {
-        o.config.compress_postings |= flag(v)?;
+    ("QUNITS_COMPRESS_POSTINGS", |c, v| {
+        c.compress_postings |= flag(v)?;
         Ok(())
     }),
-    ("QUNITS_SNAPSHOT_PATH", |o, v| {
+    ("QUNITS_SNAPSHOT_PATH", |c, v| {
         if v.is_empty() {
             return Err("a file path");
         }
-        o.config.snapshot_path = Some(PathBuf::from(v));
+        c.snapshot_path = Some(PathBuf::from(v));
         Ok(())
     }),
-    ("QUNITS_INLINE_THRESHOLD", |o, v| {
-        o.config.inline_postings_threshold = integer(v)? as usize;
-        Ok(())
-    }),
-    ("QUNITS_FORCE_DISPATCH", |o, v| {
-        if flag(v)? {
-            o.mode = DispatchMode::ForceDispatch;
-        }
-        Ok(())
-    }),
-    ("QUNITS_FORCE_INLINE", |o, v| {
-        if flag(v)? {
-            o.mode = DispatchMode::ForceInline;
-        }
+    ("QUNITS_INLINE_THRESHOLD", |c, v| {
+        c.inline_postings_threshold = integer(v)? as usize;
         Ok(())
     }),
 ];
@@ -81,32 +60,23 @@ fn flag(v: &str) -> Result<bool, &'static str> {
 }
 
 /// Apply one entry, panicking with the variable's name on a bad value.
-fn apply(o: &mut Overridden, (name, parse): (&str, Apply), value: &str) {
-    if let Err(want) = parse(o, value) {
+fn apply(c: &mut EngineConfig, (name, parse): (&str, Apply), value: &str) {
+    if let Err(want) = parse(c, value) {
         panic!("{name} must be {want}, got {value:?}");
     }
 }
 
-/// `config` with every override set in the process environment applied,
-/// and the dispatch policy it resolves to.
-pub(crate) fn from_env(config: EngineConfig) -> (EngineConfig, DispatchPolicy) {
-    let mut o = Overridden {
-        config,
-        mode: DispatchMode::Adaptive,
-    };
+/// `config` with every override set in the process environment applied.
+pub(crate) fn from_env(mut config: EngineConfig) -> EngineConfig {
     for entry in OVERRIDES {
         if let Some(value) = std::env::var_os(entry.0) {
             let value = value
                 .to_str()
                 .unwrap_or_else(|| panic!("{} must be valid UTF-8, got {value:?}", entry.0));
-            apply(&mut o, entry, value);
+            apply(&mut config, entry, value);
         }
     }
-    let policy = DispatchPolicy {
-        mode: o.mode,
-        inline_postings_threshold: o.config.inline_postings_threshold,
-    };
-    (o.config, policy)
+    config
 }
 
 #[cfg(test)]
@@ -124,14 +94,9 @@ mod tests {
             "QUNITS_COMPRESS_POSTINGS" => ("1", "yes"),
             "QUNITS_SNAPSHOT_PATH" => ("index.qx", ""),
             "QUNITS_INLINE_THRESHOLD" => ("0", "1e6"),
-            "QUNITS_FORCE_DISPATCH" => ("1", "true"),
-            "QUNITS_FORCE_INLINE" => ("1", "on"),
             other => panic!("{other} has no test values"),
         };
-        let fresh = || Overridden {
-            config: EngineConfig::default(),
-            mode: DispatchMode::Adaptive,
-        };
+        let fresh = EngineConfig::default;
         let docs = include_str!("../../../docs/OPERATIONS.md");
         let table = docs
             .split("## Environment overrides")
@@ -140,10 +105,10 @@ mod tests {
             .expect("docs/OPERATIONS.md has an Environment overrides section");
         for entry @ (name, _) in OVERRIDES {
             let (good, bad) = values(name);
-            let mut o = fresh();
-            apply(&mut o, entry, good);
+            let mut c = fresh();
+            apply(&mut c, entry, good);
             assert_ne!(
-                format!("{o:?}"),
+                format!("{c:?}"),
                 format!("{:?}", fresh()),
                 "{name}={good:?}"
             );

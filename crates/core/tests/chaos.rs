@@ -1,8 +1,7 @@
 //! Seeded chaos suite: deterministic fault injection against the full
 //! engine, exercising panic containment (single queries and batches), the
 //! one shard-failure rule (a failed shard fails the query, which is never
-//! cached), refused executor enqueues, snapshot quarantine/retry, and the
-//! fault counter family.
+//! cached), snapshot quarantine/retry, and the fault counter family.
 //!
 //! The failpoint registry ([`irengine::fault`]) is process-global, so every
 //! test here serializes on one mutex ([`hold_registry`]) — a schedule armed
@@ -92,9 +91,8 @@ fn armed_but_never_firing_schedule_is_bit_identical_to_baseline() {
     // can reach: the armed-registry code path runs on every check, from the
     // build on, and the results must not move a bit.
     fault::install(
-        "exec.task=panic@#1000000;exec.enqueue=error@#1000000;\
-         postings.decode=error@#1000000;snapshot.read=error@#1000000;\
-         snapshot.write=error@#1000000",
+        "exec.task=panic@#1000000;postings.decode=error@#1000000;\
+         snapshot.read=error@#1000000;snapshot.write=error@#1000000",
     )
     .unwrap();
     let engine = build_engine(dispatch_config());
@@ -255,11 +253,11 @@ fn panic_storm_under_concurrent_load_balances_counters_exactly() {
 }
 
 #[test]
-fn a_lost_batch_task_empties_its_chunk_and_never_unwinds_the_caller() {
+fn a_batch_isolates_a_failed_query_from_the_others() {
     let _guard = hold_registry();
-    // Two workers over six queries: two chunk tasks of three queries, and
-    // a batch that saturates the pool scores its shards inline, so the
-    // chunk tasks are the only executor tasks `exec.task` can hit.
+    // Two workers over six queries, every shard fan-out dispatched: the
+    // first executor task any query submits panics, and only that query
+    // may lose its answer.
     let engine = build_engine(EngineConfig {
         executor_threads: 2,
         cache_capacity: 0,
@@ -275,48 +273,19 @@ fn a_lost_batch_task_empties_its_chunk_and_never_unwinds_the_caller() {
 
     fault::install("exec.task=panic@#1").unwrap();
     let got = engine.search_batch(&batch, 5);
-    assert_eq!(fault::site_counters(site::EXEC_TASK), (2, 1));
-    // Whichever chunk ran first was lost whole; the other is untouched.
-    let lost: Vec<usize> = (0..2)
-        .filter(|&c| got[c * 3..c * 3 + 3].iter().all(Vec::is_empty))
-        .collect();
-    assert_eq!(lost.len(), 1, "exactly one chunk lost: {got:?}");
+    let lost: Vec<usize> = (0..got.len()).filter(|&i| got[i].is_empty()).collect();
+    assert_eq!(lost.len(), 1, "exactly one query lost, not {lost:?}");
     for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-        if i / 3 != lost[0] {
-            assert_eq!(g, e, "slot {i} of the surviving chunk");
+        if i != lost[0] {
+            assert_eq!(g, e, "slot {i} answers as the unarmed batch");
         }
     }
     let snap = engine.obs_snapshot();
-    assert_eq!(snap.degraded_to_empty, 3);
+    assert_eq!(snap.degraded_to_empty, 1);
     assert_eq!(snap.panics_contained, 1);
 
     fault::clear();
     assert_eq!(engine.search_batch(&batch, 5), expected);
-}
-
-#[test]
-fn refused_enqueues_run_on_the_caller_bit_identically() {
-    let _guard = hold_registry();
-    let queries = mixed_queries();
-    let baseline = build_engine(dispatch_config());
-    let expected: Vec<_> = queries.iter().map(|q| baseline.search(q, 5)).collect();
-
-    // Every dispatched batch is refused at the queue: the submitting
-    // thread runs all of its tasks itself, through the same latch.
-    let engine = build_engine(dispatch_config());
-    fault::install("exec.enqueue=error@*").unwrap();
-    let got: Vec<_> = queries.iter().map(|q| engine.search(q, 5)).collect();
-    assert_eq!(got, expected);
-
-    let stats = engine.executor_stats();
-    assert_eq!(stats.enqueued, 0);
-    assert_eq!(stats.dequeued, 0);
-    assert_eq!(stats.queue_wait_nanos, 0);
-    assert!(
-        stats.overflowed > 0,
-        "dispatched tasks must have run on the caller"
-    );
-    assert_eq!(engine.obs_snapshot().tasks_overflowed, stats.overflowed);
 }
 
 // --- snapshot quarantine and retry ----------------------------------------

@@ -194,7 +194,7 @@ fn any_executor_pool_size_and_dispatch_mode_is_bit_identical_to_unsharded() {
                     "pool {pool} threshold {threshold} diverged on {q}"
                 );
             }
-            // batch riding the same executor agrees too
+            // a batch, each query dispatching onto the same executor, agrees too
             let refs: Vec<&str> = queries.iter().take(20).map(String::as_str).collect();
             let batched = engine.search_batch(&refs, 10);
             for (b, exp) in batched.iter().zip(&expected) {

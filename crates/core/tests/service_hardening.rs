@@ -3,8 +3,8 @@
 //! open-loop load.
 //!
 //! The load-bearing claims pinned here, complementing the CI determinism
-//! transcript gate (which diffs `exp_determinism` under
-//! `QUNITS_FORCE_DISPATCH`):
+//! transcript gate (which diffs `exp_determinism` at
+//! `QUNITS_INLINE_THRESHOLD=0`):
 //!
 //! 1. a sharded engine is bit-identical to the default one — keys, order,
 //!    score bits — whether every shard is scored inline on the caller or
@@ -13,17 +13,9 @@
 //!    inline-vs-dispatch split;
 //! 3. every scoring kernel tier ([`EngineConfig::kernel`], and the
 //!    [`EngineConfig::force_exhaustive`] shorthand) is bit-identical to the
-//!    default at every shard count;
-//! 4. under forced dispatch, refused executor enqueues (the caller runs
-//!    every batch itself) are bit-identical too, per query and per batch.
-//!
-//! Claim 4 arms the process-global failpoint registry. Its one action,
-//! `exec.enqueue=error`, changes where tasks run and never what they
-//! return, and no other test here reads the executor counters it moves,
-//! so the tests of this binary need not serialize on the registry.
+//!    default at every shard count.
 
 use datagen::imdb::{ImdbConfig, ImdbData};
-use irengine::fault;
 use irengine::KernelTier;
 use qunit_core::derive::manual::expert_imdb_qunits;
 use qunit_core::{EngineConfig, QunitSearchEngine};
@@ -96,48 +88,6 @@ fn inline_and_dispatched_shards_are_bit_identical_to_baseline() {
     );
     assert_eq!(want, transcript(&dispatched, &qs));
     assert!(dispatched.obs_snapshot().dispatched_queries > 0);
-}
-
-#[test]
-fn zero_queue_capacity_is_bit_identical_under_forced_dispatch() {
-    /// Clears the schedule on every exit path, a failed assertion's
-    /// unwind included, so it cannot outlive this test.
-    struct Disarm;
-    impl Drop for Disarm {
-        fn drop(&mut self) {
-            fault::clear();
-        }
-    }
-
-    let data = data();
-    // Force every query down the dispatch path, then refuse every enqueue:
-    // the queues admit nothing, each dispatched task runs on its caller,
-    // and results must not move.
-    let config = EngineConfig {
-        inline_postings_threshold: 0,
-        search_shards: 4,
-        executor_threads: 2,
-        cache_capacity: 0,
-        ..EngineConfig::default()
-    };
-    let baseline = build(&data, config.clone());
-    let starved = build(&data, config);
-    let qs = workload(&data);
-    let refs: Vec<&str> = qs.iter().map(String::as_str).collect();
-    let want = transcript(&baseline, &qs);
-    let want_batch = baseline.search_batch(&refs, 10);
-
-    let _disarm = Disarm;
-    fault::install("exec.enqueue=error@*").unwrap();
-    assert_eq!(want, transcript(&starved, &qs));
-    assert_eq!(want_batch, starved.search_batch(&refs, 10));
-    let stats = starved.executor_stats();
-    assert_eq!(stats.enqueued, 0, "a refused enqueue admits nothing");
-    assert_eq!(stats.dequeued, 0);
-    assert!(
-        stats.overflowed > 0,
-        "dispatched tasks must run on the caller"
-    );
 }
 
 #[test]
@@ -244,8 +194,7 @@ fn obs_counters_add_up_under_search_batch() {
     assert!(obs.inline_queries + obs.dispatched_queries >= obs.cache_misses);
     assert_eq!(obs.per_shard_scoring_nanos.len(), engine.num_shards());
 
-    // Outside the batch override, threshold 0 on a multi-worker pool
-    // means the adaptive policy must dispatch.
+    // Threshold 0 on a multi-worker pool means the policy must dispatch.
     let dispatched_before = obs.dispatched_queries;
     engine.search_uncached(refs[0], 10);
     assert!(

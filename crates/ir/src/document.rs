@@ -123,9 +123,11 @@ impl DocStore {
     /// first string, each string's field-name id, the field names — checked
     /// to describe documents: the external ids start at string 0 and climb,
     /// exactly the strings they name have [`NO_FIELD`], every other string
-    /// names a field that exists, and the names are distinct. `name_ids` is
-    /// empty, with room for every name, so nothing is allocated here. The
-    /// error names the first violation.
+    /// names a field that exists, the names are numbered in the order the
+    /// strings first use them (as [`DocStore::push`] interns them), so that
+    /// every name is used, and the names are distinct. `name_ids` is empty,
+    /// with room for every name, so nothing is allocated here. The error
+    /// names the first violation.
     pub(crate) fn from_lanes(
         strings: TextArena,
         firsts: Vec<u32>,
@@ -142,12 +144,24 @@ impl DocStore {
             return Err("field name ids out of range");
         }
         // The firsts climb within the strings: each is met once, in order.
+        // Every name is checked used before any is entered, so names no
+        // string uses cannot grow the table.
         let mut next = firsts.iter().peekable();
+        let mut used = 0u32;
         for (s, &name) in field_of.iter().enumerate() {
             let first = next.next_if_eq(&&(s as u32)).is_some();
             if first != (name == NO_FIELD) || (!first && name as usize >= names.len()) {
                 return Err("field name ids out of range");
             }
+            if !first && name >= used {
+                if name > used {
+                    return Err("field name ids out of first-use order");
+                }
+                used += 1;
+            }
+        }
+        if used as usize != names.len() {
+            return Err("unused field name");
         }
         for (id, name) in names.iter().enumerate() {
             if name_ids.insert_first(name, id as u32, |id| names.get(id as usize)) != id as u32 {

@@ -8,22 +8,16 @@
 //! builds one at `build` time) and amortizes that cost to nothing: workers
 //! park on a condvar and wake only when a query enqueues tasks.
 //!
-//! Two design points matter for latency:
+//! Its one caller is a query's shard fan-out: [`ShardExecutor::try_run`]
+//! takes one query's shard tasks. Two design points matter for latency:
 //!
-//! - **The caller helps.** [`ShardExecutor::run`] does not sit blocked while
-//!   workers drain the queue — it pops and executes tasks itself until its
-//!   batch completes. On a single-core host (or a pool busy with other
-//!   queries) dispatch therefore degrades gracefully toward inline
+//! - **The caller helps.** [`ShardExecutor::try_run`] does not sit blocked
+//!   while workers drain the queue — it pops and executes tasks itself
+//!   until its batch completes. On a single-core host (or a pool busy with
+//!   other queries) dispatch therefore degrades gracefully toward inline
 //!   execution instead of toward a context-switch storm. It also makes
-//!   nested dispatch deadlock-free: a task that itself calls `run` (the
-//!   engine's batch path dispatches query tasks whose searches could
-//!   dispatch shard tasks) keeps executing queued work while it waits.
-//! - **Two traffic classes, no head-of-line blocking.** Per-query shard
-//!   tasks ([`ShardExecutor::try_run_urgent`]) are microseconds; batch query
-//!   chunks ([`ShardExecutor::run`]) are milliseconds. Urgent jobs are
-//!   always served before bulk jobs, and an urgent caller never helps
-//!   with bulk work — so under mixed traffic a single query's tail is
-//!   bounded by its own inline cost, not by the batch backlog.
+//!   nested dispatch deadlock-free: a task that itself calls `try_run`
+//!   keeps executing queued work while it waits.
 //! - **Adaptive inlining is the caller's job.** The executor executes what
 //!   it is given; [`DispatchPolicy`] is the shared knob callers use to
 //!   decide *whether* to dispatch at all. Small queries (estimated postings
@@ -41,37 +35,34 @@
 //! tasks write into disjoint result slots and the merge happens on the
 //! calling thread after every task completes, so inline execution and pool
 //! dispatch at any pool size are bit-identical (property-tested in
-//! `tests/prop_ir.rs`; the CI determinism
-//! job additionally diffs `QUNITS_FORCE_INLINE=1` against
-//! `QUNITS_FORCE_DISPATCH=1` transcripts).
+//! `tests/prop_ir.rs`; the CI determinism job additionally diffs
+//! transcripts at `QUNITS_INLINE_THRESHOLD=18446744073709551615` and
+//! `QUNITS_INLINE_THRESHOLD=0`).
 //!
 //! # Panic containment and shutdown
 //!
 //! A panic inside a task is caught on the executing worker (or helping
 //! caller) and carried back through the batch latch; **workers always
-//! survive** a panicking task and keep serving the queue. What happens on
-//! the submitting thread is the caller's choice: [`ShardExecutor::try_run`]
-//! / [`ShardExecutor::try_run_urgent`] return the first payload as an
-//! `Err(`[`TaskPanic`]`)` after every task in the batch has completed — the
-//! fault-isolated service path, which the engine maps to
-//! `SearchError::Internal` — while [`ShardExecutor::run`] resumes the
-//! payload (the historical `std::thread::scope` semantics).
+//! survive** a panicking task and keep serving the queue.
+//! [`ShardExecutor::try_run`] returns the first payload as an
+//! `Err(`[`TaskPanic`]`)` after every task in the batch has completed; the
+//! engine maps it to `SearchError::Internal`.
 //!
 //! Dropping the executor parks no new work, wakes every worker, and joins
-//! them; already-queued tasks are drained first so no in-flight `run` is
-//! ever abandoned, even when some of those tasks panic.
+//! them; already-queued tasks are drained first so no in-flight `try_run`
+//! is ever abandoned, even when some of those tasks panic.
 
 use crate::fault::{self, site};
 use std::any::Any;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// A type-erased task. The `'static` is a lie [`ShardExecutor::run`]
-/// makes true: `run` never returns until every job it enqueued has
+/// A type-erased task. The `'static` is a lie [`ShardExecutor::try_run`]
+/// makes true: `try_run` never returns until every job it enqueued has
 /// finished executing, so the borrows a job captures outlive its
 /// execution.
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -83,14 +74,13 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 struct QueuedJob {
     job: Job,
     latch: Arc<Latch>,
-    /// When the batch was submitted. Read only when a queue hands the job
-    /// out, so jobs a refused enqueue left to the caller record no wait.
+    /// When the batch was submitted; read when the queue hands the job out.
     enqueued_at: Instant,
 }
 
 impl QueuedJob {
     fn execute(self) {
-        // The latch must count the job down even if it panics, or `run`
+        // The latch must count the job down even if it panics, or `try_run`
         // would never return and the borrow-soundness argument (and the
         // caller) would hang. By the time `complete` runs, the job and
         // everything it borrowed have been dropped. The failpoint sits
@@ -105,9 +95,8 @@ impl QueuedJob {
     }
 }
 
-/// A task panicked inside a [`ShardExecutor`] batch. Returned by the
-/// fault-isolated entry points ([`ShardExecutor::try_run`],
-/// [`ShardExecutor::try_run_urgent`]) once **every** task in the batch has
+/// A task panicked inside a [`ShardExecutor`] batch. Returned by
+/// [`ShardExecutor::try_run`] once **every** task in the batch has
 /// completed — the rest of the batch is never abandoned, and the pool
 /// workers survive. Holds the first panic's payload; re-raise it with
 /// [`std::panic::resume_unwind`] or describe it with
@@ -156,16 +145,16 @@ struct Shared {
 #[derive(Default)]
 struct QueueCounters {
     enqueued: AtomicU64,
-    overflowed: AtomicU64,
     dequeued: AtomicU64,
     queue_wait_nanos: AtomicU64,
     max_queue_depth: AtomicU64,
 }
 
 impl QueueCounters {
-    /// Record a job leaving a queue for execution: one dequeue plus the
+    /// Record a job leaving the queue for execution: one dequeue plus the
     /// nanoseconds it spent queued (a single clock read per dequeued job;
-    /// jobs the caller ran directly never pass through here).
+    /// a single-task batch the caller ran directly never passes through
+    /// here).
     fn note_dequeue(&self, enqueued_at: Instant) {
         self.queue_wait_nanos
             .fetch_add(enqueued_at.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -178,46 +167,25 @@ impl QueueCounters {
 /// scoring time lives in [`crate::ShardTimings`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecutorStats {
-    /// Tasks accepted into a queue.
+    /// Tasks accepted into the queue.
     pub enqueued: u64,
-    /// Tasks a refused enqueue (the `exec.enqueue` failpoint's `error`
-    /// action) sent back to the calling thread, which ran them itself —
-    /// never blocked, never dropped.
+    /// Always 0: the queue is unbounded and never refuses a task. Kept
+    /// only because the benchmark harness under `perf/` still reads it.
     pub overflowed: u64,
-    /// Tasks popped from a queue by a worker or a helping caller.
+    /// Tasks popped from the queue by a worker or a helping caller.
     pub dequeued: u64,
-    /// Total nanoseconds dequeued tasks spent waiting in a queue. Divide
+    /// Total nanoseconds dequeued tasks spent waiting in the queue. Divide
     /// by [`ExecutorStats::dequeued`] for the mean queue wait; a growing
     /// mean under steady load is the canonical saturation signal.
     pub queue_wait_nanos: u64,
-    /// High-water mark of total queued tasks (urgent + bulk) observed at
-    /// enqueue time.
+    /// High-water mark of queued tasks observed at enqueue time.
     pub max_queue_depth: u64,
 }
 
 #[derive(Default)]
 struct Queue {
-    /// Latency-critical jobs (per-query shard tasks): always served before
-    /// `bulk`, so a microsecond shard task never queues behind a
-    /// millisecond batch chunk — head-of-line blocking across the two
-    /// traffic classes would invert exactly the single-query tail latency
-    /// the pool exists to protect.
-    urgent: VecDeque<QueuedJob>,
-    /// Throughput jobs (batch query chunks).
-    bulk: VecDeque<QueuedJob>,
+    jobs: VecDeque<QueuedJob>,
     shutdown: bool,
-}
-
-impl Queue {
-    fn pop(&mut self, urgent_only: bool) -> Option<QueuedJob> {
-        self.urgent.pop_front().or_else(|| {
-            if urgent_only {
-                None
-            } else {
-                self.bulk.pop_front()
-            }
-        })
-    }
 }
 
 /// Lock that shrugs off poisoning: the executor's own critical sections
@@ -227,7 +195,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Completion latch for one [`ShardExecutor::run`] call: counts outstanding
+/// Completion latch for one [`ShardExecutor::try_run`] call: counts outstanding
 /// jobs down and carries the first panic payload back to the caller.
 struct Latch {
     state: Mutex<LatchState>,
@@ -298,7 +266,7 @@ const _: () = assert_send_sync::<ShardExecutor>();
 
 impl ShardExecutor {
     /// Spawn a pool of `threads` parked workers (`0` = one per available
-    /// core) with unbounded queues. The pool never grows or shrinks; with
+    /// core) with an unbounded queue. The pool never grows or shrinks; with
     /// the caller helping, `threads + 1` threads can execute tasks
     /// concurrently.
     pub fn new(threads: usize) -> Self {
@@ -331,58 +299,25 @@ impl ShardExecutor {
         let c = &self.shared.counters;
         ExecutorStats {
             enqueued: c.enqueued.load(Ordering::Relaxed),
-            overflowed: c.overflowed.load(Ordering::Relaxed),
+            overflowed: 0,
             dequeued: c.dequeued.load(Ordering::Relaxed),
             queue_wait_nanos: c.queue_wait_nanos.load(Ordering::Relaxed),
             max_queue_depth: c.max_queue_depth.load(Ordering::Relaxed),
         }
     }
 
-    /// Execute every task at **bulk** priority, blocking until all
-    /// complete — the throughput entry point (batch query chunks). Tasks
-    /// may borrow from the caller's stack (`'env`); the borrow is sound
-    /// because this function does not return before the last task
-    /// finishes. Tasks run on the pool workers *and* on the calling thread
-    /// (which drains the queue instead of idling). If any task panics, the
-    /// first payload is re-raised here once the rest have finished —
-    /// `std::thread::scope` semantics, without the spawns. Callers that
-    /// must contain panics use [`ShardExecutor::try_run`].
-    pub fn run<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        if let Err(p) = self.run_at(tasks, false) {
-            resume_unwind(p.payload);
-        }
-    }
-
-    /// [`ShardExecutor::run`] with panic **containment** instead of
-    /// propagation: every task still runs to completion (a panicking task
-    /// counts its latch down like any other), but the first panic payload
-    /// comes back as `Err(`[`TaskPanic`]`)` instead of unwinding the
-    /// caller. This is the query-boundary isolation the engine's
-    /// `SearchError::Internal` path builds on.
+    /// Execute every task, blocking until all complete. Tasks may borrow
+    /// from the caller's stack (`'env`); the borrow is sound because this
+    /// function does not return before the last task finishes. Tasks run on
+    /// the pool workers *and* on the calling thread (which drains the queue
+    /// instead of idling). A panicking task is **contained**: every task
+    /// still runs to completion (it counts its latch down like any other),
+    /// and the first panic payload comes back as `Err(`[`TaskPanic`]`)`
+    /// instead of unwinding the caller. This is the query-boundary
+    /// isolation the engine's `SearchError::Internal` path builds on.
     pub fn try_run<'env>(
         &self,
         tasks: Vec<Box<dyn FnOnce() + Send + 'env>>,
-    ) -> Result<(), TaskPanic> {
-        self.run_at(tasks, false)
-    }
-
-    /// [`ShardExecutor::try_run`] at **urgent** priority — the latency
-    /// entry point (per-query shard tasks). Urgent jobs are always served
-    /// before bulk jobs, and an urgent caller's work-helping loop never
-    /// picks up bulk work: with every worker stuck in long batch chunks,
-    /// the caller executes its own shard tasks itself and the query
-    /// degrades to inline latency instead of waiting out the batch backlog.
-    pub fn try_run_urgent<'env>(
-        &self,
-        tasks: Vec<Box<dyn FnOnce() + Send + 'env>>,
-    ) -> Result<(), TaskPanic> {
-        self.run_at(tasks, true)
-    }
-
-    fn run_at<'env>(
-        &self,
-        tasks: Vec<Box<dyn FnOnce() + Send + 'env>>,
-        urgent: bool,
     ) -> Result<(), TaskPanic> {
         match tasks.len() {
             0 => return Ok(()),
@@ -404,11 +339,6 @@ impl ShardExecutor {
             }
             _ => {}
         }
-
-        // Failpoint: an injected `exec.enqueue` error refuses the enqueue,
-        // and the caller runs the whole batch itself below; an injected
-        // panic unwinds the submitting caller before any task is queued.
-        let refused = fault::check(site::EXEC_ENQUEUE).is_err();
 
         // One clock read covers the whole batch — per-task `Instant::now()`
         // would put N clock reads on the dispatch path this pool exists to
@@ -435,58 +365,37 @@ impl ShardExecutor {
 
         let counters = &self.shared.counters;
         let n = jobs.len() as u64;
-        if refused {
-            // The jobs share the batch latch, so a panic defers through it
-            // like a queued job's, and the wait on the latch below is what
-            // keeps their borrows sound.
-            counters.overflowed.fetch_add(n, Ordering::Relaxed);
-            for job in jobs {
-                job.execute();
-            }
-        } else {
-            let depth = {
-                let mut q = lock(&self.shared.queue);
-                let class = if urgent { &mut q.urgent } else { &mut q.bulk };
-                class.extend(jobs);
-                q.urgent.len() + q.bulk.len()
-            };
-            counters.enqueued.fetch_add(n, Ordering::Relaxed);
-            counters
-                .max_queue_depth
-                .fetch_max(depth as u64, Ordering::Relaxed);
-            // Wake only as many workers as there are jobs to take:
-            // notify_all on a big pool would stampede every parked worker
-            // onto the queue mutex just to find it empty — overhead on the
-            // exact dispatch path this pool exists to make cheap.
-            for _ in 0..n.min(self.workers.len() as u64) {
-                self.shared.work_ready.notify_one();
-            }
+        let depth = {
+            let mut q = lock(&self.shared.queue);
+            q.jobs.extend(jobs);
+            q.jobs.len()
+        };
+        counters.enqueued.fetch_add(n, Ordering::Relaxed);
+        counters
+            .max_queue_depth
+            .fetch_max(depth as u64, Ordering::Relaxed);
+        // Wake only as many workers as there are jobs to take: notify_all
+        // on a big pool would stampede every parked worker onto the queue
+        // mutex just to find it empty — overhead on the exact dispatch path
+        // this pool exists to make cheap.
+        for _ in 0..n.min(self.workers.len() as u64) {
+            self.shared.work_ready.notify_one();
         }
 
         // Work-helping wait: execute queued tasks (ours or another
         // caller's) until our batch is done, then sleep only if workers
-        // still hold the last of our jobs. An urgent caller restricts its
-        // helping to urgent jobs (see `try_run_urgent`); a bulk caller helps
-        // with anything, urgent first.
-        loop {
-            if latch.is_done() {
-                break;
-            }
-            if !self.try_run_one(urgent) {
-                break;
-            }
-        }
+        // still hold the last of our jobs.
+        while !latch.is_done() && self.try_run_one() {}
         match latch.wait() {
             Some(payload) => Err(TaskPanic { payload }),
             None => Ok(()),
         }
     }
 
-    /// Pop and execute one queued job, if any (urgent before bulk; bulk
-    /// excluded for urgent callers). Used by the caller's work-helping
-    /// loop in [`ShardExecutor::run`].
-    fn try_run_one(&self, urgent_only: bool) -> bool {
-        let job = lock(&self.shared.queue).pop(urgent_only);
+    /// Pop and execute one queued job, if any. Used by the caller's
+    /// work-helping loop in [`ShardExecutor::try_run`].
+    fn try_run_one(&self) -> bool {
+        let job = lock(&self.shared.queue).jobs.pop_front();
         match job {
             Some(job) => {
                 self.shared.counters.note_dequeue(job.enqueued_at);
@@ -513,13 +422,13 @@ impl Drop for ShardExecutor {
     }
 }
 
-/// Worker body: run queued jobs, urgent before bulk; park when idle; exit
-/// on shutdown once both queues are drained (so `Drop` never strands an
-/// in-flight `run`).
+/// Worker body: run queued jobs in order; park when idle; exit on shutdown
+/// once the queue is drained (so `Drop` never strands an in-flight
+/// `try_run`).
 fn worker_loop(shared: &Shared) {
     let mut q = lock(&shared.queue);
     loop {
-        if let Some(job) = q.pop(false) {
+        if let Some(job) = q.jobs.pop_front() {
             drop(q);
             shared.counters.note_dequeue(job.enqueued_at);
             job.execute();
@@ -532,19 +441,6 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// How a sharded search decides between inline scoring and pool dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// Estimate the query's postings walk; inline when it is at or below
-    /// the policy threshold (or when the pool cannot parallelize anyway).
-    Adaptive,
-    /// Always score on the calling thread, zero dispatch.
-    ForceInline,
-    /// Always dispatch multi-shard queries, even tiny ones (the CI
-    /// determinism gate uses this to pin both paths bit-identical).
-    ForceDispatch,
-}
-
 /// Inline-vs-dispatch policy for the sharded query path.
 ///
 /// The work estimate is the total number of postings the kernel would walk:
@@ -554,15 +450,13 @@ pub enum DispatchMode {
 /// costs more than the scoring itself; above it, the fan-out wins on
 /// multi-core hosts.
 ///
-/// The qunit engine builds its policy at build time, and its
-/// `QUNITS_FORCE_INLINE`, `QUNITS_FORCE_DISPATCH` and
-/// `QUNITS_INLINE_THRESHOLD` environment overrides set the mode and the
-/// threshold.
+/// The qunit engine builds its policy at build time from its
+/// `inline_postings_threshold`, which `QUNITS_INLINE_THRESHOLD` overrides:
+/// `usize::MAX` always inlines, `0` dispatches every query with postings
+/// to walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchPolicy {
-    /// The dispatch decision mode.
-    pub mode: DispatchMode,
-    /// Adaptive cutoff: estimated postings at or below this score inline.
+    /// Estimated postings at or below this score inline.
     pub inline_postings_threshold: usize,
 }
 
@@ -572,28 +466,22 @@ impl DispatchPolicy {
     /// parked-worker handoff on current hardware.
     pub const DEFAULT_INLINE_THRESHOLD: usize = 32 * 1024;
 
-    /// Adaptive policy with the given postings threshold.
+    /// Policy with the given postings threshold.
     pub fn adaptive(inline_postings_threshold: usize) -> Self {
         DispatchPolicy {
-            mode: DispatchMode::Adaptive,
             inline_postings_threshold,
         }
     }
 
-    /// Always-inline policy.
+    /// Always-inline policy: `adaptive(usize::MAX)`.
     pub fn force_inline() -> Self {
-        DispatchPolicy {
-            mode: DispatchMode::ForceInline,
-            inline_postings_threshold: usize::MAX,
-        }
+        DispatchPolicy::adaptive(usize::MAX)
     }
 
-    /// Always-dispatch policy.
+    /// Dispatch every query with postings to walk onto a pool of two or
+    /// more workers: `adaptive(0)`.
     pub fn force_dispatch() -> Self {
-        DispatchPolicy {
-            mode: DispatchMode::ForceDispatch,
-            inline_postings_threshold: 0,
-        }
+        DispatchPolicy::adaptive(0)
     }
 
     /// Decide: score inline on the calling thread (`true`) or dispatch
@@ -601,13 +489,7 @@ impl DispatchPolicy {
     /// postings walk; `pool_size` is how many workers could share it (a
     /// pool of one cannot beat the caller doing the work itself).
     pub fn should_inline(&self, estimated_postings: usize, pool_size: usize) -> bool {
-        match self.mode {
-            DispatchMode::ForceInline => true,
-            DispatchMode::ForceDispatch => false,
-            DispatchMode::Adaptive => {
-                pool_size <= 1 || estimated_postings <= self.inline_postings_threshold
-            }
-        }
+        pool_size <= 1 || estimated_postings <= self.inline_postings_threshold
     }
 }
 
@@ -674,90 +556,20 @@ mod tests {
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
-        exec.run(tasks);
+        exec.try_run(tasks).unwrap();
         for c in &counters {
             assert_eq!(c.load(Ordering::Relaxed), 1);
         }
     }
 
-    // The tests that arm `exec.enqueue` — and every test whose assertions
-    // a refused enqueue would move (queue counters, a worker pinned inside
-    // a queued task) — hold the registry lock. The rest stay correct under
-    // a refusal: the caller runs the batch, and results do not change.
-
     #[test]
-    fn zero_capacity_runs_everything_on_the_caller() {
-        // A refused enqueue leaves the queues no room at all: the caller
-        // runs the whole batch, and nothing is queued or dequeued.
-        let _g = fault::registry_test_lock();
-        fault::install("exec.enqueue=error@*").unwrap();
-        let exec = ShardExecutor::new(2);
-        let counters: Vec<AtomicUsize> = (0..16).map(|_| AtomicUsize::new(0)).collect();
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = counters
-            .iter()
-            .map(|c| {
-                Box::new(move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        exec.run(tasks);
-        fault::clear();
-        for c in &counters {
-            assert_eq!(c.load(Ordering::Relaxed), 1);
-        }
-        let stats = exec.stats();
-        assert_eq!(stats.enqueued, 0);
-        assert_eq!(stats.overflowed, 16);
-        assert_eq!(stats.dequeued, 0);
-        assert_eq!(stats.queue_wait_nanos, 0);
-        assert_eq!(stats.max_queue_depth, 0);
-    }
-
-    #[test]
-    fn tiny_capacity_splits_between_queue_and_caller() {
-        // Alternate refused and accepted batches on one pool: each task
-        // runs exactly once either way, and the counters split the tasks
-        // between the two paths exactly.
-        let _g = fault::registry_test_lock();
-        let exec = ShardExecutor::new(1);
-        let counters: Vec<AtomicUsize> = (0..32).map(|_| AtomicUsize::new(0)).collect();
-        for (i, batch) in counters.chunks(8).enumerate() {
-            if i % 2 == 0 {
-                fault::install("exec.enqueue=error@*").unwrap();
-            } else {
-                fault::clear();
-            }
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = batch
-                .iter()
-                .map(|c| {
-                    Box::new(move || {
-                        c.fetch_add(1, Ordering::Relaxed);
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            exec.run(tasks);
-        }
-        fault::clear();
-        for c in &counters {
-            assert_eq!(c.load(Ordering::Relaxed), 1);
-        }
-        let stats = exec.stats();
-        assert_eq!(stats.overflowed, 16);
-        assert_eq!(stats.enqueued, 16);
-        assert!(stats.dequeued <= stats.enqueued);
-        assert!(stats.max_queue_depth <= 8, "one accepted batch at a time");
-    }
-
-    #[test]
-    fn unbounded_default_never_overflows() {
-        let _g = fault::registry_test_lock();
+    fn every_task_of_a_multi_task_batch_is_enqueued() {
         let exec = ShardExecutor::new(2);
         for _ in 0..10 {
             let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..8)
                 .map(|_| Box::new(|| {}) as Box<dyn FnOnce() + Send + '_>)
                 .collect();
-            exec.run(tasks);
+            exec.try_run(tasks).unwrap();
         }
         let stats = exec.stats();
         assert_eq!(stats.overflowed, 0);
@@ -791,7 +603,7 @@ mod tests {
                     }) as Box<dyn FnOnce() + Send + '_>
                 })
                 .collect();
-            exec.run(tasks);
+            exec.try_run(tasks).unwrap();
             for (i, slot) in slots.iter().enumerate() {
                 assert_eq!(*slot, i + round);
             }
@@ -813,7 +625,7 @@ mod tests {
                                 }) as Box<dyn FnOnce() + Send + '_>
                             })
                             .collect();
-                        exec.run(tasks);
+                        exec.try_run(tasks).unwrap();
                     }
                 });
             }
@@ -838,45 +650,12 @@ mod tests {
                             }) as Box<dyn FnOnce() + Send + '_>
                         })
                         .collect();
-                    exec.run(inner);
+                    exec.try_run(inner).unwrap();
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
-        exec.run(tasks);
+        exec.try_run(tasks).unwrap();
         assert_eq!(total.load(Ordering::Relaxed), 12);
-    }
-
-    #[test]
-    fn task_panic_propagates_to_caller_and_pool_survives() {
-        let exec = ShardExecutor::new(2);
-        let ran = AtomicUsize::new(0);
-        let ran = &ran;
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
-                .map(|i| {
-                    Box::new(move || {
-                        ran.fetch_add(1, Ordering::Relaxed);
-                        if i == 2 {
-                            panic!("task boom");
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            exec.run(tasks);
-        }));
-        assert!(result.is_err(), "panic must reach the caller");
-        assert_eq!(ran.load(Ordering::Relaxed), 4, "every task still ran");
-        // the pool is not poisoned: later batches execute normally
-        let after = AtomicUsize::new(0);
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..3)
-            .map(|_| {
-                Box::new(|| {
-                    after.fetch_add(1, Ordering::Relaxed);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        exec.run(tasks);
-        assert_eq!(after.load(Ordering::Relaxed), 3);
     }
 
     #[test]
@@ -894,7 +673,7 @@ mod tests {
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
-        let err = exec.try_run_urgent(tasks).unwrap_err();
+        let err = exec.try_run(tasks).unwrap_err();
         assert!(err.message().starts_with("boom"), "{err:?}");
         assert_eq!(ran.load(Ordering::Relaxed), 6, "every task still ran");
         // the pool still serves work afterwards
@@ -927,7 +706,6 @@ mod tests {
         // are workers: if a panic could kill a worker thread, the pool
         // would wedge long before the end. Drop afterwards must still join
         // every worker (none has exited early).
-        let _g = fault::registry_test_lock();
         let exec = ShardExecutor::new(2);
         let survived = AtomicUsize::new(0);
         for _ in 0..10 {
@@ -940,7 +718,7 @@ mod tests {
                     }) as Box<dyn FnOnce() + Send + '_>
                 })
                 .collect();
-            assert!(exec.try_run_urgent(tasks).is_err());
+            assert!(exec.try_run(tasks).is_err());
         }
         assert_eq!(survived.load(Ordering::Relaxed), 40);
         let stats = exec.stats();
@@ -950,65 +728,14 @@ mod tests {
     }
 
     #[test]
-    fn urgent_tasks_jump_queued_bulk_work_and_urgent_callers_skip_it() {
-        // Pin the single worker inside a bulk task, leaving more bulk
-        // tasks queued behind it. An urgent run from this thread must
-        // complete (executing its own tasks itself) WITHOUT touching the
-        // queued bulk work — that is the no-head-of-line-blocking
-        // contract.
-        let _g = fault::registry_test_lock();
-        let exec = ShardExecutor::new(1);
-        let (worker_in, worker_entered) = std::sync::mpsc::channel::<()>();
-        let (release, release_worker) = std::sync::mpsc::channel::<()>();
-        let bulk_done = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let bulk_done = &bulk_done;
-                let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = vec![Box::new(move || {
-                    worker_in.send(()).unwrap();
-                    release_worker.recv().unwrap();
-                    bulk_done.fetch_add(1, Ordering::SeqCst);
-                })];
-                for _ in 0..3 {
-                    tasks.push(Box::new(|| {
-                        bulk_done.fetch_add(1, Ordering::SeqCst);
-                    }));
-                }
-                exec.run(tasks);
-            });
-            // The spawning thread helps with its own bulk batch, so make
-            // sure it is the WORKER that is parked in the blocking task:
-            // wait for the rendezvous.
-            worker_entered.recv().unwrap();
-            // Now run urgent work from this thread: the lone worker is
-            // stuck, so the urgent caller must execute all of its own
-            // tasks and return while the bulk backlog is still pending.
-            let urgent_done = AtomicUsize::new(0);
-            let urgent: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
-                .map(|_| {
-                    Box::new(|| {
-                        urgent_done.fetch_add(1, Ordering::SeqCst);
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            exec.try_run_urgent(urgent).expect("no urgent task panics");
-            assert_eq!(urgent_done.load(Ordering::SeqCst), 4);
-            // the blocking bulk task is still parked, so the urgent run
-            // returned without waiting out the bulk backlog
-            assert!(bulk_done.load(Ordering::SeqCst) < 4);
-            release.send(()).unwrap();
-        });
-        assert_eq!(bulk_done.load(Ordering::SeqCst), 4);
-    }
-
-    #[test]
     fn empty_and_single_task_batches() {
         let exec = ShardExecutor::new(2);
-        exec.run(Vec::new());
+        exec.try_run(Vec::new()).unwrap();
         let hit = AtomicUsize::new(0);
-        exec.run(vec![Box::new(|| {
+        exec.try_run(vec![Box::new(|| {
             hit.fetch_add(1, Ordering::Relaxed);
-        }) as Box<dyn FnOnce() + Send + '_>]);
+        }) as Box<dyn FnOnce() + Send + '_>])
+            .unwrap();
         assert_eq!(hit.load(Ordering::Relaxed), 1);
     }
 
@@ -1024,7 +751,7 @@ mod tests {
                     }) as Box<dyn FnOnce() + Send + '_>
                 })
                 .collect();
-            exec.run(tasks);
+            exec.try_run(tasks).unwrap();
             drop(exec);
             assert_eq!(done.load(Ordering::Relaxed), size * 4);
         }
@@ -1037,6 +764,9 @@ mod tests {
         assert!(!p.should_inline(101, 8), "above threshold → dispatch");
         assert!(p.should_inline(1_000_000, 1), "pool of one → inline");
         assert!(DispatchPolicy::force_inline().should_inline(usize::MAX, 8));
-        assert!(!DispatchPolicy::force_dispatch().should_inline(0, 8));
+        let dispatch = DispatchPolicy::force_dispatch();
+        assert!(!dispatch.should_inline(1, 8), "any postings → dispatch");
+        assert!(dispatch.should_inline(0, 8), "nothing to walk → inline");
+        assert!(dispatch.should_inline(1_000_000, 1), "pool of one → inline");
     }
 }

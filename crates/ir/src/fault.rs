@@ -62,23 +62,13 @@ pub mod site {
     /// Posting-block decode (compressed codec block expansion). The
     /// decode path is infallible, so `error` escalates to a panic.
     pub const POSTINGS_DECODE: &str = "postings.decode";
-    /// Executor batch enqueue ([`crate::ShardExecutor`] `run`/`try_run`):
-    /// `error` refuses the enqueue, and the calling thread runs the whole
-    /// batch itself; `panic` unwinds the submitting caller.
-    pub const EXEC_ENQUEUE: &str = "exec.enqueue";
     /// Executor task body, evaluated on the executing worker/helper just
     /// before the job runs. `error` escalates to a panic (a task has no
     /// error channel); the panic is caught by the task's `catch_unwind`.
     pub const EXEC_TASK: &str = "exec.task";
 
     /// Every site name, for validation and docs.
-    pub const ALL: &[&str] = &[
-        SNAPSHOT_READ,
-        SNAPSHOT_WRITE,
-        POSTINGS_DECODE,
-        EXEC_ENQUEUE,
-        EXEC_TASK,
-    ];
+    pub const ALL: &[&str] = &[SNAPSHOT_READ, SNAPSHOT_WRITE, POSTINGS_DECODE, EXEC_TASK];
 }
 
 /// An `error`-action failpoint fired. Sites map this into their native

@@ -63,9 +63,7 @@ pub mod snippet;
 
 pub use analysis::{Analyzer, NormalForm};
 pub use document::{DocId, DocView, Document};
-pub use exec::{
-    DispatchCounts, DispatchMode, DispatchPolicy, ExecutorStats, ShardExecutor, TaskPanic,
-};
+pub use exec::{DispatchCounts, DispatchPolicy, ExecutorStats, ShardExecutor, TaskPanic};
 pub use fault::InjectedFault;
 pub use index::{
     Index, IndexBuilder, Posting, Postings, PostingsBuf, PostingsCodec, TermId, DEFAULT_BLOCK_SIZE,

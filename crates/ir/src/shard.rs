@@ -663,8 +663,7 @@ impl<'a> ShardedSearcher<'a> {
         // Organic panics are caught inside each task (so its slot records
         // them and the other slots still fill), while a panic injected at
         // the executor's own `exec.task` site fires outside that catch and
-        // comes back through `try_run_urgent` — its shard's slot stays
-        // `None`.
+        // comes back through `try_run` — its shard's slot stays `None`.
         let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
             .iter_mut()
             .enumerate()
@@ -675,9 +674,7 @@ impl<'a> ShardedSearcher<'a> {
                     as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
-        // Shard tasks are the latency class: they jump ahead of any queued
-        // batch chunks (see `try_run_urgent`).
-        let run_panic = exec.try_run_urgent(tasks).err();
+        let run_panic = exec.try_run(tasks).err();
         // Any failed slot fails the query: a merge of the survivors would
         // not be bit-identical to anything. Every slot is read, so the
         // failure counts each panicked shard. The slots' hits feed one

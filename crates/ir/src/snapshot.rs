@@ -1821,6 +1821,28 @@ mod tests {
                 let got = check(&bytes, &what).expect_err(&what);
                 assert!(got.contains(why), "{what}: {got}");
             };
+            // A docs section of 100 000 distinct field names, all but those
+            // the strings use unused (the writer stores a name only when a
+            // string uses it): refused before any name is entered.
+            refused(
+                "docs section of 100000 distinct field names no string uses, restamped".into(),
+                "unused field name",
+                &|b| {
+                    let docs = lanes_in(&valid, &spans[6], 6);
+                    let fields = fields_at(&valid, &spans[6], 6);
+                    let mut lanes: Vec<&[u8]> =
+                        docs[..4].iter().map(|lane| &valid[lane.clone()]).collect();
+                    let mut text = String::new();
+                    let mut ends = Vec::new();
+                    for id in 0..n {
+                        text.push_str(&id.to_string());
+                        ends.extend((text.len() as u32).to_le_bytes());
+                    }
+                    lanes.extend([&ends[..], text.as_bytes()]);
+                    let fields = [fields[0], fields[1], fields[2], n, text.len() as u64];
+                    splice(b, 6, framed(6, &fields, &lanes));
+                },
+            );
             for (s, span) in spans.iter().enumerate() {
                 let section = s % per_shard;
                 let lanes = lanes_in(&valid, span, section);
@@ -1894,6 +1916,14 @@ mod tests {
                             restamp(b, span);
                         });
                     }
+                    refused(
+                        "a name used before the one numbered below it".to_owned(),
+                        "field name ids out of first-use order",
+                        &|b| {
+                            set_u32(b, field_of.start + 4, 1);
+                            restamp(b, span);
+                        },
+                    );
                 }
                 // A lane count larger than its frame, restamped.
                 let at = span.payload.start + 8 * (FIELDS[section] - 1);

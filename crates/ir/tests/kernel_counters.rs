@@ -22,8 +22,8 @@ const DOCS: usize = 20_000;
 
 /// A never-firing schedule on every failpoint site: armed, so every site
 /// takes its slow path and counts hits, but no trigger is ever reached.
-const NEVER_FIRING: &str = "exec.task=panic@#1000000;exec.enqueue=error@#1000000;\
-    postings.decode=error@#1000000;snapshot.read=error@#1000000;snapshot.write=error@#1000000";
+const NEVER_FIRING: &str = "exec.task=panic@#1000000;postings.decode=error@#1000000;\
+    snapshot.read=error@#1000000;snapshot.write=error@#1000000";
 
 /// The pruning-friendly metering corpus. A dozen short spike-saturated
 /// documents up front put ten full-score hits in the heap at once, so the
@@ -161,7 +161,7 @@ fn every_tier_walks_its_pinned_number_of_postings_armed_or_not() {
     assert!(c.blocks_skipped > 0 && c.blocks_scored > 0);
     assert!(c.compressed_store_bytes < c.flat_store_bytes);
 
-    // An armed but never-firing schedule on all five sites changes nothing.
+    // An armed but never-firing schedule on all four sites changes nothing.
     fault::install(NEVER_FIRING).expect("valid schedule");
     let armed = measure();
     let decode = fault::site_counters(fault::site::POSTINGS_DECODE);
