@@ -99,7 +99,9 @@ use std::time::{Duration, Instant};
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// IR scoring function for instance ranking.
+    /// IR scoring function for instance ranking. [`QunitSearchEngine::build`]
+    /// refuses one outside the range the kernels' score bounds assume
+    /// ([`ScoringFunction::check`]).
     pub scoring: ScoringFunction,
     /// Index-time boost for the anchor field.
     pub anchor_boost: f64,
@@ -809,6 +811,11 @@ impl QunitSearchEngine {
             config.kernel = KernelTier::Exhaustive;
         }
         let config = crate::overrides::from_env(config);
+        if let Err(why) = config.scoring.check() {
+            return Err(Error::InvalidSchema(format!(
+                "EngineConfig::scoring: {why}"
+            )));
+        }
         if catalog.len() > DefId::MAX_DEFINITIONS {
             return Err(Error::InvalidSchema(format!(
                 "catalog has {} definitions; the doc→definition lane addresses at most {}",
@@ -2559,6 +2566,29 @@ mod tests {
             Err(Error::InvalidSchema(why)) => assert!(why.contains("65536"), "{why}"),
             Err(other) => panic!("wrong error: {other}"),
             Ok(_) => panic!("a catalog past the lane's id range must not build"),
+        }
+    }
+
+    #[test]
+    fn scoring_outside_the_bounds_range_fails_build() {
+        let (data, small) = engine();
+        for (scoring, field) in [
+            (ScoringFunction::Bm25 { k1: 1.2, b: 1.5 }, "b = 1.5"),
+            (ScoringFunction::Bm25 { k1: 1.2, b: -0.5 }, "b = -0.5"),
+            (ScoringFunction::Bm25 { k1: -0.5, b: 0.75 }, "k1 = -0.5"),
+        ] {
+            let config = EngineConfig {
+                scoring,
+                ..EngineConfig::default()
+            };
+            match QunitSearchEngine::build(&data.db, small.catalog().clone(), config) {
+                Err(Error::InvalidSchema(why)) => {
+                    assert!(why.starts_with("EngineConfig::scoring"), "{why}");
+                    assert!(why.contains(field), "{why}");
+                }
+                Err(other) => panic!("wrong error: {other}"),
+                Ok(_) => panic!("{scoring:?} must not build"),
+            }
         }
     }
 

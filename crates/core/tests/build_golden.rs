@@ -12,9 +12,9 @@
 //! The saved snapshot **files** are pinned too: `SNAPSHOT_FNV1A` hashes the
 //! bytes `save_snapshot` writes for that engine under both codecs at one and
 //! two shards — "no format change" as a test. They were last recomputed for
-//! snapshot version 3 (`docs/INDEX_FORMAT.md`, *Evolution policy*), which
-//! moved no other constant here: the header's index fingerprint is the
-//! same.
+//! snapshot version 4 (`docs/INDEX_FORMAT.md`, *Evolution policy*: the
+//! blockmax section's shortest-length lane), which moved no other constant
+//! here: the header's index fingerprint is the same.
 //!
 //! If a change moves them *on purpose* (a new definition, a different
 //! rendering, a format bump), recompute with `BUILD_GOLDEN_PRINT=1 cargo test
@@ -36,10 +36,10 @@ const INSTANCES_FNV1A: u64 = 0x84c1_d584_026a_c721;
 /// FNV-1a of the snapshot file saved by a cold build, by
 /// `(search_shards, compress_postings)`.
 const SNAPSHOT_FNV1A: [(usize, bool, u64); 4] = [
-    (1, false, 0x05c5_2bf6_3332_09e9),
-    (1, true, 0xbe1a_7847_5a6e_76b0),
-    (2, false, 0x7cee_cea1_da35_b14d),
-    (2, true, 0xf2ea_8b57_79ae_9c51),
+    (1, false, 0x2a3e_f939_dc08_0127),
+    (1, true, 0xd9ed_5b16_cb48_79e0),
+    (2, false, 0xce9f_bc1b_0ee2_f247),
+    (2, true, 0x2fb9_3216_8c05_ce3b),
 ];
 
 /// Hash the engine's instances in the order `keys` lists them.

@@ -363,7 +363,7 @@ fn corrupt_snapshot_is_quarantined_for_post_mortem() {
 }
 
 /// A snapshot of the previous format version (the version field at byte 8
-/// patched to 2 over a current file) is stale: quarantined as `.corrupt`,
+/// patched to `SNAPSHOT_VERSION - 1` over a current file) is stale: quarantined as `.corrupt`,
 /// rebuilt over with a file of the current version, and the next build
 /// restarts from that file with the cold build's fingerprint.
 #[test]
@@ -373,7 +373,7 @@ fn a_previous_version_snapshot_is_quarantined_and_saved_again() {
     let path = dir.join("idx.snap");
     let cold = build_engine(snapshot_config(path.clone()));
     let mut bytes = std::fs::read(&path).unwrap();
-    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    bytes[8..12].copy_from_slice(&(irengine::SNAPSHOT_VERSION - 1).to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
 
     let rebuilt = build_engine(snapshot_config(path.clone()));

@@ -81,25 +81,34 @@ impl Analyzer {
         out
     }
 
-    /// [`Analyzer::tokenize`] into a caller-owned buffer: `out` is cleared,
-    /// then filled with the tokens of `text`. The buffer's allocation is
-    /// reused across calls, so a loop tokenizing many texts pays for one
-    /// `Vec` total instead of one per text (the `String` tokens themselves
-    /// are still owned by the caller once emitted). Raw tokens are assembled
-    /// in one buffer per thread, so a call allocates the tokens it keeps and
-    /// nothing else, once that buffer has held a token as long.
+    /// [`Analyzer::tokenize`] into a caller-owned buffer: `out` ends up
+    /// holding exactly the tokens of `text`. The `Vec` and the `String`s
+    /// already in it are reused — the `i`-th kept token overwrites the
+    /// `i`-th string, and the strings past the last token are dropped — so
+    /// a loop tokenizing many texts allocates only where a text keeps more
+    /// tokens, or longer ones, than the call before. Raw tokens are
+    /// assembled in one buffer per thread, so a warm call with the same
+    /// text allocates nothing.
     pub fn tokenize_into(&self, text: &str, out: &mut Vec<String>) {
         thread_local! {
             static RAW_TOKEN: RefCell<String> = const { RefCell::new(String::new()) };
         }
-        out.clear();
+        let mut kept = 0;
         RAW_TOKEN.with_borrow_mut(|buf| {
             for_each_raw_token(text, buf, |tok| {
                 if self.keeps(tok) {
-                    out.push(tok.to_owned());
+                    match out.get_mut(kept) {
+                        Some(slot) => {
+                            slot.clear();
+                            slot.push_str(tok);
+                        }
+                        None => out.push(tok.to_owned()),
+                    }
+                    kept += 1;
                 }
             })
         });
+        out.truncate(kept);
     }
 
     /// The stopword / minimum-length verdict on one lower-cased raw token.

@@ -76,7 +76,8 @@
 //! Each term's CSR row is additionally cut into fixed-size blocks of
 //! [`DEFAULT_BLOCK_SIZE`] postings (configurable per build), and a second
 //! CSR structure — `BlockLanes` — freezes, per block, the maximum
-//! weighted tf plus the first/last doc id. The block-max kernel in
+//! weighted tf, the first/last doc id and the shortest document length
+//! (rounded down). The block-max kernel in
 //! `crate::search` uses those to skip whole blocks whose score upper bound
 //! cannot beat the running top-k threshold, without touching the postings.
 //! Like `term_max_tfs`, the lanes are a pure function of the indexed
@@ -202,12 +203,12 @@ impl<'a> IntoIterator for Postings<'a> {
 /// posting rows, cut into fixed-size blocks.
 ///
 /// Term `t`'s blocks are `offsets[t] .. offsets[t + 1]` (global block
-/// indices) in the three parallel lanes; block `j` of term `t` covers
+/// indices) in the four parallel lanes; block `j` of term `t` covers
 /// postings `csr_lo + j * block_size .. min(csr_lo + (j+1) * block_size,
 /// csr_hi)` of the term's CSR row. Every lane is a pure function of the
 /// indexed content (max is order-insensitive, first/last follow from the
-/// ascending-doc contract), so the lanes are identical across codecs,
-/// shard counts, and a snapshot round trip.
+/// ascending-doc contract, a document's length is its own), so the lanes
+/// are identical across codecs, shard counts, and a snapshot round trip.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockLanes {
     /// Fixed postings per block; only a term's final block may be shorter.
@@ -223,16 +224,23 @@ pub(crate) struct BlockLanes {
     pub(crate) first_docs: Vec<DocId>,
     /// Last doc id of each block (inclusive; blocks are never empty).
     pub(crate) last_docs: Vec<DocId>,
+    /// Shortest boost-weighted document length in each block, rounded
+    /// down (`as u32`: a negative or NaN length saturates to 0, a huge
+    /// one to `u32::MAX`), so it never exceeds any length in the block —
+    /// the length [`crate::TermScorer::block_bound`] evaluates at.
+    pub(crate) min_lens: Vec<u32>,
 }
 
 impl BlockLanes {
     /// Freeze the lanes from flat posting lanes (`offsets` is the CSR
-    /// posting offsets lane, `docs`/`tfs` the flat postings).
+    /// posting offsets lane, `docs`/`tfs` the flat postings) and the
+    /// documents' lengths, indexed by doc id.
     pub(crate) fn freeze(
         block_size: usize,
         offsets: &[u32],
         docs: &[DocId],
         tfs: &[f64],
+        doc_lengths: &[f64],
     ) -> BlockLanes {
         let block_size = block_size.max(1);
         let terms = offsets.len().saturating_sub(1);
@@ -245,6 +253,7 @@ impl BlockLanes {
             max_tfs: Vec::with_capacity(total_blocks),
             first_docs: Vec::with_capacity(total_blocks),
             last_docs: Vec::with_capacity(total_blocks),
+            min_lens: Vec::with_capacity(total_blocks),
         };
         lanes.offsets.push(0u32);
         for t in 0..terms {
@@ -257,6 +266,13 @@ impl BlockLanes {
                 lanes
                     .max_tfs
                     .push(tfs[start..end].iter().fold(0.0f64, |a, &b| a.max(b)));
+                // Rounding down is monotone, so the least rounded length
+                // is the shortest length rounded.
+                let min_len = docs[start..end]
+                    .iter()
+                    .map(|&d| doc_lengths[d as usize] as u32)
+                    .min();
+                lanes.min_lens.push(min_len.unwrap_or(0));
                 start = end;
             }
             lanes.offsets.push(lanes.max_tfs.len() as u32);
@@ -928,12 +944,14 @@ impl Index {
         if blocks.max_tfs.len() != total_blocks
             || blocks.first_docs.len() != total_blocks
             || blocks.last_docs.len() != total_blocks
+            || blocks.min_lens.len() != total_blocks
         {
             return Err(format!(
-                "block lanes hold {}/{}/{} entries, block offsets say {total_blocks}",
+                "block lanes hold {}/{}/{}/{} entries, block offsets say {total_blocks}",
                 blocks.max_tfs.len(),
                 blocks.first_docs.len(),
-                blocks.last_docs.len()
+                blocks.last_docs.len(),
+                blocks.min_lens.len()
             ));
         }
         let total = *offsets.last().unwrap() as usize;
@@ -1416,7 +1434,13 @@ impl ShardFreeze {
                     .fold(0.0f64, |a, &b| a.max(b))
             })
             .collect();
-        let blocks = BlockLanes::freeze(block_size, &offsets, &posting_docs, &posting_tfs);
+        let blocks = BlockLanes::freeze(
+            block_size,
+            &offsets,
+            &posting_docs,
+            &posting_tfs,
+            &doc_lengths,
+        );
         Index {
             analyzer,
             term_ids: term_table(&terms),
@@ -1519,7 +1543,13 @@ impl IndexBuilder {
         } else {
             doc_lengths.iter().sum::<f64>() / doc_lengths.len() as f64
         };
-        let blocks = BlockLanes::freeze(self.block_size, &offsets, &posting_docs, &posting_tfs);
+        let blocks = BlockLanes::freeze(
+            self.block_size,
+            &offsets,
+            &posting_docs,
+            &posting_tfs,
+            &doc_lengths,
+        );
         Index {
             analyzer: self.analyzer,
             term_ids: term_table(&terms),
@@ -1879,6 +1909,11 @@ pub(crate) mod tests {
                 assert_eq!(lanes.last_docs[b], row_docs[end - 1]);
                 let want_max = row_tfs[start..end].iter().fold(0.0f64, |a, &v| a.max(v));
                 assert_eq!(lanes.max_tfs[b].to_bits(), want_max.to_bits());
+                let shortest = row_docs[start..end]
+                    .iter()
+                    .map(|&d| ix.doc_length(d))
+                    .fold(f64::INFINITY, f64::min);
+                assert_eq!(lanes.min_lens[b], shortest.floor() as u32);
                 term_max = term_max.max(want_max);
                 // The per-block read hands back exactly this slice.
                 let block = ix.block_postings_with(t, b, &mut block_buf);
@@ -2033,6 +2068,10 @@ pub(crate) mod tests {
         assert_eq!(
             got.blocks.last_docs, want.blocks.last_docs,
             "block last docs, {what}"
+        );
+        assert_eq!(
+            got.blocks.min_lens, want.blocks.min_lens,
+            "block shortest lengths, {what}"
         );
         assert_eq!(
             bits(&got.doc_lengths),

@@ -100,9 +100,14 @@ impl TermScorer {
     ///   increases in `wtf` — peak at `mwtf`.
     ///
     /// A term with no postings (`max_weighted_tf <= 0`) bounds at `0.0`.
+    /// Outside the range [`ScoringFunction::check`] admits the bound is
+    /// `+∞`, so no kernel prunes on it.
     pub fn max_score(&self, max_weighted_tf: f64) -> f64 {
         if max_weighted_tf <= 0.0 {
             return 0.0;
+        }
+        if self.function.check().is_err() {
+            return f64::INFINITY;
         }
         let peak = match self.function {
             ScoringFunction::Bm25 { k1, b } => {
@@ -112,6 +117,22 @@ impl TermScorer {
             ScoringFunction::TfIdf => self.idf * max_weighted_tf / max_weighted_tf.max(1.0).sqrt(),
         };
         peak * BOUND_MARGIN
+    }
+
+    /// Upper bound on [`TermScorer::score`] over one block of postings,
+    /// given the block's largest weighted tf and its shortest document
+    /// length: the scorer at (`min_doc_length`, `max_weighted_tf`), inflated
+    /// by `BOUND_MARGIN`, and never above [`TermScorer::max_score`] (which
+    /// keeps TF-IDF's `doc_length >= weighted_tf` bound). Valid because
+    /// both functions, in the range [`ScoringFunction::check`] admits,
+    /// never decrease as `weighted_tf` grows and never increase as
+    /// `doc_length` grows; outside it the bound is `+∞`.
+    pub fn block_bound(&self, max_weighted_tf: f64, min_doc_length: f64) -> f64 {
+        let cap = self.max_score(max_weighted_tf);
+        if cap == f64::INFINITY {
+            return cap;
+        }
+        (self.score(min_doc_length, max_weighted_tf) * BOUND_MARGIN).min(cap)
     }
 }
 
@@ -137,6 +158,22 @@ impl Default for ScoringFunction {
 }
 
 impl ScoringFunction {
+    /// The parameter range every score bound assumes: BM25's `k1` finite
+    /// and `>= 0`, its `b` in `[0, 1]`. Outside it BM25 can grow with
+    /// document length or shrink with tf, so the bounds would not hold;
+    /// the error names the parameter and its value.
+    pub fn check(&self) -> Result<(), String> {
+        match *self {
+            ScoringFunction::Bm25 { k1, .. } if !(k1.is_finite() && k1 >= 0.0) => {
+                Err(format!("BM25 k1 = {k1} is not a finite value >= 0"))
+            }
+            ScoringFunction::Bm25 { b, .. } if !(0.0..=1.0).contains(&b) => {
+                Err(format!("BM25 b = {b} is outside [0, 1]"))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Smoothed inverse document frequency from explicit corpus counts.
     pub fn idf_from(num_docs: usize, doc_freq: usize) -> f64 {
         let n = num_docs as f64;
@@ -331,6 +368,44 @@ mod tests {
                     assert!(s <= bound, "{f:?} {term}: score {s} exceeds bound {bound}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn bounds_are_infinite_outside_the_range_they_assume() {
+        let ix = index_with(&["star wars", "star trek ocean", "star"]);
+        for f in [
+            ScoringFunction::Bm25 { k1: 1.2, b: 1.5 },
+            ScoringFunction::Bm25 { k1: 1.2, b: -0.5 },
+            ScoringFunction::Bm25 { k1: -0.5, b: 0.75 },
+            ScoringFunction::Bm25 {
+                k1: f64::NAN,
+                b: 0.75,
+            },
+            ScoringFunction::Bm25 {
+                k1: f64::INFINITY,
+                b: 0.75,
+            },
+            ScoringFunction::Bm25 {
+                k1: 1.2,
+                b: f64::NAN,
+            },
+        ] {
+            let why = f.check().unwrap_err();
+            assert!(why.contains("k1") || why.contains(" b "), "{why}");
+            let scorer = f.scorer(TermStats::of(&ix, "star"));
+            assert_eq!(scorer.max_score(1.0), f64::INFINITY, "{f:?}");
+            assert_eq!(scorer.block_bound(1.0, 2.0), f64::INFINITY, "{f:?}");
+        }
+        for f in [
+            ScoringFunction::default(),
+            ScoringFunction::Bm25 { k1: 0.0, b: 0.0 },
+            ScoringFunction::Bm25 { k1: 3.0, b: 1.0 },
+            ScoringFunction::TfIdf,
+        ] {
+            assert_eq!(f.check(), Ok(()), "{f:?}");
+            let scorer = f.scorer(TermStats::of(&ix, "star"));
+            assert!(scorer.block_bound(1.0, 2.0) <= scorer.max_score(1.0));
         }
     }
 

@@ -32,9 +32,11 @@
 //!   essential prefix of the bound order advances with skip-to-geq cursors
 //!   over block boundaries; non-essential terms are probed only for
 //!   already-admitted candidates; a candidate is scored only when the sum
-//!   of its current block maxima (plus the non-essential suffix) can beat
-//!   the running top-k threshold θ̂, and whole runs of documents are
-//!   skipped — without decoding their blocks — when it cannot.
+//!   of its current block bounds (each the scorer at the block's largest
+//!   tf and shortest document length, [`TermScorer::block_bound`]) plus
+//!   the non-essential suffix can beat the running top-k threshold θ̂, and
+//!   whole runs of documents are skipped — without decoding their blocks —
+//!   when it cannot.
 //! - **MaxScore**: term-at-a-time accumulation that stops admitting new
 //!   documents once θ̂ strictly exceeds the remaining tail-bound suffix.
 //! - **Exhaustive**: walk every posting (the reference kernel).
@@ -555,8 +557,9 @@ struct BlockCursor<'a> {
     /// Whether the current block's postings are loaded (always true once
     /// `pos > 0`).
     loaded: bool,
-    /// Score upper bound of the current block: the scorer's analytic peak
-    /// at the block's max weighted tf, × query multiplicity.
+    /// Score upper bound of the current block: the scorer's block bound at
+    /// the block's max weighted tf and shortest document length, × query
+    /// multiplicity.
     bound: f64,
     /// Decode target for the current block (compressed codec only).
     buf: PostingsBuf,
@@ -608,7 +611,8 @@ impl<'a> BlockCursor<'a> {
         self.pos = 0;
         self.loaded = false;
         self.len = (self.df - (blk - self.blk_lo) * bs).min(bs);
-        self.bound = self.scorer.max_score(self.lanes.max_tfs[blk]) * self.qtf;
+        let min_len = f64::from(self.lanes.min_lens[blk]);
+        self.bound = self.scorer.block_bound(self.lanes.max_tfs[blk], min_len) * self.qtf;
     }
 
     /// Load the current block's postings (decode under the compressed
@@ -1501,5 +1505,50 @@ mod tests {
             es.postings_visited()
         );
         assert_eq!(es.blocks_skipped(), 0, "exhaustive never skips");
+    }
+
+    /// BM25 outside `k1 >= 0`, `0 <= b <= 1` can grow with document length
+    /// or shrink with tf, so neither the term bounds nor the block bounds
+    /// hold there: both are `+∞`, no tier prunes, and every tier answers
+    /// what the exhaustive kernel answers. 400 documents of 1 to 60 tokens.
+    #[test]
+    fn out_of_range_bm25_prunes_nothing_and_every_tier_agrees() {
+        let mut b = IndexBuilder::new();
+        b.set_block_size(16);
+        for i in 0..400usize {
+            let words: Vec<String> = (0..1 + (i * 37) % 60)
+                .map(|j| format!("w{}", (i * 11 + j * j * 3) % 29))
+                .collect();
+            b.add(Document::new(format!("d{i}")).field("body", words.join(" ")));
+        }
+        let ix = b.build();
+        for scoring in [
+            ScoringFunction::Bm25 { k1: 1.2, b: 1.5 },
+            ScoringFunction::Bm25 { k1: 1.2, b: -0.5 },
+            ScoringFunction::Bm25 { k1: -0.5, b: 0.75 },
+        ] {
+            assert!(scoring.check().is_err(), "{scoring:?}");
+            for q in ["w1", "w2 w5", "w0 w3 w7", "w4 w4 w28 w13"] {
+                let terms = ix.analyzer().tokenize(q);
+                for k in [1usize, 5, 20] {
+                    let exhaustive = Searcher::new(&ix, scoring)
+                        .with_tier(KernelTier::Exhaustive)
+                        .search_terms_with(&terms, k, &mut ScoreScratch::new());
+                    for tier in [KernelTier::BlockMax, KernelTier::MaxScore] {
+                        let mut scratch = ScoreScratch::new();
+                        let hits = Searcher::new(&ix, scoring)
+                            .with_tier(tier)
+                            .search_terms_with(&terms, k, &mut scratch);
+                        let tag = format!("{scoring:?} {tier:?} {q:?} k={k}");
+                        assert_eq!(hits.len(), exhaustive.len(), "{tag}");
+                        for (h, e) in hits.iter().zip(&exhaustive) {
+                            assert_eq!((h.doc, h.matched_terms), (e.doc, e.matched_terms), "{tag}");
+                            assert_eq!(h.score.to_bits(), e.score.to_bits(), "{tag}");
+                        }
+                        assert_eq!(scratch.blocks_skipped(), 0, "{tag}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -36,8 +36,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"QNITSNAP";
 
 /// Current format version; the loader rejects every other (see the evolution
 /// policy in `docs/INDEX_FORMAT.md`). Version 3 stores each section as fixed
-/// fields and lanes, under a word-wise checksum.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// fields and lanes, under a word-wise checksum; version 4 adds the blockmax
+/// section's fifth lane, each block's shortest document length.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Magic + version + shard_count + num_docs + fingerprint.
 const HEADER_LEN: usize = 8 + 4 + 4 + 8 + 8;
@@ -83,8 +84,9 @@ fn lanes_of(section: usize, fields: &[u64]) -> Result<&'static [(Kind, usize)], 
         4 | 5 => &[(F64, 0)],
         // docs: firsts, field-name ids, then the strings' and names' arenas.
         6 => &[(U32, 0), (U32, 1), (U32, 1), (U8, 2), (U32, 3), (U8, 4)],
-        // blockmax: block size, then offsets, max tfs, first and last docs.
-        _ => &[(U32, 1), (F64, 2), (U32, 2), (U32, 2)],
+        // blockmax: block size, then offsets, max tfs, first and last docs,
+        // shortest lengths.
+        _ => &[(U32, 1), (F64, 2), (U32, 2), (U32, 2), (U32, 2)],
     })
 }
 
@@ -286,11 +288,15 @@ impl Checksum {
 
 /// Split `jobs` between the caller and one helper, a save's or a load's
 /// alike: largest first, each to whichever has the less `weight` so far (the
-/// caller on a tie), so both do about half.
+/// caller on a tie), so both do about half. Each list is reserved for every
+/// job, so what the split holds depends on the job count, not on the sizes.
 fn deal<T>(jobs: impl IntoIterator<Item = T>, weight: impl Fn(&T) -> u64) -> [Vec<T>; 2] {
     let mut order: Vec<T> = jobs.into_iter().collect();
     order.sort_by_key(|job| std::cmp::Reverse(weight(job)));
-    let mut dealt = [Vec::new(), Vec::new()];
+    let mut dealt = [
+        Vec::with_capacity(order.len()),
+        Vec::with_capacity(order.len()),
+    ];
     let mut load = [0u64; 2];
     for job in order {
         let to = usize::from(load[1] < load[0]);
@@ -372,8 +378,13 @@ fn contents<'a>(
         }
         _ => {
             let b = shard.raw_blocks();
-            let (firsts, lasts) = (Out::U32(&b.first_docs), Out::U32(&b.last_docs));
-            set(&[Out::U32(&b.offsets), Out::F64(&b.max_tfs), firsts, lasts]);
+            set(&[
+                Out::U32(&b.offsets),
+                Out::F64(&b.max_tfs),
+                Out::U32(&b.first_docs),
+                Out::U32(&b.last_docs),
+                Out::U32(&b.min_lens),
+            ]);
         }
     }
     // The first field where it is not a count.
@@ -620,7 +631,7 @@ fn finish(
         }
         (
             7,
-            [Buf::U32(offsets), Buf::F64(max_tfs), Buf::U32(first_docs), Buf::U32(last_docs), ..],
+            [Buf::U32(offsets), Buf::F64(max_tfs), Buf::U32(first_docs), Buf::U32(last_docs), Buf::U32(min_lens), ..],
         ) => {
             let block_size = fields[0] as usize;
             Part::Blocks(BlockLanes {
@@ -629,6 +640,7 @@ fn finish(
                 max_tfs,
                 first_docs,
                 last_docs,
+                min_lens,
             })
         }
         _ => unreachable!("lanes_of gives each section its lanes"),
@@ -1089,7 +1101,8 @@ mod tests {
     use super::*;
     use crate::alloc_probe::largest_allocation_during;
     use crate::index::tests::assert_same_index;
-    use crate::{Document, IndexBuilder};
+    use crate::index::TermId;
+    use crate::{Document, IndexBuilder, ScoringFunction, TermStats};
     use proptest::prelude::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -1321,6 +1334,7 @@ mod tests {
             max_tfs: r.lane(blocks)?,
             first_docs: r.lane(blocks)?,
             last_docs: r.lane(blocks)?,
+            min_lens: r.lane(blocks)?,
         };
         r.finish()?;
 
@@ -1942,6 +1956,78 @@ mod tests {
             // damage with a valid checksum that still describes an index
             // (a different `min_token_len`, say).
             assert!(rejected > 1000, "{codec}: only {rejected} files rejected");
+        }
+    }
+
+    /// The block-max bound holds posting by posting: under BM25 at the
+    /// edges of its range and under TF-IDF, no posting scores above its
+    /// block's [`crate::TermScorer::block_bound`], over the lanes a build
+    /// freezes, the same lanes beside compressed postings, and the lanes a
+    /// snapshot load hands back. Documents of 1 to 40 tokens, a third of
+    /// them half a token longer (one title word at boost 2.5), make the
+    /// blocks' shortest lengths differ and fall between integers.
+    #[test]
+    fn no_posting_scores_above_its_block_bound() {
+        let mut b = IndexBuilder::new();
+        b.set_field_boost("title", 2.5);
+        for i in 0..600usize {
+            let body: Vec<String> = (0..1 + (i * 17) % 40)
+                .map(|j| format!("w{}", (i * 7 + j * j) % 23))
+                .collect();
+            let mut doc = Document::new(format!("d{i}")).field("body", body.join(" "));
+            if i % 3 == 0 {
+                doc = doc.field("title", format!("w{}", i % 5));
+            }
+            b.add(doc);
+        }
+        b.set_block_size(8);
+        let built = b.build_sharded(2);
+        let mut compressed = built.clone();
+        compressed.compress_postings();
+        let loaded = decode_bytes(&saved(&built)).expect("a saved snapshot loads");
+        let loaded_compressed = decode_bytes(&saved(&compressed)).expect("loads compressed");
+        for scoring in [
+            ScoringFunction::default(),
+            ScoringFunction::Bm25 { k1: 0.0, b: 0.75 },
+            ScoringFunction::Bm25 { k1: 1.2, b: 0.0 },
+            ScoringFunction::Bm25 { k1: 2.0, b: 1.0 },
+            ScoringFunction::TfIdf,
+        ] {
+            for (what, index) in [
+                ("built", &built),
+                ("compressed", &compressed),
+                ("loaded", &loaded),
+                ("loaded compressed", &loaded_compressed),
+            ] {
+                let mut tight = 0;
+                for shard in index.shards() {
+                    let lanes = shard.raw_blocks();
+                    let mut buf = crate::PostingsBuf::new();
+                    for t in 0..shard.num_terms() {
+                        let term = shard.term(t as TermId).unwrap();
+                        let scorer = scoring.scorer(TermStats::of(shard, term));
+                        for blk in lanes.term_blocks(t) {
+                            let max_tf = lanes.max_tfs[blk];
+                            let bound = scorer.block_bound(max_tf, f64::from(lanes.min_lens[blk]));
+                            assert!(bound <= scorer.max_score(max_tf));
+                            tight += usize::from(bound < scorer.max_score(max_tf));
+                            let postings = shard.block_postings_with(t as TermId, blk, &mut buf);
+                            for p in postings {
+                                let score = scorer.score(shard.doc_length(p.doc), p.weighted_tf);
+                                assert!(
+                                    score <= bound,
+                                    "{scoring:?}, {what}: {term} scores {score} above {bound}"
+                                );
+                            }
+                        }
+                    }
+                }
+                // The lane binds: most blocks bound below the term's peak
+                // (b = 0 and k1 = 0 ignore length, so there it cannot).
+                let ignores_length =
+                    matches!(scoring, ScoringFunction::Bm25 { k1, b } if k1 == 0.0 || b == 0.0);
+                assert_eq!(tight == 0, ignores_length, "{scoring:?}, {what}: {tight}");
+            }
         }
     }
 

@@ -53,6 +53,27 @@ fn spike_corpus() -> Index {
     b.build()
 }
 
+/// The length-bound metering corpus: `spike` once in every fifth document,
+/// `hot` in all, and document lengths that run in stretches of 700
+/// documents from 3 to 64 tokens. Every `spike` posting has tf 1, so no
+/// block's tf can beat the ten shortest hits; only the blocks' shortest
+/// lengths tell the block-max kernel that a stretch of long documents
+/// cannot reach the threshold.
+fn varied_length_corpus() -> Index {
+    let mut b = IndexBuilder::new();
+    for i in 0..DOCS {
+        let mut text = String::from("hot");
+        if i % 5 == 0 {
+            text.push_str(" spike");
+        }
+        for j in 0..1 + ((i / 700) * 13) % 60 + i % 3 {
+            text.push_str(&format!(" f{}", (i * 7 + j * 3) % 50));
+        }
+        b.add(Document::new(format!("v{i}")).field("body", text));
+    }
+    b.build()
+}
+
 /// A mixed corpus for the codec: token `j` of document `i` is a pure
 /// function of `(i, j)`; quadratic mixing spreads document frequencies
 /// across an 800-word vocabulary and the modulo skew makes low word ids
@@ -82,6 +103,8 @@ struct Counters {
     blocks_scored: u64,
     max_score_postings: u64,
     exhaustive_postings: u64,
+    varied_block_max_postings: u64,
+    varied_blocks_skipped: u64,
     mixed_terms: usize,
     mixed_postings: usize,
     flat_store_bytes: usize,
@@ -89,22 +112,31 @@ struct Counters {
 }
 
 /// Meter the top-10 `spike hot` query under each tier on a fresh scratch,
-/// holding the three ranked lists equal, then re-encode the mixed corpus's
-/// posting lanes and hold its ranked list equal across the codecs.
+/// holding the three ranked lists equal, on the spike corpus and (block-max
+/// against exhaustive) on the varied-length one, then re-encode the mixed
+/// corpus's posting lanes and hold its ranked list equal across the codecs.
 fn measure() -> Counters {
     let scoring = ScoringFunction::default();
-    let spike = spike_corpus();
     let query = terms(&["spike", "hot"]);
-    let run = |tier: KernelTier| {
+    let run = |index: &Index, tier: KernelTier| {
         let mut scratch = ScoreScratch::new();
-        let hits = Searcher::new(&spike, scoring)
+        let hits = Searcher::new(index, scoring)
             .with_tier(tier)
             .search_terms_with(&query, 10, &mut scratch);
         (hits, scratch)
     };
-    let (block_max_hits, block_max) = run(KernelTier::BlockMax);
-    let (max_score_hits, max_score) = run(KernelTier::MaxScore);
-    let (exhaustive_hits, exhaustive) = run(KernelTier::Exhaustive);
+    let varied = varied_length_corpus();
+    let (varied_hits, varied_block_max) = run(&varied, KernelTier::BlockMax);
+    assert_eq!(varied_hits.len(), 10);
+    assert_eq!(
+        run(&varied, KernelTier::Exhaustive).0,
+        varied_hits,
+        "exhaustive changed the varied-length list"
+    );
+    let spike = spike_corpus();
+    let (block_max_hits, block_max) = run(&spike, KernelTier::BlockMax);
+    let (max_score_hits, max_score) = run(&spike, KernelTier::MaxScore);
+    let (exhaustive_hits, exhaustive) = run(&spike, KernelTier::Exhaustive);
     assert_eq!(block_max_hits.len(), 10);
     assert_eq!(max_score_hits, block_max_hits, "MaxScore changed the list");
     assert_eq!(
@@ -130,6 +162,8 @@ fn measure() -> Counters {
         blocks_scored: block_max.blocks_scored(),
         max_score_postings: max_score.postings_visited(),
         exhaustive_postings: exhaustive.postings_visited(),
+        varied_block_max_postings: varied_block_max.postings_visited(),
+        varied_blocks_skipped: varied_block_max.blocks_skipped(),
         mixed_terms: mixed.num_terms(),
         mixed_postings: mixed.num_postings(),
         flat_store_bytes,
@@ -148,6 +182,8 @@ fn every_tier_walks_its_pinned_number_of_postings_armed_or_not() {
             blocks_scored: 20,
             max_score_postings: 2_022,
             exhaustive_postings: 21_011,
+            varied_block_max_postings: 557,
+            varied_blocks_skipped: 30,
             mixed_terms: 799,
             mixed_postings: 314_185,
             flat_store_bytes: 3_770_220,
@@ -159,6 +195,9 @@ fn every_tier_walks_its_pinned_number_of_postings_armed_or_not() {
     assert!(c.block_max_postings < c.max_score_postings);
     assert!(c.max_score_postings < c.exhaustive_postings);
     assert!(c.blocks_skipped > 0 && c.blocks_scored > 0);
+    // Bounded at length 0 every varied-length block reaches the threshold
+    // (8 162 postings, no block skipped); the shortest-length lane skips.
+    assert!(c.varied_blocks_skipped > 0);
     assert!(c.compressed_store_bytes < c.flat_store_bytes);
 
     // An armed but never-firing schedule on all four sites changes nothing.

@@ -372,18 +372,24 @@ proptest! {
     // The kernel-tier contract: block-max ≡ MaxScore ≡ exhaustive ≡ naive
     // reference — docs, order, matched_terms, and score bits — for
     // k ∈ {1, 3, all}, every block size (1, tiny, default), flat and
-    // sharded, inline and dispatched. This pins both that no pruned tier
-    // ever diverges and that the tiers `QUNITS_KERNEL` selects stay wired
-    // up.
+    // sharded, inline and dispatched, under TF-IDF and BM25 at its default
+    // and at the edges of the range the bounds assume (b = 0, b = 1,
+    // k1 = 0). This pins both that no pruned tier ever diverges and that
+    // the tiers `QUNITS_KERNEL` selects stay wired up.
     #[test]
     fn all_kernel_tiers_bit_identical_to_naive(
         texts in prop::collection::vec(doc_text(), 1..20),
         q in doc_text(),
         n in 1usize..6,
-        tfidf in prop::sample::select(vec![false, true]),
+        scoring in prop::sample::select(vec![
+            ScoringFunction::TfIdf,
+            ScoringFunction::default(),
+            ScoringFunction::Bm25 { k1: 1.2, b: 0.0 },
+            ScoringFunction::Bm25 { k1: 1.2, b: 1.0 },
+            ScoringFunction::Bm25 { k1: 0.0, b: 0.75 },
+        ]),
         block_size in prop::sample::select(vec![1usize, 3, 128]),
     ) {
-        let scoring = if tfidf { ScoringFunction::TfIdf } else { ScoringFunction::default() };
         let mut fb = builder(&texts);
         fb.set_block_size(block_size);
         let ix = fb.build();
