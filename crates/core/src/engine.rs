@@ -235,6 +235,33 @@ impl Default for EngineConfig {
     }
 }
 
+impl EngineConfig {
+    /// The range the kernels' score bounds and the rescoring assume of every
+    /// numeric field: `scoring` within [`ScoringFunction::check`], the two
+    /// field boosts within [`IndexBuilder::check_field_boost`] (finite and
+    /// `> 0`), and the weights and bonuses finite and `>= 0` (the rescoring
+    /// multiplies by `1 + weight · factor`). [`QunitSearchEngine::build`]
+    /// runs it; the error names the field.
+    pub fn check(&self) -> std::result::Result<(), String> {
+        let named = |name: &'static str| move |why: String| format!("EngineConfig::{name}: {why}");
+        self.scoring.check().map_err(named("scoring"))?;
+        IndexBuilder::check_field_boost(self.anchor_boost).map_err(named("anchor_boost"))?;
+        IndexBuilder::check_field_boost(self.intent_boost).map_err(named("intent_boost"))?;
+        for (name, value) in [
+            ("type_weight", self.type_weight),
+            ("utility_weight", self.utility_weight),
+            ("anchor_exact_bonus", self.anchor_exact_bonus),
+            ("default_def_bonus", self.default_def_bonus),
+            ("feedback_weight", self.feedback_weight),
+        ] {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(named(name)(format!("{value} is not a finite value >= 0")));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Why a fallible search entry point declined to produce a result list.
 /// Deterministic *in content*: the error carries no timing data, so
 /// transcript-style tests can match it structurally.
@@ -811,11 +838,7 @@ impl QunitSearchEngine {
             config.kernel = KernelTier::Exhaustive;
         }
         let config = crate::overrides::from_env(config);
-        if let Err(why) = config.scoring.check() {
-            return Err(Error::InvalidSchema(format!(
-                "EngineConfig::scoring: {why}"
-            )));
-        }
+        config.check().map_err(Error::InvalidSchema)?;
         if catalog.len() > DefId::MAX_DEFINITIONS {
             return Err(Error::InvalidSchema(format!(
                 "catalog has {} definitions; the doc→definition lane addresses at most {}",
@@ -2590,6 +2613,55 @@ mod tests {
                 Ok(_) => panic!("{scoring:?} must not build"),
             }
         }
+    }
+
+    /// Every boost, weight and bonus outside the range the bounds and the
+    /// rescoring assume is refused by name, and `build` runs the check: a
+    /// zero anchor boost at b = 1 used to build, score NaN and rank first.
+    #[test]
+    fn each_boost_weight_and_bonus_out_of_range_fails_build_by_name() {
+        let base = EngineConfig {
+            scoring: ScoringFunction::Bm25 { k1: 1.2, b: 1.0 },
+            ..EngineConfig::default()
+        };
+        let refused = |field: &str, set: fn(&mut EngineConfig)| {
+            let mut config = base.clone();
+            set(&mut config);
+            let why = config.check().expect_err(field);
+            assert!(
+                why.starts_with(&format!("EngineConfig::{field}: ")),
+                "{why}"
+            );
+            config
+        };
+        refused("intent_boost", |c| c.intent_boost = -1.0);
+        refused("anchor_boost", |c| c.anchor_boost = f64::INFINITY);
+        refused("type_weight", |c| c.type_weight = f64::NAN);
+        refused("utility_weight", |c| c.utility_weight = -0.3);
+        refused("anchor_exact_bonus", |c| {
+            c.anchor_exact_bonus = f64::INFINITY
+        });
+        refused("default_def_bonus", |c| c.default_def_bonus = -1.5);
+        refused("feedback_weight", |c| c.feedback_weight = f64::NAN);
+        let zero_anchor = refused("anchor_boost", |c| c.anchor_boost = 0.0);
+        let (data, small) = engine();
+        match QunitSearchEngine::build(&data.db, small.catalog().clone(), zero_anchor) {
+            Err(Error::InvalidSchema(why)) => {
+                assert!(why.starts_with("EngineConfig::anchor_boost"))
+            }
+            Err(other) => panic!("wrong error: {other}"),
+            Ok(_) => panic!("a zero anchor boost must not build"),
+        }
+        // Zero weights and bonuses are in range: they switch a factor off.
+        let zeros = EngineConfig {
+            type_weight: 0.0,
+            utility_weight: 0.0,
+            anchor_exact_bonus: 0.0,
+            default_def_bonus: 0.0,
+            feedback_weight: 0.0,
+            ..base
+        };
+        assert_eq!(zeros.check(), Ok(()));
     }
 
     #[test]

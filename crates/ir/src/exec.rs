@@ -11,7 +11,8 @@
 //! Its one caller is a query's shard fan-out: [`ShardExecutor::try_run`]
 //! takes one query's shard tasks. Two design points matter for latency:
 //!
-//! - **The caller helps.** [`ShardExecutor::try_run`] does not sit blocked
+//! - **The caller helps.** [`ShardExecutor::try_run`] runs the first task
+//!   of its batch itself, queues only the rest, and does not sit blocked
 //!   while workers drain the queue — it pops and executes tasks itself
 //!   until its batch completes. On a single-core host (or a pool busy with
 //!   other queries) dispatch therefore degrades gracefully toward inline
@@ -153,8 +154,8 @@ struct QueueCounters {
 impl QueueCounters {
     /// Record a job leaving the queue for execution: one dequeue plus the
     /// nanoseconds it spent queued (a single clock read per dequeued job;
-    /// a single-task batch the caller ran directly never passes through
-    /// here).
+    /// the first task of a batch, which the caller runs directly, never
+    /// passes through here).
     fn note_dequeue(&self, enqueued_at: Instant) {
         self.queue_wait_nanos
             .fetch_add(enqueued_at.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -167,7 +168,8 @@ impl QueueCounters {
 /// scoring time lives in [`crate::ShardTimings`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecutorStats {
-    /// Tasks accepted into the queue.
+    /// Tasks accepted into the queue: every task of a batch but the
+    /// first, which the calling thread runs itself.
     pub enqueued: u64,
     /// Always 0: the queue is unbounded and never refuses a task. Kept
     /// only because the benchmark harness under `perf/` still reads it.
@@ -319,68 +321,48 @@ impl ShardExecutor {
         &self,
         tasks: Vec<Box<dyn FnOnce() + Send + 'env>>,
     ) -> Result<(), TaskPanic> {
-        match tasks.len() {
-            0 => return Ok(()),
-            // A single task gains nothing from the queue round-trip; it is
-            // still caught so the containment contract is batch-size
-            // independent.
-            1 => {
-                let mut result = Ok(());
-                for task in tasks {
-                    let caught = catch_unwind(AssertUnwindSafe(move || {
-                        fault::check_infallible(site::EXEC_TASK);
-                        task();
-                    }));
-                    if let (Err(payload), Ok(())) = (caught, &result) {
-                        result = Err(TaskPanic { payload });
-                    }
-                }
-                return result;
-            }
-            _ => {}
-        }
-
+        let n = tasks.len();
         // One clock read covers the whole batch — per-task `Instant::now()`
         // would put N clock reads on the dispatch path this pool exists to
         // make cheap.
         let now = Instant::now();
-        let latch = Arc::new(Latch::new(tasks.len()));
+        let latch = Arc::new(Latch::new(n));
         // The crate's one `unsafe` outside test code (`#![deny(unsafe_code)]`
         // in `lib.rs`): the job erasure below.
         #[allow(unsafe_code)]
-        let jobs: Vec<QueuedJob> = tasks
-            .into_iter()
-            .map(|task| QueuedJob {
-                // SAFETY: lifetime erasure only — same trait object, same
-                // layout, no second allocation. `QueuedJob::execute` drops
-                // the job (and everything it borrows) before counting the
-                // latch down, and this function blocks on the latch before
-                // returning, so no `'env` borrow is ever used after `'env`
-                // ends.
-                job: unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(task) },
-                latch: Arc::clone(&latch),
-                enqueued_at: now,
-            })
-            .collect();
-
-        let counters = &self.shared.counters;
-        let n = jobs.len() as u64;
-        let depth = {
-            let mut q = lock(&self.shared.queue);
-            q.jobs.extend(jobs);
-            q.jobs.len()
+        let mut jobs = tasks.into_iter().map(|task| QueuedJob {
+            // SAFETY: lifetime erasure only — same trait object, same
+            // layout, no second allocation. `QueuedJob::execute` drops the
+            // job (and everything it borrows) before counting the latch
+            // down, and this function blocks on the latch before returning,
+            // so no `'env` borrow is ever used after `'env` ends.
+            job: unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(task) },
+            latch: Arc::clone(&latch),
+            enqueued_at: now,
+        });
+        let Some(first) = jobs.next() else {
+            return Ok(());
         };
-        counters.enqueued.fetch_add(n, Ordering::Relaxed);
-        counters
-            .max_queue_depth
-            .fetch_max(depth as u64, Ordering::Relaxed);
-        // Wake only as many workers as there are jobs to take: notify_all
-        // on a big pool would stampede every parked worker onto the queue
-        // mutex just to find it empty — overhead on the exact dispatch path
-        // this pool exists to make cheap.
-        for _ in 0..n.min(self.workers.len() as u64) {
-            self.shared.work_ready.notify_one();
+        // The caller runs the first task itself, so only the other n − 1
+        // go through the queue, and only that many workers are woken:
+        // notify_all on a big pool would stampede every parked worker onto
+        // the queue mutex just to find it empty.
+        if n > 1 {
+            let counters = &self.shared.counters;
+            let depth = {
+                let mut q = lock(&self.shared.queue);
+                q.jobs.extend(jobs);
+                q.jobs.len()
+            };
+            counters.enqueued.fetch_add(n as u64 - 1, Ordering::Relaxed);
+            counters
+                .max_queue_depth
+                .fetch_max(depth as u64, Ordering::Relaxed);
+            for _ in 0..(n - 1).min(self.workers.len()) {
+                self.shared.work_ready.notify_one();
+            }
         }
+        first.execute();
 
         // Work-helping wait: execute queued tasks (ours or another
         // caller's) until our batch is done, then sleep only if workers
@@ -573,7 +555,8 @@ mod tests {
         }
         let stats = exec.stats();
         assert_eq!(stats.overflowed, 0);
-        assert_eq!(stats.enqueued, 80);
+        // The caller runs the first task of each batch itself.
+        assert_eq!(stats.enqueued, 70);
         // Every accepted job was either popped by a worker/helper (counted)
         // or drained after the latch released; dequeues never exceed
         // enqueues.
@@ -722,7 +705,7 @@ mod tests {
         }
         assert_eq!(survived.load(Ordering::Relaxed), 40);
         let stats = exec.stats();
-        assert_eq!(stats.enqueued, 40);
+        assert_eq!(stats.enqueued, 30);
         assert!(stats.dequeued <= stats.enqueued);
         drop(exec); // joins both workers; a hang here fails the test run
     }

@@ -63,8 +63,8 @@
 //! moves no lane. A helper's panic resurfaces on the caller.
 //!
 //! The tf bits cannot move: a posting's tf is the float sum
-//! `0.0 + b₁ + b₂ + …` of the boosts of the term's occurrences in token
-//! order (so a boost of `0.0` still yields a posting), a document's length
+//! `b₁ + b₂ + …` of the boosts of the term's occurrences in token order
+//! (each finite and > 0, so every tf is too), a document's length
 //! the same sum over its kept tokens, and float addition does not
 //! associate — the pipeline does exactly those additions in exactly that
 //! order. The map-of-lists builder it replaced is kept under `#[cfg(test)]`
@@ -1073,8 +1073,30 @@ impl IndexBuilder {
     }
 
     /// Set the boost of a field (default 1.0).
+    ///
+    /// # Panics
+    ///
+    /// If `boost` is outside the range [`IndexBuilder::check_field_boost`]
+    /// admits.
     pub fn set_field_boost(&mut self, field: impl Into<String>, boost: f64) {
-        self.field_boosts.insert(field.into(), boost);
+        let field = field.into();
+        if let Err(why) = Self::check_field_boost(boost) {
+            panic!("field {field:?}: {why}");
+        }
+        self.field_boosts.insert(field, boost);
+    }
+
+    /// The range every score bound assumes of a field boost: finite and
+    /// `> 0`, so every weighted tf is too. A zero boost would keep postings
+    /// of tf 0, which BM25 scores 0/0 = NaN at `b = 1` or `k1 = 0`; under a
+    /// negative one a score falls as tf grows, and the block bounds would
+    /// not hold. The error names the value.
+    pub fn check_field_boost(boost: f64) -> Result<(), String> {
+        if boost.is_finite() && boost > 0.0 {
+            Ok(())
+        } else {
+            Err(format!("boost = {boost} is not a finite value > 0"))
+        }
     }
 
     /// Set the postings-per-block granularity of the frozen block lanes
@@ -1372,7 +1394,7 @@ impl ShardFreeze {
     /// allocating nothing. Documents replay in order and a term's cursor only
     /// advances, so every CSR row comes out doc-ascending — the contract
     /// `Postings` and the kernels' binary searches lean on — and a posting's
-    /// tf is re-added as `0.0 + b₁ + b₂ + …` in token order, so its bits are
+    /// tf is re-added as `b₁ + b₂ + …` in token order, so its bits are
     /// those of the builder this pipeline replaced.
     fn replay(&mut self) {
         let ShardFreeze {
@@ -1401,8 +1423,7 @@ impl ShardFreeze {
                         slot.seen_in = doc;
                         slot.next += 1;
                         posting_docs[at] = doc;
-                        // From 0.0, not from `boost`: `0.0 + -0.0` is `+0.0`.
-                        posting_tfs[at] = 0.0 + boost;
+                        posting_tfs[at] = boost;
                     }
                 }
                 start = end;
@@ -2125,7 +2146,6 @@ pub(crate) mod tests {
     const BOOSTS: &[Option<f64>] = &[
         None,
         None,
-        Some(0.0),
         Some(0.5),
         Some(0.1),
         Some(1.0),
@@ -2205,7 +2225,7 @@ pub(crate) mod tests {
         let mut empty = IndexBuilder::new();
         empty.set_block_size(2);
         empty.set_field_boost("title", 2.5);
-        empty.set_field_boost("hidden", 0.0);
+        empty.set_field_boost("hidden", 0.25);
         let docs: Vec<Document> = (0..6)
             .map(|i| {
                 Document::new(format!("d{}", i % 4))
@@ -2258,19 +2278,29 @@ pub(crate) mod tests {
         }
     }
 
-    /// A boost of 0.0 contributes nothing to tf or length but the term still
-    /// occurs: the posting exists, with tf +0.0.
+    /// A boost of 0.0 would keep a posting of tf 0 (BM25 scores it NaN at
+    /// b = 1, ranking it first), and a negative or non-finite one breaks the
+    /// bounds: each is refused by name, and no posting ever has tf 0.
     #[test]
-    fn zero_boost_still_yields_a_posting() {
+    fn a_boost_that_is_not_finite_and_positive_is_refused() {
+        for boost in [0.0, -0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let refused = std::panic::catch_unwind(|| {
+                IndexBuilder::new().set_field_boost("hidden", boost);
+            });
+            let message = *refused.expect_err("refused").downcast::<String>().unwrap();
+            assert!(
+                message.starts_with("field \"hidden\": boost = "),
+                "{message}"
+            );
+        }
         let mut b = IndexBuilder::new();
-        b.set_field_boost("hidden", 0.0);
+        b.set_field_boost("hidden", f64::MIN_POSITIVE);
         b.add(Document::new("x").field("hidden", "ghost ghost"));
         let ix = b.build();
         let mut buf = PostingsBuf::new();
         let p = ix.postings_with("ghost", &mut buf);
         assert_eq!(p.docs, &[0]);
-        assert_eq!(p.weighted_tfs[0].to_bits(), 0.0f64.to_bits());
-        assert_eq!(ix.doc_length(0), 0.0);
+        assert!(p.weighted_tfs[0] > 0.0);
     }
 
     #[test]

@@ -30,13 +30,16 @@
 //! - **Block-max** (the default): document-at-a-time traversal over the
 //!   frozen per-block bound lanes (`BlockLanes` in `crate::index`). The
 //!   essential prefix of the bound order advances with skip-to-geq cursors
-//!   over block boundaries; non-essential terms are probed only for
-//!   already-admitted candidates; a candidate is scored only when the sum
-//!   of its current block bounds (each the scorer at the block's largest
-//!   tf and shortest document length, [`TermScorer::block_bound`]) plus
-//!   the non-essential suffix can beat the running top-k threshold θ̂, and
-//!   whole runs of documents are skipped — without decoding their blocks —
-//!   when it cannot.
+//!   over block boundaries (galloping inside a block); non-essential terms
+//!   are probed only for candidates their bounds admit. A candidate is
+//!   scored only when it can beat the running top-k threshold θ̂ twice
+//!   over: first the essential cursors' block bounds (each the scorer at
+//!   the block's largest tf and shortest document length,
+//!   [`TermScorer::block_bound`]) plus the non-essential suffix, then the
+//!   bound at **every** term's block — each non-essential cursor moved
+//!   through the lane onto the block that may hold the candidate, unloaded,
+//!   adding 0 if its next posting lies past it. When either cannot, whole
+//!   runs of documents are skipped, without decoding their blocks.
 //! - **MaxScore**: term-at-a-time accumulation that stops admitting new
 //!   documents once θ̂ strictly exceeds the remaining tail-bound suffix.
 //! - **Exhaustive**: walk every posting (the reference kernel).
@@ -49,7 +52,12 @@
 //! same sequence; a document is only skipped when its best possible score
 //! (the margin-inflated bound suffix, or the block-max upper bound) is
 //! *strictly* below the threshold, so it could never have displaced a kept
-//! hit even on the doc-id tiebreak. The bounds are pure functions of
+//! hit even on the doc-id tiebreak. The block-max bound at every term's
+//! block sums the same margin-inflated per-term bounds in the same bound
+//! order as the score it bounds (0 where a term cannot match), and float
+//! addition is monotone, so it holds for the float sum too; a run of
+//! documents is skipped only up to the first doc id where some term's
+//! block, or its next posting, could change that bound. The bounds are pure functions of
 //! corpus-global statistics and the query, hence identical at every shard
 //! count, codec, and dispatch mode. Property-tested against a naive
 //! reference in `tests/prop_ir.rs` and held by the CI determinism gate,
@@ -662,22 +670,10 @@ impl<'a> BlockCursor<'a> {
         }
     }
 
-    /// Advance to the first posting whose doc id is **not** `too_small`,
-    /// bypassing whole blocks through the `last_docs` lane. `too_small`
-    /// must hold on a prefix of ascending doc ids (`d < t` for seek-geq,
-    /// `d <= t` for seek-strictly-past). Returns `false` when the term is
-    /// exhausted. Bypassed blocks are never loaded; an in-block seek is a
-    /// binary search over the block's ascending doc ids and counts **one**
-    /// posting visit per landing — mirroring the MaxScore kernel's
-    /// candidate-driven probe accounting ([`prune_accumulate`]), so a
-    /// one-step-at-a-time walk still costs exactly the block length (the
-    /// load plus `len − 1` landings) while a far probe costs one.
-    fn advance_while(
-        &mut self,
-        index: &'a Index,
-        too_small: impl Fn(DocId) -> bool,
-        meter: &mut BlockMeter,
-    ) -> bool {
+    /// Move onto the first block whose last doc id is **not** `too_small`,
+    /// bypassing whole blocks through the `last_docs` lane without loading
+    /// any. Returns `false` when the term is exhausted.
+    fn skip_blocks(&mut self, too_small: impl Fn(DocId) -> bool, meter: &mut BlockMeter) -> bool {
         if self.exhausted() {
             return false;
         }
@@ -698,12 +694,40 @@ impl<'a> BlockCursor<'a> {
             }
             self.position(next);
         }
-        // The target is inside the current block (its last doc is not too
-        // small), so this seek cannot run off the end.
+        true
+    }
+
+    /// Advance to the first posting whose doc id is **not** `too_small`:
+    /// [`BlockCursor::skip_blocks`], then a seek inside the block. `too_small`
+    /// must hold on a prefix of ascending doc ids (`d < t` for seek-geq,
+    /// `d <= t` for seek-strictly-past). Returns `false` when the term is
+    /// exhausted. The in-block seek gallops from the read head (most seeks
+    /// land one or two postings on) and counts **one** posting visit per
+    /// landing — mirroring the MaxScore kernel's candidate-driven probe
+    /// accounting ([`prune_accumulate`]), so a one-step-at-a-time walk
+    /// still costs exactly the block length (the load plus `len − 1`
+    /// landings) while a far probe costs one.
+    fn advance_while(
+        &mut self,
+        index: &'a Index,
+        too_small: impl Fn(DocId) -> bool,
+        meter: &mut BlockMeter,
+    ) -> bool {
+        if !self.skip_blocks(&too_small, meter) {
+            return false;
+        }
         if too_small(self.doc()) {
             self.ensure_loaded(index, meter);
-            let rel = self.block_docs()[self.pos + 1..].partition_point(|&x| too_small(x));
-            self.pos += 1 + rel;
+            // The block's last doc is not too small, so the gallop stops
+            // inside it: every doc before `lo` is too small, `hi`'s is not.
+            let docs = self.block_docs();
+            let (mut lo, mut hi, mut step) = (self.pos + 1, self.pos + 1, 1);
+            while too_small(docs[hi]) {
+                lo = hi + 1;
+                hi = (hi + step).min(docs.len() - 1);
+                step *= 2;
+            }
+            self.pos = lo + docs[lo..hi].partition_point(|&x| too_small(x));
             meter.steps += 1;
         }
         true
@@ -718,13 +742,16 @@ impl<'a> BlockCursor<'a> {
 /// (p only shrinks as θ̂ grows — the exact MaxScore engagement rule).
 /// Essential cursors advance document-at-a-time; their minimum current doc
 /// is the next candidate `d`, upper-bounded by `suffix[p]` plus the block
-/// bounds of the essential cursors sitting on `d`. If the bound cannot
-/// strictly beat θ̂, every document up to the earliest block end (capped by
-/// the next essential doc) is skipped in one lane jump; otherwise `d` is
-/// scored across **all** terms in bound order — the same float sum, in the
-/// same sequence, as the exhaustive kernel — and pushed into `top`
-/// directly (candidates arrive in ascending doc order, and [`TopK`]
-/// selection is push-order independent, so the final hits are identical).
+/// bounds of the essential cursors sitting on `d`, and — once that passes —
+/// again by those block bounds plus each non-essential term's bound at the
+/// block that may hold `d` (0 if its next posting lies past `d`). If a
+/// bound cannot strictly beat θ̂, every document up to the earliest end of
+/// the blocks (or gaps) it read is skipped, capped by the next essential
+/// doc; otherwise `d` is scored across **all** terms in bound order — the
+/// same float sum, in the same sequence, as the exhaustive kernel — and
+/// pushed into `top` directly (candidates arrive in ascending doc order,
+/// and [`TopK`] selection is push-order independent, so the final hits are
+/// identical).
 fn block_max_accumulate(
     index: &Index,
     terms: &[(Option<TermId>, usize)],
@@ -797,14 +824,36 @@ fn block_max_accumulate(
         }
         let Some(d) = d else { break };
         // Upper bound on d's score: the non-essential suffix plus the
-        // current block maxima of the essential cursors sitting on d.
-        let mut ub = suffix[p];
+        // current block maxima of the essential cursors sitting on d. `end`
+        // is the last doc every one of those blocks still covers.
+        let (mut ub, mut block_ub, mut end) = (suffix[p], 0.0, DocId::MAX);
         for c in cursors[..p].iter().flatten() {
             if !c.exhausted() && c.doc() == d {
                 ub += c.bound;
+                block_ub += c.bound;
+                end = end.min(c.last_doc());
             }
         }
-        if theta.is_none_or(|t| ub > t) {
+        let mut beats = theta.is_none_or(|t| ub > t);
+        if let Some(t) = theta.filter(|_| beats && p < cursors.len()) {
+            // Bound d again with every term at its block: each non-essential
+            // cursor moves through the lane onto the block that may hold d
+            // (unloaded) and adds that block's bound, or 0 if its next
+            // posting lies past d. Summed in bound order, so it bounds d's
+            // float sum, and every doc up to the new `end` shares it.
+            for c in cursors[p..].iter_mut().flatten() {
+                if c.skip_blocks(|x| x < d, meter) {
+                    if c.doc() <= d {
+                        block_ub += c.bound;
+                        end = end.min(c.last_doc());
+                    } else {
+                        end = end.min(c.doc() - 1);
+                    }
+                }
+            }
+            beats = block_ub > t;
+        }
+        if beats {
             let global = to_global(d);
             if filter.is_none_or(|f| f(global)) {
                 // Score d across ALL terms in bound order — essential
@@ -834,16 +883,10 @@ fn block_max_accumulate(
             }
         } else {
             // d (and everything sharing its blocks) cannot beat θ̂. Every
-            // doc in (d, end] lies only in the essential blocks currently
-            // bounding d — any other essential cursor sits at or past
-            // `next_after` — so the whole run shares (at most) d's upper
-            // bound and is skipped in one lane jump per cursor.
-            let mut end = DocId::MAX;
-            for c in cursors[..p].iter().flatten() {
-                if !c.exhausted() && c.doc() == d {
-                    end = end.min(c.last_doc());
-                }
-            }
+            // doc in (d, end] lies only in the blocks that bounded d — any
+            // other essential cursor sits at or past `next_after` — so the
+            // whole run shares (at most) d's upper bound and is skipped in
+            // one seek per essential cursor.
             let cap = next_after.filter(|&nd| nd <= end);
             for c in cursors[..p].iter_mut().flatten() {
                 if !c.exhausted() && c.doc() == d {
@@ -1505,6 +1548,63 @@ mod tests {
             es.postings_visited()
         );
         assert_eq!(es.blocks_skipped(), 0, "exhaustive never skips");
+    }
+
+    /// Two field boosts the builder used to accept broke the scorer. Boost
+    /// 0.0 kept postings of tf 0: at b = 1 a document whose only field had
+    /// it scored 0/0 = NaN and ranked first in every tier. Boost −1.0 made
+    /// scores fall as tf grows, so the block bounds undercounted and
+    /// Block-Max returned lists unlike Exhaustive's. Either boost must now
+    /// be refused before an index exists; an index the builder does accept
+    /// must score every hit finite and > 0, equally in every tier.
+    #[test]
+    fn boosts_that_break_the_bounds_never_reach_a_kernel() {
+        let build = |boost: f64| {
+            let mut b = IndexBuilder::new();
+            b.set_block_size(2);
+            b.set_field_boost("title", boost);
+            for i in 0..400usize {
+                let title = format!("w{} ", i % 7).repeat(1 + i % 4);
+                let body: Vec<String> = (0..i % 9)
+                    .map(|j| format!("w{}", (i + j * j) % 11))
+                    .collect();
+                b.add(
+                    Document::new(format!("d{i}"))
+                        .field("title", title)
+                        .field("body", body.join(" ")),
+                );
+            }
+            b.build()
+        };
+        for (boost, scoring) in [
+            (0.0, ScoringFunction::Bm25 { k1: 1.2, b: 1.0 }),
+            (-1.0, ScoringFunction::default()),
+        ] {
+            let Ok(ix) = std::panic::catch_unwind(|| build(boost)) else {
+                continue;
+            };
+            for q in ["w1", "w2 w5", "w0 w3 w6", "w4 w4 w8 w10"] {
+                let terms = ix.analyzer().tokenize(q);
+                for k in [1usize, 3, 10] {
+                    let tag = format!("boost {boost} {q:?} k={k}");
+                    let exhaustive = Searcher::new(&ix, scoring)
+                        .with_tier(KernelTier::Exhaustive)
+                        .search_terms_with(&terms, k, &mut ScoreScratch::new());
+                    assert!(
+                        exhaustive
+                            .iter()
+                            .all(|h| h.score.is_finite() && h.score > 0.0),
+                        "{tag}: {exhaustive:?}"
+                    );
+                    for tier in [KernelTier::BlockMax, KernelTier::MaxScore] {
+                        let hits = Searcher::new(&ix, scoring)
+                            .with_tier(tier)
+                            .search_terms_with(&terms, k, &mut ScoreScratch::new());
+                        assert_eq!(hits, exhaustive, "{tag} {tier:?}");
+                    }
+                }
+            }
+        }
     }
 
     /// BM25 outside `k1 >= 0`, `0 <= b <= 1` can grow with document length

@@ -74,6 +74,40 @@ fn varied_length_corpus() -> Index {
     b.build()
 }
 
+/// The shape of the slowest top-k queries on a large corpus: two terms
+/// that each match most documents (`hot` four in five, `warm` three in
+/// four, with tf 1 in documents of 5 to 32 tokens). Ten two-token
+/// `hot warm` documents up front fix the threshold at once, and one
+/// document each of `hot` ×9 and `warm` ×8 lifts both terms' global
+/// bounds, so the essential term's block bound plus the other term's
+/// global bound always beats the threshold. Only a bound that takes both
+/// terms at their blocks can refuse a candidate.
+fn common_pair_corpus() -> Index {
+    let mut b = IndexBuilder::new();
+    for i in 0..DOCS {
+        let text = match i {
+            _ if i < 10 => "hot warm".to_string(),
+            7_001 => "hot ".repeat(9),
+            13_001 => "warm ".repeat(8),
+            _ => {
+                let mut t = String::new();
+                if i % 5 != 1 {
+                    t.push_str("hot ");
+                }
+                if i % 4 != 2 {
+                    t.push_str("warm ");
+                }
+                for j in 0..3 + (i * 7) % 28 {
+                    t.push_str(&format!(" f{}", (i * 7 + j * 3) % 50));
+                }
+                t
+            }
+        };
+        b.add(Document::new(format!("c{i}")).field("body", text));
+    }
+    b.build()
+}
+
 /// A mixed corpus for the codec: token `j` of document `i` is a pure
 /// function of `(i, j)`; quadratic mixing spreads document frequencies
 /// across an 800-word vocabulary and the modulo skew makes low word ids
@@ -105,6 +139,8 @@ struct Counters {
     exhaustive_postings: u64,
     varied_block_max_postings: u64,
     varied_blocks_skipped: u64,
+    common_pair_postings: u64,
+    common_pair_blocks_skipped: u64,
     mixed_terms: usize,
     mixed_postings: usize,
     flat_store_bytes: usize,
@@ -113,30 +149,37 @@ struct Counters {
 
 /// Meter the top-10 `spike hot` query under each tier on a fresh scratch,
 /// holding the three ranked lists equal, on the spike corpus and (block-max
-/// against exhaustive) on the varied-length one, then re-encode the mixed
+/// against exhaustive) on the varied-length one; the same for `hot warm` on
+/// the common-pair corpus; then re-encode the mixed
 /// corpus's posting lanes and hold its ranked list equal across the codecs.
 fn measure() -> Counters {
     let scoring = ScoringFunction::default();
-    let query = terms(&["spike", "hot"]);
-    let run = |index: &Index, tier: KernelTier| {
+    let spike_hot = terms(&["spike", "hot"]);
+    let run = |index: &Index, query: &[String], tier: KernelTier| {
         let mut scratch = ScoreScratch::new();
         let hits = Searcher::new(index, scoring)
             .with_tier(tier)
-            .search_terms_with(&query, 10, &mut scratch);
+            .search_terms_with(query, 10, &mut scratch);
         (hits, scratch)
     };
-    let varied = varied_length_corpus();
-    let (varied_hits, varied_block_max) = run(&varied, KernelTier::BlockMax);
-    assert_eq!(varied_hits.len(), 10);
-    assert_eq!(
-        run(&varied, KernelTier::Exhaustive).0,
-        varied_hits,
-        "exhaustive changed the varied-length list"
+    // Block-max against exhaustive on a corpus and query of its own.
+    let block_max_only = |index: &Index, query: &[String], what: &str| {
+        let (hits, scratch) = run(index, query, KernelTier::BlockMax);
+        assert_eq!(hits.len(), 10);
+        let exhaustive = run(index, query, KernelTier::Exhaustive).0;
+        assert_eq!(exhaustive, hits, "exhaustive changed the {what} list");
+        scratch
+    };
+    let varied_block_max = block_max_only(&varied_length_corpus(), &spike_hot, "varied-length");
+    let common_pair = block_max_only(
+        &common_pair_corpus(),
+        &terms(&["hot", "warm"]),
+        "common-pair",
     );
     let spike = spike_corpus();
-    let (block_max_hits, block_max) = run(&spike, KernelTier::BlockMax);
-    let (max_score_hits, max_score) = run(&spike, KernelTier::MaxScore);
-    let (exhaustive_hits, exhaustive) = run(&spike, KernelTier::Exhaustive);
+    let (block_max_hits, block_max) = run(&spike, &spike_hot, KernelTier::BlockMax);
+    let (max_score_hits, max_score) = run(&spike, &spike_hot, KernelTier::MaxScore);
+    let (exhaustive_hits, exhaustive) = run(&spike, &spike_hot, KernelTier::Exhaustive);
     assert_eq!(block_max_hits.len(), 10);
     assert_eq!(max_score_hits, block_max_hits, "MaxScore changed the list");
     assert_eq!(
@@ -164,6 +207,8 @@ fn measure() -> Counters {
         exhaustive_postings: exhaustive.postings_visited(),
         varied_block_max_postings: varied_block_max.postings_visited(),
         varied_blocks_skipped: varied_block_max.blocks_skipped(),
+        common_pair_postings: common_pair.postings_visited(),
+        common_pair_blocks_skipped: common_pair.blocks_skipped(),
         mixed_terms: mixed.num_terms(),
         mixed_postings: mixed.num_postings(),
         flat_store_bytes,
@@ -177,13 +222,15 @@ fn every_tier_walks_its_pinned_number_of_postings_armed_or_not() {
     assert_eq!(
         c,
         Counters {
-            block_max_postings: 271,
-            blocks_skipped: 7,
-            blocks_scored: 20,
+            block_max_postings: 54,
+            blocks_skipped: 24,
+            blocks_scored: 2,
             max_score_postings: 2_022,
             exhaustive_postings: 21_011,
-            varied_block_max_postings: 557,
-            varied_blocks_skipped: 30,
+            varied_block_max_postings: 353,
+            varied_blocks_skipped: 33,
+            common_pair_postings: 1_005,
+            common_pair_blocks_skipped: 121,
             mixed_terms: 799,
             mixed_postings: 314_185,
             flat_store_bytes: 3_770_220,
@@ -198,6 +245,9 @@ fn every_tier_walks_its_pinned_number_of_postings_armed_or_not() {
     // Bounded at length 0 every varied-length block reaches the threshold
     // (8 162 postings, no block skipped); the shortest-length lane skips.
     assert!(c.varied_blocks_skipped > 0);
+    // Bounded by the other term's global bound, the common pair walked
+    // 28 046 postings and skipped no block.
+    assert!(c.common_pair_blocks_skipped > 0);
     assert!(c.compressed_store_bytes < c.flat_store_bytes);
 
     // An armed but never-firing schedule on all four sites changes nothing.

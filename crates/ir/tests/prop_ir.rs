@@ -248,33 +248,55 @@ proptest! {
 
     // The same contract through the sharded path: per-shard kernels against
     // corpus-global scorers + deterministic merge ≡ the naive reference —
-    // unfiltered, and under a random accept-set. The filter sees global ids,
-    // so its reference is the full naive ranking, filtered, then cut to k.
+    // unfiltered, and under a random accept-set, for every kernel tier,
+    // inline and dispatched, at block sizes small enough that the block-max
+    // kernel skips blocks. The filter sees global ids, so its reference is
+    // the full naive ranking, filtered, then cut to k.
     #[test]
     fn sharded_kernel_bit_identical_to_naive_reference(
         texts in prop::collection::vec(doc_text(), 1..20),
         q in doc_text(),
         accept in prop::collection::vec(prop::sample::select(vec![false, true]), 20),
+        block_size in prop::sample::select(vec![1usize, 3, 128]),
     ) {
         let scoring = ScoringFunction::default();
         let ix = build_index(&texts);
         let terms = Analyzer::keep_all().tokenize(&q);
         let accepts = |d: DocId| accept[d as usize];
         let everything = naive_search(&ix, scoring, &terms, texts.len());
-        let ctx = SearchContext::default();
+        let exec = ShardExecutor::new(2);
+        let pool = ScratchPool::new();
         for n in [1usize, 2, 3, 8] {
-            let sx = builder(&texts).build_sharded(n);
+            let mut sb = builder(&texts);
+            sb.set_block_size(block_size);
+            let sx = sb.build_sharded(n);
             let sharded = ShardedSearcher::new(&sx, scoring);
-            for k in [1usize, 3, texts.len() + 5] {
-                let expected = naive_search(&ix, scoring, &terms, k);
-                assert_bit_identical(&sharded_search(&sharded, &terms, k, &ctx), &expected)?;
-                let filtered: Vec<Hit> =
-                    everything.iter().filter(|h| accepts(h.doc)).take(k).cloned().collect();
-                let got = sharded
-                    .try_search_terms_where_ctx(&terms, k, Some(&accepts), &ctx)
-                    .expect("no probe, no faults")
-                    .hits;
-                assert_bit_identical(&got, &filtered)?;
+            for tier in [KernelTier::BlockMax, KernelTier::MaxScore, KernelTier::Exhaustive] {
+                let inline = SearchContext {
+                    policy: DispatchPolicy::force_inline(),
+                    tier,
+                    ..SearchContext::default()
+                };
+                let dispatched = SearchContext {
+                    exec: Some(&exec),
+                    pool: Some(&pool),
+                    policy: DispatchPolicy::force_dispatch(),
+                    tier,
+                    ..SearchContext::default()
+                };
+                for ctx in [&inline, &dispatched] {
+                    for k in [1usize, 3, texts.len() + 5] {
+                        let expected = naive_search(&ix, scoring, &terms, k);
+                        assert_bit_identical(&sharded_search(&sharded, &terms, k, ctx), &expected)?;
+                        let filtered: Vec<Hit> =
+                            everything.iter().filter(|h| accepts(h.doc)).take(k).cloned().collect();
+                        let got = sharded
+                            .try_search_terms_where_ctx(&terms, k, Some(&accepts), ctx)
+                            .expect("no probe, no faults")
+                            .hits;
+                        assert_bit_identical(&got, &filtered)?;
+                    }
+                }
             }
         }
     }
@@ -374,8 +396,9 @@ proptest! {
     // k ∈ {1, 3, all}, every block size (1, tiny, default), flat and
     // sharded, inline and dispatched, under TF-IDF and BM25 at its default
     // and at the edges of the range the bounds assume (b = 0, b = 1,
-    // k1 = 0). This pins both that no pruned tier ever diverges and that
-    // the tiers `QUNITS_KERNEL` selects stay wired up.
+    // k1 = 0), at field boosts below, at and above 1 — with every score
+    // finite and > 0. This pins both that no pruned tier ever diverges and
+    // that the tiers `QUNITS_KERNEL` selects stay wired up.
     #[test]
     fn all_kernel_tiers_bit_identical_to_naive(
         texts in prop::collection::vec(doc_text(), 1..20),
@@ -389,14 +412,17 @@ proptest! {
             ScoringFunction::Bm25 { k1: 0.0, b: 0.75 },
         ]),
         block_size in prop::sample::select(vec![1usize, 3, 128]),
+        boost in prop::sample::select(vec![0.25, 1.0, 2.5]),
     ) {
-        let mut fb = builder(&texts);
-        fb.set_block_size(block_size);
-        let ix = fb.build();
+        let configured = || {
+            let mut b = builder(&texts);
+            b.set_block_size(block_size);
+            b.set_field_boost("body", boost);
+            b
+        };
+        let ix = configured().build();
         let terms = Analyzer::keep_all().tokenize(&q);
-        let mut sb = builder(&texts);
-        sb.set_block_size(block_size);
-        let sx = sb.build_sharded(n);
+        let sx = configured().build_sharded(n);
         let sharded = ShardedSearcher::new(&sx, scoring);
         let exec = ShardExecutor::new(2);
         let pool = ScratchPool::new();
@@ -404,6 +430,7 @@ proptest! {
         let tiers = [KernelTier::BlockMax, KernelTier::MaxScore, KernelTier::Exhaustive];
         for k in [1usize, 3, texts.len() + 5] {
             let expected = naive_search(&ix, scoring, &terms, k);
+            prop_assert!(expected.iter().all(|h| h.score.is_finite() && h.score > 0.0));
             for tier in tiers {
                 let flat = Searcher::new(&ix, scoring).with_tier(tier);
                 assert_bit_identical(&flat.search_terms_with(&terms, k, &mut scratch), &expected)?;
