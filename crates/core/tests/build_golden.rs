@@ -11,10 +11,11 @@
 //!
 //! The saved snapshot **files** are pinned too: `SNAPSHOT_FNV1A` hashes the
 //! bytes `save_snapshot` writes for that engine under both codecs at one and
-//! two shards — "no format change" as a test. They were last recomputed for
-//! snapshot version 4 (`docs/INDEX_FORMAT.md`, *Evolution policy*: the
-//! blockmax section's shortest-length lane), which moved no other constant
-//! here: the header's index fingerprint is the same.
+//! two shards — "no format change" as a test. They were last recomputed
+//! when the default block size went from 128 to 32 postings (the same
+//! version-4 format, with four times the blockmax section's blocks), which
+//! moved no other constant here: the header's index fingerprint is the
+//! same.
 //!
 //! If a change moves them *on purpose* (a new definition, a different
 //! rendering, a format bump), recompute with `BUILD_GOLDEN_PRINT=1 cargo test
@@ -36,10 +37,10 @@ const INSTANCES_FNV1A: u64 = 0x84c1_d584_026a_c721;
 /// FNV-1a of the snapshot file saved by a cold build, by
 /// `(search_shards, compress_postings)`.
 const SNAPSHOT_FNV1A: [(usize, bool, u64); 4] = [
-    (1, false, 0x2a3e_f939_dc08_0127),
-    (1, true, 0xd9ed_5b16_cb48_79e0),
-    (2, false, 0xce9f_bc1b_0ee2_f247),
-    (2, true, 0x2fb9_3216_8c05_ce3b),
+    (1, false, 0xc066_d191_f1b1_e064),
+    (1, true, 0x33ed_fce9_1105_0c71),
+    (2, false, 0x4239_76dc_c0c8_206f),
+    (2, true, 0xe7f3_2f52_307d_2a0e),
 ];
 
 /// Hash the engine's instances in the order `keys` lists them.

@@ -69,7 +69,8 @@ use crate::index::{BlockLanes, Index, PostingsBuf, TermId};
 use crate::score::{ScoringFunction, TermScorer, TermStats};
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Mutex, PoisonError};
 
 /// A ranked search hit.
 #[derive(Debug, Clone, PartialEq)]
@@ -425,12 +426,25 @@ pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut ScoreScratch) -> R) -> 
 /// selected set and its final sorted order are exactly the full sort's
 /// first k entries — and that holds no matter how candidates are batched
 /// into it. So it is the one selection every search makes: the unsharded
-/// search and the sharded inline sweep feed all their candidates through
-/// one `TopK`, and a dispatched query pushes each shard slot's own top k
-/// into one more.
-pub(crate) struct TopK {
+/// search and the sharded inline sweep feed one `TopK`, and each dispatched
+/// shard its own, passing every hit it keeps on to a [`SharedTopK`].
+pub(crate) struct TopK<'s> {
     k: usize,
     heap: BinaryHeap<WorstFirst>,
+    shared: Option<&'s SharedTopK>,
+}
+
+/// A dispatched query's one top-k, a `TopK` behind a mutex that every
+/// shard's [`TopK`] feeds at once with the hits it keeps (so a query whose
+/// candidates all tie does not lock once per candidate); only hits its
+/// published threshold admits take the lock.
+pub(crate) struct SharedTopK {
+    top: Mutex<TopK<'static>>,
+    /// Bits of the kept k-th score once full and > 0, else 0. Non-negative
+    /// floats' bits order like the floats, so `fetch_max` keeps the highest
+    /// published, never above the current threshold, which only rises.
+    /// Relaxed: it publishes no other data, and a stale read prunes less.
+    threshold: AtomicU64,
 }
 
 /// Heap wrapper ordering hits so the max-heap's top is the worst-ranked.
@@ -458,40 +472,42 @@ impl Ord for WorstFirst {
     }
 }
 
-impl TopK {
-    pub(crate) fn new(k: usize) -> Self {
+impl<'s> TopK<'s> {
+    /// A heap of `k`, passing every hit it keeps on to `shared` if given.
+    pub(crate) fn new(k: usize, shared: Option<&'s SharedTopK>) -> Self {
         TopK {
             k,
             // k can be usize::MAX-ish ("give me everything"); don't let a
             // huge request pre-allocate a huge heap.
             heap: BinaryHeap::with_capacity(k.min(1024)),
+            shared,
         }
     }
 
     #[inline]
     pub(crate) fn push(&mut self, hit: Hit) {
         if self.heap.len() < self.k {
-            self.heap.push(WorstFirst(hit));
-        } else if let Some(worst) = self.heap.peek() {
-            if rank_hits(&hit, &worst.0) == std::cmp::Ordering::Less {
-                self.heap.pop();
-                self.heap.push(WorstFirst(hit));
+            self.heap.push(WorstFirst(hit.clone()));
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if rank_hits(&hit, &worst.0) != std::cmp::Ordering::Less {
+                return;
             }
+            *worst = WorstFirst(hit.clone());
+        }
+        if let Some(shared) = self.shared {
+            shared.push(hit);
         }
     }
 
-    /// The worst kept score once the heap actually holds `k` hits — the
-    /// current top-k admission threshold. `None` while underfull (every
-    /// candidate is still admitted unconditionally). Only the sharded
-    /// inline path sees a non-empty heap during accumulation; within one
-    /// kernel run selection happens after accumulation, so this stays
-    /// `None` there and pruning leans on the partial threshold instead.
+    /// The top-k admission threshold: the worst kept score once the heap
+    /// holds `k` hits, or the shared heap's published one if higher; `None`
+    /// while neither is full. Block-Max pushes while it traverses; the
+    /// accumulating tiers see only other shards' hits during their run.
     pub(crate) fn full_threshold(&self) -> Option<f64> {
-        if self.k > 0 && self.heap.len() >= self.k {
-            self.heap.peek().map(|w| w.0.score)
-        } else {
-            None
-        }
+        let full = self.k > 0 && self.heap.len() >= self.k;
+        let own = self.heap.peek().filter(|_| full).map(|w| w.0.score);
+        let shared = self.shared.and_then(SharedTopK::threshold);
+        own.map_or(shared, |t| Some(shared.map_or(t, |s| t.max(s))))
     }
 
     /// The kept hits, best first.
@@ -502,10 +518,42 @@ impl TopK {
     }
 }
 
+impl SharedTopK {
+    pub(crate) fn new(k: usize) -> Self {
+        SharedTopK {
+            top: Mutex::new(TopK::new(k, None)),
+            threshold: AtomicU64::new(0),
+        }
+    }
+
+    fn push(&self, hit: Hit) {
+        if self.threshold().is_some_and(|t| hit.score < t) {
+            return;
+        }
+        // A poisoned heap belongs to a failed query; no push stops half-way.
+        let mut top = self.top.lock().unwrap_or_else(PoisonError::into_inner);
+        top.push(hit);
+        if let Some(t) = top.full_threshold().filter(|&t| t > 0.0) {
+            self.threshold.fetch_max(t.to_bits(), Relaxed);
+        }
+    }
+
+    fn threshold(&self) -> Option<f64> {
+        let bits = self.threshold.load(Relaxed);
+        (bits != 0).then(|| f64::from_bits(bits))
+    }
+
+    pub(crate) fn into_sorted_hits(self) -> Vec<Hit> {
+        let top = self.top.into_inner();
+        top.unwrap_or_else(PoisonError::into_inner)
+            .into_sorted_hits()
+    }
+}
+
 /// The best lower bound available on the final top-k threshold, or `None`
 /// when nothing bounds it yet. Combines the heap threshold (valid always:
-/// kept scores only improve, and in the sharded inline path earlier
-/// shards' docs are distinct from later shards') with the k-th best
+/// kept scores only improve, and the other shards pushing into the same
+/// heap hold documents distinct from this one's) with the k-th best
 /// partial among touched documents (valid only unfiltered — a selective
 /// filter could make the true filtered threshold lower than any partial).
 fn current_threshold(top: &TopK, scratch: &mut ScoreScratch, unfiltered: bool) -> Option<f64> {
@@ -1131,7 +1179,7 @@ impl<'a> Searcher<'a> {
         if k == 0 || terms.is_empty() {
             return Vec::new();
         }
-        let mut top = TopK::new(k);
+        let mut top = TopK::new(k, None);
         score_terms_into_topk(
             self.index,
             &self.fold(terms),
@@ -1157,7 +1205,7 @@ impl<'a> Searcher<'a> {
 mod tests {
     use super::*;
     use crate::document::Document;
-    use crate::index::IndexBuilder;
+    use crate::index::{IndexBuilder, DEFAULT_BLOCK_SIZE};
 
     /// [`Searcher::search_terms_with`] from query text, on a fresh scratch.
     fn search(s: &Searcher, q: &str, k: usize) -> Vec<Hit> {
@@ -1224,6 +1272,29 @@ mod tests {
         for k in 1..=all.len() {
             assert_eq!(search(&s, "star wars george", k), all[..k], "k={k}");
         }
+    }
+
+    /// A panic while the shared heap's lock is held poisons it; the heap
+    /// keeps selecting, and its threshold and hits never panic.
+    #[test]
+    fn a_poisoned_shared_top_k_still_selects() {
+        let shared = SharedTopK::new(2);
+        let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = shared.top.lock();
+            panic!("a slot panicked while holding the heap");
+        }));
+        assert!(poison.is_err() && shared.top.is_poisoned());
+        let mut slot = TopK::new(2, Some(&shared));
+        for (doc, score) in [(0, 1.0), (1, 3.0), (2, 2.0), (3, 1.5)] {
+            slot.push(Hit {
+                doc,
+                score,
+                matched_terms: 1,
+            });
+        }
+        assert_eq!(slot.full_threshold(), Some(2.0));
+        let docs: Vec<DocId> = shared.into_sorted_hits().iter().map(|h| h.doc).collect();
+        assert_eq!(docs, [1, 2]);
     }
 
     #[test]
@@ -1455,12 +1526,13 @@ mod tests {
     }
 
     /// The determinism triangle at the unit level: block-max ≡ MaxScore ≡
-    /// exhaustive, bit-for-bit, across block sizes (1, tiny, default,
-    /// larger than any posting list), both codecs, and a k sweep — and
+    /// exhaustive, bit-for-bit, across block sizes (1, tiny, the default
+    /// 32, the old default 128, larger than any posting list), both codecs,
+    /// and a k sweep — and
     /// block-max never walks more postings than the exhaustive kernel.
     #[test]
     fn block_max_matches_other_tiers_across_block_sizes_and_codecs() {
-        for block_size in [1usize, 4, 128, 10_000] {
+        for block_size in [1usize, 4, DEFAULT_BLOCK_SIZE, 128, 10_000] {
             for compressed in [false, true] {
                 let mut b = IndexBuilder::new();
                 b.set_block_size(block_size);

@@ -35,12 +35,14 @@
 //!    shard — and the unsharded path — sorts identically), and MaxScore
 //!    pruning only ever skips documents that provably cannot reach the
 //!    top-k, so the f64 sums agree to the ulp.
-//! 3. **One top-k heap order.** Every selection — the inline sweep's one
-//!    heap over all shards, each dispatched shard's own heap, and the heap
-//!    its hits are then pushed into — is a [`crate::search`] `TopK` under
-//!    the shared hit order (score desc, global doc id asc). That order is
-//!    total because global doc ids are unique, so a heap fed in any batches
-//!    keeps exactly the first k of the full sort.
+//! 3. **One top-k heap per query.** Every heap is a [`crate::search`]
+//!    `TopK` under the shared hit order (score desc, global doc id asc),
+//!    total because global doc ids are unique, so a heap fed in any order
+//!    keeps exactly the first k of the full sort. The inline sweep feeds
+//!    one; each dispatched slot its own, which passes every hit it keeps
+//!    (every global top-k hit among them) on to the query's `SharedTopK`.
+//!    A shard skips a document only when its margin-inflated bound is ≤
+//!    the k-th score some heap holds, so it would lose anyway.
 
 use crate::analysis::Analyzer;
 use crate::document::{DocId, DocView};
@@ -49,7 +51,7 @@ use crate::index::{Index, PostingsBuf, PostingsCodec, TermId};
 use crate::score::{ScoringFunction, TermStats};
 use crate::search::{
     score_terms_into_topk, with_thread_scratch, FoldedTerms, Hit, KernelTier, ScoreScratch,
-    ScratchPool, TopK,
+    ScratchPool, SharedTopK, TopK,
 };
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -583,9 +585,9 @@ impl<'a> ShardedSearcher<'a> {
     /// - **The shared-top-k sweep**, when the query scores inline: every
     ///   shard on the calling thread into ONE bounded heap, behind one
     ///   panic boundary.
-    /// - **Per-shard slots**, when it is dispatched: each shard into its
-    ///   own top-k behind its own boundary on the executor, then every
-    ///   slot's hits into one more bounded heap.
+    /// - **Per-shard slots**, when it is dispatched: each shard behind its
+    ///   own boundary on the executor, every slot passing the hits it keeps
+    ///   on to the query's one shared heap as it goes.
     ///
     /// A query is dispatched only when the context has an executor, the
     /// index has more than one shard, and the policy weighs the query's
@@ -629,7 +631,7 @@ impl<'a> ShardedSearcher<'a> {
             // lists at all. (A heap already holding k hits from earlier
             // shards also hands later shards a ready pruning threshold.)
             let score_all = |scratch: &mut ScoreScratch| {
-                let mut top = TopK::new(k);
+                let mut top = TopK::new(k, None);
                 let mut resolved = Vec::with_capacity(folded.terms.len());
                 for (s, shard) in shards.iter().enumerate() {
                     if shard.num_docs() == 0 {
@@ -646,22 +648,17 @@ impl<'a> ShardedSearcher<'a> {
             return Ok(SearchOutcome { hits });
         };
 
-        // Per-shard slots: each shard's own top-k, or its own failure.
-        // Empty shards contribute nothing and are not given a task.
+        // Per-shard slots, each recording its own failure and feeding the
+        // query's shared heap. Empty shards are not given a task.
+        let shared = SharedTopK::new(k);
         let has_docs = |s: usize| shards[s].num_docs() > 0;
-        let score_slot =
-            |s: usize, scratch: &mut ScoreScratch| -> Result<Vec<Hit>, SearchFailure> {
-                let mut top = TopK::new(k);
-                let mut resolved = Vec::with_capacity(folded.terms.len());
-                contained(|| {
-                    self.score_shard(s, folded, filter, ctx, scratch, &mut resolved, &mut top)
-                })?;
-                Ok(top.into_sorted_hits())
-            };
-        let mut slots: Vec<Option<Result<Vec<Hit>, SearchFailure>>> =
-            (0..n).map(|_| None).collect();
+        let score_slot = |s: usize, scratch: &mut ScoreScratch| {
+            let (mut top, mut resolved) = (TopK::new(k, Some(&shared)), Vec::new());
+            contained(|| self.score_shard(s, folded, filter, ctx, scratch, &mut resolved, &mut top))
+        };
+        let mut slots: Vec<Option<Result<(), SearchFailure>>> = (0..n).map(|_| None).collect();
         // Organic panics are caught inside each task (so its slot records
-        // them and the other slots still fill), while a panic injected at
+        // them and the other slots still run), while a panic injected at
         // the executor's own `exec.task` site fires outside that catch and
         // comes back through `try_run` — its shard's slot stays `None`.
         let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
@@ -675,18 +672,13 @@ impl<'a> ShardedSearcher<'a> {
             })
             .collect();
         let run_panic = exec.try_run(tasks).err();
-        // Any failed slot fails the query: a merge of the survivors would
-        // not be bit-identical to anything. Every slot is read, so the
-        // failure counts each panicked shard. The slots' hits feed one
-        // bounded heap, which selects what the sweep's shared heap does.
-        let mut top = TopK::new(k);
+        // Any failed slot fails the query: the survivors' hits would not be
+        // bit-identical to anything. Every slot is read, so the failure
+        // counts each panicked shard.
         let mut panic: Option<(String, usize)> = None;
         for (s, slot) in slots.into_iter().enumerate() {
             let message = match slot {
-                Some(Ok(hits)) => {
-                    hits.into_iter().for_each(|hit| top.push(hit));
-                    continue;
-                }
+                Some(Ok(())) => continue,
                 Some(Err(SearchFailure::Panicked { message, .. })) => message,
                 None if has_docs(s) => run_panic
                     .as_ref()
@@ -699,7 +691,7 @@ impl<'a> ShardedSearcher<'a> {
         match panic {
             Some((message, shards)) => Err(SearchFailure::Panicked { message, shards }),
             None => Ok(SearchOutcome {
-                hits: top.into_sorted_hits(),
+                hits: shared.into_sorted_hits(),
             }),
         }
     }
@@ -707,10 +699,10 @@ impl<'a> ShardedSearcher<'a> {
     /// Score one shard through the shared kernel
     /// ([`crate::search`]'s dense-accumulate + bounded-top-k) against
     /// corpus-global scorers, pushing globally-identified candidates into
-    /// `top` — the sweep's shared heap, or a slot's own. `resolved` is the
-    /// buffer the kernel resolves the terms into against the shard's own
-    /// dictionary (TermIds never cross shards), reused across the sweep's
-    /// shards.
+    /// `top` — the sweep's one heap, or a slot's, which feeds the shared
+    /// one. `resolved` is the buffer the kernel resolves the terms into
+    /// against the shard's own dictionary (TermIds never cross shards),
+    /// reused across the sweep's shards.
     /// Scoring wall-clock accumulates into the context's [`ShardTimings`]
     /// slot `s` when present (one relaxed atomic add; no timing configured
     /// = not even a clock read).
@@ -1020,6 +1012,64 @@ mod tests {
             });
             assert_eq!(inline, dispatched, "{q}");
         }
+    }
+
+    /// A shard scored into the shared heap another shard already filled —
+    /// what a dispatched slot meets once a faster slot has pushed — prunes
+    /// against that shard's hits: the heap ends with the same hits as a
+    /// merge of each shard's own top k, and Block-Max walks fewer postings.
+    #[test]
+    fn a_shard_prunes_against_the_hits_another_shard_pushed() {
+        // Round-robin: shard 0 holds the even documents, whose first twenty
+        // are `spike`-heavy; shard 1 holds weak matches and ten slightly
+        // longer `spike`-heavy ones, whose blocks it still has to load.
+        let docs: Vec<Document> = (0..4_000)
+            .map(|i| {
+                let text = match i {
+                    _ if i < 40 && i % 2 == 0 => "spike spike spike hot".to_string(),
+                    _ if i % 400 == 1 => "spike spike spike hot f1".to_string(),
+                    _ if i % 3 == 0 => format!("hot f{} spike f{}", i % 7, i % 11),
+                    _ => format!("hot f{} f{}", i % 7, i % 11),
+                };
+                Document::new(format!("d{i}")).field("body", text)
+            })
+            .collect();
+        let sx = builder_with(&docs).build_sharded(2);
+        let s = ShardedSearcher::new(&sx, ScoringFunction::default());
+        let terms = sx.analyzer().tokenize("spike hot");
+        let folded = s.fold(&terms);
+        let ctx = SearchContext::default();
+        // Score `order` as slots feeding one shared heap, one after the
+        // other; the postings the last shard walked.
+        let walk = |order: &[usize]| {
+            let (shared, mut scratch, mut walked) = (SharedTopK::new(10), ScoreScratch::new(), 0);
+            for &shard in order {
+                let before = scratch.postings_visited();
+                let mut top = TopK::new(10, Some(&shared));
+                s.score_shard(
+                    shard,
+                    &folded,
+                    None,
+                    &ctx,
+                    &mut scratch,
+                    &mut Vec::new(),
+                    &mut top,
+                );
+                walked = scratch.postings_visited() - before;
+            }
+            (shared.into_sorted_hits(), walked)
+        };
+        let (first, _) = walk(&[0]);
+        let (alone, walked_alone) = walk(&[1]);
+        let (shared, walked_after) = walk(&[0, 1]);
+        let mut merged = TopK::new(10, None);
+        first
+            .into_iter()
+            .chain(alone)
+            .for_each(|hit| merged.push(hit));
+        assert_eq!(shared, merged.into_sorted_hits());
+        assert_eq!(shared, search(&s, "spike hot", 10, &ctx));
+        assert_eq!((walked_alone, walked_after), (1_269, 667));
     }
 
     #[test]

@@ -222,19 +222,19 @@ fn every_tier_walks_its_pinned_number_of_postings_armed_or_not() {
     assert_eq!(
         c,
         Counters {
-            block_max_postings: 54,
-            blocks_skipped: 24,
+            block_max_postings: 38,
+            blocks_skipped: 42,
             blocks_scored: 2,
             max_score_postings: 2_022,
             exhaustive_postings: 21_011,
-            varied_block_max_postings: 353,
-            varied_blocks_skipped: 33,
-            common_pair_postings: 1_005,
-            common_pair_blocks_skipped: 121,
+            varied_block_max_postings: 338,
+            varied_blocks_skipped: 122,
+            common_pair_postings: 1_441,
+            common_pair_blocks_skipped: 496,
             mixed_terms: 799,
             mixed_postings: 314_185,
             flat_store_bytes: 3_770_220,
-            compressed_store_bytes: 681_513,
+            compressed_store_bytes: 748_825,
         }
     );
     // The pinned values already order the tiers; say so in words too, so a
@@ -243,10 +243,14 @@ fn every_tier_walks_its_pinned_number_of_postings_armed_or_not() {
     assert!(c.max_score_postings < c.exhaustive_postings);
     assert!(c.blocks_skipped > 0 && c.blocks_scored > 0);
     // Bounded at length 0 every varied-length block reaches the threshold
-    // (8 162 postings, no block skipped); the shortest-length lane skips.
+    // (8 162 postings, no block skipped, at 128-posting blocks); the
+    // shortest-length lane skips.
     assert!(c.varied_blocks_skipped > 0);
     // Bounded by the other term's global bound, the common pair walked
-    // 28 046 postings and skipped no block.
+    // 28 046 postings and skipped no block (at 128-posting blocks). At 32
+    // it skips four times the blocks but walks more than at 128 (1 005):
+    // each block it loads counts one posting, and the blocks its admitted
+    // candidates land in are four times as many (473 loads against 122).
     assert!(c.common_pair_blocks_skipped > 0);
     assert!(c.compressed_store_bytes < c.flat_store_bytes);
 

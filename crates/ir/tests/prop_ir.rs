@@ -247,17 +247,18 @@ proptest! {
     }
 
     // The same contract through the sharded path: per-shard kernels against
-    // corpus-global scorers + deterministic merge ≡ the naive reference —
-    // unfiltered, and under a random accept-set, for every kernel tier,
-    // inline and dispatched, at block sizes small enough that the block-max
-    // kernel skips blocks. The filter sees global ids, so its reference is
-    // the full naive ranking, filtered, then cut to k.
+    // corpus-global scorers, all pushing into the query's one top-k ≡ the
+    // naive reference — unfiltered, and under a random accept-set, for every
+    // kernel tier, inline and dispatched (at 3 and 8 shards on 2 workers,
+    // slots overlap on the shared heap), at block sizes small enough that
+    // the block-max kernel skips blocks. The filter sees global ids, so its
+    // reference is the full naive ranking, filtered, then cut to k.
     #[test]
     fn sharded_kernel_bit_identical_to_naive_reference(
         texts in prop::collection::vec(doc_text(), 1..20),
         q in doc_text(),
         accept in prop::collection::vec(prop::sample::select(vec![false, true]), 20),
-        block_size in prop::sample::select(vec![1usize, 3, 128]),
+        block_size in prop::sample::select(vec![1usize, 3, 32, 128]),
     ) {
         let scoring = ScoringFunction::default();
         let ix = build_index(&texts);
@@ -393,8 +394,10 @@ proptest! {
 
     // The kernel-tier contract: block-max ≡ MaxScore ≡ exhaustive ≡ naive
     // reference — docs, order, matched_terms, and score bits — for
-    // k ∈ {1, 3, all}, every block size (1, tiny, default), flat and
-    // sharded, inline and dispatched, under TF-IDF and BM25 at its default
+    // k ∈ {1, 3, all}, every block size (1, tiny, the default 32, the old
+    // default 128), flat and sharded, inline and dispatched (over 2 more
+    // shards than inline, so at least 3 slots share the heap on 2
+    // workers), under TF-IDF and BM25 at its default
     // and at the edges of the range the bounds assume (b = 0, b = 1,
     // k1 = 0), at field boosts below, at and above 1 — with every score
     // finite and > 0. This pins both that no pruned tier ever diverges and
@@ -411,7 +414,7 @@ proptest! {
             ScoringFunction::Bm25 { k1: 1.2, b: 1.0 },
             ScoringFunction::Bm25 { k1: 0.0, b: 0.75 },
         ]),
-        block_size in prop::sample::select(vec![1usize, 3, 128]),
+        block_size in prop::sample::select(vec![1usize, 3, 32, 128]),
         boost in prop::sample::select(vec![0.25, 1.0, 2.5]),
     ) {
         let configured = || {
@@ -424,6 +427,8 @@ proptest! {
         let terms = Analyzer::keep_all().tokenize(&q);
         let sx = configured().build_sharded(n);
         let sharded = ShardedSearcher::new(&sx, scoring);
+        let spread = configured().build_sharded(n + 2);
+        let spread = ShardedSearcher::new(&spread, scoring);
         let exec = ShardExecutor::new(2);
         let pool = ScratchPool::new();
         let mut scratch = ScoreScratch::new();
@@ -439,7 +444,7 @@ proptest! {
                     tier,
                     ..SearchContext::default()
                 }).unwrap().hits;
-                let dispatched = sharded.try_search_terms_where_ctx(&terms, k, None, &SearchContext {
+                let dispatched = spread.try_search_terms_where_ctx(&terms, k, None, &SearchContext {
                     exec: Some(&exec),
                     pool: Some(&pool),
                     policy: DispatchPolicy::force_dispatch(),
